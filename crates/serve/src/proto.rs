@@ -408,7 +408,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }
@@ -779,6 +779,13 @@ impl RetryClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv64_matches_the_fnv1a_reference_vectors() {
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn params_round_trip_through_kv() {

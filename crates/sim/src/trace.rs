@@ -5,7 +5,7 @@
 //! this: any layer can emit a typed trace event, and experiments query the
 //! log by event type, node, and time.
 
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::fmt;
 
 use crate::ids::NodeId;
@@ -50,6 +50,22 @@ pub struct TraceRecord {
     pub layer: &'static str,
     /// The typed payload.
     pub event: Box<dyn TraceEvent>,
+    /// The payload's concrete type, kept beside the box so a typed query
+    /// rejects a non-matching record without a virtual call.
+    type_id: TypeId,
+}
+
+impl TraceRecord {
+    /// The payload as a `T`, if that is its concrete type.
+    pub fn event_as<T: Any>(&self) -> Option<&T> {
+        if self.type_id != TypeId::of::<T>() {
+            return None;
+        }
+        // `as_ref()` first: calling `.as_any()` on the `Box` directly would
+        // resolve the blanket impl for `Box<dyn TraceEvent>` itself and
+        // downcast to the wrong type.
+        self.event.as_ref().as_any().downcast_ref::<T>()
+    }
 }
 
 impl Clone for TraceRecord {
@@ -58,10 +74,10 @@ impl Clone for TraceRecord {
             time: self.time,
             node: self.node,
             layer: self.layer,
-            // `as_ref()` first, as in the query helpers: cloning through the
-            // box keeps the concrete payload type (and thus downcasting)
-            // intact.
+            // `as_ref()` first, as in `event_as`: cloning through the box
+            // keeps the concrete payload type (and thus downcasting) intact.
             event: self.event.as_ref().clone_box(),
+            type_id: self.type_id,
         }
     }
 }
@@ -111,6 +127,7 @@ impl TraceLog {
             node,
             layer,
             event: Box::new(event),
+            type_id: TypeId::of::<E>(),
         });
     }
 
@@ -129,41 +146,33 @@ impl TraceLog {
         self.records.clear();
     }
 
+    /// Borrowing typed query: every record whose payload is a `T`, in
+    /// emission order, as `(time, node, &event)`.
+    ///
+    /// A type-id comparison per record and one downcast per match, nothing
+    /// cloned and nothing collected — the read path for per-run analyses
+    /// (oracles, verdicts). The collecting helpers below are thin wrappers
+    /// over it.
+    pub fn iter_of<T: Any>(&self) -> impl Iterator<Item = (SimTime, NodeId, &T)> {
+        self.records
+            .iter()
+            .filter_map(|r| r.event_as::<T>().map(|e| (r.time, r.node, e)))
+    }
+
     /// All events of type `T`, optionally restricted to one node, in
     /// emission order, cloned out of the log.
     pub fn events_of<T: Any + Clone>(&self, node: Option<NodeId>) -> Vec<(SimTime, T)> {
-        self.records
-            .iter()
-            .filter(|r| node.is_none_or(|n| r.node == n))
-            .filter_map(|r| {
-                // `as_ref()` first: calling `.as_any()` on the `Box` directly
-                // would resolve the blanket impl for `Box<dyn TraceEvent>`
-                // itself and downcast to the wrong type.
-                r.event
-                    .as_ref()
-                    .as_any()
-                    .downcast_ref::<T>()
-                    .map(|e| (r.time, e.clone()))
-            })
+        self.iter_of::<T>()
+            .filter(|&(_, n, _)| node.is_none_or(|want| n == want))
+            .map(|(t, _, e)| (t, e.clone()))
             .collect()
     }
 
     /// All events of type `T` from every node, in emission order, with the
-    /// emitting node attached.
-    ///
-    /// The per-node companion of [`events_of`](TraceLog::events_of), used
-    /// by trace-derived *coverage* extraction: campaign engines diff runs
-    /// by which `(node, event)` shapes appeared.
+    /// emitting node attached, cloned out of the log.
     pub fn events_with_nodes<T: Any + Clone>(&self) -> Vec<(SimTime, NodeId, T)> {
-        self.records
-            .iter()
-            .filter_map(|r| {
-                r.event
-                    .as_ref()
-                    .as_any()
-                    .downcast_ref::<T>()
-                    .map(|e| (r.time, r.node, e.clone()))
-            })
+        self.iter_of::<T>()
+            .map(|(t, n, e)| (t, n, e.clone()))
             .collect()
     }
 
@@ -171,19 +180,15 @@ impl TraceLog {
     /// (records where `key` returns `None` are skipped).
     ///
     /// Adjacent pairs of the returned sequences are the *transition edges*
-    /// of each node's observable behaviour — e.g. mapping `TcpEvent`s to
-    /// their variant name yields the per-node event-kind transition graph
-    /// a coverage-guided campaign steers by.
-    pub fn sequences_of<T: Any + Clone, K>(
+    /// of each node's observable behaviour.
+    pub fn sequences_of<T: Any, K>(
         &self,
         key: impl Fn(&T) -> Option<K>,
     ) -> std::collections::BTreeMap<NodeId, Vec<K>> {
         let mut out: std::collections::BTreeMap<NodeId, Vec<K>> = std::collections::BTreeMap::new();
-        for r in self.records.iter() {
-            if let Some(e) = r.event.as_ref().as_any().downcast_ref::<T>() {
-                if let Some(k) = key(e) {
-                    out.entry(r.node).or_default().push(k);
-                }
+        for (_, node, e) in self.iter_of::<T>() {
+            if let Some(k) = key(e) {
+                out.entry(node).or_default().push(k);
             }
         }
         out
@@ -364,6 +369,39 @@ mod tests {
                 (SimTime::from_micros(2), NodeId::new(1), EvA(2)),
             ]
         );
+    }
+
+    #[test]
+    fn iter_of_matches_events_with_nodes_and_clones_nothing() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        static CLONES: AtomicUsize = AtomicUsize::new(0);
+        #[derive(Debug, PartialEq)]
+        struct Counted(u32);
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                CLONES.fetch_add(1, Ordering::Relaxed);
+                Counted(self.0)
+            }
+        }
+
+        let mut log = TraceLog::new();
+        log.record(SimTime::from_micros(1), NodeId::new(0), "l", Counted(1));
+        log.record(SimTime::from_micros(2), NodeId::new(1), "l", EvA(7));
+        log.record(SimTime::from_micros(3), NodeId::new(1), "l", Counted(2));
+        log.record(SimTime::from_micros(4), NodeId::new(0), "l", EvB("x"));
+        log.record(SimTime::from_micros(5), NodeId::new(2), "l", Counted(3));
+
+        let borrowed: Vec<(SimTime, NodeId, &Counted)> = log.iter_of::<Counted>().collect();
+        assert_eq!(CLONES.load(Ordering::Relaxed), 0, "iter_of must not clone");
+        assert_eq!(borrowed.len(), 3);
+
+        let cloned = log.events_with_nodes::<Counted>();
+        assert_eq!(CLONES.load(Ordering::Relaxed), 3);
+        assert_eq!(cloned.len(), borrowed.len());
+        for ((t, n, e), (bt, bn, be)) in cloned.iter().zip(&borrowed) {
+            assert_eq!((t, n, e), (bt, bn, *be));
+        }
     }
 
     #[test]

@@ -62,8 +62,7 @@ impl Oracle for ChaosPanicOracle {
 
     fn check(&self, trace: &TraceLog) -> Result<(), String> {
         let drops = trace
-            .events_with_nodes::<PfiEvent>()
-            .iter()
+            .iter_of::<PfiEvent>()
             .filter(|(_, _, e)| matches!(e, PfiEvent::Dropped { .. }))
             .count();
         if drops > 0 {
@@ -101,7 +100,7 @@ impl Oracle for TcpPrefixOracle {
     }
 
     fn check(&self, trace: &TraceLog) -> Result<(), String> {
-        for (_, node, stream) in trace.events_with_nodes::<DeliveredStream>() {
+        for (_, node, stream) in trace.iter_of::<DeliveredStream>() {
             let got = &stream.data;
             if got.len() > self.expected.len() || got[..] != self.expected[..got.len()] {
                 return Err(format!(
@@ -128,15 +127,14 @@ impl Oracle for TcpNoSilentCloseOracle {
     }
 
     fn check(&self, trace: &TraceLog) -> Result<(), String> {
-        for (_, node, e) in trace.events_with_nodes::<TcpEvent>() {
+        for (_, node, e) in trace.iter_of::<TcpEvent>() {
             let TcpEvent::Closed { conn, reason } = e else {
                 continue;
             };
             let tried = |pred: &dyn Fn(&TcpEvent) -> bool| {
                 trace
-                    .events_of::<TcpEvent>(Some(node))
-                    .iter()
-                    .any(|(_, e)| pred(e))
+                    .iter_of::<TcpEvent>()
+                    .any(|(_, n, e)| n == node && pred(e))
             };
             match reason {
                 CloseReason::Timeout => {
@@ -145,7 +143,7 @@ impl Oracle for TcpNoSilentCloseOracle {
                             e,
                             TcpEvent::Retransmit { conn: c, .. }
                             | TcpEvent::FastRetransmit { conn: c, .. }
-                            | TcpEvent::ZeroWindowProbe { conn: c, .. } if *c == conn
+                            | TcpEvent::ZeroWindowProbe { conn: c, .. } if c == conn
                         )
                     });
                     if !retried {
@@ -156,7 +154,7 @@ impl Oracle for TcpNoSilentCloseOracle {
                 }
                 CloseReason::KeepaliveTimeout => {
                     let probed = tried(
-                        &|e| matches!(e, TcpEvent::KeepaliveProbe { conn: c, .. } if *c == conn),
+                        &|e| matches!(e, TcpEvent::KeepaliveProbe { conn: c, .. } if c == conn),
                     );
                     if !probed {
                         return Err(format!(
@@ -198,9 +196,9 @@ impl Oracle for TcpRtoBoundsOracle {
     }
 
     fn check(&self, trace: &TraceLog) -> Result<(), String> {
-        for (_, node, e) in trace.events_with_nodes::<TcpEvent>() {
+        for (_, node, e) in trace.iter_of::<TcpEvent>() {
             if let TcpEvent::Retransmit { conn, next_rto, .. } = e {
-                if next_rto < self.min || next_rto > self.max {
+                if *next_rto < self.min || *next_rto > self.max {
                     return Err(format!(
                         "{node} conn {conn} scheduled an RTO of {next_rto} outside [{}, {}]",
                         self.min, self.max
@@ -228,9 +226,8 @@ impl Oracle for GmpAgreementOracle {
     }
 
     fn check(&self, trace: &TraceLog) -> Result<(), String> {
-        let mut by_gid: std::collections::BTreeMap<u64, Vec<u32>> =
-            std::collections::BTreeMap::new();
-        for (_, node, e) in trace.events_with_nodes::<GmpEvent>() {
+        let mut by_gid: std::collections::BTreeMap<u64, &[u32]> = std::collections::BTreeMap::new();
+        for (_, node, e) in trace.iter_of::<GmpEvent>() {
             let GmpEvent::GroupView {
                 gid,
                 members,
@@ -241,7 +238,7 @@ impl Oracle for GmpAgreementOracle {
             };
             // let-else keeps this structurally panic-free: an empty member
             // list is itself the violation, never an unwrap on min().
-            let Some(&min_member) = members.iter().min() else {
+            let Some(min_member) = members.iter().min() else {
                 return Err(format!("{node} committed an empty view for gid {gid}"));
             };
             if leader != min_member {
@@ -249,11 +246,11 @@ impl Oracle for GmpAgreementOracle {
                     "{node} committed gid {gid} with leader {leader} not the minimum of {members:?}"
                 ));
             }
-            match by_gid.get(&gid) {
+            match by_gid.get(gid) {
                 None => {
-                    by_gid.insert(gid, members);
+                    by_gid.insert(*gid, members);
                 }
-                Some(existing) if *existing != members => {
+                Some(existing) if existing != members => {
                     return Err(format!(
                         "view disagreement for gid {gid}: {existing:?} vs {members:?}"
                     ));
@@ -277,13 +274,13 @@ impl Oracle for GmpLeaderUniquenessOracle {
 
     fn check(&self, trace: &TraceLog) -> Result<(), String> {
         let mut leaders: std::collections::BTreeMap<u64, u32> = std::collections::BTreeMap::new();
-        for (_, _, e) in trace.events_with_nodes::<GmpEvent>() {
+        for (_, _, e) in trace.iter_of::<GmpEvent>() {
             if let GmpEvent::GroupView { gid, leader, .. } = e {
-                match leaders.get(&gid) {
+                match leaders.get(gid) {
                     None => {
-                        leaders.insert(gid, leader);
+                        leaders.insert(*gid, *leader);
                     }
-                    Some(&l) if l != leader => {
+                    Some(l) if l != leader => {
                         return Err(format!("gid {gid} has rival leaders {l} and {leader}"));
                     }
                     Some(_) => {}
@@ -305,7 +302,7 @@ impl Oracle for GmpNoSelfDeathOracle {
     }
 
     fn check(&self, trace: &TraceLog) -> Result<(), String> {
-        for (_, node, e) in trace.events_with_nodes::<GmpEvent>() {
+        for (_, node, e) in trace.iter_of::<GmpEvent>() {
             if matches!(e, GmpEvent::SelfDeclaredDead) {
                 return Err(format!("{node} declared itself dead"));
             }
@@ -325,7 +322,7 @@ impl Oracle for GmpProclaimRoutingOracle {
     }
 
     fn check(&self, trace: &TraceLog) -> Result<(), String> {
-        for (_, node, e) in trace.events_with_nodes::<GmpEvent>() {
+        for (_, node, e) in trace.iter_of::<GmpEvent>() {
             if let GmpEvent::ProclaimAnswered { to, origin } = e {
                 if to != origin {
                     return Err(format!(
@@ -349,7 +346,7 @@ impl Oracle for GmpTimerDisciplineOracle {
     }
 
     fn check(&self, trace: &TraceLog) -> Result<(), String> {
-        for (_, node, e) in trace.events_with_nodes::<GmpEvent>() {
+        for (_, node, e) in trace.iter_of::<GmpEvent>() {
             if let GmpEvent::SpuriousTimerInTransition { suspect } = e {
                 return Err(format!(
                     "{node} saw a stale timer for n{suspect} while in transition"
@@ -377,17 +374,17 @@ impl Oracle for TpcAtomicityOracle {
     fn check(&self, trace: &TraceLog) -> Result<(), String> {
         let mut decisions: std::collections::BTreeMap<u32, bool> =
             std::collections::BTreeMap::new();
-        for (_, node, e) in trace.events_with_nodes::<TpcEvent>() {
+        for (_, node, e) in trace.iter_of::<TpcEvent>() {
             let (txid, commit) = match e {
                 TpcEvent::DecisionMade { txid, commit }
                 | TpcEvent::DecisionApplied { txid, commit } => (txid, commit),
                 _ => continue,
             };
-            match decisions.get(&txid) {
+            match decisions.get(txid) {
                 None => {
-                    decisions.insert(txid, commit);
+                    decisions.insert(*txid, *commit);
                 }
-                Some(&d) if d != commit => {
+                Some(d) if d != commit => {
                     return Err(format!(
                         "txid {txid} decision split: {d} vs {commit} (at {node})"
                     ));

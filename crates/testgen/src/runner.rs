@@ -703,8 +703,7 @@ pub fn run_prepared(
 /// looping script (a hang) from a merely broken one (fail-open noise).
 fn budget_exhausted_script(trace: &TraceLog) -> Option<String> {
     trace
-        .events_with_nodes::<PfiEvent>()
-        .into_iter()
+        .iter_of::<PfiEvent>()
         .find_map(|(_, node, event)| match event {
             PfiEvent::ScriptFailed {
                 budget_exhausted: true,
@@ -845,9 +844,12 @@ impl TestTarget for GmpTarget {
         // means the fault was visible, even if the group healed.
         let churn = world
             .trace()
-            .events_of::<GmpEvent>(Some(peers[0]))
-            .iter()
-            .filter(|(t, e)| t.as_secs_f64() > 40.0 && matches!(e, GmpEvent::GroupView { .. }))
+            .iter_of::<GmpEvent>()
+            .filter(|(t, node, e)| {
+                *node == peers[0]
+                    && t.as_secs_f64() > 40.0
+                    && matches!(e, GmpEvent::GroupView { .. })
+            })
             .count();
         if churn > 0 {
             Verdict::Degraded(format!("membership changed {churn} times under the fault"))
@@ -997,10 +999,11 @@ impl TestTarget for TcpTarget {
     }
 
     fn verdict(&self, world: &mut World) -> Verdict {
-        let streams = world
+        let Some((_, _, stream)) = world
             .trace()
-            .events_of::<DeliveredStream>(Some(Self::server()));
-        let Some((_, stream)) = streams.first() else {
+            .iter_of::<DeliveredStream>()
+            .find(|(_, node, _)| *node == Self::server())
+        else {
             return Verdict::Degraded("connection never established".to_string());
         };
         if stream.data.len() == self.payload_len {
@@ -1089,11 +1092,15 @@ impl TestTarget for TpcTarget {
         let mut decision: Option<bool> = None;
         let mut blocked = 0usize;
         for i in 0..4 {
-            for (_, e) in world.trace().events_of::<TpcEvent>(Some(NodeId::new(i))) {
+            let at_node = world
+                .trace()
+                .iter_of::<TpcEvent>()
+                .filter(|(_, node, _)| *node == NodeId::new(i));
+            for (_, _, e) in at_node {
                 match e {
                     TpcEvent::DecisionApplied { commit, .. }
                     | TpcEvent::DecisionMade { commit, .. } => {
-                        decision.get_or_insert(commit);
+                        decision.get_or_insert(*commit);
                     }
                     TpcEvent::Blocked { .. } => blocked += 1,
                     _ => {}

@@ -361,6 +361,50 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Coverage algebra over real runs. Whatever traces a mutation chain
+// produces, the extracted coverage must be a proper set of edge strings:
+// strictly sorted, rebuilt exactly from its own edge list (the journal
+// path), and merged idempotently with `merge`'s count equal to the set
+// difference it reports.
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn coverage_of_mutation_chains_is_a_sorted_mergeable_set(
+        seed in any::<u64>(), steps in 1usize..8,
+    ) {
+        use pfi_testgen::{run_schedule, Coverage, GmpTarget, TestTarget};
+
+        let target = GmpTarget { fault_secs: 5, ..GmpTarget::default() };
+        let mutator = ScheduleMutator::new(
+            &ProtocolSpec::gmp(),
+            target.node_count(),
+            target.fault_sites(),
+        );
+        let mut rng = SimRng::seed_from(seed);
+        let mut sched = FaultSchedule::empty();
+        let mut union = Coverage::new();
+        for _ in 0..steps {
+            sched = mutator.mutate(&sched, 3, &mut rng);
+            let c = run_schedule(&target, &sched).coverage;
+
+            let edges: Vec<&str> = c.edges().collect();
+            prop_assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges() strictly sorted");
+            prop_assert_eq!(edges.len(), c.len());
+            prop_assert_eq!(&Coverage::from_edges(c.edges()), &c);
+
+            let expected_new = c.difference(&union).count();
+            let before = union.len();
+            prop_assert_eq!(union.merge(&c), expected_new);
+            prop_assert_eq!(union.len(), before + expected_new);
+            prop_assert_eq!(union.merge(&c), 0, "merge is idempotent");
+            prop_assert_eq!(c.difference(&union).count(), 0);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Semantic quotient differential. A fault the flow model proves statically
 // inert must be *unobservable*: executing the schedule with the inert fault
 // installed and executing its quotient (the inert fault stripped) must give
