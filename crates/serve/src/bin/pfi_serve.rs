@@ -12,7 +12,8 @@
 //! ```
 
 use pfi_serve::{
-    daemon, Bind, CampaignParams, Client, DaemonOptions, FaultConfig, Request, ServiceLimits,
+    daemon, Bind, CampaignParams, Client, DaemonOptions, FaultConfig, Reply, Request, RetryClient,
+    RetryPolicy, ServiceLimits,
 };
 
 const HELP: &str = "pfi-serve — persistent campaign daemon and client
@@ -54,17 +55,23 @@ submit FLAGS (after the protocol name: gmp, tcp, or tpc):
     --ident TOK       idempotency token ([A-Za-z0-9._-], <=64 bytes); a
                       resubmit with the same token dedupes to the
                       original campaign instead of double-running
+                      (default: a fresh token per invocation, so the
+                      client's own reconnect-and-retry never double-runs)
     --seed N --budget N --max-faults N --epoch N --step-budget N
     --buggy           gmp with the paper's seeded bugs
     --fault-secs N    gmp fault-window length (default 60; 5 = loop-heavy)
     --no-prefilter    run statically-invalid candidates
     --no-pruning      execute candidates even when an equivalent canonical
                       schedule already ran (same digest, more executions)
+    --no-semantic     keep canonical pruning but run candidates whose
+                      semantic quotient already settled
     --no-snapshots    rebuild every world instead of forking snapshots
     --share-corpus    seed from the store's corpus pool for this target
     --wait            block until the campaign finishes, print its
                       results, and exit with the campaign's exit code
                       (0 clean / 1 violations / 3 infrastructure)
+    submit reconnects and retries torn exchanges (8 attempts, seeded
+    exponential backoff); `wait` and `results` resume by campaign id
 
 status FLAGS:
     --id cN           only this campaign
@@ -82,14 +89,16 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn connect(args: &[String]) -> Client {
-    let addr = flag_str(args, "--addr");
-    let socket = flag_str(args, "--socket");
-    let target = match (addr, socket) {
+fn daemon_addr(args: &[String]) -> String {
+    match (flag_str(args, "--addr"), flag_str(args, "--socket")) {
         (Some(a), None) => a,
         (None, Some(s)) => s,
         _ => fail("exactly one of --addr or --socket is required"),
-    };
+    }
+}
+
+fn connect(args: &[String]) -> Client {
+    let target = daemon_addr(args);
     match Client::connect(&target) {
         Ok(c) => c,
         Err(e) => {
@@ -149,8 +158,8 @@ fn positional(args: &[String]) -> Option<String> {
     None
 }
 
-fn call_or_die(client: &mut Client, req: &Request) -> pfi_serve::Reply {
-    match client.call(req) {
+fn ok_or_die(reply: std::io::Result<Reply>) -> Reply {
+    match reply {
         Ok(reply) if reply.ok => reply,
         Ok(reply) => {
             eprintln!("daemon refused: {}", reply.head);
@@ -250,12 +259,24 @@ fn main() {
             params.buggy = args.iter().any(|a| a == "--buggy");
             params.prefilter = !args.iter().any(|a| a == "--no-prefilter");
             params.pruning = !args.iter().any(|a| a == "--no-pruning");
+            params.semantic = !args.iter().any(|a| a == "--no-semantic");
             params.snapshots = !args.iter().any(|a| a == "--no-snapshots");
             params.share_corpus = args.iter().any(|a| a == "--share-corpus");
 
-            let ident = flag_str(&args, "--ident");
-            let mut client = connect(&args);
-            let reply = call_or_die(&mut client, &Request::Submit { params, ident });
+            // Every submit carries an ident — the caller's, or a fresh
+            // one per invocation — so a retry after a torn ack dedupes
+            // server-side instead of double-running the campaign.
+            let ident = flag_str(&args, "--ident").unwrap_or_else(|| {
+                let nanos = std::time::SystemTime::now()
+                    .duration_since(std::time::UNIX_EPOCH)
+                    .map_or(0, |d| d.as_nanos());
+                format!("cli-{nanos:x}-{:x}", std::process::id())
+            });
+            let mut client = RetryClient::new(&daemon_addr(&args), RetryPolicy::default());
+            let reply = ok_or_die(client.call(&Request::Submit {
+                params,
+                ident: Some(ident),
+            }));
             let id = reply
                 .get("id")
                 .unwrap_or_else(|| fail("daemon reply carried no campaign id"))
@@ -270,10 +291,13 @@ fn main() {
                 reply.get("seeds").unwrap_or("0")
             );
             if args.iter().any(|a| a == "--wait") {
-                let wait = call_or_die(&mut client, &Request::Wait { id: id.clone() });
-                let results = call_or_die(&mut client, &Request::Results { id });
+                let wait = ok_or_die(client.call(&Request::Wait { id: id.clone() }));
+                let results = ok_or_die(client.call(&Request::Results { id }));
                 for line in &results.payload {
                     println!("{line}");
+                }
+                if client.retries > 0 {
+                    eprintln!("healed {} torn exchange(s) by reconnecting", client.retries);
                 }
                 let exit: i32 = wait.get("exit").and_then(|e| e.parse().ok()).unwrap_or(3);
                 std::process::exit(exit);
@@ -285,7 +309,7 @@ fn main() {
             let id = flag_str(&args, "--id");
             let watch = args.iter().any(|a| a == "--watch");
             loop {
-                let reply = call_or_die(&mut client, &Request::Status { id: id.clone() });
+                let reply = ok_or_die(client.call(&Request::Status { id: id.clone() }));
                 println!("campaigns: {}", reply.get("campaigns").unwrap_or("?"));
                 for line in &reply.payload {
                     println!("  {line}");
@@ -300,7 +324,7 @@ fn main() {
         "results" => {
             let id = flag_str(&args, "--id").unwrap_or_else(|| fail("results requires --id cN"));
             let mut client = connect(&args);
-            let reply = call_or_die(&mut client, &Request::Results { id });
+            let reply = ok_or_die(client.call(&Request::Results { id }));
             for line in &reply.payload {
                 println!("{line}");
             }
@@ -312,7 +336,7 @@ fn main() {
             let key = positional(&args)
                 .unwrap_or_else(|| fail("corpus needs a target key (e.g. gmp, gmp-fs5)"));
             let mut client = connect(&args);
-            let reply = call_or_die(&mut client, &Request::Corpus { key });
+            let reply = ok_or_die(client.call(&Request::Corpus { key }));
             println!(
                 "corpus pool: {} schedule(s)",
                 reply.get("schedules").unwrap_or("0")
@@ -324,14 +348,14 @@ fn main() {
 
         "ping" => {
             let mut client = connect(&args);
-            let reply = call_or_die(&mut client, &Request::Ping);
+            let reply = ok_or_die(client.call(&Request::Ping));
             // The head carries the service-boundary counters.
             println!("{}", reply.head);
         }
 
         "shutdown" => {
             let mut client = connect(&args);
-            call_or_die(&mut client, &Request::Shutdown);
+            ok_or_die(client.call(&Request::Shutdown));
             println!("daemon stopping");
         }
 

@@ -402,16 +402,9 @@ fn validate_ident(tok: &str) -> Result<String, String> {
     Ok(tok.to_string())
 }
 
-/// FNV-1a over bytes: the protocol's only hash, used for client identity
-/// digests and deterministic retry jitter.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// FNV-1a over bytes — the workspace's one hash ([`pfi_sim::fnv`]), used
+/// here for deterministic retry jitter.
+pub use pfi_sim::fnv::fnv64;
 
 /// A parsed reply: the head line plus (when the request promised one) the
 /// un-dot-stuffed payload lines.

@@ -18,6 +18,7 @@
 //! * [`TraceLog`] — typed packet/event log every experiment analyses.
 //! * [`BoardStore`] — arena of script-visible key/value blackboards,
 //!   addressed by plain [`BoardId`] indices.
+//! * [`fnv`] — the FNV-1a hash behind every digest in the workspace.
 //!
 //! # Examples
 //!
@@ -64,3 +65,9 @@ pub use snapshot::{SnapshotError, WorldSnapshot};
 pub use time::{SimDuration, SimTime};
 pub use trace::{DropReason, NetTrace, TimerTrace, TraceEvent, TraceLog, TraceRecord};
 pub use world::World;
+
+/// 64-bit FNV-1a: the incremental [`Fnv`](fnv::Fnv) hasher and the
+/// one-shot [`fnv64`](fnv::fnv64). Every digest in the workspace uses it.
+pub mod fnv {
+    pub use crate::snapshot::{fnv64, Fnv};
+}

@@ -190,39 +190,57 @@ const _: () = {
     assert_send_sync::<WorldSnapshot>();
 };
 
-/// Incremental FNV-1a hasher used for snapshot digests (the same constants
-/// the campaign layer uses for its digests, so renders stay comparable).
+/// Incremental 64-bit FNV-1a — the workspace's one digest hash, public as
+/// [`pfi_sim::fnv`](crate::fnv). World snapshot digests, the campaign
+/// layer's prefix-digest chains and outcome digests, and the pfi-serve
+/// client's retry jitter all run through it, so renders stay comparable.
+/// The state is the public field: `Fnv(d)` resumes a chain from digest `d`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv(pub(crate) u64);
+pub struct Fnv(pub u64);
 
 impl Fnv {
-    pub(crate) fn new() -> Self {
+    /// A hasher at the FNV-1a offset basis.
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
+    /// Mixes raw bytes in.
+    pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
-    pub(crate) fn write_u64(&mut self, v: u64) {
+    /// Mixes a `u64` in, little-endian.
+    pub fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
     }
 
-    pub(crate) fn write_usize(&mut self, v: usize) {
+    /// Mixes a `usize` in as a `u64`.
+    pub fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);
     }
 
-    pub(crate) fn write_str(&mut self, s: &str) {
+    /// Mixes a string in, length-prefixed — so `("ab", "c")` and
+    /// `("a", "bc")` chain differently.
+    pub fn write_str(&mut self, s: &str) {
         self.write_usize(s.len());
         self.write(s.as_bytes());
     }
 
-    pub(crate) fn finish(self) -> u64 {
+    /// The digest so far.
+    pub fn finish(self) -> u64 {
         self.0
     }
+}
+
+/// One-shot FNV-1a of `bytes`.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv::new();
+    h.write(bytes);
+    h.finish()
 }
 
 #[cfg(test)]
@@ -240,9 +258,15 @@ mod tests {
 
     #[test]
     fn fnv_matches_reference_vector() {
-        // FNV-1a of "a" is a published test vector.
+        // The published FNV-1a 64-bit test vectors.
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
+        // Incremental writes and resuming from a state agree with one shot.
         let mut h = Fnv::new();
-        h.write(b"a");
-        assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
+        h.write(b"foo");
+        let mut resumed = Fnv(h.finish());
+        resumed.write(b"bar");
+        assert_eq!(resumed.finish(), fnv64(b"foobar"));
     }
 }

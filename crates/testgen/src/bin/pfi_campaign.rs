@@ -91,21 +91,6 @@ FLAGS:
                       a message — exercises crash containment (CI resilience)
     --stats           print the fleet execution report (workers, exec/sec, queues)
     --digest          print a one-line outcome digest (for golden comparisons)
-    --serve ADDR      don't run locally: submit the exploration to a running
-                      pfi-serve daemon (host:port, or a Unix socket path
-                      containing '/'), wait for it, print its results, and
-                      exit with the campaign's usual exit code. --share-corpus
-                      seeds it from the daemon's corpus pool; --journal,
-                      --resume, and --jobs are the daemon's business and are
-                      ignored
-    --share-corpus    (with --serve) seed from the daemon's shared corpus pool
-    --serve-retries N (with --serve) attempts per protocol exchange before
-                      giving up; reconnects between attempts (default 8;
-                      env PFI_SERVE_RETRIES)
-    --serve-backoff-ms N
-                      (with --serve) base reconnect backoff; doubles per
-                      attempt with deterministic jitter, capped at 2s
-                      (default 50; env PFI_SERVE_BACKOFF_MS)
     --help            this text
 
 EXIT CODES:
@@ -154,10 +139,8 @@ fn main() {
     };
 
     // The factory (plain-data target config) crosses into the fleet's
-    // worker threads. Grid mode prebuilds each case's world on the master
-    // and ships it (worlds are arena-backed and Send); explore mode lets
-    // workers build worlds themselves — there the per-candidate build is
-    // the parallel work.
+    // worker threads; each worker makes its own target and builds (or
+    // forks) its own worlds.
     let inject_panic = args.iter().any(|a| a == "--inject-panic");
     fn sabotage<T: TestTarget + Clone + Send + Sync + 'static>(
         target: T,
@@ -241,31 +224,6 @@ fn main() {
                     std::process::exit(2);
                 }
             }
-        }
-        // `--serve` hands the whole campaign to a daemon: the local
-        // process becomes a thin client with the same exit-code contract.
-        if let Some(addr) = args
-            .iter()
-            .position(|a| a == "--serve")
-            .and_then(|i| args.get(i + 1))
-        {
-            let env_num = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<u64>().ok());
-            let retries = flag_value("--serve-retries")
-                .or_else(|| env_num("PFI_SERVE_RETRIES"))
-                .unwrap_or(8) as u32;
-            let backoff_ms = flag_value("--serve-backoff-ms")
-                .or_else(|| env_num("PFI_SERVE_BACKOFF_MS"))
-                .unwrap_or(50);
-            serve_shim(
-                addr,
-                proto,
-                buggy,
-                fault_secs,
-                args.iter().any(|a| a == "--share-corpus"),
-                &config,
-                retries,
-                backoff_ms,
-            );
         }
         if !digest {
             println!(
@@ -445,202 +403,4 @@ fn main() {
     if infra > 0 {
         std::process::exit(3);
     }
-}
-
-/// Submits the exploration to a pfi-serve daemon and relays its result.
-///
-/// This speaks the daemon's line protocol directly (pfi-serve depends on
-/// this crate, so the dependency cannot point the other way): one
-/// `submit` with the full campaign identity, a blocking `wait`, then
-/// `results` — a dot-terminated payload block — printed verbatim. Exits
-/// with the campaign's exit code (0 clean / 1 violations / 3
-/// infrastructure), exactly as a local run would.
-///
-/// Self-healing: every step survives a torn connection. The client
-/// reconnects with exponential backoff + deterministic jitter
-/// (`--serve-retries` / `--serve-backoff-ms`, env `PFI_SERVE_RETRIES` /
-/// `PFI_SERVE_BACKOFF_MS`); the submit carries an idempotency token
-/// derived from the campaign identity plus this process, so a resubmit
-/// after a mid-ack disconnect dedupes to the already-accepted campaign
-/// instead of double-running; `wait` and `results` are re-issued by
-/// campaign id on each fresh connection, so the client resumes exactly
-/// where the fault cut it off.
-#[allow(clippy::too_many_arguments)]
-fn serve_shim(
-    addr: &str,
-    proto: &str,
-    buggy: bool,
-    fault_secs: u64,
-    share_corpus: bool,
-    config: &ExploreConfig,
-    retries: u32,
-    backoff_ms: u64,
-) -> ! {
-    use std::io::{BufRead, BufReader, Write};
-
-    trait Rw: std::io::Read + std::io::Write {}
-    impl<T: std::io::Read + std::io::Write> Rw for T {}
-
-    fn fnv64(bytes: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
-
-    let die = |msg: String| -> ! {
-        eprintln!("--serve {addr}: {msg}");
-        std::process::exit(3);
-    };
-
-    // Anything with '/' — or without the ':' a host:port must carry —
-    // is a Unix socket path; the rest is TCP.
-    let connect = || -> std::io::Result<BufReader<Box<dyn Rw>>> {
-        let stream: Box<dyn Rw> = if addr.contains('/') || !addr.contains(':') {
-            Box::new(std::os::unix::net::UnixStream::connect(addr)?)
-        } else {
-            Box::new(std::net::TcpStream::connect(addr)?)
-        };
-        Ok(BufReader::new(stream))
-    };
-
-    let params_kv = format!(
-        "proto={proto} seed={} budget={} max-faults={} epoch={} buggy={} \
-         fault-secs={fault_secs} prefilter={} pruning={} semantic={} snapshots={} \
-         step-budget={} share-corpus={}",
-        config.seed,
-        config.budget,
-        config.max_faults,
-        config.epoch,
-        buggy as u8,
-        config.prefilter as u8,
-        config.pruning as u8,
-        config.semantic as u8,
-        config.snapshots as u8,
-        config.step_budget,
-        share_corpus as u8,
-    );
-    // Idempotency token: stable across every retry of THIS submission
-    // (so the daemon dedupes a resubmit after a torn ack), distinct
-    // across invocations (so two identical campaigns submitted on
-    // purpose both run).
-    let nonce = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    let ident = format!(
-        "pc-{:016x}-{:08x}",
-        fnv64(params_kv.as_bytes()) ^ nonce.rotate_left(17),
-        std::process::id()
-    );
-
-    // One protocol exchange with reconnect-and-retry. `conn` persists
-    // across calls; any I/O error or torn reply poisons it, and the next
-    // attempt reconnects after a jittered exponential backoff. A protocol
-    // `err` reply is the daemon speaking, not the wire failing — returned
-    // as-is, never retried.
-    let mut conn: Option<BufReader<Box<dyn Rw>>> = None;
-    let mut retried: u64 = 0;
-    let exchange = |conn: &mut Option<BufReader<Box<dyn Rw>>>,
-                    retried: &mut u64,
-                    line: &str,
-                    payload: bool|
-     -> Result<(String, Vec<String>), String> {
-        let mut last = String::new();
-        for attempt in 0..retries.max(1) {
-            if attempt > 0 {
-                *retried += 1;
-                let exp = backoff_ms
-                    .max(1)
-                    .saturating_mul(1u64 << attempt.min(16))
-                    .min(2000);
-                let jitter = fnv64(format!("{ident}:{attempt}").as_bytes()) % (exp / 2 + 1);
-                std::thread::sleep(std::time::Duration::from_millis(exp / 2 + jitter));
-            }
-            let c = match conn {
-                Some(c) => c,
-                None => match connect() {
-                    Ok(c) => conn.insert(c),
-                    Err(e) => {
-                        last = format!("cannot connect: {e}");
-                        continue;
-                    }
-                },
-            };
-            let io = (|| -> std::io::Result<(String, Vec<String>)> {
-                writeln!(c.get_mut(), "{line}")?;
-                c.get_mut().flush()?;
-                // A line without its newline is a torn reply: the daemon
-                // closes after any failed write, so EOF can cut a line
-                // mid-frame ("ok " torn before the id). Acting on the
-                // fragment would be wrong in both directions — always
-                // classify it as EOF and let the retry loop resubmit.
-                let full_line = |c: &mut BufReader<Box<dyn Rw>>| -> std::io::Result<String> {
-                    let mut l = String::new();
-                    if c.read_line(&mut l)? == 0 || !l.ends_with('\n') {
-                        return Err(std::io::ErrorKind::UnexpectedEof.into());
-                    }
-                    Ok(l)
-                };
-                let head = full_line(c)?.trim_end().to_string();
-                let mut lines = Vec::new();
-                if payload && head.starts_with("ok") {
-                    loop {
-                        let l = full_line(c)?;
-                        let l = l.trim_end_matches(['\r', '\n']);
-                        if l == "." {
-                            break;
-                        }
-                        lines.push(l.strip_prefix('.').unwrap_or(l).to_string());
-                    }
-                }
-                Ok((head, lines))
-            })();
-            match io {
-                Ok((head, lines)) => {
-                    if head == "ok" || head.starts_with("ok ") {
-                        return Ok((head, lines));
-                    }
-                    return Err(format!("daemon refused: {head}"));
-                }
-                Err(e) => {
-                    *conn = None; // poisoned: reconnect on the next attempt
-                    last = format!("request failed: {e}");
-                }
-            }
-        }
-        Err(format!("{last} (after {} attempt(s))", retries.max(1)))
-    };
-    let kv = |head: &str, key: &str| -> Option<String> {
-        head.split_whitespace()
-            .filter_map(|tok| tok.split_once('='))
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.to_string())
-    };
-
-    let submit = format!("submit {params_kv} ident={ident}");
-    let (head, _) = exchange(&mut conn, &mut retried, &submit, false).unwrap_or_else(|e| die(e));
-    let id = kv(&head, "id").unwrap_or_else(|| die("daemon reply carried no id".to_string()));
-    let dedup = if kv(&head, "deduped").as_deref() == Some("1") {
-        " (resumed an already-accepted submission)"
-    } else {
-        ""
-    };
-    println!("submitted {id} to {addr}{dedup}; waiting…");
-
-    let (head, _) = exchange(&mut conn, &mut retried, &format!("wait id={id}"), false)
-        .unwrap_or_else(|e| die(e));
-    let exit: i32 = kv(&head, "exit").and_then(|e| e.parse().ok()).unwrap_or(3);
-
-    let (_, payload) = exchange(&mut conn, &mut retried, &format!("results id={id}"), true)
-        .unwrap_or_else(|e| die(e));
-    for line in &payload {
-        println!("{line}");
-    }
-    if retried > 0 {
-        eprintln!("--serve {addr}: healed {retried} torn exchange(s) by reconnecting");
-    }
-    std::process::exit(exit);
 }

@@ -21,8 +21,9 @@
 //! generate one, run one, merge one — reproducing its digests exactly;
 //! larger epochs trade a little search adaptivity for dispatch width.
 //!
-//! Candidates cross the thread boundary as typed [`FaultSchedule`]s —
-//! worlds are arena-backed and `Send`, so nothing needs a text round-trip.
+//! Candidates cross the thread boundary as typed [`FaultSchedule`]s with
+//! the scripts admission already lowered them to — plain `Send` data, no
+//! text round-trip, nothing lowered or install-checked twice.
 //! With snapshot/fork execution on (the default), each candidate also
 //! carries an `Arc` of the cached base-world snapshot, so workers *fork*
 //! the prepared world instead of replaying `TestTarget::build` per run;
@@ -31,27 +32,30 @@
 //! outcome bytes are identical — forking a snapshot continues exactly the
 //! run a cold build would have produced.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use pfi_fleet::{Fleet, FleetReport, JobRunner, DEFAULT_MAX_RETRIES};
+use pfi_sim::fnv::{fnv64, Fnv};
 use pfi_sim::SimRng;
 
 use crate::coverage::Coverage;
 use crate::journal::{
     Journal, JournalCase, JournalCounters, JournalMeta, JournalQuarantine, JournalWriter,
 };
+use crate::reach::FlowModel;
 use crate::repro::Repro;
 use crate::runner::{
-    panic_text, run_schedule_limited, run_schedule_snapshotted, RunLimits, ScheduleRun,
-    TargetFactory, TestTarget, Verdict,
+    execute, panic_text, run_schedule_limited, run_schedule_snapshotted, Lowered, RunLimits,
+    ScheduleRun, TargetFactory, TestTarget, Verdict,
 };
 use crate::schedule::{FaultSchedule, ScheduleMutator};
 use crate::shrink::shrink_schedule;
-use crate::snapshot::{prefix_digests, CaseSnapshot, SnapshotStats, SnapshotStore};
+use crate::snapshot::{base_digest, CaseSnapshot, SnapshotStats, SnapshotStore};
 use crate::spec::ProtocolSpec;
+use crate::validate::scripts_install_errors;
 
 /// Exploration parameters.
 #[derive(Debug, Clone)]
@@ -216,18 +220,12 @@ pub fn seed_corpus_digest(seeds: &[FaultSchedule]) -> u64 {
     if seeds.is_empty() {
         return 0;
     }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut h = Fnv::new();
     for s in seeds {
-        for b in s.id().bytes() {
-            mix(b);
-        }
-        mix(b'\n');
+        h.write(s.id().as_bytes());
+        h.write(b"\n");
     }
-    h
+    h.finish()
 }
 
 /// The default epoch width: wide enough to keep a handful of workers busy,
@@ -398,12 +396,7 @@ impl ExploreOutcome {
     /// A short fixed-width form of [`digest`](ExploreOutcome::digest)
     /// (FNV-1a, hex) for golden files and CI comparisons.
     pub fn digest64(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.digest().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{h:016x}")
+        format!("{:016x}", fnv64(self.digest().as_bytes()))
     }
 }
 
@@ -411,17 +404,27 @@ impl ExploreOutcome {
 // Worker-side candidate execution
 // ---------------------------------------------------------------------
 
-/// One dispatched candidate: the schedule to run, plus (with snapshots
-/// on) the cached base-world snapshot the master attached so the worker
-/// forks instead of rebuilding. The `Arc` crosses the fleet boundary
-/// directly — world snapshots are `Send + Sync` plain data.
+/// One candidate past admission ([`Tiers::admit`]): lowered and
+/// install-checked once, with whichever prune-tier ids admission computed
+/// on the way. It is the job a worker receives — which therefore neither
+/// re-lowers nor re-validates the main run — and its ids travel back in
+/// the [`CandidateReport`], so merge settles them without recomputing.
 #[derive(Debug, Clone)]
 struct CandidateJob {
-    /// The candidate schedule.
+    /// The candidate as the mutator produced it.
     schedule: FaultSchedule,
-    /// The longest cached prefix snapshot the master's store held at
-    /// dispatch time; `None` with snapshots off (or when the target's
-    /// world refuses to snapshot).
+    /// Its id, lowered scripts, and install errors (non-empty only with
+    /// the pre-filter off: the runner refuses those at install time).
+    lowered: Lowered,
+    /// The canonical id; `None` with pruning off or for an uninstallable
+    /// candidate.
+    canonical: Option<String>,
+    /// The semantic-quotient id; `None` unless the semantic tier is active.
+    semantic: Option<String>,
+    /// Attached at dispatch (snapshots on): the master store's cached
+    /// base world, so the worker forks instead of rebuilding. The `Arc`
+    /// crosses the fleet boundary directly — world snapshots are
+    /// `Send + Sync` plain data.
     prepared: Option<Arc<CaseSnapshot>>,
 }
 
@@ -445,6 +448,10 @@ struct CandidateReport {
     /// store seeded with its dispatched snapshot), so totals are
     /// independent of job scheduling and worker count.
     snapshots: SnapshotStats,
+    /// The prune-tier ids admission computed ([`CandidateJob::canonical`],
+    /// [`CandidateJob::semantic`]) — what merge settles.
+    canonical: Option<String>,
+    semantic: Option<String>,
 }
 
 #[derive(Debug, Clone)]
@@ -478,12 +485,19 @@ fn candidate_report(
     limits: &RunLimits,
     cache: Option<usize>,
 ) -> CandidateReport {
-    let CandidateJob { schedule, prepared } = job;
+    let CandidateJob {
+        schedule,
+        lowered,
+        canonical,
+        semantic,
+        prepared,
+    } = job;
     let mut local = cache.map(SnapshotStore::new);
     if let (Some(store), Some(snap)) = (local.as_mut(), prepared) {
         store.seed(snap);
     }
-    let run = run_schedule_snapshotted(target, &schedule, limits, local.as_mut());
+    let fork = local.as_mut().map(|store| (store, &schedule));
+    let run = execute(target, lowered, limits, fork);
     let shrink = match &run.verdict {
         Verdict::Violated(_) => {
             let oracle = run.oracle.clone().unwrap_or_else(|| "target".to_string());
@@ -508,16 +522,18 @@ fn candidate_report(
         shrink,
         worker: 0,
         snapshots: local.map(|s| s.stats().clone()).unwrap_or_default(),
+        canonical,
+        semantic,
     }
 }
 
 /// Rebuilds a candidate report from a journaled case — the no-execution
 /// path resume takes for work the interrupted run already finished.
-fn replayed_report(world_seed: u64, case: JournalCase) -> CandidateReport {
+fn replayed_report(world_seed: u64, case: JournalCase, job: CandidateJob) -> CandidateReport {
     let run = ScheduleRun {
-        schedule_id: case.schedule.id(),
+        schedule_id: job.lowered.id,
         seed: world_seed,
-        scripts: case.schedule.lower(),
+        scripts: job.lowered.scripts,
         verdict: case.verdict,
         oracle: case.oracle.clone(),
         coverage: Coverage::from_edges(case.coverage),
@@ -535,6 +551,8 @@ fn replayed_report(world_seed: u64, case: JournalCase) -> CandidateReport {
         worker: 0,
         // Replayed work performed no runs at all — no forks to count.
         snapshots: SnapshotStats::default(),
+        canonical: job.canonical,
+        semantic: job.semantic,
     }
 }
 
@@ -550,19 +568,15 @@ enum EpochResult {
     Report(Box<CandidateReport>),
     /// Execution itself panicked past containment every time the
     /// supervisor tried it; the candidate produced nothing.
-    Quarantined {
-        schedule: FaultSchedule,
-        attempts: u32,
-        error: String,
-    },
+    Quarantined(JournalQuarantine),
 }
 
 impl EpochResult {
     /// The candidate's schedule id — the canonical merge-order key.
     fn schedule_id(&self) -> String {
         match self {
-            EpochResult::Report(r) => r.schedule.id(),
-            EpochResult::Quarantined { schedule, .. } => schedule.id(),
+            EpochResult::Report(r) => r.run.schedule_id.clone(),
+            EpochResult::Quarantined(q) => q.schedule.id(),
         }
     }
 }
@@ -601,15 +615,16 @@ impl EpochRunner for InlineEpochs<'_> {
                 // supervisor so a pathological candidate quarantines
                 // instead of killing the campaign. No retry inline: a
                 // panic on this thread is deterministic by construction.
+                let schedule = job.schedule.clone();
                 match catch_unwind(AssertUnwindSafe(|| {
-                    candidate_report(self.target, job.clone(), &self.limits, self.cache)
+                    candidate_report(self.target, job, &self.limits, self.cache)
                 })) {
                     Ok(report) => EpochResult::Report(Box::new(report)),
-                    Err(payload) => EpochResult::Quarantined {
-                        schedule: job.schedule,
+                    Err(payload) => EpochResult::Quarantined(JournalQuarantine {
+                        schedule,
                         attempts: 1,
                         error: panic_text(payload.as_ref()),
-                    },
+                    }),
                 }
             })
             .collect()
@@ -648,30 +663,31 @@ struct FleetEpochs<'a> {
 
 impl EpochRunner for FleetEpochs<'_> {
     fn run_epoch(&mut self, batch: Vec<CandidateJob>) -> Vec<EpochResult> {
-        let jobs: Vec<FleetJob> = batch
-            .iter()
-            .map(|job| FleetJob {
-                job: job.clone(),
-                ctx: Arc::clone(&self.ctx),
-            })
-            .collect();
         // `run_epoch_checked` returns items in dispatch (seq) order, which
         // is exactly `batch` order — zip to recover each job's schedule
         // without threading it through the failure path.
+        let schedules: Vec<FaultSchedule> = batch.iter().map(|job| job.schedule.clone()).collect();
+        let jobs: Vec<FleetJob> = batch
+            .into_iter()
+            .map(|job| FleetJob {
+                job,
+                ctx: Arc::clone(&self.ctx),
+            })
+            .collect();
         self.fleet
             .run_epoch_checked(jobs)
             .into_iter()
-            .zip(batch)
-            .map(|(item, job)| match item.result {
+            .zip(schedules)
+            .map(|(item, schedule)| match item.result {
                 Ok(mut report) => {
                     report.worker = item.worker;
                     EpochResult::Report(Box::new(report))
                 }
-                Err(failure) => EpochResult::Quarantined {
-                    schedule: job.schedule,
+                Err(failure) => EpochResult::Quarantined(JournalQuarantine {
+                    schedule,
                     attempts: failure.attempts,
                     error: failure.error,
-                },
+                }),
             })
             .collect()
     }
@@ -755,25 +771,133 @@ impl CampaignFleet {
 // The search loop
 // ---------------------------------------------------------------------
 
-/// The snapshot to attach to a dispatched candidate: the master store's
-/// longest cached prefix (a non-counting peek — the executing worker's
-/// own lookup does the hit accounting), lazily capturing the base world
-/// on first need. The lazy capture covers resume: a resumed campaign may
-/// replay the baseline without ever running it, leaving the master store
-/// cold when the first live candidate dispatches.
-fn dispatch_snapshot(
-    master: &dyn TestTarget,
-    limits: &RunLimits,
-    store: &mut SnapshotStore,
-    schedule: &FaultSchedule,
-) -> Option<Arc<CaseSnapshot>> {
-    let digests = prefix_digests(master, limits, schedule);
-    if let Some(snap) = store.peek_longest(&digests) {
-        return Some(snap);
+/// The admission pipeline: the three prune tiers' switches, what has
+/// merge-settled, and the accounting of what admission skipped.
+#[derive(Default)]
+struct Tiers {
+    prefilter: bool,
+    pruning: bool,
+    explain: bool,
+    /// The target's fault-site count (the install predicate's bound).
+    sites: u32,
+    /// The target's flow model, `Some` only while the semantic tier is
+    /// active: it needs the canonical tier on (so the counters stay
+    /// disjoint), a flow model from the target, and no interpreter step
+    /// budget (inert clauses still burn steps, so at a budget boundary
+    /// the quotient is not behaviour-equivalent).
+    model: Option<FlowModel>,
+    /// Canonical ids of merge-settled, non-violating results — what
+    /// equivalence pruning skips duplicates of. Updated only at merge
+    /// time, so candidates are never pruned against siblings of their own
+    /// epoch batch (which would race the canonical merge order).
+    settled: BTreeSet<String>,
+    /// Semantic-quotient ids of the same results, for the third tier.
+    settled_sem: BTreeSet<String>,
+    rejected: usize,
+    pruned: usize,
+    inert: usize,
+    skipped: Vec<SkippedCandidate>,
+}
+
+impl Tiers {
+    fn new(master: &dyn TestTarget, config: &ExploreConfig) -> Self {
+        Tiers {
+            prefilter: config.prefilter,
+            pruning: config.pruning,
+            explain: config.explain,
+            sites: master.fault_sites(),
+            model: (config.pruning && config.semantic && config.step_budget == 0)
+                .then(|| master.flow_model())
+                .flatten(),
+            ..Tiers::default()
+        }
     }
-    let snap = Arc::new(crate::runner::capture_base(master, limits)?);
-    store.insert(Arc::clone(&snap));
-    Some(snap)
+
+    /// One pass over one candidate: lower once, install-check once,
+    /// compute each active tier's id at most once. `None` means skipped —
+    /// the tier's counter (and, under `explain`, `skipped`) says why.
+    ///
+    /// * **Pre-filter** — uninstallable candidates are dropped before they
+    ///   reach a worker. This happens *after* generation (the RNG and the
+    ///   `seen` set have already advanced identically to the unfiltered
+    ///   engine), so the surviving runs are the same runs. With the
+    ///   pre-filter off they are admitted as they are — never
+    ///   canonicalized — to be refused by the runner, keeping `rejected`
+    ///   identical in every mode.
+    /// * **Canonical tier** — a candidate whose canonical form already
+    ///   executed (with a non-violating verdict) would replay a
+    ///   byte-identical run and merge nothing. Violating equivalence
+    ///   classes never settle: delta-debugging a permuted fault vector can
+    ///   minimize to a different 1-minimal failure the unpruned engine
+    ///   would report.
+    /// * **Semantic tier** — a canonically-novel candidate whose semantic
+    ///   quotient (inert faults stripped, shadowed corruption removed)
+    ///   matches a settled non-violating result is behaviour-equivalent to
+    ///   a run the campaign already merged. Same discipline: installable
+    ///   candidates only, settled results only, violating classes never.
+    fn admit(&mut self, schedule: FaultSchedule) -> Option<CandidateJob> {
+        let scripts = schedule.lower();
+        let install_errors = scripts_install_errors(&scripts, self.sites);
+        let installable = install_errors.is_empty();
+        if self.prefilter && !installable {
+            self.rejected += 1;
+            return None;
+        }
+        let (mut canonical, mut semantic) = (None, None);
+        if self.pruning && installable {
+            let id = schedule.canonical_id();
+            if self.settled.contains(&id) {
+                self.pruned += 1;
+                if self.explain {
+                    let reason = SkipReason::CanonicalDuplicate { canonical: id };
+                    self.skipped.push(SkippedCandidate { schedule, reason });
+                }
+                return None;
+            }
+            canonical = Some(id);
+            if let Some(model) = &self.model {
+                let quotient = model.semantic_schedule(&schedule);
+                let id = quotient.id();
+                if self.settled_sem.contains(&id) {
+                    self.inert += 1;
+                    if self.explain {
+                        let reason = if quotient == schedule.canonical() {
+                            SkipReason::SemanticDuplicate { quotient: id }
+                        } else {
+                            let facts = model.inert_facts(&schedule);
+                            SkipReason::InertQuotient {
+                                quotient: id,
+                                facts,
+                            }
+                        };
+                        self.skipped.push(SkippedCandidate { schedule, reason });
+                    }
+                    return None;
+                }
+                semantic = Some(id);
+            }
+        }
+        let lowered = Lowered {
+            id: schedule.id(),
+            scripts,
+            install_errors,
+        };
+        Some(CandidateJob {
+            schedule,
+            lowered,
+            canonical,
+            semantic,
+            prepared: None,
+        })
+    }
+
+    /// Settles a merged non-violating result's equivalence classes: any
+    /// later candidate with the same canonical form or semantic quotient
+    /// would replay this very run.
+    fn settle(&mut self, report: &mut CandidateReport) {
+        self.settled.extend(report.canonical.take());
+        self.settled_sem.extend(report.semantic.take());
+    }
 }
 
 /// Appends one merged result to the write-ahead journal (no-op without a
@@ -855,24 +979,43 @@ fn explore_with(
     let mut hung = 0usize;
     let mut quarantined: Vec<JournalQuarantine> = Vec::new();
 
-    let baseline = FaultSchedule::empty();
+    let mut tiers = Tiers::new(master, config);
+
+    // The baseline is the zeroth admitted candidate: nothing has settled
+    // yet, so no tier can skip it.
+    let baseline = tiers
+        .admit(FaultSchedule::empty())
+        .expect("the fault-free baseline installs and precedes every settled result");
     if let Some(w) = writer.as_mut() {
-        w.dispatch(&baseline.id())
+        w.dispatch(&baseline.lowered.id)
             .unwrap_or_else(|e| panic!("cannot append to campaign journal: {e}"));
     }
-    let base_report = match replay.remove(&baseline.id()) {
+    let mut base_report = match replay.remove(&baseline.lowered.id) {
         Some(case) => {
             replayed += 1;
-            replayed_report(master.seed(), case)
+            // A replayed baseline ran nothing, so the master store is
+            // still cold: run it once, unrecorded, purely to capture the
+            // base world every live candidate forks.
+            if let Some(store) = master_store.as_mut() {
+                run_schedule_snapshotted(master, &baseline.schedule, &limits, Some(store));
+            }
+            replayed_report(master.seed(), case, baseline)
         }
+        // The baseline's miss is what first captures the base world into
+        // the master store (snapshots on).
         None => CandidateReport {
-            // The baseline's miss is what first captures the base world
-            // into the master store (snapshots on).
-            run: run_schedule_snapshotted(master, &baseline, &limits, master_store.as_mut()),
-            schedule: baseline.clone(),
+            run: execute(
+                master,
+                baseline.lowered,
+                &limits,
+                master_store.as_mut().map(|s| (s, &baseline.schedule)),
+            ),
+            schedule: baseline.schedule,
             shrink: None,
             worker: 0,
             snapshots: SnapshotStats::default(),
+            canonical: baseline.canonical,
+            semantic: baseline.semantic,
         },
     };
     journal_record(writer.as_mut(), &base_report, None);
@@ -882,42 +1025,28 @@ fn explore_with(
     if base_report.run.verdict.is_hung() {
         hung += 1;
     }
+    if !base_report.run.verdict.is_violation() {
+        // Among much else this settles the empty quotient: a candidate
+        // made of nothing but statically-inert faults reduces to it and
+        // skips. (No candidate *canonicalizes* to the baseline — canonical
+        // rewrites never empty a schedule — so its canonical entry matches
+        // nothing and the tiers stay disjoint.)
+        tiers.settle(&mut base_report);
+    }
+    // The engine only ever caches the fault-free base (`d_0`), so what
+    // every live candidate forks is fixed here. A non-counting peek: the
+    // executing worker's own lookup does the hit accounting.
+    let base = master_store
+        .as_ref()
+        .and_then(|store| store.peek_longest(&[base_digest(master, &limits)]));
     let mut coverage = base_report.run.coverage;
-    let mut corpus = vec![baseline.clone()];
+    let mut corpus = vec![base_report.schedule];
     let mut executed = 1usize;
 
-    let mut seen = std::collections::BTreeSet::new();
-    seen.insert(baseline.id());
+    let mut seen = BTreeSet::new();
+    seen.insert(corpus[0].id());
     let mut failures: Vec<FoundFailure> = Vec::new();
-    let mut failure_keys = std::collections::BTreeSet::new();
-    let mut rejected = 0usize;
-
-    let sites = master.fault_sites();
-    let mut pruned = 0usize;
-    let mut inert = 0usize;
-    let mut skipped: Vec<SkippedCandidate> = Vec::new();
-    // Canonical ids of merge-settled, non-violating results — what
-    // equivalence pruning skips duplicates of. Updated only at merge
-    // time, so candidates are never pruned against siblings of their own
-    // epoch batch (which would race the canonical merge order).
-    let mut settled = std::collections::BTreeSet::new();
-    // Semantic-quotient ids of the same results, for the third tier. Only
-    // maintained when the tier is active: it needs the canonical tier on
-    // (so the counters stay disjoint), a flow model from the target, and
-    // no interpreter step budget (inert clauses still burn steps, so at a
-    // budget boundary the quotient is not behaviour-equivalent).
-    let model = (config.pruning && config.semantic && config.step_budget == 0)
-        .then(|| master.flow_model())
-        .flatten();
-    let mut settled_sem = std::collections::BTreeSet::new();
-    if model.is_some() && !base_report.run.verdict.is_violation() {
-        // The baseline settles the empty quotient: a candidate made of
-        // nothing but statically-inert faults reduces to it and skips.
-        // (No candidate *canonicalizes* to the baseline — canonical
-        // rewrites never empty a schedule — so `settled` has no
-        // baseline entry and the tiers stay disjoint.)
-        settled_sem.insert(baseline.id());
-    }
+    let mut failure_keys = BTreeSet::new();
     let mut seeds_pending = !config.seed_corpus.is_empty();
     let mut attempted = 0usize;
     while seeds_pending || attempted < config.budget {
@@ -955,83 +1084,10 @@ fn explore_with(
                 }
             }
         }
-        // Static pre-filter: drop uninstallable candidates before they
-        // reach a worker. This happens *after* generation — the RNG and
-        // the `seen` set have already advanced identically to the
-        // unfiltered engine — so the surviving runs are the same runs.
-        if config.prefilter {
-            batch.retain(|candidate| {
-                let ok = crate::validate::schedule_is_installable(candidate, sites);
-                if !ok {
-                    rejected += 1;
-                }
-                ok
-            });
-        }
-        // Equivalence pruning: a candidate whose canonical form already
-        // executed (with a non-violating verdict) would replay a
-        // byte-identical run and merge nothing — skip it. Uninstallable
-        // candidates are never canonicalized (with the pre-filter off
-        // they must still reach the runner and be refused there, keeping
-        // `rejected` identical in every mode), and violating equivalence
-        // classes are deliberately absent from `settled` (delta-debugging
-        // a permuted fault vector can minimize to a different 1-minimal
-        // failure the unpruned engine would report).
-        if config.pruning {
-            batch.retain(|candidate| {
-                if !crate::validate::schedule_is_installable(candidate, sites) {
-                    return true;
-                }
-                let canonical = candidate.canonical_id();
-                if settled.contains(&canonical) {
-                    pruned += 1;
-                    if config.explain {
-                        skipped.push(SkippedCandidate {
-                            schedule: candidate.clone(),
-                            reason: SkipReason::CanonicalDuplicate { canonical },
-                        });
-                    }
-                    return false;
-                }
-                true
-            });
-        }
-        // Semantic pruning: a canonically-novel candidate whose semantic
-        // quotient — inert faults stripped, shadowed corruption removed —
-        // matches a settled non-violating result is behaviour-equivalent
-        // to a run the campaign already merged. Same discipline as the
-        // canonical tier: installable candidates only, settled results
-        // only (never same-epoch siblings), violating classes never
-        // settle.
-        if let Some(model) = &model {
-            batch.retain(|candidate| {
-                if !crate::validate::schedule_is_installable(candidate, sites) {
-                    return true;
-                }
-                let quotient = model.semantic_schedule(candidate);
-                if settled_sem.contains(&quotient.id()) {
-                    inert += 1;
-                    if config.explain {
-                        let reason = if quotient == candidate.canonical() {
-                            SkipReason::SemanticDuplicate {
-                                quotient: quotient.id(),
-                            }
-                        } else {
-                            SkipReason::InertQuotient {
-                                quotient: quotient.id(),
-                                facts: model.inert_facts(candidate),
-                            }
-                        };
-                        skipped.push(SkippedCandidate {
-                            schedule: candidate.clone(),
-                            reason,
-                        });
-                    }
-                    return false;
-                }
-                true
-            });
-        }
+        let batch: Vec<CandidateJob> = batch
+            .into_iter()
+            .filter_map(|candidate| tiers.admit(candidate))
+            .collect();
         if batch.is_empty() {
             continue;
         }
@@ -1041,7 +1097,7 @@ fn explore_with(
         // byte-identical to an uninterrupted run's.
         if let Some(w) = writer.as_mut() {
             for candidate in &batch {
-                w.dispatch(&candidate.id())
+                w.dispatch(&candidate.lowered.id)
                     .unwrap_or_else(|e| panic!("cannot append to campaign journal: {e}"));
             }
         }
@@ -1050,23 +1106,16 @@ fn explore_with(
         // ones that must actually execute.
         let mut results: Vec<EpochResult> = Vec::new();
         let mut dispatch: Vec<CandidateJob> = Vec::new();
-        for candidate in batch {
-            match replay.remove(&candidate.id()) {
+        for mut job in batch {
+            match replay.remove(&job.lowered.id) {
                 Some(case) => {
                     replayed += 1;
-                    results.push(EpochResult::Report(Box::new(replayed_report(
-                        master.seed(),
-                        case,
-                    ))));
+                    let report = replayed_report(master.seed(), case, job);
+                    results.push(EpochResult::Report(Box::new(report)));
                 }
                 None => {
-                    let prepared = master_store
-                        .as_mut()
-                        .and_then(|store| dispatch_snapshot(master, &limits, store, &candidate));
-                    dispatch.push(CandidateJob {
-                        schedule: candidate,
-                        prepared,
-                    });
+                    job.prepared = base.clone();
+                    dispatch.push(job);
                 }
             }
         }
@@ -1076,25 +1125,16 @@ fn explore_with(
         if !dispatch.is_empty() {
             results.extend(epochs.run_epoch(dispatch));
         }
-        results.sort_by_key(EpochResult::schedule_id);
+        results.sort_by_cached_key(EpochResult::schedule_id);
 
         for result in results {
-            let report = match result {
+            let mut report = match result {
                 EpochResult::Report(report) => *report,
-                EpochResult::Quarantined {
-                    schedule,
-                    attempts,
-                    error,
-                } => {
+                EpochResult::Quarantined(q) => {
                     // The supervisor gave up on this candidate: no result,
                     // no coverage, a dropped search lineage. Record it
                     // loudly (journal + outcome) instead of leaving a
                     // silent hole in the explored space.
-                    let q = JournalQuarantine {
-                        schedule,
-                        attempts,
-                        error,
-                    };
                     if let Some(w) = writer.as_mut() {
                         w.quarantine(&q)
                             .unwrap_or_else(|e| panic!("cannot append to campaign journal: {e}"));
@@ -1116,18 +1156,12 @@ fn explore_with(
                 // refused the same candidate the filter would have
                 // dropped. Coverage is empty, so nothing downstream sees
                 // a difference.
-                rejected += 1;
+                tiers.rejected += 1;
                 journal_record(writer.as_mut(), &report, None);
                 continue;
             }
             if !report.run.verdict.is_violation() {
-                // This equivalence class is settled: any later candidate
-                // canonicalizing to the same form would replay this very
-                // run. Violating classes stay unpruned (see above).
-                settled.insert(report.schedule.canonical_id());
-                if let Some(model) = &model {
-                    settled_sem.insert(model.semantic_id(&report.schedule));
-                }
+                tiers.settle(&mut report);
             }
             if coverage.merge(&report.run.coverage) > 0 {
                 corpus.push(report.schedule.clone());
@@ -1195,9 +1229,9 @@ fn explore_with(
         // read the final accounting without replaying the campaign.
         w.counters(&JournalCounters {
             executed,
-            rejected,
-            pruned,
-            inert,
+            rejected: tiers.rejected,
+            pruned: tiers.pruned,
+            inert: tiers.inert,
             replayed,
             crashed,
             hung,
@@ -1216,15 +1250,15 @@ fn explore_with(
         coverage,
         failures,
         executed,
-        rejected,
-        pruned,
-        inert,
+        rejected: tiers.rejected,
+        pruned: tiers.pruned,
+        inert: tiers.inert,
         replayed,
         crashed,
         hung,
         quarantined,
         snapshots: snap_stats,
-        skipped,
+        skipped: tiers.skipped,
     }
 }
 

@@ -17,8 +17,9 @@
 //!
 //! Both campaign forms fan out across worker threads via `pfi-fleet`:
 //! [`explore_fleet`] and [`run_campaign_fleet`] take a [`TargetFactory`]
-//! (workers build their own `!Send` worlds) and produce outcomes
-//! byte-identical to their sequential counterparts for any job count.
+//! (each worker makes its own target and builds or forks its own worlds)
+//! and produce outcomes byte-identical to their sequential counterparts
+//! for any job count.
 //!
 //! # Examples
 //!
@@ -88,10 +89,9 @@ pub use pfi_fleet::{FleetReport, WorkerStats};
 pub use reach::{FlowModel, InertFact};
 pub use repro::Repro;
 pub use runner::{
-    prepare, prepare_base, run_campaign, run_campaign_fleet, run_case, run_case_prepared,
-    run_prepared, run_schedule, run_schedule_limited, run_schedule_snapshotted, CaseResult,
-    ChaosOracleTarget, GmpTarget, PreparedCase, RunLimits, ScheduleRun, TargetFactory, TcpTarget,
-    TestTarget, TpcTarget, Verdict, DRIVE_EVENT_CAP,
+    run_campaign, run_campaign_fleet, run_case, run_schedule, run_schedule_limited,
+    run_schedule_snapshotted, CaseResult, ChaosOracleTarget, GmpTarget, RunLimits, ScheduleRun,
+    TargetFactory, TcpTarget, TestTarget, TpcTarget, Verdict, DRIVE_EVENT_CAP,
 };
 pub use schedule::{FaultOp, FaultSchedule, ScheduleMutator, ScheduledFault, SiteScripts};
 pub use shrink::shrink_schedule;

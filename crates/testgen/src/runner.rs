@@ -201,14 +201,8 @@ pub trait TestTarget {
 
 /// Builds fresh [`TestTarget`]s on demand — the `Send + Sync` handle a
 /// fleet worker uses to construct its own target on its own thread.
-///
-/// Built worlds are arena-backed and `Send`, so a [`PreparedCase`] can
-/// cross the thread boundary directly ([`run_campaign_fleet`] prepares on
-/// the master and ships the built world). The factory survives as the
-/// compatibility path: exploration workers still build worlds locally —
-/// there, per-candidate world construction *is* the parallel work — and
-/// every worker needs its own (cheap, plain-data) target for driving and
-/// judging whatever world it is handed.
+/// Targets are cheap plain-data configs; the expensive part — the world —
+/// is built (or forked from a dispatched snapshot) inside each run.
 pub trait TargetFactory: Send + Sync {
     /// Builds one target instance.
     fn make(&self) -> Box<dyn TestTarget>;
@@ -232,100 +226,50 @@ pub fn run_campaign(target: &dyn TestTarget, campaign: &Campaign) -> Vec<CaseRes
         .collect()
 }
 
-/// Runs a campaign's cases fanned out across `jobs` worker threads. The
-/// master prepares each case — builds the world, installs the filters —
-/// and dispatches the built [`PreparedCase`] to the fleet; workers only
-/// drive and judge. Cases are independent pure functions of their
-/// scripts, so results come back in campaign order and are byte-identical
-/// to [`run_campaign`] for any job count; only wall-clock time and the
-/// [`FleetReport`] vary.
+/// Runs a campaign's cases fanned out across `jobs` worker threads, each
+/// worker calling [`run_case`] on its own target. Cases are independent
+/// pure functions of their scripts, so results come back in campaign
+/// order and are byte-identical to [`run_campaign`] for any job count;
+/// only wall-clock time and the [`FleetReport`] vary.
 pub fn run_campaign_fleet(
     factory: Arc<dyn TargetFactory>,
     campaign: &Campaign,
     jobs: usize,
 ) -> (Vec<CaseResult>, FleetReport) {
-    type PreparedJob = (TestCase, Result<PreparedCase, Verdict>);
-    let master = factory.make();
-    let mut fleet: Fleet<PreparedJob, CaseResult> = Fleet::new(jobs, move |_worker| {
-        // Workers hold their own target for the drive/judge half; the
-        // expensive half (the built world) arrives inside the job.
+    let mut fleet: Fleet<TestCase, CaseResult> = Fleet::new(jobs, move |_worker| {
         let target = factory.make();
-        Box::new(move |(case, prepared): PreparedJob| {
-            run_case_prepared(target.as_ref(), &case, prepared)
-        }) as Box<dyn JobRunner<PreparedJob, CaseResult>>
+        Box::new(move |case: TestCase| run_case(target.as_ref(), &case))
+            as Box<dyn JobRunner<TestCase, CaseResult>>
     });
-    let batch: Vec<PreparedJob> = campaign
-        .cases
-        .iter()
-        .map(|case| {
-            let scripts = case_scripts(master.as_ref(), case);
-            let prepared = prepare(
-                master.as_ref(),
-                std::slice::from_ref(&scripts),
-                &RunLimits::default(),
-            );
-            (case.clone(), prepared)
-        })
-        .collect();
     let results = fleet
-        .run_epoch(batch)
+        .run_epoch(campaign.cases.clone())
         .into_iter()
         .map(|item| item.result)
         .collect();
     (results, fleet.shutdown())
 }
 
-/// The single-site script placement a grid-generated case lowers to.
-fn case_scripts(target: &dyn TestTarget, case: &TestCase) -> SiteScripts {
-    SiteScripts {
-        site: target.primary_site() as u32,
-        send: match case.dir {
-            Direction::Send => case.script.clone(),
-            Direction::Receive => String::new(),
-        },
-        recv: match case.dir {
-            Direction::Send => String::new(),
-            Direction::Receive => case.script.clone(),
-        },
-    }
-}
-
 /// Runs a single grid-generated case (on the target's primary site).
 pub fn run_case(target: &dyn TestTarget, case: &TestCase) -> CaseResult {
-    let script = case_scripts(target, case);
-    let (verdict, oracle, coverage) =
-        execute(target, std::slice::from_ref(&script), &RunLimits::default());
-    CaseResult {
-        case_id: case.id.clone(),
-        seed: target.seed(),
-        script: case.script.clone(),
-        verdict,
-        oracle,
-        coverage,
-    }
-}
-
-/// Drives and judges a case prepared elsewhere — the worker-side half of
-/// the prebuilt-case dispatch in [`run_campaign_fleet`]. `Err` carries the
-/// install refusal [`prepare`] produced on the preparing thread.
-/// Byte-identical to [`run_case`] on the same case: preparation is
-/// deterministic and the drive is a pure function of the prepared world.
-pub fn run_case_prepared(
-    target: &dyn TestTarget,
-    case: &TestCase,
-    prepared: Result<PreparedCase, Verdict>,
-) -> CaseResult {
-    let (verdict, oracle, coverage) = match prepared {
-        Ok(p) => run_prepared(target, p, &RunLimits::default()),
-        Err(verdict) => (verdict, None, Coverage::new()),
+    let (send, recv) = match case.dir {
+        Direction::Send => (case.script.clone(), String::new()),
+        Direction::Receive => (String::new(), case.script.clone()),
     };
+    let site = target.primary_site() as u32;
+    let scripts = vec![SiteScripts { site, send, recv }];
+    let run = execute(
+        target,
+        lowered(target, case.id.clone(), scripts),
+        &RunLimits::default(),
+        None,
+    );
     CaseResult {
-        case_id: case.id.clone(),
-        seed: target.seed(),
+        case_id: run.schedule_id,
+        seed: run.seed,
         script: case.script.clone(),
-        verdict,
-        oracle,
-        coverage,
+        verdict: run.verdict,
+        oracle: run.oracle,
+        coverage: run.coverage,
     }
 }
 
@@ -334,7 +278,7 @@ pub fn run_case_prepared(
 /// campaigns with a configured step budget use
 /// [`run_schedule_limited`].
 pub fn run_schedule(target: &dyn TestTarget, schedule: &FaultSchedule) -> ScheduleRun {
-    run_schedule_limited(target, schedule, &RunLimits::default())
+    run_schedule_snapshotted(target, schedule, &RunLimits::default(), None)
 }
 
 /// [`run_schedule`] with explicit runaway-run watchdog budgets.
@@ -343,10 +287,128 @@ pub fn run_schedule_limited(
     schedule: &FaultSchedule,
     limits: &RunLimits,
 ) -> ScheduleRun {
-    let scripts = schedule.lower();
-    let (verdict, oracle, coverage) = execute(target, &scripts, limits);
+    run_schedule_snapshotted(target, schedule, limits, None)
+}
+
+/// [`run_schedule_limited`] with snapshot/fork execution: `store` decides
+/// between forking its longest cached prefix of `schedule` and building
+/// cold (capturing the fault-free base for every later schedule of the
+/// same target). `None` always builds cold. Byte-identical either way.
+pub fn run_schedule_snapshotted(
+    target: &dyn TestTarget,
+    schedule: &FaultSchedule,
+    limits: &RunLimits,
+    store: Option<&mut SnapshotStore>,
+) -> ScheduleRun {
+    let lowered = lowered(target, schedule.id(), schedule.lower());
+    execute(target, lowered, limits, store.map(|s| (s, schedule)))
+}
+
+/// A schedule lowered and install-checked once — what [`execute`] runs.
+/// The explorer's admission builds one per candidate and carries it to the
+/// worker, so no candidate is lowered or parse-checked twice.
+#[derive(Debug, Clone)]
+pub(crate) struct Lowered {
+    /// The schedule's (or grid case's) stable id.
+    pub(crate) id: String,
+    /// The per-site filter scripts.
+    pub(crate) scripts: Vec<SiteScripts>,
+    /// [`scripts_install_errors`](crate::validate::scripts_install_errors)
+    /// of `scripts` against the target; non-empty means nothing will run.
+    pub(crate) install_errors: Vec<String>,
+}
+
+/// Install-checks `scripts` against `target`.
+fn lowered(target: &dyn TestTarget, id: String, scripts: Vec<SiteScripts>) -> Lowered {
+    let install_errors = crate::validate::scripts_install_errors(&scripts, target.fault_sites());
+    Lowered {
+        id,
+        scripts,
+        install_errors,
+    }
+}
+
+/// The one way a schedule executes.
+///
+/// Scripts that cannot be installed — a site index the target does not
+/// have (e.g. a repro artifact written for a different target), or a
+/// script that does not parse — are refused *before* anything is built or
+/// the store is consulted: [`Verdict::Invalid`] is exactly the refusal
+/// campaign pre-filtering predicts without executing, and corrupted
+/// candidates (e.g. [`crate::ScheduleMutator`] scrambles) never enter the
+/// cache and never count as lookups.
+///
+/// With `fork` — a store plus the schedule whose prefix chain keys it —
+/// the store decides fork-vs-cold: a hit forks the longest cached prefix
+/// and installs only the filters it lacks; a miss builds the base world,
+/// captures it under the chain's `d_0` (targets whose layers refuse to
+/// clone simply keep building cold — correctness never depends on the
+/// cache), and installs everything. Without `fork` every run builds cold.
+/// A forked run is byte-identical to a cold one: forks restore the
+/// captured world exactly, and filter installation has no observable side
+/// effects beyond the filters themselves.
+pub(crate) fn execute(
+    target: &dyn TestTarget,
+    lowered: Lowered,
+    limits: &RunLimits,
+    fork: Option<(&mut SnapshotStore, &FaultSchedule)>,
+) -> ScheduleRun {
+    let Lowered {
+        id,
+        scripts,
+        install_errors,
+    } = lowered;
+    let (verdict, oracle, coverage) = if !install_errors.is_empty() {
+        let refusal = Verdict::Invalid(install_errors.join("; "));
+        (refusal, None, Coverage::new())
+    } else {
+        let mut cache =
+            fork.map(|(store, schedule)| (store, prefix_digests(target, limits, schedule)));
+        let cached = cache
+            .as_mut()
+            .and_then(|(store, digests)| store.lookup_longest(digests));
+        let world = match cached {
+            Some(snap) => {
+                let mut world = snap.fork();
+                let installed = snap.installed_scripts();
+                install_scripts(
+                    &mut world,
+                    snap.sites(),
+                    target.name(),
+                    &installed,
+                    &scripts,
+                );
+                world
+            }
+            None => {
+                let (mut world, sites) = target.build();
+                // Timer life-cycle records are a coverage signal; trace
+                // them for the driven phase (build-time convergence stays
+                // untraced on purpose).
+                world.trace_timers = true;
+                if limits.step_budget > 0 {
+                    for &(node, pfi_layer) in &sites {
+                        let _: PfiReply = world.control(
+                            node,
+                            pfi_layer,
+                            PfiControl::SetStepBudget(limits.step_budget),
+                        );
+                    }
+                }
+                if let Some((store, digests)) = cache {
+                    if let Some(base) = capture(digests[0], FaultSchedule::empty(), &sites, &world)
+                    {
+                        store.insert(base);
+                    }
+                }
+                install_scripts(&mut world, &sites, target.name(), &[], &scripts);
+                world
+            }
+        };
+        judge(target, world, limits)
+    };
     ScheduleRun {
-        schedule_id: schedule.id(),
+        schedule_id: id,
         seed: target.seed(),
         scripts,
         verdict,
@@ -355,106 +417,43 @@ pub fn run_schedule_limited(
     }
 }
 
-/// A fully-built, ready-to-drive case: the world with its fault-site
-/// filters installed, step budgets armed, and timer tracing on.
-///
-/// The whole point of the arena-backed world refactor: `World` owns all of
-/// its state as plain data, so a `PreparedCase` is `Send` — built on one
-/// thread (typically the campaign master) and driven on another (a fleet
-/// worker). [`run_campaign_fleet`] dispatches these as its job payload.
-#[derive(Debug)]
-pub struct PreparedCase {
-    world: World,
-    sites: Vec<(NodeId, usize)>,
+/// Captures `world` — the base plus the `installed` prefix — for a
+/// [`SnapshotStore`], or `None` when a layer refuses to clone (native
+/// filters, unclonable stubs).
+fn capture(
+    prefix_digest: u64,
+    installed: FaultSchedule,
+    sites: &[(NodeId, usize)],
+    world: &World,
+) -> Option<Arc<CaseSnapshot>> {
+    let snap = world.try_snapshot().ok()?;
+    let sites = sites.to_vec();
+    Some(Arc::new(CaseSnapshot::new(
+        prefix_digest,
+        installed,
+        sites,
+        snap,
+    )))
 }
 
-// Compile-enforced: prepared cases must stay dispatchable across fleet
-// worker threads.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<PreparedCase>();
-};
-
-impl PreparedCase {
-    /// The fault sites the target built — each a `(node, stack index)` of
-    /// a PFI layer.
-    pub fn sites(&self) -> &[(NodeId, usize)] {
-        &self.sites
-    }
-}
-
-/// Builds one case up to the point of driving it: validate, build the
-/// world, arm timer tracing, install step budgets and filters.
-///
-/// Scripts that cannot be installed — a site index the target does not
-/// have (e.g. a repro artifact written for a different target), or a
-/// script that does not parse — are refused *before* the world is built:
-/// `Err(Verdict::Invalid)` is exactly the refusal campaign pre-filtering
-/// predicts without executing.
-pub fn prepare(
-    target: &dyn TestTarget,
-    scripts: &[SiteScripts],
-    limits: &RunLimits,
-) -> Result<PreparedCase, Verdict> {
-    let install_errors = crate::validate::scripts_install_errors(scripts, target.fault_sites());
-    if !install_errors.is_empty() {
-        return Err(Verdict::Invalid(install_errors.join("; ")));
-    }
-    let mut case = prepare_base(target, limits);
-    install_scripts(&mut case.world, &case.sites, target.name(), scripts);
-    Ok(case)
-}
-
-/// The filter-free half of [`prepare`]: build the world, arm timer
-/// tracing and step budgets, install *nothing*. This is the state the
-/// snapshot store caches under the schedule prefix chain's `d_0` — every
-/// schedule of the same target and limits shares it, and forking it skips
-/// `TestTarget::build` (for GMP, 40 virtual seconds of convergence
-/// traffic) on every subsequent run.
-pub fn prepare_base(target: &dyn TestTarget, limits: &RunLimits) -> PreparedCase {
-    let (mut world, sites) = target.build();
-    // Timer life-cycle records are a coverage signal; trace them for the
-    // driven phase (build-time convergence stays untraced on purpose).
-    world.trace_timers = true;
-    if limits.step_budget > 0 {
-        for &(node, pfi_layer) in &sites {
-            let _: PfiReply = world.control(
-                node,
-                pfi_layer,
-                PfiControl::SetStepBudget(limits.step_budget),
-            );
-        }
-    }
-    PreparedCase { world, sites }
-}
-
-/// Captures the prepared fault-free base world as a cacheable snapshot,
-/// or `None` when a layer refuses to clone (native filters, unclonable
-/// stubs). The campaign master uses this to warm a cold dispatch store —
-/// e.g. on resume, where the baseline was replayed rather than run.
-pub(crate) fn capture_base(target: &dyn TestTarget, limits: &RunLimits) -> Option<CaseSnapshot> {
-    let base = prepare_base(target, limits);
-    let world = base.world.try_snapshot().ok()?;
-    Some(CaseSnapshot::new(
-        crate::snapshot::base_digest(target, limits),
-        FaultSchedule::empty(),
-        base.sites,
-        world,
-    ))
-}
-
-/// Installs lowered per-site filter scripts on a prepared world. Filter
-/// installation is plain control-plane assignment: it emits no trace
-/// events, draws no RNG, and advances no virtual time — which is exactly
-/// what makes a forked-then-installed world byte-identical to a
-/// cold-prepared one.
+/// Installs the scripts of `full` that *differ* from what the world
+/// already carries (`installed` — a forked snapshot's prefix, or nothing
+/// on a freshly built base). `SetSendFilter`/`SetRecvFilter` replace the
+/// whole filter, and a cached prefix's per-site script is always a
+/// clause-prefix of the full schedule's (lowering groups clauses by site
+/// preserving fault order), so replacing the changed directions wholesale
+/// is exact. Filter installation is plain control-plane assignment: it
+/// emits no trace events, draws no RNG, and advances no virtual time —
+/// which is exactly what makes a forked-then-installed world
+/// byte-identical to a cold-built one.
 fn install_scripts(
     world: &mut World,
     sites: &[(NodeId, usize)],
     target_name: &str,
-    scripts: &[SiteScripts],
+    installed: &[SiteScripts],
+    full: &[SiteScripts],
 ) {
-    for s in scripts {
+    for s in full {
         let &(node, pfi_layer) = sites.get(s.site as usize).unwrap_or_else(|| {
             panic!(
                 "schedule addresses fault site n{} but target {:?} has only {}",
@@ -463,11 +462,25 @@ fn install_scripts(
                 sites.len()
             )
         });
-        for (script, make_op) in [
-            (&s.send, PfiControl::SetSendFilter as fn(Filter) -> _),
-            (&s.recv, PfiControl::SetRecvFilter as fn(Filter) -> _),
+        let old = installed.iter().find(|o| o.site == s.site);
+        for (script, old_script, make_op) in [
+            (
+                &s.send,
+                old.map_or("", |o| o.send.as_str()),
+                PfiControl::SetSendFilter as fn(Filter) -> _,
+            ),
+            (
+                &s.recv,
+                old.map_or("", |o| o.recv.as_str()),
+                PfiControl::SetRecvFilter as fn(Filter) -> _,
+            ),
         ] {
-            if !script.is_empty() {
+            debug_assert!(
+                script.is_empty() <= old_script.is_empty(),
+                "cached prefix carries a filter the full schedule lacks (site n{})",
+                s.site
+            );
+            if !script.is_empty() && script != old_script {
                 let filter = Filter::script(script).expect("generated scripts always parse");
                 let _: PfiReply = world.control(node, pfi_layer, make_op(filter));
             }
@@ -475,144 +488,8 @@ fn install_scripts(
     }
 }
 
-/// Installs only the scripts that *differ* from what a forked snapshot
-/// already carries. `SetSendFilter`/`SetRecvFilter` replace the whole
-/// filter, and a cached prefix's per-site script is always a clause-prefix
-/// of the full schedule's (lowering groups clauses by site preserving
-/// fault order), so replacing the changed directions wholesale is exact.
-fn install_suffix(
-    world: &mut World,
-    sites: &[(NodeId, usize)],
-    target_name: &str,
-    installed: &[SiteScripts],
-    full: &[SiteScripts],
-) {
-    let mut suffix: Vec<SiteScripts> = Vec::new();
-    for s in full {
-        let old = installed.iter().find(|o| o.site == s.site);
-        let old_send = old.map_or("", |o| o.send.as_str());
-        let old_recv = old.map_or("", |o| o.recv.as_str());
-        debug_assert!(
-            (s.send.is_empty() <= old_send.is_empty())
-                && (s.recv.is_empty() <= old_recv.is_empty()),
-            "cached prefix carries a filter the full schedule lacks (site n{})",
-            s.site
-        );
-        if s.send != old_send || s.recv != old_recv {
-            suffix.push(SiteScripts {
-                site: s.site,
-                send: if s.send != old_send {
-                    s.send.clone()
-                } else {
-                    String::new()
-                },
-                recv: if s.recv != old_recv {
-                    s.recv.clone()
-                } else {
-                    String::new()
-                },
-            });
-        }
-    }
-    install_scripts(world, sites, target_name, &suffix);
-}
-
-/// [`run_schedule_limited`] with snapshot/fork execution: consult `store`
-/// for the longest cached schedule prefix, fork it instead of building
-/// cold, and install only the suffix of filters before driving. On a full
-/// miss the freshly prepared *base* world (no filters) is captured into
-/// the store under the chain's `d_0`, so every later schedule of the same
-/// target forks it. `None` for `store` is exactly
-/// [`run_schedule_limited`].
-///
-/// Byte-identical to the cold path for every schedule: forks restore the
-/// captured world exactly, and filter installation has no observable side
-/// effects beyond the filters themselves. Uninstallable schedules are
-/// refused ([`Verdict::Invalid`]) *before* the store is consulted —
-/// corrupted candidates (e.g. [`crate::ScheduleMutator`] scrambles) never
-/// enter the cache and never count as lookups.
-pub fn run_schedule_snapshotted(
-    target: &dyn TestTarget,
-    schedule: &FaultSchedule,
-    limits: &RunLimits,
-    store: Option<&mut SnapshotStore>,
-) -> ScheduleRun {
-    let Some(store) = store else {
-        return run_schedule_limited(target, schedule, limits);
-    };
-    let scripts = schedule.lower();
-    let install_errors = crate::validate::scripts_install_errors(&scripts, target.fault_sites());
-    if !install_errors.is_empty() {
-        return ScheduleRun {
-            schedule_id: schedule.id(),
-            seed: target.seed(),
-            scripts,
-            verdict: Verdict::Invalid(install_errors.join("; ")),
-            oracle: None,
-            coverage: Coverage::new(),
-        };
-    }
-    let digests = prefix_digests(target, limits, schedule);
-    let case = match store.lookup_longest(&digests) {
-        Some(snap) => {
-            store.note_skipped(snap.events_processed());
-            let mut world = snap.fork();
-            let sites = snap.sites().to_vec();
-            install_suffix(
-                &mut world,
-                &sites,
-                target.name(),
-                &snap.installed_scripts(),
-                &scripts,
-            );
-            PreparedCase { world, sites }
-        }
-        None => {
-            let mut base = prepare_base(target, limits);
-            // Capture the fault-free base for every later schedule of this
-            // target. Targets whose layers refuse to clone (native filters,
-            // say) simply keep building cold — correctness never depends
-            // on the cache.
-            if let Ok(world) = base.world.try_snapshot() {
-                store.insert(Arc::new(CaseSnapshot::new(
-                    digests[0],
-                    FaultSchedule::empty(),
-                    base.sites.clone(),
-                    world,
-                )));
-            }
-            install_scripts(&mut base.world, &base.sites, target.name(), &scripts);
-            base
-        }
-    };
-    let (verdict, oracle, coverage) = run_prepared(target, case, limits);
-    ScheduleRun {
-        schedule_id: schedule.id(),
-        seed: target.seed(),
-        scripts,
-        verdict,
-        oracle,
-        coverage,
-    }
-}
-
-/// The shared execution path: [`prepare`], then [`run_prepared`] —
-/// build-and-drive on the calling thread.
-fn execute(
-    target: &dyn TestTarget,
-    scripts: &[SiteScripts],
-    limits: &RunLimits,
-) -> (Verdict, Option<String>, Coverage) {
-    match prepare(target, scripts, limits) {
-        Ok(case) => run_prepared(target, case, limits),
-        Err(verdict) => (verdict, None, Coverage::new()),
-    }
-}
-
-/// Drives and judges a [`PreparedCase`]: drive, harvest, extract
-/// coverage, judge. The case may have been prepared on a different
-/// thread — the result is a pure function of the prepared world either
-/// way.
+/// Drives and judges a built world: drive, harvest, extract coverage,
+/// judge.
 ///
 /// The drive/harvest phase and both judging phases run under panic guards:
 /// a target or oracle that panics yields [`Verdict::Crashed`] instead of
@@ -622,12 +499,11 @@ fn execute(
 /// crashing schedule leaves no silent hole in the search space. Verdict
 /// priority: `Violated` (even on a truncated or partial trace) beats
 /// `Crashed` beats `Hung` beats the target's own service verdict.
-pub fn run_prepared(
+fn judge(
     target: &dyn TestTarget,
-    case: PreparedCase,
+    mut world: World,
     limits: &RunLimits,
 ) -> (Verdict, Option<String>, Coverage) {
-    let PreparedCase { mut world, .. } = case;
     let driven = catch_unwind(AssertUnwindSafe(|| {
         let capped = target.drive(&mut world, limits);
         target.harvest(&mut world);
@@ -1314,14 +1190,10 @@ mod tests {
         // the prefix chain's deepest digest, and run the full schedule.
         let mut store = SnapshotStore::new(4);
         let digests = crate::snapshot::prefix_digests(&target, &limits, &full);
-        let mut case = prepare_base(&target, &limits);
-        install_scripts(&mut case.world, &case.sites, target.name(), &prefix.lower());
-        store.insert(Arc::new(CaseSnapshot::new(
-            digests[prefix.len()],
-            prefix.clone(),
-            case.sites.clone(),
-            case.world.try_snapshot().unwrap(),
-        )));
+        let (mut world, sites) = target.build();
+        world.trace_timers = true;
+        install_scripts(&mut world, &sites, target.name(), &[], &prefix.lower());
+        store.insert(capture(digests[prefix.len()], prefix.clone(), &sites, &world).unwrap());
         let forked = run_schedule_snapshotted(&target, &full, &limits, Some(&mut store));
         assert_eq!(store.stats().hits, 1);
         let cold = run_schedule_limited(&target, &full, &limits);
@@ -1397,28 +1269,26 @@ mod tests {
             send: String::new(),
             recv: "while {1} {incr spin}".to_string(),
         };
-        let (verdict, oracle, coverage) = execute(
-            &GmpTarget::default(),
-            std::slice::from_ref(&script),
-            &RunLimits {
-                event_cap: DRIVE_EVENT_CAP,
-                step_budget: 500,
-            },
-        );
-        assert!(
-            verdict.is_hung(),
-            "looping filter script must trip the step-budget watchdog, got {verdict:?}"
-        );
-        let Verdict::Hung(msg) = &verdict else {
-            unreachable!()
+        let target = GmpTarget::default();
+        let limits = RunLimits {
+            event_cap: DRIVE_EVENT_CAP,
+            step_budget: 500,
+        };
+        let spin = lowered(&target, "spin".to_string(), vec![script]);
+        let run = execute(&target, spin, &limits, None);
+        let Verdict::Hung(msg) = &run.verdict else {
+            panic!(
+                "looping filter script must trip the step-budget watchdog, got {:?}",
+                run.verdict
+            )
         };
         assert!(
             msg.contains("watchdog"),
             "hung message names the cause: {msg}"
         );
-        assert!(oracle.is_none());
+        assert!(run.oracle.is_none());
         assert!(
-            !coverage.is_empty(),
+            !run.coverage.is_empty(),
             "the run still ran (scripts fail open) and must yield coverage"
         );
     }

@@ -28,30 +28,11 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
+use pfi_sim::fnv::Fnv;
 use pfi_sim::{NodeId, World, WorldSnapshot};
 
 use crate::runner::{RunLimits, TestTarget};
 use crate::schedule::{FaultSchedule, SiteScripts};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn mix_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn mix_u64(h: u64, v: u64) -> u64 {
-    mix_bytes(h, &v.to_le_bytes())
-}
-
-/// Length-prefixed, so `("ab", "c")` and `("a", "bc")` chain differently.
-fn mix_str(h: u64, s: &str) -> u64 {
-    mix_bytes(mix_u64(h, s.len() as u64), s.as_bytes())
-}
 
 /// The digest identifying `target`'s prepared fault-free base world under
 /// `limits` — the `d_0` every schedule's prefix chain starts from. Covers
@@ -60,11 +41,11 @@ fn mix_str(h: u64, s: &str) -> u64 {
 /// every fault site at prepare time). The event cap is deliberately
 /// excluded — it bounds the *drive*, not the prepared world's state.
 pub fn base_digest(target: &dyn TestTarget, limits: &RunLimits) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = mix_str(h, target.name());
-    h = mix_u64(h, target.seed());
-    h = mix_u64(h, limits.step_budget);
-    h
+    let mut h = Fnv::new();
+    h.write_str(target.name());
+    h.write_u64(target.seed());
+    h.write_u64(limits.step_budget);
+    h.finish()
 }
 
 /// The full prefix digest chain of `schedule`: `n + 1` digests for an
@@ -78,11 +59,11 @@ pub fn prefix_digests(
     schedule: &FaultSchedule,
 ) -> Vec<u64> {
     let mut out = Vec::with_capacity(schedule.len() + 1);
-    let mut d = base_digest(target, limits);
-    out.push(d);
+    let mut chain = Fnv(base_digest(target, limits));
+    out.push(chain.finish());
     for fault in &schedule.faults {
-        d = mix_str(d, &fault.to_line());
-        out.push(d);
+        chain.write_str(&fault.to_line());
+        out.push(chain.finish());
     }
     out
 }
@@ -296,14 +277,17 @@ impl SnapshotStore {
         self.insert_inner(snap);
     }
 
-    /// The cached snapshot for the *longest* prefix in `digests` (a chain
-    /// from [`prefix_digests`], walked longest-first). Counts one hit or
-    /// one miss and refreshes the hit entry's recency.
+    /// The fork-vs-cold decision: the cached snapshot for the *longest*
+    /// prefix in `digests` (a chain from [`prefix_digests`], walked
+    /// longest-first) for the caller to fork, or `None` to build cold.
+    /// Counts one hit — plus the simulator events the fork skips — or one
+    /// miss, and refreshes the hit entry's recency.
     pub fn lookup_longest(&mut self, digests: &[u64]) -> Option<Arc<CaseSnapshot>> {
         for &d in digests.iter().rev() {
             if let Some(snap) = self.map.get(&d) {
                 let snap = Arc::clone(snap);
                 self.stats.hits += 1;
+                self.stats.events_skipped += snap.events_processed();
                 self.touch(d);
                 return Some(snap);
             }
@@ -320,12 +304,6 @@ impl SnapshotStore {
             .iter()
             .rev()
             .find_map(|d| self.map.get(d).map(Arc::clone))
-    }
-
-    /// Records that a fork skipped re-processing `events` simulator
-    /// events.
-    pub fn note_skipped(&mut self, events: u64) {
-        self.stats.events_skipped += events;
     }
 }
 
@@ -486,8 +464,7 @@ mod tests {
         assert!(store.lookup_longest(&[99]).is_none());
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        store.note_skipped(1234);
-        assert_eq!(store.stats().events_skipped, 1234);
+        assert_eq!(stats.events_skipped, hit.events_processed());
         assert!((store.stats().hit_rate() - 0.5).abs() < 1e-12);
     }
 

@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use pfi_testgen::{
     explore, explore_fleet, CampaignFleet, ExploreConfig, GmpTarget, Journal, ProtocolSpec,
+    TcpTarget, TestTarget, TpcTarget,
 };
 
 /// The loop-heavy target: short post-fault horizon, so big-budget
@@ -99,6 +100,70 @@ fn pruning_on_off_digests_agree_across_jobs() {
         assert_eq!(fleet_on.inert, on.inert, "jobs={jobs} inert count");
         assert_eq!(report.pruned, on.pruned as u64);
         assert_eq!(report.inert, on.inert as u64);
+    }
+}
+
+/// The strategy lattice on all three targets: every execution strategy —
+/// each switch off alone, and all four off together (the plainest path,
+/// the reference) — reaches one digest per (target, seed, epoch), rejects
+/// the same candidates, and accounts for every candidate the plainest
+/// path executed: `executed_plain == executed + rejected + pruned + inert`
+/// (`rejected` counted only where the pre-filter kept them from running).
+#[test]
+fn strategy_lattice_agrees_on_every_target() {
+    let targets: [(&str, Box<dyn TestTarget>, ProtocolSpec); 3] = [
+        ("gmp", Box::new(heavy()), ProtocolSpec::gmp()),
+        ("tcp", Box::new(TcpTarget::default()), ProtocolSpec::tcp()),
+        ("tpc", Box::new(TpcTarget), ProtocolSpec::two_phase_commit()),
+    ];
+    // (name, prefilter, pruning, semantic, snapshots); the all-off row last.
+    let rows = [
+        ("default", true, true, true, true),
+        ("prefilter off", false, true, true, true),
+        ("pruning off", true, false, true, true),
+        ("semantic off", true, true, false, true),
+        ("snapshots off", true, true, true, false),
+        ("all off", false, false, false, false),
+    ];
+    for (name, target, spec) in &targets {
+        for seed in [7u64, 42] {
+            for epoch in [1usize, 8] {
+                let outcomes: Vec<_> = rows
+                    .iter()
+                    .map(|&(_, prefilter, pruning, semantic, snapshots)| {
+                        let config = ExploreConfig {
+                            seed,
+                            budget: 256,
+                            epoch,
+                            prefilter,
+                            pruning,
+                            semantic,
+                            snapshots,
+                            ..ExploreConfig::default()
+                        };
+                        explore(target.as_ref(), spec, &config)
+                    })
+                    .collect();
+                let plain = outcomes.last().unwrap();
+                assert_eq!((plain.pruned, plain.inert), (0, 0));
+                assert!(
+                    outcomes[0].rejected > 0 && outcomes[0].inert > 0,
+                    "{name} seed={seed} epoch={epoch}: the default row skipped nothing, \
+                     so this cell pins nothing"
+                );
+                for (row, outcome) in rows.iter().zip(&outcomes) {
+                    let at = format!("{name} seed={seed} epoch={epoch} [{}]", row.0);
+                    assert_eq!(outcome.digest(), plain.digest(), "{at}");
+                    assert_eq!(outcome.rejected, plain.rejected, "{at}");
+                    let unexecuted_rejects = if row.1 { outcome.rejected } else { 0 };
+                    assert_eq!(
+                        plain.executed,
+                        outcome.executed + unexecuted_rejects + outcome.pruned + outcome.inert,
+                        "{at}"
+                    );
+                }
+            }
+        }
     }
 }
 

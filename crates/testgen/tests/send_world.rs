@@ -1,133 +1,56 @@
-//! The Send boundary, compile-enforced and exercised.
+//! The Send boundary, exercised.
 //!
-//! The arena-world refactor's contract: a fully-constructed simulation
-//! `World` — and everything the campaign layer wraps around one — is plain
-//! data that crosses fleet worker threads by *moving*, and executing a
-//! case on another thread is byte-identical to executing it on the thread
-//! that prepared it. The type-level half lives in `const` assertions (a
-//! regression reintroducing `Rc`/`RefCell` into the world fails to
-//! compile here); the behavioural half actually ships prepared cases
-//! across `std::thread::spawn`.
+//! Everything a fleet job carries — grid cases, typed fault schedules — is
+//! plain data that crosses worker threads by *moving*, and a case executed
+//! on a worker thread is byte-identical to the same case executed inline.
+//! (`World: Send` itself is compile-asserted in `crates/sim/src/world.rs`.)
 
 use std::sync::Arc;
 
 use pfi_core::Direction;
-use pfi_sim::World;
 use pfi_testgen::{
-    generate, prepare, run_case, run_case_prepared, run_prepared, run_schedule, FaultKind,
-    FaultSchedule, GmpTarget, PreparedCase, ProtocolSpec, RunLimits, SiteScripts, TestCase,
-    TestTarget, Verdict,
+    generate, run_campaign, run_campaign_fleet, Campaign, FaultKind, FaultSchedule, GmpTarget,
+    ProtocolSpec, TestCase,
 };
 
 const _: () = {
     const fn assert_send<T: Send>() {}
-    // The world itself, and the two fleet job payload shapes built on it:
-    // prepared grid cases (run_campaign_fleet) and typed fault schedules
-    // (explore_fleet).
-    assert_send::<World>();
-    assert_send::<PreparedCase>();
+    // The two fleet job payload shapes: grid cases (run_campaign_fleet)
+    // and typed fault schedules (explore_fleet).
+    assert_send::<TestCase>();
     assert_send::<FaultSchedule>();
-    assert_send::<(TestCase, Result<PreparedCase, Verdict>)>();
 };
 
-/// The exact placement [`run_case`] uses for a grid case — duplicated
-/// here so the test can prepare the case itself and ship it.
-fn placement(target: &dyn TestTarget, case: &TestCase) -> SiteScripts {
-    SiteScripts {
-        site: target.primary_site() as u32,
-        send: match case.dir {
-            Direction::Send => case.script.clone(),
-            Direction::Receive => String::new(),
-        },
-        recv: match case.dir {
-            Direction::Send => String::new(),
-            Direction::Receive => case.script.clone(),
-        },
-    }
-}
-
-/// A schedule prepared on this thread and driven on a spawned one must
-/// reproduce the inline run exactly: verdict, oracle, and coverage are
-/// pure functions of the prepared world, wherever it is driven.
+/// Grid cases shipped to fleet workers — each of which builds its own
+/// world on its own thread — come back in campaign order, equal to the
+/// single-threaded [`run_campaign`] case for case, in both filter
+/// directions.
 #[test]
-fn prepared_schedule_driven_on_another_thread_matches_inline() {
+fn grid_cases_cross_threads_without_drifting() {
     let target = GmpTarget::default();
-    let schedule = FaultSchedule::from_lines(["n1 recv drop-all HEARTBEAT"]).unwrap();
-    let inline = run_schedule(&target, &schedule);
-
-    let limits = RunLimits::default();
-    let scripts = schedule.lower();
-    let prepared = prepare(&target, &scripts, &limits).expect("schedule installs");
-    let worker_target = target.clone();
-    let (verdict, oracle, coverage) =
-        std::thread::spawn(move || run_prepared(&worker_target, prepared, &limits))
-            .join()
-            .expect("worker thread must not panic");
-
-    assert_eq!(verdict, inline.verdict);
-    assert_eq!(oracle, inline.oracle);
-    assert_eq!(coverage, inline.coverage);
-    assert!(
-        !coverage.is_empty(),
-        "the comparison must be over a run that actually covered something"
-    );
-}
-
-/// The prebuilt-grid-case dispatch seam: master-side [`prepare`] plus
-/// worker-side [`run_case_prepared`] on a moved world equals the
-/// single-threaded [`run_case`], case for case.
-#[test]
-fn prebuilt_grid_cases_cross_threads_without_drifting() {
-    let target = GmpTarget::default();
-    let campaign = generate(
+    let full = generate(
         &ProtocolSpec::gmp(),
         &FaultKind::default_matrix(),
         &[Direction::Send, Direction::Receive],
     );
-    let limits = RunLimits::default();
-    for case in campaign.cases.iter().take(3) {
-        let inline = run_case(&target, case);
-        let scripts = placement(&target, case);
-        let prepared = prepare(&target, std::slice::from_ref(&scripts), &limits);
-        let (worker_target, worker_case) = (target.clone(), case.clone());
-        let shipped =
-            std::thread::spawn(move || run_case_prepared(&worker_target, &worker_case, prepared))
-                .join()
-                .expect("worker thread must not panic");
-        assert_eq!(shipped.verdict, inline.verdict, "{}", case.id);
-        assert_eq!(shipped.oracle, inline.oracle, "{}", case.id);
-        assert_eq!(shipped.coverage, inline.coverage, "{}", case.id);
-    }
-}
+    // One case in five keeps both directions and every fault kind in play.
+    let campaign = Campaign {
+        cases: full.cases.iter().step_by(5).cloned().collect(),
+        ..full
+    };
+    assert!(campaign.cases.iter().any(|c| c.dir == Direction::Send));
+    assert!(campaign.cases.iter().any(|c| c.dir == Direction::Receive));
 
-/// A world can even migrate threads *mid-campaign*: prepare on the main
-/// thread, drive on a worker, and hand the factory-built target around as
-/// an `Arc` — the shape `run_campaign_fleet` relies on.
-#[test]
-fn prepared_cases_fan_out_across_many_threads() {
-    let target: Arc<GmpTarget> = Arc::new(GmpTarget::default());
-    let limits = RunLimits::default();
-    let schedules = [
-        "n0 send delay-ms COMMIT 500",
-        "n1 recv drop-all HEARTBEAT",
-        "n2 recv duplicate PROCLAIM 2",
-    ];
-    let handles: Vec<_> = schedules
-        .iter()
-        .map(|line| {
-            let schedule = FaultSchedule::from_lines([*line]).unwrap();
-            let scripts = schedule.lower();
-            let prepared = prepare(target.as_ref(), &scripts, &limits).expect("schedule installs");
-            let worker_target = Arc::clone(&target);
-            std::thread::spawn(move || run_prepared(worker_target.as_ref(), prepared, &limits))
-        })
-        .collect();
-    for (line, handle) in schedules.iter().zip(handles) {
-        let (verdict, _, coverage) = handle.join().expect("worker thread must not panic");
-        assert!(
-            !matches!(verdict, Verdict::Invalid(_) | Verdict::Crashed(_)),
-            "{line}: {verdict:?}"
-        );
-        assert!(!coverage.is_empty(), "{line} reached no coverage");
+    let inline = run_campaign(&target, &campaign);
+    let (shipped, report) = run_campaign_fleet(Arc::new(target), &campaign, 3);
+    assert_eq!(report.executed() as usize, campaign.len());
+    assert_eq!(shipped.len(), inline.len());
+    for (got, want) in shipped.iter().zip(&inline) {
+        assert_eq!(got.case_id, want.case_id);
+        assert_eq!(got.script, want.script, "{}", want.case_id);
+        assert_eq!(got.verdict, want.verdict, "{}", want.case_id);
+        assert_eq!(got.oracle, want.oracle, "{}", want.case_id);
+        assert_eq!(got.coverage, want.coverage, "{}", want.case_id);
+        assert!(!got.coverage.is_empty(), "{} covered nothing", want.case_id);
     }
 }
