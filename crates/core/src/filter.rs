@@ -14,7 +14,7 @@ use pfi_sim::{BoardStore, Message, NodeId, SimDuration, SimRng, SimTime};
 
 use crate::globals::GlobalBoard;
 use crate::log::LogEntry;
-use crate::stub::PacketStub;
+use crate::stub::{type_label, PacketStub};
 
 /// Which way the filtered message is travelling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -146,7 +146,7 @@ impl<'a> FilterCtx<'a> {
 
     /// Convenience: the current message's type per the stub.
     pub fn msg_type(&self) -> Option<String> {
-        self.stub.type_of(self.msg)
+        self.stub.type_name(self.msg).map(String::from)
     }
 
     /// Convenience: a named header field of the current message.
@@ -213,10 +213,7 @@ impl<'a> FilterCtx<'a> {
         self.log.push(LogEntry {
             time: self.now,
             dir: self.dir,
-            msg_type: self
-                .stub
-                .type_of(self.msg)
-                .unwrap_or_else(|| "?".to_string()),
+            msg_type: type_label(self.stub, self.msg),
             len: self.msg.len(),
             summary: self.stub.summary(self.msg),
         });

@@ -19,7 +19,7 @@ use crate::control::{PfiControl, PfiReply};
 use crate::filter::{Direction, Effects, Filter, FilterCtx, Verdict};
 use crate::globals::GlobalBoard;
 use crate::log::{LogEntry, PfiEvent};
-use crate::stub::PacketStub;
+use crate::stub::{type_label, PacketStub};
 
 /// The probe/fault-injection layer.
 ///
@@ -204,7 +204,8 @@ impl PfiLayer {
     }
 
     fn apply(&mut self, dir: Direction, msg: Message, effects: Effects, ctx: &mut Context<'_>) {
-        let msg_type = || self.stub.type_of(&msg).unwrap_or_else(|| "?".to_string());
+        let stub = self.stub.as_ref();
+        let msg_type = || type_label(stub, &msg);
         if effects.duplicates > 0 {
             ctx.emit(PfiEvent::Duplicated {
                 dir,
@@ -245,10 +246,7 @@ impl PfiLayer {
         for inj in effects.injections {
             ctx.emit(PfiEvent::Injected {
                 dir: inj.dir,
-                msg_type: self
-                    .stub
-                    .type_of(&inj.msg)
-                    .unwrap_or_else(|| "?".to_string()),
+                msg_type: type_label(stub, &inj.msg),
             });
             Self::forward(inj.dir, inj.msg, ctx);
         }

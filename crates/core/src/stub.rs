@@ -6,6 +6,8 @@
 //! target protocol." Each protocol crate ships a stub (`TcpStub`, `GmpStub`,
 //! …); scripts reach them through `msg_type`, `msg_field`, and `xInject`.
 
+use std::borrow::Cow;
+
 use pfi_sim::{Message, NodeId};
 
 /// Knowledge about one protocol's packet format: recognition (type and
@@ -20,6 +22,13 @@ pub trait PacketStub: Send {
 
     /// The message's type name (e.g. `"ACK"`, `"COMMIT"`), if recognisable.
     fn type_of(&self, msg: &Message) -> Option<String>;
+
+    /// [`type_of`](PacketStub::type_of) without the allocation, for stubs
+    /// whose type names are static: the PFI layer asks this on every
+    /// `msg_type` a filter evaluates. The default wraps `type_of`.
+    fn type_name(&self, msg: &Message) -> Option<Cow<'static, str>> {
+        self.type_of(msg).map(Cow::Owned)
+    }
 
     /// Reads a named header field as an integer (e.g. `"seq"`, `"window"`).
     fn field(&self, msg: &Message, name: &str) -> Option<i64>;
@@ -60,6 +69,12 @@ pub trait PacketStub: Send {
     fn clone_box(&self) -> Option<Box<dyn PacketStub>> {
         None
     }
+}
+
+/// The message's type as events and packet logs print it: the stub's
+/// name for it, or `?` when the stub does not recognise the message.
+pub(crate) fn type_label(stub: &dyn PacketStub, msg: &Message) -> String {
+    stub.type_name(msg).map_or_else(|| "?".into(), String::from)
 }
 
 /// A stub for unstructured payloads: no types, no fields; generation takes
@@ -111,6 +126,32 @@ mod tests {
         let mut m = m;
         assert!(!RawStub.set_field(&mut m, "seq", 1));
         assert_eq!(RawStub.summary(&m), "raw ? (3 bytes)");
+    }
+
+    #[test]
+    fn type_name_defaults_to_type_of() {
+        struct Fixed;
+        impl PacketStub for Fixed {
+            fn protocol(&self) -> &'static str {
+                "fixed"
+            }
+            fn type_of(&self, msg: &Message) -> Option<String> {
+                (!msg.is_empty()).then(|| "SOME".to_string())
+            }
+            fn field(&self, _msg: &Message, _name: &str) -> Option<i64> {
+                None
+            }
+            fn set_field(&self, _msg: &mut Message, _name: &str, _value: i64) -> bool {
+                false
+            }
+            fn generate(&self, _src: NodeId, _args: &[String]) -> Result<Message, String> {
+                Err("no generation".to_string())
+            }
+        }
+        let m = Message::new(NodeId::new(0), NodeId::new(1), b"abc");
+        assert_eq!(Fixed.type_name(&m).as_deref(), Some("SOME"));
+        let empty = Message::empty(NodeId::new(0), NodeId::new(1));
+        assert_eq!(Fixed.type_name(&empty), None);
     }
 
     #[test]

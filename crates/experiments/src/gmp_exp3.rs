@@ -62,7 +62,7 @@ pub fn run(buggy: bool) -> Exp3Row {
         if r.time.as_secs_f64() <= 30.0 {
             return;
         }
-        if let Some(e) = r.event.as_ref().as_any().downcast_ref::<GmpEvent>() {
+        if let Some(e) = r.event_as::<GmpEvent>() {
             match e {
                 GmpEvent::ProclaimForwarded { .. } if r.node == tb.peers[1] => forwards += 1,
                 GmpEvent::ProclaimAnswered { to, .. } if r.node == tb.peers[0] => {

@@ -171,9 +171,7 @@ impl GmpLayer {
         } else {
             pfi_rudp::service::RELIABLE
         };
-        let mut body = vec![svc];
-        body.extend_from_slice(&pkt.to_bytes());
-        ctx.send_down(Message::new(self.me(), dst, &body));
+        ctx.send_down(pkt.to_message(svc, self.me(), dst));
     }
 
     fn packet(&self, ty: GmpType) -> GmpPacket {
@@ -718,7 +716,7 @@ impl Layer for GmpLayer {
                     // Heartbeats go to every member *including self* (the
                     // instrumented behaviour the paper's experiment 1
                     // exploits by dropping loopback heartbeats).
-                    for &m in self.group.members.clone().iter() {
+                    for &m in &self.group.members {
                         self.send(ctx, m, &pkt);
                     }
                 }

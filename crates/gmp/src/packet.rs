@@ -16,6 +16,8 @@
 //! selector in front of this header; the stub detects the magic byte at
 //! offset 0 or 1 so filters work in both directions.
 
+use std::borrow::Cow;
+
 use pfi_core::PacketStub;
 use pfi_sim::{Message, NodeId};
 
@@ -108,24 +110,43 @@ pub struct GmpPacket {
 }
 
 impl GmpPacket {
+    /// Length of the wire image (without any rudp service selector).
+    fn wire_len(&self) -> usize {
+        19 + 4 * self.members.len()
+    }
+
+    /// Feeds the wire image to `put`, piece by piece.
+    fn encode(&self, mut put: impl FnMut(&[u8])) {
+        put(&[MAGIC, self.ty.to_byte()]);
+        put(&self.sender.as_u32().to_be_bytes());
+        put(&self.origin.as_u32().to_be_bytes());
+        put(&self.group_id.to_be_bytes());
+        put(&[self.members.len() as u8]);
+        for m in &self.members {
+            put(&m.as_u32().to_be_bytes());
+        }
+    }
+
     /// Serialises to bytes (without any rudp service selector).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(19 + 4 * self.members.len());
-        b.push(MAGIC);
-        b.push(self.ty.to_byte());
-        b.extend_from_slice(&self.sender.as_u32().to_be_bytes());
-        b.extend_from_slice(&self.origin.as_u32().to_be_bytes());
-        b.extend_from_slice(&self.group_id.to_be_bytes());
-        b.push(self.members.len() as u8);
-        for m in &self.members {
-            b.extend_from_slice(&m.as_u32().to_be_bytes());
-        }
+        let mut b = Vec::with_capacity(self.wire_len());
+        self.encode(|piece| b.extend_from_slice(piece));
         b
     }
 
-    /// Parses from bytes, tolerating a one-byte service selector in front
-    /// (send-direction framing).
-    pub fn parse(bytes: &[u8]) -> Option<GmpPacket> {
+    /// Builds the down-framed message — rudp service selector, then the
+    /// wire image — straight into one buffer.
+    pub fn to_message(&self, service: u8, src: NodeId, dst: NodeId) -> Message {
+        let mut msg = Message::with_capacity(src, dst, 1 + self.wire_len());
+        msg.extend_payload(&[service]);
+        self.encode(|piece| msg.extend_payload(piece));
+        msg
+    }
+
+    /// The packet image inside `bytes` (a one-byte service selector in
+    /// front is tolerated — send-direction framing) and its type, if the
+    /// image is well formed.
+    fn frame(bytes: &[u8]) -> Option<(&[u8], GmpType)> {
         let b = if bytes.first() == Some(&MAGIC) {
             bytes
         } else if bytes.get(1) == Some(&MAGIC) {
@@ -137,14 +158,20 @@ impl GmpPacket {
             return None;
         }
         let ty = GmpType::from_byte(b[1])?;
+        if b.len() != 19 + 4 * b[18] as usize {
+            return None;
+        }
+        Some((b, ty))
+    }
+
+    /// Parses from bytes, tolerating a one-byte service selector in front
+    /// (send-direction framing).
+    pub fn parse(bytes: &[u8]) -> Option<GmpPacket> {
+        let (b, ty) = Self::frame(bytes)?;
         let sender = NodeId::new(u32::from_be_bytes([b[2], b[3], b[4], b[5]]));
         let origin = NodeId::new(u32::from_be_bytes([b[6], b[7], b[8], b[9]]));
         let group_id = u64::from_be_bytes([b[10], b[11], b[12], b[13], b[14], b[15], b[16], b[17]]);
-        let n = b[18] as usize;
-        if b.len() != 19 + 4 * n {
-            return None;
-        }
-        let members = (0..n)
+        let members = (0..b[18] as usize)
             .map(|i| {
                 let o = 19 + 4 * i;
                 NodeId::new(u32::from_be_bytes([b[o], b[o + 1], b[o + 2], b[o + 3]]))
@@ -178,7 +205,11 @@ impl PacketStub for GmpStub {
     }
 
     fn type_of(&self, msg: &Message) -> Option<String> {
-        GmpPacket::parse(msg.bytes()).map(|p| p.ty.name().to_string())
+        self.type_name(msg).map(Cow::into_owned)
+    }
+
+    fn type_name(&self, msg: &Message) -> Option<Cow<'static, str>> {
+        GmpPacket::frame(msg.bytes()).map(|(_, ty)| Cow::Borrowed(ty.name()))
     }
 
     fn field(&self, msg: &Message, name: &str) -> Option<i64> {
@@ -221,9 +252,7 @@ impl PacketStub for GmpStub {
         // Down-framed: prepend the rudp service selector (heartbeats are
         // fire-and-forget, the rest reliable).
         let svc = if ty == GmpType::Heartbeat { 1u8 } else { 0u8 };
-        let mut body = vec![svc];
-        body.extend_from_slice(&pkt.to_bytes());
-        Ok(Message::new(src, dst, &body))
+        Ok(pkt.to_message(svc, src, dst))
     }
 }
 
@@ -253,6 +282,15 @@ mod tests {
         let mut framed = vec![0u8];
         framed.extend_from_slice(&p.to_bytes());
         assert_eq!(GmpPacket::parse(&framed), Some(p));
+    }
+
+    #[test]
+    fn to_message_is_selector_then_wire_image() {
+        let p = pkt();
+        let m = p.to_message(1, NodeId::new(0), NodeId::new(2));
+        let mut framed = vec![1u8];
+        framed.extend_from_slice(&p.to_bytes());
+        assert_eq!(m, Message::new(NodeId::new(0), NodeId::new(2), &framed));
     }
 
     #[test]
@@ -293,6 +331,11 @@ mod tests {
         framed_bytes.extend_from_slice(&p.to_bytes());
         let framed = Message::new(NodeId::new(0), NodeId::new(1), &framed_bytes);
         assert_eq!(GmpStub.type_of(&framed).as_deref(), Some("COMMIT"));
+        assert_eq!(GmpStub.type_name(&framed), Some(Cow::Borrowed("COMMIT")));
+        let mut truncated = p.to_bytes();
+        truncated.pop();
+        let truncated = Message::new(NodeId::new(0), NodeId::new(1), &truncated);
+        assert_eq!(GmpStub.type_name(&truncated), None);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 use pfi_core::PacketStub;
@@ -129,15 +130,22 @@ impl RudpLayer {
 
     fn wire(kind: u8, seq: u32, payload: &[u8], src: NodeId, dst: NodeId) -> Message {
         let mut msg = Message::new(src, dst, payload);
-        let mut hdr = [0u8; HEADER_LEN];
-        hdr[0] = kind;
-        hdr[1..5].copy_from_slice(&seq.to_be_bytes());
-        hdr[5..7].copy_from_slice(&(payload.len() as u16).to_be_bytes());
-        msg.push_header(&hdr);
+        Self::frame(&mut msg, kind, seq);
         msg
     }
 
-    fn parse(msg: &Message) -> Option<(u8, u32, Vec<u8>)> {
+    /// Prepends the wire header to a message holding a bare payload, into
+    /// the headroom the message already carries.
+    fn frame(msg: &mut Message, kind: u8, seq: u32) {
+        let mut hdr = [0u8; HEADER_LEN];
+        hdr[0] = kind;
+        hdr[1..5].copy_from_slice(&seq.to_be_bytes());
+        hdr[5..7].copy_from_slice(&(msg.len() as u16).to_be_bytes());
+        msg.push_header(&hdr);
+    }
+
+    /// Kind, sequence number and payload of a well-formed wire image.
+    fn parse(msg: &Message) -> Option<(u8, u32, &[u8])> {
         let b = msg.bytes();
         if b.len() < HEADER_LEN {
             return None;
@@ -148,7 +156,7 @@ impl RudpLayer {
         if b.len() != HEADER_LEN + len {
             return None;
         }
-        Some((kind, seq, b[HEADER_LEN..].to_vec()))
+        Some((kind, seq, &b[HEADER_LEN..]))
     }
 }
 
@@ -168,20 +176,27 @@ impl Layer for RudpLayer {
     }
 
     fn push(&mut self, mut msg: Message, ctx: &mut Context<'_>) {
-        let Some(svc) = msg.strip_header(1) else {
+        let Some(svc) = msg.byte_at(0) else {
             return;
         };
+        // The message handed down is the one that goes out: the selector
+        // is skipped and the header written into its headroom.
+        msg.skip_header(1);
+        msg.set_src(ctx.node());
         let dst = msg.dst();
-        let payload = msg.bytes().to_vec();
-        match svc[0] {
+        match svc {
             service::UNRELIABLE => {
-                ctx.send_down(Self::wire(KIND_UNREL, 0, &payload, ctx.node(), dst));
+                Self::frame(&mut msg, KIND_UNREL, 0);
+                ctx.send_down(msg);
             }
             _ => {
                 let seq_slot = self.next_seq.entry(dst).or_insert(0);
                 let seq = *seq_slot;
                 *seq_slot += 1;
-                ctx.send_down(Self::wire(KIND_DATA, seq, &payload, ctx.node(), dst));
+                // The one copy of a reliable send: kept for retransmission.
+                let payload = msg.bytes().to_vec();
+                Self::frame(&mut msg, KIND_DATA, seq);
+                ctx.send_down(msg);
                 self.next_token += 1;
                 let token = self.next_token;
                 let timer = ctx.set_timer(self.config.retry_interval, token);
@@ -200,9 +215,9 @@ impl Layer for RudpLayer {
         }
     }
 
-    fn pop(&mut self, msg: Message, ctx: &mut Context<'_>) {
+    fn pop(&mut self, mut msg: Message, ctx: &mut Context<'_>) {
         let src = msg.src();
-        let Some((kind, seq, payload)) = Self::parse(&msg) else {
+        let Some((kind, seq, _)) = Self::parse(&msg) else {
             ctx.emit(RudpEvent::DecodeFailed);
             return;
         };
@@ -213,7 +228,8 @@ impl Layer for RudpLayer {
                 ctx.send_down(Self::wire(KIND_ACK, seq, &[], ctx.node(), src));
                 let seen = self.seen.entry(src).or_default();
                 if seen.insert(seq) {
-                    ctx.send_up(Message::new(src, msg.dst(), &payload));
+                    msg.skip_header(HEADER_LEN);
+                    ctx.send_up(msg);
                 } else {
                     ctx.emit(RudpEvent::DuplicateSuppressed { src, seq });
                 }
@@ -226,7 +242,8 @@ impl Layer for RudpLayer {
                 }
             }
             KIND_UNREL => {
-                ctx.send_up(Message::new(src, msg.dst(), &payload));
+                msg.skip_header(HEADER_LEN);
+                ctx.send_up(msg);
             }
             _ => ctx.emit(RudpEvent::DecodeFailed),
         }
@@ -271,14 +288,17 @@ impl PacketStub for RudpStub {
     }
 
     fn type_of(&self, msg: &Message) -> Option<String> {
+        self.type_name(msg).map(Cow::into_owned)
+    }
+
+    fn type_name(&self, msg: &Message) -> Option<Cow<'static, str>> {
         RudpLayer::parse(msg).map(|(kind, _, _)| {
-            match kind {
+            Cow::Borrowed(match kind {
                 KIND_DATA => "DATA",
                 KIND_ACK => "ACK",
                 KIND_UNREL => "UNREL",
                 _ => "?",
-            }
-            .to_string()
+            })
         })
     }
 
@@ -458,6 +478,7 @@ mod tests {
         assert_eq!(RudpStub.field(&m, "len"), Some(3));
         let ack = RudpLayer::wire(KIND_ACK, 7, &[], NodeId::new(0), NodeId::new(1));
         assert_eq!(RudpStub.type_of(&ack).as_deref(), Some("ACK"));
+        assert_eq!(RudpStub.type_name(&ack), Some(Cow::Borrowed("ACK")));
     }
 
     #[test]

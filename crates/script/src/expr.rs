@@ -13,12 +13,16 @@
 //! `$n` when the guard fails), matching Tcl's deferred-substitution
 //! semantics for braced expressions.
 
+use std::borrow::Cow;
+
 use crate::error::ScriptError;
+use crate::parse::Script;
 
 /// Resolves `$var` and `[command]` substitutions inside an expression.
 pub(crate) trait Resolver {
     fn var(&mut self, name: &str) -> Result<String, ScriptError>;
-    fn cmd(&mut self, script: &str) -> Result<String, ScriptError>;
+    /// Runs a `[command]` operand, parsed when the expression was.
+    fn cmd(&mut self, script: &Script) -> Result<String, ScriptError>;
 
     /// A variable as an `expr` operand. The default goes through
     /// [`var`](Resolver::var); the interpreter overrides it to parse from
@@ -40,29 +44,29 @@ impl Value {
     /// Interprets a Tcl string as a value (integers, hex integers, doubles,
     /// otherwise string).
     pub(crate) fn from_tcl(s: &str) -> Value {
-        let t = s.trim();
-        if t.is_empty() {
-            return Value::Str(s.to_string());
-        }
-        if let Some(i) = parse_int(t) {
-            return Value::Int(i);
-        }
-        if let Ok(d) = t.parse::<f64>() {
-            // Reject strings like "nan" propagating silently? Tcl accepts Inf/NaN forms; keep.
-            return Value::Dbl(d);
-        }
-        Value::Str(s.to_string())
+        parse_numeric(s).unwrap_or_else(|| Value::Str(s.to_string()))
+    }
+
+    /// [`from_tcl`](Value::from_tcl) of an owned string, which a
+    /// non-numeric value keeps instead of copying.
+    fn from_string(s: String) -> Value {
+        parse_numeric(&s).unwrap_or(Value::Str(s))
     }
 
     pub(crate) fn to_output(&self) -> String {
+        self.text().into_owned()
+    }
+
+    /// The value as Tcl prints it; a string operand is borrowed.
+    fn text(&self) -> Cow<'_, str> {
         match self {
-            Value::Int(i) => i.to_string(),
-            Value::Dbl(d) => fmt_double(*d),
-            Value::Str(s) => s.clone(),
+            Value::Int(i) => Cow::Owned(i.to_string()),
+            Value::Dbl(d) => Cow::Owned(fmt_double(*d)),
+            Value::Str(s) => Cow::Borrowed(s),
         }
     }
 
-    fn truthy(&self) -> Result<bool, ScriptError> {
+    pub(crate) fn truthy(&self) -> Result<bool, ScriptError> {
         match self {
             Value::Int(i) => Ok(*i != 0),
             Value::Dbl(d) => Ok(*d != 0.0),
@@ -79,12 +83,22 @@ impl Value {
     fn numeric(&self) -> Option<Value> {
         match self {
             Value::Int(_) | Value::Dbl(_) => Some(self.clone()),
-            Value::Str(s) => match Value::from_tcl(s) {
-                v @ (Value::Int(_) | Value::Dbl(_)) => Some(v),
-                Value::Str(_) => None,
-            },
+            Value::Str(s) => parse_numeric(s),
         }
     }
+}
+
+/// The integer (decimal or hex) or double a Tcl string spells, if any.
+fn parse_numeric(s: &str) -> Option<Value> {
+    let t = s.trim();
+    if t.is_empty() {
+        return None;
+    }
+    if let Some(i) = parse_int(t) {
+        return Some(Value::Int(i));
+    }
+    // Tcl accepts Inf/NaN spellings as doubles; so does `f64::from_str`.
+    t.parse::<f64>().ok().map(Value::Dbl)
 }
 
 fn parse_int(t: &str) -> Option<i64> {
@@ -409,8 +423,10 @@ enum Node {
     Var(String),
     /// Lazy `$name(index)` substitution; the index may contain `$vars`.
     ArrVar(String, String),
-    /// Lazy `[script]` substitution.
-    Cmd(String),
+    /// Lazy `[script]` substitution: the source text (for static analysis)
+    /// and its parse. A parse error surfaces when the operand is evaluated,
+    /// as it did when the text was parsed on first use.
+    Cmd(String, Result<Script, ScriptError>),
     Unary(&'static str, Box<Node>),
     Bin(&'static str, Box<Node>, Box<Node>),
     Ternary(Box<Node>, Box<Node>, Box<Node>),
@@ -457,7 +473,10 @@ impl ExprParser {
             Some(Tok::Val(v)) => Ok(Node::Val(v)),
             Some(Tok::Var(name)) => Ok(Node::Var(name)),
             Some(Tok::ArrVar(name, index)) => Ok(Node::ArrVar(name, index)),
-            Some(Tok::Cmd(script)) => Ok(Node::Cmd(script)),
+            Some(Tok::Cmd(src)) => {
+                let script = Script::parse(&src);
+                Ok(Node::Cmd(src, script))
+            }
             Some(Tok::Ident(name)) => {
                 if self.peek() == Some(&Tok::LParen) {
                     self.bump();
@@ -598,8 +617,8 @@ pub fn analyze_expr(src: &str) -> Result<ExprSummary, ScriptError> {
             fn var(&mut self, name: &str) -> Result<String, ScriptError> {
                 Err(ScriptError::new(format!("unexpected var \"{name}\"")))
             }
-            fn cmd(&mut self, script: &str) -> Result<String, ScriptError> {
-                Err(ScriptError::new(format!("unexpected cmd \"{script}\"")))
+            fn cmd(&mut self, _script: &Script) -> Result<String, ScriptError> {
+                Err(ScriptError::new("unexpected cmd"))
             }
         }
         if let Ok(v) = eval_node(&ast.root, &mut NoSubst) {
@@ -742,20 +761,20 @@ fn classify_atom(n: &Node) -> GuardAtom {
     };
     // Normalize so the substitution sits on the left.
     let (lhs, rhs, cmp) = match (&**a, &**b) {
-        (Node::Cmd(_) | Node::Var(_), Node::Val(_)) => (&**a, &**b, cmp),
-        (Node::Val(_), Node::Cmd(_) | Node::Var(_)) => (&**b, &**a, cmp.flip()),
+        (Node::Cmd(..) | Node::Var(_), Node::Val(_)) => (&**a, &**b, cmp),
+        (Node::Val(_), Node::Cmd(..) | Node::Var(_)) => (&**b, &**a, cmp.flip()),
         _ => return GuardAtom::Opaque,
     };
     let Node::Val(val) = rhs else {
         return GuardAtom::Opaque;
     };
     match (lhs, val) {
-        (Node::Cmd(cmd), Value::Int(i)) => GuardAtom::CmdCmpInt {
+        (Node::Cmd(cmd, _), Value::Int(i)) => GuardAtom::CmdCmpInt {
             cmd: cmd.clone(),
             op: cmp,
             value: *i,
         },
-        (Node::Cmd(cmd), Value::Str(s)) => match cmp {
+        (Node::Cmd(cmd, _), Value::Str(s)) => match cmp {
             CmpOp::Eq | CmpOp::Ne => GuardAtom::CmdEqStr {
                 cmd: cmd.clone(),
                 value: s.clone(),
@@ -781,7 +800,7 @@ fn collect_summary(n: &Node, out: &mut ExprSummary) {
             // `$vars` inside the index are reads too.
             collect_index_vars(index, &mut out.vars);
         }
-        Node::Cmd(script) => out.cmd_scripts.push(script.clone()),
+        Node::Cmd(src, _) => out.cmd_scripts.push(src.clone()),
         Node::Unary(_, a) => collect_summary(a, out),
         Node::Bin(_, a, b) => {
             collect_summary(a, out);
@@ -856,7 +875,10 @@ fn eval_node(n: &Node, r: &mut dyn Resolver) -> Result<Value, ScriptError> {
             let resolved = resolve_index_vars(index, r)?;
             Ok(Value::from_tcl(&r.var(&format!("{name}({resolved})"))?))
         }
-        Node::Cmd(script) => Ok(Value::from_tcl(&r.cmd(script)?)),
+        Node::Cmd(_, script) => {
+            let script = script.as_ref().map_err(Clone::clone)?;
+            Ok(Value::from_string(r.cmd(script)?))
+        }
         Node::Unary(op, a) => {
             let v = eval_node(a, r)?;
             match *op {
@@ -889,8 +911,17 @@ fn eval_node(n: &Node, r: &mut dyn Resolver) -> Result<Value, ScriptError> {
 fn non_numeric(v: &Value, op: &str) -> ScriptError {
     ScriptError::new(format!(
         "can't use non-numeric string \"{}\" as operand of \"{op}\"",
-        v.to_output()
+        v.text()
     ))
+}
+
+/// An operand of a binary operator: a literal stays borrowed from the
+/// compiled expression, everything else is evaluated.
+fn eval_operand<'n>(n: &'n Node, r: &mut dyn Resolver) -> Result<Cow<'n, Value>, ScriptError> {
+    match n {
+        Node::Val(v) => Ok(Cow::Borrowed(v)),
+        _ => eval_node(n, r).map(Cow::Owned),
+    }
 }
 
 fn overflow() -> ScriptError {
@@ -940,11 +971,11 @@ fn eval_bin(op: &str, an: &Node, bn: &Node, r: &mut dyn Resolver) -> Result<Valu
         }
         _ => {}
     }
-    let a = eval_node(an, r)?;
-    let b = eval_node(bn, r)?;
+    let a = eval_operand(an, r)?;
+    let b = eval_operand(bn, r)?;
     match op {
-        "eq" => return Ok(Value::Int((a.to_output() == b.to_output()) as i64)),
-        "ne" => return Ok(Value::Int((a.to_output() != b.to_output()) as i64)),
+        "eq" => return Ok(Value::Int((a.text() == b.text()) as i64)),
+        "ne" => return Ok(Value::Int((a.text() != b.text()) as i64)),
         _ => {}
     }
     // Comparisons: numeric when both are numeric, else string compare.
@@ -958,7 +989,7 @@ fn eval_bin(op: &str, an: &Node, bn: &Node, r: &mut dyn Resolver) -> Result<Valu
                     xf.partial_cmp(&yf).unwrap_or(std::cmp::Ordering::Equal)
                 }
             },
-            _ => a.to_output().cmp(&b.to_output()),
+            _ => a.text().cmp(&b.text()),
         };
         use std::cmp::Ordering::*;
         let result = match op {
@@ -1187,13 +1218,24 @@ mod tests {
                 .cloned()
                 .ok_or_else(|| ScriptError::new(format!("can't read \"{name}\": no such variable")))
         }
-        fn cmd(&mut self, script: &str) -> Result<String, ScriptError> {
-            // Test stub: `[double X]` returns X twice.
-            if let Some(rest) = script.strip_prefix("twice ") {
-                let n: i64 = rest.trim().parse().unwrap();
-                return Ok((n * 2).to_string());
+        fn cmd(&mut self, script: &Script) -> Result<String, ScriptError> {
+            // Test stub: `[twice X]` returns 2 * X.
+            use crate::parse::{Part, Word};
+            let lit = |w: &Word| match w {
+                Word::Parts(parts, _) => match parts.as_slice() {
+                    [Part::Lit(s)] => s.clone(),
+                    other => panic!("test commands are literal words, got {other:?}"),
+                },
+                Word::Braced(s, _) => s.clone(),
+            };
+            let words: Vec<String> = script.commands()[0].words().iter().map(lit).collect();
+            if let [cmd, n] = words.as_slice() {
+                if cmd == "twice" {
+                    let n: i64 = n.parse().unwrap();
+                    return Ok((n * 2).to_string());
+                }
             }
-            Err(ScriptError::new(format!("unknown cmd {script}")))
+            Err(ScriptError::new(format!("unknown cmd {words:?}")))
         }
     }
 

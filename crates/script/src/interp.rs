@@ -5,6 +5,7 @@
 //! across evaluations, which is how the paper's filter scripts keep running
 //! counters between messages.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -221,12 +222,15 @@ impl Interp {
     /// Sets a variable (respecting the current proc frame).
     pub fn set_var(&mut self, name: &str, value: impl Into<String>) {
         let value = value.into();
-        match self.frames.last_mut() {
-            Some(f) if !f.globals.contains(name) => {
-                f.vars.insert(name.to_string(), value);
-            }
-            _ => {
-                self.globals.insert(name.to_string(), value);
+        let vars = match self.frames.last_mut() {
+            Some(f) if !f.globals.contains(name) => &mut f.vars,
+            _ => &mut self.globals,
+        };
+        // Overwriting an existing variable reuses its key.
+        match vars.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                vars.insert(name.to_string(), value);
             }
         }
     }
@@ -328,20 +332,39 @@ impl Interp {
     }
 
     fn eval_command(&mut self, host: &mut dyn Host, cmd: &Command) -> EvalResult {
-        let mut words = Vec::with_capacity(cmd.words.len());
-        for w in &cmd.words {
-            words.push(self.expand_word(host, w)?);
+        // Nearly every command is a few words (`if cond body`, `incr c0`,
+        // `xDrop`): those expand into this frame; longer ones spill to the
+        // heap.
+        const INLINE_WORDS: usize = 4;
+        let n = cmd.words.len();
+        let mut inline: [Cow<'_, str>; INLINE_WORDS] = Default::default();
+        let mut spilled = Vec::new();
+        let words = if n <= INLINE_WORDS {
+            &mut inline[..n]
+        } else {
+            spilled.resize(n, Cow::Borrowed(""));
+            &mut spilled[..]
+        };
+        for (slot, w) in words.iter_mut().zip(&cmd.words) {
+            *slot = self.expand_word(host, w)?;
         }
         if words.is_empty() {
             return Ok(String::new());
         }
-        self.invoke(host, &words, cmd.span)
+        self.invoke(host, words, cmd.span)
     }
 
-    fn expand_word(&mut self, host: &mut dyn Host, w: &Word) -> EvalResult {
+    /// Substitutes one word. Braced words and single literals — every
+    /// control-flow condition and body, every command name — stay borrowed
+    /// from the parsed script; only a substituting word builds a string.
+    fn expand_word<'w>(&mut self, host: &mut dyn Host, w: &'w Word) -> Result<Cow<'w, str>, Exc> {
         match w {
-            Word::Braced(s, _) => Ok(s.clone()),
-            Word::Parts(parts, _) => self.expand_parts(host, parts),
+            Word::Braced(s, _) => Ok(Cow::Borrowed(s)),
+            Word::Parts(parts, _) => match parts.as_slice() {
+                [Part::Lit(s)] => Ok(Cow::Borrowed(s)),
+                [Part::Cmd(script)] => self.eval_script(host, script).map(Cow::Owned),
+                _ => self.expand_parts(host, parts).map(Cow::Owned),
+            },
         }
     }
 
@@ -381,13 +404,9 @@ impl Interp {
             fn var_value(&mut self, name: &str) -> Result<Value, ScriptError> {
                 Ok(Value::from_tcl(self.interp.var_ref(name)?))
             }
-            fn cmd(&mut self, script: &str) -> Result<String, ScriptError> {
-                let parsed = self
-                    .interp
-                    .script_cache
-                    .get_or_insert(script, Script::parse)?;
+            fn cmd(&mut self, script: &Script) -> Result<String, ScriptError> {
                 self.interp
-                    .eval_script(&mut *self.host, &parsed)
+                    .eval_script(&mut *self.host, script)
                     .map_err(|e| e.into_error())
             }
         }
@@ -403,23 +422,23 @@ impl Interp {
     /// Truthiness of a pre-compiled condition: loop builtins hoist the
     /// expr compile (and even the cache lookup) out of their iterations.
     fn expr_truthy_ast(&mut self, host: &mut dyn Host, ast: &ExprAst) -> Result<bool, Exc> {
-        let v = self.eval_expr_ast(host, ast)?;
-        match v {
-            Value::Int(i) => Ok(i != 0),
-            Value::Dbl(d) => Ok(d != 0.0),
-            Value::Str(s) => match s.trim().to_ascii_lowercase().as_str() {
-                "true" | "yes" | "on" => Ok(true),
-                "false" | "no" | "off" => Ok(false),
-                other => Err(Exc::Error(ScriptError::new(format!(
-                    "expected boolean value but got \"{other}\""
-                )))),
-            },
-        }
+        self.eval_expr_ast(host, ast)?.truthy().map_err(Exc::Error)
     }
 
-    fn invoke(&mut self, host: &mut dyn Host, words: &[String], span: Span) -> EvalResult {
-        let name = words[0].as_str();
-        let args = &words[1..];
+    /// Runs one command on its substituted words (`words[0]` names it).
+    /// Builtins and procs read the words in place; a host command takes the
+    /// arguments out, because [`Host::call`] wants them owned.
+    fn invoke(
+        &mut self,
+        host: &mut dyn Host,
+        words: &mut [Cow<'_, str>],
+        span: Span,
+    ) -> EvalResult {
+        let (name, owned_args) = words
+            .split_first_mut()
+            .expect("eval_command passes at least the command name");
+        let name: &str = name;
+        let args: &[Cow<'_, str>] = owned_args;
         let wrong_args = |usage: &str| {
             Exc::Error(ScriptError::at_span(
                 span,
@@ -430,8 +449,8 @@ impl Interp {
             "set" => match args {
                 [n] => self.get_var(n).map_err(Exc::Error),
                 [n, v] => {
-                    self.set_var(n, v.clone());
-                    Ok(v.clone())
+                    self.set_var(n, v.as_ref());
+                    Ok(v.to_string())
                 }
                 _ => Err(wrong_args("set varName ?newValue?")),
             },
@@ -567,7 +586,7 @@ impl Interp {
             "continue" => Err(Exc::Continue),
             "return" => match args {
                 [] => Err(Exc::Return(String::new())),
-                [v] => Err(Exc::Return(v.clone())),
+                [v] => Err(Exc::Return(v.to_string())),
                 _ => Err(wrong_args("return ?value?")),
             },
             "proc" => {
@@ -590,7 +609,7 @@ impl Interp {
                 }
                 let body = self.cached_script(body)?;
                 self.procs.insert(
-                    pname.clone(),
+                    pname.to_string(),
                     Arc::new(ProcDef {
                         params: specs,
                         body,
@@ -601,7 +620,7 @@ impl Interp {
             "global" => {
                 if let Some(f) = self.frames.last_mut() {
                     for n in args {
-                        f.globals.insert(n.clone());
+                        f.globals.insert(n.to_string());
                     }
                 }
                 Ok(String::new())
@@ -638,7 +657,7 @@ impl Interp {
                 Ok(code.to_string())
             }
             "error" => match args {
-                [msg] => Err(Exc::Error(ScriptError::at_span(span, msg.clone()))),
+                [msg] => Err(Exc::Error(ScriptError::at_span(span, msg.as_ref()))),
                 _ => Err(wrong_args("error message")),
             },
             "eval" => {
@@ -666,7 +685,7 @@ impl Interp {
                 [n, rest @ ..] => {
                     let cur = self.get_var(n).unwrap_or_default();
                     let mut items = list_parse(&cur).map_err(Exc::Error)?;
-                    items.extend(rest.iter().cloned());
+                    items.extend(rest.iter().map(|v| v.to_string()));
                     let nv = list_format(&items);
                     self.set_var(n, nv.clone());
                     Ok(nv)
@@ -689,7 +708,7 @@ impl Interp {
                 let mut integer = false;
                 let mut decreasing = false;
                 for o in opts {
-                    match o.as_str() {
+                    match o.as_ref() {
                         "-integer" => integer = true,
                         "-decreasing" => decreasing = true,
                         "-increasing" => decreasing = false,
@@ -730,7 +749,7 @@ impl Interp {
                 let mut items = list_parse(list).map_err(Exc::Error)?;
                 let i = parse_index(idx, items.len() + 1, span)?.min(items.len());
                 for (k, e) in rest.iter().enumerate() {
-                    items.insert(i + k, e.clone());
+                    items.insert(i + k, e.to_string());
                 }
                 Ok(list_format(&items))
             }
@@ -746,7 +765,7 @@ impl Interp {
                 } else {
                     (j + 1).min(items.len())
                 };
-                items.splice(i..end.max(i), rest.iter().cloned());
+                items.splice(i..end.max(i), rest.iter().map(|v| v.to_string()));
                 Ok(list_format(&items))
             }
             "lrange" => {
@@ -765,7 +784,7 @@ impl Interp {
             "lsearch" => {
                 let (mode, list, pat) = match args {
                     [l, p] => ("-glob", l, p),
-                    [m, l, p] if m == "-exact" || m == "-glob" => (m.as_str(), l, p),
+                    [m, l, p] if m == "-exact" || m == "-glob" => (m.as_ref(), l, p),
                     _ => return Err(wrong_args("lsearch ?-exact|-glob? list pattern")),
                 };
                 let items = list_parse(list).map_err(Exc::Error)?;
@@ -777,8 +796,8 @@ impl Interp {
             }
             "split" => {
                 let (s, seps) = match args {
-                    [s] => (s, " \t\n\r".to_string()),
-                    [s, c] => (s, c.clone()),
+                    [s] => (s, " \t\n\r"),
+                    [s, c] => (s, c.as_ref()),
                     _ => return Err(wrong_args("split string ?splitChars?")),
                 };
                 let parts: Vec<String> = if seps.is_empty() {
@@ -792,11 +811,11 @@ impl Interp {
             }
             "join" => {
                 let (list, sep) = match args {
-                    [l] => (l, " ".to_string()),
-                    [l, s] => (l, s.clone()),
+                    [l] => (l, " "),
+                    [l, s] => (l, s.as_ref()),
                     _ => return Err(wrong_args("join list ?joinString?")),
                 };
-                Ok(list_parse(list).map_err(Exc::Error)?.join(&sep))
+                Ok(list_parse(list).map_err(Exc::Error)?.join(sep))
             }
             "concat" => {
                 let mut parts = Vec::new();
@@ -875,7 +894,11 @@ impl Interp {
                 if let Some(def) = self.procs.get(name).cloned() {
                     return self.call_proc(host, name, &def, args, span);
                 }
-                match host.call(self, name, args) {
+                let args: Vec<String> = owned_args
+                    .iter_mut()
+                    .map(|a| std::mem::take(a).into_owned())
+                    .collect();
+                match host.call(self, name, &args) {
                     Some(r) => r.map_err(Exc::Error),
                     None => Err(Exc::Error(ScriptError::at_span(
                         span,
@@ -886,7 +909,7 @@ impl Interp {
         }
     }
 
-    fn builtin_if(&mut self, host: &mut dyn Host, args: &[String], span: Span) -> EvalResult {
+    fn builtin_if(&mut self, host: &mut dyn Host, args: &[Cow<'_, str>], span: Span) -> EvalResult {
         let mut i = 0;
         loop {
             if i + 1 > args.len() {
@@ -897,7 +920,7 @@ impl Interp {
             }
             let cond = &args[i];
             i += 1;
-            if args.get(i).map(String::as_str) == Some("then") {
+            if args.get(i).map(AsRef::as_ref) == Some("then") {
                 i += 1;
             }
             let Some(body) = args.get(i) else {
@@ -911,7 +934,7 @@ impl Interp {
                 let parsed = self.cached_script(body)?;
                 return self.eval_script(host, &parsed);
             }
-            match args.get(i).map(String::as_str) {
+            match args.get(i).map(AsRef::as_ref) {
                 Some("elseif") => {
                     i += 1;
                     continue;
@@ -937,11 +960,16 @@ impl Interp {
         }
     }
 
-    fn builtin_switch(&mut self, host: &mut dyn Host, args: &[String], span: Span) -> EvalResult {
+    fn builtin_switch(
+        &mut self,
+        host: &mut dyn Host,
+        args: &[Cow<'_, str>],
+        span: Span,
+    ) -> EvalResult {
         let (mode, value, pairs_src) =
             match args {
                 [v, p] => ("-exact", v, p),
-                [m, v, p] if m == "-exact" || m == "-glob" => (m.as_str(), v, p),
+                [m, v, p] if m == "-exact" || m == "-glob" => (m.as_ref(), v, p),
                 _ => return Err(Exc::Error(ScriptError::at_span(
                     span,
                     "wrong # args: should be \"switch ?-exact|-glob? string {pattern body ...}\"",
@@ -984,13 +1012,13 @@ impl Interp {
         self.eval_script(host, &parsed)
     }
 
-    fn builtin_string(&mut self, args: &[String], span: Span) -> EvalResult {
+    fn builtin_string(&mut self, args: &[Cow<'_, str>], span: Span) -> EvalResult {
         let err = |m: String| Err(Exc::Error(ScriptError::at_span(span, m)));
         let Some(sub) = args.first() else {
             return err("wrong # args: should be \"string subcommand ...\"".into());
         };
         let rest = &args[1..];
-        match (sub.as_str(), rest) {
+        match (sub.as_ref(), rest) {
             ("length", [s]) => Ok(s.chars().count().to_string()),
             ("index", [s, i]) => {
                 let chars: Vec<char> = s.chars().collect();
@@ -1021,12 +1049,12 @@ impl Interp {
             .to_string()),
             ("equal", [a, b]) => Ok(((a == b) as i32).to_string()),
             ("first", [needle, hay]) => Ok(hay
-                .find(needle.as_str())
+                .find(needle.as_ref())
                 .map(|b| hay[..b].chars().count() as i64)
                 .unwrap_or(-1)
                 .to_string()),
             ("last", [needle, hay]) => Ok(hay
-                .rfind(needle.as_str())
+                .rfind(needle.as_ref())
                 .map(|b| hay[..b].chars().count() as i64)
                 .unwrap_or(-1)
                 .to_string()),
@@ -1037,7 +1065,7 @@ impl Interp {
                     return err("char map list unbalanced".into());
                 }
                 let mut out = String::new();
-                let mut rest = s.as_str();
+                let mut rest: &str = s;
                 'outer: while !rest.is_empty() {
                     for pair in mapping.chunks(2) {
                         if !pair[0].is_empty() && rest.starts_with(&pair[0]) {
@@ -1071,7 +1099,7 @@ impl Interp {
         host: &mut dyn Host,
         name: &str,
         def: &ProcDef,
-        args: &[String],
+        args: &[Cow<'_, str>],
         span: Span,
     ) -> EvalResult {
         if self.frames.len() >= 64 {
@@ -1084,14 +1112,14 @@ impl Interp {
         let mut ai = 0usize;
         for (pi, (pname, default)) in def.params.iter().enumerate() {
             if pname == "args" && pi == def.params.len() - 1 {
-                let rest: Vec<String> = args[ai.min(args.len())..].to_vec();
-                frame.vars.insert("args".to_string(), list_format(&rest));
+                let rest = &args[ai.min(args.len())..];
+                frame.vars.insert("args".to_string(), list_format(rest));
                 ai = args.len();
                 break;
             }
             match args.get(ai) {
                 Some(v) => {
-                    frame.vars.insert(pname.clone(), v.clone());
+                    frame.vars.insert(pname.clone(), v.to_string());
                     ai += 1;
                 }
                 None => match default {
@@ -1159,15 +1187,15 @@ fn parse_index(s: &str, len: usize, span: Span) -> Result<usize, Exc> {
 
 /// A subset of Tcl's `format`: `%d %i %u %x %X %o %c %s %f %e %g %%` with
 /// optional `-`/`0` flags, width, and precision.
-fn format_tcl(fmt: &str, args: &[String]) -> Result<String, ScriptError> {
+fn format_tcl(fmt: &str, args: &[Cow<'_, str>]) -> Result<String, ScriptError> {
     let mut out = String::new();
     let chars: Vec<char> = fmt.chars().collect();
     let mut pos = 0usize;
     let mut argi = 0usize;
-    let next_arg = |argi: &mut usize| -> Result<String, ScriptError> {
+    let next_arg = |argi: &mut usize| -> Result<&str, ScriptError> {
         let v = args
             .get(*argi)
-            .cloned()
+            .map(AsRef::as_ref)
             .ok_or_else(|| ScriptError::new("not enough arguments for all format specifiers"))?;
         *argi += 1;
         Ok(v)
@@ -1255,7 +1283,7 @@ fn format_tcl(fmt: &str, args: &[String]) -> Result<String, ScriptError> {
                 let v = next_arg(&mut argi)?;
                 match precision {
                     Some(p) => v.chars().take(p).collect(),
-                    None => v,
+                    None => v.to_string(),
                 }
             }
             'f' => {

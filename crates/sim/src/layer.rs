@@ -92,15 +92,16 @@ pub(crate) enum Action {
 /// Execution context handed to every [`Layer`] callback.
 ///
 /// Collects the layer's outputs; the world routes them after the callback
-/// returns. The mutable world state a callback may touch (RNG, trace log,
-/// blackboard arena, timer sequence) is lent in as disjoint `&mut` borrows
-/// of the world's arenas — no shared handles, no interior mutability.
+/// returns. The action buffer and the mutable world state a callback may
+/// touch (RNG, trace log, blackboard arena, timer sequence) are lent in as
+/// disjoint `&mut` borrows of the world's arenas — no shared handles, no
+/// interior mutability, and nothing allocated per callback.
 #[derive(Debug)]
 pub struct Context<'a> {
     pub(crate) now: SimTime,
     pub(crate) node: NodeId,
     pub(crate) layer_name: &'static str,
-    pub(crate) actions: Vec<Action>,
+    pub(crate) actions: &'a mut Vec<Action>,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) trace: &'a mut TraceLog,
     pub(crate) boards: &'a mut BoardStore,
@@ -150,7 +151,7 @@ impl<'a> Context<'a> {
     }
 
     /// Emits a typed trace event attributed to this layer.
-    pub fn emit<E: TraceEvent>(&mut self, event: E) {
+    pub fn emit<E: TraceEvent + Clone>(&mut self, event: E) {
         self.trace
             .record(self.now, self.node, self.layer_name, event);
     }
@@ -183,11 +184,12 @@ mod tests {
         let mut trace = TraceLog::new();
         let mut boards = BoardStore::new();
         let mut seq = 0u64;
+        let mut actions = Vec::new();
         let mut ctx = Context {
             now: SimTime::from_micros(100),
             node: NodeId::new(1),
             layer_name: "test",
-            actions: Vec::new(),
+            actions: &mut actions,
             rng: &mut rng,
             trace: &mut trace,
             boards: &mut boards,
@@ -214,11 +216,12 @@ mod tests {
         let mut trace = TraceLog::new();
         let mut boards = BoardStore::new();
         let mut seq = 0u64;
+        let mut actions = Vec::new();
         let mut ctx = Context {
             now: SimTime::ZERO,
             node: NodeId::new(0),
             layer_name: "test",
-            actions: Vec::new(),
+            actions: &mut actions,
             rng: &mut rng,
             trace: &mut trace,
             boards: &mut boards,
@@ -235,11 +238,12 @@ mod tests {
         let mut trace = TraceLog::new();
         let mut boards = BoardStore::new();
         let mut seq = 0u64;
+        let mut actions = Vec::new();
         let mut ctx = Context {
             now: SimTime::ZERO,
             node: NodeId::new(3),
             layer_name: "mylayer",
-            actions: Vec::new(),
+            actions: &mut actions,
             rng: &mut rng,
             trace: &mut trace,
             boards: &mut boards,
@@ -257,11 +261,12 @@ mod tests {
         let mut trace = TraceLog::new();
         let mut boards = BoardStore::new();
         let mut seq = 0u64;
+        let mut actions = Vec::new();
         let mut ctx = Context {
             now: SimTime::ZERO,
             node: NodeId::new(0),
             layer_name: "test",
-            actions: Vec::new(),
+            actions: &mut actions,
             rng: &mut rng,
             trace: &mut trace,
             boards: &mut boards,

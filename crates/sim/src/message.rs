@@ -33,7 +33,10 @@ const DEFAULT_HEADROOM: usize = 64;
 /// assert_eq!(hdr, vec![0xAA, 0xBB]);
 /// assert_eq!(m.bytes(), b"payload");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Two messages are equal when their addresses and valid bytes are; how
+/// much headroom either has consumed is not part of a message's value.
+#[derive(Debug, Clone)]
 pub struct Message {
     src: NodeId,
     dst: NodeId,
@@ -42,13 +45,29 @@ pub struct Message {
     head: usize,
 }
 
+impl PartialEq for Message {
+    fn eq(&self, other: &Self) -> bool {
+        (self.src, self.dst, self.bytes()) == (other.src, other.dst, other.bytes())
+    }
+}
+
+impl Eq for Message {}
+
 impl Message {
     /// Creates a message with the given payload, reserving headroom for
     /// headers pushed by lower layers.
     pub fn new(src: NodeId, dst: NodeId, payload: &[u8]) -> Self {
-        let mut buf = Vec::with_capacity(DEFAULT_HEADROOM + payload.len());
+        let mut msg = Self::with_capacity(src, dst, payload.len());
+        msg.extend_payload(payload);
+        msg
+    }
+
+    /// Creates an empty message with room for `capacity` payload bytes
+    /// behind the headroom, so a sender can serialise straight into it with
+    /// [`extend_payload`](Message::extend_payload) in one allocation.
+    pub fn with_capacity(src: NodeId, dst: NodeId, capacity: usize) -> Self {
+        let mut buf = Vec::with_capacity(DEFAULT_HEADROOM + capacity);
         buf.resize(DEFAULT_HEADROOM, 0);
-        buf.extend_from_slice(payload);
         Message {
             src,
             dst,
@@ -130,6 +149,22 @@ impl Message {
         let hdr = self.buf[self.head..self.head + n].to_vec();
         self.head += n;
         Some(hdr)
+    }
+
+    /// Consumes the first `n` bytes in place — [`strip_header`] without
+    /// the copy, for a layer that has already read the header through
+    /// [`peek_header`] or [`bytes`]. Returns `false` (and leaves the
+    /// message unchanged) if the message is shorter than `n`.
+    ///
+    /// [`strip_header`]: Message::strip_header
+    /// [`peek_header`]: Message::peek_header
+    /// [`bytes`]: Message::bytes
+    pub fn skip_header(&mut self, n: usize) -> bool {
+        if self.len() < n {
+            return false;
+        }
+        self.head += n;
+        true
     }
 
     /// Returns the first `n` bytes without consuming them, or `None` if the
@@ -250,6 +285,29 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m.len(), 0);
         assert_eq!(m.peek_header(1), None);
+    }
+
+    #[test]
+    fn skip_header_consumes_in_place_like_strip() {
+        let mut stripped = msg(b"data");
+        stripped.push_header(b"HH");
+        let mut skipped = stripped.clone();
+        assert_eq!(stripped.strip_header(2).unwrap(), b"HH");
+        assert!(skipped.skip_header(2));
+        assert_eq!(skipped.bytes(), stripped.bytes());
+        assert!(!skipped.skip_header(5), "longer than the message");
+        assert_eq!(skipped.bytes(), b"data");
+    }
+
+    #[test]
+    fn equality_ignores_consumed_headroom() {
+        let mut m = msg(b"Hdata");
+        assert!(m.skip_header(1));
+        assert_eq!(m, msg(b"data"));
+        assert_ne!(m, msg(b"Hdata"));
+        let mut other_dst = msg(b"data");
+        other_dst.set_dst(NodeId::new(7));
+        assert_ne!(m, other_dst);
     }
 
     #[test]

@@ -39,6 +39,7 @@ use crate::network::Network;
 use crate::rng::SimRng;
 use crate::time::SimTime;
 use crate::trace::TraceLog;
+use crate::world::TimerTable;
 
 /// Why a world could not be snapshotted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,7 +131,7 @@ pub struct WorldSnapshot {
     pub(crate) network: Network,
     pub(crate) rng: SimRng,
     pub(crate) boards: BoardStore,
-    pub(crate) cancelled_timers: Vec<u64>,
+    pub(crate) timers: TimerTable,
     pub(crate) trace_packets: bool,
     pub(crate) trace_timers: bool,
     /// Digest of the captured state, computed once at capture time; equal

@@ -18,30 +18,23 @@ use crate::time::SimTime;
 /// enums (e.g. `TcpEvent`) and experiments downcast records back to them.
 ///
 /// The `Send` bound is what lets a fully-constructed [`World`](crate::World)
-/// (which owns its trace log) cross thread boundaries; the `Clone` bound
-/// (via [`clone_box`](TraceEvent::clone_box)) is what lets a world
-/// *snapshot* carry a deep copy of the log.
+/// (which owns its trace log) cross thread boundaries; the `Clone` bound is
+/// what lets a world *snapshot* carry a deep copy of the log.
 pub trait TraceEvent: Any + fmt::Debug + Send {
     /// Upcast for downcasting by the query helpers.
     fn as_any(&self) -> &dyn Any;
-
-    /// Deep copy behind the trait object (snapshot support).
-    fn clone_box(&self) -> Box<dyn TraceEvent>;
 }
 
 impl<T: Any + fmt::Debug + Send + Clone> TraceEvent for T {
     fn as_any(&self) -> &dyn Any {
         self
     }
-
-    fn clone_box(&self) -> Box<dyn TraceEvent> {
-        Box::new(self.clone())
-    }
 }
 
-/// One entry in the trace log.
-#[derive(Debug)]
-pub struct TraceRecord {
+/// One entry of the trace log, as [`TraceLog::for_each`] hands it out: the
+/// record's head by value and its payload borrowed from the log.
+#[derive(Debug, Clone, Copy)]
+pub struct TraceRecord<'a> {
     /// Virtual time at which the event was emitted.
     pub time: SimTime,
     /// Node that emitted it.
@@ -49,43 +42,74 @@ pub struct TraceRecord {
     /// Name of the emitting layer (or `"world"` for simulator-level events).
     pub layer: &'static str,
     /// The typed payload.
-    pub event: Box<dyn TraceEvent>,
-    /// The payload's concrete type, kept beside the box so a typed query
-    /// rejects a non-matching record without a virtual call.
+    pub event: &'a dyn TraceEvent,
+    /// The payload's concrete type, so a typed query rejects a
+    /// non-matching record without a virtual call.
     type_id: TypeId,
 }
 
-impl TraceRecord {
+impl<'a> TraceRecord<'a> {
     /// The payload as a `T`, if that is its concrete type.
-    pub fn event_as<T: Any>(&self) -> Option<&T> {
+    pub fn event_as<T: Any>(&self) -> Option<&'a T> {
         if self.type_id != TypeId::of::<T>() {
             return None;
         }
-        // `as_ref()` first: calling `.as_any()` on the `Box` directly would
-        // resolve the blanket impl for `Box<dyn TraceEvent>` itself and
-        // downcast to the wrong type.
-        self.event.as_ref().as_any().downcast_ref::<T>()
+        self.event.as_any().downcast_ref::<T>()
     }
 }
 
-impl Clone for TraceRecord {
-    fn clone(&self) -> Self {
-        TraceRecord {
-            time: self.time,
-            node: self.node,
-            layer: self.layer,
-            // `as_ref()` first, as in `event_as`: cloning through the box
-            // keeps the concrete payload type (and thus downcasting) intact.
-            event: self.event.as_ref().clone_box(),
-            type_id: self.type_id,
-        }
+/// What every record carries whatever its payload: 32 bytes, with the
+/// payload found at `columns[column].rows[row]`.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    time: SimTime,
+    node: NodeId,
+    layer: &'static str,
+    column: u32,
+    row: u32,
+}
+
+/// The payloads of one type, in emission order: a `Vec<E>` behind the
+/// operations the log needs without naming `E`.
+trait Column: Any + Send {
+    fn event(&self, row: usize) -> &dyn TraceEvent;
+    fn clone_rows(&self) -> Box<dyn Column>;
+    fn clear_rows(&mut self);
+    fn rows(&self) -> &dyn Any;
+    fn rows_mut(&mut self) -> &mut dyn Any;
+}
+
+impl<E: TraceEvent + Clone> Column for Vec<E> {
+    fn event(&self, row: usize) -> &dyn TraceEvent {
+        &self[row]
     }
+    fn clone_rows(&self) -> Box<dyn Column> {
+        Box::new(self.clone())
+    }
+    fn clear_rows(&mut self) {
+        self.clear();
+    }
+    fn rows(&self) -> &dyn Any {
+        self
+    }
+    fn rows_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+struct TypedColumn {
+    type_id: TypeId,
+    rows: Box<dyn Column>,
 }
 
 /// An append-only log of trace records, owned by the [`World`](crate::World).
 ///
-/// The log is a plain arena: one owned `Vec`, no shared handles. Appending
-/// requires `&mut` access (routed through the world or a layer
+/// The log is a column arena: one `Vec` of fixed-size record heads in
+/// emission order, plus one `Vec<E>` per payload type `E` ever recorded. A
+/// record costs two amortised pushes and no allocation of its own; cloning
+/// the log (every snapshot fork does) copies a handful of vectors; a typed
+/// query walks the heads and indexes one typed slice. Appending requires
+/// `&mut` access (routed through the world or a layer
 /// [`Context`](crate::Context)); queries take `&self`. Because every record
 /// payload is `Send`, the log — and therefore the world that owns it — can
 /// be moved across threads between runs.
@@ -103,9 +127,37 @@ impl Clone for TraceRecord {
 /// let pings = log.events_of::<Ping>(Some(NodeId::new(0)));
 /// assert_eq!(pings, vec![(SimTime::ZERO, Ping(7))]);
 /// ```
-#[derive(Debug, Default, Clone)]
+#[derive(Default)]
 pub struct TraceLog {
-    records: Vec<TraceRecord>,
+    heads: Vec<Head>,
+    /// A handful of entries (one per event enum in the stack), so a linear
+    /// scan by `TypeId` beats hashing it.
+    columns: Vec<TypedColumn>,
+}
+
+impl Clone for TraceLog {
+    fn clone(&self) -> Self {
+        TraceLog {
+            heads: self.heads.clone(),
+            columns: self
+                .columns
+                .iter()
+                .map(|c| TypedColumn {
+                    type_id: c.type_id,
+                    rows: c.rows.clone_rows(),
+                })
+                .collect(),
+        }
+    }
+}
+
+impl fmt::Debug for TraceLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TraceLog")
+            .field("records", &self.heads.len())
+            .field("payload_types", &self.columns.len())
+            .finish()
+    }
 }
 
 impl TraceLog {
@@ -115,25 +167,43 @@ impl TraceLog {
     }
 
     /// Appends a record.
-    pub fn record<E: TraceEvent>(
+    pub fn record<E: TraceEvent + Clone>(
         &mut self,
         time: SimTime,
         node: NodeId,
         layer: &'static str,
         event: E,
     ) {
-        self.records.push(TraceRecord {
+        let type_id = TypeId::of::<E>();
+        let column = match self.columns.iter().position(|c| c.type_id == type_id) {
+            Some(i) => i,
+            None => {
+                self.columns.push(TypedColumn {
+                    type_id,
+                    rows: Box::new(Vec::<E>::new()),
+                });
+                self.columns.len() - 1
+            }
+        };
+        let rows = self.columns[column]
+            .rows
+            .rows_mut()
+            .downcast_mut::<Vec<E>>()
+            .expect("a column holds the payload type it is keyed by");
+        let row = rows.len();
+        rows.push(event);
+        self.heads.push(Head {
             time,
             node,
             layer,
-            event: Box::new(event),
-            type_id: TypeId::of::<E>(),
+            column: u32::try_from(column).expect("fewer than 2^32 payload types"),
+            row: u32::try_from(row).expect("fewer than 2^32 records of one type"),
         });
     }
 
     /// Number of records in the log.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.heads.len()
     }
 
     /// Whether the log is empty.
@@ -141,22 +211,39 @@ impl TraceLog {
         self.len() == 0
     }
 
-    /// Discards all records.
+    /// Discards all records; the arena's capacity is kept for reuse.
     pub fn clear(&mut self) {
-        self.records.clear();
+        self.heads.clear();
+        for c in &mut self.columns {
+            c.rows.clear_rows();
+        }
+    }
+
+    /// The column index and payload slice of type `T`, if any `T` was ever
+    /// recorded.
+    fn column_of<T: Any>(&self) -> Option<(u32, &[T])> {
+        let type_id = TypeId::of::<T>();
+        let column = self.columns.iter().position(|c| c.type_id == type_id)?;
+        let rows = self.columns[column].rows.rows().downcast_ref::<Vec<T>>()?;
+        Some((column as u32, rows))
     }
 
     /// Borrowing typed query: every record whose payload is a `T`, in
     /// emission order, as `(time, node, &event)`.
     ///
-    /// A type-id comparison per record and one downcast per match, nothing
-    /// cloned and nothing collected — the read path for per-run analyses
-    /// (oracles, verdicts). The collecting helpers below are thin wrappers
-    /// over it.
+    /// An integer comparison per record and one slice index per match,
+    /// nothing cloned and nothing collected — the read path for per-run
+    /// analyses (oracles, verdicts). The collecting helpers below are thin
+    /// wrappers over it.
     pub fn iter_of<T: Any>(&self) -> impl Iterator<Item = (SimTime, NodeId, &T)> {
-        self.records
-            .iter()
-            .filter_map(|r| r.event_as::<T>().map(|e| (r.time, r.node, e)))
+        self.column_of::<T>()
+            .into_iter()
+            .flat_map(move |(column, rows)| {
+                self.heads
+                    .iter()
+                    .filter(move |h| h.column == column)
+                    .map(move |h| (h.time, h.node, &rows[h.row as usize]))
+            })
     }
 
     /// All events of type `T`, optionally restricted to one node, in
@@ -194,28 +281,34 @@ impl TraceLog {
         out
     }
 
-    /// Visits every record matching a predicate (for queries that need the
+    /// Visits every record in emission order (for queries that need the
     /// layer name or cross-type analysis).
-    pub fn for_each(&self, mut f: impl FnMut(&TraceRecord)) {
-        for r in self.records.iter() {
-            f(r);
+    pub fn for_each<'a>(&'a self, mut f: impl FnMut(&TraceRecord<'a>)) {
+        for h in &self.heads {
+            let column = &self.columns[h.column as usize];
+            f(&TraceRecord {
+                time: h.time,
+                node: h.node,
+                layer: h.layer,
+                event: column.rows.event(h.row as usize),
+                type_id: column.type_id,
+            });
         }
     }
 
     /// Renders the whole log as human-readable lines (debugging aid).
     pub fn render(&self) -> Vec<String> {
-        self.records
-            .iter()
-            .map(|r| {
-                format!(
-                    "[{:>12}] {} {}: {:?}",
-                    r.time.to_string(),
-                    r.node,
-                    r.layer,
-                    r.event
-                )
-            })
-            .collect()
+        let mut lines = Vec::with_capacity(self.len());
+        self.for_each(|r| {
+            lines.push(format!(
+                "[{:>12}] {} {}: {:?}",
+                r.time.to_string(),
+                r.node,
+                r.layer,
+                r.event
+            ));
+        });
+        lines
     }
 }
 
@@ -338,7 +431,6 @@ mod tests {
     fn log_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<TraceLog>();
-        assert_send::<TraceRecord>();
 
         // A populated log really does cross a thread boundary.
         let mut log = TraceLog::new();
@@ -402,6 +494,88 @@ mod tests {
         for ((t, n, e), (bt, bn, be)) in cloned.iter().zip(&borrowed) {
             assert_eq!((t, n, e), (bt, bn, *be));
         }
+    }
+
+    #[test]
+    fn interleaved_payload_types_keep_emission_order() {
+        let mut log = TraceLog::new();
+        let n = NodeId::new(0);
+        log.record(SimTime::from_micros(1), n, "a", EvA(1));
+        log.record(SimTime::from_micros(2), n, "b", EvB("x"));
+        log.record(SimTime::from_micros(3), n, "a", EvA(2));
+        log.record(SimTime::from_micros(4), n, "b", EvB("y"));
+        let mut seen = Vec::new();
+        log.for_each(|r| {
+            let payload = match (r.event_as::<EvA>(), r.event_as::<EvB>()) {
+                (Some(a), None) => format!("A{}", a.0),
+                (None, Some(b)) => format!("B{}", b.0),
+                other => panic!("a record has exactly one payload type, got {other:?}"),
+            };
+            seen.push((r.time.as_micros(), r.layer, payload));
+        });
+        assert_eq!(
+            seen,
+            vec![
+                (1, "a", "A1".to_string()),
+                (2, "b", "Bx".to_string()),
+                (3, "a", "A2".to_string()),
+                (4, "b", "By".to_string()),
+            ]
+        );
+        let rendered = log.render();
+        assert_eq!(rendered.len(), 4);
+        for (line, want) in rendered
+            .iter()
+            .zip(["EvA(1)", "EvB(\"x\")", "EvA(2)", "EvB(\"y\")"])
+        {
+            assert!(line.ends_with(want), "{line} should end with {want}");
+        }
+    }
+
+    #[test]
+    fn iter_of_a_never_recorded_type_is_empty() {
+        let mut log = TraceLog::new();
+        assert_eq!(log.iter_of::<EvA>().count(), 0, "empty log");
+        log.record(SimTime::ZERO, NodeId::new(0), "l", EvA(1));
+        assert_eq!(log.iter_of::<EvB>().count(), 0);
+        assert!(log.events_of::<EvB>(None).is_empty());
+    }
+
+    #[test]
+    fn cloned_log_diverges_independently_of_its_source() {
+        let mut source = TraceLog::new();
+        source.record(SimTime::from_micros(1), NodeId::new(0), "l", EvA(1));
+        source.record(SimTime::from_micros(2), NodeId::new(0), "l", EvB("x"));
+        let before = source.render();
+
+        let mut fork = source.clone();
+        assert_eq!(fork.render(), before);
+        fork.record(SimTime::from_micros(3), NodeId::new(1), "l", EvA(2));
+        fork.record(SimTime::from_micros(4), NodeId::new(1), "l", "a new type");
+
+        assert_eq!(source.len(), 2);
+        assert_eq!(source.render(), before);
+        assert_eq!(fork.len(), 4);
+        assert_eq!(fork.iter_of::<EvA>().count(), 2);
+        assert_eq!(source.iter_of::<&'static str>().count(), 0);
+    }
+
+    #[test]
+    fn cleared_log_is_reused() {
+        let mut log = TraceLog::new();
+        log.record(SimTime::from_micros(1), NodeId::new(0), "l", EvA(1));
+        log.record(SimTime::from_micros(2), NodeId::new(0), "l", EvB("x"));
+        log.clear();
+        assert!(log.is_empty());
+        assert!(log.render().is_empty());
+        assert_eq!(log.iter_of::<EvA>().count(), 0);
+        log.record(SimTime::from_micros(3), NodeId::new(1), "l", EvB("y"));
+        log.record(SimTime::from_micros(4), NodeId::new(1), "l", EvA(9));
+        assert_eq!(
+            log.events_with_nodes::<EvA>(),
+            vec![(SimTime::from_micros(4), NodeId::new(1), EvA(9))]
+        );
+        assert_eq!(log.len(), 2);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::any::Any;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::board::{BoardId, BoardStore};
 use crate::ids::{NodeId, TimerId};
@@ -78,6 +78,97 @@ enum Work {
     Timer { layer: usize, token: u64 },
 }
 
+impl Work {
+    /// The layer whose callback this item invokes.
+    fn layer(&self) -> usize {
+        match self {
+            Work::Push { layer, .. } | Work::Pop { layer, .. } | Work::Timer { layer, .. } => {
+                *layer
+            }
+        }
+    }
+}
+
+/// Where one issued timer id stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TimerState {
+    /// Armed; its queue entry will fire it.
+    Pending,
+    /// Cancelled while pending; its queue entry will be suppressed.
+    Cancelled,
+    /// Fired, suppressed, or never armed: nothing left to do.
+    Settled,
+}
+
+/// The state of every timer id issued so far, indexed by the id itself.
+///
+/// Ids are sequential, so the table is a window over them: ids below
+/// `base` have all settled, and `states[i]` is the state of id
+/// `base + i`. The front is trimmed as timers settle, so the window spans
+/// the oldest outstanding timer to the newest — a byte per id, no hashing.
+#[derive(Debug, Clone)]
+pub(crate) struct TimerTable {
+    base: u64,
+    states: VecDeque<TimerState>,
+}
+
+impl TimerTable {
+    fn new() -> Self {
+        // Ids start at 1 (`Context::set_timer` pre-increments).
+        TimerTable {
+            base: 1,
+            states: VecDeque::new(),
+        }
+    }
+
+    fn slot(&mut self, id: TimerId) -> Option<&mut TimerState> {
+        let i = id.as_u64().checked_sub(self.base)?;
+        self.states.get_mut(usize::try_from(i).ok()?)
+    }
+
+    /// Marks a freshly issued id pending. Actions are applied right after
+    /// the callback that issued them, so ids arrive in order, each once.
+    fn arm(&mut self, id: TimerId) {
+        assert_eq!(
+            id.as_u64(),
+            self.base + self.states.len() as u64,
+            "timer ids are armed in the order they are issued"
+        );
+        self.states.push_back(TimerState::Pending);
+    }
+
+    /// Records a cancel — only for a timer that is still pending, so a
+    /// cancel after the timer fired leaves nothing behind.
+    fn cancel(&mut self, id: TimerId) {
+        if let Some(state @ TimerState::Pending) = self.slot(id) {
+            *state = TimerState::Cancelled;
+        }
+    }
+
+    /// Settles the timer whose queue entry just came up; `true` if it had
+    /// been cancelled and must not fire.
+    fn settle(&mut self, id: TimerId) -> bool {
+        let Some(state) = self.slot(id) else {
+            return false;
+        };
+        let cancelled = *state == TimerState::Cancelled;
+        *state = TimerState::Settled;
+        while self.states.front() == Some(&TimerState::Settled) {
+            self.states.pop_front();
+            self.base += 1;
+        }
+        cancelled
+    }
+
+    /// Ids cancelled and not yet suppressed, ascending.
+    fn cancelled(&self) -> impl Iterator<Item = u64> + '_ {
+        (self.base..)
+            .zip(&self.states)
+            .filter(|(_, state)| **state == TimerState::Cancelled)
+            .map(|(id, _)| id)
+    }
+}
+
 /// The simulation world.
 ///
 /// Owns all nodes (each a stack of [`Layer`]s), the [`Network`], the event
@@ -109,7 +200,12 @@ pub struct World {
     trace: TraceLog,
     boards: BoardStore,
     timer_seq: u64,
-    cancelled_timers: HashSet<u64>,
+    timers: TimerTable,
+    /// Scratch for [`run_node_work`](World::run_node_work), kept between
+    /// events so the steady state of [`step`](World::step) reuses its
+    /// capacity instead of allocating per event and per callback.
+    work: VecDeque<Work>,
+    actions: Vec<Action>,
     /// Total events [`step`](World::step) has processed since creation (or
     /// since the value captured by the last restored snapshot). Campaign
     /// engines use the difference between a fork's starting count and zero
@@ -134,7 +230,9 @@ impl World {
             trace: TraceLog::new(),
             boards: BoardStore::new(),
             timer_seq: 0,
-            cancelled_timers: HashSet::new(),
+            timers: TimerTable::new(),
+            work: VecDeque::new(),
+            actions: Vec::new(),
             events_processed: 0,
             trace_packets: false,
             trace_timers: false,
@@ -240,7 +338,9 @@ impl World {
     ///
     /// Panics if the node or layer index does not exist.
     pub fn control_raw(&mut self, node: NodeId, layer: usize, op: Box<dyn Any>) -> Box<dyn Any> {
-        let (result, actions, layer_name) = {
+        let mut work = std::mem::take(&mut self.work);
+        let mut actions = std::mem::take(&mut self.actions);
+        let result = {
             let World {
                 nodes,
                 rng,
@@ -250,25 +350,21 @@ impl World {
                 now,
                 ..
             } = self;
-            let n = &mut nodes[node.index()];
-            let l = &mut n.layers[layer];
-            let name = l.name();
+            let l = &mut nodes[node.index()].layers[layer];
             let mut ctx = Context {
                 now: *now,
                 node,
-                layer_name: name,
-                actions: Vec::new(),
+                layer_name: l.name(),
+                actions: &mut actions,
                 rng,
                 trace,
                 boards,
                 timer_seq,
             };
-            let result = l.control(op, &mut ctx);
-            (result, ctx.actions, name)
+            l.control(op, &mut ctx)
         };
-        let _ = layer_name;
-        let follow_on = self.apply_actions(node, layer, actions);
-        self.run_node_work(node, follow_on);
+        self.apply_actions(node, layer, &mut actions, &mut work);
+        self.drain_node_work(node, work, actions);
         result
     }
 
@@ -400,19 +496,24 @@ impl World {
     fn process_node_event(&mut self, node: NodeId, ev: NodeEvent) {
         let n = &mut self.nodes[node.index()];
         if n.crashed {
-            if let NodeEvent::Deliver(m) = ev {
-                if self.trace_packets {
-                    self.trace.record(
-                        self.now,
-                        node,
-                        "world",
-                        NetTrace::Dropped {
-                            src: m.src(),
-                            dst: m.dst(),
-                            len: m.len(),
-                            reason: DropReason::DestCrashed,
-                        },
-                    );
+            match ev {
+                NodeEvent::Deliver(m) => {
+                    if self.trace_packets {
+                        self.trace.record(
+                            self.now,
+                            node,
+                            "world",
+                            NetTrace::Dropped {
+                                src: m.src(),
+                                dst: m.dst(),
+                                len: m.len(),
+                                reason: DropReason::DestCrashed,
+                            },
+                        );
+                    }
+                }
+                NodeEvent::Timer { id, .. } => {
+                    self.timers.settle(id);
                 }
             }
             return;
@@ -436,13 +537,13 @@ impl World {
                     );
                 }
                 let bottom = n.layers.len() - 1;
-                self.run_node_work(node, vec![Work::Pop { layer: bottom, msg }]);
+                self.run_node_work(node, Work::Pop { layer: bottom, msg });
             }
             NodeEvent::Timer { layer, id, token } => {
                 let layer_name = self
                     .trace_timers
                     .then(|| self.nodes[node.index()].layers[layer].name());
-                if self.cancelled_timers.remove(&id.as_u64()) {
+                if self.timers.settle(id) {
                     if let Some(name) = layer_name {
                         self.trace.record(
                             self.now,
@@ -461,71 +562,84 @@ impl World {
                         TimerTrace::Fired { layer: name, token },
                     );
                 }
-                self.run_node_work(node, vec![Work::Timer { layer, token }]);
+                self.run_node_work(node, Work::Timer { layer, token });
             }
         }
     }
 
-    /// Routes a batch of intra-node work items, breadth-first, invoking
-    /// layer callbacks and translating their actions into further work,
-    /// timers, or wire transmissions.
-    fn run_node_work(&mut self, node: NodeId, initial: Vec<Work>) {
-        let mut work: VecDeque<Work> = initial.into();
+    /// Routes one work item and everything it leads to within the node,
+    /// breadth-first.
+    fn run_node_work(&mut self, node: NodeId, first: Work) {
+        let mut work = std::mem::take(&mut self.work);
+        let actions = std::mem::take(&mut self.actions);
+        work.push_back(first);
+        self.drain_node_work(node, work, actions);
+    }
+
+    /// Runs `work` breadth-first: each item invokes a layer callback whose
+    /// actions become further work, timers, or wire transmissions. Both
+    /// buffers are the world's own, taken by the caller (`actions` empty);
+    /// they go back empty, capacity kept.
+    fn drain_node_work(
+        &mut self,
+        node: NodeId,
+        mut work: VecDeque<Work>,
+        mut actions: Vec<Action>,
+    ) {
         while let Some(w) = work.pop_front() {
-            let layer_idx = match &w {
-                Work::Push { layer, .. } | Work::Pop { layer, .. } | Work::Timer { layer, .. } => {
-                    *layer
-                }
-            };
-            let actions = {
-                let World {
-                    nodes,
-                    rng,
-                    trace,
-                    boards,
-                    timer_seq,
-                    now,
-                    ..
-                } = self;
-                let n = &mut nodes[node.index()];
-                if n.crashed {
-                    return;
-                }
-                let l = &mut n.layers[layer_idx];
-                let mut ctx = Context {
-                    now: *now,
-                    node,
-                    layer_name: l.name(),
-                    actions: Vec::new(),
-                    rng,
-                    trace,
-                    boards,
-                    timer_seq,
-                };
-                match w {
-                    Work::Push { msg, .. } => l.push(msg, &mut ctx),
-                    Work::Pop { msg, .. } => l.pop(msg, &mut ctx),
-                    Work::Timer { token, .. } => l.timer(token, &mut ctx),
-                }
-                ctx.actions
-            };
-            for item in self.apply_actions(node, layer_idx, actions) {
-                work.push_back(item);
+            let layer_idx = w.layer();
+            let World {
+                nodes,
+                rng,
+                trace,
+                boards,
+                timer_seq,
+                now,
+                ..
+            } = self;
+            let n = &mut nodes[node.index()];
+            if n.crashed {
+                work.clear();
+                break;
             }
+            let l = &mut n.layers[layer_idx];
+            let mut ctx = Context {
+                now: *now,
+                node,
+                layer_name: l.name(),
+                actions: &mut actions,
+                rng,
+                trace,
+                boards,
+                timer_seq,
+            };
+            match w {
+                Work::Push { msg, .. } => l.push(msg, &mut ctx),
+                Work::Pop { msg, .. } => l.pop(msg, &mut ctx),
+                Work::Timer { token, .. } => l.timer(token, &mut ctx),
+            }
+            self.apply_actions(node, layer_idx, &mut actions, &mut work);
         }
+        self.work = work;
+        self.actions = actions;
     }
 
-    /// Translates a layer's collected actions: timers go onto the event
-    /// queue, wire sends into the network, the rest becomes more intra-node
-    /// work.
-    fn apply_actions(&mut self, node: NodeId, layer_idx: usize, actions: Vec<Action>) -> Vec<Work> {
-        let mut work = Vec::new();
+    /// Translates a layer's collected actions, leaving `actions` empty:
+    /// timers go onto the event queue, wire sends into the network, the
+    /// rest onto `work`.
+    fn apply_actions(
+        &mut self,
+        node: NodeId,
+        layer_idx: usize,
+        actions: &mut Vec<Action>,
+        work: &mut VecDeque<Work>,
+    ) {
         let n_layers = self.nodes[node.index()].layers.len();
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 Action::SendDown(msg) => {
                     if layer_idx + 1 < n_layers {
-                        work.push(Work::Push {
+                        work.push_back(Work::Push {
                             layer: layer_idx + 1,
                             msg,
                         });
@@ -537,7 +651,7 @@ impl World {
                     if layer_idx == 0 {
                         self.nodes[node.index()].inbox.push((self.now, msg));
                     } else {
-                        work.push(Work::Pop {
+                        work.push_back(Work::Pop {
                             layer: layer_idx - 1,
                             msg,
                         });
@@ -553,6 +667,7 @@ impl World {
                             TimerTrace::Set { layer: name, token },
                         );
                     }
+                    self.timers.arm(id);
                     self.push_entry(
                         at,
                         EventKind::Node {
@@ -575,11 +690,10 @@ impl World {
                             TimerTrace::Cancelled { layer: name },
                         );
                     }
-                    self.cancelled_timers.insert(id.as_u64());
+                    self.timers.cancel(id);
                 }
             }
         }
-        work
     }
 
     /// Hands a message leaving a node's bottom layer to the network.
@@ -691,8 +805,6 @@ impl World {
                     .map(|evs| evs.iter().map(snap_event).collect()),
             });
         }
-        let mut cancelled: Vec<u64> = self.cancelled_timers.iter().copied().collect();
-        cancelled.sort_unstable();
         Ok(WorldSnapshot {
             now: self.now,
             seq: self.seq,
@@ -703,7 +815,7 @@ impl World {
             network: self.network.clone(),
             rng: self.rng.clone(),
             boards: self.boards.clone(),
-            cancelled_timers: cancelled,
+            timers: self.timers.clone(),
             trace_packets: self.trace_packets,
             trace_timers: self.trace_timers,
             digest: self.snapshot_digest(),
@@ -739,7 +851,7 @@ impl World {
         self.trace = guard.trace.clone();
         self.trace_packets = snap.trace_packets;
         self.trace_timers = snap.trace_timers;
-        self.cancelled_timers = snap.cancelled_timers.iter().copied().collect();
+        self.timers = snap.timers.clone();
         self.queue = snap
             .queue
             .iter()
@@ -837,10 +949,8 @@ impl World {
                 h.write_str(&v);
             }
         }
-        let mut cancelled: Vec<u64> = self.cancelled_timers.iter().copied().collect();
-        cancelled.sort_unstable();
-        h.write_usize(cancelled.len());
-        for id in cancelled {
+        h.write_usize(self.timers.cancelled().count());
+        for id in self.timers.cancelled() {
             h.write_u64(id);
         }
         let lines = self.trace.render();
@@ -1165,6 +1275,95 @@ mod tests {
                 },
             ]
         );
+    }
+
+    /// Arms one timer per `Arm`, cancels the last armed one on `Cancel`,
+    /// reports how many fired on `Fired`.
+    #[derive(Clone, Default)]
+    struct OneTimer {
+        last: Option<TimerId>,
+        fired: u32,
+    }
+    enum TimerOp {
+        Arm(SimDuration),
+        Cancel,
+        Fired,
+    }
+    impl Layer for OneTimer {
+        fn name(&self) -> &'static str {
+            "one-timer"
+        }
+        fn push(&mut self, _m: Message, _c: &mut Context<'_>) {}
+        fn pop(&mut self, _m: Message, _c: &mut Context<'_>) {}
+        fn timer(&mut self, _token: u64, _ctx: &mut Context<'_>) {
+            self.fired += 1;
+        }
+        fn control(&mut self, op: Box<dyn Any>, ctx: &mut Context<'_>) -> Box<dyn Any> {
+            match *op.downcast::<TimerOp>().expect("bad op") {
+                TimerOp::Arm(delay) => self.last = Some(ctx.set_timer(delay, 0)),
+                TimerOp::Cancel => ctx.cancel_timer(self.last.expect("armed first")),
+                TimerOp::Fired => return Box::new(self.fired),
+            }
+            Box::new(())
+        }
+        fn clone_box(&self) -> Option<Box<dyn Layer>> {
+            Some(Box::new(self.clone()))
+        }
+    }
+
+    #[test]
+    fn cancel_after_fire_leaves_no_residue() {
+        fn world(cancel_after_fire: bool) -> (World, NodeId) {
+            let mut w = World::new(1);
+            let n = w.add_node(vec![Box::new(OneTimer::default())]);
+            w.control::<()>(n, 0, TimerOp::Arm(SimDuration::from_millis(10)));
+            w.run_for(SimDuration::from_millis(50));
+            assert_eq!(w.control::<u32>(n, 0, TimerOp::Fired), 1);
+            if cancel_after_fire {
+                w.control::<()>(n, 0, TimerOp::Cancel);
+            }
+            (w, n)
+        }
+        let (plain, _) = world(false);
+        let (cancelled, n) = world(true);
+        assert_eq!(cancelled.snapshot_digest(), plain.snapshot_digest());
+        let mut fork = cancelled.snapshot().fork();
+        assert_eq!(fork.snapshot_digest(), plain.snapshot_digest());
+        // The late cancel suppresses nothing that is armed afterwards.
+        fork.control::<()>(n, 0, TimerOp::Arm(SimDuration::from_millis(10)));
+        fork.run_for(SimDuration::from_millis(50));
+        assert_eq!(fork.control::<u32>(n, 0, TimerOp::Fired), 2);
+    }
+
+    #[test]
+    fn cancel_then_fire_is_suppressed_once() {
+        let mut w = World::new(1);
+        w.trace_timers = true;
+        let n = w.add_node(vec![Box::new(OneTimer::default())]);
+        w.control::<()>(n, 0, TimerOp::Arm(SimDuration::from_millis(10)));
+        w.control::<()>(n, 0, TimerOp::Cancel);
+        // A second cancel of the same pending timer changes nothing.
+        w.control::<()>(n, 0, TimerOp::Cancel);
+        let snap = w.snapshot();
+        w.run_for(SimDuration::from_millis(50));
+        assert_eq!(w.control::<u32>(n, 0, TimerOp::Fired), 0);
+        let suppressed = |w: &World| {
+            w.trace()
+                .iter_of::<TimerTrace>()
+                .filter(|(_, _, e)| matches!(e, TimerTrace::Suppressed { .. }))
+                .count()
+        };
+        assert_eq!(suppressed(&w), 1);
+        // The suppression consumed the cancel: the next timer fires.
+        w.control::<()>(n, 0, TimerOp::Arm(SimDuration::from_millis(10)));
+        w.run_for(SimDuration::from_millis(50));
+        assert_eq!(w.control::<u32>(n, 0, TimerOp::Fired), 1);
+        assert_eq!(suppressed(&w), 1);
+        // A pending cancel survives snapshot and fork.
+        let mut fork = snap.fork();
+        fork.run_for(SimDuration::from_millis(50));
+        assert_eq!(fork.control::<u32>(n, 0, TimerOp::Fired), 0);
+        assert_eq!(suppressed(&fork), 1);
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //!     18     2  checksum   (16-bit sum over header-with-zero-checksum + payload)
 //! ```
 
+use std::borrow::Cow;
+
 use pfi_core::PacketStub;
 use pfi_sim::{Message, NodeId};
 
@@ -207,7 +209,13 @@ impl PacketStub for TcpStub {
     }
 
     fn type_of(&self, msg: &Message) -> Option<String> {
-        Segment::decode(msg).ok().map(|s| s.type_name().to_string())
+        self.type_name(msg).map(Cow::into_owned)
+    }
+
+    fn type_name(&self, msg: &Message) -> Option<Cow<'static, str>> {
+        Segment::decode(msg)
+            .ok()
+            .map(|s| Cow::Borrowed(s.type_name()))
     }
 
     fn field(&self, msg: &Message, name: &str) -> Option<i64> {

@@ -22,6 +22,7 @@
 #![warn(missing_docs)]
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 use pfi_core::PacketStub;
@@ -570,7 +571,11 @@ impl PacketStub for TpcStub {
     }
 
     fn type_of(&self, msg: &Message) -> Option<String> {
-        TpcPacket::parse(msg.bytes()).map(|p| p.ty.name().to_string())
+        self.type_name(msg).map(Cow::into_owned)
+    }
+
+    fn type_name(&self, msg: &Message) -> Option<Cow<'static, str>> {
+        TpcPacket::parse(msg.bytes()).map(|p| Cow::Borrowed(p.ty.name()))
     }
 
     fn field(&self, msg: &Message, name: &str) -> Option<i64> {
