@@ -249,8 +249,10 @@ impl<'a> FilterCtx<'a> {
 /// A send or receive filter.
 pub enum Filter {
     /// A Tcl script evaluated in the direction's interpreter on every
-    /// message.
-    Script(Script),
+    /// message. Shared: the compiled form is bound into the script the
+    /// first time each body runs, so every fork of a snapshot evaluates
+    /// what the first one compiled.
+    Script(Arc<Script>),
     /// A native Rust closure — the "user-defined procedure" escape hatch.
     /// `Send` because installed filters live inside the layer, and a
     /// fully-constructed world crosses thread boundaries.
@@ -264,7 +266,7 @@ impl Filter {
     ///
     /// Returns the parse error for malformed scripts.
     pub fn script(src: &str) -> Result<Filter, pfi_script::ScriptError> {
-        Ok(Filter::Script(Script::parse(src)?))
+        Ok(Filter::Script(Arc::new(Script::parse(src)?)))
     }
 
     /// Wraps a native closure as a filter.
@@ -272,12 +274,12 @@ impl Filter {
         Filter::Native(Box::new(f))
     }
 
-    /// Deep copy, for world snapshots. Script filters clone their compiled
+    /// A copy, for world snapshots. Script filters share their compiled
     /// body; native closures cannot be cloned and return `None` (a layer
     /// holding one refuses to snapshot).
     pub fn try_clone(&self) -> Option<Filter> {
         match self {
-            Filter::Script(s) => Some(Filter::Script(s.clone())),
+            Filter::Script(s) => Some(Filter::Script(Arc::clone(s))),
             Filter::Native(_) => None,
         }
     }

@@ -226,7 +226,7 @@ impl Flow {
 /// for parsing its content as a nested script/expression.
 fn static_text(w: &Word) -> Option<(String, Span)> {
     match w {
-        Word::Braced(s, span) => Some((s.clone(), Span::at(span.line, span.col + 1))),
+        Word::Braced(s, span) => Some((s.to_string(), Span::at(span.line, span.col + 1))),
         Word::Parts(parts, span) => {
             let mut out = String::new();
             for p in parts {

@@ -228,7 +228,7 @@ struct Walker {
 
 fn static_text(w: &Word) -> Option<(String, Span)> {
     match w {
-        Word::Braced(s, span) => Some((s.clone(), Span::at(span.line, span.col + 1))),
+        Word::Braced(s, span) => Some((s.to_string(), Span::at(span.line, span.col + 1))),
         Word::Parts(parts, span) => {
             let mut out = String::new();
             for p in parts {

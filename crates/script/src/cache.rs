@@ -28,7 +28,9 @@ use std::sync::Arc;
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to parse (includes lookups with caching disabled).
+    /// Compiles: lookups that had to parse (includes lookups with caching
+    /// disabled) and first-use bindings of braced words, which are
+    /// remembered in the script and never looked up again.
     pub misses: u64,
     /// Entries evicted to stay within the capacity bound.
     pub evictions: u64,
@@ -116,6 +118,13 @@ impl<V> SourceCache<V> {
         self.order.push_back(Arc::clone(&key));
         self.map.insert(key, Arc::clone(&v));
         Ok(v)
+    }
+
+    /// Counts a compile made outside the cache on its owner's behalf: the
+    /// first-use binding of a braced word, which is remembered in the
+    /// script and never looked up here.
+    pub(crate) fn note_miss(&mut self) {
+        self.misses += 1;
     }
 
     pub(crate) fn stats(&self) -> CacheStats {

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use crate::parse::Span;
+use crate::value::Value;
 
 /// What class of failure a [`ScriptError`] reports.
 ///
@@ -110,12 +111,12 @@ impl std::error::Error for ScriptError {}
 
 /// Internal control flow used during evaluation: errors plus the non-error
 /// exceptional returns of Tcl (`break`, `continue`, `return`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Exc {
     Error(ScriptError),
     Break,
     Continue,
-    Return(String),
+    Return(Value),
 }
 
 impl From<ScriptError> for Exc {
@@ -136,7 +137,7 @@ impl Exc {
     }
 }
 
-pub(crate) type EvalResult = Result<String, Exc>;
+pub(crate) type EvalResult = Result<Value, Exc>;
 
 #[cfg(test)]
 mod tests {

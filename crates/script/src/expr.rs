@@ -17,113 +17,22 @@ use std::borrow::Cow;
 
 use crate::error::ScriptError;
 use crate::parse::Script;
+use crate::value::{parse_int, Value};
 
 /// Resolves `$var` and `[command]` substitutions inside an expression.
 pub(crate) trait Resolver {
-    fn var(&mut self, name: &str) -> Result<String, ScriptError>;
+    /// The value a variable holds.
+    fn var(&mut self, name: &str) -> Result<&Value, ScriptError>;
     /// Runs a `[command]` operand, parsed when the expression was.
-    fn cmd(&mut self, script: &Script) -> Result<String, ScriptError>;
-
-    /// A variable as an `expr` operand. The default goes through
-    /// [`var`](Resolver::var); the interpreter overrides it to parse from
-    /// a borrowed value, skipping the clone on the hot operand path.
-    fn var_value(&mut self, name: &str) -> Result<Value, ScriptError> {
-        Ok(Value::from_tcl(&self.var(name)?))
-    }
+    fn cmd(&mut self, script: &Script) -> Result<Value, ScriptError>;
 }
 
-/// A Tcl value as seen by `expr`: integer, double, or string.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Value {
-    Int(i64),
-    Dbl(f64),
-    Str(String),
-}
-
-impl Value {
-    /// Interprets a Tcl string as a value (integers, hex integers, doubles,
-    /// otherwise string).
-    pub(crate) fn from_tcl(s: &str) -> Value {
-        parse_numeric(s).unwrap_or_else(|| Value::Str(s.to_string()))
-    }
-
-    /// [`from_tcl`](Value::from_tcl) of an owned string, which a
-    /// non-numeric value keeps instead of copying.
-    fn from_string(s: String) -> Value {
-        parse_numeric(&s).unwrap_or(Value::Str(s))
-    }
-
-    pub(crate) fn to_output(&self) -> String {
-        self.text().into_owned()
-    }
-
-    /// The value as Tcl prints it; a string operand is borrowed.
-    fn text(&self) -> Cow<'_, str> {
-        match self {
-            Value::Int(i) => Cow::Owned(i.to_string()),
-            Value::Dbl(d) => Cow::Owned(fmt_double(*d)),
-            Value::Str(s) => Cow::Borrowed(s),
-        }
-    }
-
-    pub(crate) fn truthy(&self) -> Result<bool, ScriptError> {
-        match self {
-            Value::Int(i) => Ok(*i != 0),
-            Value::Dbl(d) => Ok(*d != 0.0),
-            Value::Str(s) => match s.trim().to_ascii_lowercase().as_str() {
-                "true" | "yes" | "on" => Ok(true),
-                "false" | "no" | "off" => Ok(false),
-                other => Err(ScriptError::new(format!(
-                    "expected boolean value but got \"{other}\""
-                ))),
-            },
-        }
-    }
-
-    fn numeric(&self) -> Option<Value> {
-        match self {
-            Value::Int(_) | Value::Dbl(_) => Some(self.clone()),
-            Value::Str(s) => parse_numeric(s),
-        }
-    }
-}
-
-/// The integer (decimal or hex) or double a Tcl string spells, if any.
-fn parse_numeric(s: &str) -> Option<Value> {
-    let t = s.trim();
-    if t.is_empty() {
-        return None;
-    }
-    if let Some(i) = parse_int(t) {
-        return Some(Value::Int(i));
-    }
-    // Tcl accepts Inf/NaN spellings as doubles; so does `f64::from_str`.
-    t.parse::<f64>().ok().map(Value::Dbl)
-}
-
-fn parse_int(t: &str) -> Option<i64> {
-    let (neg, body) = match t.strip_prefix('-') {
-        Some(b) => (true, b),
-        None => (false, t.strip_prefix('+').unwrap_or(t)),
-    };
-    let v = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
-        i64::from_str_radix(hex, 16).ok()?
-    } else {
-        if body.is_empty() || !body.bytes().all(|b| b.is_ascii_digit()) {
-            return None;
-        }
-        body.parse::<i64>().ok()?
-    };
-    Some(if neg { -v } else { v })
-}
-
-/// Formats a double the way Tcl prints expr results: integral values keep a
-/// trailing `.0` so the type stays visible.
-pub(crate) fn fmt_double(d: f64) -> String {
-    if d.is_finite() && d.fract() == 0.0 && d.abs() < 1e16 {
-        format!("{d:.1}")
-    } else {
-        format!("{d}")
+/// A held value as an operand: a string that spells a number is that
+/// number, and one that does not stays borrowed.
+fn operand_of(v: &Value) -> Cow<'_, Value> {
+    match v {
+        Value::Str(_) => v.numeric().map_or(Cow::Borrowed(v), Cow::Owned),
+        _ => Cow::Borrowed(v),
     }
 }
 
@@ -391,7 +300,7 @@ fn tokenize(src: &str) -> Result<Vec<Tok>, ScriptError> {
 }
 
 /// Resolves `$name` substitutions inside an array index.
-fn resolve_index_vars(index: &str, r: &mut dyn Resolver) -> Result<String, ScriptError> {
+fn resolve_index_vars(index: &str, r: &mut impl Resolver) -> Result<String, ScriptError> {
     let chars: Vec<char> = index.chars().collect();
     let mut out = String::new();
     let mut pos = 0usize;
@@ -407,7 +316,7 @@ fn resolve_index_vars(index: &str, r: &mut dyn Resolver) -> Result<String, Scrip
                 continue;
             }
             let name: String = chars[start..pos].iter().collect();
-            out.push_str(&r.var(&name)?);
+            r.var(&name)?.write_to(&mut out);
         } else {
             out.push(chars[pos]);
             pos += 1;
@@ -427,10 +336,107 @@ enum Node {
     /// and its parse. A parse error surfaces when the operand is evaluated,
     /// as it did when the text was parsed on first use.
     Cmd(String, Result<Script, ScriptError>),
-    Unary(&'static str, Box<Node>),
-    Bin(&'static str, Box<Node>, Box<Node>),
+    Unary(UnOp, Box<Node>),
+    Bin(BinOp, Box<Node>, Box<Node>),
     Ternary(Box<Node>, Box<Node>, Box<Node>),
     Func(String, Vec<Node>),
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum UnOp {
+    Not,
+    BitNot,
+    Neg,
+    Plus,
+}
+
+impl UnOp {
+    fn as_str(self) -> &'static str {
+        match self {
+            UnOp::Not => "!",
+            UnOp::BitNot => "~",
+            UnOp::Neg => "-",
+            UnOp::Plus => "+",
+        }
+    }
+}
+
+/// A binary operator, resolved from its spelling when the expression is
+/// parsed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BinOp {
+    Or,
+    And,
+    BitOr,
+    BitXor,
+    BitAnd,
+    Cmp(CmpOp),
+    StrEq,
+    StrNe,
+    Shl,
+    Shr,
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Rem,
+    Pow,
+}
+
+/// How each binary operator is spelled.
+const SPELLINGS: [(&str, BinOp); 21] = [
+    ("||", BinOp::Or),
+    ("&&", BinOp::And),
+    ("|", BinOp::BitOr),
+    ("^", BinOp::BitXor),
+    ("&", BinOp::BitAnd),
+    ("==", BinOp::Cmp(CmpOp::Eq)),
+    ("!=", BinOp::Cmp(CmpOp::Ne)),
+    ("<", BinOp::Cmp(CmpOp::Lt)),
+    ("<=", BinOp::Cmp(CmpOp::Le)),
+    (">", BinOp::Cmp(CmpOp::Gt)),
+    (">=", BinOp::Cmp(CmpOp::Ge)),
+    ("eq", BinOp::StrEq),
+    ("ne", BinOp::StrNe),
+    ("<<", BinOp::Shl),
+    (">>", BinOp::Shr),
+    ("+", BinOp::Add),
+    ("-", BinOp::Sub),
+    ("*", BinOp::Mul),
+    ("/", BinOp::Div),
+    ("%", BinOp::Rem),
+    ("**", BinOp::Pow),
+];
+
+impl BinOp {
+    fn from_str(op: &str) -> Option<BinOp> {
+        SPELLINGS.iter().find(|(s, _)| *s == op).map(|(_, o)| *o)
+    }
+
+    /// The operator's spelling, for error messages.
+    fn as_str(self) -> &'static str {
+        SPELLINGS
+            .iter()
+            .find(|(_, o)| *o == self)
+            .map_or("?", |(s, _)| s)
+    }
+
+    /// Left and right binding power (`**` is right-associative).
+    fn binding_power(self) -> (u8, u8) {
+        match self {
+            BinOp::Or => (2, 3),
+            BinOp::And => (3, 4),
+            BinOp::BitOr => (4, 5),
+            BinOp::BitXor => (5, 6),
+            BinOp::BitAnd => (6, 7),
+            BinOp::Cmp(CmpOp::Eq | CmpOp::Ne) | BinOp::StrEq | BinOp::StrNe => (7, 8),
+            BinOp::Cmp(_) => (8, 9),
+            BinOp::Shl | BinOp::Shr => (9, 10),
+            BinOp::Add | BinOp::Sub => (10, 11),
+            BinOp::Mul | BinOp::Div | BinOp::Rem => (11, 12),
+            BinOp::Pow => (14, 13),
+        }
+    }
 }
 
 /// A compiled expression: the parsed tree for one `expr` source string,
@@ -520,6 +526,12 @@ impl ExprParser {
             }
             Some(Tok::Op(op)) if matches!(op, "-" | "+" | "!" | "~") => {
                 let operand = self.parse_bp(13)?;
+                let op = match op {
+                    "-" => UnOp::Neg,
+                    "+" => UnOp::Plus,
+                    "!" => UnOp::Not,
+                    _ => UnOp::BitNot,
+                };
                 Ok(Node::Unary(op, Box::new(operand)))
             }
             other => Err(ScriptError::new(format!(
@@ -556,20 +568,10 @@ impl ExprParser {
                 lhs = Node::Ternary(Box::new(lhs), Box::new(mid), Box::new(rhs));
                 continue;
             }
-            let (l_bp, r_bp) = match op {
-                "||" => (2, 3),
-                "&&" => (3, 4),
-                "|" => (4, 5),
-                "^" => (5, 6),
-                "&" => (6, 7),
-                "==" | "!=" | "eq" | "ne" => (7, 8),
-                "<" | ">" | "<=" | ">=" => (8, 9),
-                "<<" | ">>" => (9, 10),
-                "+" | "-" => (10, 11),
-                "*" | "/" | "%" => (11, 12),
-                "**" => (14, 13), // right-associative
-                _ => return Err(ScriptError::new(format!("unexpected operator \"{op}\""))),
+            let Some(op) = BinOp::from_str(op) else {
+                return Err(ScriptError::new(format!("unexpected operator \"{op}\"")));
             };
+            let (l_bp, r_bp) = op.binding_power();
             if l_bp < min_bp {
                 break;
             }
@@ -614,10 +616,10 @@ pub fn analyze_expr(src: &str) -> Result<ExprSummary, ScriptError> {
         // Fold it with a resolver that can never be reached.
         struct NoSubst;
         impl Resolver for NoSubst {
-            fn var(&mut self, name: &str) -> Result<String, ScriptError> {
+            fn var(&mut self, name: &str) -> Result<&Value, ScriptError> {
                 Err(ScriptError::new(format!("unexpected var \"{name}\"")))
             }
-            fn cmd(&mut self, _script: &Script) -> Result<String, ScriptError> {
+            fn cmd(&mut self, _script: &Script) -> Result<Value, ScriptError> {
                 Err(ScriptError::new("unexpected cmd"))
             }
         }
@@ -670,13 +672,19 @@ impl CmpOp {
 
     /// Evaluates the comparison over a concrete integer pair.
     pub fn holds(self, lhs: i64, rhs: i64) -> bool {
+        self.admits(lhs.cmp(&rhs))
+    }
+
+    /// Whether `lhs OP rhs` holds given how `lhs` orders against `rhs`.
+    fn admits(self, ord: std::cmp::Ordering) -> bool {
+        use std::cmp::Ordering::{Equal, Greater, Less};
         match self {
-            CmpOp::Eq => lhs == rhs,
-            CmpOp::Ne => lhs != rhs,
-            CmpOp::Lt => lhs < rhs,
-            CmpOp::Le => lhs <= rhs,
-            CmpOp::Gt => lhs > rhs,
-            CmpOp::Ge => lhs >= rhs,
+            CmpOp::Eq => ord == Equal,
+            CmpOp::Ne => ord != Equal,
+            CmpOp::Lt => ord == Less,
+            CmpOp::Le => ord != Greater,
+            CmpOp::Gt => ord == Greater,
+            CmpOp::Ge => ord != Less,
         }
     }
 }
@@ -738,7 +746,7 @@ pub fn analyze_guard(src: &str) -> Result<Vec<GuardAtom>, ScriptError> {
 
 fn collect_guard(n: &Node, out: &mut Vec<GuardAtom>) {
     match n {
-        Node::Bin("&&", a, b) => {
+        Node::Bin(BinOp::And, a, b) => {
             collect_guard(a, out);
             collect_guard(b, out);
         }
@@ -751,12 +759,9 @@ fn classify_atom(n: &Node) -> GuardAtom {
         return GuardAtom::Opaque;
     };
     let cmp = match *op {
-        "==" | "eq" => CmpOp::Eq,
-        "!=" | "ne" => CmpOp::Ne,
-        "<" => CmpOp::Lt,
-        "<=" => CmpOp::Le,
-        ">" => CmpOp::Gt,
-        ">=" => CmpOp::Ge,
+        BinOp::Cmp(cmp) => cmp,
+        BinOp::StrEq => CmpOp::Eq,
+        BinOp::StrNe => CmpOp::Ne,
         _ => return GuardAtom::Opaque,
     };
     // Normalize so the substitution sits on the left.
@@ -855,7 +860,7 @@ pub(crate) fn parse_expr(src: &str) -> Result<ExprAst, ScriptError> {
 }
 
 /// Evaluates a compiled expression, resolving substitutions through `r`.
-pub(crate) fn eval_ast(ast: &ExprAst, r: &mut dyn Resolver) -> Result<Value, ScriptError> {
+pub(crate) fn eval_ast(ast: &ExprAst, r: &mut impl Resolver) -> Result<Value, ScriptError> {
     eval_node(&ast.root, r)
 }
 
@@ -863,40 +868,39 @@ pub(crate) fn eval_ast(ast: &ExprAst, r: &mut dyn Resolver) -> Result<Value, Scr
 /// One-shot convenience for tests; production paths compile with
 /// [`parse_expr`] and reuse the [`ExprAst`] through the interpreter's cache.
 #[cfg(test)]
-pub(crate) fn eval_expr(src: &str, r: &mut dyn Resolver) -> Result<Value, ScriptError> {
+pub(crate) fn eval_expr(src: &str, r: &mut impl Resolver) -> Result<Value, ScriptError> {
     eval_ast(&parse_expr(src)?, r)
 }
 
-fn eval_node(n: &Node, r: &mut dyn Resolver) -> Result<Value, ScriptError> {
+fn eval_node(n: &Node, r: &mut impl Resolver) -> Result<Value, ScriptError> {
     match n {
         Node::Val(v) => Ok(v.clone()),
-        Node::Var(name) => r.var_value(name),
+        Node::Var(name) => Ok(operand_of(r.var(name)?).into_owned()),
         Node::ArrVar(name, index) => {
             let resolved = resolve_index_vars(index, r)?;
-            Ok(Value::from_tcl(&r.var(&format!("{name}({resolved})"))?))
+            Ok(operand_of(r.var(&format!("{name}({resolved})"))?).into_owned())
         }
         Node::Cmd(_, script) => {
             let script = script.as_ref().map_err(Clone::clone)?;
-            Ok(Value::from_string(r.cmd(script)?))
+            Ok(r.cmd(script)?.into_operand())
         }
         Node::Unary(op, a) => {
             let v = eval_node(a, r)?;
-            match *op {
-                "!" => Ok(Value::Int(if v.truthy()? { 0 } else { 1 })),
-                "~" => match v.numeric() {
+            match op {
+                UnOp::Not => Ok(Value::bool(!v.truthy()?)),
+                UnOp::BitNot => match v.numeric() {
                     Some(Value::Int(i)) => Ok(Value::Int(!i)),
-                    _ => Err(non_numeric(&v, "~")),
+                    _ => Err(non_numeric(&v, op.as_str())),
                 },
-                "-" => match v.numeric() {
+                UnOp::Neg => match v.numeric() {
                     Some(Value::Int(i)) => Ok(Value::Int(i.checked_neg().ok_or_else(overflow)?)),
                     Some(Value::Dbl(d)) => Ok(Value::Dbl(-d)),
-                    _ => Err(non_numeric(&v, "-")),
+                    _ => Err(non_numeric(&v, op.as_str())),
                 },
-                "+" => v.numeric().ok_or_else(|| non_numeric(&v, "+")),
-                _ => unreachable!(),
+                UnOp::Plus => v.numeric().ok_or_else(|| non_numeric(&v, op.as_str())),
             }
         }
-        Node::Bin(op, a, b) => eval_bin(op, a, b, r),
+        Node::Bin(op, a, b) => eval_bin(*op, a, b, r),
         Node::Ternary(c, t, f) => {
             if eval_node(c, r)?.truthy()? {
                 eval_node(t, r)
@@ -917,14 +921,14 @@ fn non_numeric(v: &Value, op: &str) -> ScriptError {
 
 /// An operand of a binary operator: a literal stays borrowed from the
 /// compiled expression, everything else is evaluated.
-fn eval_operand<'n>(n: &'n Node, r: &mut dyn Resolver) -> Result<Cow<'n, Value>, ScriptError> {
+fn eval_operand<'n>(n: &'n Node, r: &mut impl Resolver) -> Result<Cow<'n, Value>, ScriptError> {
     match n {
         Node::Val(v) => Ok(Cow::Borrowed(v)),
         _ => eval_node(n, r).map(Cow::Owned),
     }
 }
 
-fn overflow() -> ScriptError {
+pub(crate) fn overflow() -> ScriptError {
     ScriptError::new("integer overflow")
 }
 
@@ -954,115 +958,110 @@ fn floor_mod(a: i64, b: i64) -> Result<i64, ScriptError> {
     }
 }
 
-fn eval_bin(op: &str, an: &Node, bn: &Node, r: &mut dyn Resolver) -> Result<Value, ScriptError> {
+fn eval_bin(op: BinOp, an: &Node, bn: &Node, r: &mut impl Resolver) -> Result<Value, ScriptError> {
     // Short-circuit operators evaluate lazily — including substitutions.
     match op {
-        "&&" => {
-            if !eval_node(an, r)?.truthy()? {
-                return Ok(Value::Int(0));
-            }
-            return Ok(Value::Int(if eval_node(bn, r)?.truthy()? { 1 } else { 0 }));
+        BinOp::And => {
+            return Ok(Value::bool(
+                eval_node(an, r)?.truthy()? && eval_node(bn, r)?.truthy()?,
+            ));
         }
-        "||" => {
-            if eval_node(an, r)?.truthy()? {
-                return Ok(Value::Int(1));
-            }
-            return Ok(Value::Int(if eval_node(bn, r)?.truthy()? { 1 } else { 0 }));
+        BinOp::Or => {
+            return Ok(Value::bool(
+                eval_node(an, r)?.truthy()? || eval_node(bn, r)?.truthy()?,
+            ));
         }
         _ => {}
     }
-    let a = eval_operand(an, r)?;
-    let b = eval_operand(bn, r)?;
+    // A variable against a literal — the shape of nearly every guard — is
+    // read where it lives: nothing else is evaluated while it is borrowed.
+    let (a, b) = match (an, bn) {
+        (Node::Var(name), Node::Val(lit)) => (operand_of(r.var(name)?), Cow::Borrowed(lit)),
+        (Node::Val(lit), Node::Var(name)) => (Cow::Borrowed(lit), operand_of(r.var(name)?)),
+        _ => (eval_operand(an, r)?, eval_operand(bn, r)?),
+    };
+    // Counters and lengths: both operands are integers already, so no
+    // coercion is needed.
+    if let (Value::Int(i), Value::Int(j)) = (&*a, &*b) {
+        if let BinOp::Cmp(cmp) = op {
+            return Ok(Value::bool(cmp.admits(i.cmp(j))));
+        }
+        if !matches!(op, BinOp::StrEq | BinOp::StrNe) {
+            return int_arith(op, *i, *j);
+        }
+    }
     match op {
-        "eq" => return Ok(Value::Int((a.text() == b.text()) as i64)),
-        "ne" => return Ok(Value::Int((a.text() != b.text()) as i64)),
+        BinOp::StrEq => return Ok(Value::bool(a.text() == b.text())),
+        BinOp::StrNe => return Ok(Value::bool(a.text() != b.text())),
+        // Comparisons: numeric when both are numeric, else string compare.
+        BinOp::Cmp(cmp) => {
+            let ord = match (a.numeric(), b.numeric()) {
+                (Some(Value::Int(i)), Some(Value::Int(j))) => i.cmp(&j),
+                (Some(x), Some(y)) => as_f64(&x)
+                    .partial_cmp(&as_f64(&y))
+                    .unwrap_or(std::cmp::Ordering::Equal),
+                _ => a.text().cmp(&b.text()),
+            };
+            return Ok(Value::bool(cmp.admits(ord)));
+        }
         _ => {}
-    }
-    // Comparisons: numeric when both are numeric, else string compare.
-    if matches!(op, "==" | "!=" | "<" | ">" | "<=" | ">=") {
-        let ord = match (a.numeric(), b.numeric()) {
-            (Some(x), Some(y)) => match (x, y) {
-                (Value::Int(i), Value::Int(j)) => i.cmp(&j),
-                (x, y) => {
-                    let xf = as_f64(&x);
-                    let yf = as_f64(&y);
-                    xf.partial_cmp(&yf).unwrap_or(std::cmp::Ordering::Equal)
-                }
-            },
-            _ => a.text().cmp(&b.text()),
-        };
-        use std::cmp::Ordering::*;
-        let result = match op {
-            "==" => ord == Equal,
-            "!=" => ord != Equal,
-            "<" => ord == Less,
-            ">" => ord == Greater,
-            "<=" => ord != Greater,
-            ">=" => ord != Less,
-            _ => unreachable!(),
-        };
-        return Ok(Value::Int(result as i64));
     }
     // Arithmetic / bitwise: numeric operands required.
-    let x = a.numeric().ok_or_else(|| non_numeric(&a, op))?;
-    let y = b.numeric().ok_or_else(|| non_numeric(&b, op))?;
+    let x = a.numeric().ok_or_else(|| non_numeric(&a, op.as_str()))?;
+    let y = b.numeric().ok_or_else(|| non_numeric(&b, op.as_str()))?;
     match (x, y) {
-        (Value::Int(i), Value::Int(j)) => {
-            let v = match op {
-                "+" => Value::Int(i.checked_add(j).ok_or_else(overflow)?),
-                "-" => Value::Int(i.checked_sub(j).ok_or_else(overflow)?),
-                "*" => Value::Int(i.checked_mul(j).ok_or_else(overflow)?),
-                "/" => Value::Int(floor_div(i, j)?),
-                "%" => Value::Int(floor_mod(i, j)?),
-                "**" => {
-                    if j < 0 {
-                        Value::Dbl((i as f64).powf(j as f64))
-                    } else {
-                        let e: u32 = j
-                            .try_into()
-                            .map_err(|_| ScriptError::new("exponent too large"))?;
-                        Value::Int(i.checked_pow(e).ok_or_else(overflow)?)
-                    }
-                }
-                "<<" => {
-                    check_shift(j)?;
-                    Value::Int(i.checked_shl(j as u32).ok_or_else(overflow)?)
-                }
-                ">>" => {
-                    check_shift(j)?;
-                    Value::Int(i >> (j as u32))
-                }
-                "&" => Value::Int(i & j),
-                "|" => Value::Int(i | j),
-                "^" => Value::Int(i ^ j),
-                _ => return Err(ScriptError::new(format!("unknown operator \"{op}\""))),
-            };
-            Ok(v)
-        }
+        (Value::Int(i), Value::Int(j)) => int_arith(op, i, j),
         (x, y) => {
             let i = as_f64(&x);
             let j = as_f64(&y);
-            let v = match op {
-                "+" => i + j,
-                "-" => i - j,
-                "*" => i * j,
-                "/" => {
-                    if j == 0.0 {
-                        return Err(ScriptError::new("divide by zero"));
-                    }
-                    i / j
-                }
-                "**" => i.powf(j),
-                "%" | "<<" | ">>" | "&" | "|" | "^" => {
+            Ok(Value::Dbl(match op {
+                BinOp::Add => i + j,
+                BinOp::Sub => i - j,
+                BinOp::Mul => i * j,
+                BinOp::Div if j == 0.0 => return Err(ScriptError::new("divide by zero")),
+                BinOp::Div => i / j,
+                BinOp::Pow => i.powf(j),
+                _ => {
                     return Err(ScriptError::new(format!(
-                        "can't use floating-point value as operand of \"{op}\""
+                        "can't use floating-point value as operand of \"{}\"",
+                        op.as_str()
                     )))
                 }
-                _ => return Err(ScriptError::new(format!("unknown operator \"{op}\""))),
-            };
-            Ok(Value::Dbl(v))
+            }))
         }
     }
+}
+
+/// An arithmetic or bitwise operator over two integers.
+fn int_arith(op: BinOp, i: i64, j: i64) -> Result<Value, ScriptError> {
+    Ok(Value::Int(match op {
+        BinOp::Add => i.checked_add(j).ok_or_else(overflow)?,
+        BinOp::Sub => i.checked_sub(j).ok_or_else(overflow)?,
+        BinOp::Mul => i.checked_mul(j).ok_or_else(overflow)?,
+        BinOp::Div => floor_div(i, j)?,
+        BinOp::Rem => floor_mod(i, j)?,
+        BinOp::Pow if j < 0 => return Ok(Value::Dbl((i as f64).powf(j as f64))),
+        BinOp::Pow => {
+            let e: u32 = j
+                .try_into()
+                .map_err(|_| ScriptError::new("exponent too large"))?;
+            i.checked_pow(e).ok_or_else(overflow)?
+        }
+        BinOp::Shl => {
+            check_shift(j)?;
+            i.checked_shl(j as u32).ok_or_else(overflow)?
+        }
+        BinOp::Shr => {
+            check_shift(j)?;
+            i >> (j as u32)
+        }
+        BinOp::BitAnd => i & j,
+        BinOp::BitOr => i | j,
+        BinOp::BitXor => i ^ j,
+        BinOp::And | BinOp::Or | BinOp::StrEq | BinOp::StrNe | BinOp::Cmp(_) => {
+            unreachable!("not arithmetic: {op:?}")
+        }
+    }))
 }
 
 fn check_shift(j: i64) -> Result<(), ScriptError> {
@@ -1080,7 +1079,7 @@ fn as_f64(v: &Value) -> f64 {
     }
 }
 
-fn eval_func(name: &str, args: &[Node], r: &mut dyn Resolver) -> Result<Value, ScriptError> {
+fn eval_func(name: &str, args: &[Node], r: &mut impl Resolver) -> Result<Value, ScriptError> {
     let vals: Vec<Value> = args
         .iter()
         .map(|a| eval_node(a, r))
@@ -1208,17 +1207,17 @@ fn eval_func(name: &str, args: &[Node], r: &mut dyn Resolver) -> Result<Value, S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::fmt_double;
     use std::collections::HashMap;
 
-    struct MapResolver(HashMap<String, String>);
+    struct MapResolver(HashMap<String, Value>);
     impl Resolver for MapResolver {
-        fn var(&mut self, name: &str) -> Result<String, ScriptError> {
+        fn var(&mut self, name: &str) -> Result<&Value, ScriptError> {
             self.0
                 .get(name)
-                .cloned()
                 .ok_or_else(|| ScriptError::new(format!("can't read \"{name}\": no such variable")))
         }
-        fn cmd(&mut self, script: &Script) -> Result<String, ScriptError> {
+        fn cmd(&mut self, script: &Script) -> Result<Value, ScriptError> {
             // Test stub: `[twice X]` returns 2 * X.
             use crate::parse::{Part, Word};
             let lit = |w: &Word| match w {
@@ -1226,13 +1225,13 @@ mod tests {
                     [Part::Lit(s)] => s.clone(),
                     other => panic!("test commands are literal words, got {other:?}"),
                 },
-                Word::Braced(s, _) => s.clone(),
+                Word::Braced(s, _) => s.to_string(),
             };
             let words: Vec<String> = script.commands()[0].words().iter().map(lit).collect();
             if let [cmd, n] = words.as_slice() {
                 if cmd == "twice" {
                     let n: i64 = n.parse().unwrap();
-                    return Ok((n * 2).to_string());
+                    return Ok(Value::Int(n * 2));
                 }
             }
             Err(ScriptError::new(format!("unknown cmd {words:?}")))
@@ -1241,12 +1240,12 @@ mod tests {
 
     fn ev(src: &str) -> Result<String, ScriptError> {
         let mut r = MapResolver(HashMap::from([
-            ("x".to_string(), "10".to_string()),
-            ("y".to_string(), "2.5".to_string()),
-            ("s".to_string(), "hello".to_string()),
-            ("zero".to_string(), "0".to_string()),
+            ("x".to_string(), Value::Int(10)),
+            ("y".to_string(), Value::Str("2.5".to_string())),
+            ("s".to_string(), Value::Str("hello".to_string())),
+            ("zero".to_string(), Value::Str("0".to_string())),
         ]));
-        eval_expr(src, &mut r).map(|v| v.to_output())
+        eval_expr(src, &mut r).map(Value::into_string)
     }
 
     #[test]

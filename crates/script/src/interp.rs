@@ -1,19 +1,31 @@
-//! The interpreter: variables, procs, builtins, and host command dispatch.
+//! The interpreter: variables, procs, and command dispatch.
 //!
 //! "In Tcl, an interpreter is simply an object which contains some state
 //! about variables and procedures which have been defined" — state persists
 //! across evaluations, which is how the paper's filter scripts keep running
 //! counters between messages.
+//!
+//! What is evaluated is the compiled form [`Script::parse`] returns: a
+//! command that names a builtin carries it, and its braced bodies and
+//! expressions are bound in place ([`crate::Braced`]). What lives here is
+//! what belongs to one interpreter and must never leak into a shared
+//! script: variables (typed [`Value`]s in small slot tables — no hashing on
+//! the per-message path), procs, the step budget, and the caches that
+//! compile the sources only run time knows (`eval $x`, computed bodies).
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::sync::Arc;
 
+use crate::builtins::lookup_builtin;
 use crate::cache::{CacheStats, SourceCache};
 use crate::error::{EvalResult, Exc, ScriptError};
-use crate::expr::{eval_ast, parse_expr, ExprAst, Resolver, Value};
-use crate::list::{glob_match, list_format, list_parse};
-use crate::parse::{Command, Part, Script, Span, Word};
+use crate::expr::{eval_ast, ExprAst, Resolver};
+use crate::list::list_format;
+use crate::parse::{Bind, Braced, Command, Head, Part, Script, Span, Word};
+use crate::value::Value;
+use crate::vars::Vars;
 
 /// Extension point for commands implemented by the embedding application —
 /// the Rust analogue of Tcl extensions written in C (the paper's
@@ -47,16 +59,133 @@ impl Host for NoHost {
 }
 
 #[derive(Debug)]
-struct ProcDef {
-    params: Vec<(String, Option<String>)>,
-    /// Pre-resolved at definition time; shared so calls never re-parse.
-    body: Arc<Script>,
+pub(crate) struct ProcDef {
+    pub(crate) params: Vec<(Box<str>, Option<String>)>,
+    /// Bound where the `proc` command was written (or compiled through the
+    /// script cache); shared so calls never re-parse.
+    pub(crate) body: Arc<Script>,
 }
 
 #[derive(Debug, Default, Clone)]
 struct Frame {
-    vars: HashMap<String, String>,
-    globals: HashSet<String>,
+    vars: Vars,
+    /// Names `global` linked into this frame.
+    globals: Vec<Box<str>>,
+}
+
+/// One substituted word of a command.
+#[derive(Debug)]
+pub(crate) enum Arg<'w> {
+    /// A braced or literal word, borrowed from the script.
+    Lit(&'w str),
+    /// The value a substitution produced.
+    Val(Value),
+}
+
+impl Default for Arg<'_> {
+    fn default() -> Self {
+        Arg::Lit("")
+    }
+}
+
+impl Arg<'_> {
+    /// The word's text; only a number is formatted.
+    pub(crate) fn text(&self) -> Cow<'_, str> {
+        match self {
+            Arg::Lit(s) => Cow::Borrowed(s),
+            Arg::Val(v) => v.text(),
+        }
+    }
+
+    /// Takes the word as a value to store or return.
+    pub(crate) fn take(&mut self) -> Value {
+        match std::mem::take(self) {
+            Arg::Lit(s) => Value::from_text(s),
+            Arg::Val(v) => v,
+        }
+    }
+
+    /// Takes the word as the owned string a host command wants, into a
+    /// string that already exists.
+    fn take_into(&mut self, out: &mut String) {
+        match std::mem::take(self) {
+            Arg::Val(Value::Str(s)) => *out = s,
+            other => {
+                out.clear();
+                match other {
+                    Arg::Lit(s) => out.push_str(s),
+                    Arg::Val(v) => v.write_to(out),
+                }
+            }
+        }
+    }
+}
+
+/// One command invocation as a builtin sees it.
+pub(crate) struct Call<'a, 'w> {
+    /// The command being run: `args[i]` is the substitution of
+    /// `cmd.words[i + 1]`, whose bound form [`Interp::code_at`] reaches.
+    pub(crate) cmd: &'w Command,
+    pub(crate) args: &'a mut [Arg<'w>],
+    /// Whether anything reads the result. A command nobody listens to
+    /// (every command of a body but the last; every command of a `for`
+    /// body) skips building one.
+    pub(crate) want: bool,
+}
+
+impl Call<'_, '_> {
+    /// An error at this command's position.
+    pub(crate) fn error(&self, message: impl Into<String>) -> Exc {
+        Exc::Error(ScriptError::at_span(self.cmd.span, message))
+    }
+
+    pub(crate) fn wrong_args(&self, usage: &str) -> Exc {
+        self.error(format!("wrong # args: should be \"{usage}\""))
+    }
+}
+
+/// A compiled body or expression: bound in the script it was written in,
+/// or shared with this interpreter's cache.
+pub(crate) enum Code<'w, T> {
+    Bound(&'w Arc<T>),
+    Cached(Arc<T>),
+}
+
+impl<T> Code<'_, T> {
+    pub(crate) fn into_arc(self) -> Arc<T> {
+        match self {
+            Code::Bound(code) => Arc::clone(code),
+            Code::Cached(code) => code,
+        }
+    }
+}
+
+impl<T> Deref for Code<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        match self {
+            Code::Bound(code) => code,
+            Code::Cached(code) => code,
+        }
+    }
+}
+
+/// A compiled form with a cache in the interpreter for the sources that
+/// cannot be bound where they are written.
+pub(crate) trait Cached: Bind {
+    fn cache(interp: &mut Interp) -> &mut SourceCache<Self>;
+}
+
+impl Cached for Script {
+    fn cache(interp: &mut Interp) -> &mut SourceCache<Self> {
+        &mut interp.script_cache
+    }
+}
+
+impl Cached for ExprAst {
+    fn cache(interp: &mut Interp) -> &mut SourceCache<Self> {
+        &mut interp.expr_cache
+    }
 }
 
 /// A Tcl-subset interpreter.
@@ -79,17 +208,19 @@ struct Frame {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Interp {
-    globals: HashMap<String, String>,
+    globals: Vars,
     frames: Vec<Frame>,
-    procs: HashMap<String, Arc<ProcDef>>,
-    output: String,
+    pub(crate) procs: BTreeMap<Box<str>, Arc<ProcDef>>,
+    pub(crate) output: String,
     fuel: u64,
     fuel_limit: u64,
-    /// Compile-once cache for control-flow bodies, `[cmd]` substitutions,
-    /// `catch`/`eval` arguments, and embedder-compiled scripts.
+    /// Compile-once cache for the scripts only run time knows: `eval`
+    /// arguments, computed bodies, embedder-compiled scripts.
     script_cache: SourceCache<Script>,
-    /// Compile-once cache for `expr` sources (including loop conditions).
+    /// Compile-once cache for computed `expr` sources.
     expr_cache: SourceCache<ExprAst>,
+    /// The argument vector lent to [`Host::call`], kept between calls.
+    host_args: Vec<String>,
 }
 
 impl Default for Interp {
@@ -108,18 +239,44 @@ const DEFAULT_FUEL: u64 = 5_000_000;
 /// memory for adversarial script churn.
 const DEFAULT_CACHE_CAPACITY: usize = 256;
 
+/// Longest string a script may build. One step of the budget must not buy
+/// unbounded memory: without a bound, `string repeat`, a `format` width or
+/// twenty doubling `append`s take the process down before the step budget
+/// notices anything. Checked on every substituted word, every string a
+/// builtin builds, what `set`/`append`/`lappend` store, and — before
+/// anything is allocated — the sizes `string repeat` and `format` are asked
+/// for.
+pub(crate) const MAX_STRING: usize = 1 << 20;
+
+/// Capacity above which a host-argument string is not kept for the next
+/// call.
+const HOST_ARG_KEPT: usize = 256;
+
+/// Refuses a string past [`MAX_STRING`].
+pub(crate) fn check_length(v: &Value) -> Result<(), Exc> {
+    match v {
+        Value::Str(s) if s.len() > MAX_STRING => Err(too_long()),
+        _ => Ok(()),
+    }
+}
+
+pub(crate) fn too_long() -> Exc {
+    Exc::Error(ScriptError::new("string too long"))
+}
+
 impl Interp {
     /// Creates an interpreter with no variables or procs defined.
     pub fn new() -> Self {
         Interp {
-            globals: HashMap::new(),
+            globals: Vars::default(),
             frames: Vec::new(),
-            procs: HashMap::new(),
+            procs: BTreeMap::new(),
             output: String::new(),
             fuel: DEFAULT_FUEL,
             fuel_limit: DEFAULT_FUEL,
             script_cache: SourceCache::new(DEFAULT_CACHE_CAPACITY),
             expr_cache: SourceCache::new(DEFAULT_CACHE_CAPACITY),
+            host_args: Vec::new(),
         }
     }
 
@@ -145,8 +302,8 @@ impl Interp {
     }
 
     /// Rebounds the script/expr caches. A capacity of 0 disables caching
-    /// (every evaluation re-parses — the cold path used by determinism
-    /// cross-checks).
+    /// (every [`eval`](Interp::eval) re-parses its source and everything
+    /// in it — the cold path used by determinism cross-checks).
     pub fn set_cache_capacity(&mut self, scripts: usize, exprs: usize) {
         self.script_cache.set_capacity(scripts);
         self.expr_cache.set_capacity(exprs);
@@ -191,9 +348,8 @@ impl Interp {
         script: &Script,
     ) -> Result<String, ScriptError> {
         self.fuel = self.fuel_limit;
-        match self.eval_script(host, script) {
-            Ok(v) => Ok(v),
-            Err(Exc::Return(v)) => Ok(v),
+        match self.eval_script(host, script, true) {
+            Ok(v) | Err(Exc::Return(v)) => Ok(v.into_string()),
             Err(e) => Err(e.into_error()),
         }
     }
@@ -204,76 +360,85 @@ impl Interp {
     ///
     /// Returns an error if the variable is not set.
     pub fn get_var(&self, name: &str) -> Result<String, ScriptError> {
-        self.var_ref(name).map(str::to_string)
+        self.var_ref(name).map(|v| v.text().into_owned())
     }
 
-    /// Borrowed variable lookup: the hot paths (word substitution, `expr`
-    /// operands, `incr`) parse or append in place without cloning the
-    /// value first.
-    fn var_ref(&self, name: &str) -> Result<&str, ScriptError> {
-        let slot = match self.frames.last() {
-            Some(f) if !f.globals.contains(name) => f.vars.get(name),
-            _ => self.globals.get(name),
-        };
-        slot.map(String::as_str)
+    /// The scope `name` lives in: the current frame's locals, unless there
+    /// is no frame or `global` linked the name.
+    fn scope(&self, name: &str) -> &Vars {
+        match self.frames.last() {
+            Some(f) if !f.globals.iter().any(|g| &**g == name) => &f.vars,
+            _ => &self.globals,
+        }
+    }
+
+    fn scope_mut(&mut self, name: &str) -> &mut Vars {
+        match self.frames.last_mut() {
+            Some(f) if !f.globals.iter().any(|g| &**g == name) => &mut f.vars,
+            _ => &mut self.globals,
+        }
+    }
+
+    /// Borrowed variable lookup.
+    pub(crate) fn var_ref(&self, name: &str) -> Result<&Value, ScriptError> {
+        self.scope(name)
+            .get(name)
             .ok_or_else(|| ScriptError::new(format!("can't read \"{name}\": no such variable")))
+    }
+
+    /// The slot of a variable that is set, to update in place.
+    pub(crate) fn var_mut(&mut self, name: &str) -> Option<&mut Value> {
+        self.scope_mut(name).get_mut(name)
     }
 
     /// Sets a variable (respecting the current proc frame).
     pub fn set_var(&mut self, name: &str, value: impl Into<String>) {
-        let value = value.into();
-        let vars = match self.frames.last_mut() {
-            Some(f) if !f.globals.contains(name) => &mut f.vars,
-            _ => &mut self.globals,
-        };
-        // Overwriting an existing variable reuses its key.
-        match vars.get_mut(name) {
-            Some(slot) => *slot = value,
-            None => {
-                vars.insert(name.to_string(), value);
-            }
-        }
+        self.set_value(name, Value::from_string(value.into()));
+    }
+
+    pub(crate) fn set_value(&mut self, name: &str, value: Value) {
+        self.scope_mut(name).set(name, value);
     }
 
     /// Removes a variable; no-op if unset.
     pub fn unset_var(&mut self, name: &str) {
-        match self.frames.last_mut() {
-            Some(f) if !f.globals.contains(name) => {
-                f.vars.remove(name);
-            }
-            _ => {
-                self.globals.remove(name);
-            }
-        }
+        self.scope_mut(name).remove(name);
     }
 
     /// Whether a variable is currently set.
     pub fn var_exists(&self, name: &str) -> bool {
-        self.get_var(name).is_ok()
+        self.scope(name).contains(name)
+    }
+
+    /// Links global variables into the current proc frame (`global`).
+    pub(crate) fn link_globals<'n>(&mut self, names: impl Iterator<Item = Cow<'n, str>>) {
+        if let Some(f) = self.frames.last_mut() {
+            for name in names {
+                if !f.globals.iter().any(|g| **g == *name) {
+                    f.globals.push(name.into());
+                }
+            }
+        }
     }
 
     /// All variables visible in the current scope (used by `array`).
-    fn visible_vars(&self) -> Vec<(String, String)> {
+    pub(crate) fn visible_vars(&self) -> Vec<(String, String)> {
+        let pair = |(k, v): (&str, &Value)| (k.to_string(), v.text().into_owned());
         match self.frames.last() {
             Some(f) => {
-                let mut out: Vec<(String, String)> =
-                    f.vars.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+                let mut out: Vec<(String, String)> = f.vars.iter().map(pair).collect();
                 for g in &f.globals {
                     // Globals linked into this frame, including any of
                     // their array elements.
-                    for (k, v) in &self.globals {
-                        if k == g || (k.starts_with(g) && k[g.len()..].starts_with('(')) {
-                            out.push((k.clone(), v.clone()));
+                    for (k, v) in self.globals.iter() {
+                        if k == &**g || (k.starts_with(&**g) && k[g.len()..].starts_with('(')) {
+                            out.push(pair((k, v)));
                         }
                     }
                 }
                 out
             }
-            None => self
-                .globals
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
+            None => self.globals.iter().map(pair).collect(),
         }
     }
 
@@ -294,7 +459,7 @@ impl Interp {
         let mut out: Vec<(String, String)> = self
             .globals
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, v)| (k.to_string(), v.text().into_owned()))
             .collect();
         out.sort();
         out
@@ -302,7 +467,7 @@ impl Interp {
 
     // ---- internals ----------------------------------------------------
 
-    fn burn(&mut self, span: Span) -> Result<(), Exc> {
+    pub(crate) fn burn(&mut self, span: Span) -> Result<(), Exc> {
         if self.fuel == 0 {
             return Err(Exc::Error(ScriptError::budget_exhausted(span)));
         }
@@ -310,787 +475,194 @@ impl Interp {
         Ok(())
     }
 
-    fn cached_script(&mut self, src: &str) -> Result<Arc<Script>, Exc> {
-        self.script_cache
-            .get_or_insert(src, Script::parse)
+    /// Compiles a source only run time knows through this interpreter's
+    /// cache.
+    pub(crate) fn cached<'w, T: Cached>(&mut self, src: &str) -> Result<Code<'w, T>, Exc> {
+        T::cache(self)
+            .get_or_insert(src, T::compile)
+            .map(Code::Cached)
             .map_err(Exc::Error)
     }
 
-    fn cached_expr(&mut self, src: &str) -> Result<Arc<ExprAst>, Exc> {
-        self.expr_cache
-            .get_or_insert(src, parse_expr)
-            .map_err(Exc::Error)
+    /// The compiled form bound to a braced word, compiling it on first use
+    /// (counted as a miss of this interpreter's cache, which it is the
+    /// first and last use of for that word).
+    pub(crate) fn code_of<'w, T: Cached>(&mut self, word: &'w Braced) -> Result<Code<'w, T>, Exc> {
+        let mut compiled = false;
+        let bound = word.bound::<T>(&mut compiled);
+        if compiled {
+            T::cache(self).note_miss();
+        }
+        match bound.map_err(Exc::Error)? {
+            Some(code) => Ok(Code::Bound(code)),
+            None => self.cached(word),
+        }
     }
 
-    fn eval_script(&mut self, host: &mut dyn Host, script: &Script) -> EvalResult {
-        let mut last = String::new();
-        for cmd in &script.commands {
+    /// Argument `i` of `call` as a body or expression: bound in place when
+    /// the word is braced, through the cache when it was computed.
+    pub(crate) fn code_at<'w, T: Cached>(
+        &mut self,
+        call: &Call<'_, 'w>,
+        i: usize,
+    ) -> Result<Code<'w, T>, Exc> {
+        match call.cmd.words.get(i + 1) {
+            Some(Word::Braced(word, _)) => self.code_of(word),
+            _ => self.cached(&call.args[i].text()),
+        }
+    }
+
+    pub(crate) fn eval_script(
+        &mut self,
+        host: &mut dyn Host,
+        script: &Script,
+        want: bool,
+    ) -> EvalResult {
+        let mut last = Value::empty();
+        let count = script.commands.len();
+        for (i, cmd) in script.commands.iter().enumerate() {
             self.burn(cmd.span)?;
-            last = self.eval_command(host, cmd)?;
+            last = self.eval_command(host, cmd, want && i + 1 == count)?;
         }
         Ok(last)
     }
 
-    fn eval_command(&mut self, host: &mut dyn Host, cmd: &Command) -> EvalResult {
-        // Nearly every command is a few words (`if cond body`, `incr c0`,
-        // `xDrop`): those expand into this frame; longer ones spill to the
-        // heap.
-        const INLINE_WORDS: usize = 4;
-        let n = cmd.words.len();
-        let mut inline: [Cow<'_, str>; INLINE_WORDS] = Default::default();
-        let mut spilled = Vec::new();
-        let words = if n <= INLINE_WORDS {
-            &mut inline[..n]
-        } else {
-            spilled.resize(n, Cow::Borrowed(""));
-            &mut spilled[..]
-        };
-        for (slot, w) in words.iter_mut().zip(&cmd.words) {
+    fn eval_command(&mut self, host: &mut dyn Host, cmd: &Command, want: bool) -> EvalResult {
+        // Nearly every command is a few words (`incr c0`, `if cond body`,
+        // `for a b c d`): those expand into this frame; longer ones spill
+        // to the heap.
+        match cmd.words.len() {
+            0..=3 => self.run_command(host, cmd, want, &mut <[Arg<'_>; 3]>::default()),
+            4..=6 => self.run_command(host, cmd, want, &mut <[Arg<'_>; 6]>::default()),
+            n => {
+                let mut spilled = Vec::new();
+                spilled.resize_with(n, Arg::default);
+                self.run_command(host, cmd, want, &mut spilled)
+            }
+        }
+    }
+
+    /// Substitutes `cmd`'s words into `words` and runs it.
+    fn run_command<'w>(
+        &mut self,
+        host: &mut dyn Host,
+        cmd: &'w Command,
+        want: bool,
+        words: &mut [Arg<'w>],
+    ) -> EvalResult {
+        // The name of a builtin resolved at parse is never read again.
+        let resolved = usize::from(matches!(cmd.head, Head::Builtin(_)));
+        for (slot, w) in words.iter_mut().zip(&cmd.words).skip(resolved) {
             *slot = self.expand_word(host, w)?;
         }
-        if words.is_empty() {
-            return Ok(String::new());
-        }
-        self.invoke(host, words, cmd.span)
+        let Some((name, args)) = words[..cmd.words.len()].split_first_mut() else {
+            return Ok(Value::empty());
+        };
+        let mut call = Call { cmd, args, want };
+        let builtin = match cmd.head {
+            Head::Builtin(builtin) => builtin,
+            Head::Named => return self.invoke(host, &name.text(), &mut call),
+            Head::Computed => {
+                let name = name.text();
+                match lookup_builtin(&name) {
+                    Some(builtin) => builtin,
+                    None => return self.invoke(host, &name, &mut call),
+                }
+            }
+        };
+        (builtin.run)(self, host, &mut call)
     }
 
     /// Substitutes one word. Braced words and single literals — every
     /// control-flow condition and body, every command name — stay borrowed
-    /// from the parsed script; only a substituting word builds a string.
-    fn expand_word<'w>(&mut self, host: &mut dyn Host, w: &'w Word) -> Result<Cow<'w, str>, Exc> {
+    /// from the parsed script; a lone `$var` or `[cmd]` hands its value on
+    /// as it is; only a word that concatenates builds a string.
+    fn expand_word<'w>(&mut self, host: &mut dyn Host, w: &'w Word) -> Result<Arg<'w>, Exc> {
         match w {
-            Word::Braced(s, _) => Ok(Cow::Borrowed(s)),
+            Word::Braced(s, _) => Ok(Arg::Lit(s)),
             Word::Parts(parts, _) => match parts.as_slice() {
-                [Part::Lit(s)] => Ok(Cow::Borrowed(s)),
-                [Part::Cmd(script)] => self.eval_script(host, script).map(Cow::Owned),
-                _ => self.expand_parts(host, parts).map(Cow::Owned),
+                [Part::Lit(s)] => Ok(Arg::Lit(s)),
+                [Part::Cmd(script)] => self.eval_script(host, script, true).map(Arg::Val),
+                [Part::Var(name)] => Ok(Arg::Val(self.var_ref(name)?.clone())),
+                _ => self
+                    .expand_parts(host, parts)
+                    .map(|s| Arg::Val(Value::Str(s))),
             },
         }
     }
 
-    fn expand_parts(&mut self, host: &mut dyn Host, parts: &[Part]) -> EvalResult {
+    fn expand_parts(&mut self, host: &mut dyn Host, parts: &[Part]) -> Result<String, Exc> {
         let mut out = String::new();
         for p in parts {
             match p {
                 Part::Lit(s) => out.push_str(s),
-                Part::Var(name) => out.push_str(self.var_ref(name)?),
+                Part::Var(name) => self.var_ref(name)?.write_to(&mut out),
                 Part::ArrVar(name, index_parts) => {
                     let index = self.expand_parts(host, index_parts)?;
-                    out.push_str(self.var_ref(&format!("{name}({index})"))?);
+                    self.var_ref(&format!("{name}({index})"))?
+                        .write_to(&mut out);
                 }
-                Part::Cmd(script) => {
-                    let v = self.eval_script(host, script)?;
-                    out.push_str(&v);
-                }
+                Part::Cmd(script) => self.eval_script(host, script, true)?.write_to(&mut out),
+            }
+            if out.len() > MAX_STRING {
+                return Err(too_long());
             }
         }
         Ok(out)
     }
 
-    fn expr_eval(&mut self, host: &mut dyn Host, src: &str) -> Result<Value, Exc> {
-        let ast = self.cached_expr(src)?;
-        self.eval_expr_ast(host, &ast)
-    }
-
-    fn eval_expr_ast(&mut self, host: &mut dyn Host, ast: &ExprAst) -> Result<Value, Exc> {
+    pub(crate) fn eval_expr(&mut self, host: &mut dyn Host, ast: &ExprAst) -> Result<Value, Exc> {
         struct R<'a, 'b> {
             interp: &'a mut Interp,
             host: &'b mut dyn Host,
         }
         impl Resolver for R<'_, '_> {
-            fn var(&mut self, name: &str) -> Result<String, ScriptError> {
-                self.interp.get_var(name)
+            fn var(&mut self, name: &str) -> Result<&Value, ScriptError> {
+                self.interp.var_ref(name)
             }
-            fn var_value(&mut self, name: &str) -> Result<Value, ScriptError> {
-                Ok(Value::from_tcl(self.interp.var_ref(name)?))
-            }
-            fn cmd(&mut self, script: &Script) -> Result<String, ScriptError> {
+            fn cmd(&mut self, script: &Script) -> Result<Value, ScriptError> {
                 self.interp
-                    .eval_script(&mut *self.host, script)
-                    .map_err(|e| e.into_error())
+                    .eval_script(&mut *self.host, script, true)
+                    .map_err(Exc::into_error)
             }
         }
         let mut r = R { interp: self, host };
         eval_ast(ast, &mut r).map_err(Exc::Error)
     }
 
-    fn expr_truthy(&mut self, host: &mut dyn Host, src: &str) -> Result<bool, Exc> {
-        let ast = self.cached_expr(src)?;
-        self.expr_truthy_ast(host, &ast)
+    /// Truthiness of a compiled condition.
+    pub(crate) fn expr_truthy(&mut self, host: &mut dyn Host, ast: &ExprAst) -> Result<bool, Exc> {
+        self.eval_expr(host, ast)?.truthy().map_err(Exc::Error)
     }
 
-    /// Truthiness of a pre-compiled condition: loop builtins hoist the
-    /// expr compile (and even the cache lookup) out of their iterations.
-    fn expr_truthy_ast(&mut self, host: &mut dyn Host, ast: &ExprAst) -> Result<bool, Exc> {
-        self.eval_expr_ast(host, ast)?.truthy().map_err(Exc::Error)
-    }
-
-    /// Runs one command on its substituted words (`words[0]` names it).
-    /// Builtins and procs read the words in place; a host command takes the
-    /// arguments out, because [`Host::call`] wants them owned.
-    fn invoke(
-        &mut self,
-        host: &mut dyn Host,
-        words: &mut [Cow<'_, str>],
-        span: Span,
-    ) -> EvalResult {
-        let (name, owned_args) = words
-            .split_first_mut()
-            .expect("eval_command passes at least the command name");
-        let name: &str = name;
-        let args: &[Cow<'_, str>] = owned_args;
-        let wrong_args = |usage: &str| {
-            Exc::Error(ScriptError::at_span(
-                span,
-                format!("wrong # args: should be \"{usage}\""),
-            ))
-        };
-        match name {
-            "set" => match args {
-                [n] => self.get_var(n).map_err(Exc::Error),
-                [n, v] => {
-                    self.set_var(n, v.as_ref());
-                    Ok(v.to_string())
-                }
-                _ => Err(wrong_args("set varName ?newValue?")),
-            },
-            "unset" => {
-                for n in args {
-                    self.unset_var(n);
-                }
-                Ok(String::new())
-            }
-            "incr" => {
-                let (n, delta) = match args {
-                    [n] => (n, 1i64),
-                    [n, d] => (
-                        n,
-                        d.trim().parse::<i64>().map_err(|_| {
-                            Exc::Error(ScriptError::at_span(
-                                span,
-                                format!("expected integer but got \"{d}\""),
-                            ))
-                        })?,
-                    ),
-                    _ => return Err(wrong_args("incr varName ?increment?")),
-                };
-                let cur = match self.var_ref(n) {
-                    Ok(v) => v.trim().parse::<i64>().map_err(|_| {
-                        Exc::Error(ScriptError::at_span(
-                            span,
-                            format!("expected integer but got \"{v}\""),
-                        ))
-                    })?,
-                    Err(_) => 0,
-                };
-                let nv = (cur + delta).to_string();
-                self.set_var(n, nv.clone());
-                Ok(nv)
-            }
-            "append" => match args {
-                [] => Err(wrong_args("append varName ?value value ...?")),
-                [n, rest @ ..] => {
-                    let mut cur = self.get_var(n).unwrap_or_default();
-                    for v in rest {
-                        cur.push_str(v);
-                    }
-                    self.set_var(n, cur.clone());
-                    Ok(cur)
-                }
-            },
-            "expr" => match args {
-                [] => Err(wrong_args("expr arg ?arg ...?")),
-                // Single argument (the common braced form): no join alloc.
-                [src] => self.expr_eval(host, src).map(|v| v.to_output()),
-                _ => {
-                    let src = args.join(" ");
-                    self.expr_eval(host, &src).map(|v| v.to_output())
-                }
-            },
-            "if" => self.builtin_if(host, args, span),
-            "while" => {
-                let [cond, body] = args else {
-                    return Err(wrong_args("while test command"));
-                };
-                let body = self.cached_script(body)?;
-                let cond = self.cached_expr(cond)?;
-                let mut last = String::new();
-                loop {
-                    self.burn(span)?;
-                    if !self.expr_truthy_ast(host, &cond)? {
-                        break;
-                    }
-                    match self.eval_script(host, &body) {
-                        Ok(v) => last = v,
-                        Err(Exc::Break) => break,
-                        Err(Exc::Continue) => continue,
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(last)
-            }
-            "for" => {
-                let [init, cond, next, body] = args else {
-                    return Err(wrong_args("for start test next command"));
-                };
-                let init = self.cached_script(init)?;
-                let cond = self.cached_expr(cond)?;
-                let next = self.cached_script(next)?;
-                let body = self.cached_script(body)?;
-                self.eval_script(host, &init)?;
-                loop {
-                    self.burn(span)?;
-                    if !self.expr_truthy_ast(host, &cond)? {
-                        break;
-                    }
-                    match self.eval_script(host, &body) {
-                        Ok(_) | Err(Exc::Continue) => {}
-                        Err(Exc::Break) => break,
-                        Err(e) => return Err(e),
-                    }
-                    self.eval_script(host, &next)?;
-                }
-                Ok(String::new())
-            }
-            "foreach" => {
-                let [vars, list, body] = args else {
-                    return Err(wrong_args("foreach varList list command"));
-                };
-                let var_names = list_parse(vars).map_err(Exc::Error)?;
-                if var_names.is_empty() {
-                    return Err(Exc::Error(ScriptError::at_span(
-                        span,
-                        "foreach varlist is empty",
-                    )));
-                }
-                let items = list_parse(list).map_err(Exc::Error)?;
-                let body = self.cached_script(body)?;
-                let stride = var_names.len();
-                let mut i = 0;
-                while i < items.len() {
-                    self.burn(span)?;
-                    for (k, vn) in var_names.iter().enumerate() {
-                        let val = items.get(i + k).cloned().unwrap_or_default();
-                        self.set_var(vn, val);
-                    }
-                    i += stride;
-                    match self.eval_script(host, &body) {
-                        Ok(_) | Err(Exc::Continue) => {}
-                        Err(Exc::Break) => break,
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(String::new())
-            }
-            "break" => Err(Exc::Break),
-            "continue" => Err(Exc::Continue),
-            "return" => match args {
-                [] => Err(Exc::Return(String::new())),
-                [v] => Err(Exc::Return(v.to_string())),
-                _ => Err(wrong_args("return ?value?")),
-            },
-            "proc" => {
-                let [pname, params, body] = args else {
-                    return Err(wrong_args("proc name args body"));
-                };
-                let mut specs = Vec::new();
-                for p in list_parse(params).map_err(Exc::Error)? {
-                    let parts = list_parse(&p).map_err(Exc::Error)?;
-                    match parts.len() {
-                        1 => specs.push((parts[0].clone(), None)),
-                        2 => specs.push((parts[0].clone(), Some(parts[1].clone()))),
-                        _ => {
-                            return Err(Exc::Error(ScriptError::at_span(
-                                span,
-                                format!("malformed parameter \"{p}\""),
-                            )))
-                        }
-                    }
-                }
-                let body = self.cached_script(body)?;
-                self.procs.insert(
-                    pname.to_string(),
-                    Arc::new(ProcDef {
-                        params: specs,
-                        body,
-                    }),
-                );
-                Ok(String::new())
-            }
-            "global" => {
-                if let Some(f) = self.frames.last_mut() {
-                    for n in args {
-                        f.globals.insert(n.to_string());
-                    }
-                }
-                Ok(String::new())
-            }
-            "puts" => {
-                let (nonewline, text) = match args {
-                    [t] => (false, t),
-                    [flag, t] if flag == "-nonewline" => (true, t),
-                    _ => return Err(wrong_args("puts ?-nonewline? string")),
-                };
-                self.output.push_str(text);
-                if !nonewline {
-                    self.output.push('\n');
-                }
-                Ok(String::new())
-            }
-            "catch" => {
-                let (script, var) = match args {
-                    [s] => (s, None),
-                    [s, v] => (s, Some(v)),
-                    _ => return Err(wrong_args("catch script ?varName?")),
-                };
-                let parsed = self.cached_script(script)?;
-                let (code, result) = match self.eval_script(host, &parsed) {
-                    Ok(v) => (0, v),
-                    Err(Exc::Error(e)) => (1, e.message),
-                    Err(Exc::Return(v)) => (2, v),
-                    Err(Exc::Break) => (3, String::new()),
-                    Err(Exc::Continue) => (4, String::new()),
-                };
-                if let Some(v) = var {
-                    self.set_var(v, result);
-                }
-                Ok(code.to_string())
-            }
-            "error" => match args {
-                [msg] => Err(Exc::Error(ScriptError::at_span(span, msg.as_ref()))),
-                _ => Err(wrong_args("error message")),
-            },
-            "eval" => {
-                let src = args.join(" ");
-                let parsed = self.cached_script(&src)?;
-                self.eval_script(host, &parsed)
-            }
-            "list" => Ok(list_format(args)),
-            "lindex" => {
-                let [list, idx] = args else {
-                    return Err(wrong_args("lindex list index"));
-                };
-                let items = list_parse(list).map_err(Exc::Error)?;
-                let i = parse_index(idx, items.len(), span)?;
-                Ok(items.get(i).cloned().unwrap_or_default())
-            }
-            "llength" => {
-                let [list] = args else {
-                    return Err(wrong_args("llength list"));
-                };
-                Ok(list_parse(list).map_err(Exc::Error)?.len().to_string())
-            }
-            "lappend" => match args {
-                [] => Err(wrong_args("lappend varName ?value value ...?")),
-                [n, rest @ ..] => {
-                    let cur = self.get_var(n).unwrap_or_default();
-                    let mut items = list_parse(&cur).map_err(Exc::Error)?;
-                    items.extend(rest.iter().map(|v| v.to_string()));
-                    let nv = list_format(&items);
-                    self.set_var(n, nv.clone());
-                    Ok(nv)
-                }
-            },
-            "lreverse" => {
-                let [list] = args else {
-                    return Err(wrong_args("lreverse list"));
-                };
-                let mut items = list_parse(list).map_err(Exc::Error)?;
-                items.reverse();
-                Ok(list_format(&items))
-            }
-            "lsort" => {
-                let (opts, list) = match args {
-                    [l] => (&[][..], l),
-                    [opts @ .., l] => (opts, l),
-                    [] => return Err(wrong_args("lsort ?-integer? ?-decreasing? list")),
-                };
-                let mut integer = false;
-                let mut decreasing = false;
-                for o in opts {
-                    match o.as_ref() {
-                        "-integer" => integer = true,
-                        "-decreasing" => decreasing = true,
-                        "-increasing" => decreasing = false,
-                        other => {
-                            return Err(Exc::Error(ScriptError::at_span(
-                                span,
-                                format!("unknown lsort option \"{other}\""),
-                            )))
-                        }
-                    }
-                }
-                let mut items = list_parse(list).map_err(Exc::Error)?;
-                if integer {
-                    let mut keyed: Vec<(i64, String)> = Vec::with_capacity(items.len());
-                    for it in items {
-                        let k: i64 = it.trim().parse().map_err(|_| {
-                            Exc::Error(ScriptError::at_span(
-                                span,
-                                format!("expected integer but got \"{it}\""),
-                            ))
-                        })?;
-                        keyed.push((k, it));
-                    }
-                    keyed.sort_by_key(|(k, _)| *k);
-                    items = keyed.into_iter().map(|(_, v)| v).collect();
-                } else {
-                    items.sort();
-                }
-                if decreasing {
-                    items.reverse();
-                }
-                Ok(list_format(&items))
-            }
-            "linsert" => {
-                let [list, idx, rest @ ..] = args else {
-                    return Err(wrong_args("linsert list index element ?element ...?"));
-                };
-                let mut items = list_parse(list).map_err(Exc::Error)?;
-                let i = parse_index(idx, items.len() + 1, span)?.min(items.len());
-                for (k, e) in rest.iter().enumerate() {
-                    items.insert(i + k, e.to_string());
-                }
-                Ok(list_format(&items))
-            }
-            "lreplace" => {
-                let [list, a, b, rest @ ..] = args else {
-                    return Err(wrong_args("lreplace list first last ?element ...?"));
-                };
-                let mut items = list_parse(list).map_err(Exc::Error)?;
-                let i = parse_index(a, items.len(), span)?.min(items.len());
-                let j = parse_index(b, items.len(), span)?;
-                let end = if j == usize::MAX || j < i {
-                    i
-                } else {
-                    (j + 1).min(items.len())
-                };
-                items.splice(i..end.max(i), rest.iter().map(|v| v.to_string()));
-                Ok(list_format(&items))
-            }
-            "lrange" => {
-                let [list, a, b] = args else {
-                    return Err(wrong_args("lrange list first last"));
-                };
-                let items = list_parse(list).map_err(Exc::Error)?;
-                let i = parse_index(a, items.len(), span)?;
-                let j = parse_index(b, items.len(), span)?;
-                if items.is_empty() || i >= items.len() || j < i {
-                    return Ok(String::new());
-                }
-                let j = j.min(items.len() - 1);
-                Ok(list_format(&items[i..=j]))
-            }
-            "lsearch" => {
-                let (mode, list, pat) = match args {
-                    [l, p] => ("-glob", l, p),
-                    [m, l, p] if m == "-exact" || m == "-glob" => (m.as_ref(), l, p),
-                    _ => return Err(wrong_args("lsearch ?-exact|-glob? list pattern")),
-                };
-                let items = list_parse(list).map_err(Exc::Error)?;
-                let found = items.iter().position(|it| match mode {
-                    "-exact" => it == pat,
-                    _ => glob_match(pat, it),
-                });
-                Ok(found.map(|i| i as i64).unwrap_or(-1).to_string())
-            }
-            "split" => {
-                let (s, seps) = match args {
-                    [s] => (s, " \t\n\r"),
-                    [s, c] => (s, c.as_ref()),
-                    _ => return Err(wrong_args("split string ?splitChars?")),
-                };
-                let parts: Vec<String> = if seps.is_empty() {
-                    s.chars().map(|c| c.to_string()).collect()
-                } else {
-                    s.split(|c: char| seps.contains(c))
-                        .map(|p| p.to_string())
-                        .collect()
-                };
-                Ok(list_format(&parts))
-            }
-            "join" => {
-                let (list, sep) = match args {
-                    [l] => (l, " "),
-                    [l, s] => (l, s.as_ref()),
-                    _ => return Err(wrong_args("join list ?joinString?")),
-                };
-                Ok(list_parse(list).map_err(Exc::Error)?.join(sep))
-            }
-            "concat" => {
-                let mut parts = Vec::new();
-                for a in args {
-                    let t = a.trim();
-                    if !t.is_empty() {
-                        parts.push(t.to_string());
-                    }
-                }
-                Ok(parts.join(" "))
-            }
-            "string" => self.builtin_string(args, span),
-            "format" => {
-                if args.is_empty() {
-                    return Err(wrong_args("format formatString ?arg arg ...?"));
-                }
-                format_tcl(&args[0], &args[1..]).map_err(Exc::Error)
-            }
-            "info" => match args {
-                [sub, n] if sub == "exists" => Ok((self.var_exists(n) as i32).to_string()),
-                _ => Err(Exc::Error(ScriptError::at_span(
-                    span,
-                    "info supports only: info exists varName",
-                ))),
-            },
-            "array" => {
-                // Array elements are flat variables named `name(index)`.
-                let prefix = |n: &str| format!("{n}(");
-                let elements = |interp: &Interp, n: &str| -> Vec<(String, String)> {
-                    let p = prefix(n);
-                    let mut out: Vec<(String, String)> = interp
-                        .visible_vars()
-                        .into_iter()
-                        .filter(|(k, _)| k.starts_with(&p) && k.ends_with(')'))
-                        .map(|(k, v)| (k[p.len()..k.len() - 1].to_string(), v))
-                        .collect();
-                    out.sort();
-                    out
-                };
-                match args {
-                    [sub, n] if sub == "exists" => {
-                        Ok(((!elements(self, n).is_empty()) as i32).to_string())
-                    }
-                    [sub, n] if sub == "size" => Ok(elements(self, n).len().to_string()),
-                    [sub, n] if sub == "names" => {
-                        let names: Vec<String> =
-                            elements(self, n).into_iter().map(|(k, _)| k).collect();
-                        Ok(list_format(&names))
-                    }
-                    [sub, n] if sub == "get" => {
-                        let mut flat = Vec::new();
-                        for (k, v) in elements(self, n) {
-                            flat.push(k);
-                            flat.push(v);
-                        }
-                        Ok(list_format(&flat))
-                    }
-                    [sub, n] if sub == "unset" => {
-                        let keys: Vec<String> = elements(self, n)
-                            .into_iter()
-                            .map(|(k, _)| format!("{n}({k})"))
-                            .collect();
-                        for k in keys {
-                            self.unset_var(&k);
-                        }
-                        Ok(String::new())
-                    }
-                    _ => Err(Exc::Error(ScriptError::at_span(
-                        span,
-                        "array supports: exists|size|names|get|unset arrayName",
-                    ))),
-                }
-            }
-            "switch" => self.builtin_switch(host, args, span),
-            _ => {
-                if let Some(def) = self.procs.get(name).cloned() {
-                    return self.call_proc(host, name, &def, args, span);
-                }
-                let args: Vec<String> = owned_args
-                    .iter_mut()
-                    .map(|a| std::mem::take(a).into_owned())
-                    .collect();
-                match host.call(self, name, &args) {
-                    Some(r) => r.map_err(Exc::Error),
-                    None => Err(Exc::Error(ScriptError::at_span(
-                        span,
-                        format!("invalid command name \"{name}\""),
-                    ))),
-                }
+    /// Runs a command that is not a builtin: a proc of this interpreter,
+    /// else the host's.
+    fn invoke(&mut self, host: &mut dyn Host, name: &str, call: &mut Call<'_, '_>) -> EvalResult {
+        if let Some(def) = self.procs.get(name).cloned() {
+            return self.call_proc(host, name, &def, call);
+        }
+        // `Host::call` wants the arguments owned. The strings they are
+        // written into are this interpreter's, kept between calls so that
+        // `xDrop cur_msg` on every message allocates nothing, and taken for
+        // the call: a host may evaluate a script, which may call the host.
+        let mut owned = std::mem::take(&mut self.host_args);
+        let count = call.args.len();
+        if owned.len() < count {
+            owned.resize_with(count, String::new);
+        }
+        for (arg, slot) in call.args.iter_mut().zip(&mut owned) {
+            arg.take_into(slot);
+        }
+        let result = host.call(self, name, &owned[..count]);
+        for slot in &mut owned[..count] {
+            if slot.capacity() > HOST_ARG_KEPT {
+                *slot = String::new();
             }
         }
-    }
-
-    fn builtin_if(&mut self, host: &mut dyn Host, args: &[Cow<'_, str>], span: Span) -> EvalResult {
-        let mut i = 0;
-        loop {
-            if i + 1 > args.len() {
-                return Err(Exc::Error(ScriptError::at_span(
-                    span,
-                    "wrong # args: no expression after \"if\"",
-                )));
-            }
-            let cond = &args[i];
-            i += 1;
-            if args.get(i).map(AsRef::as_ref) == Some("then") {
-                i += 1;
-            }
-            let Some(body) = args.get(i) else {
-                return Err(Exc::Error(ScriptError::at_span(
-                    span,
-                    "wrong # args: no script following condition",
-                )));
-            };
-            i += 1;
-            if self.expr_truthy(host, cond)? {
-                let parsed = self.cached_script(body)?;
-                return self.eval_script(host, &parsed);
-            }
-            match args.get(i).map(AsRef::as_ref) {
-                Some("elseif") => {
-                    i += 1;
-                    continue;
-                }
-                Some("else") => {
-                    let Some(body) = args.get(i + 1) else {
-                        return Err(Exc::Error(ScriptError::at_span(
-                            span,
-                            "wrong # args: no script following \"else\"",
-                        )));
-                    };
-                    let parsed = self.cached_script(body)?;
-                    return self.eval_script(host, &parsed);
-                }
-                Some(other) => {
-                    return Err(Exc::Error(ScriptError::at_span(
-                        span,
-                        format!("invalid argument \"{other}\" after if body"),
-                    )))
-                }
-                None => return Ok(String::new()),
-            }
-        }
-    }
-
-    fn builtin_switch(
-        &mut self,
-        host: &mut dyn Host,
-        args: &[Cow<'_, str>],
-        span: Span,
-    ) -> EvalResult {
-        let (mode, value, pairs_src) =
-            match args {
-                [v, p] => ("-exact", v, p),
-                [m, v, p] if m == "-exact" || m == "-glob" => (m.as_ref(), v, p),
-                _ => return Err(Exc::Error(ScriptError::at_span(
-                    span,
-                    "wrong # args: should be \"switch ?-exact|-glob? string {pattern body ...}\"",
-                ))),
-            };
-        let pairs = list_parse(pairs_src).map_err(Exc::Error)?;
-        if pairs.len() % 2 != 0 {
-            return Err(Exc::Error(ScriptError::at_span(
-                span,
-                "extra switch pattern with no body",
-            )));
-        }
-        let mut matched: Option<usize> = None;
-        for (i, pat) in pairs.iter().step_by(2).enumerate() {
-            let is_default = pat == "default" && (i * 2 + 2) == pairs.len();
-            let hit = is_default
-                || match mode {
-                    "-glob" => glob_match(pat, value),
-                    _ => pat == value,
-                };
-            if hit {
-                matched = Some(i * 2 + 1);
-                break;
-            }
-        }
-        let Some(mut body_idx) = matched else {
-            return Ok(String::new());
-        };
-        // Tcl fallthrough: a body of "-" uses the next pattern's body.
-        while pairs[body_idx] == "-" {
-            body_idx += 2;
-            if body_idx >= pairs.len() {
-                return Err(Exc::Error(ScriptError::at_span(
-                    span,
-                    "no body specified for final fallthrough pattern",
-                )));
-            }
-        }
-        let parsed = self.cached_script(&pairs[body_idx])?;
-        self.eval_script(host, &parsed)
-    }
-
-    fn builtin_string(&mut self, args: &[Cow<'_, str>], span: Span) -> EvalResult {
-        let err = |m: String| Err(Exc::Error(ScriptError::at_span(span, m)));
-        let Some(sub) = args.first() else {
-            return err("wrong # args: should be \"string subcommand ...\"".into());
-        };
-        let rest = &args[1..];
-        match (sub.as_ref(), rest) {
-            ("length", [s]) => Ok(s.chars().count().to_string()),
-            ("index", [s, i]) => {
-                let chars: Vec<char> = s.chars().collect();
-                let idx = parse_index(i, chars.len(), span)?;
-                Ok(chars.get(idx).map(|c| c.to_string()).unwrap_or_default())
-            }
-            ("range", [s, a, b]) => {
-                let chars: Vec<char> = s.chars().collect();
-                let i = parse_index(a, chars.len(), span)?;
-                let j = parse_index(b, chars.len(), span)?;
-                if chars.is_empty() || i >= chars.len() || j < i {
-                    return Ok(String::new());
-                }
-                let j = j.min(chars.len() - 1);
-                Ok(chars[i..=j].iter().collect())
-            }
-            ("tolower", [s]) => Ok(s.to_lowercase()),
-            ("toupper", [s]) => Ok(s.to_uppercase()),
-            ("trim", [s]) => Ok(s.trim().to_string()),
-            ("trim", [s, chars]) => Ok(s.trim_matches(|c| chars.contains(c)).to_string()),
-            ("trimleft", [s]) => Ok(s.trim_start().to_string()),
-            ("trimright", [s]) => Ok(s.trim_end().to_string()),
-            ("compare", [a, b]) => Ok(match a.cmp(b) {
-                std::cmp::Ordering::Less => "-1",
-                std::cmp::Ordering::Equal => "0",
-                std::cmp::Ordering::Greater => "1",
-            }
-            .to_string()),
-            ("equal", [a, b]) => Ok(((a == b) as i32).to_string()),
-            ("first", [needle, hay]) => Ok(hay
-                .find(needle.as_ref())
-                .map(|b| hay[..b].chars().count() as i64)
-                .unwrap_or(-1)
-                .to_string()),
-            ("last", [needle, hay]) => Ok(hay
-                .rfind(needle.as_ref())
-                .map(|b| hay[..b].chars().count() as i64)
-                .unwrap_or(-1)
-                .to_string()),
-            ("match", [pat, s]) => Ok((glob_match(pat, s) as i32).to_string()),
-            ("map", [pairs, s]) => {
-                let mapping = crate::list::list_parse(pairs).map_err(Exc::Error)?;
-                if mapping.len() % 2 != 0 {
-                    return err("char map list unbalanced".into());
-                }
-                let mut out = String::new();
-                let mut rest: &str = s;
-                'outer: while !rest.is_empty() {
-                    for pair in mapping.chunks(2) {
-                        if !pair[0].is_empty() && rest.starts_with(&pair[0]) {
-                            out.push_str(&pair[1]);
-                            rest = &rest[pair[0].len()..];
-                            continue 'outer;
-                        }
-                    }
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    rest = &rest[c.len_utf8()..];
-                }
-                Ok(out)
-            }
-            ("reverse", [s]) => Ok(s.chars().rev().collect()),
-            ("repeat", [s, n]) => {
-                let n: usize = n.parse().map_err(|_| {
-                    Exc::Error(ScriptError::at_span(
-                        span,
-                        format!("expected integer but got \"{n}\""),
-                    ))
-                })?;
-                Ok(s.repeat(n))
-            }
-            _ => err(format!("unknown or malformed string subcommand \"{sub}\"")),
+        self.host_args = owned;
+        match result {
+            Some(r) => r.map(Value::from_string).map_err(Exc::Error),
+            None => Err(call.error(format!("invalid command name \"{name}\""))),
         }
     }
 
@@ -1099,58 +671,46 @@ impl Interp {
         host: &mut dyn Host,
         name: &str,
         def: &ProcDef,
-        args: &[Cow<'_, str>],
-        span: Span,
+        call: &mut Call<'_, '_>,
     ) -> EvalResult {
         if self.frames.len() >= 64 {
-            return Err(Exc::Error(ScriptError::at_span(
-                span,
-                "too many nested proc calls",
-            )));
+            return Err(call.error("too many nested proc calls"));
         }
+        let wrong_args =
+            |call: &Call<'_, '_>| call.wrong_args(&format!("{name} {}", proc_usage(def)));
         let mut frame = Frame::default();
         let mut ai = 0usize;
         for (pi, (pname, default)) in def.params.iter().enumerate() {
-            if pname == "args" && pi == def.params.len() - 1 {
-                let rest = &args[ai.min(args.len())..];
-                frame.vars.insert("args".to_string(), list_format(rest));
-                ai = args.len();
+            if &**pname == "args" && pi == def.params.len() - 1 {
+                let rest: Vec<_> = call.args[ai.min(call.args.len())..]
+                    .iter()
+                    .map(Arg::text)
+                    .collect();
+                frame.vars.set("args", Value::Str(list_format(&rest)));
+                ai = call.args.len();
                 break;
             }
-            match args.get(ai) {
-                Some(v) => {
-                    frame.vars.insert(pname.clone(), v.to_string());
+            let value = match (call.args.get_mut(ai), default) {
+                (Some(arg), _) => {
                     ai += 1;
+                    arg.take()
                 }
-                None => match default {
-                    Some(d) => {
-                        frame.vars.insert(pname.clone(), d.clone());
-                    }
-                    None => {
-                        return Err(Exc::Error(ScriptError::at_span(
-                            span,
-                            format!("wrong # args: should be \"{name} {}\"", proc_usage(def)),
-                        )))
-                    }
-                },
-            }
+                (None, Some(default)) => Value::from_text(default),
+                (None, None) => return Err(wrong_args(call)),
+            };
+            frame.vars.set(pname, value);
         }
-        if ai < args.len() {
-            return Err(Exc::Error(ScriptError::at_span(
-                span,
-                format!("wrong # args: should be \"{name} {}\"", proc_usage(def)),
-            )));
+        if ai < call.args.len() {
+            return Err(wrong_args(call));
         }
         self.frames.push(frame);
-        let result = self.eval_script(host, &def.body);
+        let result = self.eval_script(host, &def.body, call.want);
         self.frames.pop();
         match result {
-            Ok(v) => Ok(v),
-            Err(Exc::Return(v)) => Ok(v),
-            Err(Exc::Break) | Err(Exc::Continue) => Err(Exc::Error(ScriptError::at_span(
-                span,
-                "invoked \"break\" or \"continue\" outside of a loop",
-            ))),
+            Ok(v) | Err(Exc::Return(v)) => Ok(v),
+            Err(Exc::Break) | Err(Exc::Continue) => {
+                Err(call.error("invoked \"break\" or \"continue\" outside of a loop"))
+            }
             Err(e) => Err(e),
         }
     }
@@ -1161,174 +721,10 @@ fn proc_usage(def: &ProcDef) -> String {
         .iter()
         .map(|(n, d)| match d {
             Some(_) => format!("?{n}?"),
-            None => n.clone(),
+            None => n.to_string(),
         })
         .collect::<Vec<_>>()
         .join(" ")
-}
-
-/// Parses a Tcl index: a number, `end`, or `end-N`.
-fn parse_index(s: &str, len: usize, span: Span) -> Result<usize, Exc> {
-    let bad = || Exc::Error(ScriptError::at_span(span, format!("bad index \"{s}\"")));
-    let t = s.trim();
-    if t == "end" {
-        return Ok(len.saturating_sub(1));
-    }
-    if let Some(off) = t.strip_prefix("end-") {
-        let off: usize = off.parse().map_err(|_| bad())?;
-        return Ok(len.saturating_sub(1).saturating_sub(off));
-    }
-    let i: i64 = t.parse().map_err(|_| bad())?;
-    if i < 0 {
-        return Ok(usize::MAX); // out of range; callers treat as miss
-    }
-    Ok(i as usize)
-}
-
-/// A subset of Tcl's `format`: `%d %i %u %x %X %o %c %s %f %e %g %%` with
-/// optional `-`/`0` flags, width, and precision.
-fn format_tcl(fmt: &str, args: &[Cow<'_, str>]) -> Result<String, ScriptError> {
-    let mut out = String::new();
-    let chars: Vec<char> = fmt.chars().collect();
-    let mut pos = 0usize;
-    let mut argi = 0usize;
-    let next_arg = |argi: &mut usize| -> Result<&str, ScriptError> {
-        let v = args
-            .get(*argi)
-            .map(AsRef::as_ref)
-            .ok_or_else(|| ScriptError::new("not enough arguments for all format specifiers"))?;
-        *argi += 1;
-        Ok(v)
-    };
-    while pos < chars.len() {
-        let c = chars[pos];
-        pos += 1;
-        if c != '%' {
-            out.push(c);
-            continue;
-        }
-        let mut left = false;
-        let mut zero = false;
-        while pos < chars.len() {
-            match chars[pos] {
-                '-' => {
-                    left = true;
-                    pos += 1;
-                }
-                '0' => {
-                    zero = true;
-                    pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let mut width = 0usize;
-        while pos < chars.len() && chars[pos].is_ascii_digit() {
-            width = width * 10 + chars[pos].to_digit(10).unwrap() as usize;
-            pos += 1;
-        }
-        let mut precision: Option<usize> = None;
-        if pos < chars.len() && chars[pos] == '.' {
-            pos += 1;
-            let mut p = 0usize;
-            while pos < chars.len() && chars[pos].is_ascii_digit() {
-                p = p * 10 + chars[pos].to_digit(10).unwrap() as usize;
-                pos += 1;
-            }
-            precision = Some(p);
-        }
-        let conv = chars
-            .get(pos)
-            .copied()
-            .ok_or_else(|| ScriptError::new("format string ended in middle of field specifier"))?;
-        pos += 1;
-        let body = match conv {
-            '%' => "%".to_string(),
-            'd' | 'i' | 'u' => {
-                let v: i64 = next_arg(&mut argi)?
-                    .trim()
-                    .parse()
-                    .map_err(|_| ScriptError::new("expected integer in format"))?;
-                v.to_string()
-            }
-            'x' => {
-                let v: i64 = next_arg(&mut argi)?
-                    .trim()
-                    .parse()
-                    .map_err(|_| ScriptError::new("expected integer in format"))?;
-                format!("{v:x}")
-            }
-            'X' => {
-                let v: i64 = next_arg(&mut argi)?
-                    .trim()
-                    .parse()
-                    .map_err(|_| ScriptError::new("expected integer in format"))?;
-                format!("{v:X}")
-            }
-            'o' => {
-                let v: i64 = next_arg(&mut argi)?
-                    .trim()
-                    .parse()
-                    .map_err(|_| ScriptError::new("expected integer in format"))?;
-                format!("{v:o}")
-            }
-            'c' => {
-                let v: u32 = next_arg(&mut argi)?
-                    .trim()
-                    .parse()
-                    .map_err(|_| ScriptError::new("expected integer in format"))?;
-                char::from_u32(v).map(|c| c.to_string()).unwrap_or_default()
-            }
-            's' => {
-                let v = next_arg(&mut argi)?;
-                match precision {
-                    Some(p) => v.chars().take(p).collect(),
-                    None => v.to_string(),
-                }
-            }
-            'f' => {
-                let v: f64 = next_arg(&mut argi)?
-                    .trim()
-                    .parse()
-                    .map_err(|_| ScriptError::new("expected float in format"))?;
-                format!("{v:.*}", precision.unwrap_or(6))
-            }
-            'e' => {
-                let v: f64 = next_arg(&mut argi)?
-                    .trim()
-                    .parse()
-                    .map_err(|_| ScriptError::new("expected float in format"))?;
-                format!("{v:.*e}", precision.unwrap_or(6))
-            }
-            'g' => {
-                let v: f64 = next_arg(&mut argi)?
-                    .trim()
-                    .parse()
-                    .map_err(|_| ScriptError::new("expected float in format"))?;
-                format!("{v}")
-            }
-            other => return Err(ScriptError::new(format!("bad field specifier \"{other}\""))),
-        };
-        let padded = if body.chars().count() >= width {
-            body
-        } else {
-            let pad_n = width - body.chars().count();
-            if left {
-                format!("{body}{}", " ".repeat(pad_n))
-            } else if zero && conv != 's' {
-                // Zero padding goes after any sign.
-                if let Some(stripped) = body.strip_prefix('-') {
-                    format!("-{}{}", "0".repeat(pad_n), stripped)
-                } else {
-                    format!("{}{}", "0".repeat(pad_n), body)
-                }
-            } else {
-                format!("{}{}", " ".repeat(pad_n), body)
-            }
-        };
-        out.push_str(&padded);
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1369,6 +765,89 @@ mod tests {
         assert_eq!(ev_ok("incr c -3"), "-3");
         assert_eq!(ev_ok("append s a b c"), "abc");
         assert!(ev("set c abc; incr c").is_err());
+    }
+
+    /// `incr` at the edge of `i64` is `expr`'s error, in a debug build (where
+    /// the unchecked add panicked) and a release build (where it wrapped).
+    #[test]
+    fn incr_overflow_is_the_error_expr_raises() {
+        let of_expr = ev("expr {9223372036854775807 + 1}").unwrap_err();
+        assert_eq!(of_expr.message, "integer overflow");
+        for src in [
+            "set x 9223372036854775807; incr x",
+            "set x -9223372036854775807; incr x -2",
+            "set x 1; incr x 9223372036854775807",
+        ] {
+            assert_eq!(ev(src).unwrap_err(), of_expr, "{src}");
+        }
+        // The variable keeps its value, and the last step that fits works.
+        assert_eq!(
+            ev_ok("set x 9223372036854775806; incr x; catch {incr x}; set x"),
+            "9223372036854775807"
+        );
+        assert_eq!(
+            ev_ok("set x -9223372036854775807; incr x -1; incr x 1"),
+            "-9223372036854775807"
+        );
+    }
+
+    #[test]
+    fn integers_stay_integers_and_strings_stay_as_written() {
+        // A counter is never formatted until something reads it as text...
+        assert_eq!(ev_ok("set n 5; incr n; incr n 10; set n"), "16");
+        // ...and a string that only looks like a number is never rewritten.
+        assert_eq!(ev_ok("set x 007; set x"), "007");
+        assert_eq!(ev_ok("set x 007; incr x; set x"), "8");
+        assert_eq!(ev_ok("set x 0x10; list $x [expr {$x + 1}]"), "0x10 17");
+        assert_eq!(ev_ok("set x \" 5\"; list [incr x] $x"), "6 6");
+        assert_eq!(ev_ok("set x -0; set x"), "-0");
+        assert_eq!(
+            ev_ok("set x [expr {1.5 * 2}]; list $x [expr {$x + 1}]"),
+            "3.0 4.0"
+        );
+        assert_eq!(ev_ok("set x 1e3; list $x [expr {$x + 1}]"), "1e3 1001.0");
+        // The API sees the same text the script does.
+        let mut i = Interp::new();
+        i.eval(&mut NoHost, "set a 007; set b 7; incr b").unwrap();
+        assert_eq!(i.get_var("a").unwrap(), "007");
+        assert_eq!(i.get_var("b").unwrap(), "8");
+        i.set_var("c", "012");
+        assert_eq!(i.eval(&mut NoHost, "set c").unwrap(), "012");
+    }
+
+    /// One step of the budget must not buy unbounded memory: the builtins
+    /// that multiply a string refuse past 1 MiB instead of aborting the
+    /// process, and what only grows a step at a time — `lappend`, or
+    /// `append` of a constant, in a loop — is the step budget's to stop.
+    #[test]
+    fn no_single_step_builds_an_unbounded_string() {
+        let too_long = |src: &str| {
+            let mut interp = Interp::new();
+            interp.set_step_budget(10_000);
+            let e = interp.eval(&mut NoHost, src).unwrap_err();
+            assert_eq!(e.message, "string too long", "{src}");
+        };
+        too_long("string repeat abc 99999999999");
+        too_long("string repeat abc 349526");
+        assert_eq!(ev_ok("string length [string repeat abc 349525]"), "1048575");
+        // `format` pads to its width and precision in one step.
+        too_long("format %99999999999d 1");
+        too_long("format %.99999999999f 1");
+        too_long("format %999999999999999999999999999999d 1");
+        assert_eq!(ev_ok("string length [format %1000d 1]"), "1000");
+        // Doubling reaches any size in a few dozen steps.
+        too_long("set s a; while {1} {append s $s}");
+        too_long("set s a; while {1} {set s $s$s}");
+        too_long("set s a; while {1} {lappend s $s $s}");
+        too_long("set s a; while {1} {set s [list $s $s]}");
+        too_long("set s a; while {1} {set s [join [list $s $s] {}]}");
+        // Linear growth costs a step per element: the budget ends it.
+        for src in ["while {1} {lappend l x}", "while {1} {append s x}"] {
+            let mut interp = Interp::new();
+            interp.set_step_budget(1_000);
+            let e = interp.eval(&mut NoHost, src).unwrap_err();
+            assert!(e.is_budget_exhausted(), "{src}: {e}");
+        }
     }
 
     #[test]

@@ -54,6 +54,8 @@ mod expr;
 mod interp;
 mod list;
 mod parse;
+mod value;
+mod vars;
 
 pub use builtins::{builtins, lookup_builtin, BuiltinInfo};
 pub use cache::CacheStats;
@@ -61,4 +63,4 @@ pub use error::{ScriptError, ScriptErrorKind};
 pub use expr::{analyze_expr, analyze_guard, CmpOp, ExprSummary, GuardAtom};
 pub use interp::{Host, Interp, NoHost};
 pub use list::{glob_match, list_format, list_parse};
-pub use parse::{Command, Part, Script, Span, Word};
+pub use parse::{Braced, Command, Part, Script, Span, Word};

@@ -6,7 +6,14 @@
 //! substitutions). `[…]` holds a nested script, parsed recursively so that
 //! arbitrary nesting of braces/brackets/quotes works structurally.
 
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
+
+use crate::builtins::{lookup_builtin, BuiltinInfo};
 use crate::error::ScriptError;
+use crate::expr::{parse_expr, ExprAst};
+use crate::list::list_parse;
 
 /// A line/column position in script source (both 1-based; `0` = unknown).
 ///
@@ -28,10 +35,18 @@ impl Span {
     }
 }
 
-/// A parsed script: a sequence of commands.
+/// A parsed script: a sequence of commands — the compiled form the
+/// interpreter evaluates.
 ///
 /// Parsing is separated from evaluation so that filter scripts can be parsed
 /// once when installed into a PFI layer and then executed per message.
+/// Everything that is a function of the source text alone is resolved
+/// here and never again: a command whose first word is a literal builtin
+/// name carries that builtin, and a braced word remembers its compiled
+/// body or expression from the first evaluation that uses it as one
+/// ([`Braced`]). Nothing an interpreter knows (procs, variables, the
+/// host) is ever stored in a script, so one `Arc<Script>` serves any
+/// number of interpreters and threads.
 ///
 /// # Examples
 ///
@@ -88,10 +103,32 @@ impl Script {
 }
 
 /// One command: a list of words, plus the source position it starts at.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Command {
     pub(crate) words: Vec<Word>,
     pub(crate) span: Span,
+    pub(crate) head: Head,
+}
+
+/// What word 0 of a command says about which command runs — as much of
+/// dispatch as the source alone decides.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Head {
+    /// A literal builtin name. Builtins win over procs and host commands
+    /// of the same name, so the builtin is resolved here, once.
+    Builtin(&'static BuiltinInfo),
+    /// A literal that names no builtin: a proc or a host command, which
+    /// only the interpreter running it can tell.
+    Named,
+    /// A substitution: known when it has been evaluated.
+    Computed,
+}
+
+/// Commands are equal when their source is: `head` follows from word 0.
+impl PartialEq for Command {
+    fn eq(&self, other: &Self) -> bool {
+        self.span == other.span && self.words == other.words
+    }
 }
 
 impl Command {
@@ -111,7 +148,7 @@ impl Command {
 pub enum Word {
     /// `{…}`: a literal with no substitution. The span points at the
     /// opening brace; the content starts one column later.
-    Braced(String, Span),
+    Braced(Braced, Span),
     /// Bare or `"…"`: concatenation of parts, substituted at eval time.
     Parts(Vec<Part>, Span),
 }
@@ -122,6 +159,144 @@ impl Word {
         match self {
             Word::Braced(_, s) | Word::Parts(_, s) => *s,
         }
+    }
+}
+
+/// The content of a `{…}` word, with the compiled form of that content
+/// bound beside it.
+///
+/// Dereferences to the raw text. The first evaluation that uses the word
+/// as a script body (`if`/`while`/`for`/`foreach`/`catch`/`eval`/`proc`),
+/// an `expr` source or a `switch` arm list compiles it and leaves the
+/// result here; later evaluations — by any interpreter, on any thread —
+/// read it back without a cache lookup. Binding is lazy, so a body that
+/// is never taken is never parsed and its errors are never raised; a
+/// compile error is returned to the caller and not remembered. What is
+/// bound is a function of the text alone.
+#[derive(Clone)]
+pub struct Braced {
+    text: String,
+    bound: OnceLock<Bound>,
+}
+
+/// What a braced word has been used as.
+#[derive(Clone)]
+pub(crate) enum Bound {
+    Script(Arc<Script>),
+    Expr(Arc<ExprAst>),
+    Arms(Arc<SwitchArms>),
+}
+
+/// A compiled form a braced word can be bound as.
+pub(crate) trait Bind: Sized {
+    fn compile(src: &str) -> Result<Self, ScriptError>;
+    fn wrap(this: Arc<Self>) -> Bound;
+    fn unwrap(bound: &Bound) -> Option<&Arc<Self>>;
+}
+
+impl Bind for Script {
+    fn compile(src: &str) -> Result<Self, ScriptError> {
+        Script::parse(src)
+    }
+    fn wrap(this: Arc<Self>) -> Bound {
+        Bound::Script(this)
+    }
+    fn unwrap(bound: &Bound) -> Option<&Arc<Self>> {
+        match bound {
+            Bound::Script(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+impl Bind for ExprAst {
+    fn compile(src: &str) -> Result<Self, ScriptError> {
+        parse_expr(src)
+    }
+    fn wrap(this: Arc<Self>) -> Bound {
+        Bound::Expr(this)
+    }
+    fn unwrap(bound: &Bound) -> Option<&Arc<Self>> {
+        match bound {
+            Bound::Expr(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+/// The `{pattern body …}` word of a `switch`, split once: patterns and
+/// bodies alternate, and each body binds its own script.
+#[derive(Debug)]
+pub(crate) struct SwitchArms(pub(crate) Vec<Braced>);
+
+impl Bind for SwitchArms {
+    fn compile(src: &str) -> Result<Self, ScriptError> {
+        Ok(SwitchArms(
+            list_parse(src)?.into_iter().map(Braced::new).collect(),
+        ))
+    }
+    fn wrap(this: Arc<Self>) -> Bound {
+        Bound::Arms(this)
+    }
+    fn unwrap(bound: &Bound) -> Option<&Arc<Self>> {
+        match bound {
+            Bound::Arms(a) => Some(a),
+            _ => None,
+        }
+    }
+}
+
+impl Braced {
+    fn new(text: String) -> Self {
+        Braced {
+            text,
+            bound: OnceLock::new(),
+        }
+    }
+
+    /// The word's text.
+    pub fn as_str(&self) -> &str {
+        &self.text
+    }
+
+    /// The word compiled as a `T`, compiling on first use; `compiled`
+    /// reports that a compile was made (even one that failed), so an
+    /// interpreter can count it as a cache miss. `None` when the word is
+    /// already bound as another kind (`$kw {…}` deciding at run time
+    /// whether `{…}` is a body or a condition): the caller compiles
+    /// through its own cache instead.
+    pub(crate) fn bound<T: Bind>(
+        &self,
+        compiled: &mut bool,
+    ) -> Result<Option<&Arc<T>>, ScriptError> {
+        if let Some(bound) = self.bound.get() {
+            return Ok(T::unwrap(bound));
+        }
+        *compiled = true;
+        let fresh = T::wrap(Arc::new(T::compile(&self.text)?));
+        // A concurrent evaluation may have bound the word first; its
+        // result is the same function of the same text.
+        Ok(T::unwrap(self.bound.get_or_init(|| fresh)))
+    }
+}
+
+impl Deref for Braced {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.text
+    }
+}
+
+impl fmt::Debug for Braced {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.text, f)
+    }
+}
+
+/// Braced words are equal when their text is; what is bound follows from it.
+impl PartialEq for Braced {
+    fn eq(&self, other: &Self) -> bool {
+        self.text == other.text
     }
 }
 
@@ -258,7 +433,19 @@ impl Parser {
                 Some(_) => words.push(self.parse_word(terminator)?),
             }
         }
-        Ok(Command { words, span })
+        let literal = match words.first() {
+            Some(Word::Braced(name, _)) => Some(name.as_str()),
+            Some(Word::Parts(parts, _)) => match parts.as_slice() {
+                [Part::Lit(name)] => Some(name.as_str()),
+                _ => None,
+            },
+            None => None,
+        };
+        let head = match literal {
+            Some(name) => lookup_builtin(name).map_or(Head::Named, Head::Builtin),
+            None => Head::Computed,
+        };
+        Ok(Command { words, span, head })
     }
 
     fn at_word_end(&self, terminator: Option<char>) -> bool {
@@ -278,7 +465,7 @@ impl Parser {
                 if !self.at_word_end(terminator) {
                     return Err(self.err("extra characters after close-brace"));
                 }
-                Ok(Word::Braced(content, span))
+                Ok(Word::Braced(Braced::new(content), span))
             }
             Some('"') => {
                 self.bump();
@@ -497,7 +684,7 @@ mod tests {
     /// The content of a braced word (panics on substituting words).
     fn braced(w: &Word) -> &str {
         match w {
-            Word::Braced(s, _) => s,
+            Word::Braced(s, _) => s.as_str(),
             other => panic!("expected a braced word, got {other:?}"),
         }
     }

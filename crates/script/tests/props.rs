@@ -1,10 +1,5 @@
-// QUARANTINED: this property-based suite depends on the external `proptest`
-// crate, which the offline build environment cannot fetch from crates.io.
-// The whole file is compiled out unless the crate's `proptest` feature is
-// enabled (after restoring the proptest dev-dependency in Cargo.toml).
-#![cfg(feature = "proptest")]
-
-//! Property-based tests for the Tcl-subset interpreter.
+//! Property-based tests for the Tcl-subset interpreter, run against the
+//! in-tree `proptest` shim (`crates/proptest`).
 
 use pfi_script::{glob_match, list_format, list_parse, Interp, NoHost, Script};
 use proptest::prelude::*;
@@ -69,6 +64,45 @@ proptest! {
         prop_assert_eq!(read, value);
     }
 
+    /// However a structured script reaches the engine — re-parsed on every
+    /// evaluation with caching off, served from the cache, or parsed once —
+    /// and however often it has run, one evaluation is one function: same
+    /// result, same variables, same output, same smallest step budget.
+    /// Nothing it does may panic (the suite runs in a debug build, where
+    /// an unchecked `incr` at `i64::MAX` did).
+    #[test]
+    fn structured_scripts_evaluate_the_same_by_every_route(body in arb_block(3)) {
+        let src = format!("{PROLOGUE}{body}");
+        let parsed = Script::parse(&src).unwrap();
+        let mut reference: Option<Observed> = None;
+        for route in [Route::Cold, Route::Warm, Route::Compiled] {
+            let mut interp = Interp::new();
+            if route == Route::Cold {
+                interp.set_cache_capacity(0, 0);
+            }
+            let script = (route == Route::Compiled).then_some(&parsed);
+            for round in 1..=100 {
+                // The first and the hundredth evaluation also pay for the
+                // budget search; the ones between only keep state moving.
+                let observed = if round == 1 || round == 100 {
+                    observe(&mut interp, &src, script, true)
+                } else {
+                    observe(&mut interp, &src, script, false)
+                };
+                match &reference {
+                    None => reference = Some(observed),
+                    Some(first) if round == 1 || round == 100 => prop_assert_eq!(
+                        &observed, first, "{:?}, evaluation {} of:\n{}", route, round, src
+                    ),
+                    Some(first) => prop_assert_eq!(
+                        &observed.outcome, &first.outcome,
+                        "{:?}, evaluation {} of:\n{}", route, round, src
+                    ),
+                }
+            }
+        }
+    }
+
     /// `string length` agrees with Rust's char count.
     #[test]
     fn string_length_agrees(s in "[a-zA-Z0-9_.]{0,40}") {
@@ -76,6 +110,144 @@ proptest! {
         let got = interp.eval(&mut NoHost, &format!("string length \"{s}\"")).unwrap();
         prop_assert_eq!(got, s.chars().count().to_string());
     }
+}
+
+/// Every generated script starts from the same state, so each evaluation
+/// of it is a function of the script alone.
+const PROLOGUE: &str = "\
+    proc twice {x} { expr {$x * 2} }\n\
+    proc bump {} { global a; incr a }\n\
+    set a 1; set b 2; set c 3\n";
+
+/// Steps one evaluation may take: enough for any terminating generated
+/// script, small enough that one that loops forever fails fast (which is an
+/// outcome like any other, and must be the same outcome by every route).
+const STEP_CAP: u64 = 400;
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Route {
+    Cold,
+    Warm,
+    Compiled,
+}
+
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    result: Result<String, String>,
+    vars: Vec<(String, String)>,
+    output: String,
+}
+
+#[derive(Debug, PartialEq)]
+struct Observed {
+    outcome: Outcome,
+    /// Smallest step budget with the same outcome (0 when not searched).
+    budget: u64,
+}
+
+fn run(interp: &mut Interp, src: &str, script: Option<&Script>, budget: u64) -> Outcome {
+    interp.set_step_budget(budget);
+    let result = match script {
+        Some(script) => interp.eval_parsed(&mut NoHost, script),
+        None => interp.eval(&mut NoHost, src),
+    };
+    Outcome {
+        result: result.map_err(|e| e.to_string()),
+        vars: interp.globals_snapshot(),
+        output: interp.take_output(),
+    }
+}
+
+/// Evaluates once, leaving `interp` as the evaluation left it; with
+/// `search`, first bisects the smallest budget on clones.
+fn observe(interp: &mut Interp, src: &str, script: Option<&Script>, search: bool) -> Observed {
+    let mut budget = 0;
+    if search {
+        let full = run(&mut interp.clone(), src, script, STEP_CAP);
+        let (mut lo, mut hi) = (0, STEP_CAP);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if run(&mut interp.clone(), src, script, mid) == full {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        budget = lo;
+    }
+    Observed {
+        outcome: run(interp, src, script, STEP_CAP),
+        budget,
+    }
+}
+
+fn arb_var() -> impl Strategy<Value = &'static str> {
+    prop_oneof![Just("a"), Just("b"), Just("c")]
+}
+
+/// Small integers, and the two that sit at the edge of `i64`.
+fn arb_int() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (-3i64..12).prop_map(|n| n.to_string()),
+        (-3i64..12).prop_map(|n| n.to_string()),
+        (-3i64..12).prop_map(|n| n.to_string()),
+        Just("9223372036854775807".to_string()),
+        Just("-9223372036854775807".to_string()),
+        Just("007".to_string()),
+    ]
+}
+
+/// An `expr` source over the three variables.
+fn arb_operand() -> impl Strategy<Value = String> {
+    let leaf = prop_oneof![
+        arb_int().prop_map(|n| if n.starts_with('-') {
+            format!("({n})")
+        } else {
+            n
+        }),
+        arb_var().prop_map(|v| format!("${v}")),
+        arb_var().prop_map(|v| format!("[twice ${v}]")),
+    ];
+    leaf.prop_recursive(2, 8, 2, |inner| {
+        (inner.clone(), inner, 0usize..9).prop_map(|(l, r, op)| {
+            let op = ["+", "-", "*", "/", "%", "<", "==", "&&", "||"][op];
+            format!("({l} {op} {r})")
+        })
+    })
+}
+
+/// A block of one to three statements; `depth` bounds the nesting.
+fn arb_block(depth: u32) -> impl Strategy<Value = String> {
+    let simple = prop_oneof![
+        (arb_var(), arb_int()).prop_map(|(v, n)| format!("set {v} {n}")),
+        (arb_var(), arb_var()).prop_map(|(v, w)| format!("set {v} ${w}")),
+        (arb_var(), arb_operand()).prop_map(|(v, e)| format!("set {v} [expr {{{e}}}]")),
+        arb_var().prop_map(|v| format!("incr {v}")),
+        (arb_var(), arb_int()).prop_map(|(v, n)| format!("incr {v} {n}")),
+        arb_var().prop_map(|v| format!("puts \"{v}=${v}\"")),
+        Just("bump".to_string()),
+        arb_operand().prop_map(|e| format!("expr {{{e}}}")),
+    ];
+    let block = |stmt: BoxedStrategy<String>| {
+        proptest::collection::vec(stmt, 1..4)
+            .prop_map(|stmts| stmts.join("\n"))
+            .boxed()
+    };
+    let nested = simple.prop_recursive(depth, 16, 3, move |inner| {
+        let body = block(inner.clone());
+        prop_oneof![
+            inner,
+            (arb_operand(), body.clone()).prop_map(|(c, b)| format!("if {{{c}}} {{\n{b}\n}}")),
+            (arb_operand(), body.clone(), body.clone())
+                .prop_map(|(c, t, f)| format!("if {{{c}}} {{\n{t}\n}} else {{\n{f}\n}}")),
+            (arb_var(), 0i64..4, body.clone())
+                .prop_map(|(v, k, b)| format!("while {{${v} < {k}}} {{\nincr {v}\n{b}\n}}")),
+            (arb_var(), 0i64..4, body).prop_map(|(v, k, b)| format!(
+                "for {{set {v} 0}} {{${v} < {k}}} {{incr {v}}} {{\n{b}\n}}"
+            )),
+        ]
+    });
+    block(nested.boxed())
 }
 
 /// Generates a random arithmetic expression and its oracle value
