@@ -55,7 +55,6 @@ mod interp;
 mod list;
 mod parse;
 mod value;
-mod vars;
 
 pub use builtins::{builtins, lookup_builtin, BuiltinInfo};
 pub use cache::CacheStats;

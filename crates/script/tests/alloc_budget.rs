@@ -147,24 +147,22 @@ fn warm_counts(src: &str) -> Vec<u64> {
 
 #[test]
 fn a_warm_evaluation_stays_within_its_allocation_budget() {
-    // Budget, and what the tree-walking interpreter this engine replaced
-    // allocated for the same evaluation.
-    for (name, src, budget, before) in [
+    for (name, src, budget) in [
         // 8 of these are the eight `[msg_len]` answers.
-        ("loop8", LOOP8, 12, 53),
+        ("loop8", LOOP8, 12),
         // `[msg_type]`'s answer; every hundredth message also reads `$t`
         // and passes `1` to `xDelay`.
-        ("typed_delay", TYPED_DELAY, 3, 5),
+        ("typed_delay", TYPED_DELAY, 3),
         // `cur_msg` goes to the host twice, in strings kept between calls.
-        ("exp1_recv", EXP1_RECV, 2, 6),
+        ("exp1_recv", EXP1_RECV, 2),
         // Two `[msg_type]` answers and one `[msg_dst]`.
-        ("lowered3", LOWERED3, 4, 7),
+        ("lowered3", LOWERED3, 4),
     ] {
         let counts = warm_counts(src);
         let worst = counts.iter().copied().max().unwrap_or(0);
         println!(
             "{name}: at most {worst} allocations per warm evaluation, {} over 100 \
-             (budget {budget}; {before} before filters were compiled)",
+             (budget {budget})",
             counts.iter().sum::<u64>()
         );
         assert!(

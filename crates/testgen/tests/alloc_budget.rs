@@ -130,10 +130,9 @@ fn a_driven_event_stays_within_its_allocation_budget() {
     assert_eq!(counts[0], counts[1], "the allocation count must repeat");
 
     // (b) Three installed filters: at most 2 allocations per processed
-    // event from fork to the end of the drive (19.5 before the simulator
-    // recycled its scratch, 2.3 before filters were compiled; 1.3 when
-    // this was written — what is left of a filter evaluation is the
-    // strings `Host::call` returns).
+    // event from fork to the end of the drive (1.3 when this was written
+    // — what is left of a filter evaluation is the strings `Host::call`
+    // returns).
     let (allocated, events) = fork_and_drive(&target, &THREE_FAULTS);
     assert!(events > 1_000, "a 60 s drive is over a thousand events");
     println!("three faults: {allocated} allocations over {events} events");
