@@ -1,9 +1,8 @@
 //! # proptest — offline drop-in property-testing runner
 //!
 //! The build environment cannot fetch the real `proptest` crate from
-//! crates.io, so (like the in-tree `criterion` shim) this crate implements
-//! the subset of the proptest API that the repository's property suites
-//! use: the [`proptest!`] macro, [`Strategy`] with `prop_map` /
+//! crates.io, so this crate implements the subset of the proptest API that
+//! the repository's property suites use: the [`proptest!`] macro, [`Strategy`] with `prop_map` /
 //! `prop_recursive`, integer/float range strategies, [`any`], [`Just`],
 //! [`prop_oneof!`], `collection::vec`, `option::of`, and regex-subset
 //! string strategies.

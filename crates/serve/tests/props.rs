@@ -1,9 +1,3 @@
-// QUARANTINED: this property-based suite depends on the external `proptest`
-// crate, which the offline build environment cannot fetch from crates.io.
-// The whole file is compiled out unless the crate's `proptest` feature is
-// enabled (after restoring the proptest dev-dependency in Cargo.toml).
-#![cfg(feature = "proptest")]
-
 //! Property-based tests for the pfi-serve wire protocol: the request and
 //! reply parsers must round-trip every value their writers can produce,
 //! and must return errors — never panic, never buffer unboundedly — when

@@ -13,7 +13,8 @@ use pfi_sim::SimDuration;
 ///
 /// The paper's experiments do not exercise congestion control, so the
 /// vendor profiles leave it off to keep their fingerprints exactly as
-/// measured; [`TcpProfile::tahoe`] enables it for the ablation benches.
+/// measured; [`TcpProfile::tahoe`] enables it for the ablation tests
+/// (`tests/congestion.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CongestionConfig {
     /// Initial congestion window, in segments.
@@ -197,7 +198,7 @@ impl TcpProfile {
 
     /// A Tahoe-style sender: the reference profile plus slow start,
     /// congestion avoidance, and 3-dup-ACK fast retransmit. Used by the
-    /// recovery-speed ablation benches; not part of the paper's probes.
+    /// recovery-speed ablation tests; not part of the paper's probes.
     pub fn tahoe() -> Self {
         TcpProfile {
             name: "Tahoe reference",

@@ -22,6 +22,8 @@
 //! Exploration prints each discovered failure as a replayable `pfi-repro`
 //! artifact (shrunk to a 1-minimal fault set).
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use pfi_core::Direction;
@@ -70,13 +72,10 @@ FLAGS:
                       reachability rule that proved each one can never fire
     --fault-secs N    gmp fault-window length in virtual seconds (default 60;
                       5 is the loop-heavy corpus the pruning experiments use)
-    --snapshots       fork candidate runs from cached world snapshots instead of
-                      replaying shared schedule prefixes (default; same digest
-                      either way — CI diffs the two modes to prove it)
+    --snapshots       capture the prepared fault-free world once and fork it
+                      per run instead of rebuilding it (default; same digest
+                      either way)
     --no-snapshots    rebuild every candidate's world from scratch
-    --snapshot-cache N
-                      LRU capacity of the per-campaign snapshot store
-                      (default 64; statistics only, never part of the digest)
     --journal PATH    write-ahead journal: record dispatch intent and every
                       result to PATH as the exploration runs (crash-safe)
     --resume PATH     replay the completed work recorded in PATH instead of
@@ -96,10 +95,87 @@ FLAGS:
 EXIT CODES:
     0   clean: no violations, no infrastructure trouble
     1   at least one oracle violation was found (the campaign's purpose)
-    2   usage error
+    2   usage error (unknown argument, missing or malformed value)
     3   infrastructure trouble only: crashed / hung / quarantined /
         uninstallable cases, but no violations
 ";
+
+const SWITCHES: [&str; 12] = [
+    "--buggy",
+    "--list",
+    "--explore",
+    "--stats",
+    "--digest",
+    "--no-prefilter",
+    "--no-pruning",
+    "--no-semantic",
+    "--explain-pruned",
+    "--snapshots",
+    "--no-snapshots",
+    "--inject-panic",
+];
+const NUMBERS: [&str; 8] = [
+    "--seed",
+    "--budget",
+    "--epoch",
+    "--max-faults",
+    "--jobs",
+    "--fault-secs",
+    "--max-retries",
+    "--step-budget",
+];
+const PATHS: [&str; 2] = ["--journal", "--resume"];
+
+/// The command line with every argument accounted for.
+struct Cli {
+    proto: String,
+    switches: BTreeSet<String>,
+    numbers: BTreeMap<String, u64>,
+    paths: BTreeMap<String, PathBuf>,
+}
+
+impl Cli {
+    /// Refuses what `HELP` does not list: an unknown argument, a flag
+    /// without its value, a number that does not parse.
+    fn parse(args: &[String]) -> Result<Cli, String> {
+        let mut cli = Cli {
+            proto: "gmp".to_string(),
+            switches: BTreeSet::new(),
+            numbers: BTreeMap::new(),
+            paths: BTreeMap::new(),
+        };
+        let mut rest = args.iter().enumerate();
+        while let Some((i, arg)) = rest.next() {
+            let name = arg.as_str();
+            if SWITCHES.contains(&name) {
+                cli.switches.insert(arg.clone());
+            } else if NUMBERS.contains(&name) || PATHS.contains(&name) {
+                let value = rest
+                    .next()
+                    .map(|(_, v)| v)
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("{name} needs a value"))?;
+                if PATHS.contains(&name) {
+                    cli.paths.insert(arg.clone(), PathBuf::from(value));
+                } else {
+                    let n = value.parse().map_err(|_| {
+                        format!("{name} takes a non-negative integer, not {value:?}")
+                    })?;
+                    cli.numbers.insert(arg.clone(), n);
+                }
+            } else if i == 0 && !name.starts_with('-') {
+                cli.proto = arg.clone();
+            } else {
+                return Err(format!("unrecognised argument {name:?}"));
+            }
+        }
+        Ok(cli)
+    }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(switch)
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -107,18 +183,17 @@ fn main() {
         print!("{HELP}");
         return;
     }
-    let proto = args.first().map(String::as_str).unwrap_or("gmp");
-    let buggy = args.iter().any(|a| a == "--buggy");
-    let list_only = args.iter().any(|a| a == "--list");
-    let explore_mode = args.iter().any(|a| a == "--explore");
-    let stats = args.iter().any(|a| a == "--stats");
-    let digest = args.iter().any(|a| a == "--digest");
-    let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse::<u64>().ok())
-    };
+    let cli = Cli::parse(&args).unwrap_or_else(|e| {
+        eprintln!("pfi-campaign: {e} (--help lists the flags)");
+        std::process::exit(2);
+    });
+    let proto = cli.proto.as_str();
+    let buggy = cli.has("--buggy");
+    let list_only = cli.has("--list");
+    let explore_mode = cli.has("--explore");
+    let stats = cli.has("--stats");
+    let digest = cli.has("--digest");
+    let flag_value = |name: &str| cli.numbers.get(name).copied();
     // `--jobs 0` (and no flag at all) auto-detects the host's cores; the
     // resolved count is what gets printed, reported, and journaled.
     let jobs = match flag_value("--jobs") {
@@ -141,7 +216,7 @@ fn main() {
     // The factory (plain-data target config) crosses into the fleet's
     // worker threads; each worker makes its own target and builds (or
     // forks) its own worlds.
-    let inject_panic = args.iter().any(|a| a == "--inject-panic");
+    let inject_panic = cli.has("--inject-panic");
     fn sabotage<T: TestTarget + Clone + Send + Sync + 'static>(
         target: T,
         inject_panic: bool,
@@ -183,25 +258,22 @@ fn main() {
         if let Some(max_faults) = flag_value("--max-faults") {
             config.max_faults = (max_faults as usize).max(1);
         }
-        if args.iter().any(|a| a == "--no-prefilter") {
+        if cli.has("--no-prefilter") {
             config.prefilter = false;
         }
-        if args.iter().any(|a| a == "--no-pruning") {
+        if cli.has("--no-pruning") {
             config.pruning = false;
         }
-        if args.iter().any(|a| a == "--no-semantic") {
+        if cli.has("--no-semantic") {
             config.semantic = false;
         }
-        if args.iter().any(|a| a == "--explain-pruned") {
+        if cli.has("--explain-pruned") {
             config.explain = true;
         }
-        if args.iter().any(|a| a == "--no-snapshots") {
+        if cli.has("--no-snapshots") {
             config.snapshots = false;
-        } else if args.iter().any(|a| a == "--snapshots") {
+        } else if cli.has("--snapshots") {
             config.snapshots = true;
-        }
-        if let Some(cache) = flag_value("--snapshot-cache") {
-            config.snapshot_cache = (cache as usize).max(1);
         }
         if let Some(retries) = flag_value("--max-retries") {
             config.max_retries = retries as u32;
@@ -209,15 +281,9 @@ fn main() {
         if let Some(steps) = flag_value("--step-budget") {
             config.step_budget = steps;
         }
-        let path_value = |name: &str| {
-            args.iter()
-                .position(|a| a == name)
-                .and_then(|i| args.get(i + 1))
-                .map(std::path::PathBuf::from)
-        };
-        config.journal = path_value("--journal");
-        if let Some(path) = path_value("--resume") {
-            match pfi_testgen::Journal::load(&path) {
+        config.journal = cli.paths.get("--journal").cloned();
+        if let Some(path) = cli.paths.get("--resume") {
+            match pfi_testgen::Journal::load(path) {
                 Ok(journal) => config.resume = Some(journal),
                 Err(e) => {
                     eprintln!("cannot resume from {}: {e}", path.display());
@@ -315,12 +381,11 @@ fn main() {
             let snap = &outcome.snapshots;
             if config.snapshots {
                 println!(
-                    "snapshots: {} hit(s), {} miss(es) ({:.1}% hit rate), {} stored, {} evicted, {} prefix event(s) skipped",
+                    "snapshots: {} hit(s), {} miss(es) ({:.1}% hit rate), {} stored, {} prefix event(s) skipped",
                     snap.hits,
                     snap.misses,
                     snap.hit_rate() * 100.0,
                     snap.stored,
-                    snap.evicted,
                     snap.events_skipped
                 );
             } else {

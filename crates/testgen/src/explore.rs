@@ -25,7 +25,7 @@
 //! the scripts admission already lowered them to — plain `Send` data, no
 //! text round-trip, nothing lowered or install-checked twice.
 //! With snapshot/fork execution on (the default), each candidate also
-//! carries an `Arc` of the cached base-world snapshot, so workers *fork*
+//! carries an `Arc` of the captured base world, so workers *fork*
 //! the prepared world instead of replaying `TestTarget::build` per run;
 //! with it off, each worker builds its own worlds from the
 //! [`TargetFactory`] it was handed at construction. Either way the
@@ -53,7 +53,7 @@ use crate::runner::{
 };
 use crate::schedule::{FaultSchedule, ScheduleMutator};
 use crate::shrink::shrink_schedule;
-use crate::snapshot::{base_digest, CaseSnapshot, SnapshotStats, SnapshotStore};
+use crate::snapshot::{BaseWorld, SnapshotStats, SnapshotStore};
 use crate::spec::ProtocolSpec;
 use crate::validate::scripts_install_errors;
 
@@ -68,12 +68,10 @@ pub struct ExploreConfig {
     pub max_faults: usize,
     /// Mutation attempts per dispatch epoch — the determinism unit. One
     /// corpus parent is drawn per epoch and every candidate of the batch
-    /// mutates it (batched corpus scheduling: siblings share the parent's
-    /// schedule prefix, so the whole batch forks off one dispatched
-    /// snapshot). Outcomes depend on it (corpus selection sees the
-    /// epoch-start corpus) but never on the worker count executing the
-    /// epoch. `1` reproduces the classic fully-sequential explorer
-    /// byte-for-byte.
+    /// mutates it (batched corpus scheduling). Outcomes depend on it
+    /// (corpus selection sees the epoch-start corpus) but never on the
+    /// worker count executing the epoch. `1` reproduces the classic
+    /// fully-sequential explorer byte-for-byte.
     pub epoch: usize,
     /// Statically reject uninstallable candidates (out-of-topology fault
     /// sites, lowered scripts that do not parse) before dispatching them
@@ -130,10 +128,10 @@ pub struct ExploreConfig {
     /// Schedules to execute before the budgeted search begins — a corpus
     /// pool carried over from earlier campaigns against the same target
     /// (the pfi-serve store shares coverage-novel schedules across
-    /// campaigns keyed by their snapshot prefix digests). Seeds run
-    /// through the ordinary dispatch/merge machinery (journaled,
-    /// replayable, prunable) right after the baseline: coverage-novel
-    /// ones join the corpus and steer parent selection from epoch one.
+    /// campaigns on one target build). Seeds run through the ordinary
+    /// dispatch/merge machinery (journaled, replayable, prunable) right
+    /// after the baseline: coverage-novel ones join the corpus and steer
+    /// parent selection from epoch one.
     /// They count toward `executed` but consume no mutation budget and no
     /// RNG draws. Identity: the journal records a digest of the seed ids,
     /// and resume must be handed the same seeds. Default empty.
@@ -165,9 +163,6 @@ pub struct ExploreConfig {
     /// identity: a journal recorded with snapshots off resumes fine with
     /// them on, and vice versa. Default `true`.
     pub snapshots: bool,
-    /// Capacity of each snapshot LRU store (the master's dispatch cache
-    /// and every worker-local per-candidate store). Default 64.
-    pub snapshot_cache: usize,
     /// A journal loaded from an interrupted run of the *same* campaign
     /// (the metadata is checked; a mismatch panics). Recorded results are
     /// replayed without re-execution; only unrecorded work runs. The
@@ -185,12 +180,6 @@ impl ExploreConfig {
             step_budget: self.step_budget,
             ..RunLimits::default()
         }
-    }
-
-    /// The per-candidate snapshot-store capacity, `None` when snapshot/
-    /// fork execution is off.
-    fn cache(&self) -> Option<usize> {
-        self.snapshots.then_some(self.snapshot_cache)
     }
 
     /// The journal metadata identifying this campaign on `target`.
@@ -247,17 +236,11 @@ impl Default for ExploreConfig {
             max_retries: DEFAULT_MAX_RETRIES,
             step_budget: 0,
             snapshots: true,
-            snapshot_cache: DEFAULT_SNAPSHOT_CACHE,
             journal: None,
             resume: None,
         }
     }
 }
-
-/// The default snapshot LRU capacity — comfortably more than one base
-/// world per (target, limits) pair a campaign ever uses, while bounding
-/// memory if tests seed deeper prefixes.
-pub const DEFAULT_SNAPSHOT_CACHE: usize = 64;
 
 /// One campaign-found, shrunk failure.
 #[derive(Debug, Clone)]
@@ -325,7 +308,7 @@ pub struct ExploreOutcome {
     /// silent hole in the explored space.
     pub quarantined: Vec<JournalQuarantine>,
     /// Snapshot/fork statistics: the master store's counters plus every
-    /// executed candidate's worker-local counters. All zeros when
+    /// executed candidate's own counters. All zeros when
     /// [`ExploreConfig::snapshots`] is off. Statistics only — never part
     /// of the [`digest`](ExploreOutcome::digest), since replayed work
     /// legitimately skips the forks an uninterrupted run performs.
@@ -421,11 +404,11 @@ struct CandidateJob {
     canonical: Option<String>,
     /// The semantic-quotient id; `None` unless the semantic tier is active.
     semantic: Option<String>,
-    /// Attached at dispatch (snapshots on): the master store's cached
-    /// base world, so the worker forks instead of rebuilding. The `Arc`
+    /// Attached at dispatch (snapshots on): the master's captured base
+    /// world, so the worker forks instead of rebuilding. The `Arc`
     /// crosses the fleet boundary directly — world snapshots are
     /// `Send + Sync` plain data.
-    prepared: Option<Arc<CaseSnapshot>>,
+    base: Option<Arc<BaseWorld>>,
 }
 
 /// Everything one candidate execution produced. Computed entirely on the
@@ -443,10 +426,10 @@ struct CandidateReport {
     shrink: Option<ShrinkReport>,
     /// Which worker ran it (statistics only; 0 inline).
     worker: usize,
-    /// Snapshot counters from this candidate's worker-local store — a
-    /// pure function of the candidate (each candidate gets a *fresh*
-    /// store seeded with its dispatched snapshot), so totals are
-    /// independent of job scheduling and worker count.
+    /// Snapshot counters of this candidate's run and shrink re-runs — a
+    /// pure function of the candidate (each is counted from zero against
+    /// the base it was dispatched with), so totals are independent of job
+    /// scheduling and worker count.
     snapshots: SnapshotStats,
     /// The prune-tier ids admission computed ([`CandidateJob::canonical`],
     /// [`CandidateJob::semantic`]) — what merge settles.
@@ -473,31 +456,28 @@ struct ShrinkReport {
 /// violated an oracle. Shrinking re-runs against the *same* oracle: the
 /// minimal schedule must reproduce this failure, not just any failure.
 ///
-/// With a `cache` capacity, the candidate runs through a fresh
-/// worker-local [`SnapshotStore`] seeded with the snapshot it was
-/// dispatched with: the main run forks the base instead of rebuilding,
-/// and every shrink re-run forks it again (shrunk schedules share the
-/// same base `d_0`). A fresh store per candidate keeps the reported
-/// counters a pure function of the candidate.
+/// With `snapshots` on, the main run forks the base the job carries
+/// instead of rebuilding, and every shrink re-run forks it again (shrunk
+/// schedules share the same base). Hits and misses are counted per
+/// candidate, from zero.
 fn candidate_report(
     target: &dyn TestTarget,
     job: CandidateJob,
     limits: &RunLimits,
-    cache: Option<usize>,
+    snapshots: bool,
 ) -> CandidateReport {
     let CandidateJob {
         schedule,
         lowered,
         canonical,
         semantic,
-        prepared,
+        base,
     } = job;
-    let mut local = cache.map(SnapshotStore::new);
-    if let (Some(store), Some(snap)) = (local.as_mut(), prepared) {
-        store.seed(snap);
-    }
-    let fork = local.as_mut().map(|store| (store, &schedule));
-    let run = execute(target, lowered, limits, fork);
+    let mut local = snapshots.then(|| SnapshotStore {
+        base,
+        ..SnapshotStore::default()
+    });
+    let run = execute(target, lowered, limits, local.as_mut());
     let shrink = match &run.verdict {
         Verdict::Violated(_) => {
             let oracle = run.oracle.clone().unwrap_or_else(|| "target".to_string());
@@ -601,7 +581,7 @@ trait EpochRunner {
 struct InlineEpochs<'a> {
     target: &'a dyn TestTarget,
     limits: RunLimits,
-    cache: Option<usize>,
+    snapshots: bool,
 }
 
 impl EpochRunner for InlineEpochs<'_> {
@@ -617,7 +597,7 @@ impl EpochRunner for InlineEpochs<'_> {
                 // panic on this thread is deterministic by construction.
                 let schedule = job.schedule.clone();
                 match catch_unwind(AssertUnwindSafe(|| {
-                    candidate_report(self.target, job, &self.limits, self.cache)
+                    candidate_report(self.target, job, &self.limits, self.snapshots)
                 })) {
                     Ok(report) => EpochResult::Report(Box::new(report)),
                     Err(payload) => EpochResult::Quarantined(JournalQuarantine {
@@ -633,15 +613,15 @@ impl EpochRunner for InlineEpochs<'_> {
 
 /// Everything a fleet worker needs to execute one campaign's candidates —
 /// attached to each dispatched job so the *same* long-lived worker pool
-/// serves campaign after campaign (different targets, limits, and cache
-/// settings) without respawning threads. Target construction from the
-/// factory is cheap plain-data cloning; the expensive world build happens
-/// inside the run (and rides the dispatched snapshot when one is
-/// attached).
+/// serves campaign after campaign (different targets, limits, and
+/// snapshot settings) without respawning threads. Target construction
+/// from the factory is cheap plain-data cloning; the expensive world
+/// build happens inside the run (and rides the dispatched base when one
+/// is attached).
 struct CampaignContext {
     factory: Arc<dyn TargetFactory>,
     limits: RunLimits,
-    cache: Option<usize>,
+    snapshots: bool,
 }
 
 /// One candidate paired with its campaign context, crossing the fleet's
@@ -720,7 +700,7 @@ impl CampaignFleet {
         let fleet: Fleet<FleetJob, CandidateReport> = Fleet::new(jobs, |_worker| {
             Box::new(|fj: FleetJob| {
                 let target = fj.ctx.factory.make();
-                candidate_report(target.as_ref(), fj.job, &fj.ctx.limits, fj.ctx.cache)
+                candidate_report(target.as_ref(), fj.job, &fj.ctx.limits, fj.ctx.snapshots)
             }) as Box<dyn JobRunner<FleetJob, CandidateReport>>
         });
         CampaignFleet { fleet }
@@ -745,7 +725,7 @@ impl CampaignFleet {
         let ctx = Arc::new(CampaignContext {
             factory,
             limits: config.limits(),
-            cache: config.cache(),
+            snapshots: config.snapshots,
         });
         let mut epochs = FleetEpochs {
             fleet: &mut self.fleet,
@@ -887,7 +867,7 @@ impl Tiers {
             lowered,
             canonical,
             semantic,
-            prepared: None,
+            base: None,
         })
     }
 
@@ -963,12 +943,12 @@ fn explore_with(
         // Snapshot/fork execution is likewise statistics, not identity:
         // outcomes are byte-identical with it on or off, so resume never
         // checks this line either.
-        w.snapshots(config.snapshots, config.snapshot_cache)
+        w.snapshots(config.snapshots)
             .unwrap_or_else(|e| panic!("cannot append to campaign journal: {e}"));
         w
     });
 
-    let mut master_store = config.cache().map(SnapshotStore::new);
+    let mut master_store = config.snapshots.then(SnapshotStore::default);
     let mut snap_stats = SnapshotStats::default();
 
     let mut rng = SimRng::seed_from(config.seed);
@@ -1004,12 +984,7 @@ fn explore_with(
         // The baseline's miss is what first captures the base world into
         // the master store (snapshots on).
         None => CandidateReport {
-            run: execute(
-                master,
-                baseline.lowered,
-                &limits,
-                master_store.as_mut().map(|s| (s, &baseline.schedule)),
-            ),
+            run: execute(master, baseline.lowered, &limits, master_store.as_mut()),
             schedule: baseline.schedule,
             shrink: None,
             worker: 0,
@@ -1033,12 +1008,9 @@ fn explore_with(
         // nothing and the tiers stay disjoint.)
         tiers.settle(&mut base_report);
     }
-    // The engine only ever caches the fault-free base (`d_0`), so what
-    // every live candidate forks is fixed here. A non-counting peek: the
-    // executing worker's own lookup does the hit accounting.
-    let base = master_store
-        .as_ref()
-        .and_then(|store| store.peek_longest(&[base_digest(master, &limits)]));
+    // What every live candidate forks is fixed here (not a lookup: the
+    // executing worker's own does the hit accounting).
+    let base = master_store.as_ref().and_then(|store| store.base.clone());
     let mut coverage = base_report.run.coverage;
     let mut corpus = vec![base_report.schedule];
     let mut executed = 1usize;
@@ -1066,13 +1038,12 @@ fn explore_with(
         } else {
             // Generate the epoch serially against the epoch-start corpus.
             // One parent is drawn per epoch and every candidate of the batch
-            // mutates *it* — batched corpus scheduling: siblings share the
-            // parent's schedule prefix, so the whole batch forks off one
-            // dispatched snapshot. An epoch consumes up to `epoch` mutation
-            // *attempts* (a mutant that re-derives an already-seen schedule
-            // still consumes budget but is not re-run), which at `epoch == 1`
-            // reproduces the classic sequential explorer's RNG stream
-            // exactly: one parent draw per attempt.
+            // mutates *it* (batched corpus scheduling). An epoch consumes up
+            // to `epoch` mutation *attempts* (a mutant that re-derives an
+            // already-seen schedule still consumes budget but is not
+            // re-run), which at `epoch == 1` reproduces the classic
+            // sequential explorer's RNG stream exactly: one parent draw per
+            // attempt.
             let parent = corpus[rng.uniform_u64(0, corpus.len() as u64) as usize].clone();
             let mut batch_attempts = 0usize;
             while attempted < config.budget && batch_attempts < config.epoch {
@@ -1114,7 +1085,7 @@ fn explore_with(
                     results.push(EpochResult::Report(Box::new(report)));
                 }
                 None => {
-                    job.prepared = base.clone();
+                    job.base = base.clone();
                     dispatch.push(job);
                 }
             }
@@ -1274,7 +1245,7 @@ pub fn explore(
     let mut epochs = InlineEpochs {
         target,
         limits: config.limits(),
-        cache: config.cache(),
+        snapshots: config.snapshots,
     };
     explore_with(target, &mut epochs, spec, config)
 }

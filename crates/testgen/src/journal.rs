@@ -34,7 +34,7 @@
 //! step-budget 0
 //! max-retries 2
 //! jobs 4
-//! snapshots on cache=64
+//! snapshots on
 //! dispatch baseline
 //! case begin
 //! verdict degraded membership changed 2 times under the fault
@@ -57,8 +57,8 @@
 //!
 //! The `jobs` line records the resolved worker count of the run that
 //! wrote the journal, the `snapshots` line whether it used snapshot/fork
-//! execution (and the LRU capacity), and the `counters` line the final
-//! campaign counters — statistics for the campaign record, not identity:
+//! execution, and the `counters` line the final campaign counters —
+//! statistics for the campaign record, not identity:
 //! outcomes depend on none of them, so resume neither checks them nor
 //! requires them to match, and they are the only journal lines that may
 //! differ between runs of the same campaign (a resumed run's `counters`
@@ -215,12 +215,12 @@ pub struct Journal {
     /// `snapshots` — it may legitimately differ between runs of the same
     /// campaign.
     pub jobs: Option<usize>,
-    /// Whether the writing run used snapshot/fork execution, and its LRU
-    /// capacity — statistics, not identity, exactly like `jobs`: outcomes
-    /// are byte-identical with snapshots on or off, so resume never checks
-    /// this either (a journal recorded with snapshots on resumes fine with
-    /// them off, and vice versa).
-    pub snapshots: Option<(bool, usize)>,
+    /// Whether the writing run used snapshot/fork execution — statistics,
+    /// not identity, exactly like `jobs`: outcomes are byte-identical with
+    /// snapshots on or off, so resume never checks this either (a journal
+    /// recorded with snapshots on resumes fine with them off, and vice
+    /// versa).
+    pub snapshots: Option<bool>,
     /// Every schedule id journaled as dispatched (write-ahead intent).
     pub dispatched: Vec<String>,
     /// Completed case records, in merge order.
@@ -355,12 +355,8 @@ impl Journal {
         if let Some(jobs) = self.jobs {
             let _ = writeln!(out, "jobs {jobs}");
         }
-        if let Some((on, cache)) = self.snapshots {
-            let _ = writeln!(
-                out,
-                "snapshots {} cache={cache}",
-                if on { "on" } else { "off" }
-            );
+        if let Some(on) = self.snapshots {
+            let _ = writeln!(out, "snapshots {}", if on { "on" } else { "off" });
         }
         for id in &self.dispatched {
             let _ = writeln!(out, "dispatch {id}");
@@ -500,19 +496,24 @@ impl Journal {
                         journal.counters = Some(c);
                     }
                     Some(("snapshots", v)) => {
-                        let (mode, rest) = v
-                            .split_once(' ')
-                            .ok_or_else(|| format!("bad snapshots line: {v:?}"))?;
+                        // Journals written while the store was a keyed
+                        // cache end this line in its capacity, `cache=N`;
+                        // it is checked and dropped.
+                        let (mode, cache) = match v.split_once(' ') {
+                            Some((mode, rest)) => (mode, Some(rest)),
+                            None => (v, None),
+                        };
                         let on = match mode {
                             "on" => true,
                             "off" => false,
                             other => return Err(format!("bad snapshots mode {other:?}")),
                         };
-                        let cache = rest
-                            .strip_prefix("cache=")
-                            .and_then(|c| c.parse::<usize>().ok())
-                            .ok_or_else(|| format!("bad snapshots cache: {rest:?}"))?;
-                        journal.snapshots = Some((on, cache));
+                        if let Some(rest) = cache {
+                            rest.strip_prefix("cache=")
+                                .and_then(|c| c.parse::<usize>().ok())
+                                .ok_or_else(|| format!("bad snapshots cache: {rest:?}"))?;
+                        }
+                        journal.snapshots = Some(on);
                     }
                     _ => return Err(format!("unrecognised journal line: {line:?}")),
                 },
@@ -734,14 +735,11 @@ impl JournalWriter {
         self.append(&format!("jobs {jobs}\n"))
     }
 
-    /// Records whether the run uses snapshot/fork execution and its LRU
-    /// capacity. Statistics only, like [`jobs`](JournalWriter::jobs) —
-    /// outcomes are byte-identical either way, so resume never checks it.
-    pub fn snapshots(&mut self, on: bool, cache: usize) -> Result<(), String> {
-        self.append(&format!(
-            "snapshots {} cache={cache}\n",
-            if on { "on" } else { "off" }
-        ))
+    /// Records whether the run uses snapshot/fork execution. Statistics
+    /// only, like [`jobs`](JournalWriter::jobs) — outcomes are
+    /// byte-identical either way, so resume never checks it.
+    pub fn snapshots(&mut self, on: bool) -> Result<(), String> {
+        self.append(&format!("snapshots {}\n", if on { "on" } else { "off" }))
     }
 
     /// Journals dispatch intent: `id` is about to execute (or replay).
@@ -814,7 +812,7 @@ mod tests {
                 max_retries: 2,
             },
             jobs: Some(4),
-            snapshots: Some((true, 64)),
+            snapshots: Some(true),
             dispatched: vec!["baseline".to_string(), schedule.id()],
             cases: vec![
                 JournalCase {
@@ -912,13 +910,23 @@ mod tests {
     }
 
     #[test]
+    fn a_snapshots_line_ending_in_a_cache_capacity_still_loads() {
+        let journal = sample();
+        let text = journal.to_text();
+        let old = text.replace("snapshots on\n", "snapshots on cache=64\n");
+        assert_ne!(old, text);
+        assert_eq!(Journal::from_text(&old).unwrap(), journal);
+        assert!(Journal::from_text(&old.replace("cache=64", "cache=lots")).is_err());
+    }
+
+    #[test]
     fn writer_and_to_text_agree() {
         let journal = sample();
         let path =
             std::env::temp_dir().join(format!("pfi_journal_{}_writer_agrees", std::process::id()));
         let mut w = JournalWriter::create(&path, &journal.meta).unwrap();
         w.jobs(4).unwrap();
-        w.snapshots(true, 64).unwrap();
+        w.snapshots(true).unwrap();
         for id in &journal.dispatched {
             w.dispatch(id).unwrap();
         }

@@ -72,7 +72,6 @@ pub use coverage::Coverage;
 pub use explore::{
     explore, explore_fleet, replay, seed_corpus_digest, CampaignFleet, ExploreConfig,
     ExploreOutcome, FoundFailure, SkipReason, SkippedCandidate, DEFAULT_EPOCH,
-    DEFAULT_SNAPSHOT_CACHE,
 };
 pub use generate::{generate, Campaign, FaultKind, TestCase};
 pub use journal::{
@@ -95,9 +94,7 @@ pub use runner::{
 };
 pub use schedule::{FaultOp, FaultSchedule, ScheduleMutator, ScheduledFault, SiteScripts};
 pub use shrink::shrink_schedule;
-pub use snapshot::{
-    base_digest, prefix_digests, shared_prefix_len, CaseSnapshot, SnapshotStats, SnapshotStore,
-};
+pub use snapshot::{base_digest, SnapshotStats, SnapshotStore};
 pub use spec::{MessageSpec, ProtocolSpec, Role};
 pub use validate::{
     install_errors, schedule_is_installable, scripts_install_errors, validate_schedule,

@@ -22,7 +22,7 @@ use crate::oracle::{
     TcpNoSilentCloseOracle, TcpPrefixOracle, TcpRtoBoundsOracle, TpcAtomicityOracle,
 };
 use crate::schedule::{FaultSchedule, SiteScripts};
-use crate::snapshot::{prefix_digests, CaseSnapshot, SnapshotStore};
+use crate::snapshot::{base_digest, SnapshotStore};
 
 /// Outcome of one test case.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -291,9 +291,9 @@ pub fn run_schedule_limited(
 }
 
 /// [`run_schedule_limited`] with snapshot/fork execution: `store` decides
-/// between forking its longest cached prefix of `schedule` and building
-/// cold (capturing the fault-free base for every later schedule of the
-/// same target). `None` always builds cold. Byte-identical either way.
+/// between forking its base world and building cold (capturing the base
+/// for every later schedule of the same target). `None` always builds
+/// cold. Byte-identical either way.
 pub fn run_schedule_snapshotted(
     target: &dyn TestTarget,
     schedule: &FaultSchedule,
@@ -301,7 +301,7 @@ pub fn run_schedule_snapshotted(
     store: Option<&mut SnapshotStore>,
 ) -> ScheduleRun {
     let lowered = lowered(target, schedule.id(), schedule.lower());
-    execute(target, lowered, limits, store.map(|s| (s, schedule)))
+    execute(target, lowered, limits, store)
 }
 
 /// A schedule lowered and install-checked once — what [`execute`] runs.
@@ -335,23 +335,22 @@ fn lowered(target: &dyn TestTarget, id: String, scripts: Vec<SiteScripts>) -> Lo
 /// script that does not parse — are refused *before* anything is built or
 /// the store is consulted: [`Verdict::Invalid`] is exactly the refusal
 /// campaign pre-filtering predicts without executing, and corrupted
-/// candidates (e.g. [`crate::ScheduleMutator`] scrambles) never enter the
-/// cache and never count as lookups.
+/// candidates (e.g. [`crate::ScheduleMutator`] scrambles) never count as
+/// lookups.
 ///
-/// With `fork` — a store plus the schedule whose prefix chain keys it —
-/// the store decides fork-vs-cold: a hit forks the longest cached prefix
-/// and installs only the filters it lacks; a miss builds the base world,
-/// captures it under the chain's `d_0` (targets whose layers refuse to
-/// clone simply keep building cold — correctness never depends on the
-/// cache), and installs everything. Without `fork` every run builds cold.
-/// A forked run is byte-identical to a cold one: forks restore the
-/// captured world exactly, and filter installation has no observable side
-/// effects beyond the filters themselves.
+/// With `fork`, the store decides fork-vs-cold: a hit forks the base
+/// world; a miss builds it and captures it under [`base_digest`] (targets
+/// whose layers refuse to clone simply keep building cold — correctness
+/// never depends on the store). Without `fork` every run builds cold.
+/// Either way the world carries no filter yet, so every non-empty script
+/// is installed. A forked run is byte-identical to a cold one: forks
+/// restore the captured world exactly, and filter installation has no
+/// observable side effects beyond the filters themselves.
 pub(crate) fn execute(
     target: &dyn TestTarget,
     lowered: Lowered,
     limits: &RunLimits,
-    fork: Option<(&mut SnapshotStore, &FaultSchedule)>,
+    mut fork: Option<&mut SnapshotStore>,
 ) -> ScheduleRun {
     let Lowered {
         id,
@@ -362,22 +361,11 @@ pub(crate) fn execute(
         let refusal = Verdict::Invalid(install_errors.join("; "));
         (refusal, None, Coverage::new())
     } else {
-        let mut cache =
-            fork.map(|(store, schedule)| (store, prefix_digests(target, limits, schedule)));
-        let cached = cache
-            .as_mut()
-            .and_then(|(store, digests)| store.lookup_longest(digests));
-        let world = match cached {
-            Some(snap) => {
-                let mut world = snap.fork();
-                let installed = snap.installed_scripts();
-                install_scripts(
-                    &mut world,
-                    snap.sites(),
-                    target.name(),
-                    &installed,
-                    &scripts,
-                );
+        let digest = base_digest(target, limits);
+        let world = match fork.as_mut().and_then(|store| store.lookup(digest)) {
+            Some(base) => {
+                let mut world = base.world.fork();
+                install_scripts(&mut world, &base.sites, target.name(), &scripts);
                 world
             }
             None => {
@@ -395,13 +383,10 @@ pub(crate) fn execute(
                         );
                     }
                 }
-                if let Some((store, digests)) = cache {
-                    if let Some(base) = capture(digests[0], FaultSchedule::empty(), &sites, &world)
-                    {
-                        store.insert(base);
-                    }
+                if let Some(store) = fork {
+                    store.capture(digest, &sites, &world);
                 }
-                install_scripts(&mut world, &sites, target.name(), &[], &scripts);
+                install_scripts(&mut world, &sites, target.name(), &scripts);
                 world
             }
         };
@@ -417,43 +402,18 @@ pub(crate) fn execute(
     }
 }
 
-/// Captures `world` — the base plus the `installed` prefix — for a
-/// [`SnapshotStore`], or `None` when a layer refuses to clone (native
-/// filters, unclonable stubs).
-fn capture(
-    prefix_digest: u64,
-    installed: FaultSchedule,
-    sites: &[(NodeId, usize)],
-    world: &World,
-) -> Option<Arc<CaseSnapshot>> {
-    let snap = world.try_snapshot().ok()?;
-    let sites = sites.to_vec();
-    Some(Arc::new(CaseSnapshot::new(
-        prefix_digest,
-        installed,
-        sites,
-        snap,
-    )))
-}
-
-/// Installs the scripts of `full` that *differ* from what the world
-/// already carries (`installed` — a forked snapshot's prefix, or nothing
-/// on a freshly built base). `SetSendFilter`/`SetRecvFilter` replace the
-/// whole filter, and a cached prefix's per-site script is always a
-/// clause-prefix of the full schedule's (lowering groups clauses by site
-/// preserving fault order), so replacing the changed directions wholesale
-/// is exact. Filter installation is plain control-plane assignment: it
-/// emits no trace events, draws no RNG, and advances no virtual time —
-/// which is exactly what makes a forked-then-installed world
-/// byte-identical to a cold-built one.
+/// Installs every non-empty script on a world that carries no filter yet
+/// (a freshly built or freshly forked base). Filter installation is plain
+/// control-plane assignment: it emits no trace events, draws no RNG, and
+/// advances no virtual time — which is exactly what makes a
+/// forked-then-installed world byte-identical to a cold-built one.
 fn install_scripts(
     world: &mut World,
     sites: &[(NodeId, usize)],
     target_name: &str,
-    installed: &[SiteScripts],
-    full: &[SiteScripts],
+    scripts: &[SiteScripts],
 ) {
-    for s in full {
+    for s in scripts {
         let &(node, pfi_layer) = sites.get(s.site as usize).unwrap_or_else(|| {
             panic!(
                 "schedule addresses fault site n{} but target {:?} has only {}",
@@ -462,25 +422,11 @@ fn install_scripts(
                 sites.len()
             )
         });
-        let old = installed.iter().find(|o| o.site == s.site);
-        for (script, old_script, make_op) in [
-            (
-                &s.send,
-                old.map_or("", |o| o.send.as_str()),
-                PfiControl::SetSendFilter as fn(Filter) -> _,
-            ),
-            (
-                &s.recv,
-                old.map_or("", |o| o.recv.as_str()),
-                PfiControl::SetRecvFilter as fn(Filter) -> _,
-            ),
+        for (script, make_op) in [
+            (&s.send, PfiControl::SetSendFilter as fn(Filter) -> _),
+            (&s.recv, PfiControl::SetRecvFilter as fn(Filter) -> _),
         ] {
-            debug_assert!(
-                script.is_empty() <= old_script.is_empty(),
-                "cached prefix carries a filter the full schedule lacks (site n{})",
-                s.site
-            );
-            if !script.is_empty() && script != old_script {
+            if !script.is_empty() {
                 let filter = Filter::script(script).expect("generated scripts always parse");
                 let _: PfiReply = world.control(node, pfi_layer, make_op(filter));
             }
@@ -1137,7 +1083,7 @@ mod tests {
         let target = GmpTarget::default();
         let limits = RunLimits::default();
         let schedule = drop_heartbeats();
-        let mut store = SnapshotStore::new(4);
+        let mut store = SnapshotStore::default();
         // First run misses, captures the base, runs cold.
         let first = run_schedule_snapshotted(&target, &schedule, &limits, Some(&mut store));
         assert_eq!(store.stats().misses, 1);
@@ -1173,43 +1119,10 @@ mod tests {
     }
 
     #[test]
-    fn forking_a_deep_prefix_installs_only_the_suffix() {
-        let target = GmpTarget::default();
-        let limits = RunLimits::default();
-        let prefix = drop_heartbeats();
-        let mut full = prefix.clone();
-        full.faults.push(ScheduledFault {
-            site: 2,
-            dir: Direction::Send,
-            op: FaultOp::DelayMs {
-                msg_type: "COMMIT".to_string(),
-                ms: 250,
-            },
-        });
-        // Capture a snapshot *with the prefix installed*, cache it under
-        // the prefix chain's deepest digest, and run the full schedule.
-        let mut store = SnapshotStore::new(4);
-        let digests = crate::snapshot::prefix_digests(&target, &limits, &full);
-        let (mut world, sites) = target.build();
-        world.trace_timers = true;
-        install_scripts(&mut world, &sites, target.name(), &[], &prefix.lower());
-        store.insert(capture(digests[prefix.len()], prefix.clone(), &sites, &world).unwrap());
-        let forked = run_schedule_snapshotted(&target, &full, &limits, Some(&mut store));
-        assert_eq!(store.stats().hits, 1);
-        let cold = run_schedule_limited(&target, &full, &limits);
-        assert_eq!(forked.verdict, cold.verdict);
-        assert_eq!(forked.oracle, cold.oracle);
-        assert_eq!(
-            forked.coverage.edges().collect::<Vec<_>>(),
-            cold.coverage.edges().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
     fn invalid_schedules_never_touch_the_snapshot_store() {
         let target = GmpTarget::default();
         let limits = RunLimits::default();
-        let mut store = SnapshotStore::new(4);
+        let mut store = SnapshotStore::default();
         // Both scramble classes: an out-of-topology site and a
         // parse-breaking message type.
         let bad_site = FaultSchedule {
@@ -1236,7 +1149,7 @@ mod tests {
         }
         // Scrambles also never *come from* the store's perspective: no
         // lookups, no captures, no stats movement at all.
-        assert!(store.is_empty());
+        assert!(store.base.is_none());
         assert_eq!(store.stats(), &crate::snapshot::SnapshotStats::default());
         // ScheduleMutator's scramble mutants hit the same refusal.
         let mutator =
@@ -1254,7 +1167,7 @@ mod tests {
         }
         assert!(scrambles > 0, "no scramble mutants in 100 draws");
         assert!(
-            store.is_empty(),
+            store.base.is_none(),
             "scramble mutants must never enter the store"
         );
         assert_eq!(store.stats(), &crate::snapshot::SnapshotStats::default());

@@ -1,0 +1,126 @@
+//! End-to-end tests of the `pfi-campaign` CLI: arguments it does not
+//! understand are usage errors (exit 2, naming the argument) instead of
+//! being skipped, and the `--stats` block keeps the labels the repository
+//! benchmark (`bench/src/campaign_stats.rs`) reads off stdout.
+
+use std::process::{Command, Output};
+
+fn run(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_pfi-campaign"))
+        .args(args)
+        .output()
+        .expect("pfi-campaign runs")
+}
+
+#[test]
+fn arguments_it_does_not_understand_exit_2_and_are_named() {
+    for (args, named) in [
+        // Unknown flags: a typo of a real one, and one that no longer exists.
+        (
+            &["gmp", "--explore", "--no-snapshot", "--digest"][..],
+            "--no-snapshot",
+        ),
+        (&["gmp", "--explore", "--serve", "pfi.sock"][..], "--serve"),
+        // A flag missing its value, mid-line and at the end.
+        (
+            &["gmp", "--explore", "--budget", "--digest"][..],
+            "--budget",
+        ),
+        (&["gmp", "--explore", "--journal"][..], "--journal"),
+        // A numeric flag whose value does not parse.
+        (&["gmp", "--explore", "--budget", "1k"][..], "--budget"),
+        // A second positional.
+        (&["gmp", "tcp"][..], "tcp"),
+    ] {
+        let out = run(args);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(named),
+            "{args:?} must name {named}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} must not start a campaign");
+    }
+}
+
+#[test]
+fn stats_block_keeps_the_labels_the_benchmark_reads() {
+    // Between them the two runs pass every flag the benchmark passes.
+    let out = run(&[
+        "gmp",
+        "--explore",
+        "--epoch",
+        "8",
+        "--digest",
+        "--stats",
+        "--budget",
+        "24",
+        "--jobs",
+        "2",
+        "--seed",
+        "42",
+        "--fault-secs",
+        "5",
+        "--max-faults",
+        "2",
+    ]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.starts_with("pfi-campaign digest gmp seed=42 budget=24 epoch=8 "),
+        "{stdout}"
+    );
+    let snap = stdout
+        .lines()
+        .find(|l| l.starts_with("snapshots: "))
+        .expect("a snapshots line");
+    for label in [
+        " hit(s), ",
+        " miss(es) (",
+        "% hit rate), ",
+        " prefix event(s) skipped",
+    ] {
+        assert!(snap.contains(label), "{label:?} missing from {snap:?}");
+    }
+    assert!(!snap.starts_with("snapshots: 0 hit"), "{snap}");
+    let fleet = stdout
+        .lines()
+        .find(|l| l.starts_with("fleet: "))
+        .expect("a fleet line");
+    for label in [
+        " worker(s), ",
+        " epoch(s), ",
+        " job(s), ",
+        " rejected pre-dispatch, ",
+        " pruned as equivalent, ",
+        " pruned as inert, ",
+        " panic(s), ",
+        " quarantined, ",
+        " ms wall, ",
+        " ms busy)",
+    ] {
+        assert!(fleet.contains(label), "{label:?} missing from {fleet:?}");
+    }
+
+    let plainest = run(&[
+        "gmp",
+        "--explore",
+        "--budget",
+        "24",
+        "--seed",
+        "42",
+        "--fault-secs",
+        "5",
+        "--stats",
+        "--no-snapshots",
+        "--no-pruning",
+        "--no-prefilter",
+        "--no-semantic",
+    ]);
+    let stdout = String::from_utf8(plainest.stdout).unwrap();
+    assert_eq!(plainest.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.contains("snapshots: disabled"),
+        "the benchmark reads this as zero hits: {stdout}"
+    );
+}

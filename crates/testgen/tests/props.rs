@@ -1,9 +1,3 @@
-// QUARANTINED: this property-based suite depends on the external `proptest`
-// crate, which the offline build environment cannot fetch from crates.io.
-// The whole file is compiled out unless the crate's `proptest` feature is
-// enabled (after restoring the proptest dev-dependency in Cargo.toml).
-#![cfg(feature = "proptest")]
-
 //! Property-based tests for the campaign engine's pure parts: the
 //! delta-debugging shrinker, the schedule text codec, and the mutator.
 
@@ -308,11 +302,10 @@ fn journal_case(
 // for any seed. Budgets are tiny — each case runs two real explorations.
 
 // ---------------------------------------------------------------------------
-// Snapshot/fork differential. Forking a candidate run off a cached world
-// snapshot (restore the longest shared schedule prefix, install only the
-// suffix) must be observationally identical to replaying it cold from t=0 —
-// verdict, oracle, and coverage edges — for any seed-derived mutation
-// chain. The store-accounting property rides along: the base snapshot is
+// Snapshot/fork differential. Forking a candidate run off the captured
+// base world (restore it, install the schedule's filters) must be
+// observationally identical to replaying it cold from t=0 — verdict,
+// oracle, and coverage edges — for any seed-derived mutation chain. The store-accounting property rides along: the base snapshot is
 // captured at most once, after which every installable run forks.
 
 proptest! {
@@ -333,7 +326,7 @@ proptest! {
             target.fault_sites(),
         );
         let mut rng = SimRng::seed_from(seed);
-        let mut store = SnapshotStore::new(8);
+        let mut store = SnapshotStore::default();
         let mut sched = FaultSchedule::empty();
         let mut installable = 0u64;
         for _ in 0..steps {

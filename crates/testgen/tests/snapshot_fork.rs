@@ -1,17 +1,19 @@
 //! Golden-digest acceptance for snapshot/fork execution: a campaign that
-//! forks candidate runs from cached world snapshots must be byte-for-byte
+//! forks every run from one captured base world must be byte-for-byte
 //! indistinguishable from one that rebuilds every world from scratch —
 //! same digest, same corpus order, same repro artifact bytes — at every
-//! worker count, under cache pressure, and composed with journal resume.
-//! Snapshots are an execution strategy, never an outcome input.
+//! worker count, when the target refuses capture, and composed with
+//! journal resume. Snapshots are an execution strategy, never an outcome
+//! input.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use pfi_sim::{Context, Layer, Message, NodeId, World};
 use pfi_testgen::{
     explore, explore_fleet, ExploreConfig, ExploreOutcome, FaultSchedule, GmpTarget, Journal,
-    ProtocolSpec,
+    Oracle, ProtocolSpec, RunLimits, TestTarget, Verdict,
 };
 
 /// The seed the acceptance criteria pin (same as the CI smoke job and the
@@ -72,7 +74,7 @@ fn snapshot_and_cold_campaigns_are_byte_identical() {
 
         assert!(
             on.snapshots.hits > 0,
-            "the forking campaign must reuse cached prefixes (jobs={jobs})"
+            "the forking campaign must fork its base (jobs={jobs})"
         );
         assert!(
             on.snapshots.events_skipped > 0,
@@ -96,11 +98,10 @@ fn snapshot_and_cold_campaigns_are_byte_identical() {
 }
 
 /// Snapshot stats are a pure function of the campaign, not of how it was
-/// scheduled: the per-candidate stores make hit/miss counts identical at
-/// every worker count, and an LRU squeezed to capacity 1 still reproduces
-/// the same digest while actually evicting.
+/// scheduled: counting per candidate makes hit/miss counts identical at
+/// every worker count.
 #[test]
-fn snapshot_stats_are_worker_count_invariant_and_survive_cache_pressure() {
+fn snapshot_stats_are_worker_count_invariant() {
     let target = Arc::new(GmpTarget::default());
     let spec = ProtocolSpec::gmp();
 
@@ -112,25 +113,79 @@ fn snapshot_stats_are_worker_count_invariant_and_survive_cache_pressure() {
             "snapshot stats diverged at jobs={jobs}"
         );
     }
+}
 
-    let mut squeezed = config(true);
-    squeezed.snapshot_cache = 1;
-    let (outcome, _) = explore_fleet(Arc::clone(&target) as _, &spec, &squeezed, 2);
-    assert_eq!(
-        outcome.digest(),
-        reference.digest(),
-        "cache capacity must never change the outcome"
-    );
-    assert!(
-        outcome.snapshots.hits > 0,
-        "capacity 1 still serves the hot base"
-    );
+/// A pass-through layer that keeps [`Layer::clone_box`]'s default (`None`):
+/// any world holding one refuses `try_snapshot`.
+struct Unclonable;
+
+impl Layer for Unclonable {
+    fn name(&self) -> &'static str {
+        "unclonable"
+    }
+    fn push(&mut self, msg: Message, ctx: &mut Context<'_>) {
+        ctx.send_down(msg);
+    }
+    fn pop(&mut self, msg: Message, ctx: &mut Context<'_>) {
+        ctx.send_up(msg);
+    }
+}
+
+/// The GMP target plus a bystander node whose one layer is [`Unclonable`]
+/// — the shape of a target carrying a native filter or a stub that cannot
+/// be deep-copied.
+struct CaptureRefusingTarget(GmpTarget);
+
+impl TestTarget for CaptureRefusingTarget {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn seed(&self) -> u64 {
+        self.0.seed()
+    }
+    fn node_count(&self) -> u32 {
+        self.0.node_count()
+    }
+    fn fault_sites(&self) -> u32 {
+        self.0.fault_sites()
+    }
+    fn build(&self) -> (World, Vec<(NodeId, usize)>) {
+        let (mut world, sites) = self.0.build();
+        world.add_node(vec![Box::new(Unclonable)]);
+        (world, sites)
+    }
+    fn drive(&self, world: &mut World, limits: &RunLimits) -> bool {
+        self.0.drive(world, limits)
+    }
+    fn oracles(&self) -> Vec<Box<dyn Oracle>> {
+        self.0.oracles()
+    }
+    fn verdict(&self, world: &mut World) -> Verdict {
+        self.0.verdict(world)
+    }
+}
+
+/// Capture refusal degrades to cold: with snapshots on, every run of a
+/// target whose world cannot be captured misses and builds from scratch,
+/// and the campaign lands on the digest it reaches with snapshots off.
+#[test]
+fn capture_refusal_degrades_to_cold() {
+    let target = CaptureRefusingTarget(GmpTarget::default());
+    let spec = ProtocolSpec::gmp();
+    let on = explore(&target, &spec, &config(true));
+    let off = explore(&target, &spec, &config(false));
+    assert_eq!(on.digest(), off.digest());
+    assert_eq!(on.executed, off.executed);
+    assert_eq!((on.snapshots.hits, on.snapshots.stored), (0, 0));
+    assert!(on.snapshots.misses > 0, "every run asked, none could fork");
 }
 
 /// Journal resume composes with snapshot forking: tear a journal written
 /// by a forking campaign at 50%, resume it — with forking on and with it
 /// off — and both resumed runs land on the uninterrupted digest with the
-/// journaled prefix replayed, not re-executed.
+/// journaled prefix replayed, not re-executed. So does the same journal as
+/// the engine wrote it while its store was a keyed cache (`snapshots on
+/// cache=64`): stores written then still resume.
 #[test]
 fn resume_composes_with_snapshot_fork() {
     let target = GmpTarget::default();
@@ -144,23 +199,28 @@ fn resume_composes_with_snapshot_fork() {
     let full_bytes = fs::read_to_string(&full_path).unwrap();
     let _ = fs::remove_file(&full_path);
 
-    let torn = Journal::from_text(&full_bytes[..full_bytes.len() / 2]).unwrap();
-    assert!(!torn.cases.is_empty(), "the cut must leave work to replay");
+    let keyed = full_bytes.replace("\nsnapshots on\n", "\nsnapshots on cache=64\n");
+    assert_ne!(keyed, full_bytes);
 
-    for snapshots in [true, false] {
-        let mut cfg = config(snapshots);
-        cfg.resume = Some(torn.clone());
-        let resumed = explore(&target, &spec, &cfg);
-        assert_eq!(
-            resumed.digest(),
-            uninterrupted.digest(),
-            "resumed digest diverged (snapshots={snapshots})"
-        );
-        assert_eq!(resumed.executed, uninterrupted.executed);
-        assert_eq!(
-            resumed.replayed,
-            torn.cases.len(),
-            "journaled cases must be replayed, never re-executed"
-        );
+    for text in [&full_bytes, &keyed] {
+        let torn = Journal::from_text(&text[..text.len() / 2]).unwrap();
+        assert!(!torn.cases.is_empty(), "the cut must leave work to replay");
+
+        for snapshots in [true, false] {
+            let mut cfg = config(snapshots);
+            cfg.resume = Some(torn.clone());
+            let resumed = explore(&target, &spec, &cfg);
+            assert_eq!(
+                resumed.digest(),
+                uninterrupted.digest(),
+                "resumed digest diverged (snapshots={snapshots})"
+            );
+            assert_eq!(resumed.executed, uninterrupted.executed);
+            assert_eq!(
+                resumed.replayed,
+                torn.cases.len(),
+                "journaled cases must be replayed, never re-executed"
+            );
+        }
     }
 }
