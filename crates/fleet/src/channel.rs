@@ -3,9 +3,11 @@
 //! The workspace carries no external dependencies, so the fleet's two
 //! queues (master → workers jobs, workers → master results) are built on
 //! `Mutex<VecDeque>` + `Condvar` directly. The channel is deliberately
-//! small: blocking `recv`, non-blocking `send`, explicit `close`, and a
-//! high-water mark so the campaign report can show how deep the queues
-//! actually ran.
+//! small: blocking `recv`, non-blocking `send` and `try_recv`, explicit
+//! `close`, and a high-water mark so the campaign report can show how deep
+//! the queues actually ran. A `send` wakes a receiver only when one is
+//! blocked, so a queue filled and drained by one thread (a fleet of one)
+//! never touches the condvar.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -31,6 +33,8 @@ struct State<T> {
     queue: VecDeque<T>,
     closed: bool,
     high_water: usize,
+    /// Receivers blocked in `recv` right now.
+    waiting: usize,
 }
 
 struct Inner<T> {
@@ -69,6 +73,7 @@ impl<T> Chan<T> {
                     queue: VecDeque::new(),
                     closed: false,
                     high_water: 0,
+                    waiting: 0,
                 }),
                 ready: Condvar::new(),
             }),
@@ -88,8 +93,13 @@ impl<T> Chan<T> {
         if st.queue.len() > st.high_water {
             st.high_water = st.queue.len();
         }
+        // A receiver registers under this lock before it blocks, so none
+        // waiting now means none can miss the value.
+        let wake = st.waiting > 0;
         drop(st);
-        self.inner.ready.notify_one();
+        if wake {
+            self.inner.ready.notify_one();
+        }
         Ok(())
     }
 
@@ -104,8 +114,21 @@ impl<T> Chan<T> {
             if st.closed {
                 return None;
             }
+            st.waiting += 1;
             st = self.inner.ready.wait(st).expect("channel lock poisoned");
+            st.waiting -= 1;
         }
+    }
+
+    /// Takes the oldest queued value without blocking; `None` when the
+    /// queue is empty right now, open or closed.
+    pub fn try_recv(&self) -> Option<T> {
+        self.inner
+            .state
+            .lock()
+            .expect("channel lock poisoned")
+            .queue
+            .pop_front()
     }
 
     /// Closes the channel: senders start failing, receivers drain what is
@@ -159,6 +182,18 @@ mod tests {
         }
         ch.close();
         assert_eq!(ch.recv(), None);
+    }
+
+    #[test]
+    fn try_recv_never_blocks() {
+        let ch = Chan::new();
+        assert_eq!(ch.try_recv(), None);
+        ch.send(1).unwrap();
+        ch.send(2).unwrap();
+        assert_eq!(ch.try_recv(), Some(1));
+        ch.close();
+        assert_eq!(ch.try_recv(), Some(2), "a closed channel still drains");
+        assert_eq!(ch.try_recv(), None);
     }
 
     #[test]

@@ -1,20 +1,33 @@
 //! The worker pool, its deterministic epoch scheduler, and the worker
 //! supervisor.
 //!
+//! # Who runs the jobs
+//!
+//! A fleet of N is the **calling thread plus N−1 spawned workers**. The
+//! caller is worker 0: while an epoch has jobs queued it takes them from
+//! the same queue the spawned workers drain and runs them on runner 0,
+//! and only when the queue is empty does it block for the others'
+//! results. A fleet of one therefore spawns no thread and wakes nobody —
+//! an epoch is a loop on the calling thread — and a fleet of two is the
+//! caller plus one thread.
+//!
 //! # Supervision
 //!
-//! A runner that panics poisons only its own worker: the worker catches
-//! the unwind, reports it through the result channel, and retires (its
-//! runner state may be inconsistent after the unwind). The master then
-//! **respawns** the worker from the factory, so the pool never shrinks and
-//! the epoch barrier cannot deadlock on a dead thread.
+//! A runner that panics poisons only itself: the unwind is caught where
+//! the job ran, reported as that job's delivery, and the runner is
+//! discarded (its state may be inconsistent after the unwind). A spawned
+//! worker retires and the master **respawns** it from the factory; runner
+//! 0 is rebuilt from the factory on the calling thread. The pool never
+//! shrinks and the epoch barrier cannot deadlock on a dead thread.
 //!
 //! What happens to the *job* depends on the entry point:
 //!
 //! * [`Fleet::run_epoch`] keeps the original contract — a panic propagates
-//!   to the master (the caller treats worker panics as fatal bugs).
+//!   to the caller (who treats runner panics as fatal bugs), after the
+//!   barrier: every other job of the epoch has been delivered by then, so
+//!   a caller that catches the panic finds both queues empty.
 //! * [`Fleet::run_epoch_checked`] supervises — the job is retried on
-//!   another (or the respawned) worker with exponential *virtual* backoff,
+//!   whichever worker takes it next with exponential *virtual* backoff,
 //!   measured in result deliveries rather than wall time so the schedule
 //!   stays deterministic-friendly; after
 //!   [`max_retries`](Fleet::set_max_retries) failed retries the job is
@@ -30,15 +43,16 @@ use std::time::{Duration, Instant};
 use crate::channel::Chan;
 use crate::stats::{FleetReport, WorkerStats};
 
-/// Executes one job to one result inside a worker thread.
+/// Executes one job to one result on the thread that built it.
 ///
-/// Runners are built *inside* their worker thread by the factory passed to
-/// [`Fleet::new`], so they may own worker-local state — even `!Send` state
-/// (only the factory and the job/result types cross the thread boundary).
-/// Simulation worlds no longer need that escape hatch (they are
-/// arena-backed and `Send`, so jobs can carry prebuilt worlds directly),
-/// but the capability remains part of the fleet's contract for runners
-/// with thread-local caches. Any `FnMut(J) -> R` closure is a runner.
+/// Runners are built by the factory passed to [`Fleet::new`] *on the
+/// thread that runs them* — runner 0 on the calling thread, runner `w` on
+/// spawned worker `w` — and never move afterwards, so they may own
+/// thread-local, even `!Send`, state: only the factory and the job/result
+/// types cross a thread boundary. The price is that a [`Fleet`] holds
+/// runner 0 and is itself `!Send`: it stays on the thread that built it.
+/// No product runner uses the freedom (simulation worlds are `Send` and
+/// ride in job payloads). Any `FnMut(J) -> R` closure is a runner.
 pub trait JobRunner<J, R> {
     /// Executes one job. Must be a pure function of the job for the
     /// fleet's determinism guarantee to hold.
@@ -51,7 +65,7 @@ impl<J, R, F: FnMut(J) -> R> JobRunner<J, R> for F {
     }
 }
 
-/// The factory type a fleet keeps for respawning dead workers.
+/// The factory type a fleet keeps for rebuilding runners lost to a panic.
 type RunnerFactory<J, R> = Arc<dyn Fn(usize) -> Box<dyn JobRunner<J, R>> + Send + Sync>;
 
 struct Job<J> {
@@ -73,7 +87,7 @@ pub struct EpochItem<R> {
     /// Dispatch sequence number (global across epochs).
     pub seq: u64,
     /// Which worker executed the job (timing-dependent — never let results
-    /// depend on it; it exists for statistics).
+    /// depend on it; it exists for statistics). 0 is the calling thread.
     pub worker: usize,
     /// The runner's result.
     pub result: R,
@@ -92,7 +106,8 @@ pub struct JobFailure {
 /// Default retry budget for [`Fleet::run_epoch_checked`].
 pub const DEFAULT_MAX_RETRIES: u32 = 2;
 
-/// A pool of worker threads executing jobs in deterministic epochs.
+/// A pool of workers — the calling thread and `N − 1` spawned ones —
+/// executing jobs in deterministic epochs.
 ///
 /// The contract: [`run_epoch`](Fleet::run_epoch) returns results sorted by
 /// dispatch order, and each result is a pure function of its job — so the
@@ -103,6 +118,9 @@ pub const DEFAULT_MAX_RETRIES: u32 = 2;
 pub struct Fleet<J, R> {
     jobs: Chan<Job<J>>,
     results: Chan<Delivery<R>>,
+    /// Runner 0: the calling thread's own.
+    runner: Box<dyn JobRunner<J, R>>,
+    /// Spawned workers `1..N`; worker `w` is `handles[w - 1]`.
     handles: Vec<Option<JoinHandle<()>>>,
     factory: RunnerFactory<J, R>,
     stats: Vec<WorkerStats>,
@@ -116,11 +134,12 @@ pub struct Fleet<J, R> {
 }
 
 impl<J: Send + 'static, R: Send + 'static> Fleet<J, R> {
-    /// Spawns `workers` threads (at least one). `factory(i)` is called
-    /// once *inside* worker thread `i` to build its runner; the factory
-    /// must be `Send + Sync`, the runner need not be. The factory is kept
-    /// for the fleet's lifetime so the supervisor can rebuild the runner
-    /// of a worker that died to a panicking job.
+    /// Builds a fleet of `workers` (at least one): the calling thread as
+    /// worker 0 plus `workers − 1` spawned threads. `factory(0)` runs here,
+    /// on the caller; `factory(w)` runs once *inside* spawned worker `w`.
+    /// The factory must be `Send + Sync`, the runners need not be. It is
+    /// kept for the fleet's lifetime so the supervisor can rebuild the
+    /// runner of a worker that lost its own to a panicking job.
     pub fn new<F>(workers: usize, factory: F) -> Self
     where
         F: Fn(usize) -> Box<dyn JobRunner<J, R>> + Send + Sync + 'static,
@@ -129,12 +148,13 @@ impl<J: Send + 'static, R: Send + 'static> Fleet<J, R> {
         let jobs: Chan<Job<J>> = Chan::new();
         let results: Chan<Delivery<R>> = Chan::new();
         let factory: RunnerFactory<J, R> = Arc::new(factory);
-        let handles = (0..workers)
+        let handles = (1..workers)
             .map(|w| Some(spawn_worker(w, &jobs, &results, &factory)))
             .collect();
         Fleet {
             jobs,
             results,
+            runner: factory(0),
             handles,
             factory,
             stats: (0..workers)
@@ -153,7 +173,7 @@ impl<J: Send + 'static, R: Send + 'static> Fleet<J, R> {
         }
     }
 
-    /// Number of worker threads.
+    /// Number of workers, the calling thread included.
     pub fn workers(&self) -> usize {
         self.stats.len()
     }
@@ -164,14 +184,16 @@ impl<J: Send + 'static, R: Send + 'static> Fleet<J, R> {
         self.max_retries = max_retries;
     }
 
-    /// Dispatches one epoch of jobs and blocks until every one has a
-    /// result (the epoch barrier). Results come back sorted by dispatch
-    /// order regardless of which workers ran them or when they finished.
-    /// A worker that panics is respawned before this returns or panics.
+    /// Dispatches one epoch of jobs and returns once every one has a
+    /// result (the epoch barrier), running jobs on the calling thread
+    /// while any are queued. Results come back sorted by dispatch order
+    /// regardless of which workers ran them or when they finished. A
+    /// runner lost to a panic is rebuilt before this returns or panics.
     ///
     /// # Panics
     ///
-    /// Panics (propagating the message) if a worker's runner panicked. Use
+    /// Panics (propagating the first message, once the whole epoch has
+    /// been delivered) if a runner panicked. Use
     /// [`run_epoch_checked`](Fleet::run_epoch_checked) to retry and
     /// quarantine instead.
     pub fn run_epoch(&mut self, batch: Vec<J>) -> Vec<EpochItem<R>> {
@@ -187,8 +209,9 @@ impl<J: Send + 'static, R: Send + 'static> Fleet<J, R> {
             self.dispatch(seq, payload);
         }
         let mut out: Vec<EpochItem<R>> = Vec::with_capacity(n);
+        let mut panicked: Option<String> = None;
         for _ in 0..n {
-            let d = self.receive();
+            let d = self.next_delivery();
             match d.payload {
                 Ok(result) => out.push(EpochItem {
                     seq: d.seq,
@@ -197,17 +220,22 @@ impl<J: Send + 'static, R: Send + 'static> Fleet<J, R> {
                 }),
                 Err(msg) => {
                     self.note_panic(d.worker);
-                    panic!("fleet worker {} panicked: {msg}", d.worker);
+                    panicked.get_or_insert_with(|| {
+                        format!("fleet worker {} panicked: {msg}", d.worker)
+                    });
                 }
             }
+        }
+        if let Some(msg) = panicked {
+            panic!("{msg}");
         }
         out.sort_by_key(|item| item.seq);
         out
     }
 
     /// [`run_epoch`](Fleet::run_epoch) with supervision: a panicking job
-    /// is retried (on whichever worker picks it up — the dead one is
-    /// respawned first) with exponential *virtual* backoff, and after
+    /// is retried (on whichever worker picks it up — the lost runner is
+    /// rebuilt first) with exponential *virtual* backoff, and after
     /// `max_retries` failed retries it is quarantined: its canonical slot
     /// carries `Err(JobFailure)` instead of aborting the epoch. The epoch
     /// barrier always completes, whatever the jobs do.
@@ -267,7 +295,7 @@ impl<J: Send + 'static, R: Send + 'static> Fleet<J, R> {
                 self.dispatch(seq, payload);
                 outstanding += 1;
             }
-            let d = self.receive();
+            let d = self.next_delivery();
             deliveries += 1;
             outstanding -= 1;
             match d.payload {
@@ -333,7 +361,7 @@ impl<J: Send + 'static, R: Send + 'static> Fleet<J, R> {
         }
     }
 
-    /// Stops the workers, joins them, and returns the final report.
+    /// Stops the spawned workers, joins them, and returns the final report.
     pub fn shutdown(mut self) -> FleetReport {
         self.join_workers();
         self.report()
@@ -345,27 +373,39 @@ impl<J: Send + 'static, R: Send + 'static> Fleet<J, R> {
         }
     }
 
-    /// Receives one delivery and books its execution statistics.
-    fn receive(&mut self) -> Delivery<R> {
-        let d = self
-            .results
-            .recv()
-            .expect("fleet workers exited with jobs outstanding");
+    /// The next finished job, with its execution statistics booked. The
+    /// caller is worker 0: a queued job is run here, on runner 0; with the
+    /// queue empty every unfinished job is on a spawned worker, and this
+    /// blocks for the first of their results.
+    fn next_delivery(&mut self) -> Delivery<R> {
+        let d = match self.jobs.try_recv() {
+            Some(job) => run_job(0, self.runner.as_mut(), job),
+            None => self
+                .results
+                .recv()
+                .expect("fleet workers exited with jobs outstanding"),
+        };
         let stat = &mut self.stats[d.worker];
         stat.executed += 1;
         stat.busy += d.busy;
         d
     }
 
-    /// Books a worker panic and respawns the worker (it retired itself
-    /// after reporting — its runner may be inconsistent mid-unwind, so it
-    /// gets a fresh one from the factory).
+    /// Books a panic and replaces the runner it cost: runner 0 is rebuilt
+    /// here; a spawned worker retired itself after reporting and is
+    /// respawned (either way the old runner may be inconsistent
+    /// mid-unwind, so the factory makes a fresh one).
     fn note_panic(&mut self, worker: usize) {
         self.stats[worker].panics += 1;
-        if let Some(h) = self.handles[worker].take() {
+        if worker == 0 {
+            self.runner = (self.factory)(0);
+            return;
+        }
+        let handle = &mut self.handles[worker - 1];
+        if let Some(h) = handle.take() {
             let _ = h.join();
         }
-        self.handles[worker] = Some(spawn_worker(
+        *handle = Some(spawn_worker(
             worker,
             &self.jobs,
             &self.results,
@@ -384,9 +424,28 @@ impl<J: Send + 'static, R: Send + 'static> Fleet<J, R> {
     }
 }
 
-/// Spawns worker `w`: build a runner from the factory, then loop — run a
-/// job, report the result (or the caught panic), retire on panic (the
-/// supervisor respawns with a fresh runner) or when the job queue closes.
+/// Runs one job on `runner` as worker `worker`, catching a panic into the
+/// delivery — the one way a job executes, on the caller and on a spawned
+/// worker alike.
+fn run_job<J, R>(worker: usize, runner: &mut dyn JobRunner<J, R>, job: Job<J>) -> Delivery<R> {
+    let Job { seq, payload } = job;
+    let t0 = Instant::now();
+    let outcome = catch_unwind(AssertUnwindSafe(|| runner.run(payload)));
+    let busy = t0.elapsed();
+    Delivery {
+        seq,
+        worker,
+        busy,
+        // `as_ref`, not `&p`: a `&Box<dyn Any>` would itself coerce to
+        // `&dyn Any` and hide the payload.
+        payload: outcome.map_err(|p| panic_message(p.as_ref())),
+    }
+}
+
+/// Spawns worker `w` (≥ 1): build a runner from the factory, then loop —
+/// run a job, report the result (or the caught panic), retire on panic
+/// (the supervisor respawns with a fresh runner) or when the job queue
+/// closes.
 fn spawn_worker<J: Send + 'static, R: Send + 'static>(
     w: usize,
     jobs: &Chan<Job<J>>,
@@ -400,20 +459,10 @@ fn spawn_worker<J: Send + 'static, R: Send + 'static>(
         .name(format!("pfi-fleet-{w}"))
         .spawn(move || {
             let mut runner = make(w);
-            while let Some(Job { seq, payload }) = rx.recv() {
-                let t0 = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| runner.run(payload)));
-                let busy = t0.elapsed();
-                // `as_ref`, not `&p`: a `&Box<dyn Any>` would itself
-                // coerce to `&dyn Any` and hide the payload.
-                let payload = outcome.map_err(|p| panic_message(p.as_ref()));
-                let failed = payload.is_err();
-                let _ = tx.send(Delivery {
-                    seq,
-                    worker: w,
-                    busy,
-                    payload,
-                });
+            while let Some(job) = rx.recv() {
+                let delivery = run_job(w, runner.as_mut(), job);
+                let failed = delivery.payload.is_err();
+                let _ = tx.send(delivery);
                 if failed {
                     // The runner may be left in an inconsistent state
                     // after an unwind; retire the worker.
@@ -470,14 +519,22 @@ mod tests {
         }
     }
 
+    /// N workers are N builds, each on the thread that will run it: runner
+    /// 0 on the thread that called `Fleet::new` (worker 0 *is* the
+    /// caller), runner `w` inside spawned thread `pfi-fleet-w`.
     #[test]
     fn factory_runs_once_inside_each_worker_thread() {
         static BUILDS: AtomicUsize = AtomicUsize::new(0);
-        let mut fleet: Fleet<u64, String> = Fleet::new(3, |w| {
+        let caller = std::thread::current().id();
+        let mut fleet: Fleet<u64, String> = Fleet::new(3, move |w| {
             BUILDS.fetch_add(1, Ordering::SeqCst);
-            let name = std::thread::current().name().unwrap_or("").to_string();
-            assert_eq!(name, format!("pfi-fleet-{w}"));
-            Box::new(move |j: u64| format!("{name}:{j}"))
+            let here = std::thread::current();
+            if w == 0 {
+                assert_eq!(here.id(), caller, "runner 0 belongs to the caller");
+            } else {
+                assert_eq!(here.name(), Some(format!("pfi-fleet-{w}").as_str()));
+            }
+            Box::new(move |j: u64| format!("{w}:{j}"))
         });
         // Drive enough jobs that every worker has had work at some point.
         for _ in 0..4 {
@@ -487,14 +544,97 @@ mod tests {
         assert_eq!(BUILDS.load(Ordering::SeqCst), 3);
     }
 
+    /// A fleet of one is the calling thread and nothing else: every job
+    /// runs here, and worker 0's row books all of it.
+    #[test]
+    fn a_fleet_of_one_runs_every_job_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let mut fleet: Fleet<u64, std::thread::ThreadId> = Fleet::new(1, |_| {
+            Box::new(|_: u64| {
+                std::thread::sleep(Duration::from_micros(200));
+                std::thread::current().id()
+            })
+        });
+        for _ in 0..3 {
+            for item in fleet.run_epoch((0..8).collect()) {
+                assert_eq!(item.result, caller);
+                assert_eq!(item.worker, 0);
+            }
+        }
+        let report = fleet.shutdown();
+        assert_eq!(report.workers.len(), 1);
+        assert_eq!(report.workers[0].executed, 24);
+        assert!(report.workers[0].busy >= Duration::from_micros(24 * 200));
+        assert_eq!(
+            report.result_queue_high_water, 0,
+            "nothing crosses a channel back to the thread that ran it"
+        );
+    }
+
+    /// In a larger fleet the caller still works. Two jobs that each wait
+    /// for the other at a barrier can only finish on two threads at once,
+    /// so in a fleet of two the caller must have run one of them.
+    #[test]
+    fn the_caller_takes_jobs_alongside_spawned_workers() {
+        let caller = std::thread::current().id();
+        let both = Arc::new(std::sync::Barrier::new(2));
+        let mut fleet: Fleet<u64, std::thread::ThreadId> = Fleet::new(2, move |_| {
+            let both = Arc::clone(&both);
+            Box::new(move |_: u64| {
+                both.wait();
+                std::thread::current().id()
+            })
+        });
+        for _ in 0..8 {
+            let items = fleet.run_epoch(vec![0, 1]);
+            assert_ne!(items[0].worker, items[1].worker);
+            for item in &items {
+                assert_eq!(item.worker == 0, item.result == caller);
+            }
+        }
+        let report = fleet.shutdown();
+        assert_eq!(report.workers[0].executed, 8, "the caller's share");
+        assert_eq!(report.workers[1].executed, 8, "the spawned worker's");
+    }
+
+    /// A panic in a job the caller ran is supervised exactly like a
+    /// spawned worker's: caught, booked on worker 0, runner 0 rebuilt from
+    /// the factory, the job retried and finally quarantined.
+    #[test]
+    fn a_caller_run_panic_rebuilds_runner_zero_and_quarantines() {
+        static BUILDS: AtomicUsize = AtomicUsize::new(0);
+        BUILDS.store(0, Ordering::SeqCst);
+        let mut fleet: Fleet<u64, u64> = Fleet::new(1, |_| {
+            BUILDS.fetch_add(1, Ordering::SeqCst);
+            Box::new(|j: u64| {
+                if j == 2 {
+                    panic!("always fails");
+                }
+                j + 1
+            })
+        });
+        fleet.set_max_retries(1);
+        let items = fleet.run_epoch_checked(vec![1, 2, 3]);
+        assert_eq!(*items[0].result.as_ref().unwrap(), 2);
+        assert_eq!(items[1].result.as_ref().unwrap_err().attempts, 2);
+        assert_eq!(*items[2].result.as_ref().unwrap(), 4);
+        let report = fleet.shutdown();
+        assert_eq!(report.workers[0].panics, 2);
+        assert_eq!(report.workers[0].executed, 4, "two attempts plus two jobs");
+        assert_eq!((report.retries, report.quarantined), (1, 1));
+        assert_eq!(
+            BUILDS.load(Ordering::SeqCst),
+            3,
+            "one build plus one per panic"
+        );
+    }
+
     #[test]
     fn runners_may_own_not_send_state() {
-        // Only the factory and the job/result types cross threads, so a
-        // runner built inside its worker may hold an Rc (a worker-local
-        // cache, say) even though Rc is !Send. Simulation worlds are Send
-        // nowadays and ride in job payloads instead, but this capability
-        // stays part of the fleet contract. Primarily a compile-time
-        // proof.
+        // Still promised: a runner is built on the thread that runs it and
+        // never moves, so it may hold an Rc (a worker-local cache, say)
+        // even though Rc is !Send — runner 0 included, which is why a
+        // `Fleet` is itself !Send. Primarily a compile-time proof.
         let mut fleet: Fleet<u64, u64> = Fleet::new(2, |_| {
             let local: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
             Box::new(move |j: u64| {
@@ -548,28 +688,32 @@ mod tests {
         fleet.run_epoch(vec![1, 2, 3]);
     }
 
-    /// A runner panicking under `run_epoch` must not leave the pool dead:
-    /// the supervisor respawns the worker before the panic propagates, so
-    /// catching it and running another epoch works even at 1 worker.
+    /// A runner panicking under `run_epoch` must not leave the pool dead
+    /// or its queues dirty: the lost runner is rebuilt and the rest of the
+    /// epoch delivered before the panic propagates, so catching it and
+    /// running another epoch works at any size.
     #[test]
     fn pool_survives_a_caught_run_epoch_panic() {
-        let mut fleet: Fleet<u64, u64> = Fleet::new(1, |_| {
-            Box::new(|j: u64| {
-                if j == 3 {
-                    panic!("job {j} exploded");
-                }
-                j * j
-            })
-        });
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            fleet.run_epoch(vec![3]);
-        }));
-        assert!(caught.is_err());
-        let items = fleet.run_epoch(vec![4, 5]);
-        let got: Vec<u64> = items.iter().map(|i| i.result).collect();
-        assert_eq!(got, vec![16, 25]);
-        let report = fleet.shutdown();
-        assert_eq!(report.workers[0].panics, 1);
+        for workers in [1, 2] {
+            let mut fleet: Fleet<u64, u64> = Fleet::new(workers, |_| {
+                Box::new(|j: u64| {
+                    if j == 3 {
+                        panic!("job {j} exploded");
+                    }
+                    j * j
+                })
+            });
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                fleet.run_epoch(vec![3, 6, 7]);
+            }));
+            assert!(caught.is_err());
+            let items = fleet.run_epoch(vec![4, 5]);
+            let got: Vec<u64> = items.iter().map(|i| i.result).collect();
+            assert_eq!(got, vec![16, 25], "workers={workers}");
+            let report = fleet.shutdown();
+            assert_eq!(report.panics(), 1);
+            assert_eq!(report.executed(), 5);
+        }
     }
 
     /// Transient panics: the job fails on its first attempt, the retry

@@ -9,10 +9,11 @@
 use std::fmt;
 use std::time::Duration;
 
-/// One worker thread's lifetime counters.
+/// One worker's lifetime counters.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerStats {
-    /// Worker index (0-based, stable for the fleet's lifetime).
+    /// Worker index (0-based, stable for the fleet's lifetime); 0 is the
+    /// thread that owns the fleet, the rest are spawned.
     pub worker: usize,
     /// Jobs this worker executed.
     pub executed: u64,
@@ -21,8 +22,9 @@ pub struct WorkerStats {
     /// Jobs whose result the caller flagged as coverage-novel (via
     /// [`Fleet::note_novel`](crate::Fleet::note_novel)).
     pub novel: u64,
-    /// Jobs that panicked on this worker (each one retired the worker; the
-    /// supervisor respawned it with a fresh runner under the same index).
+    /// Jobs that panicked on this worker (each one cost it its runner; the
+    /// supervisor rebuilt one from the factory under the same index —
+    /// respawning the thread, for a spawned worker).
     pub panics: u64,
 }
 

@@ -37,7 +37,8 @@ CONNECTION (all commands):
 start FLAGS:
     --store DIR       store directory (required; created if missing);
                       campaigns found unfinished in it resume immediately
-    --jobs N          fleet worker threads (0/omitted = auto-detect)
+    --jobs N          fleet workers: the executor thread plus N-1 spawned
+                      ones, so --jobs 1 spawns none (0/omitted = auto-detect)
     --read-timeout S  per-connection read deadline, seconds (default 30);
                       a slow-loris peer is dropped when it fires
     --write-timeout S per-connection write deadline, seconds (default 30)

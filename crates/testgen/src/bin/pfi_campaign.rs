@@ -52,10 +52,11 @@ FLAGS:
     --epoch N         candidates per dispatch epoch (determinism unit; outcomes
                       depend on it, never on --jobs; 1 = classic sequential walk)
     --max-faults N    cap on faults per generated schedule (outcome input)
-    --jobs N          worker threads; 0 or omitted auto-detects the host's
-                      available parallelism. Any value yields byte-identical
-                      campaign results (the resolved count is printed, shown
-                      in --stats, and recorded in the journal)
+    --jobs N          workers: the calling thread plus N-1 spawned ones, so
+                      --jobs 1 spawns none; 0 or omitted auto-detects the
+                      host's available parallelism. Any value yields
+                      byte-identical campaign results (the resolved count is
+                      printed, shown in --stats, and recorded in the journal)
     --no-prefilter    run statically-invalid candidates instead of rejecting them
                       up front (same digest either way; used by CI to prove it)
     --no-pruning      execute candidates even when an equivalent canonical

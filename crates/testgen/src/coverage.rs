@@ -8,17 +8,23 @@
 //! life-cycle pairs — and the campaign engine keeps any schedule that
 //! reaches an edge no earlier schedule reached.
 //!
-//! Edges are plain strings in a `BTreeSet`, so coverage is ordered,
-//! mergeable, and byte-for-byte deterministic across runs. Extraction
-//! runs once per execution over a few thousand records that end in about
-//! a hundred distinct edges, so it works on integers: one pass classifies
-//! each record to a [`Kind`] code, per-stream state dedupes transitions on
-//! packed integer keys, and an edge string is built only once per
-//! *distinct* edge at the end.
+//! An edge *is* its text: ordered, mergeable, byte-for-byte deterministic
+//! across runs, and what journals, digests and reports carry. But a
+//! campaign extracts a hundred edges from every run and nineteen runs in
+//! twenty reach nothing new, so text is built late. Extraction works on
+//! integers — one pass classifies each record to a [`Kind`] code and
+//! per-stream state dedupes transitions on packed keys — and ends in one
+//! [`Edge`] key per distinct edge: label codes, counts, and the few
+//! `&'static str` names compared by content, so a key means the same in
+//! every run. [`Coverage::merge`] asks the union about keys first and
+//! renders text only for the ones it has never seen; everything that
+//! speaks text ([`edges`](Coverage::edges), `==`, `contains`,
+//! `difference`) renders on first demand.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write as _};
+use std::sync::OnceLock;
 
 use pfi_gmp::GmpEvent;
 use pfi_sim::{NodeId, TimerTrace, TraceLog};
@@ -26,9 +32,20 @@ use pfi_tcp::{CloseReason, TcpEvent};
 use pfi_tpc::TpcEvent;
 
 /// A set of behavioural edges observed in one or more runs.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Held as keys, as text, or both. When `text` is set it is the whole set
+/// and includes the text of every key; while it is unset the set is
+/// exactly the keys. Distinct keys spell distinct text (every component
+/// ends at a `:` or `>` that no label, layer or segment name contains), so
+/// the sizes of the two are comparable.
+#[derive(Clone, Default)]
 pub struct Coverage {
-    edges: BTreeSet<String>,
+    /// What [`from_trace`](Coverage::from_trace) extracted plus every key
+    /// merged in since: sorted, distinct, and what `merge` consults first.
+    keys: Vec<Edge>,
+    /// Every edge as text, once someone has asked for text or merged some
+    /// in (replayed runs are text only).
+    text: OnceLock<BTreeSet<String>>,
 }
 
 impl Coverage {
@@ -75,178 +92,372 @@ impl Coverage {
             stream.count += usize::from(counted);
         });
 
-        // One scratch buffer holds the stream's prefix and, after it, one
-        // edge's text at a time; each distinct edge is copied out exactly
-        // sized.
-        let mut edges = Vec::new();
-        let mut edge = String::new();
+        // One key per distinct edge: the per-extraction slots (arguments,
+        // layers) resolve to what they name, so keys compare across runs.
+        let edges = streams.values().map(|s| s.kinds.len() + s.pairs.len() + 1);
+        let mut keys = Vec::with_capacity(edges.sum());
         for (&(family, layer, node), stream) in &streams {
-            edge.clear();
-            // The namespace, and what the stream's bucket edge is called.
-            let (namespace, counter) = match family {
-                Family::Gmp => ("gmp", ""),
-                Family::Tcp => ("tcp", "retx:"),
-                Family::Tpc => ("tpc", ""),
-                Family::Timer => ("timer", "fired:"),
-            };
-            write!(edge, "{namespace}:{node}:").expect(INFALLIBLE);
-            if layer > 0 {
-                write!(edge, "{}:", layers[layer - 1]).expect(INFALLIBLE);
-            }
-            let prefix = edge.len();
-            let mut emit = |edge: &mut String| {
-                edges.push(edge.clone());
-                edge.truncate(prefix);
+            let layer = Name(layer.checked_sub(1).map_or("", |ix| layers[ix]));
+            let mut emit = |what, names| {
+                keys.push(Edge {
+                    family,
+                    node,
+                    layer,
+                    what,
+                    names,
+                })
             };
             for &kind in &stream.kinds {
-                kind.render(&args, &mut edge);
-                emit(&mut edge);
+                let (kind, name) = kind.term(&args);
+                emit(What::Seen(kind, None), [name, Name("")]);
             }
             for &pair in &stream.pairs {
-                Kind((pair >> 32) as u32).render(&args, &mut edge);
-                edge.push('>');
-                Kind(pair as u32).render(&args, &mut edge);
-                emit(&mut edge);
+                let (from, from_name) = Kind((pair >> 32) as u32).term(&args);
+                let (to, to_name) = Kind(pair as u32).term(&args);
+                emit(What::Seen(from, Some(to)), [from_name, to_name]);
             }
             if stream.count > 0 {
-                edge.push_str(counter);
-                edge.push_str(bucket(stream.count));
-                emit(&mut edge);
+                let none = [Name(""); 2];
+                emit(What::Counted(bucket(stream.count)), none);
             }
         }
+        keys.sort_unstable();
         Coverage {
-            edges: edges.into_iter().collect(),
+            keys,
+            text: OnceLock::new(),
         }
     }
 
     /// Rebuilds coverage from a recorded edge list — the inverse of
     /// [`edges`](Coverage::edges), used when replaying journaled campaign
-    /// results without re-executing them.
+    /// results without re-executing them. Stays text: nothing is parsed
+    /// back into keys.
     pub fn from_edges<I>(edges: I) -> Self
     where
         I: IntoIterator,
         I::Item: Into<String>,
     {
         Coverage {
-            edges: edges.into_iter().map(Into::into).collect(),
+            keys: Vec::new(),
+            text: OnceLock::from(edges.into_iter().map(Into::into).collect::<BTreeSet<_>>()),
         }
     }
 
     /// Merges `other` in; returns how many of its edges were new.
+    ///
+    /// A run straight from [`from_trace`](Coverage::from_trace) is asked
+    /// for its keys first: if the union has seen every one, nothing is
+    /// new and no string is built to find that out; otherwise only the
+    /// unseen keys are rendered. Anything else merges as text, copying
+    /// only the strings the union lacks.
     pub fn merge(&mut self, other: &Coverage) -> usize {
-        let before = self.edges.len();
-        self.edges.extend(other.edges.iter().cloned());
-        self.edges.len() - before
+        if !other.is_keys_only() {
+            let text = self.text_mut();
+            let mut new = 0;
+            for edge in other.text() {
+                if !text.contains(edge) {
+                    text.insert(edge.clone());
+                    new += 1;
+                }
+            }
+            return new;
+        }
+        // Both sides are sorted: one walk finds the keys the union lacks.
+        let mut known = self.keys.iter().peekable();
+        let unseen = other.keys.iter().filter(|key| {
+            while known.next_if(|k| k < key).is_some() {}
+            known.peek() != Some(key)
+        });
+        let unseen: Vec<Edge> = unseen.copied().collect();
+        if unseen.is_empty() {
+            return 0;
+        }
+        // An unseen key may still spell an edge a replayed run brought in
+        // as text, so novelty is counted where text is inserted.
+        let text = self.text_mut();
+        let inserted = render(&unseen).map(|edge| text.insert(edge));
+        let new = inserted.filter(|new| *new).count();
+        self.keys.extend(unseen);
+        self.keys.sort_unstable();
+        new
     }
 
     /// Number of distinct edges.
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.text.get().map_or(self.keys.len(), BTreeSet::len)
     }
 
     /// Whether no edges have been observed.
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
+        self.len() == 0
     }
 
     /// Whether a specific edge has been observed.
     pub fn contains(&self, edge: &str) -> bool {
-        self.edges.contains(edge)
+        self.text().contains(edge)
     }
 
     /// The edges, in sorted order.
     pub fn edges(&self) -> impl Iterator<Item = &str> {
-        self.edges.iter().map(String::as_str)
+        self.text().iter().map(String::as_str)
     }
 
     /// Edges in `self` that `other` lacks, in sorted order.
     pub fn difference<'a>(&'a self, other: &'a Coverage) -> impl Iterator<Item = &'a str> {
-        self.edges.difference(&other.edges).map(String::as_str)
+        self.text().difference(other.text()).map(String::as_str)
+    }
+
+    /// The whole set as text, rendered from the keys on first demand.
+    fn text(&self) -> &BTreeSet<String> {
+        self.text.get_or_init(|| {
+            let text: BTreeSet<String> = render(&self.keys).collect();
+            debug_assert_eq!(text.len(), self.keys.len(), "two keys spell one edge");
+            text
+        })
+    }
+
+    fn text_mut(&mut self) -> &mut BTreeSet<String> {
+        self.text();
+        self.text.get_mut().expect("rendered on the line above")
+    }
+
+    /// Whether the keys are the whole set: no text yet, or text that is
+    /// the keys' own and nothing more.
+    fn is_keys_only(&self) -> bool {
+        self.text
+            .get()
+            .is_none_or(|text| text.len() == self.keys.len())
+    }
+}
+
+/// Two sets are equal when they hold the same edges, however each holds
+/// them.
+impl PartialEq for Coverage {
+    fn eq(&self, other: &Self) -> bool {
+        self.text() == other.text()
+    }
+}
+
+impl Eq for Coverage {}
+
+impl fmt::Debug for Coverage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Coverage")
+            .field("edges", self.text())
+            .finish()
     }
 }
 
 impl fmt::Display for Coverage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} edges", self.edges.len())
+        write!(f, "{} edges", self.len())
     }
 }
 
 /// `expect` message for `write!` into a `String`.
 const INFALLIBLE: &str = "writing to a String cannot fail";
 
+/// One edge as a key that means the same in every run: small integers,
+/// plus the few names edges spell out, compared by content.
+///
+/// Nothing depends on how keys order except speed, twice over: the
+/// argument names come last, so nearly every comparison is settled on
+/// integers; and the rest follows the text — families and labels are
+/// declared in the byte order of what they spell, a lone term sorts
+/// before the same term with a successor as `Set` sorts before
+/// `Set>Fired` — so sorted keys render to text that is already sorted
+/// (for single-digit nodes), which is what building the text set costs
+/// least from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Edge {
+    family: Family,
+    node: NodeId,
+    /// The owning layer of a timer stream; empty for the other families.
+    layer: Name,
+    what: What,
+    /// The name arguments of `what`'s terms (`SegmentSent:<kind>`); empty
+    /// where a term has none.
+    names: [Name; 2],
+}
+
+/// What an edge records about its stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum What {
+    /// A kind of record occurred — and, with a second term, that one
+    /// followed it directly.
+    Seen(Term, Option<Term>),
+    /// How many counted records (timer firings, retransmissions), as an
+    /// index into [`BUCKETS`].
+    Counted(usize),
+}
+
+/// A [`Kind`] resolved: what one record was, less its name argument (the
+/// edge holds those, see [`Edge::names`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Term {
+    label: Label,
+    /// One plus the count argument (`GroupView:<n>`); 0 without one.
+    count: usize,
+}
+
+impl Term {
+    /// Appends this term's edge text — label, then whichever argument it
+    /// has — to `out`.
+    fn render(self, name: Name, out: &mut String) {
+        out.push_str(LABEL_TEXT[self.label as usize]);
+        if let Some(count) = self.count.checked_sub(1) {
+            write!(out, "{count}").expect(INFALLIBLE);
+        }
+        out.push_str(name.0);
+    }
+}
+
+/// A `&'static str` that is part of a key. Keys from different runs must
+/// agree, so names compare by content — after trying identity, because a
+/// name is nearly always the same static on both sides.
+#[derive(Debug, Clone, Copy)]
+struct Name(&'static str);
+
+impl Ord for Name {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        if std::ptr::eq(self.0, other.0) {
+            std::cmp::Ordering::Equal
+        } else {
+            self.0.cmp(other.0)
+        }
+    }
+}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Name {}
+
+/// The text of each key, in key order: `namespace:node:[layer:]what`.
+/// Sorted keys keep a stream's edges together, so its prefix is spelt
+/// once and every edge is copied out exactly sized.
+fn render(keys: &[Edge]) -> impl Iterator<Item = String> + '_ {
+    let mut edge = String::new();
+    let mut stream = None;
+    let mut prefix = 0;
+    keys.iter().map(move |key| {
+        // The namespace, and what the stream's bucket edge is called.
+        let (namespace, counter) = match key.family {
+            Family::Gmp => ("gmp", ""),
+            Family::Tcp => ("tcp", "retx:"),
+            Family::Tpc => ("tpc", ""),
+            Family::Timer => ("timer", "fired:"),
+        };
+        if stream != Some((key.family, key.node, key.layer)) {
+            stream = Some((key.family, key.node, key.layer));
+            edge.clear();
+            write!(edge, "{namespace}:{}:", key.node).expect(INFALLIBLE);
+            if key.family == Family::Timer {
+                write!(edge, "{}:", key.layer.0).expect(INFALLIBLE);
+            }
+            prefix = edge.len();
+        }
+        edge.truncate(prefix);
+        match key.what {
+            What::Seen(kind, then) => {
+                kind.render(key.names[0], &mut edge);
+                if let Some(next) = then {
+                    edge.push('>');
+                    next.render(key.names[1], &mut edge);
+                }
+            }
+            What::Counted(bucket) => {
+                edge.push_str(counter);
+                edge.push_str(BUCKETS[bucket]);
+            }
+        }
+        edge.clone()
+    })
+}
+
 /// Which edge namespace a record belongs to. Each `(family, node)` — for
 /// timers `(family, node, owning layer)` — is one *stream* whose adjacent
-/// records form the transition edges.
+/// records form the transition edges. In the order of the namespaces'
+/// text (see [`Edge`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Family {
     Gmp,
     Tcp,
-    Tpc,
     Timer,
+    Tpc,
 }
 
 /// Declares the static label table: one variant per edge label, with the
 /// text the edge strings carry. A label ending in `:` takes an argument.
+/// Rows are in the byte order of their text (gmp, tcp, tpc and timer
+/// labels mixed; `Started` is both gmp's and tpc's), so that label codes
+/// sort the way edge text does — see [`Edge`].
 macro_rules! labels {
     ($($name:ident = $text:literal,)*) => {
-        #[derive(Debug, Clone, Copy)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
         #[repr(u8)]
         enum Label { $($name,)* }
         const LABEL_TEXT: &[&str] = &[$($text,)*];
+        const LABELS: &[Label] = &[$(Label::$name,)*];
     };
 }
 
 labels! {
-    // gmp (`Started` is shared with tpc)
-    Started = "Started",
-    GroupView = "GroupView:",
-    InTransition = "InTransition",
-    MemberSuspected = "MemberSuspected",
-    McInitiated = "McInitiated",
-    CommitTimedOut = "CommitTimedOut",
-    FormedSingleton = "FormedSingleton",
-    ProclaimSent = "ProclaimSent",
-    ProclaimForwarded = "ProclaimForwarded",
-    ProclaimAnsweredDirect = "ProclaimAnswered:direct",
-    ProclaimAnsweredMisrouted = "ProclaimAnswered:misrouted",
-    JoinSent = "JoinSent",
-    NakSent = "NakSent",
-    SelfDeclaredDead = "SelfDeclaredDead",
-    ProclaimForwardDroppedByBug = "ProclaimForwardDroppedByBug",
-    SpuriousTimerInTransition = "SpuriousTimerInTransition",
-    // tcp
-    Connected = "Connected",
-    SegmentSent = "SegmentSent:",
-    Retransmit = "Retransmit",
-    FastRetransmit = "FastRetransmit",
-    DataDelivered = "DataDelivered",
-    OutOfOrderQueued = "OutOfOrderQueued",
-    KeepaliveProbe = "KeepaliveProbe",
-    ZeroWindowProbe = "ZeroWindowProbe",
-    PeerWindowZero = "PeerWindow:zero",
-    PeerWindowOpen = "PeerWindow:open",
-    ResetSent = "Reset:sent",
-    ResetRecv = "Reset:recv",
-    ClosedTimeout = "Closed:Timeout",
+    Blocked = "Blocked",
+    Cancelled = "Cancelled",
+    ClosedApp = "Closed:App",
+    ClosedFin = "Closed:Fin",
     ClosedKeepaliveTimeout = "Closed:KeepaliveTimeout",
     ClosedReset = "Closed:Reset",
-    ClosedFin = "Closed:Fin",
-    ClosedApp = "Closed:App",
-    DecodeFailed = "DecodeFailed",
-    // tpc
-    VotedYes = "Voted:true",
-    VotedNo = "Voted:false",
-    DecisionMadeCommit = "DecisionMade:true",
-    DecisionMadeAbort = "DecisionMade:false",
-    DecisionAppliedCommit = "DecisionApplied:true",
+    ClosedTimeout = "Closed:Timeout",
+    CommitTimedOut = "CommitTimedOut",
+    Connected = "Connected",
+    DataDelivered = "DataDelivered",
     DecisionAppliedAbort = "DecisionApplied:false",
-    Blocked = "Blocked",
+    DecisionAppliedCommit = "DecisionApplied:true",
+    DecisionMadeAbort = "DecisionMade:false",
+    DecisionMadeCommit = "DecisionMade:true",
     DecisionRetriesExhausted = "DecisionRetriesExhausted",
-    // timer life cycle
-    Set = "Set",
+    DecodeFailed = "DecodeFailed",
+    FastRetransmit = "FastRetransmit",
     Fired = "Fired",
-    Cancelled = "Cancelled",
+    FormedSingleton = "FormedSingleton",
+    GroupView = "GroupView:",
+    InTransition = "InTransition",
+    JoinSent = "JoinSent",
+    KeepaliveProbe = "KeepaliveProbe",
+    McInitiated = "McInitiated",
+    MemberSuspected = "MemberSuspected",
+    NakSent = "NakSent",
+    OutOfOrderQueued = "OutOfOrderQueued",
+    PeerWindowOpen = "PeerWindow:open",
+    PeerWindowZero = "PeerWindow:zero",
+    ProclaimAnsweredDirect = "ProclaimAnswered:direct",
+    ProclaimAnsweredMisrouted = "ProclaimAnswered:misrouted",
+    ProclaimForwardDroppedByBug = "ProclaimForwardDroppedByBug",
+    ProclaimForwarded = "ProclaimForwarded",
+    ProclaimSent = "ProclaimSent",
+    ResetRecv = "Reset:recv",
+    ResetSent = "Reset:sent",
+    Retransmit = "Retransmit",
+    SegmentSent = "SegmentSent:",
+    SelfDeclaredDead = "SelfDeclaredDead",
+    Set = "Set",
+    SpuriousTimerInTransition = "SpuriousTimerInTransition",
+    Started = "Started",
     Suppressed = "Suppressed",
+    VotedNo = "Voted:false",
+    VotedYes = "Voted:true",
+    ZeroWindowProbe = "ZeroWindowProbe",
 }
 
 /// The open-ended part of a label: the two payload values edges spell out
@@ -258,15 +469,6 @@ enum Arg {
     Count(usize),
     /// `SegmentSent:<kind>` — the segment kind the TCP layer names.
     Name(&'static str),
-}
-
-impl fmt::Display for Arg {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Arg::Count(n) => write!(f, "{n}"),
-            Arg::Name(name) => f.write_str(name),
-        }
-    }
 }
 
 /// One plus the index of `item` in `table`, adding it on first sight. A
@@ -309,13 +511,17 @@ impl Kind {
         Kind(Self::plain(label).0 | slot as u32)
     }
 
-    /// Appends this kind's edge text to `out`.
-    fn render(self, args: &[Arg], out: &mut String) {
-        out.push_str(LABEL_TEXT[(self.0 >> Self::ARG_BITS) as usize]);
+    /// This kind with its argument slot resolved against the extraction's
+    /// table: the term, and its name argument (empty without one).
+    fn term(self, args: &[Arg]) -> (Term, Name) {
         let slot = (self.0 & ((1 << Self::ARG_BITS) - 1)) as usize;
-        if slot > 0 {
-            write!(out, "{}", args[slot - 1]).expect(INFALLIBLE);
-        }
+        let (count, name) = match slot.checked_sub(1).map(|ix| &args[ix]) {
+            None => (0, ""),
+            Some(Arg::Count(n)) => (n + 1, ""),
+            Some(Arg::Name(name)) => (0, *name),
+        };
+        let label = LABELS[(self.0 >> Self::ARG_BITS) as usize];
+        (Term { label, count }, Name(name))
     }
 }
 
@@ -435,16 +641,17 @@ fn timer_kind(e: &TimerTrace) -> (&'static str, Label) {
     }
 }
 
-/// Buckets a count into a small stable label so coverage saturates instead
-/// of growing one edge per count value.
-fn bucket(n: usize) -> &'static str {
+/// The small stable labels counts are bucketed into, so coverage saturates
+/// instead of growing one edge per count value.
+const BUCKETS: [&str; 6] = ["0", "1", "2", "le4", "le8", "gt8"];
+
+/// The index into [`BUCKETS`] of a count.
+fn bucket(n: usize) -> usize {
     match n {
-        0 => "0",
-        1 => "1",
-        2 => "2",
-        3..=4 => "le4",
-        5..=8 => "le8",
-        _ => "gt8",
+        0..=2 => n,
+        3..=4 => 3,
+        5..=8 => 4,
+        _ => 5,
     }
 }
 
@@ -651,7 +858,8 @@ mod tests {
         let mut labels_seen = BTreeSet::new();
         for (kind, name, refinement) in &cases {
             let mut text = String::new();
-            kind.render(&args, &mut text);
+            let (term, arg) = kind.term(&args);
+            term.render(arg, &mut text);
             assert_eq!(text, format!("{name}{refinement}"));
             labels_seen.insert(kind.0 >> Kind::ARG_BITS);
         }
@@ -765,6 +973,58 @@ mod tests {
         let cov = Coverage::from_trace(&log);
         assert!(cov.contains("timer:n0:gmd:Set>Cancelled"), "{:?}", cov);
         assert_eq!(cov.len(), 3);
+    }
+
+    /// Live runs (keys) and replayed runs (text) interleave in one union:
+    /// whichever way an edge arrives first, it is new exactly once.
+    #[test]
+    fn keyed_and_text_runs_merge_into_one_union() {
+        let mut log = TraceLog::new();
+        log.record(SimTime::ZERO, n(0), "gmd", GmpEvent::Started);
+        let one = Coverage::from_trace(&log);
+        log.record(
+            SimTime::from_micros(1),
+            n(0),
+            "gmd",
+            GmpEvent::FormedSingleton,
+        );
+        let two = Coverage::from_trace(&log);
+        let replayed = |c: &Coverage| Coverage::from_edges(c.edges().map(str::to_string));
+
+        // Text first, then the same edges as keys: nothing new, and the
+        // keys are remembered for the next time.
+        let mut acc = Coverage::new();
+        assert_eq!(acc.merge(&replayed(&one)), 1);
+        assert_eq!(acc.merge(&one), 0);
+        assert_eq!(acc.merge(&Coverage::from_trace(&log)), 2);
+        assert_eq!(acc.merge(&replayed(&two)), 0);
+        assert_eq!(acc.len(), 3);
+        assert_eq!(acc, two);
+        assert_eq!(acc, replayed(&two));
+
+        // A run somebody already asked the text of still merges by key.
+        let rendered = Coverage::from_trace(&log);
+        assert_eq!(rendered.edges().count(), 3);
+        let mut acc = one.clone();
+        assert_eq!(acc.merge(&rendered), 2);
+        assert_eq!(acc.len(), 3);
+        // And a union merges into another union as text.
+        let mut outer = replayed(&one);
+        assert_eq!(outer.merge(&acc), 2);
+        assert_eq!(outer, two);
+        assert!(acc.difference(&one).eq(two.difference(&one)));
+    }
+
+    #[test]
+    fn len_and_emptiness_need_no_text() {
+        let mut log = TraceLog::new();
+        assert!(Coverage::from_trace(&log).is_empty());
+        log.record(SimTime::ZERO, n(0), "gmd", GmpEvent::Started);
+        let cov = Coverage::from_trace(&log);
+        assert_eq!(cov.len(), 1);
+        assert!(cov.text.get().is_none(), "len() rendered the edges");
+        assert!(cov.contains("gmp:n0:Started"));
+        assert_eq!(cov.len(), 1);
     }
 
     #[test]

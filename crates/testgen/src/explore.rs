@@ -11,8 +11,9 @@
 //!
 //! The search runs in **epochs** of [`ExploreConfig::epoch`] candidates:
 //! the master generates the whole epoch serially (consuming the seeded RNG
-//! against the epoch-start corpus), the candidates execute — inline, or
-//! fanned out across a [`pfi_fleet::Fleet`] by [`explore_fleet`] — and the
+//! against the epoch-start corpus), the candidates execute — inline, or on
+//! a [`pfi_fleet::Fleet`] (the master's own thread plus `jobs − 1` spawned
+//! workers) under [`explore_fleet`] — and the
 //! results merge back in canonical schedule-id order. Every run is a pure
 //! function of its schedule, so corpus evolution, coverage, `executed`
 //! counts, and repro artifact bytes are a function of
@@ -22,8 +23,9 @@
 //! larger epochs trade a little search adaptivity for dispatch width.
 //!
 //! Candidates cross the thread boundary as typed [`FaultSchedule`]s with
-//! the scripts admission already lowered them to — plain `Send` data, no
-//! text round-trip, nothing lowered or install-checked twice.
+//! the scripts admission already lowered them to and the compiled form the
+//! install check parsed — plain `Send` data, no text round-trip, nothing
+//! lowered, install-checked or parsed twice.
 //! With snapshot/fork execution on (the default), each candidate also
 //! carries an `Arc` of the captured base world, so workers *fork*
 //! the prepared world instead of replaying `TestTarget::build` per run;
@@ -55,7 +57,6 @@ use crate::schedule::{FaultSchedule, ScheduleMutator};
 use crate::shrink::shrink_schedule;
 use crate::snapshot::{BaseWorld, SnapshotStats, SnapshotStore};
 use crate::spec::ProtocolSpec;
-use crate::validate::scripts_install_errors;
 
 /// Exploration parameters.
 #[derive(Debug, Clone)]
@@ -682,7 +683,7 @@ impl EpochRunner for FleetEpochs<'_> {
 }
 
 /// A long-lived campaign worker pool: one [`pfi_fleet::Fleet`] whose
-/// threads outlive any single exploration, serving submitted campaigns
+/// workers outlive any single exploration, serving submitted campaigns
 /// back to back — the execution tier under the pfi-serve daemon. Each
 /// campaign hands its own target factory and limits along with every
 /// dispatched candidate, so consecutive campaigns may target different
@@ -695,7 +696,9 @@ pub struct CampaignFleet {
 }
 
 impl CampaignFleet {
-    /// Spawns a pool of `jobs` worker threads (0 is clamped to 1).
+    /// Builds a pool of `jobs` workers (0 is clamped to 1): the calling
+    /// thread — which must also be the one that calls
+    /// [`explore`](CampaignFleet::explore) — plus `jobs − 1` spawned ones.
     pub fn new(jobs: usize) -> Self {
         let fleet: Fleet<FleetJob, CandidateReport> = Fleet::new(jobs, |_worker| {
             Box::new(|fj: FleetJob| {
@@ -816,9 +819,8 @@ impl Tiers {
     ///   a run the campaign already merged. Same discipline: installable
     ///   candidates only, settled results only, violating classes never.
     fn admit(&mut self, schedule: FaultSchedule) -> Option<CandidateJob> {
-        let scripts = schedule.lower();
-        let install_errors = scripts_install_errors(&scripts, self.sites);
-        let installable = install_errors.is_empty();
+        let lowered = Lowered::check(schedule.id(), schedule.lower(), self.sites);
+        let installable = lowered.install_errors.is_empty();
         if self.prefilter && !installable {
             self.rejected += 1;
             return None;
@@ -857,11 +859,6 @@ impl Tiers {
                 semantic = Some(id);
             }
         }
-        let lowered = Lowered {
-            id: schedule.id(),
-            scripts,
-            install_errors,
-        };
         Some(CandidateJob {
             schedule,
             lowered,
@@ -1250,9 +1247,10 @@ pub fn explore(
     explore_with(target, &mut epochs, spec, config)
 }
 
-/// Runs the same exploration with candidate execution fanned out across
-/// `jobs` worker threads. Every worker constructs its own target from the
-/// `Send` factory; candidates travel as typed schedules. The outcome is
+/// Runs the same exploration with candidate execution shared between the
+/// calling thread and `jobs − 1` spawned workers. Every worker constructs
+/// its own target from the `Send` factory; candidates travel as typed
+/// schedules. The outcome is
 /// byte-identical to [`explore`] with the same config — worker count
 /// affects only wall-clock time and the [`FleetReport`] statistics.
 pub fn explore_fleet(

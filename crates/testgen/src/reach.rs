@@ -44,6 +44,9 @@
 //!   strictly to `dst` — a receive filter on node *n* only ever sees
 //!   messages addressed to *n*.
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+
 use pfi_core::lower::FilterProgram;
 use pfi_core::Direction;
 use pfi_lint::{analyze_effects, ClauseEffect, WindowBound};
@@ -78,7 +81,66 @@ pub struct FlowModel {
     /// on the network (`0` = unknown). Sound as long as it is an *upper*
     /// bound: rules only prove guards requiring *longer* messages inert.
     max_wire_len: usize,
+    /// What [`fault_inertness`](FlowModel::fault_inertness) has learnt
+    /// about each fault op so far. Not part of what the model *says*: it
+    /// never shows in `==`, and a clone carries it only as a head start.
+    effects: EffectMemo,
 }
+
+/// The guard clauses a fault op's lowered script fires under, or `None`
+/// where the analysis offers no proof material (a script that does not
+/// parse, an opaque one, one with no effectful clause).
+type OpEffects = Option<Arc<[ClauseEffect]>>;
+
+/// [`FlowModel`]'s memo of per-op effect summaries. Emitting, parsing and
+/// abstract-interpreting a fault's script depends on the [`FaultOp`] alone
+/// — not on the site, the direction, or the rest of the schedule — and a
+/// campaign asks about the same few hundred ops for every candidate on
+/// every fixpoint round, so each is analysed once. Bounded by the distinct
+/// fault ops of one campaign (the mutator's parameter ranges times the
+/// spec's message vocabulary); entries are a few guard facts each, never
+/// script text or compiled scripts.
+#[derive(Debug, Default)]
+struct EffectMemo(Mutex<HashMap<FaultOp, OpEffects>>);
+
+impl EffectMemo {
+    fn of(&self, op: &FaultOp) -> OpEffects {
+        if let Some(known) = self.0.lock().expect("effect memo poisoned").get(op) {
+            return known.clone();
+        }
+        let mut program = FilterProgram::new();
+        for clause in op.clauses() {
+            program.push(clause);
+        }
+        let effects = analyze_effects(&program.emit())
+            .ok()
+            .filter(|e| !e.opaque && !e.clauses.is_empty())
+            .map(|e| Arc::from(e.clauses));
+        self.0
+            .lock()
+            .expect("effect memo poisoned")
+            .insert(op.clone(), effects.clone());
+        effects
+    }
+}
+
+impl Clone for EffectMemo {
+    fn clone(&self) -> Self {
+        EffectMemo(Mutex::new(
+            self.0.lock().expect("effect memo poisoned").clone(),
+        ))
+    }
+}
+
+/// Two models are equal when they state the same facts; what either has
+/// memoised so far is not one of them.
+impl PartialEq for EffectMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for EffectMemo {}
 
 impl FlowModel {
     /// A model that knows only the spec vocabulary and the node count — no
@@ -92,6 +154,7 @@ impl FlowModel {
             site_node: None,
             send_dsts: Vec::new(),
             max_wire_len: 0,
+            effects: EffectMemo::default(),
         }
     }
 
@@ -319,21 +382,14 @@ impl FlowModel {
         }
 
         // Guard unreachability: abstract-interpret the fault's own lowered
-        // filter script; the fault is inert only when *every* clause is
-        // provably unreachable.
+        // filter script (once per distinct op — the memo); the fault is
+        // inert only when *every* clause is provably unreachable.
+        let clauses = self.effects.of(&fault.op)?;
         let foreign_corruption = schedule.faults.iter().enumerate().any(|(j, g)| {
             j != idx && matches!(g.op, FaultOp::CorruptByteAt { mask, .. } if mask != 0)
         });
-        let mut program = FilterProgram::new();
-        for clause in fault.op.clauses() {
-            program.push(clause);
-        }
-        let effects = analyze_effects(&program.emit()).ok()?;
-        if effects.opaque || effects.clauses.is_empty() {
-            return None;
-        }
         let mut first: Option<(&'static str, String)> = None;
-        for clause in &effects.clauses {
+        for clause in clauses.iter() {
             let kill =
                 self.clause_unreachable(clause, Some((fault.site, fault.dir)), foreign_corruption)?;
             first.get_or_insert(kill);

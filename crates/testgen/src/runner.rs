@@ -23,6 +23,7 @@ use crate::oracle::{
 };
 use crate::schedule::{FaultSchedule, SiteScripts};
 use crate::snapshot::{base_digest, SnapshotStore};
+use crate::validate::{check_install, CompiledSite};
 
 /// Outcome of one test case.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -259,7 +260,7 @@ pub fn run_case(target: &dyn TestTarget, case: &TestCase) -> CaseResult {
     let scripts = vec![SiteScripts { site, send, recv }];
     let run = execute(
         target,
-        lowered(target, case.id.clone(), scripts),
+        Lowered::check(case.id.clone(), scripts, target.fault_sites()),
         &RunLimits::default(),
         None,
     );
@@ -300,31 +301,39 @@ pub fn run_schedule_snapshotted(
     limits: &RunLimits,
     store: Option<&mut SnapshotStore>,
 ) -> ScheduleRun {
-    let lowered = lowered(target, schedule.id(), schedule.lower());
+    let lowered = Lowered::check(schedule.id(), schedule.lower(), target.fault_sites());
     execute(target, lowered, limits, store)
 }
 
 /// A schedule lowered and install-checked once — what [`execute`] runs.
 /// The explorer's admission builds one per candidate and carries it to the
-/// worker, so no candidate is lowered or parse-checked twice.
+/// worker, so no candidate is lowered twice and no filter parsed twice:
+/// the scripts the install check compiled are the ones installed.
 #[derive(Debug, Clone)]
 pub(crate) struct Lowered {
     /// The schedule's (or grid case's) stable id.
     pub(crate) id: String,
     /// The per-site filter scripts.
     pub(crate) scripts: Vec<SiteScripts>,
+    /// `scripts` as the install check compiled them, index for index.
+    /// They live as long as the candidate does and no longer — nothing
+    /// keyed by script text outlives a run.
+    compiled: Vec<CompiledSite>,
     /// [`scripts_install_errors`](crate::validate::scripts_install_errors)
     /// of `scripts` against the target; non-empty means nothing will run.
     pub(crate) install_errors: Vec<String>,
 }
 
-/// Install-checks `scripts` against `target`.
-fn lowered(target: &dyn TestTarget, id: String, scripts: Vec<SiteScripts>) -> Lowered {
-    let install_errors = crate::validate::scripts_install_errors(&scripts, target.fault_sites());
-    Lowered {
-        id,
-        scripts,
-        install_errors,
+impl Lowered {
+    /// Install-checks `scripts` against a target with `sites` fault sites.
+    pub(crate) fn check(id: String, scripts: Vec<SiteScripts>, sites: u32) -> Lowered {
+        let (install_errors, compiled) = check_install(&scripts, sites);
+        Lowered {
+            id,
+            scripts,
+            compiled,
+            install_errors,
+        }
     }
 }
 
@@ -355,6 +364,7 @@ pub(crate) fn execute(
     let Lowered {
         id,
         scripts,
+        compiled,
         install_errors,
     } = lowered;
     let (verdict, oracle, coverage) = if !install_errors.is_empty() {
@@ -365,7 +375,7 @@ pub(crate) fn execute(
         let world = match fork.as_mut().and_then(|store| store.lookup(digest)) {
             Some(base) => {
                 let mut world = base.world.fork();
-                install_scripts(&mut world, &base.sites, target.name(), &scripts);
+                install_scripts(&mut world, &base.sites, target.name(), &scripts, compiled);
                 world
             }
             None => {
@@ -386,7 +396,7 @@ pub(crate) fn execute(
                 if let Some(store) = fork {
                     store.capture(digest, &sites, &world);
                 }
-                install_scripts(&mut world, &sites, target.name(), &scripts);
+                install_scripts(&mut world, &sites, target.name(), &scripts, compiled);
                 world
             }
         };
@@ -402,18 +412,20 @@ pub(crate) fn execute(
     }
 }
 
-/// Installs every non-empty script on a world that carries no filter yet
-/// (a freshly built or freshly forked base). Filter installation is plain
-/// control-plane assignment: it emits no trace events, draws no RNG, and
-/// advances no virtual time — which is exactly what makes a
-/// forked-then-installed world byte-identical to a cold-built one.
+/// Installs every non-empty script — in the compiled form the install
+/// check left — on a world that carries no filter yet (a freshly built or
+/// freshly forked base). Filter installation is plain control-plane
+/// assignment: it emits no trace events, draws no RNG, and advances no
+/// virtual time — which is exactly what makes a forked-then-installed
+/// world byte-identical to a cold-built one.
 fn install_scripts(
     world: &mut World,
     sites: &[(NodeId, usize)],
     target_name: &str,
     scripts: &[SiteScripts],
+    compiled: Vec<CompiledSite>,
 ) {
-    for s in scripts {
+    for (s, filters) in scripts.iter().zip(compiled) {
         let &(node, pfi_layer) = sites.get(s.site as usize).unwrap_or_else(|| {
             panic!(
                 "schedule addresses fault site n{} but target {:?} has only {}",
@@ -422,13 +434,13 @@ fn install_scripts(
                 sites.len()
             )
         });
-        for (script, make_op) in [
-            (&s.send, PfiControl::SetSendFilter as fn(Filter) -> _),
-            (&s.recv, PfiControl::SetRecvFilter as fn(Filter) -> _),
-        ] {
-            if !script.is_empty() {
-                let filter = Filter::script(script).expect("generated scripts always parse");
-                let _: PfiReply = world.control(node, pfi_layer, make_op(filter));
+        let make_ops = [
+            PfiControl::SetSendFilter as fn(Filter) -> _,
+            PfiControl::SetRecvFilter,
+        ];
+        for (script, make_op) in filters.into_iter().zip(make_ops) {
+            if let Some(script) = script {
+                let _: PfiReply = world.control(node, pfi_layer, make_op(Filter::Script(script)));
             }
         }
     }
@@ -1187,7 +1199,7 @@ mod tests {
             event_cap: DRIVE_EVENT_CAP,
             step_budget: 500,
         };
-        let spin = lowered(&target, "spin".to_string(), vec![script]);
+        let spin = Lowered::check("spin".to_string(), vec![script], target.fault_sites());
         let run = execute(&target, spin, &limits, None);
         let Verdict::Hung(msg) = &run.verdict else {
             panic!(

@@ -15,7 +15,7 @@ use pfi_sim::SimRng;
 use crate::spec::ProtocolSpec;
 
 /// One parameterized fault against one message type.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum FaultOp {
     /// Drop every instance.
     DropAll {

@@ -19,6 +19,8 @@
 //!   change which runs execute and break digest equality with the
 //!   unfiltered engine.
 
+use std::sync::Arc;
+
 use pfi_lint::{Diagnostic, Linter, Severity};
 use pfi_script::Script;
 
@@ -51,28 +53,50 @@ impl ScheduleFinding {
     }
 }
 
+/// One site's filters as the install check compiled them: `[send, recv]`,
+/// `None` where the source is empty or does not parse.
+pub(crate) type CompiledSite = [Option<Arc<Script>>; 2];
+
+/// The install check: the install-blocking problems of `scripts` against a
+/// target with `sites` fault sites, and — index for index with `scripts` —
+/// every filter it parsed on the way, so whoever installs them next does
+/// not parse them again.
+pub(crate) fn check_install(
+    scripts: &[SiteScripts],
+    sites: u32,
+) -> (Vec<String>, Vec<CompiledSite>) {
+    let mut errors = Vec::new();
+    let compiled = scripts
+        .iter()
+        .map(|s| {
+            if s.site >= sites {
+                errors.push(format!(
+                    "filter addresses fault site n{} but the target has only {sites} fault site(s)",
+                    s.site
+                ));
+            }
+            [("send", &s.send), ("recv", &s.recv)].map(|(dir, src)| {
+                if src.is_empty() {
+                    return None;
+                }
+                match Script::parse(src) {
+                    Ok(script) => Some(Arc::new(script)),
+                    Err(e) => {
+                        errors.push(format!("site n{} {dir} filter does not parse: {e}", s.site));
+                        None
+                    }
+                }
+            })
+        })
+        .collect();
+    (errors, compiled)
+}
+
 /// The install-blocking problems of a set of lowered site scripts against
 /// a target with `sites` fault sites — the exact checks the runner
 /// performs before installing anything.
 pub fn scripts_install_errors(scripts: &[SiteScripts], sites: u32) -> Vec<String> {
-    let mut errors = Vec::new();
-    for s in scripts {
-        if s.site >= sites {
-            errors.push(format!(
-                "filter addresses fault site n{} but the target has only {sites} fault site(s)",
-                s.site
-            ));
-        }
-        for (dir, src) in [("send", &s.send), ("recv", &s.recv)] {
-            if src.is_empty() {
-                continue;
-            }
-            if let Err(e) = Script::parse(src) {
-                errors.push(format!("site n{} {dir} filter does not parse: {e}", s.site));
-            }
-        }
-    }
-    errors
+    check_install(scripts, sites).0
 }
 
 /// The install-blocking problems of a schedule against a target with

@@ -1,5 +1,7 @@
 //! Property-based tests for the campaign engine's pure parts: the
-//! delta-debugging shrinker, the schedule text codec, and the mutator.
+//! delta-debugging shrinker, the schedule text codec, the mutator, and the
+//! two places a result is remembered — coverage keys and the flow model's
+//! memo — against the same answer computed from scratch.
 
 use pfi_core::Direction;
 use pfi_script::Script;
@@ -393,6 +395,103 @@ proptest! {
             prop_assert_eq!(union.len(), before + expected_new);
             prop_assert_eq!(union.merge(&c), 0, "merge is idempotent");
             prop_assert_eq!(c.difference(&union).count(), 0);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Keys against text. `merge` answers from integer keys when it can and
+// from text when it must (replayed runs are text only). A union fed live
+// runs and replayed ones in any interleaving must be indistinguishable
+// from one that only ever saw rendered strings: the same `merge` return
+// values, the same `len()`, the same edge text, the same `difference`.
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn a_union_merged_by_key_equals_one_merged_as_text(
+        seed in any::<u64>(), steps in 4usize..14,
+    ) {
+        use pfi_testgen::{run_schedule, Coverage, GmpTarget, TestTarget};
+
+        let target = GmpTarget { fault_secs: 5, ..GmpTarget::default() };
+        let mutator = ScheduleMutator::new(
+            &ProtocolSpec::gmp(),
+            target.node_count(),
+            target.fault_sites(),
+        );
+        let replayed = |c: &Coverage| Coverage::from_edges(c.edges().map(str::to_string));
+        let mut rng = SimRng::seed_from(seed);
+        let mut sched = FaultSchedule::empty();
+        // The baseline run becomes the union, as in the engine: a live
+        // run on one side, its text on the other.
+        let baseline = run_schedule(&target, &sched).coverage;
+        let mut by_text = replayed(&baseline);
+        let mut by_key = baseline;
+        for _ in 0..steps {
+            sched = mutator.mutate(&sched, 3, &mut rng);
+            // A fresh, never-rendered run for the key side; the text side
+            // only ever sees strings.
+            let text = replayed(&run_schedule(&target, &sched).coverage);
+            let live = run_schedule(&target, &sched).coverage;
+            prop_assert_eq!(live.len(), text.len(), "len() from keys");
+            let new = by_text.merge(&text);
+            if rng.coin(0.3) {
+                prop_assert_eq!(by_key.merge(&text), new, "a replayed run, interleaved");
+            } else {
+                prop_assert_eq!(by_key.merge(&live), new, "a live run");
+                prop_assert_eq!(by_key.merge(&live), 0, "known keys add nothing");
+            }
+            prop_assert_eq!(by_key.len(), by_text.len());
+            prop_assert!(by_key.edges().eq(by_text.edges()), "edge text");
+            prop_assert!(by_key.difference(&live).eq(by_text.difference(&text)));
+            prop_assert!(live.difference(&by_key).eq(text.difference(&by_text)));
+            prop_assert_eq!(&by_key, &by_text);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The flow model's memo. What `fault_inertness` learns about a fault op it
+// keeps, so a model that has answered for a thousand schedules — scrambled
+// ones included, whose ops never parse — must still answer exactly as one
+// that has answered for none.
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    #[test]
+    fn a_warmed_flow_model_answers_like_a_fresh_one(seed in any::<u64>()) {
+        use pfi_testgen::FlowModel;
+
+        // (a fresh model, its spec, nodes, fault sites)
+        let fresh_models: [fn() -> FlowModel; 3] =
+            [FlowModel::gmp, FlowModel::tcp, FlowModel::two_phase_commit];
+        let shapes = [
+            (ProtocolSpec::gmp(), 3, 3),
+            (ProtocolSpec::tcp(), 2, 1),
+            (ProtocolSpec::two_phase_commit(), 4, 4),
+        ];
+        for (fresh, (spec, nodes, sites)) in fresh_models.into_iter().zip(shapes) {
+            let warm = fresh();
+            let mutator = ScheduleMutator::new(&spec, nodes, sites);
+            let mut rng = SimRng::seed_from(seed);
+            let mut sched = FaultSchedule::empty();
+            let mut scrambled = 0usize;
+            for _ in 0..1000 {
+                sched = mutator.mutate(&sched, 4, &mut rng);
+                scrambled += usize::from(!schedule_is_installable(&sched, sites));
+                let cold = fresh();
+                prop_assert_eq!(warm.semantic_schedule(&sched), cold.semantic_schedule(&sched));
+                prop_assert_eq!(warm.semantic_id(&sched), cold.semantic_id(&sched));
+                prop_assert_eq!(warm.inert_facts(&sched), cold.inert_facts(&sched));
+                // Warm or not, a model states the same facts, and a clone
+                // of a warm one answers the same again.
+                prop_assert_eq!(&warm, &cold);
+                prop_assert_eq!(warm.clone().inert_facts(&sched), cold.inert_facts(&sched));
+            }
+            prop_assert!(scrambled > 20, "only {} scrambled schedules", scrambled);
         }
     }
 }
