@@ -3,11 +3,14 @@
 //! everything in a [`Store`] so a crash — up to and including SIGKILL —
 //! loses no acknowledged campaign.
 //!
-//! Concurrency model: one listener loop (nonblocking accept + short
-//! sleep), one connection-handler thread per client, and one executor
-//! thread that owns the fleet. Shared state is a single mutex + condvar;
-//! the condvar signals both "queue has work" (to the executor) and
-//! "campaign finished" (to `wait`ing clients).
+//! Concurrency model: one listener loop blocked in `accept` (the executor
+//! wakes it on its way out by connecting to the daemon's own address),
+//! one connection-handler thread per client, and one executor thread that
+//! owns the fleet. Shared state is a single mutex + condvar; the condvar
+//! signals both "queue has work" (to the executor) and "campaign
+//! finished" (to `wait`ing clients). A running campaign's progress is
+//! three atomics the explorer raises ([`LiveProgress`]), so `status`
+//! reads no file while it holds that mutex.
 //!
 //! Hardening (the daemon probed by its own technique — see
 //! [`crate::faultio`]): every accepted connection carries read/write
@@ -19,10 +22,10 @@
 //! journal-settles and merges its corpus before the process exits, while
 //! queued campaigns stay in the store for the next start.
 //!
-//! Durability contract: `submit` writes the seed snapshot, then the index
-//! line (fsynced), then acknowledges. The campaign itself runs with a
-//! write-ahead journal in the store. On startup the daemon scans the
-//! index: campaigns whose journal carries the `complete` terminator are
+//! Durability contract: `submit` writes the seed snapshot if there are
+//! seeds to pin, then the index line (fsynced), then acknowledges. The
+//! campaign itself runs with a write-ahead journal in the store. On
+//! startup the daemon scans the index: campaigns whose journal carries the `complete` terminator are
 //! reconstructed (no re-execution) for `status`/`results`; everything
 //! else — running or still queued at the kill — is re-enqueued, and the
 //! torn journal's completed cases are replayed, not re-executed. Epoch-
@@ -31,8 +34,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, BufReader, Read, Write};
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -40,8 +43,8 @@ use std::time::{Duration, Instant};
 
 use pfi_gmp::GmpBugs;
 use pfi_testgen::{
-    CampaignFleet, ExploreOutcome, GmpTarget, Journal, ProtocolSpec, TargetFactory, TcpTarget,
-    TpcTarget,
+    CampaignFleet, ExploreOutcome, GmpTarget, Journal, LiveProgress, ProtocolSpec, TargetFactory,
+    TcpTarget, TpcTarget,
 };
 
 use crate::faultio::{FaultConfig, FaultPlan, FaultStream};
@@ -290,8 +293,12 @@ fn exit_code(outcome: &ExploreOutcome) -> i32 {
 }
 
 enum CampaignState {
+    /// Waiting its turn, or taken off the queue and still loading.
     Queued,
-    Running { started: Instant },
+    Running {
+        started: Instant,
+        progress: Arc<LiveProgress>,
+    },
     Done(Box<Summary>),
 }
 
@@ -319,6 +326,10 @@ struct Shared {
     limits: ServiceLimits,
     conns: ConnRegistry,
     chaos: Option<Arc<FaultPlan>>,
+    /// Opens and drops a connection to the daemon's own listening
+    /// address: how the executor gets the blocked accept loop to look at
+    /// the shutdown flags again.
+    wake: Box<dyn Fn() + Send + Sync>,
 }
 
 /// Bounded-retry wrapper for store writes: an injected (or real,
@@ -398,6 +409,29 @@ pub fn run(opts: DaemonOptions) -> io::Result<()> {
     }
     queue.sort_by_key(|id| seq_of(id));
 
+    enum Listener {
+        Tcp(TcpListener),
+        Unix(UnixListener),
+    }
+    let (listener, wake): (_, Box<dyn Fn() + Send + Sync>) = match &opts.bind {
+        Bind::Tcp(addr) => {
+            let l = TcpListener::bind(addr)?;
+            let own = l.local_addr()?;
+            (
+                Listener::Tcp(l),
+                Box::new(move || drop(TcpStream::connect(own))),
+            )
+        }
+        Bind::Unix(path) => {
+            std::fs::remove_file(path).ok();
+            let (l, own) = (UnixListener::bind(path)?, path.clone());
+            (
+                Listener::Unix(l),
+                Box::new(move || drop(UnixStream::connect(&own))),
+            )
+        }
+    };
+
     let shared = Arc::new(Shared {
         state: Mutex::new(DaemonState {
             campaigns,
@@ -413,29 +447,12 @@ pub fn run(opts: DaemonOptions) -> io::Result<()> {
         limits: opts.limits.clone(),
         conns: ConnRegistry::default(),
         chaos,
+        wake,
     });
 
     let executor = {
         let shared = Arc::clone(&shared);
         std::thread::spawn(move || executor_loop(&shared, jobs))
-    };
-
-    enum Listener {
-        Tcp(TcpListener),
-        Unix(UnixListener),
-    }
-    let listener = match &opts.bind {
-        Bind::Tcp(addr) => {
-            let l = TcpListener::bind(addr)?;
-            l.set_nonblocking(true)?;
-            Listener::Tcp(l)
-        }
-        Bind::Unix(path) => {
-            std::fs::remove_file(path).ok();
-            let l = UnixListener::bind(path)?;
-            l.set_nonblocking(true)?;
-            Listener::Unix(l)
-        }
     };
 
     // Accept-loop error policy: transient failures (EMFILE, EINTR,
@@ -447,6 +464,14 @@ pub fn run(opts: DaemonOptions) -> io::Result<()> {
             Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
             Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
         };
+        // Checked after every return from `accept`: the executor's wake-up
+        // connection is the one that finds both flags set.
+        {
+            let state = shared.state.lock().unwrap();
+            if state.shutdown && state.executor_done {
+                break;
+            }
+        }
         match accepted {
             Ok(stream) => {
                 backoff = Duration::from_millis(10);
@@ -472,23 +497,8 @@ pub fn run(opts: DaemonOptions) -> io::Result<()> {
                     let _ = handle_connection(stream, &shared, conn_id);
                 });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                {
-                    let state = shared.state.lock().unwrap();
-                    if state.shutdown && state.executor_done {
-                        break;
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(25));
-            }
             Err(_) => {
                 DaemonStats::bump(&shared.stats.accept_errors);
-                {
-                    let state = shared.state.lock().unwrap();
-                    if state.shutdown && state.executor_done {
-                        break;
-                    }
-                }
                 std::thread::sleep(backoff);
                 backoff = (backoff * 2).min(Duration::from_secs(1));
             }
@@ -504,13 +514,8 @@ pub fn run(opts: DaemonOptions) -> io::Result<()> {
     Ok(())
 }
 
-/// Moves an accepted socket to blocking mode with the configured
-/// deadlines.
+/// Gives an accepted socket the configured deadlines.
 fn configure_conn(stream: &Stream, limits: &ServiceLimits) -> io::Result<()> {
-    match stream {
-        Stream::Tcp(s) => s.set_nonblocking(false)?,
-        Stream::Unix(s) => s.set_nonblocking(false)?,
-    }
     stream.set_read_timeout(Some(limits.read_timeout))?;
     stream.set_write_timeout(Some(limits.write_timeout))
 }
@@ -529,7 +534,7 @@ fn is_timeout(e: &io::Error) -> bool {
 fn executor_loop(shared: &Shared, jobs: usize) {
     let mut pool = CampaignFleet::new(jobs);
     loop {
-        let id = {
+        let (id, params) = {
             let mut state = shared.state.lock().unwrap();
             loop {
                 // Shutdown wins over queued work: queued campaigns stay in
@@ -538,20 +543,17 @@ fn executor_loop(shared: &Shared, jobs: usize) {
                     state.executor_done = true;
                     shared.cv.notify_all();
                     drop(state);
+                    (shared.wake)();
                     pool.shutdown();
                     return;
                 }
                 if let Some(id) = state.queue.pop_front() {
-                    let entry = state.campaigns.get_mut(&id).unwrap();
-                    entry.state = CampaignState::Running {
-                        started: Instant::now(),
-                    };
-                    break id;
+                    let params = state.campaigns[&id].params.clone();
+                    break (id, params);
                 }
                 state = shared.cv.wait(state).unwrap();
             }
         };
-        let params = shared.state.lock().unwrap().campaigns[&id].params.clone();
         let started = Instant::now();
         let summary = run_campaign(&mut pool, shared, &id, &params);
         let mut summary = summary.unwrap_or_else(|e| Summary {
@@ -588,6 +590,9 @@ fn build_target(params: &CampaignParams) -> (ProtocolSpec, Arc<dyn TargetFactory
 /// Runs (or resumes) one campaign on the shared pool and merges its
 /// corpus into the target's pool file. Pool merges are disk writes, so
 /// they go through the same self-healing retry as submit's store writes.
+/// The campaign turns `Running` here, once its progress counters hold
+/// what a journal being resumed already records, so `status` after a
+/// restart starts from those counts and never from zero.
 fn run_campaign(
     pool: &mut CampaignFleet,
     daemon: &Shared,
@@ -598,6 +603,7 @@ fn run_campaign(
     let (spec, factory) = build_target(params);
     let mut cfg = params.to_config();
     cfg.seed_corpus = store.read_seeds(id)?;
+    let progress = Arc::new(LiveProgress::default());
     let journal_path = store.journal_path(id);
     match Journal::load(&journal_path) {
         Ok(journal) if journal.complete => {
@@ -608,10 +614,25 @@ fn run_campaign(
             })?;
             return Ok(Summary::from_outcome(&outcome, shared));
         }
-        Ok(journal) => cfg.resume = Some(journal),
+        Ok(journal) => {
+            let edges: BTreeSet<&str> = journal
+                .cases
+                .iter()
+                .flat_map(|c| c.coverage.iter().map(String::as_str))
+                .collect();
+            progress.raise(journal.dispatched.len(), journal.cases.len(), edges.len());
+            cfg.resume = Some(journal);
+        }
         Err(_) => {} // no journal yet (or unreadable): fresh run
     }
     cfg.journal = Some(journal_path);
+    cfg.progress = Some(Arc::clone(&progress));
+    let mut state = daemon.state.lock().unwrap();
+    state.campaigns.get_mut(id).unwrap().state = CampaignState::Running {
+        started: Instant::now(),
+        progress,
+    };
+    drop(state);
 
     let before = pool.report();
     let outcome = pool.explore(factory, &spec, &cfg);
@@ -626,32 +647,18 @@ fn run_campaign(
     Ok(summary)
 }
 
-/// Live progress for a running campaign, read from its in-progress
-/// write-ahead journal via the torn-tail-tolerant loader: completed
-/// cases, distinct coverage edges so far, dispatch-queue depth, and
-/// exec/s over elapsed wall time.
-fn live_status_kv(store: &Store, id: &str, started: Instant) -> String {
+/// Live progress for a running campaign, read from the counters its
+/// explorer raises: merged cases, distinct coverage edges so far,
+/// dispatch-queue depth, and exec/s over elapsed wall time.
+fn live_status_kv(progress: &LiveProgress, started: Instant) -> String {
     let elapsed = started.elapsed();
-    let (executed, edges, queued) = match std::fs::read_to_string(store.journal_path(id))
-        .ok()
-        .and_then(|text| Journal::from_text(&text).ok())
-    {
-        Some(journal) => {
-            let edges: BTreeSet<&str> = journal
-                .cases
-                .iter()
-                .flat_map(|c| c.coverage.iter().map(String::as_str))
-                .collect();
-            let done: BTreeSet<String> = journal.cases.iter().map(|c| c.schedule.id()).collect();
-            let queued = journal
-                .dispatched
-                .iter()
-                .filter(|d| !done.contains(*d))
-                .count();
-            (journal.cases.len(), edges.len(), queued)
-        }
-        None => (0, 0, 0),
-    };
+    // Relaxed: statistics, publishing no other data.
+    let executed = progress.cases.load(Ordering::Relaxed);
+    let queued = progress
+        .dispatched
+        .load(Ordering::Relaxed)
+        .saturating_sub(executed);
+    let edges = progress.edges.load(Ordering::Relaxed);
     let exec_per_sec = if elapsed.as_secs_f64() > 0.0 {
         executed as f64 / elapsed.as_secs_f64()
     } else {
@@ -853,7 +860,7 @@ fn handle_request<W: Write>(req: &Request, shared: &Shared, w: &mut W) -> io::Re
                 }
                 Admit::Fresh(id) => id,
             };
-            // Durability order: seeds, then index (fsynced), then ack.
+            // Durability order: seeds if any, then index (fsynced), then ack.
             // Each write self-heals through bounded retries; a write that
             // still fails rolls the reservation back and nacks, so a
             // retrying client resubmits cleanly.
@@ -915,8 +922,8 @@ fn handle_request<W: Write>(req: &Request, shared: &Shared, w: &mut W) -> io::Re
                     let entry = &state.campaigns[*id];
                     let (word, kv) = match &entry.state {
                         CampaignState::Queued => ("queued", String::new()),
-                        CampaignState::Running { started } => {
-                            ("running", live_status_kv(&shared.store, id, *started))
+                        CampaignState::Running { started, progress } => {
+                            ("running", live_status_kv(progress, *started))
                         }
                         CampaignState::Done(s) => ("done", s.status_kv()),
                     };
@@ -1012,11 +1019,16 @@ fn handle_request<W: Write>(req: &Request, shared: &Shared, w: &mut W) -> io::Re
         }
 
         Request::Shutdown => {
+            // Acknowledge first: once the flag is up an idle executor is
+            // gone within microseconds, the accept loop wakes and closes
+            // every connection, this one included. A torn ack changes
+            // nothing — the daemon acts on the request regardless.
+            let acked = write_reply(w, true, "stopping", None);
             let mut state = shared.state.lock().unwrap();
             state.shutdown = true;
             shared.cv.notify_all();
             drop(state);
-            write_reply(w, true, "stopping", None)?;
+            acked?;
             return Ok(true);
         }
     }

@@ -11,17 +11,31 @@
 //!                    (crash-safe; a missing `complete` terminator marks
 //!                    the campaign as unfinished and resumable)
 //! <id>.seeds         the seed-corpus snapshot taken at submission, one
-//!                    schedule per line (` + `-joined fault lines);
-//!                    written before the index line so an indexed
-//!                    campaign always has its pinned seeds; written via
-//!                    <id>.seeds.tmp + rename so the final path is
-//!                    always absent or complete, never torn
+//!                    schedule per line (` + `-joined fault lines).
+//!                    Exists only when seeds were pinned: a submit
+//!                    without `share-corpus`, or against an empty pool,
+//!                    writes nothing, and a missing file *is* the empty
+//!                    seed corpus. When there are seeds they are written
+//!                    before the index line (seeds if any -> index fsync
+//!                    -> ack), via <id>.seeds.tmp + rename, so an indexed
+//!                    campaign always has its pinned seeds and the final
+//!                    path is always absent or complete, never torn
 //! corpus-<key>       the shared corpus pool for one target build,
 //!                    deduplicated by canonical schedule — the
 //!                    cross-campaign minimization pass
 //! ```
 //!
 //! Identity lives in the index + seeds; progress lives in the journal.
+//!
+//! The pool's dedup set is held in memory, one set of canonical ids per
+//! corpus key, loaded from `corpus-<key>` the first time the key is
+//! merged into; after that a merge touches the disk only to append
+//! schedules the set did not hold. This assumes the `Store` value is the
+//! directory's only writer for as long as it lives — a daemon owns its
+//! store — so nothing is watched for outside edits. A key's set is
+//! thrown away, and re-read from the file on the next merge, whenever an
+//! append to that pool fails (the file may then hold any prefix of the
+//! record), and a new `Store::open` starts with no sets at all.
 //! A SIGKILL — or an injected short write / ENOSPC from the chaos
 //! fault plan ([`crate::faultio`]) — can tear at most the trailing line
 //! of whichever file was being appended; every reader here (and the
@@ -29,10 +43,12 @@
 //! every appender heals a torn tail (missing final newline) before
 //! writing so the fragment can never swallow a later good record.
 
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use pfi_testgen::FaultSchedule;
 
@@ -40,12 +56,16 @@ use crate::faultio::{faulty_sync, faulty_write_all, FaultPlan};
 use crate::proto::CampaignParams;
 
 /// Handle on a store directory.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
     /// When set, every write and fsync consults the plan — the chaos
     /// suite's disk-fault surface. `None` in production.
     plan: Option<Arc<FaultPlan>>,
+    /// Corpus key -> canonical ids of every schedule in `corpus-<key>`,
+    /// present once the key has been merged into (see the module header
+    /// for what keeps it equal to the file).
+    pools: Mutex<BTreeMap<String, BTreeSet<String>>>,
 }
 
 impl Store {
@@ -53,7 +73,11 @@ impl Store {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<Store> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(Store { dir, plan: None })
+        Ok(Store {
+            dir,
+            plan: None,
+            pools: Mutex::default(),
+        })
     }
 
     /// Routes this store's writes and fsyncs through a fault plan.
@@ -150,7 +174,7 @@ impl Store {
             Err(e) => return Err(e),
         };
         let mut out: Vec<(String, CampaignParams, Option<String>)> = Vec::new();
-        let mut slot: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();
+        let mut slot: BTreeMap<String, usize> = BTreeMap::new();
         for line in text.lines() {
             let Some(rest) = line.strip_prefix("campaign ") else {
                 continue; // torn or foreign line
@@ -175,18 +199,31 @@ impl Store {
     }
 
     /// Writes a campaign's pinned seed corpus (one schedule per line) and
-    /// fsyncs. Empty baselines are never seeds. Crash-safe by temp-file +
-    /// rename: the final path either doesn't exist or holds a complete,
-    /// fsynced seed set — an ENOSPC or short write mid-stream strands
-    /// only the `.tmp` file, which the next attempt overwrites.
+    /// fsyncs. Empty baselines are never seeds, and with nothing to pin no
+    /// file is written ([`read_seeds`](Store::read_seeds) reads a missing
+    /// file as the empty corpus); a stale `<id>.seeds` — from a submit
+    /// refused at the index, under an id the next start issues again — is
+    /// unlinked. Otherwise crash-safe by temp-file + rename: the final
+    /// path either doesn't exist or holds a complete, fsynced seed set —
+    /// an ENOSPC or short write mid-stream strands only the `.tmp` file,
+    /// which the next attempt overwrites.
     pub fn write_seeds(&self, id: &str, seeds: &[FaultSchedule]) -> io::Result<()> {
         let final_path = self.seeds_path(id);
-        let tmp_path = self.dir.join(format!("{id}.seeds.tmp"));
         let mut body = String::new();
         for s in seeds.iter().filter(|s| !s.is_empty()) {
             body.push_str(&s.id());
             body.push('\n');
         }
+        if body.is_empty() {
+            return match fs::remove_file(&final_path) {
+                // The removal has to be as durable as the index line that
+                // follows it, or a crash could bring the stale seeds back.
+                Ok(()) => File::open(&self.dir)?.sync_all(),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+                Err(e) => Err(e),
+            };
+        }
+        let tmp_path = self.dir.join(format!("{id}.seeds.tmp"));
         let mut f = File::create(&tmp_path)?;
         let sync_fails = faulty_write_all(&mut f, body.as_bytes(), self.plan.as_ref())?;
         faulty_sync(&f, sync_fails)?;
@@ -195,7 +232,8 @@ impl Store {
     }
 
     /// Reads a campaign's pinned seed corpus; a missing file is an empty
-    /// corpus (the campaign was submitted without `share-corpus`).
+    /// corpus (the campaign was submitted without `share-corpus`, or the
+    /// pool was empty).
     pub fn read_seeds(&self, id: &str) -> io::Result<Vec<FaultSchedule>> {
         read_schedule_lines(&self.seeds_path(id))
     }
@@ -211,11 +249,20 @@ impl Store {
     /// equivalent discoveries from different campaigns collapse to one
     /// seed. Returns how many schedules were actually added. Append-only
     /// and fsynced; pool order is deterministic in campaign completion
-    /// order.
+    /// order. The pool file is read only on the first merge into `key`
+    /// and after a failed append (module header).
     pub fn merge_corpus(&self, key: &str, corpus: &[FaultSchedule]) -> io::Result<usize> {
-        let existing = self.read_corpus(key)?;
-        let mut seen: std::collections::BTreeSet<String> =
-            existing.iter().map(|s| s.canonical_id()).collect();
+        let mut pools = self
+            .pools
+            .lock()
+            .expect("no merge panics while holding the pool index");
+        let seen = match pools.entry(key.to_string()) {
+            Entry::Occupied(held) => held.into_mut(),
+            Entry::Vacant(slot) => {
+                let on_disk = self.read_corpus(key)?;
+                slot.insert(on_disk.iter().map(|s| s.canonical_id()).collect())
+            }
+        };
         let fresh: Vec<&FaultSchedule> = corpus
             .iter()
             .filter(|s| !s.is_empty() && seen.insert(s.canonical_id()))
@@ -224,7 +271,10 @@ impl Store {
             return Ok(0);
         }
         let lines: Vec<String> = fresh.iter().map(|s| s.id()).collect();
-        self.append_line(&self.corpus_path(key), &lines.join("\n"))?;
+        if let Err(e) = self.append_line(&self.corpus_path(key), &lines.join("\n")) {
+            pools.remove(key);
+            return Err(e);
+        }
         Ok(fresh.len())
     }
 }
@@ -248,6 +298,7 @@ fn read_schedule_lines(path: &Path) -> io::Result<Vec<FaultSchedule>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pfi_store_{}_{name}", std::process::id()))
@@ -384,7 +435,131 @@ mod tests {
             .write_seeds("c1", &[FaultSchedule::empty(), s.clone()])
             .unwrap();
         assert_eq!(store.read_seeds("c1").unwrap(), vec![s]);
+        assert!(
+            !dir.join("c1.seeds.tmp").exists(),
+            "a pinned seed set reaches its final path by rename"
+        );
         assert!(store.read_seeds("c9").unwrap().is_empty());
+
+        // Nothing to pin — no seeds, or only baselines — writes no file,
+        // and removes one a refused submit left under the same id.
+        for nothing in [vec![], vec![FaultSchedule::empty(), FaultSchedule::empty()]] {
+            store.write_seeds("c2", &nothing).unwrap();
+            assert!(!store.seeds_path("c2").exists());
+            assert!(!dir.join("c2.seeds.tmp").exists());
+            store.write_seeds("c1", &nothing).unwrap();
+            assert!(!store.seeds_path("c1").exists(), "stale seeds must go");
+            assert!(store.read_seeds("c1").unwrap().is_empty());
+            fs::write(store.seeds_path("c1"), "n2 recv drop-nth JOIN 2\n").unwrap();
+        }
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The pool merge as it was before the in-memory index: the whole
+    /// pool file is re-read and re-canonicalised on every call. Kept as
+    /// the reference `merge_corpus` must be indistinguishable from.
+    fn merge_rereading(store: &Store, key: &str, corpus: &[FaultSchedule]) -> io::Result<usize> {
+        let mut seen: BTreeSet<String> = store
+            .read_corpus(key)?
+            .iter()
+            .map(|s| s.canonical_id())
+            .collect();
+        let fresh: Vec<&FaultSchedule> = corpus
+            .iter()
+            .filter(|s| !s.is_empty() && seen.insert(s.canonical_id()))
+            .collect();
+        if fresh.is_empty() {
+            return Ok(0);
+        }
+        let lines: Vec<String> = fresh.iter().map(|s| s.id()).collect();
+        store.append_line(&store.corpus_path(key), &lines.join("\n"))?;
+        Ok(fresh.len())
+    }
+
+    /// Fault lines the generated corpora draw from: several sites and
+    /// directions, so permuted draws share a canonical form, and a
+    /// `drop-after 0` that canonicalises to the `drop-all` beside it.
+    const FAULT_LINES: [&str; 7] = [
+        "n1 send drop-all HEARTBEAT",
+        "n1 send drop-after HEARTBEAT 0",
+        "n0 recv delay-ms ACK 250",
+        "n2 recv drop-nth JOIN 2",
+        "n0 send duplicate PROCLAIM 2",
+        "n2 send corrupt-byte COMMIT 2 64",
+        "n1 recv delay-ms ACK 1000",
+    ];
+
+    fn arb_corpus() -> impl Strategy<Value = Vec<FaultSchedule>> {
+        let schedule =
+            proptest::collection::vec(0usize..FAULT_LINES.len(), 0..4).prop_map(|picks| {
+                FaultSchedule::from_lines(picks.iter().map(|&i| FAULT_LINES[i])).unwrap()
+            });
+        proptest::collection::vec(schedule, 0..5)
+    }
+
+    proptest! {
+        /// Differential: any sequence of merges — overlapping, permuted,
+        /// empty and duplicate corpora over two keys, clean or with disk
+        /// faults injected and retried, with a fresh `Store::open` taking
+        /// over part-way — returns the counts and leaves the pool bytes
+        /// the re-reading reference does.
+        #[test]
+        fn pool_index_matches_rereading_the_pool_file(
+            steps in proptest::collection::vec((0usize..2, arb_corpus()), 1..12),
+            reopen_at in 0usize..12,
+            fault_seed in 1u64..1_000_000,
+            disk_permille in prop_oneof![Just(0u16), Just(350u16)],
+        ) {
+            use crate::faultio::{FaultConfig, FaultPlan};
+            let side = |name: &str| {
+                let dir = tmp(name);
+                fs::remove_dir_all(&dir).ok();
+                let plan = FaultPlan::new(FaultConfig {
+                    seed: fault_seed,
+                    wire_permille: 0,
+                    disk_permille,
+                    max_faults: 0, // unlimited: every op rolls the dice
+                    max_delay_ms: 1,
+                });
+                (dir, plan)
+            };
+            let (dir_a, plan_a) = side("pool_indexed");
+            let (dir_b, plan_b) = side("pool_reference");
+            let mut indexed = Store::open(&dir_a).unwrap().with_fault_plan(plan_a.clone());
+            let reference = Store::open(&dir_b).unwrap().with_fault_plan(plan_b.clone());
+            // Bounded retry, like the daemon's: every attempt's result —
+            // the errors too — must match the reference's.
+            let attempts = |merge: &dyn Fn() -> io::Result<usize>| {
+                let mut seen = Vec::new();
+                for _ in 0..64 {
+                    let r = merge().map_err(|e| e.to_string());
+                    let done = r.is_ok();
+                    seen.push(r);
+                    if done {
+                        break;
+                    }
+                }
+                seen
+            };
+            for (i, (k, corpus)) in steps.iter().enumerate() {
+                if i == reopen_at {
+                    indexed = Store::open(&dir_a).unwrap().with_fault_plan(plan_a.clone());
+                }
+                let key = ["gmp", "tcp-fs5"][*k];
+                let got = attempts(&|| indexed.merge_corpus(key, corpus));
+                let want = attempts(&|| merge_rereading(&reference, key, corpus));
+                prop_assert_eq!(got, want, "step {}", i);
+            }
+            prop_assert_eq!(plan_a.disk_injected(), plan_b.disk_injected());
+            for key in ["gmp", "tcp-fs5"] {
+                prop_assert_eq!(
+                    fs::read(indexed.corpus_path(key)).ok(),
+                    fs::read(reference.corpus_path(key)).ok(),
+                    "corpus-{} differs", key
+                );
+            }
+            fs::remove_dir_all(&dir_a).ok();
+            fs::remove_dir_all(&dir_b).ok();
+        }
     }
 }

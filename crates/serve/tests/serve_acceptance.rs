@@ -11,6 +11,12 @@
 //!    every in-flight campaign — the one that was running (from its torn
 //!    journal, replaying completed cases) and the ones still queued —
 //!    to the same digests an uninterrupted daemon would have produced.
+//! 3. The per-campaign books the daemon keeps in memory agree with the
+//!    store: a seeds file exists exactly when seeds were pinned (and is
+//!    what a resume after the pool has grown runs from), and live
+//!    `status` — answered from counters, not from the journal — never
+//!    steps back, never runs ahead of the journal the campaign ends up
+//!    with, and picks up after a restart where the torn journal stopped.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -18,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use pfi_serve::proto::{parse_kv, Client, Request};
 use pfi_serve::CampaignParams;
-use pfi_testgen::{explore, ExploreConfig, FaultSchedule, GmpTarget, ProtocolSpec};
+use pfi_testgen::{explore, ExploreConfig, FaultSchedule, GmpTarget, Journal, ProtocolSpec};
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pfi_serve_{}_{name}", std::process::id()))
@@ -129,6 +135,72 @@ fn wait_digest(client: &mut Client, id: &str) -> (i32, String) {
     )
 }
 
+/// The `<id>.seeds` files in a store directory, sorted.
+fn seeds_files(store: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(store)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.contains(".seeds"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// A `results` reply as one comparable string, minus `shared=N`: how many
+/// schedules a campaign added to the pool is known only to the daemon
+/// that ran it (a restarted one re-merges and adds none).
+fn results_text(client: &mut Client, id: &str) -> String {
+    let reply = client.call(&Request::Results { id: id.into() }).unwrap();
+    assert!(reply.ok, "results refused: {}", reply.head);
+    let mut lines = vec![reply.head.clone()];
+    lines.extend(reply.payload.iter().map(|line| {
+        line.split(' ')
+            .filter(|tok| !tok.starts_with("shared="))
+            .collect::<Vec<_>>()
+            .join(" ")
+    }));
+    lines.join("\n")
+}
+
+/// One campaign's `status` line.
+fn status_line(client: &mut Client, id: &str) -> std::io::Result<String> {
+    let reply = client.call(&Request::Status {
+        id: Some(id.into()),
+    })?;
+    assert!(reply.ok, "status refused: {}", reply.head);
+    Ok(reply.payload[0].clone())
+}
+
+fn field(line: &str, key: &str) -> Option<u64> {
+    parse_kv(line).get(key).and_then(|v| v.parse().ok())
+}
+
+fn state_of(line: &str) -> &str {
+    parse_kv(line).get("state").copied().unwrap_or("")
+}
+
+/// Polls `status` until the campaign is running with at least `executed`
+/// merged cases; panics if it finishes first.
+fn await_running(client: &mut Client, id: &str, executed: u64) {
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let line = status_line(client, id).unwrap();
+        if state_of(&line) == "running" && field(&line, "executed").unwrap_or(0) >= executed {
+            return;
+        }
+        assert_ne!(
+            state_of(&line),
+            "done",
+            "campaign {id} finished before the kill could land; raise its budget"
+        );
+        assert!(
+            Instant::now() < deadline,
+            "campaign {id} never reached {executed} merged cases"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn daemon_matches_inline_exploration_and_shares_corpus() {
     let store = tmp("roundtrip_store");
@@ -211,29 +283,7 @@ fn sigkill_mid_campaign_restart_resumes_every_in_flight_campaign() {
 
     // Poll live status until c1 has journaled real progress, so the torn
     // journal is guaranteed to contain completed cases worth replaying.
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let status = client
-            .call(&Request::Status {
-                id: Some(id1.clone()),
-            })
-            .unwrap();
-        let line = &status.payload[0];
-        let kv = parse_kv(line);
-        let executed: usize = kv.get("executed").and_then(|v| v.parse().ok()).unwrap_or(0);
-        if kv.get("state") == Some(&"running") && executed >= 4 {
-            break;
-        }
-        assert!(
-            kv.get("state") != Some(&"done"),
-            "campaign finished before the kill could land; raise its budget"
-        );
-        assert!(
-            Instant::now() < deadline,
-            "campaign never reached 4 journaled cases"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    await_running(&mut client, &id1, 4);
     daemon.kill();
 
     // Restart over the same store (different socket to prove nothing is
@@ -263,6 +313,216 @@ fn sigkill_mid_campaign_restart_resumes_every_in_flight_campaign() {
         replayed >= 4,
         "the ≥4 journaled cases must be replayed, not re-executed (got {replayed})"
     );
+
+    daemon.shutdown_and_join();
+    std::fs::remove_dir_all(&store).ok();
+    std::fs::remove_file(&socket).ok();
+}
+
+/// A seeds file exists exactly when a submit pinned seeds, `results` do
+/// not depend on which daemon serves them, and a campaign that pinned its
+/// seeds resumes from *them* — not from the pool as it has grown since.
+#[test]
+fn seeds_are_pinned_only_when_shared_and_survive_a_grown_pool() {
+    let store = tmp("pin_store");
+    let socket = tmp("pin.sock");
+    let socket2 = tmp("pin2.sock");
+    std::fs::remove_dir_all(&store).ok();
+    let daemon = Daemon::start(&store, &socket);
+    let mut client = daemon.client();
+
+    // c1: no sharing, so nothing is pinned; it leaves a non-empty pool.
+    let p1 = params(42, 24);
+    let id1 = submit(&mut client, &p1);
+    wait_digest(&mut client, &id1);
+    assert_eq!(seeds_files(&store), Vec::<String>::new());
+    let results1 = results_text(&mut client, &id1);
+    let pool_text = |client: &mut Client| {
+        let pool = client.call(&Request::Corpus { key: "gmp".into() }).unwrap();
+        assert!(pool.ok);
+        pool.payload
+    };
+    let pinned = pool_text(&mut client);
+    assert!(!pinned.is_empty());
+
+    // c2 keeps the executor busy while c3 is submitted behind it, so c3
+    // pins the pool as c1 left it and is still queued when c2's corpus
+    // lands in the pool.
+    let p2 = params(5, 64);
+    let p3 = CampaignParams {
+        share_corpus: true,
+        ..params(7, 64)
+    };
+    let id2 = submit(&mut client, &p2);
+    let reply = client
+        .call(&Request::Submit {
+            params: p3.clone(),
+            ident: None,
+        })
+        .unwrap();
+    assert!(reply.ok, "submit refused: {}", reply.head);
+    let id3 = reply.get("id").unwrap().to_string();
+    assert_eq!(
+        reply.get("seeds").unwrap(),
+        pinned.len().to_string(),
+        "c3 must pin the pool c1 left"
+    );
+    assert_eq!(seeds_files(&store), vec![format!("{id3}.seeds")]);
+    assert_eq!(
+        std::fs::read_to_string(store.join(format!("{id3}.seeds"))).unwrap(),
+        pinned.join("\n") + "\n"
+    );
+
+    wait_digest(&mut client, &id2);
+    assert!(
+        pool_text(&mut client).len() > pinned.len(),
+        "c2 must have grown the pool past what c3 pinned"
+    );
+    await_running(&mut client, &id3, 4);
+    daemon.kill();
+
+    let daemon = Daemon::start(&store, &socket2);
+    let mut client = daemon.client();
+    let (_, digest3) = wait_digest(&mut client, &id3);
+    let seeds = pinned
+        .iter()
+        .map(|l| FaultSchedule::from_lines(l.split(" + ")).unwrap())
+        .collect();
+    assert_eq!(
+        digest3,
+        inline_digest(&p3, seeds),
+        "the resumed campaign must run from its pinned seeds, not the grown pool"
+    );
+    assert_eq!(results_text(&mut client, &id1), results1);
+    assert_eq!(seeds_files(&store), vec![format!("{id3}.seeds")]);
+
+    daemon.shutdown_and_join();
+    std::fs::remove_dir_all(&store).ok();
+    std::fs::remove_file(&socket).ok();
+}
+
+/// Live `status` comes from counters the explorer raises. Polled as fast
+/// as the daemon answers, through a SIGKILL and a resume: it never steps
+/// back, it is `running` after the restart only with at least what the
+/// torn journal held, it never runs ahead of the journal the campaign
+/// finally leaves, and it costs the daemon's other clients nothing.
+#[test]
+fn live_status_is_monotone_bounded_by_the_journal_and_resumes_from_it() {
+    let store = tmp("live_store");
+    let socket = tmp("live.sock");
+    let socket2 = tmp("live2.sock");
+    std::fs::remove_dir_all(&store).ok();
+    let daemon = Daemon::start(&store, &socket);
+    let mut client = daemon.client();
+
+    let small = submit(&mut client, &params(3, 8));
+    wait_digest(&mut client, &small);
+    let big_params = CampaignParams {
+        fault_secs: 5,
+        max_faults: 2,
+        ..params(42, 4096)
+    };
+    let big = submit(&mut client, &big_params);
+
+    // (executed, edges) of every `running` sample, in the order observed.
+    let poll = |mut c: Client, id: String, until_done: bool| {
+        let mut samples: Vec<(u64, u64)> = Vec::new();
+        // Ends when the daemon is killed under it, or at `done`.
+        while let Ok(line) = status_line(&mut c, &id) {
+            match state_of(&line) {
+                "running" => samples.push((
+                    field(&line, "executed").unwrap(),
+                    field(&line, "edges").unwrap(),
+                )),
+                "done" if until_done => break,
+                _ => {}
+            }
+        }
+        samples
+    };
+    let poller = {
+        let (c, id) = (daemon.client(), big.clone());
+        std::thread::spawn(move || poll(c, id, false))
+    };
+
+    // While `status` is being hammered on one connection, requests on
+    // another — `ping`, and `results`, which takes the same lock `status`
+    // does — are answered at once, however long the journal has grown.
+    await_running(&mut client, &big, 256);
+    for req in [Request::Ping, Request::Results { id: small.clone() }] {
+        let mut rtt_ms: Vec<f64> = (0..40)
+            .map(|_| {
+                let sent = Instant::now();
+                assert!(client.call(&req).unwrap().ok);
+                sent.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        rtt_ms.sort_by(f64::total_cmp);
+        assert!(
+            rtt_ms[20] < 10.0,
+            "median {req:?} round trip beside a status poller: {:.2} ms",
+            rtt_ms[20]
+        );
+    }
+    daemon.kill();
+    let before_kill = poller.join().unwrap();
+
+    let journal_counts = |journal: &Journal| {
+        let edges: std::collections::BTreeSet<&str> = journal
+            .cases
+            .iter()
+            .flat_map(|c| c.coverage.iter().map(String::as_str))
+            .collect();
+        (journal.cases.len() as u64, edges.len() as u64)
+    };
+    let journal_path = store.join(format!("{big}.journal"));
+    let torn = Journal::load(&journal_path).unwrap();
+    assert!(!torn.complete);
+    let (torn_cases, torn_edges) = journal_counts(&torn);
+    assert!(torn_cases >= 256);
+
+    let daemon = Daemon::start(&store, &socket2);
+    let after_restart = poll(daemon.client(), big.clone(), true);
+    let mut client = daemon.client();
+    let (_, digest) = wait_digest(&mut client, &big);
+    let target = GmpTarget {
+        fault_secs: big_params.fault_secs,
+        ..GmpTarget::default()
+    };
+    assert_eq!(
+        digest,
+        explore(&target, &ProtocolSpec::gmp(), &big_params.to_config()).digest64()
+    );
+
+    assert!(!before_kill.is_empty() && !after_restart.is_empty());
+    for run in [&before_kill, &after_restart] {
+        for pair in run.windows(2) {
+            assert!(
+                pair[0].0 <= pair[1].0 && pair[0].1 <= pair[1].1,
+                "status stepped back: {pair:?}"
+            );
+        }
+    }
+    let first = after_restart[0];
+    assert!(
+        first.0 >= torn_cases && first.1 >= torn_edges,
+        "status after the restart started at {first:?}, below the torn journal's \
+         ({torn_cases}, {torn_edges})"
+    );
+    let done = Journal::load(&journal_path).unwrap();
+    assert!(done.complete);
+    let (final_cases, final_edges) = journal_counts(&done);
+    for &(executed, edges) in before_kill.iter().chain(&after_restart) {
+        assert!(executed <= final_cases && edges <= final_edges);
+    }
+    let line = status_line(&mut client, &big).unwrap();
+    assert_eq!(state_of(&line), "done");
+    assert_eq!(field(&line, "edges"), Some(final_edges));
+    assert_eq!(
+        field(&line, "executed"),
+        Some(done.counters.as_ref().unwrap().executed as u64)
+    );
+    assert!(field(&line, "executed").unwrap() >= final_cases);
 
     daemon.shutdown_and_join();
     std::fs::remove_dir_all(&store).ok();

@@ -37,6 +37,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pfi_fleet::{Fleet, FleetReport, JobRunner, DEFAULT_MAX_RETRIES};
@@ -172,6 +173,39 @@ pub struct ExploreConfig {
     /// (`journal` may point at the same path) ends byte-identical to an
     /// uninterrupted run's journal.
     pub resume: Option<Journal>,
+    /// Counters the search raises as it records progress, for an observer
+    /// on another thread (pfi-serve answers `status` from them). Strictly
+    /// observational: outcomes, digests and journal bytes are identical
+    /// with it present or absent, and nothing here is ever read back.
+    /// Default `None`.
+    pub progress: Option<Arc<LiveProgress>>,
+}
+
+/// What a running search has recorded so far, as [`ExploreConfig::progress`]
+/// publishes it: one count per kind of journal record, whether or not a
+/// journal is being written.
+#[derive(Debug, Default)]
+pub struct LiveProgress {
+    /// Candidates dispatched (`dispatch` records), baseline included.
+    pub dispatched: AtomicU64,
+    /// Results merged (`case` records), baseline included.
+    pub cases: AtomicU64,
+    /// Distinct coverage edges merged so far.
+    pub edges: AtomicU64,
+}
+
+impl LiveProgress {
+    /// Raises each counter to at least the given value. The search passes
+    /// its absolute tallies, so counters an observer pre-loaded from the
+    /// journal being resumed hold still while the replayed prefix is
+    /// re-recorded instead of counting it twice.
+    pub fn raise(&self, dispatched: usize, cases: usize, edges: usize) {
+        // Relaxed: statistics, publishing no other data.
+        self.dispatched
+            .fetch_max(dispatched as u64, Ordering::Relaxed);
+        self.cases.fetch_max(cases as u64, Ordering::Relaxed);
+        self.edges.fetch_max(edges as u64, Ordering::Relaxed);
+    }
 }
 
 impl ExploreConfig {
@@ -239,6 +273,7 @@ impl Default for ExploreConfig {
             snapshots: true,
             journal: None,
             resume: None,
+            progress: None,
         }
     }
 }
@@ -1011,6 +1046,14 @@ fn explore_with(
     let mut coverage = base_report.run.coverage;
     let mut corpus = vec![base_report.schedule];
     let mut executed = 1usize;
+    // The `dispatch` and `case` records so far, for `config.progress`.
+    let (mut dispatched, mut cases) = (1usize, 1usize);
+    let publish = |dispatched, cases, edges| {
+        if let Some(live) = &config.progress {
+            live.raise(dispatched, cases, edges);
+        }
+    };
+    publish(dispatched, cases, coverage.len());
 
     let mut seen = BTreeSet::new();
     seen.insert(corpus[0].id());
@@ -1069,6 +1112,8 @@ fn explore_with(
                     .unwrap_or_else(|e| panic!("cannot append to campaign journal: {e}"));
             }
         }
+        dispatched += batch.len();
+        publish(dispatched, cases, coverage.len());
 
         // Split candidates the resume journal already settled from the
         // ones that must actually execute.
@@ -1111,6 +1156,8 @@ fn explore_with(
                     continue;
                 }
             };
+            // Every path below journals exactly one `case` record.
+            cases += 1;
             snap_stats.merge(&report.snapshots);
             executed += 1 + report.shrink.as_ref().map_or(0, |s| s.runs);
             if report.run.verdict.is_crashed() {
@@ -1189,6 +1236,9 @@ fn explore_with(
                 },
             });
         }
+        // An epoch's results arrive together and merge in microseconds, so
+        // once per epoch is as fine as an observer can tell apart.
+        publish(dispatched, cases, coverage.len());
     }
 
     if let Some(w) = writer.as_mut() {

@@ -71,7 +71,7 @@ mod validate;
 pub use coverage::Coverage;
 pub use explore::{
     explore, explore_fleet, replay, seed_corpus_digest, CampaignFleet, ExploreConfig,
-    ExploreOutcome, FoundFailure, SkipReason, SkippedCandidate, DEFAULT_EPOCH,
+    ExploreOutcome, FoundFailure, LiveProgress, SkipReason, SkippedCandidate, DEFAULT_EPOCH,
 };
 pub use generate::{generate, Campaign, FaultKind, TestCase};
 pub use journal::{

@@ -12,10 +12,12 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pfi_testgen::{
-    explore, explore_fleet, ChaosOracleTarget, ExploreConfig, GmpTarget, Journal, ProtocolSpec,
+    explore, explore_fleet, ChaosOracleTarget, ExploreConfig, GmpTarget, Journal, LiveProgress,
+    ProtocolSpec,
 };
 
 /// The seed the acceptance criteria pin: resumed digest == uninterrupted
@@ -96,11 +98,25 @@ fn killed_campaign_resumes_to_identical_digest_and_journal() {
         "the 50% cut must leave completed work worth resuming"
     );
 
+    // The resumed run is also watched through `progress`, pre-loaded with
+    // what the torn journal holds the way pfi-serve does on a restart;
+    // the uninterrupted run above was not, so the equalities below also
+    // show the counters change neither the digest nor a journal byte.
+    let progress = Arc::new(LiveProgress::default());
+    progress.raise(torn.dispatched.len(), survivors, 0);
     let resumed_path = tmp("resumed.journal");
     let mut cfg = config();
     cfg.journal = Some(resumed_path.clone());
     cfg.resume = Some(torn.clone());
+    cfg.progress = Some(Arc::clone(&progress));
     let resumed = explore(&target, &spec, &cfg);
+
+    // Absolute tallies: the replayed prefix is not counted a second time.
+    let full = Journal::from_text(&full_bytes).unwrap();
+    let counted = |c: &AtomicU64| c.load(Ordering::Relaxed) as usize;
+    assert_eq!(counted(&progress.dispatched), full.dispatched.len());
+    assert_eq!(counted(&progress.cases), full.cases.len());
+    assert_eq!(counted(&progress.edges), resumed.coverage.len());
 
     assert_eq!(resumed.digest(), uninterrupted.digest());
     assert_eq!(resumed.executed, uninterrupted.executed);
