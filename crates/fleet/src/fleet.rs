@@ -394,7 +394,7 @@ impl<J: Send + 'static, R: Send + 'static> Fleet<J, R> {
     /// Books a panic and replaces the runner it cost: runner 0 is rebuilt
     /// here; a spawned worker retired itself after reporting and is
     /// respawned (either way the old runner may be inconsistent
-    /// mid-unwind, so the factory makes a fresh one).
+    /// mid-unwind, so a fresh one comes from the factory).
     fn note_panic(&mut self, worker: usize) {
         self.stats[worker].panics += 1;
         if worker == 0 {
@@ -436,8 +436,6 @@ fn run_job<J, R>(worker: usize, runner: &mut dyn JobRunner<J, R>, job: Job<J>) -
         seq,
         worker,
         busy,
-        // `as_ref`, not `&p`: a `&Box<dyn Any>` would itself coerce to
-        // `&dyn Any` and hide the payload.
         payload: outcome.map_err(|p| panic_message(p.as_ref())),
     }
 }
@@ -482,7 +480,11 @@ impl<J, R> Drop for Fleet<J, R> {
     }
 }
 
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
+/// Renders a caught panic payload. The `&dyn Any` must be the *boxed*
+/// value (`payload.as_ref()`), not a reference to the box: `Box<dyn Any>`
+/// itself implements `Any`, so `downcast_ref` on the wrong one always
+/// misses.
+pub fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = p.downcast_ref::<String>() {

@@ -65,5 +65,5 @@ mod fleet;
 mod stats;
 
 pub use channel::SendError;
-pub use fleet::{EpochItem, Fleet, JobFailure, JobRunner, DEFAULT_MAX_RETRIES};
+pub use fleet::{panic_message, EpochItem, Fleet, JobFailure, JobRunner, DEFAULT_MAX_RETRIES};
 pub use stats::{FleetReport, WorkerStats};

@@ -10,7 +10,7 @@ pub fn vec<S: Strategy>(element: S, len: std::ops::Range<usize>) -> VecStrategy<
     VecStrategy { element, len }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     len: std::ops::Range<usize>,

@@ -2,8 +2,9 @@
 //!
 //! The build environment cannot fetch the real `proptest` crate from
 //! crates.io, so this crate implements the subset of the proptest API that
-//! the repository's property suites use: the [`proptest!`] macro, [`Strategy`] with `prop_map` /
-//! `prop_recursive`, integer/float range strategies, [`any`], [`Just`],
+//! the repository's property suites use: the [`proptest!`] macro,
+//! [`Strategy`](strategy::Strategy) with `prop_map` / `prop_recursive`,
+//! integer/float range strategies, [`any`](strategy::any), [`Just`](strategy::Just),
 //! [`prop_oneof!`], `collection::vec`, `option::of`, and regex-subset
 //! string strategies.
 //!

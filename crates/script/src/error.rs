@@ -8,8 +8,8 @@ use crate::value::Value;
 /// What class of failure a [`ScriptError`] reports.
 ///
 /// Almost every error is [`General`](ScriptErrorKind::General) — a parse or
-/// runtime failure of the script itself. [`BudgetExhausted`]
-/// (ScriptErrorKind::BudgetExhausted) is the watchdog class: the
+/// runtime failure of the script itself.
+/// [`BudgetExhausted`](ScriptErrorKind::BudgetExhausted) is the watchdog class: the
 /// interpreter's step budget ([`crate::Interp::set_step_budget`]) ran out,
 /// which means the *script* may be fine but is looping — campaign runners
 /// escalate it to a `Hung` verdict instead of treating it as a script bug.

@@ -15,6 +15,7 @@ use pfi_serve::{
     daemon, Bind, CampaignParams, Client, DaemonOptions, FaultConfig, Reply, Request, RetryClient,
     RetryPolicy, ServiceLimits,
 };
+use pfi_testgen::{unknown_protocol, BUNDLED};
 
 const HELP: &str = "pfi-serve — persistent campaign daemon and client
 
@@ -234,10 +235,9 @@ fn main() {
         "submit" => {
             let mut params = CampaignParams::default();
             match positional(&args) {
-                Some(proto) if matches!(proto.as_str(), "gmp" | "tcp" | "tpc") => {
-                    params.proto = proto;
-                }
-                _ => fail("submit needs a protocol: gmp, tcp, or tpc"),
+                Some(proto) if BUNDLED.contains(&proto.as_str()) => params.proto = proto,
+                Some(other) => fail(&unknown_protocol(&other)),
+                None => fail(&format!("submit needs a protocol: {}", BUNDLED.join(", "))),
             }
             if let Some(v) = flag_num(&args, "--seed") {
                 params.seed = v;

@@ -41,10 +41,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use pfi_gmp::GmpBugs;
 use pfi_testgen::{
-    CampaignFleet, ExploreOutcome, GmpTarget, Journal, LiveProgress, ProtocolSpec, TargetFactory,
-    TcpTarget, TpcTarget,
+    bundled, unknown_protocol, CampaignFleet, ExploreOutcome, Journal, LiveProgress,
 };
 
 use crate::faultio::{FaultConfig, FaultPlan, FaultStream};
@@ -568,25 +566,6 @@ fn executor_loop(shared: &Shared, jobs: usize) {
     }
 }
 
-/// Builds the bundled target a submission names.
-fn build_target(params: &CampaignParams) -> (ProtocolSpec, Arc<dyn TargetFactory>) {
-    match params.proto.as_str() {
-        "gmp" => (
-            ProtocolSpec::gmp(),
-            Arc::new(GmpTarget {
-                bugs: if params.buggy {
-                    GmpBugs::all()
-                } else {
-                    GmpBugs::none()
-                },
-                fault_secs: params.fault_secs,
-            }),
-        ),
-        "tpc" => (ProtocolSpec::two_phase_commit(), Arc::new(TpcTarget)),
-        _ => (ProtocolSpec::tcp(), Arc::new(TcpTarget::default())),
-    }
-}
-
 /// Runs (or resumes) one campaign on the shared pool and merges its
 /// corpus into the target's pool file. Pool merges are disk writes, so
 /// they go through the same self-healing retry as submit's store writes.
@@ -600,7 +579,10 @@ fn run_campaign(
     params: &CampaignParams,
 ) -> io::Result<Summary> {
     let store = &daemon.store;
-    let (spec, factory) = build_target(params);
+    // `CampaignParams::from_kv` admits only bundled names; a hand-built
+    // `CampaignParams` that slipped past it fails its campaign here.
+    let (spec, target) = bundled(&params.proto, params.buggy, params.fault_secs)
+        .ok_or_else(|| io::Error::other(unknown_protocol(&params.proto)))?;
     let mut cfg = params.to_config();
     cfg.seed_corpus = store.read_seeds(id)?;
     let progress = Arc::new(LiveProgress::default());
@@ -635,7 +617,7 @@ fn run_campaign(
     drop(state);
 
     let before = pool.report();
-    let outcome = pool.explore(factory, &spec, &cfg);
+    let outcome = pool.explore(target, &spec, &cfg);
     let after = pool.report();
     let shared = retry_store(&daemon.stats, || {
         store.merge_corpus(&params.corpus_key(), &outcome.corpus)

@@ -27,7 +27,7 @@ use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
-use pfi_testgen::ExploreConfig;
+use pfi_testgen::{unknown_protocol, ExploreConfig, BUNDLED};
 
 /// Budget caps for the protocol readers. Every reader in this module is
 /// bounded: a peer can never make the other side buffer without limit,
@@ -222,10 +222,8 @@ impl CampaignParams {
             })
         };
         let proto = get("proto")?.to_string();
-        if !matches!(proto.as_str(), "gmp" | "tcp" | "tpc") {
-            return Err(format!(
-                "unknown proto {proto:?} (expected gmp, tcp, or tpc)"
-            ));
+        if !BUNDLED.contains(&proto.as_str()) {
+            return Err(unknown_protocol(&proto));
         }
         Ok(CampaignParams {
             proto,

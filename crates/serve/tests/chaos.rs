@@ -372,7 +372,9 @@ fn oversized_and_garbage_request_lines_are_rejected() {
     let mut big = UnixStream::connect(&socket).unwrap();
     big.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     big.write_all(&vec![b'x'; 4096]).unwrap();
-    big.write_all(b"\n").unwrap();
+    // The daemon nacks and closes as soon as it has read past the cap, so
+    // this write races a legitimate close and may fail with EPIPE.
+    let _ = big.write_all(b"\n");
     let mut reply = String::new();
     big.read_to_string(&mut reply).ok(); // daemon nacks then closes
     assert!(

@@ -528,3 +528,42 @@ fn live_status_is_monotone_bounded_by_the_journal_and_resumes_from_it() {
     std::fs::remove_dir_all(&store).ok();
     std::fs::remove_file(&socket).ok();
 }
+
+/// A protocol outside the bundled table meets the same refusal at both of
+/// the daemon's front ends, and nothing starts: the CLI exits 2 before it
+/// connects to anything, the wire answers `err` and queues no campaign.
+#[test]
+fn an_unbundled_protocol_is_refused_by_the_cli_and_the_wire_alike() {
+    let refusal = pfi_testgen::unknown_protocol("foo");
+    let store = tmp("refuse_store");
+    let socket = tmp("refuse.sock");
+
+    // No daemon is listening yet: had the CLI tried to connect, it would
+    // exit 3, not 2.
+    let out = Command::new(env!("CARGO_BIN_EXE_pfi-serve"))
+        .args(["submit", "--socket", socket.to_str().unwrap(), "foo"])
+        .output()
+        .expect("pfi-serve runs");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(&refusal), "{stderr}");
+    assert!(out.stdout.is_empty());
+
+    let daemon = Daemon::start(&store, &socket);
+    let mut client = daemon.client();
+    let reply = client
+        .call(&Request::Submit {
+            params: CampaignParams {
+                proto: "foo".into(),
+                ..params(1, 8)
+            },
+            ident: None,
+        })
+        .unwrap();
+    assert!(!reply.ok, "{}", reply.head);
+    assert!(reply.head.contains(&refusal), "{}", reply.head);
+    let status = client.call(&Request::Status { id: None }).unwrap();
+    assert_eq!(status.get("campaigns"), Some("0"), "{}", status.head);
+    daemon.shutdown_and_join();
+    std::fs::remove_dir_all(&store).ok();
+}

@@ -1,8 +1,9 @@
 //! Command-line campaign runner: generate a fault-injection campaign from
 //! a bundled protocol specification and run it against the matching target,
-//! or run a coverage-guided exploration instead of the fixed grid. Both
-//! modes fan case execution out across a worker fleet (`--jobs`), with
-//! outcomes byte-identical for any worker count.
+//! or run a coverage-guided exploration instead of the fixed grid. The
+//! grid runs on the calling thread; exploration fans candidates out across
+//! a worker fleet (`--jobs`), with outcomes byte-identical for any worker
+//! count.
 //!
 //! ```text
 //! pfi-campaign gmp                      # full grid campaign, fixed GMP
@@ -27,10 +28,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use pfi_core::Direction;
-use pfi_gmp::GmpBugs;
 use pfi_testgen::{
-    explore_fleet, generate, run_campaign_fleet, ChaosOracleTarget, ExploreConfig, FaultKind,
-    GmpTarget, ProtocolSpec, SkipReason, TargetFactory, TcpTarget, TestTarget, TpcTarget, Verdict,
+    bundled, explore_fleet, generate, run_campaign, unknown_protocol, ChaosOracleTarget,
+    ExploreConfig, FaultKind, SkipReason, Verdict,
 };
 
 const HELP: &str = "pfi-campaign — script-driven fault-injection campaigns
@@ -52,7 +52,8 @@ FLAGS:
     --epoch N         candidates per dispatch epoch (determinism unit; outcomes
                       depend on it, never on --jobs; 1 = classic sequential walk)
     --max-faults N    cap on faults per generated schedule (outcome input)
-    --jobs N          workers: the calling thread plus N-1 spawned ones, so
+    --jobs N          (--explore only; the grid runs on the calling thread)
+                      workers: the calling thread plus N-1 spawned ones, so
                       --jobs 1 spawns none; 0 or omitted auto-detects the
                       host's available parallelism. Any value yields
                       byte-identical campaign results (the resolved count is
@@ -84,12 +85,13 @@ FLAGS:
                       Combine with --journal (same path is fine) to end up
                       with a journal byte-identical to an uninterrupted run's
     --max-retries N   panic retries before a candidate is quarantined and its
-                      lineage dropped (fleet workers; default 2)
+                      lineage dropped (any --jobs, 1 included; default 2)
     --step-budget N   interpreter step budget per filter script per run; a
                       script that burns it out reports the run as HUNG
     --inject-panic    add a sabotage oracle that panics whenever a run drops
                       a message — exercises crash containment (CI resilience)
-    --stats           print the fleet execution report (workers, exec/sec, queues)
+    --stats           (--explore only) print the fleet execution report
+                      (workers, exec/sec, queues)
     --digest          print a one-line outcome digest (for golden comparisons)
     --help            this text
 
@@ -178,74 +180,52 @@ impl Cli {
     }
 }
 
+/// Exit 2, naming what was wrong with the command line.
+fn usage(error: &str) -> ! {
+    eprintln!("pfi-campaign: {error} (--help lists the flags)");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{HELP}");
         return;
     }
-    let cli = Cli::parse(&args).unwrap_or_else(|e| {
-        eprintln!("pfi-campaign: {e} (--help lists the flags)");
-        std::process::exit(2);
-    });
+    let cli = Cli::parse(&args).unwrap_or_else(|e| usage(&e));
     let proto = cli.proto.as_str();
-    let buggy = cli.has("--buggy");
     let list_only = cli.has("--list");
     let explore_mode = cli.has("--explore");
     let stats = cli.has("--stats");
     let digest = cli.has("--digest");
     let flag_value = |name: &str| cli.numbers.get(name).copied();
-    // `--jobs 0` (and no flag at all) auto-detects the host's cores; the
-    // resolved count is what gets printed, reported, and journaled.
-    let jobs = match flag_value("--jobs") {
-        Some(0) | None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        Some(j) => j as usize,
-    };
-
-    let spec = match proto {
-        "gmp" => ProtocolSpec::gmp(),
-        "tcp" => ProtocolSpec::tcp(),
-        "tpc" => ProtocolSpec::two_phase_commit(),
-        other => {
-            eprintln!("unknown protocol {other:?} (expected gmp, tcp, or tpc)");
-            std::process::exit(2);
+    if !explore_mode {
+        // The grid runs on the calling thread: there is no fleet to size
+        // or to report on.
+        if flag_value("--jobs").is_some() {
+            usage("--jobs needs --explore");
         }
-    };
-
-    // The factory (plain-data target config) crosses into the fleet's
-    // worker threads; each worker makes its own target and builds (or
-    // forks) its own worlds.
-    let inject_panic = cli.has("--inject-panic");
-    fn sabotage<T: TestTarget + Clone + Send + Sync + 'static>(
-        target: T,
-        inject_panic: bool,
-    ) -> Arc<dyn TargetFactory> {
-        if inject_panic {
-            Arc::new(ChaosOracleTarget { inner: target })
-        } else {
-            Arc::new(target)
+        if stats {
+            usage("--stats needs --explore");
         }
     }
+
     let fault_secs = flag_value("--fault-secs").unwrap_or(60);
-    let factory: Arc<dyn TargetFactory> = match proto {
-        "gmp" => sabotage(
-            GmpTarget {
-                bugs: if buggy {
-                    GmpBugs::all()
-                } else {
-                    GmpBugs::none()
-                },
-                fault_secs,
-            },
-            inject_panic,
-        ),
-        "tpc" => sabotage(TpcTarget, inject_panic),
-        _ => sabotage(TcpTarget::default(), inject_panic),
-    };
+    let (spec, mut target) = bundled(proto, cli.has("--buggy"), fault_secs)
+        .unwrap_or_else(|| usage(&unknown_protocol(proto)));
+    if cli.has("--inject-panic") {
+        target = Arc::new(ChaosOracleTarget { inner: target });
+    }
 
     if explore_mode {
+        // `--jobs 0` (and no flag at all) auto-detects the host's cores; the
+        // resolved count is what gets printed, reported, and journaled.
+        let jobs = match flag_value("--jobs") {
+            Some(0) | None => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+            Some(j) => j as usize,
+        };
         let mut config = ExploreConfig::default();
         if let Some(seed) = flag_value("--seed") {
             config.seed = seed;
@@ -298,7 +278,7 @@ fn main() {
                 proto, config.seed, config.budget, config.max_faults, config.epoch, jobs
             );
         }
-        let (outcome, report) = explore_fleet(Arc::clone(&factory), &spec, &config, jobs);
+        let (outcome, report) = explore_fleet(target, &spec, &config, jobs);
         if digest {
             // One line, a pure function of (target, seed, budget,
             // max_faults, epoch) — CI compares it across --jobs values.
@@ -411,10 +391,9 @@ fn main() {
         &[Direction::Send, Direction::Receive],
     );
     println!(
-        "campaign: {} cases for protocol {} ({} job(s))\n",
+        "campaign: {} cases for protocol {}\n",
         campaign.len(),
-        campaign.protocol,
-        jobs
+        campaign.protocol
     );
 
     if list_only {
@@ -424,7 +403,7 @@ fn main() {
         return;
     }
 
-    let (results, report) = run_campaign_fleet(Arc::clone(&factory), &campaign, jobs);
+    let results = run_campaign(target.as_ref(), &campaign);
 
     let mut pass = 0;
     let mut degraded = 0;
@@ -455,11 +434,6 @@ fn main() {
         }
     }
     println!("\n{pass} pass, {degraded} degraded, {violated} violations, {infra} infrastructure");
-    if stats {
-        println!();
-        println!("resolved jobs: {jobs} worker thread(s)");
-        print!("{report}");
-    }
     // Exit codes: violations are findings (1); crashes, hangs, and
     // uninstallable grid cases are harness trouble (3). A run with both
     // reports the findings — they are the result the campaign exists for.

@@ -18,8 +18,8 @@
 
 use pfi_lint::{analyze_effects, render, Category, Diagnostic, Effect, Linter, Severity};
 use pfi_testgen::{
-    generate, validate_schedule, FaultKind, FaultSchedule, FlowModel, ProtocolSpec, Repro,
-    ScheduleFinding,
+    bundled, generate, unknown_protocol, validate_schedule, FaultKind, FaultSchedule, FlowModel,
+    ProtocolSpec, Repro, ScheduleFinding, TestTarget, BUNDLED,
 };
 
 const HELP: &str = "pfi-lint — static analysis for PFI scripts and fault schedules
@@ -54,32 +54,16 @@ CATEGORIES:
     inert-fault
 ";
 
+/// One row of the bundled protocol table: the topology schedule text is
+/// validated against, the flow model `--spec` reads.
+type Bundled = (ProtocolSpec, std::sync::Arc<dyn TestTarget>);
+
 /// What to lint a given input as.
 #[derive(Clone, Copy, PartialEq)]
 enum Kind {
     Sniff,
     Script,
     Schedule,
-}
-
-/// The flow model the `--spec` semantic pass runs against.
-fn flow_model(target: &str) -> Option<FlowModel> {
-    match target {
-        "gmp" => Some(FlowModel::gmp()),
-        "tcp" => Some(FlowModel::tcp()),
-        "tpc" => Some(FlowModel::two_phase_commit()),
-        _ => None,
-    }
-}
-
-/// Per-target topology used when validating schedule text.
-fn topology(target: &str) -> Option<(ProtocolSpec, u32, u32)> {
-    match target {
-        "gmp" => Some((ProtocolSpec::gmp(), 3, 3)),
-        "tcp" => Some((ProtocolSpec::tcp(), 2, 1)),
-        "tpc" => Some((ProtocolSpec::two_phase_commit(), 4, 4)),
-        _ => None,
-    }
 }
 
 /// Applies `--deny` / `--warn` overrides to one diagnostic.
@@ -189,7 +173,7 @@ fn print_findings(name: &str, findings: Vec<ScheduleFinding>) -> bool {
 fn lint_schedule(
     name: &str,
     text: &str,
-    target: &str,
+    target: &Bundled,
     deny: &[Category],
     warn: &[Category],
 ) -> bool {
@@ -221,21 +205,22 @@ fn lint_repro(name: &str, text: &str, deny: &[Category], warn: &[Category]) -> b
         repro.schedule.len(),
         repro.oracle
     );
-    lint_schedule_parsed(name, &repro.schedule, &repro.target, deny, warn)
+    // A repro names its own target, whatever `--target` says.
+    let Some(target) = bundled(&repro.target, false, 60) else {
+        eprintln!("{name}: {}", unknown_protocol(&repro.target));
+        return true;
+    };
+    lint_schedule_parsed(name, &repro.schedule, &target, deny, warn)
 }
 
 fn lint_schedule_parsed(
     name: &str,
     schedule: &FaultSchedule,
-    target: &str,
+    (spec, target): &Bundled,
     deny: &[Category],
     warn: &[Category],
 ) -> bool {
-    let Some((spec, nodes, sites)) = topology(target) else {
-        eprintln!("{name}: unknown target {target:?} (expected gmp, tcp, or tpc)");
-        return true;
-    };
-    let mut findings = validate_schedule(schedule, &spec, nodes, sites);
+    let mut findings = validate_schedule(schedule, spec, target.node_count(), target.fault_sites());
     for f in &mut findings {
         for d in &mut f.diagnostics {
             adjust(d, deny, warn);
@@ -302,7 +287,7 @@ fn main() {
                 match args.get(i) {
                     Some(v) => spec_target = Some(v.clone()),
                     None => {
-                        eprintln!("--spec needs a protocol name (gmp, tcp, or tpc)");
+                        eprintln!("--spec needs a protocol name ({})", BUNDLED.join(", "));
                         std::process::exit(2);
                     }
                 }
@@ -334,23 +319,25 @@ fn main() {
         }
         i += 1;
     }
-    let model = match &spec_target {
-        Some(t) => match flow_model(t) {
-            Some(m) => Some(m),
-            None => {
-                eprintln!("--spec: unknown protocol {t:?} (expected gmp, tcp, or tpc)");
-                std::process::exit(2);
-            }
-        },
-        None => None,
+    // Both names are resolved before any file is read: a protocol the
+    // table does not bundle is a usage error, not a finding.
+    let resolve = |flag: &str, name: &str| {
+        bundled(name, false, 60).unwrap_or_else(|| {
+            eprintln!("{flag}: {}", unknown_protocol(name));
+            std::process::exit(2);
+        })
     };
+    let target = resolve("--target", &target);
+    let spec_target = spec_target.map(|t| resolve("--spec", &t));
+    let model: Option<FlowModel> = spec_target
+        .as_ref()
+        .and_then(|(_, built)| built.flow_model());
     if grid {
-        let Some(t) = &spec_target else {
+        let (Some((spec, _)), Some(model)) = (&spec_target, &model) else {
             eprintln!("--grid needs --spec NAME to know which campaign to generate");
             std::process::exit(2);
         };
-        let (spec, _, _) = topology(t).expect("flow_model and topology cover the same names");
-        let failed = lint_grid(&spec, model.as_ref().unwrap(), &deny, &warn);
+        let failed = lint_grid(spec, model, &deny, &warn);
         std::process::exit(if failed { 1 } else { 0 });
     }
     if files.is_empty() {

@@ -11,9 +11,9 @@
 //!
 //! The search runs in **epochs** of [`ExploreConfig::epoch`] candidates:
 //! the master generates the whole epoch serially (consuming the seeded RNG
-//! against the epoch-start corpus), the candidates execute — inline, or on
-//! a [`pfi_fleet::Fleet`] (the master's own thread plus `jobs − 1` spawned
-//! workers) under [`explore_fleet`] — and the
+//! against the epoch-start corpus), the candidates execute on a
+//! [`pfi_fleet::Fleet`] (the master's own thread plus `jobs − 1` spawned
+//! workers), and the
 //! results merge back in canonical schedule-id order. Every run is a pure
 //! function of its schedule, so corpus evolution, coverage, `executed`
 //! counts, and repro artifact bytes are a function of
@@ -22,25 +22,29 @@
 //! generate one, run one, merge one — reproducing its digests exactly;
 //! larger epochs trade a little search adaptivity for dispatch width.
 //!
+//! There is one engine, [`CampaignFleet`]: [`explore`] is a pool of one —
+//! the calling thread, no thread spawned — and [`explore_fleet`] a pool of
+//! `jobs` that lives for one campaign. So there is also one panic policy,
+//! the fleet supervisor's ([`ExploreConfig::max_retries`]).
+//!
 //! Candidates cross the thread boundary as typed [`FaultSchedule`]s with
 //! the scripts admission already lowered them to and the compiled form the
 //! install check parsed — plain `Send` data, no text round-trip, nothing
 //! lowered, install-checked or parsed twice.
-//! With snapshot/fork execution on (the default), each candidate also
-//! carries an `Arc` of the captured base world, so workers *fork*
+//! With snapshot/fork execution on (the default), the campaign context
+//! each candidate carries holds the captured base world, so workers *fork*
 //! the prepared world instead of replaying `TestTarget::build` per run;
-//! with it off, each worker builds its own worlds from the
-//! [`TargetFactory`] it was handed at construction. Either way the
-//! outcome bytes are identical — forking a snapshot continues exactly the
-//! run a cold build would have produced.
+//! with it off, each worker builds its own worlds from the campaign's one
+//! shared [`TestTarget`] — a read-only description, never re-made. Either
+//! way the outcome bytes are identical — forking a snapshot continues
+//! exactly the run a cold build would have produced.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pfi_fleet::{Fleet, FleetReport, JobRunner, DEFAULT_MAX_RETRIES};
+use pfi_fleet::{Fleet, FleetReport, DEFAULT_MAX_RETRIES};
 use pfi_sim::fnv::{fnv64, Fnv};
 use pfi_sim::SimRng;
 
@@ -51,8 +55,8 @@ use crate::journal::{
 use crate::reach::FlowModel;
 use crate::repro::Repro;
 use crate::runner::{
-    execute, panic_text, run_schedule_limited, run_schedule_snapshotted, Lowered, RunLimits,
-    ScheduleRun, TargetFactory, TestTarget, Verdict,
+    execute, run_schedule_limited, run_schedule_snapshotted, Lowered, RunLimits, ScheduleRun,
+    TestTarget, Verdict,
 };
 use crate::schedule::{FaultSchedule, ScheduleMutator};
 use crate::shrink::shrink_schedule;
@@ -139,12 +143,13 @@ pub struct ExploreConfig {
     /// and resume must be handed the same seeds. Default empty.
     pub seed_corpus: Vec<FaultSchedule>,
     /// How many times a candidate whose execution *panics* (escaping the
-    /// runner's own containment) is retried before it is quarantined and
-    /// its lineage dropped. Fleet workers retry with exponential virtual
-    /// backoff; the inline engine quarantines on the first panic (a
-    /// deterministic panic quarantines the same schedule either way, so
-    /// corpus and coverage stay worker-count-independent). Default
-    /// [`DEFAULT_MAX_RETRIES`].
+    /// runner's own containment) is retried — with exponential virtual
+    /// backoff, on whichever worker takes it next — before it is
+    /// quarantined with `attempts == max_retries + 1` and its lineage
+    /// dropped. One policy at every pool size, [`explore`]'s pool of one
+    /// included: a deterministic panic quarantines the same schedule after
+    /// the same number of attempts, so corpus, coverage and journal bytes
+    /// stay worker-count-independent. Default [`DEFAULT_MAX_RETRIES`].
     pub max_retries: u32,
     /// Interpreter step budget installed per run on every fault site's
     /// filter interpreters; a filter script that exhausts it is cut short
@@ -440,11 +445,6 @@ struct CandidateJob {
     canonical: Option<String>,
     /// The semantic-quotient id; `None` unless the semantic tier is active.
     semantic: Option<String>,
-    /// Attached at dispatch (snapshots on): the master's captured base
-    /// world, so the worker forks instead of rebuilding. The `Arc`
-    /// crosses the fleet boundary directly — world snapshots are
-    /// `Send + Sync` plain data.
-    base: Option<Arc<BaseWorld>>,
 }
 
 /// Everything one candidate execution produced. Computed entirely on the
@@ -460,7 +460,7 @@ struct CandidateReport {
     run: ScheduleRun,
     /// Shrink results, when the run violated an oracle.
     shrink: Option<ShrinkReport>,
-    /// Which worker ran it (statistics only; 0 inline).
+    /// Which worker ran it (statistics only; 0 is the calling thread).
     worker: usize,
     /// Snapshot counters of this candidate's run and shrink re-runs — a
     /// pure function of the candidate (each is counted from zero against
@@ -492,25 +492,20 @@ struct ShrinkReport {
 /// violated an oracle. Shrinking re-runs against the *same* oracle: the
 /// minimal schedule must reproduce this failure, not just any failure.
 ///
-/// With `snapshots` on, the main run forks the base the job carries
+/// With snapshots on, the main run forks the campaign's base world
 /// instead of rebuilding, and every shrink re-run forks it again (shrunk
 /// schedules share the same base). Hits and misses are counted per
 /// candidate, from zero.
-fn candidate_report(
-    target: &dyn TestTarget,
-    job: CandidateJob,
-    limits: &RunLimits,
-    snapshots: bool,
-) -> CandidateReport {
+fn candidate_report(ctx: &CampaignContext, job: CandidateJob) -> CandidateReport {
     let CandidateJob {
         schedule,
         lowered,
         canonical,
         semantic,
-        base,
     } = job;
-    let mut local = snapshots.then(|| SnapshotStore {
-        base,
+    let (target, limits) = (ctx.target.as_ref(), &ctx.limits);
+    let mut local = ctx.snapshots.then(|| SnapshotStore {
+        base: ctx.base.clone(),
         ..SnapshotStore::default()
     });
     let run = execute(target, lowered, limits, local.as_mut());
@@ -573,159 +568,52 @@ fn replayed_report(world_seed: u64, case: JournalCase, job: CandidateJob) -> Can
 }
 
 // ---------------------------------------------------------------------
-// Epoch execution strategies
+// Epoch execution
 // ---------------------------------------------------------------------
 
-/// What became of one dispatched candidate: a report, or a quarantine
-/// notice after the supervisor gave up retrying a panicking execution.
-enum EpochResult {
-    /// The candidate ran (possibly to a [`Verdict::Crashed`] — contained
-    /// panics still yield reports) and reported back.
-    Report(Box<CandidateReport>),
-    /// Execution itself panicked past containment every time the
-    /// supervisor tried it; the candidate produced nothing.
-    Quarantined(JournalQuarantine),
-}
-
-impl EpochResult {
-    /// The candidate's schedule id — the canonical merge-order key.
-    fn schedule_id(&self) -> String {
-        match self {
-            EpochResult::Report(r) => r.run.schedule_id.clone(),
-            EpochResult::Quarantined(q) => q.schedule.id(),
-        }
-    }
-}
-
-/// How one epoch's candidates get executed. The master's search loop is
-/// identical either way; only the dispatch differs.
-trait EpochRunner {
-    /// Runs every candidate of an epoch; order of the returned results is
-    /// irrelevant (the merge step canonicalises it).
-    fn run_epoch(&mut self, batch: Vec<CandidateJob>) -> Vec<EpochResult>;
-    /// Statistics hook: the candidate run by `worker` reached new coverage.
-    fn note_novel(&mut self, _worker: usize) {}
-    /// The resolved worker count executing epochs — recorded in the
-    /// journal as statistics (never part of the campaign identity, since
-    /// outcomes are worker-count-independent by construction).
-    fn workers(&self) -> usize {
-        1
-    }
-}
-
-/// In-place execution on the caller's target: the 1-worker fleet.
-struct InlineEpochs<'a> {
-    target: &'a dyn TestTarget,
-    limits: RunLimits,
-    snapshots: bool,
-}
-
-impl EpochRunner for InlineEpochs<'_> {
-    fn run_epoch(&mut self, batch: Vec<CandidateJob>) -> Vec<EpochResult> {
-        batch
-            .into_iter()
-            .map(|job| {
-                // The runner contains target/oracle panics itself
-                // (`Verdict::Crashed`); this outer net catches panics in
-                // the engine plumbing around it, mirroring the fleet
-                // supervisor so a pathological candidate quarantines
-                // instead of killing the campaign. No retry inline: a
-                // panic on this thread is deterministic by construction.
-                let schedule = job.schedule.clone();
-                match catch_unwind(AssertUnwindSafe(|| {
-                    candidate_report(self.target, job, &self.limits, self.snapshots)
-                })) {
-                    Ok(report) => EpochResult::Report(Box::new(report)),
-                    Err(payload) => EpochResult::Quarantined(JournalQuarantine {
-                        schedule,
-                        attempts: 1,
-                        error: panic_text(payload.as_ref()),
-                    }),
-                }
-            })
-            .collect()
-    }
-}
+/// What became of one dispatched candidate: its report (possibly of a
+/// [`Verdict::Crashed`] run — contained panics still yield reports), or a
+/// quarantine notice after execution itself panicked past containment
+/// every time the supervisor tried it, so the candidate produced nothing.
+type EpochResult = Result<CandidateReport, JournalQuarantine>;
 
 /// Everything a fleet worker needs to execute one campaign's candidates —
 /// attached to each dispatched job so the *same* long-lived worker pool
 /// serves campaign after campaign (different targets, limits, and
-/// snapshot settings) without respawning threads. Target construction
-/// from the factory is cheap plain-data cloning; the expensive world
-/// build happens inside the run (and rides the dispatched base when one
-/// is attached).
+/// snapshot settings) without respawning threads. The target is shared,
+/// not re-made: it is read-only plain data, and the expensive part — the
+/// world — is built inside the run, or forked from `base`.
 struct CampaignContext {
-    factory: Arc<dyn TargetFactory>,
+    target: Arc<dyn TestTarget>,
     limits: RunLimits,
     snapshots: bool,
+    /// Snapshots on: the base world the master's baseline run captured,
+    /// which workers fork instead of rebuilding (`None` when the target's
+    /// world refuses capture — those runs build cold). World snapshots
+    /// are `Send + Sync` plain data, so the `Arc` crosses the fleet
+    /// boundary as it is.
+    base: Option<Arc<BaseWorld>>,
 }
 
 /// One candidate paired with its campaign context, crossing the fleet's
-/// thread boundary.
+/// thread boundary: typed [`FaultSchedule`]s out (plain data, `Send` — no
+/// text round-trip), `Send` reports back.
 #[derive(Clone)]
 struct FleetJob {
     job: CandidateJob,
     ctx: Arc<CampaignContext>,
 }
 
-/// Fan-out across a worker fleet. Candidates cross the thread boundary as
-/// typed [`FaultSchedule`]s (plain data, `Send` — no text round-trip);
-/// reports come back `Send`. Jobs whose worker dies repeatedly come back
-/// as supervisor quarantine errors instead of aborting the epoch.
-struct FleetEpochs<'a> {
-    fleet: &'a mut Fleet<FleetJob, CandidateReport>,
-    ctx: Arc<CampaignContext>,
-}
-
-impl EpochRunner for FleetEpochs<'_> {
-    fn run_epoch(&mut self, batch: Vec<CandidateJob>) -> Vec<EpochResult> {
-        // `run_epoch_checked` returns items in dispatch (seq) order, which
-        // is exactly `batch` order — zip to recover each job's schedule
-        // without threading it through the failure path.
-        let schedules: Vec<FaultSchedule> = batch.iter().map(|job| job.schedule.clone()).collect();
-        let jobs: Vec<FleetJob> = batch
-            .into_iter()
-            .map(|job| FleetJob {
-                job,
-                ctx: Arc::clone(&self.ctx),
-            })
-            .collect();
-        self.fleet
-            .run_epoch_checked(jobs)
-            .into_iter()
-            .zip(schedules)
-            .map(|(item, schedule)| match item.result {
-                Ok(mut report) => {
-                    report.worker = item.worker;
-                    EpochResult::Report(Box::new(report))
-                }
-                Err(failure) => EpochResult::Quarantined(JournalQuarantine {
-                    schedule,
-                    attempts: failure.attempts,
-                    error: failure.error,
-                }),
-            })
-            .collect()
-    }
-
-    fn note_novel(&mut self, worker: usize) {
-        self.fleet.note_novel(worker);
-    }
-
-    fn workers(&self) -> usize {
-        self.fleet.workers()
-    }
-}
-
 /// A long-lived campaign worker pool: one [`pfi_fleet::Fleet`] whose
 /// workers outlive any single exploration, serving submitted campaigns
-/// back to back — the execution tier under the pfi-serve daemon. Each
-/// campaign hands its own target factory and limits along with every
+/// back to back — the execution tier under the pfi-serve daemon, and the
+/// one engine under [`explore`] (a pool of one) and [`explore_fleet`].
+/// Each campaign hands its own target and limits along with every
 /// dispatched candidate, so consecutive campaigns may target different
-/// protocols entirely. Outcomes are byte-identical to a fresh
-/// [`explore_fleet`] (or inline [`explore`]) at the same config: the pool
-/// carries no campaign state across [`explore`](CampaignFleet::explore)
-/// calls, only warm threads and cumulative statistics.
+/// protocols entirely. Outcomes are byte-identical at the same config for
+/// any pool size and history: the pool carries no campaign state across
+/// [`explore`](CampaignFleet::explore) calls, only warm threads and
+/// cumulative statistics.
 pub struct CampaignFleet {
     fleet: Fleet<FleetJob, CandidateReport>,
 }
@@ -735,11 +623,8 @@ impl CampaignFleet {
     /// thread — which must also be the one that calls
     /// [`explore`](CampaignFleet::explore) — plus `jobs − 1` spawned ones.
     pub fn new(jobs: usize) -> Self {
-        let fleet: Fleet<FleetJob, CandidateReport> = Fleet::new(jobs, |_worker| {
-            Box::new(|fj: FleetJob| {
-                let target = fj.ctx.factory.make();
-                candidate_report(target.as_ref(), fj.job, &fj.ctx.limits, fj.ctx.snapshots)
-            }) as Box<dyn JobRunner<FleetJob, CandidateReport>>
+        let fleet = Fleet::new(jobs, |_worker| {
+            Box::new(|fj: FleetJob| candidate_report(&fj.ctx, fj.job))
         });
         CampaignFleet { fleet }
     }
@@ -754,22 +639,12 @@ impl CampaignFleet {
     /// number of campaigns run before it.
     pub fn explore(
         &mut self,
-        factory: Arc<dyn TargetFactory>,
+        target: Arc<dyn TestTarget>,
         spec: &ProtocolSpec,
         config: &ExploreConfig,
     ) -> ExploreOutcome {
         self.fleet.set_max_retries(config.max_retries);
-        let master = factory.make();
-        let ctx = Arc::new(CampaignContext {
-            factory,
-            limits: config.limits(),
-            snapshots: config.snapshots,
-        });
-        let mut epochs = FleetEpochs {
-            fleet: &mut self.fleet,
-            ctx,
-        };
-        explore_with(master.as_ref(), &mut epochs, spec, config)
+        explore_with(&mut self.fleet, target, spec, config)
     }
 
     /// Cumulative pool statistics since construction (non-consuming; the
@@ -899,7 +774,6 @@ impl Tiers {
             lowered,
             canonical,
             semantic,
-            base: None,
         })
     }
 
@@ -940,18 +814,20 @@ fn journal_record(
         .unwrap_or_else(|e| panic!("cannot append to campaign journal: {e}"));
 }
 
-/// The epoch-synchronous search shared by [`explore`] and
-/// [`explore_fleet`]. `master` handles everything that must stay serial:
-/// candidate generation (the RNG), the baseline run, the final
-/// confirmation run of each unique shrunk failure, and the write-ahead
-/// journal.
+/// The epoch-synchronous search. The calling thread is the master: it
+/// handles everything that must stay serial — candidate generation (the
+/// RNG), the baseline run, the final confirmation run of each unique
+/// shrunk failure, and the write-ahead journal — and hands each epoch's
+/// live candidates to `fleet`, whose supervisor retries a panicking one and
+/// finally quarantines it instead of aborting the epoch.
 fn explore_with(
-    master: &dyn TestTarget,
-    epochs: &mut dyn EpochRunner,
+    fleet: &mut Fleet<FleetJob, CandidateReport>,
+    target: Arc<dyn TestTarget>,
     spec: &ProtocolSpec,
     config: &ExploreConfig,
 ) -> ExploreOutcome {
     assert!(config.epoch > 0, "epoch width must be at least 1");
+    let master = target.as_ref();
     let limits = config.limits();
     let meta = config.journal_meta(master);
     let mut replay: BTreeMap<String, JournalCase> = match &config.resume {
@@ -970,7 +846,7 @@ fn explore_with(
         // Worker count is recorded for the campaign record but kept out of
         // the identity `meta` — outcomes never depend on it, so resuming
         // under a different `--jobs` is legitimate.
-        w.jobs(epochs.workers())
+        w.jobs(fleet.workers())
             .unwrap_or_else(|e| panic!("cannot append to campaign journal: {e}"));
         // Snapshot/fork execution is likewise statistics, not identity:
         // outcomes are byte-identical with it on or off, so resume never
@@ -1042,7 +918,12 @@ fn explore_with(
     }
     // What every live candidate forks is fixed here (not a lookup: the
     // executing worker's own does the hit accounting).
-    let base = master_store.as_ref().and_then(|store| store.base.clone());
+    let ctx = Arc::new(CampaignContext {
+        target: Arc::clone(&target),
+        limits,
+        snapshots: config.snapshots,
+        base: master_store.as_ref().and_then(|store| store.base.clone()),
+    });
     let mut coverage = base_report.run.coverage;
     let mut corpus = vec![base_report.schedule];
     let mut executed = 1usize;
@@ -1118,32 +999,48 @@ fn explore_with(
         // Split candidates the resume journal already settled from the
         // ones that must actually execute.
         let mut results: Vec<EpochResult> = Vec::new();
-        let mut dispatch: Vec<CandidateJob> = Vec::new();
-        for mut job in batch {
+        let mut dispatch: Vec<FleetJob> = Vec::new();
+        for job in batch {
             match replay.remove(&job.lowered.id) {
                 Some(case) => {
                     replayed += 1;
-                    let report = replayed_report(master.seed(), case, job);
-                    results.push(EpochResult::Report(Box::new(report)));
+                    results.push(Ok(replayed_report(master.seed(), case, job)));
                 }
                 None => {
-                    job.base = base.clone();
-                    dispatch.push(job);
+                    let ctx = Arc::clone(&ctx);
+                    dispatch.push(FleetJob { job, ctx });
                 }
             }
         }
+        // `run_epoch_checked` returns items in dispatch order (an empty
+        // epoch is a no-op), so zipping recovers a quarantined job's
+        // schedule without threading it through the failure path.
+        let schedules: Vec<FaultSchedule> =
+            dispatch.iter().map(|fj| fj.job.schedule.clone()).collect();
+        let live = fleet.run_epoch_checked(dispatch).into_iter().zip(schedules);
+        results.extend(live.map(|(item, schedule)| match item.result {
+            Ok(mut report) => {
+                report.worker = item.worker;
+                Ok(report)
+            }
+            Err(failure) => Err(JournalQuarantine {
+                schedule,
+                attempts: failure.attempts,
+                error: failure.error,
+            }),
+        }));
         // Execute anywhere, merge canonically: schedule-id order makes the
         // merge independent of completion order, worker count, and of how
         // the epoch split between replayed and live candidates.
-        if !dispatch.is_empty() {
-            results.extend(epochs.run_epoch(dispatch));
-        }
-        results.sort_by_cached_key(EpochResult::schedule_id);
+        results.sort_by_cached_key(|result| match result {
+            Ok(report) => report.run.schedule_id.clone(),
+            Err(quarantine) => quarantine.schedule.id(),
+        });
 
         for result in results {
             let mut report = match result {
-                EpochResult::Report(report) => *report,
-                EpochResult::Quarantined(q) => {
+                Ok(report) => report,
+                Err(q) => {
                     // The supervisor gave up on this candidate: no result,
                     // no coverage, a dropped search lineage. Record it
                     // loudly (journal + outcome) instead of leaving a
@@ -1180,7 +1077,7 @@ fn explore_with(
             }
             if coverage.merge(&report.run.coverage) > 0 {
                 corpus.push(report.schedule.clone());
-                epochs.note_novel(report.worker);
+                fleet.note_novel(report.worker);
             }
             let Some(shrink) = report.shrink.clone() else {
                 journal_record(writer.as_mut(), &report, None);
@@ -1280,37 +1177,31 @@ fn explore_with(
     }
 }
 
-/// Runs a coverage-guided exploration of `target` within `config.budget`,
-/// executing candidates inline on the calling thread (the 1-worker fleet).
-/// Byte-identical to [`explore_fleet`] at the same config for any job
-/// count.
+/// Runs a coverage-guided exploration of `target` within `config.budget`
+/// on a [`CampaignFleet`] of one: every candidate executes on the calling
+/// thread and no thread is spawned. Byte-identical to [`explore_fleet`] at
+/// the same config for any job count.
 pub fn explore(
     target: &dyn TestTarget,
     spec: &ProtocolSpec,
     config: &ExploreConfig,
 ) -> ExploreOutcome {
-    let mut epochs = InlineEpochs {
-        target,
-        limits: config.limits(),
-        snapshots: config.snapshots,
-    };
-    explore_with(target, &mut epochs, spec, config)
+    CampaignFleet::new(1).explore(target.share(), spec, config)
 }
 
 /// Runs the same exploration with candidate execution shared between the
-/// calling thread and `jobs − 1` spawned workers. Every worker constructs
-/// its own target from the `Send` factory; candidates travel as typed
-/// schedules. The outcome is
+/// calling thread and `jobs − 1` spawned workers, all reading the one
+/// shared target; candidates travel as typed schedules. The outcome is
 /// byte-identical to [`explore`] with the same config — worker count
 /// affects only wall-clock time and the [`FleetReport`] statistics.
 pub fn explore_fleet(
-    factory: Arc<dyn TargetFactory>,
+    target: Arc<dyn TestTarget>,
     spec: &ProtocolSpec,
     config: &ExploreConfig,
     jobs: usize,
 ) -> (ExploreOutcome, FleetReport) {
     let mut pool = CampaignFleet::new(jobs);
-    let outcome = pool.explore(factory, spec, config);
+    let outcome = pool.explore(target, spec, config);
     let mut report = pool.shutdown();
     report.rejected = outcome.rejected as u64;
     report.pruned = outcome.pruned as u64;

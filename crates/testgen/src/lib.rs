@@ -15,11 +15,12 @@
 //!   the judges, delta-debugging ([`shrink_schedule`]) to 1-minimal
 //!   failures, and replayable text [`Repro`] artifacts.
 //!
-//! Both campaign forms fan out across worker threads via `pfi-fleet`:
-//! [`explore_fleet`] and [`run_campaign_fleet`] take a [`TargetFactory`]
-//! (each worker makes its own target and builds or forks its own worlds)
-//! and produce outcomes byte-identical to their sequential counterparts
-//! for any job count.
+//! Exploration has one engine, [`CampaignFleet`] over `pfi-fleet`:
+//! [`explore`] is a pool of one (the calling thread), [`explore_fleet`] a
+//! pool of `jobs`, and the workers share the campaign's one read-only
+//! [`TestTarget`] behind an `Arc`, each building or forking its own
+//! worlds. Outcomes are byte-identical for any job count. The grid runs
+//! on the calling thread. [`bundled`] is the one table of protocol names.
 //!
 //! # Examples
 //!
@@ -88,9 +89,9 @@ pub use pfi_fleet::{FleetReport, WorkerStats};
 pub use reach::{FlowModel, InertFact};
 pub use repro::Repro;
 pub use runner::{
-    run_campaign, run_campaign_fleet, run_case, run_schedule, run_schedule_limited,
-    run_schedule_snapshotted, CaseResult, ChaosOracleTarget, GmpTarget, RunLimits, ScheduleRun,
-    TargetFactory, TcpTarget, TestTarget, TpcTarget, Verdict, DRIVE_EVENT_CAP,
+    bundled, run_campaign, run_case, run_schedule, run_schedule_limited, run_schedule_snapshotted,
+    unknown_protocol, CaseResult, ChaosOracleTarget, GmpTarget, RunLimits, ScheduleRun, TcpTarget,
+    TestTarget, TpcTarget, Verdict, BUNDLED, DRIVE_EVENT_CAP,
 };
 pub use schedule::{FaultOp, FaultSchedule, ScheduleMutator, ScheduledFault, SiteScripts};
 pub use shrink::shrink_schedule;

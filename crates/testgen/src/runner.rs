@@ -2,12 +2,11 @@
 //! target system, extracts coverage, and judges the run with the target's
 //! oracles.
 
-use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use pfi_core::{Direction, Filter, PfiControl, PfiEvent, PfiReply};
-use pfi_fleet::{Fleet, FleetReport, JobRunner};
+use pfi_fleet::panic_message;
 use pfi_gmp::{GmpBugs, GmpConfig, GmpControl, GmpEvent, GmpLayer, GmpReply, GmpStub};
 use pfi_rudp::RudpLayer;
 use pfi_sim::{NodeId, SimDuration, TraceLog, World};
@@ -23,6 +22,7 @@ use crate::oracle::{
 };
 use crate::schedule::{FaultSchedule, SiteScripts};
 use crate::snapshot::{base_digest, SnapshotStore};
+use crate::spec::ProtocolSpec;
 use crate::validate::{check_install, CompiledSite};
 
 /// Outcome of one test case.
@@ -155,8 +155,10 @@ impl Default for RunLimits {
     }
 }
 
-/// A system a campaign can be run against.
-pub trait TestTarget {
+/// A system a campaign can be run against: a read-only description
+/// (plain data — the worlds it builds are what runs mutate), so one
+/// instance is shared by every worker of a campaign.
+pub trait TestTarget: Send + Sync {
     /// Short stable name (used in repro artifacts).
     fn name(&self) -> &'static str;
     /// The world seed every run of this target uses.
@@ -198,24 +200,10 @@ pub trait TestTarget {
     fn flow_model(&self) -> Option<crate::reach::FlowModel> {
         None
     }
-}
-
-/// Builds fresh [`TestTarget`]s on demand — the `Send + Sync` handle a
-/// fleet worker uses to construct its own target on its own thread.
-/// Targets are cheap plain-data configs; the expensive part — the world —
-/// is built (or forked from a dispatched snapshot) inside each run.
-pub trait TargetFactory: Send + Sync {
-    /// Builds one target instance.
-    fn make(&self) -> Box<dyn TestTarget>;
-}
-
-/// Every `Clone + Send + Sync` target description is its own factory —
-/// the bundled targets ([`GmpTarget`], [`TcpTarget`], [`TpcTarget`]) are
-/// plain-data configs, so `Arc::new(GmpTarget::default())` is a factory.
-impl<T: TestTarget + Clone + Send + Sync + 'static> TargetFactory for T {
-    fn make(&self) -> Box<dyn TestTarget> {
-        Box::new(self.clone())
-    }
+    /// This target behind the shared handle a campaign holds for its
+    /// whole run (`Arc::new(self.clone())`) — what lets
+    /// [`explore`](crate::explore) start from a borrowed target.
+    fn share(&self) -> Arc<dyn TestTarget>;
 }
 
 /// Runs every case of a campaign against fresh instances of the target.
@@ -225,29 +213,6 @@ pub fn run_campaign(target: &dyn TestTarget, campaign: &Campaign) -> Vec<CaseRes
         .iter()
         .map(|case| run_case(target, case))
         .collect()
-}
-
-/// Runs a campaign's cases fanned out across `jobs` worker threads, each
-/// worker calling [`run_case`] on its own target. Cases are independent
-/// pure functions of their scripts, so results come back in campaign
-/// order and are byte-identical to [`run_campaign`] for any job count;
-/// only wall-clock time and the [`FleetReport`] vary.
-pub fn run_campaign_fleet(
-    factory: Arc<dyn TargetFactory>,
-    campaign: &Campaign,
-    jobs: usize,
-) -> (Vec<CaseResult>, FleetReport) {
-    let mut fleet: Fleet<TestCase, CaseResult> = Fleet::new(jobs, move |_worker| {
-        let target = factory.make();
-        Box::new(move |case: TestCase| run_case(target.as_ref(), &case))
-            as Box<dyn JobRunner<TestCase, CaseResult>>
-    });
-    let results = fleet
-        .run_epoch(campaign.cases.clone())
-        .into_iter()
-        .map(|item| item.result)
-        .collect();
-    (results, fleet.shutdown())
 }
 
 /// Runs a single grid-generated case (on the target's primary site).
@@ -486,7 +451,10 @@ fn judge(
         Ok(None) => {}
         Err(payload) => {
             return (
-                Verdict::Crashed(format!("oracle panicked: {}", panic_text(payload.as_ref()))),
+                Verdict::Crashed(format!(
+                    "oracle panicked: {}",
+                    panic_message(payload.as_ref())
+                )),
                 None,
                 coverage,
             );
@@ -496,7 +464,10 @@ fn judge(
         Ok(capped) => capped,
         Err(payload) => {
             return (
-                Verdict::Crashed(format!("target panicked: {}", panic_text(payload.as_ref()))),
+                Verdict::Crashed(format!(
+                    "target panicked: {}",
+                    panic_message(payload.as_ref())
+                )),
                 None,
                 coverage,
             );
@@ -524,7 +495,7 @@ fn judge(
         Err(payload) => (
             Verdict::Crashed(format!(
                 "target verdict panicked: {}",
-                panic_text(payload.as_ref())
+                panic_message(payload.as_ref())
             )),
             None,
             coverage,
@@ -546,19 +517,6 @@ fn budget_exhausted_script(trace: &TraceLog) -> Option<String> {
             } => Some(format!("{node} {dir:?} filter: {error}")),
             _ => None,
         })
-}
-
-/// Renders a caught panic payload. Note the `&dyn Any` must be the *boxed*
-/// value, not a reference to the box (`Box<dyn Any>` itself implements
-/// `Any`, so `downcast_ref` on the wrong one always misses).
-pub(crate) fn panic_text(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -614,6 +572,10 @@ impl TestTarget for GmpTarget {
 
     fn primary_site(&self) -> usize {
         1 // grid cases fault node 1, a non-leader member
+    }
+
+    fn share(&self) -> Arc<dyn TestTarget> {
+        Arc::new(self.clone())
     }
 
     fn build(&self) -> (World, Vec<(NodeId, usize)>) {
@@ -750,6 +712,10 @@ impl TestTarget for TcpTarget {
 
     fn flow_model(&self) -> Option<crate::reach::FlowModel> {
         Some(crate::reach::FlowModel::tcp())
+    }
+
+    fn share(&self) -> Arc<dyn TestTarget> {
+        Arc::new(self.clone())
     }
 
     fn build(&self) -> (World, Vec<(NodeId, usize)>) {
@@ -891,6 +857,10 @@ impl TestTarget for TpcTarget {
         1 // grid cases fault participant 1
     }
 
+    fn share(&self) -> Arc<dyn TestTarget> {
+        Arc::new(self.clone())
+    }
+
     fn build(&self) -> (World, Vec<(NodeId, usize)>) {
         let mut world = World::new(self.seed());
         for _ in 0..4 {
@@ -963,13 +933,13 @@ impl TestTarget for TpcTarget {
 /// a resilient campaign contains every panic as [`Verdict::Crashed`],
 /// keeps each crashed run's coverage, and finishes. Used by resilience
 /// tests and `pfi-campaign --inject-panic`.
-#[derive(Debug, Clone)]
-pub struct ChaosOracleTarget<T> {
+#[derive(Clone)]
+pub struct ChaosOracleTarget {
     /// The real target being sabotaged.
-    pub inner: T,
+    pub inner: Arc<dyn TestTarget>,
 }
 
-impl<T: TestTarget> TestTarget for ChaosOracleTarget<T> {
+impl TestTarget for ChaosOracleTarget {
     fn name(&self) -> &'static str {
         self.inner.name()
     }
@@ -1015,6 +985,55 @@ impl<T: TestTarget> TestTarget for ChaosOracleTarget<T> {
     fn flow_model(&self) -> Option<crate::reach::FlowModel> {
         self.inner.flow_model()
     }
+
+    fn share(&self) -> Arc<dyn TestTarget> {
+        Arc::new(self.clone())
+    }
+}
+
+// ---------------------------------------------------------------------
+// The bundled protocols
+// ---------------------------------------------------------------------
+
+/// The names [`bundled`] answers to.
+pub const BUNDLED: [&str; 3] = ["gmp", "tcp", "tpc"];
+
+/// The protocol table: the specification and target bundled under `proto`,
+/// or `None` for a name outside [`BUNDLED`]. `buggy` (the paper's seeded
+/// implementation bugs) and `fault_secs` (the fault window, virtual
+/// seconds) configure the gmp target and mean nothing to the others.
+/// Every front end — `pfi-campaign`, `pfi-lint`, the pfi-serve wire and
+/// CLI — resolves protocol names here and refuses the rest with
+/// [`unknown_protocol`].
+pub fn bundled(
+    proto: &str,
+    buggy: bool,
+    fault_secs: u64,
+) -> Option<(ProtocolSpec, Arc<dyn TestTarget>)> {
+    Some(match proto {
+        "gmp" => {
+            let bugs = if buggy {
+                GmpBugs::all()
+            } else {
+                GmpBugs::none()
+            };
+            (
+                ProtocolSpec::gmp(),
+                Arc::new(GmpTarget { bugs, fault_secs }),
+            )
+        }
+        "tcp" => (ProtocolSpec::tcp(), Arc::new(TcpTarget::default())),
+        "tpc" => (ProtocolSpec::two_phase_commit(), Arc::new(TpcTarget)),
+        _ => return None,
+    })
+}
+
+/// The refusal for a protocol name [`bundled`] does not know.
+pub fn unknown_protocol(proto: &str) -> String {
+    format!(
+        "unknown protocol {proto:?} (expected one of: {})",
+        BUNDLED.join(", ")
+    )
 }
 
 #[cfg(test)]
@@ -1034,10 +1053,54 @@ mod tests {
         }
     }
 
+    /// One row per bundled name: the target answers to it, the spec and
+    /// flow model are that protocol's, and the topology counts are the
+    /// ones `pfi-lint` used to keep as literals of its own.
+    #[test]
+    fn bundled_table_agrees_with_the_targets_row_by_row() {
+        use crate::reach::FlowModel;
+        let rows = [
+            (ProtocolSpec::gmp(), FlowModel::gmp(), 3, 3),
+            (ProtocolSpec::tcp(), FlowModel::tcp(), 2, 1),
+            (
+                ProtocolSpec::two_phase_commit(),
+                FlowModel::two_phase_commit(),
+                4,
+                4,
+            ),
+        ];
+        assert_eq!(BUNDLED.len(), rows.len());
+        for (name, (spec, model, nodes, sites)) in BUNDLED.into_iter().zip(rows) {
+            let (got_spec, target) = bundled(name, false, 60).expect(name);
+            assert_eq!(target.name(), name);
+            assert_eq!(got_spec, spec, "{name}");
+            assert_eq!(got_spec.name, name);
+            assert_eq!(target.flow_model(), Some(model), "{name}");
+            assert_eq!(
+                (target.node_count(), target.fault_sites()),
+                (nodes, sites),
+                "{name}"
+            );
+        }
+        assert!(bundled("smtp", false, 60).is_none());
+        for name in BUNDLED {
+            assert!(unknown_protocol("smtp").contains(name));
+        }
+        // `buggy` reaches the gmp target: only the seeded bugs let a
+        // member that cannot send heartbeats declare itself dead.
+        let mut mute = drop_heartbeats();
+        mute.faults[0].dir = Direction::Send;
+        for buggy in [false, true] {
+            let (_, gmp) = bundled("gmp", buggy, 60).unwrap();
+            let verdict = run_schedule(gmp.as_ref(), &mute).verdict;
+            assert_eq!(verdict.is_violation(), buggy, "{verdict:?}");
+        }
+    }
+
     #[test]
     fn chaos_oracle_panic_is_contained_as_crashed_with_coverage() {
         let target = ChaosOracleTarget {
-            inner: GmpTarget::default(),
+            inner: Arc::new(GmpTarget::default()),
         };
         let run = run_schedule(&target, &drop_heartbeats());
         assert!(
@@ -1062,7 +1125,7 @@ mod tests {
     #[test]
     fn chaos_oracle_judges_fault_free_baselines_clean() {
         let target = ChaosOracleTarget {
-            inner: GmpTarget::default(),
+            inner: Arc::new(GmpTarget::default()),
         };
         let run = run_schedule(&target, &FaultSchedule::empty());
         assert!(
@@ -1164,8 +1227,7 @@ mod tests {
         assert!(store.base.is_none());
         assert_eq!(store.stats(), &crate::snapshot::SnapshotStats::default());
         // ScheduleMutator's scramble mutants hit the same refusal.
-        let mutator =
-            crate::schedule::ScheduleMutator::new(&crate::spec::ProtocolSpec::gmp(), 3, 3);
+        let mutator = crate::schedule::ScheduleMutator::new(&ProtocolSpec::gmp(), 3, 3);
         let mut rng = pfi_sim::SimRng::seed_from(3);
         let mut scrambles = 0usize;
         for _ in 0..100 {

@@ -585,7 +585,7 @@ impl ScheduleMutator {
     /// Produces a mutated child of `parent`: add a fault (while under
     /// `max_faults`), remove one, or replace one. One roll in ten is a
     /// *scramble* — the child carries a statically-invalid fault
-    /// ([`scrambled_fault`](Self::scrambled_fault)), modelling the
+    /// (an out-of-topology site or a parse-breaking type), modelling the
     /// corrupted or cross-target schedules a long campaign accumulates;
     /// the static pre-filter is what keeps them off the workers.
     pub fn mutate(

@@ -4,6 +4,8 @@
 //! byte for byte. Edge strings are journal, digest and wire content, so an
 //! extractor change that alters one of them must fail here first.
 
+use std::sync::Arc;
+
 use pfi_gmp::GmpBugs;
 use pfi_testgen::{
     run_schedule, ChaosOracleTarget, FaultSchedule, GmpTarget, ScheduleRun, TcpTarget, TestTarget,
@@ -80,7 +82,7 @@ fn gmp_coverage_matches_the_recorded_edges() {
 #[test]
 fn crashed_runs_keep_their_recorded_pre_crash_coverage() {
     let chaos = ChaosOracleTarget {
-        inner: GmpTarget::default(),
+        inner: Arc::new(GmpTarget::default()),
     };
     let crashed = golden!("gmp_chaos_crashed", chaos, ["n1 recv drop-all HEARTBEAT"]);
     assert!(crashed.verdict.is_crashed(), "{:?}", crashed.verdict);

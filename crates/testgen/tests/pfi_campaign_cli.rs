@@ -14,6 +14,7 @@ fn run(args: &[&str]) -> Output {
 
 #[test]
 fn arguments_it_does_not_understand_exit_2_and_are_named() {
+    let unbundled = pfi_testgen::unknown_protocol("foo");
     for (args, named) in [
         // Unknown flags: a typo of a real one, and one that no longer exists.
         (
@@ -31,6 +32,12 @@ fn arguments_it_does_not_understand_exit_2_and_are_named() {
         (&["gmp", "--explore", "--budget", "1k"][..], "--budget"),
         // A second positional.
         (&["gmp", "tcp"][..], "tcp"),
+        // Fleet flags on the grid, which runs on the calling thread.
+        (&["gmp", "--jobs", "2"][..], "--jobs"),
+        (&["tcp", "--stats"][..], "--stats"),
+        // A protocol the bundled table does not have, in either mode.
+        (&["foo"][..], &unbundled),
+        (&["foo", "--explore", "--digest"][..], &unbundled),
     ] {
         let out = run(args);
         let stderr = String::from_utf8(out.stderr).unwrap();

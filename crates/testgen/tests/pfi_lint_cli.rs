@@ -114,3 +114,22 @@ fn unknown_category_is_a_usage_error() {
     let out = run(&["--deny", "nonsense", "drop_acks.tcl"], &scripts());
     assert_eq!(out.status.code(), Some(2));
 }
+
+/// `--target` and `--spec` resolve through the bundled table before any
+/// file is read: an unknown name is a usage error carrying the one refusal
+/// every front end prints, not a finding.
+#[test]
+fn an_unbundled_protocol_is_a_usage_error() {
+    let refusal = pfi_testgen::unknown_protocol("foo");
+    let schedule = temp_file("unbundled_schedule.txt", "n1 send drop-all HEARTBEAT\n");
+    for args in [
+        &["--target", "foo", schedule.to_str().unwrap()][..],
+        &["--spec", "foo", "--grid"][..],
+    ] {
+        let out = run(args, &fixtures());
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(&refusal), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must lint nothing");
+    }
+}

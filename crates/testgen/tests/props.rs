@@ -548,7 +548,7 @@ proptest! {
     #[test]
     fn explore_digest_is_worker_thread_independent(seed in 0u64..1_000_000, jobs in 2usize..4) {
         use std::sync::Arc;
-        use pfi_testgen::{explore, explore_fleet, ExploreConfig, GmpTarget, TargetFactory};
+        use pfi_testgen::{explore, explore_fleet, ExploreConfig, GmpTarget};
 
         let config = ExploreConfig {
             seed,
@@ -558,8 +558,8 @@ proptest! {
         };
         let spec = ProtocolSpec::gmp();
         let inline = explore(&GmpTarget::default(), &spec, &config);
-        let factory: Arc<dyn TargetFactory> = Arc::new(GmpTarget::default());
-        let (fleet, _report) = explore_fleet(factory, &spec, &config, jobs);
+        let (fleet, _report) =
+            explore_fleet(Arc::new(GmpTarget::default()), &spec, &config, jobs);
         prop_assert_eq!(inline.digest64(), fleet.digest64());
     }
 }

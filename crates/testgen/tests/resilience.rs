@@ -8,16 +8,20 @@
 //! case; (2) a panicking oracle is contained per-run (`Verdict::Crashed`),
 //! its pre-crash coverage salvaged, so sabotage cannot abort the campaign
 //! *or* skew its search; (3) a filter script that burns out its step
-//! budget escalates to `Verdict::Hung` instead of wedging a worker.
+//! budget escalates to `Verdict::Hung` instead of wedging a worker; (4) a
+//! panic *past* the runner's containment meets one supervisor at every
+//! pool size, `explore`'s pool of one included: retried, then quarantined
+//! with the same attempt count, digest and journal bytes.
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use pfi_sim::{NodeId, World};
 use pfi_testgen::{
-    explore, explore_fleet, ChaosOracleTarget, ExploreConfig, GmpTarget, Journal, LiveProgress,
-    ProtocolSpec,
+    explore, explore_fleet, ChaosOracleTarget, ExploreConfig, ExploreOutcome, FlowModel, GmpTarget,
+    Journal, LiveProgress, Oracle, ProtocolSpec, RunLimits, TestTarget, Verdict,
 };
 
 /// The seed the acceptance criteria pin: resumed digest == uninterrupted
@@ -152,7 +156,7 @@ fn panicking_oracle_cannot_abort_or_skew_the_campaign() {
     let plain = explore(&GmpTarget::default(), &spec, &cfg);
     let chaos = explore(
         &ChaosOracleTarget {
-            inner: GmpTarget::default(),
+            inner: Arc::new(GmpTarget::default()),
         },
         &spec,
         &cfg,
@@ -181,14 +185,14 @@ fn fleet_contains_crashes_identically() {
     let cfg = config();
     let inline = explore(
         &ChaosOracleTarget {
-            inner: GmpTarget::default(),
+            inner: Arc::new(GmpTarget::default()),
         },
         &spec,
         &cfg,
     );
     let (fleet, _report) = explore_fleet(
         Arc::new(ChaosOracleTarget {
-            inner: GmpTarget::default(),
+            inner: Arc::new(GmpTarget::default()),
         }),
         &spec,
         &cfg,
@@ -229,7 +233,7 @@ fn resume_replays_watchdog_verdicts_too() {
     cfg.step_budget = 1;
     cfg.journal = Some(full_path.clone());
     let target = ChaosOracleTarget {
-        inner: GmpTarget::default(),
+        inner: Arc::new(GmpTarget::default()),
     };
     let uninterrupted = explore(&target, &spec, &cfg);
     let full_bytes = fs::read_to_string(&full_path).unwrap();
@@ -271,4 +275,174 @@ fn resume_refuses_a_mismatched_journal() {
     other.journal = None;
     other.resume = Some(journal);
     explore(&GmpTarget::default(), &spec, &other);
+}
+
+/// The GMP target with two ways to panic *past* the runner's containment
+/// (`build` and filter installation run outside its guards) — the panics
+/// the fleet supervisor exists for.
+#[derive(Clone)]
+struct Sabotaged {
+    inner: GmpTarget,
+    /// `build` calls so far, counted across every handle on this target.
+    builds: Arc<AtomicUsize>,
+    /// Panic in this `build` call (1-based), once.
+    panic_on_build: Option<usize>,
+    /// Build one fault site fewer than `fault_sites` promises: installing
+    /// a schedule that touches the last site panics, on every attempt.
+    hide_last_site: bool,
+}
+
+impl Sabotaged {
+    fn new(panic_on_build: Option<usize>, hide_last_site: bool) -> Self {
+        Sabotaged {
+            inner: short_gmp(),
+            builds: Arc::default(),
+            panic_on_build,
+            hide_last_site,
+        }
+    }
+}
+
+/// A 5 s fault window keeps the cold builds these tests force cheap.
+fn short_gmp() -> GmpTarget {
+    GmpTarget {
+        fault_secs: 5,
+        ..GmpTarget::default()
+    }
+}
+
+impl TestTarget for Sabotaged {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn seed(&self) -> u64 {
+        self.inner.seed()
+    }
+    fn node_count(&self) -> u32 {
+        self.inner.node_count()
+    }
+    fn fault_sites(&self) -> u32 {
+        self.inner.fault_sites()
+    }
+    fn build(&self) -> (World, Vec<(NodeId, usize)>) {
+        let call = self.builds.fetch_add(1, Ordering::SeqCst) + 1;
+        if self.panic_on_build == Some(call) {
+            panic!("sabotaged build #{call}");
+        }
+        let (world, mut sites) = self.inner.build();
+        if self.hide_last_site {
+            sites.pop();
+        }
+        (world, sites)
+    }
+    fn drive(&self, world: &mut World, limits: &RunLimits) -> bool {
+        self.inner.drive(world, limits)
+    }
+    fn oracles(&self) -> Vec<Box<dyn Oracle>> {
+        self.inner.oracles()
+    }
+    fn verdict(&self, world: &mut World) -> Verdict {
+        self.inner.verdict(world)
+    }
+    fn flow_model(&self) -> Option<FlowModel> {
+        self.inner.flow_model()
+    }
+    fn share(&self) -> Arc<dyn TestTarget> {
+        Arc::new(self.clone())
+    }
+}
+
+/// Runs one campaign through each entry point — `explore`, then
+/// `explore_fleet` at 1 and 2 workers — handing each a fresh target from
+/// `make`. Returns `(outcome, journal text without its `jobs N` line,
+/// supervisor retries)` per engine; `explore` returns no fleet report, so
+/// its retry count is `None`.
+fn through_every_engine(
+    tag: &str,
+    make: impl Fn() -> Arc<dyn TestTarget>,
+) -> Vec<(ExploreOutcome, String, Option<u64>)> {
+    let spec = ProtocolSpec::gmp();
+    let path = tmp(tag);
+    // Cold builds (so every candidate calls `build`) and one retry.
+    let cfg = ExploreConfig {
+        snapshots: false,
+        max_retries: 1,
+        journal: Some(path.clone()),
+        ..config()
+    };
+    let journal = || -> String {
+        let text = fs::read_to_string(&path).unwrap();
+        let _ = fs::remove_file(&path);
+        text.lines()
+            .filter(|l| !l.starts_with("jobs "))
+            .map(|l| format!("{l}\n"))
+            .collect()
+    };
+    let mut runs = Vec::new();
+    let outcome = explore(make().as_ref(), &spec, &cfg);
+    runs.push((outcome, journal(), None));
+    for jobs in [1, 2] {
+        let (outcome, report) = explore_fleet(make(), &spec, &cfg, jobs);
+        runs.push((outcome, journal(), Some(report.retries)));
+    }
+    runs
+}
+
+/// A transient panic past containment — the fifth `build` of the campaign
+/// dies, once — is retried by the supervisor and leaves no trace: digest
+/// and journal equal the unsabotaged campaign's, through `explore` as
+/// through a fleet of two.
+#[test]
+fn a_transient_build_panic_is_retried_and_leaves_no_trace() {
+    let clean = through_every_engine("clean.journal", || Arc::new(short_gmp()));
+    let builds = std::cell::RefCell::new(Vec::new());
+    let flaky = through_every_engine("flaky.journal", || {
+        let target = Sabotaged::new(Some(5), false);
+        builds.borrow_mut().push(Arc::clone(&target.builds));
+        Arc::new(target)
+    });
+    for (((clean, clean_journal, _), (flaky, journal, retries)), builds) in
+        clean.iter().zip(&flaky).zip(builds.take())
+    {
+        assert_eq!(flaky.digest(), clean.digest());
+        assert_eq!(flaky.executed, clean.executed);
+        assert!(flaky.quarantined.is_empty());
+        assert_eq!(journal, clean_journal);
+        // Cold builds: one per executed run, plus the one that died.
+        assert_eq!(builds.load(Ordering::SeqCst), clean.executed + 1);
+        if let Some(retries) = retries {
+            assert_eq!(*retries, 1);
+        }
+    }
+}
+
+/// A persistent one — every schedule touching the hidden site panics at
+/// install, every time — is quarantined after `max_retries + 1` attempts,
+/// and outcome, digest and journal bytes are the same through `explore`,
+/// `explore_fleet(…, 1)` and `explore_fleet(…, 2)`: one engine, one panic
+/// policy, whatever the pool size.
+#[test]
+fn a_persistent_install_panic_quarantines_identically_at_every_pool_size() {
+    let runs = through_every_engine("quarantine.journal", || {
+        Arc::new(Sabotaged::new(None, true))
+    });
+    let (reference, reference_journal, _) = &runs[0];
+    assert!(
+        !reference.quarantined.is_empty(),
+        "seed {SEED} must mutate a fault onto the hidden site"
+    );
+    for q in &reference.quarantined {
+        assert_eq!(q.attempts, 2, "max_retries 1: the dispatch plus one retry");
+        assert!(q.error.contains("has only 2"), "{}", q.error);
+    }
+    assert!(reference_journal.contains("\nattempts 2\n"));
+    for (outcome, journal, retries) in &runs {
+        assert_eq!(outcome.digest(), reference.digest());
+        assert_eq!(outcome.quarantined, reference.quarantined);
+        assert_eq!(outcome.executed, reference.executed);
+        assert_eq!(journal, reference_journal);
+        if let Some(retries) = retries {
+            assert_eq!(*retries, reference.quarantined.len() as u64);
+        }
+    }
 }

@@ -134,6 +134,7 @@ impl Layer for Unclonable {
 /// The GMP target plus a bystander node whose one layer is [`Unclonable`]
 /// — the shape of a target carrying a native filter or a stub that cannot
 /// be deep-copied.
+#[derive(Clone)]
 struct CaptureRefusingTarget(GmpTarget);
 
 impl TestTarget for CaptureRefusingTarget {
@@ -162,6 +163,9 @@ impl TestTarget for CaptureRefusingTarget {
     }
     fn verdict(&self, world: &mut World) -> Verdict {
         self.0.verdict(world)
+    }
+    fn share(&self) -> Arc<dyn TestTarget> {
+        Arc::new(self.clone())
     }
 }
 
