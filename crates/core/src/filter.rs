@@ -81,6 +81,28 @@ pub(crate) struct Effects {
     /// interpreter's script cache instead of re-parsing per arm (`Arc`
     /// rather than `Rc` so the owning layer — and its world — stay `Send`).
     pub timer_scripts: Vec<(SimDuration, Arc<Script>)>,
+    /// The filter reached outside its interpreter pair by a route the
+    /// fields above do not show: appended to the packet log, drew from the
+    /// RNG, or wrote the blackboard. Read only by
+    /// [`acts`](Effects::acts); applying the effects ignores it.
+    pub side_channel: bool,
+}
+
+impl Effects {
+    /// Whether this filter run did anything observable outside the
+    /// evaluating interpreter pair, the current message's own bytes and
+    /// addresses aside (the caller compares those): a verdict other than
+    /// `Pass`, a duplicate, an injection, a release, an `xAfter` timer
+    /// script, or a side channel. A run that does not act leaves the world
+    /// exactly as a layer with no filter would have.
+    pub(crate) fn acts(&self) -> bool {
+        self.verdict != Verdict::Pass
+            || self.duplicates > 0
+            || !self.injections.is_empty()
+            || self.release
+            || !self.timer_scripts.is_empty()
+            || self.side_channel
+    }
 }
 
 /// The API a filter uses to inspect and manipulate the current message.
@@ -210,6 +232,7 @@ impl<'a> FilterCtx<'a> {
     /// Append the current message to the PFI layer's packet log with a
     /// timestamp (the paper's `msg_log`).
     pub fn log_msg(&mut self) {
+        self.effects.side_channel = true;
         self.log.push(LogEntry {
             time: self.now,
             dir: self.dir,
@@ -221,6 +244,7 @@ impl<'a> FilterCtx<'a> {
 
     /// Deterministic RNG for probabilistic filtering.
     pub fn rng(&mut self) -> &mut SimRng {
+        self.effects.side_channel = true;
         self.rng
     }
 
@@ -237,11 +261,13 @@ impl<'a> FilterCtx<'a> {
 
     /// Sets a key on the blackboard (the script command `global_set`).
     pub fn global_set(&mut self, key: impl Into<String>, value: impl Into<String>) {
+        self.effects.side_channel = true;
         self.globals.set(self.boards, key, value);
     }
 
     /// Removes a key from the blackboard, returning its previous value.
     pub fn global_remove(&mut self, key: &str) -> Option<String> {
+        self.effects.side_channel = true;
         self.globals.remove(self.boards, key)
     }
 }

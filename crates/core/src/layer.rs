@@ -12,10 +12,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pfi_script::Interp;
-use pfi_sim::{Context, Layer, Message};
+use pfi_sim::{Context, Layer, Message, SimTime};
 
 use crate::bindings::{Bindings, ControlBindings};
-use crate::control::{PfiControl, PfiReply};
+use crate::control::{PfiControl, PfiReply, RecordedMsg};
 use crate::filter::{Direction, Effects, Filter, FilterCtx, Verdict};
 use crate::globals::GlobalBoard;
 use crate::log::{LogEntry, PfiEvent};
@@ -55,6 +55,9 @@ pub struct PfiLayer {
     /// allocates a private one from the world's arena on the first script
     /// that touches globals (deterministic first-touch order).
     globals: Option<GlobalBoard>,
+    /// While `Some`, every message that reaches the filters is appended
+    /// here first ([`PfiControl::Record`]) — the layer as pure probe.
+    recording: Option<Vec<RecordedMsg>>,
 }
 
 impl std::fmt::Debug for PfiLayer {
@@ -90,6 +93,7 @@ impl PfiLayer {
             killed: false,
             packet_log: Vec::new(),
             globals: None,
+            recording: None,
         }
     }
 
@@ -143,13 +147,20 @@ impl PfiLayer {
         self
     }
 
-    fn run_filter(&mut self, dir: Direction, msg: &mut Message, ctx: &mut Context<'_>) -> Effects {
-        let mut effects = Effects::default();
+    /// Evaluates `dir`'s filter on `msg` as of virtual time `now`,
+    /// collecting into `effects`; the script error if the filter failed.
+    /// Touches nothing but the interpreter pair, `msg`, and what the
+    /// effects' side-channel flag reports.
+    fn evaluate(
+        &mut self,
+        dir: Direction,
+        now: SimTime,
+        msg: &mut Message,
+        effects: &mut Effects,
+        ctx: &mut Context<'_>,
+    ) -> Option<pfi_script::ScriptError> {
         let i = idx(dir);
-        let Some(mut filter) = self.filters[i].take() else {
-            return effects;
-        };
-        let now = ctx.now();
+        let mut filter = self.filters[i].take()?;
         let node = ctx.node();
         let globals = self.board(ctx);
         let mut script_error: Option<pfi_script::ScriptError> = None;
@@ -164,7 +175,7 @@ impl PfiLayer {
                 dir,
                 msg,
                 stub: self.stub.as_ref(),
-                effects: &mut effects,
+                effects,
                 log: &mut self.packet_log,
                 now,
                 node,
@@ -183,7 +194,20 @@ impl PfiLayer {
             }
         }
         self.filters[i] = Some(filter);
-        if let Some(error) = script_error {
+        script_error
+    }
+
+    fn run_filter(&mut self, dir: Direction, msg: &mut Message, ctx: &mut Context<'_>) -> Effects {
+        let now = ctx.now();
+        if let Some(traffic) = &mut self.recording {
+            traffic.push(RecordedMsg {
+                dir,
+                time: now,
+                msg: msg.clone(),
+            });
+        }
+        let mut effects = Effects::default();
+        if let Some(error) = self.evaluate(dir, now, msg, &mut effects, ctx) {
             // A failing filter must not eat traffic silently: pass the
             // message and record the failure.
             effects.verdict = Verdict::Pass;
@@ -194,6 +218,37 @@ impl PfiLayer {
             });
         }
         effects
+    }
+
+    /// [`PfiControl::Probe`]: the index of the first message of `traffic`
+    /// whose evaluation acts. Nothing is applied and nothing is traced,
+    /// but the evaluations are real — interpreter state advances, and an
+    /// acting one has already written its log entry, drawn its number or
+    /// set its key.
+    fn probe(&mut self, traffic: &[RecordedMsg], ctx: &mut Context<'_>) -> Option<usize> {
+        traffic.iter().position(|rec| {
+            if self.filters[idx(rec.dir)].is_none() {
+                return false;
+            }
+            let mut msg = rec.msg.clone();
+            let mut effects = Effects::default();
+            let failed = self
+                .evaluate(rec.dir, rec.time, &mut msg, &mut effects, ctx)
+                .is_some();
+            failed || effects.acts() || msg != rec.msg
+        })
+    }
+
+    /// Copies of both filters, `None` if either is a native closure.
+    fn clone_filters(&self) -> Option<[Option<Filter>; 2]> {
+        let mut filters: [Option<Filter>; 2] = [None, None];
+        for (slot, f) in filters.iter_mut().zip(&self.filters) {
+            *slot = match f {
+                Some(f) => Some(f.try_clone()?),
+                None => None,
+            };
+        }
+        Some(filters)
     }
 
     fn forward(dir: Direction, msg: Message, ctx: &mut Context<'_>) {
@@ -415,6 +470,17 @@ impl Layer for PfiLayer {
                 }
                 PfiReply::Unit
             }
+            PfiControl::Record => {
+                self.recording.get_or_insert_with(Vec::new);
+                PfiReply::Unit
+            }
+            PfiControl::TakeRecording => {
+                PfiReply::Recording(self.recording.take().unwrap_or_default())
+            }
+            PfiControl::Probe { traffic, range } => {
+                let first = self.probe(&traffic[range.clone()], ctx);
+                PfiReply::Probe(first.map(|i| range.start + i))
+            }
         };
         Box::new(reply)
     }
@@ -426,13 +492,7 @@ impl Layer for PfiLayer {
     /// packet log) is plain data or `Arc`-shared.
     fn clone_box(&self) -> Option<Box<dyn Layer>> {
         let stub = self.stub.clone_box()?;
-        let mut filters: [Option<Filter>; 2] = [None, None];
-        for (slot, f) in filters.iter_mut().zip(self.filters.iter()) {
-            *slot = match f {
-                Some(f) => Some(f.try_clone()?),
-                None => None,
-            };
-        }
+        let filters = self.clone_filters()?;
         Some(Box::new(PfiLayer {
             stub,
             filters,
@@ -444,6 +504,34 @@ impl Layer for PfiLayer {
             killed: self.killed,
             packet_log: self.packet_log.clone(),
             globals: self.globals,
+            recording: self.recording.clone(),
         }))
+    }
+
+    /// In place when `src` is a PFI layer whose stub and filters clone;
+    /// the interpreters, parked messages and logs keep their storage.
+    fn restore_from(&mut self, src: &dyn Layer) -> bool {
+        let Some(src) = src.as_any().and_then(|any| any.downcast_ref::<PfiLayer>()) else {
+            return false;
+        };
+        let (Some(stub), Some(filters)) = (src.stub.clone_box(), src.clone_filters()) else {
+            return false;
+        };
+        self.stub = stub;
+        self.filters = filters;
+        self.interps.clone_from(&src.interps);
+        self.held.clone_from(&src.held);
+        self.delayed.clone_from(&src.delayed);
+        self.timer_scripts.clone_from(&src.timer_scripts);
+        self.next_token = src.next_token;
+        self.killed = src.killed;
+        self.packet_log.clone_from(&src.packet_log);
+        self.globals = src.globals;
+        self.recording.clone_from(&src.recording);
+        true
+    }
+
+    fn as_any(&self) -> Option<&dyn Any> {
+        Some(self)
     }
 }

@@ -171,6 +171,25 @@ impl Layer for RudpLayer {
         Some(Box::new(self.clone()))
     }
 
+    /// Table by table, so the sequence, pending and duplicate tables keep
+    /// the capacity the previous run grew.
+    fn restore_from(&mut self, src: &dyn Layer) -> bool {
+        let Some(src) = src.as_any().and_then(|any| any.downcast_ref::<RudpLayer>()) else {
+            return false;
+        };
+        self.config = src.config;
+        self.next_seq.clone_from(&src.next_seq);
+        self.pending.clone_from(&src.pending);
+        self.by_dst_seq.clone_from(&src.by_dst_seq);
+        self.seen.clone_from(&src.seen);
+        self.next_token = src.next_token;
+        true
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
+    }
+
     fn name(&self) -> &'static str {
         "rudp"
     }

@@ -32,9 +32,23 @@ impl BoardId {
 /// for the lifetime of the world — ids are stable, dense indices. All data
 /// is owned (`String`s in `HashMap`s in a `Vec`), so the store is `Send`
 /// and a future snapshot/fork is a structural copy.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct BoardStore {
     boards: Vec<HashMap<String, String>>,
+}
+
+impl Clone for BoardStore {
+    fn clone(&self) -> Self {
+        BoardStore {
+            boards: self.boards.clone(),
+        }
+    }
+
+    /// Board by board, so [`World::restore`](crate::World::restore) keeps
+    /// each table's storage (a derived `clone_from` replaces the value).
+    fn clone_from(&mut self, source: &Self) {
+        self.boards.clone_from(&source.boards);
+    }
 }
 
 impl BoardStore {

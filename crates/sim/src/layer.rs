@@ -65,6 +65,29 @@ pub trait Layer: Send {
     fn clone_box(&self) -> Option<Box<dyn Layer>> {
         None
     }
+
+    /// Overwrites this layer with a deep copy of `src` — the state
+    /// [`clone_box`](Layer::clone_box) of `src` would box — in the storage
+    /// this layer already owns. [`World::restore`](crate::World::restore)
+    /// offers every layer of a retired world the captured layer at the
+    /// same stack position; `true` means the copy is complete.
+    ///
+    /// `false` (the default, and the right answer whenever `src` is not
+    /// this layer's own type — see [`as_any`](Layer::as_any)) must leave
+    /// `self` as it was: the world then replaces it with `src.clone_box()`.
+    /// Purely an allocation saving; a layer that never implements it
+    /// restores exactly the same, one box and its contents later.
+    fn restore_from(&mut self, src: &dyn Layer) -> bool {
+        let _ = src;
+        false
+    }
+
+    /// This layer as [`Any`], for a [`restore_from`](Layer::restore_from)
+    /// of the same type to downcast its source with. `None` (the default)
+    /// opts out.
+    fn as_any(&self) -> Option<&dyn Any> {
+        None
+    }
 }
 
 /// An output produced by a layer while handling an event.

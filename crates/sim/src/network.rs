@@ -57,12 +57,30 @@ pub enum Transit {
 /// let mut net = Network::new();
 /// net.link_mut(NodeId::new(0), NodeId::new(1)).latency = SimDuration::from_millis(10);
 /// ```
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct Network {
     default_link: LinkConfig,
     overrides: HashMap<(NodeId, NodeId), LinkConfig>,
     /// Directional pairs blocked by the current partition, if any.
     partition_blocked: HashSet<(NodeId, NodeId)>,
+}
+
+impl Clone for Network {
+    fn clone(&self) -> Self {
+        Network {
+            default_link: self.default_link,
+            overrides: self.overrides.clone(),
+            partition_blocked: self.partition_blocked.clone(),
+        }
+    }
+
+    /// Field by field, so [`World::restore`](crate::World::restore) keeps
+    /// the tables' storage (a derived `clone_from` replaces the value).
+    fn clone_from(&mut self, source: &Self) {
+        self.default_link = source.default_link;
+        self.overrides.clone_from(&source.overrides);
+        self.partition_blocked.clone_from(&source.partition_blocked);
+    }
 }
 
 impl Network {

@@ -16,7 +16,11 @@
 //! and genuinely shareable; the two pieces that are `Send`-but-not-`Sync`
 //! — cloned [`Layer`] boxes and the [`TraceLog`] (both hold `Send`-only
 //! trait objects) — live behind a `Mutex` that fork/restore locks briefly
-//! while re-cloning them out. The lock is never held across user code.
+//! while re-cloning them out. The only user code that runs under the lock
+//! is a layer's `clone_box` / `restore_from`; the guarded state is never
+//! written, so if one of those panics the poisoned lock still guards
+//! valid data and the next restore simply recovers it — one bad clone
+//! costs one restore, not the snapshot.
 //!
 //! # What is (and is not) captured
 //!

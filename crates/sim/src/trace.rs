@@ -74,6 +74,9 @@ struct Head {
 trait Column: Any + Send {
     fn event(&self, row: usize) -> &dyn TraceEvent;
     fn clone_rows(&self) -> Box<dyn Column>;
+    /// Overwrites these rows with `src`'s, keeping this column's storage;
+    /// `false` (nothing changed) when `src` holds another payload type.
+    fn clone_rows_from(&mut self, src: &dyn Column) -> bool;
     fn clear_rows(&mut self);
     fn rows(&self) -> &dyn Any;
     fn rows_mut(&mut self) -> &mut dyn Any;
@@ -85,6 +88,15 @@ impl<E: TraceEvent + Clone> Column for Vec<E> {
     }
     fn clone_rows(&self) -> Box<dyn Column> {
         Box::new(self.clone())
+    }
+    fn clone_rows_from(&mut self, src: &dyn Column) -> bool {
+        match src.rows().downcast_ref::<Vec<E>>() {
+            Some(rows) => {
+                self.clone_from(rows);
+                true
+            }
+            None => false,
+        }
     }
     fn clear_rows(&mut self) {
         self.clear();
@@ -147,6 +159,39 @@ impl Clone for TraceLog {
                     rows: c.rows.clone_rows(),
                 })
                 .collect(),
+        }
+    }
+
+    /// Overwrites this log with `source`'s records in the storage it
+    /// already has — what [`World::restore`](crate::World::restore) does
+    /// to a retired world's log on every campaign run. `source`'s columns
+    /// come first, in `source`'s order (its heads index them); a column of
+    /// this log that `source` does not have is kept behind them, emptied,
+    /// so the payload types a run records after the restore find the
+    /// capacity the previous run grew. Where a payload type's column sits
+    /// is not observable: every query goes through the heads or a `TypeId`.
+    fn clone_from(&mut self, source: &Self) {
+        self.heads.clone_from(&source.heads);
+        for (i, src) in source.columns.iter().enumerate() {
+            match (i..self.columns.len()).find(|&j| self.columns[j].type_id == src.type_id) {
+                Some(j) => {
+                    self.columns.swap(i, j);
+                    let copied = self.columns[i].rows.clone_rows_from(src.rows.as_ref());
+                    assert!(copied, "a column holds the payload type it is keyed by");
+                }
+                None => {
+                    self.columns.insert(
+                        i,
+                        TypedColumn {
+                            type_id: src.type_id,
+                            rows: src.rows.clone_rows(),
+                        },
+                    );
+                }
+            }
+        }
+        for extra in &mut self.columns[source.columns.len()..] {
+            extra.rows.clear_rows();
         }
     }
 }

@@ -838,52 +838,85 @@ impl World {
 
     /// Overwrites this world with the captured state, discarding everything
     /// that happened after (or instead of) the snapshot. The restored world
-    /// continues byte-identically to the snapshot's source.
+    /// continues byte-identically to the snapshot's source — whatever this
+    /// world was before: another schedule's finished run, another target's
+    /// world with other nodes and layers, a storm the event cap cut short,
+    /// a drive that panicked half-way through an event.
+    ///
+    /// It reuses what it overwrites. The trace arena's columns, the event
+    /// queue's storage, the timer table, network, boards and inboxes are
+    /// copied into the capacity the previous run grew
+    /// (`clone_from`), and each layer is restored in place where it can be
+    /// ([`Layer::restore_from`]) and re-boxed where it cannot. A campaign
+    /// worker therefore keeps the world it last ran and restores the
+    /// campaign's base into it, instead of allocating a world per run and
+    /// freeing one; [`WorldSnapshot::fork`] is this on an empty world.
+    ///
+    /// The snapshot's lock guards state that is only ever *read* under it
+    /// (the captured layers and trace, cloned out), so a lock poisoned by
+    /// a `clone_box` that panicked on some other thread still guards valid
+    /// data and is simply recovered. It is held for those clones only.
     pub fn restore(&mut self, snap: &WorldSnapshot) {
-        let guard = snap.guarded.lock().expect("snapshot mutex poisoned");
         self.now = snap.now;
         self.seq = snap.seq;
         self.timer_seq = snap.timer_seq;
         self.events_processed = snap.events_processed;
-        self.network = snap.network.clone();
+        self.network.clone_from(&snap.network);
         self.rng = snap.rng.clone();
-        self.boards = snap.boards.clone();
-        self.trace = guard.trace.clone();
+        self.boards.clone_from(&snap.boards);
         self.trace_packets = snap.trace_packets;
         self.trace_timers = snap.trace_timers;
-        self.timers = snap.timers.clone();
-        self.queue = snap
-            .queue
-            .iter()
-            .map(|e| Entry {
-                at: e.at,
-                seq: e.seq,
-                kind: EventKind::Node {
-                    node: e.node,
-                    ev: unsnap_event(&e.ev),
-                },
-            })
-            .collect();
-        self.nodes = snap
-            .nodes
-            .iter()
-            .zip(guard.layers.iter())
-            .map(|(n, stack)| Node {
-                layers: stack
-                    .iter()
-                    .map(|l| {
-                        l.clone_box()
-                            .expect("snapshotted layers re-clone by construction")
-                    })
-                    .collect(),
-                inbox: n.inbox.clone(),
-                crashed: n.crashed,
-                suspended: n
-                    .suspended
-                    .as_ref()
-                    .map(|evs| evs.iter().map(unsnap_event).collect()),
-            })
-            .collect();
+        self.timers.base = snap.timers.base;
+        self.timers.states.clone_from(&snap.timers.states);
+        // A drive that panicked inside a callback left these taken (empty)
+        // or half-drained; either way nothing of that event survives.
+        self.work.clear();
+        self.actions.clear();
+        let mut entries = std::mem::take(&mut self.queue).into_vec();
+        entries.clear();
+        entries.extend(snap.queue.iter().map(|e| Entry {
+            at: e.at,
+            seq: e.seq,
+            kind: EventKind::Node {
+                node: e.node,
+                ev: unsnap_event(&e.ev),
+            },
+        }));
+        self.queue = BinaryHeap::from(entries);
+        self.nodes.resize_with(snap.nodes.len(), || Node {
+            layers: Vec::new(),
+            inbox: Vec::new(),
+            crashed: false,
+            suspended: None,
+        });
+        for (node, n) in self.nodes.iter_mut().zip(&snap.nodes) {
+            node.inbox.clone_from(&n.inbox);
+            node.crashed = n.crashed;
+            node.suspended = n
+                .suspended
+                .as_ref()
+                .map(|evs| evs.iter().map(unsnap_event).collect());
+        }
+        let guard = snap
+            .guarded
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.trace.clone_from(&guard.trace);
+        for (node, stack) in self.nodes.iter_mut().zip(&guard.layers) {
+            node.layers.truncate(stack.len());
+            for (i, src) in stack.iter().enumerate() {
+                if i < node.layers.len() && node.layers[i].restore_from(src.as_ref()) {
+                    continue;
+                }
+                let fresh = src
+                    .clone_box()
+                    .expect("snapshotted layers re-clone by construction");
+                match node.layers.get_mut(i) {
+                    Some(layer) => *layer = fresh,
+                    None => node.layers.push(fresh),
+                }
+            }
+        }
     }
 
     /// A deterministic digest of the world's observable state: clock,
@@ -1483,6 +1516,170 @@ mod tests {
         w.restore(&snap);
         assert_eq!(w.snapshot_digest(), snap.digest());
         assert!(!w.is_crashed(NodeId::new(1)));
+    }
+
+    /// Panics when a message reaches it — a drive dying half-way through
+    /// an event, with the world's scratch buffers taken.
+    #[derive(Clone)]
+    struct Bomb;
+    impl Layer for Bomb {
+        fn name(&self) -> &'static str {
+            "bomb"
+        }
+        fn push(&mut self, msg: Message, ctx: &mut Context<'_>) {
+            ctx.send_down(msg);
+        }
+        fn pop(&mut self, _msg: Message, _ctx: &mut Context<'_>) {
+            panic!("bomb layer went off");
+        }
+        fn clone_box(&self) -> Option<Box<dyn Layer>> {
+            Some(Box::new(self.clone()))
+        }
+    }
+
+    /// Worlds a campaign worker might have just finished with, none of
+    /// them the snapshot's own continuation.
+    fn retired_worlds() -> Vec<(&'static str, World)> {
+        let mut retired = Vec::new();
+
+        // The same stacks after a different run: more traffic, a crash, a
+        // suspension with deferred events, boards written.
+        let (mut w, _, b) = busy_world();
+        w.run_for(SimDuration::from_millis(300));
+        w.suspend(b);
+        w.run_for(SimDuration::from_millis(300));
+        w.crash(NodeId::new(0));
+        let board = w.alloc_board();
+        w.boards_mut().set(board, "phase", "diverged");
+        retired.push(("another run of the same stacks", w));
+
+        // Another target altogether: one node, other layers, timers traced
+        // (a trace column the snapshot never had), a cancel outstanding.
+        let mut w = World::new(5);
+        w.trace_timers = true;
+        let n = w.add_node(vec![Box::new(OneTimer::default())]);
+        w.control::<()>(n, 0, TimerOp::Arm(SimDuration::from_millis(10)));
+        w.control::<()>(n, 0, TimerOp::Cancel);
+        w.control::<()>(n, 0, TimerOp::Arm(SimDuration::from_secs(10)));
+        w.run_for(SimDuration::from_millis(50));
+        retired.push(("another target, fewer nodes", w));
+
+        // More nodes than the snapshot, deeper stacks.
+        let mut w = World::new(6);
+        for _ in 0..4 {
+            w.add_node(vec![Box::new(Pinger), Box::new(Sink), Box::new(Sink)]);
+        }
+        w.control::<()>(NodeId::new(3), 0, SendTo(NodeId::new(2), b"x".to_vec()));
+        w.run_for(SimDuration::from_millis(5));
+        retired.push(("another target, more nodes", w));
+
+        // A storm the event cap cut short: two echoes bouncing one message
+        // for ever, stopped with the queue and the clock mid-flight.
+        let mut w = World::new(7);
+        w.trace_packets = true;
+        let a = w.add_node(vec![Box::new(Echo)]);
+        let b = w.add_node(vec![Box::new(Echo)]);
+        w.transmit(a, Message::new(a, b, b"storm"));
+        assert_eq!(w.run_for_capped(SimDuration::from_secs(3600), 500), 500);
+        retired.push(("a capped storm", w));
+
+        // A drive that panicked inside a layer callback, contained the way
+        // the campaign runner contains it.
+        let mut w = World::new(8);
+        w.trace_packets = true;
+        let a = w.add_node(vec![Box::new(Pinger), Box::new(Sink)]);
+        let b = w.add_node(vec![Box::new(Bomb)]);
+        w.control::<()>(a, 0, SendTo(b, b"ping".to_vec()));
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.run_for(SimDuration::from_millis(10));
+        }));
+        assert!(died.is_err(), "the bomb layer must go off mid-drive");
+        retired.push(("a drive that panicked", w));
+
+        retired
+    }
+
+    #[test]
+    fn a_world_restored_after_any_other_run_equals_a_fresh_fork() {
+        let (source, a, _) = busy_world();
+        let snap = source.snapshot();
+        let mut fresh = snap.fork();
+        fresh.run_for(SimDuration::from_secs(2));
+        let want_trace = fresh.trace().render();
+        let want_digest = fresh.snapshot_digest();
+        let want_inbox = fresh.drain_inbox(a);
+
+        for (what, mut world) in retired_worlds() {
+            // Twice: the second restore is into the first one's own run.
+            for round in 0..2 {
+                world.restore(&snap);
+                assert_eq!(
+                    world.snapshot_digest(),
+                    snap.digest(),
+                    "{what}, round {round}"
+                );
+                world.run_for(SimDuration::from_secs(2));
+                assert_eq!(world.trace().render(), want_trace, "{what}, round {round}");
+                assert_eq!(
+                    world.snapshot_digest(),
+                    want_digest,
+                    "{what}, round {round}"
+                );
+                assert_eq!(world.drain_inbox(a), want_inbox, "{what}, round {round}");
+            }
+        }
+    }
+
+    /// One `clone_box` that panics must cost one restore, not the
+    /// snapshot: the guarded state is only read under its lock, so every
+    /// later restore recovers the poisoned lock and carries on.
+    #[test]
+    fn a_clone_that_panics_under_the_lock_does_not_poison_later_restores() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        /// Panics on its `fuse`-th clone, counted across all copies.
+        struct Fused {
+            clones: Arc<AtomicUsize>,
+            fuse: usize,
+        }
+        impl Layer for Fused {
+            fn name(&self) -> &'static str {
+                "fused"
+            }
+            fn push(&mut self, _m: Message, _c: &mut Context<'_>) {}
+            fn pop(&mut self, _m: Message, _c: &mut Context<'_>) {}
+            fn clone_box(&self) -> Option<Box<dyn Layer>> {
+                if self.clones.fetch_add(1, Ordering::SeqCst) + 1 == self.fuse {
+                    panic!("fused layer refuses this one clone");
+                }
+                Some(Box::new(Fused {
+                    clones: Arc::clone(&self.clones),
+                    fuse: self.fuse,
+                }))
+            }
+        }
+
+        let clones = Arc::new(AtomicUsize::new(0));
+        let mut w = World::new(1);
+        w.add_node(vec![Box::new(Fused {
+            clones: Arc::clone(&clones),
+            // Clone 1 is the capture, clone 2 the first fork.
+            fuse: 3,
+        })]);
+        let snap = std::sync::Arc::new(w.snapshot());
+        assert_eq!(snap.fork().snapshot_digest(), snap.digest());
+        let on_another_thread = {
+            let snap = std::sync::Arc::clone(&snap);
+            std::thread::spawn(move || snap.fork()).join()
+        };
+        assert!(on_another_thread.is_err(), "the third clone panics");
+        // Poisoned by that thread, and fine.
+        assert!(snap.guarded.is_poisoned());
+        let mut retired = World::new(9);
+        retired.restore(&snap);
+        assert_eq!(retired.snapshot_digest(), snap.digest());
+        assert_eq!(snap.fork().snapshot_digest(), snap.digest());
     }
 
     #[test]

@@ -38,6 +38,18 @@ fn seq_le(a: u32, b: u32) -> bool {
     a == b || seq_lt(a, b)
 }
 
+/// Removes the first `n` bytes of `q` as one vector, copied by slice (a
+/// `drain(..n).collect()` moves them a byte at a time).
+fn take_front(q: &mut VecDeque<u8>, n: usize) -> Vec<u8> {
+    let (front, back) = q.as_slices();
+    let from_front = n.min(front.len());
+    let mut out = Vec::with_capacity(n);
+    out.extend_from_slice(&front[..from_front]);
+    out.extend_from_slice(&back[..n - from_front]);
+    q.drain(..n);
+    out
+}
+
 /// Connection states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpState {
@@ -359,7 +371,7 @@ impl Conn {
         totals: &mut ConnTotals,
     ) {
         totals.bytes_queued += data.len() as u64;
-        self.send_q.extend(data.iter().copied());
+        self.send_q.extend(data);
         self.try_send(profile, ctx, totals);
     }
 
@@ -425,7 +437,10 @@ impl Conn {
         if on && !was {
             // Drain the buffered bytes to the application and advertise the
             // reopened window.
-            self.delivered.extend(self.rcv_buf.drain(..));
+            let (front, back) = self.rcv_buf.as_slices();
+            self.delivered.extend_from_slice(front);
+            self.delivered.extend_from_slice(back);
+            self.rcv_buf.clear();
             self.send_pure_ack(profile, ctx);
         }
     }
@@ -465,7 +480,7 @@ impl Conn {
                 break;
             }
             let take = profile.mss.min(self.send_q.len()).min(avail as usize);
-            let payload: Vec<u8> = self.send_q.drain(..take).collect();
+            let payload = take_front(&mut self.send_q, take);
             let seq = self.snd_nxt;
             if self.timed.is_none() {
                 self.timed = Some((seq.wrapping_add(take as u32), ctx.now()));
@@ -1008,7 +1023,7 @@ impl Conn {
         if self.consume {
             self.delivered.extend_from_slice(accepted);
         } else {
-            self.rcv_buf.extend(accepted.iter().copied());
+            self.rcv_buf.extend(accepted);
         }
         self.rcv_nxt = self.rcv_nxt.wrapping_add(take as u32);
         totals.bytes_delivered += take as u64;

@@ -76,7 +76,11 @@ FLAGS:
                       5 is the loop-heavy corpus the pruning experiments use)
     --snapshots       capture the prepared fault-free world once and fork it
                       per run instead of rebuilding it (default; same digest
-                      either way)
+                      either way). A forked candidate whose filters never act
+                      on the traffic the baseline run recorded is not driven:
+                      it would re-simulate the baseline, so it gets the
+                      baseline's outcome (--stats: N replayed from the
+                      baseline; the same N at every --jobs)
     --no-snapshots    rebuild every candidate's world from scratch
     --journal PATH    write-ahead journal: record dispatch intent and every
                       result to PATH as the exploration runs (crash-safe)
@@ -362,12 +366,13 @@ fn main() {
             let snap = &outcome.snapshots;
             if config.snapshots {
                 println!(
-                    "snapshots: {} hit(s), {} miss(es) ({:.1}% hit rate), {} stored, {} prefix event(s) skipped",
+                    "snapshots: {} hit(s), {} miss(es) ({:.1}% hit rate), {} stored, {} prefix event(s) skipped, {} replayed from the baseline",
                     snap.hits,
                     snap.misses,
                     snap.hit_rate() * 100.0,
                     snap.stored,
-                    snap.events_skipped
+                    snap.events_skipped,
+                    snap.replayed
                 );
             } else {
                 println!("snapshots: disabled (every world rebuilt from scratch)");

@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use pfi_fleet::{Fleet, FleetReport, DEFAULT_MAX_RETRIES};
 use pfi_sim::fnv::{fnv64, Fnv};
-use pfi_sim::SimRng;
+use pfi_sim::{SimRng, World};
 
 use crate::coverage::Coverage;
 use crate::journal::{
@@ -495,8 +495,14 @@ struct ShrinkReport {
 /// With snapshots on, the main run forks the campaign's base world
 /// instead of rebuilding, and every shrink re-run forks it again (shrunk
 /// schedules share the same base). Hits and misses are counted per
-/// candidate, from zero.
-fn candidate_report(ctx: &CampaignContext, job: CandidateJob) -> CandidateReport {
+/// candidate, from zero. `retired` is the executing worker's own: the
+/// world its last run left behind, which every run here restores into and
+/// the last one leaves there again.
+fn candidate_report(
+    ctx: &CampaignContext,
+    job: CandidateJob,
+    retired: &mut Option<World>,
+) -> CandidateReport {
     let CandidateJob {
         schedule,
         lowered,
@@ -506,6 +512,7 @@ fn candidate_report(ctx: &CampaignContext, job: CandidateJob) -> CandidateReport
     let (target, limits) = (ctx.target.as_ref(), &ctx.limits);
     let mut local = ctx.snapshots.then(|| SnapshotStore {
         base: ctx.base.clone(),
+        retired: retired.take(),
         ..SnapshotStore::default()
     });
     let run = execute(target, lowered, limits, local.as_mut());
@@ -527,12 +534,19 @@ fn candidate_report(ctx: &CampaignContext, job: CandidateJob) -> CandidateReport
         }
         _ => None,
     };
+    let snapshots = match local {
+        Some(store) => {
+            *retired = store.retired;
+            store.stats
+        }
+        None => SnapshotStats::default(),
+    };
     CandidateReport {
         schedule,
         run,
         shrink,
         worker: 0,
-        snapshots: local.map(|s| s.stats().clone()).unwrap_or_default(),
+        snapshots,
         canonical,
         semantic,
     }
@@ -624,7 +638,11 @@ impl CampaignFleet {
     /// [`explore`](CampaignFleet::explore) — plus `jobs − 1` spawned ones.
     pub fn new(jobs: usize) -> Self {
         let fleet = Fleet::new(jobs, |_worker| {
-            Box::new(|fj: FleetJob| candidate_report(&fj.ctx, fj.job))
+            // Runner state, on the worker's own thread for the pool's
+            // life: the world its last snapshot-forked run retired. A
+            // runner lost to a panic takes its world with it.
+            let mut retired: Option<World> = None;
+            Box::new(move |fj: FleetJob| candidate_report(&fj.ctx, fj.job, &mut retired))
         });
         CampaignFleet { fleet }
     }

@@ -21,7 +21,7 @@ use crate::oracle::{
     TcpNoSilentCloseOracle, TcpPrefixOracle, TcpRtoBoundsOracle, TpcAtomicityOracle,
 };
 use crate::schedule::{FaultSchedule, SiteScripts};
-use crate::snapshot::{base_digest, SnapshotStore};
+use crate::snapshot::{base_digest, BaseWorld, Baseline, SnapshotStore};
 use crate::spec::ProtocolSpec;
 use crate::validate::{check_install, CompiledSite};
 
@@ -158,6 +158,24 @@ impl Default for RunLimits {
 /// A system a campaign can be run against: a read-only description
 /// (plain data — the worlds it builds are what runs mutate), so one
 /// instance is shared by every worker of a campaign.
+///
+/// # What a run may depend on
+///
+/// With snapshot/fork execution on, a candidate whose filters never *act*
+/// on the traffic the fault-free baseline recorded
+/// ([`PfiControl::Probe`] defines acting) is not driven at all: it is
+/// handed the baseline's verdict, oracle and coverage, because everything
+/// outside its fault sites' interpreter pairs would have evolved exactly
+/// as in the baseline. [`drive`](TestTarget::drive),
+/// [`harvest`](TestTarget::harvest), [`verdict`](TestTarget::verdict) and
+/// the [`oracles`](TestTarget::oracles) must therefore not read a fault
+/// site's *interpreter state* (`PfiControl::EvalInSend` / `EvalInRecv`,
+/// script-cache counters): it is the one thing such a candidate changes.
+/// Everything else — the trace, protocol layers, boards, packet logs,
+/// held messages, the clock — is fair game; a filter that touches any of
+/// it acts, and its candidate is driven. A drive must also reach the
+/// fault sites the same way every time (a pure function of the world it
+/// is given), which the determinism contract already demands.
 pub trait TestTarget: Send + Sync {
     /// Short stable name (used in repro artifacts).
     fn name(&self) -> &'static str;
@@ -302,6 +320,9 @@ impl Lowered {
     }
 }
 
+/// What a run came to: verdict, violated oracle, coverage.
+pub(crate) type Outcome = (Verdict, Option<String>, Coverage);
+
 /// The one way a schedule executes.
 ///
 /// Scripts that cannot be installed — a site index the target does not
@@ -312,19 +333,20 @@ impl Lowered {
 /// candidates (e.g. [`crate::ScheduleMutator`] scrambles) never count as
 /// lookups.
 ///
-/// With `fork`, the store decides fork-vs-cold: a hit forks the base
-/// world; a miss builds it and captures it under [`base_digest`] (targets
-/// whose layers refuse to clone simply keep building cold — correctness
-/// never depends on the store). Without `fork` every run builds cold.
-/// Either way the world carries no filter yet, so every non-empty script
-/// is installed. A forked run is byte-identical to a cold one: forks
-/// restore the captured world exactly, and filter installation has no
-/// observable side effects beyond the filters themselves.
+/// With `fork`, the store decides fork-vs-cold: a hit restores the base
+/// world ([`run_forked`]); a miss builds it and captures it under
+/// [`base_digest`] ([`run_cold`]; targets whose layers refuse to clone
+/// simply keep building cold — correctness never depends on the store).
+/// Without `fork` every run builds cold. Either way the world carries no
+/// filter yet, so every non-empty script is installed. A forked run is
+/// byte-identical to a cold one: forks restore the captured world exactly,
+/// and filter installation has no observable side effects beyond the
+/// filters themselves.
 pub(crate) fn execute(
     target: &dyn TestTarget,
     lowered: Lowered,
     limits: &RunLimits,
-    mut fork: Option<&mut SnapshotStore>,
+    fork: Option<&mut SnapshotStore>,
 ) -> ScheduleRun {
     let Lowered {
         id,
@@ -337,35 +359,14 @@ pub(crate) fn execute(
         (refusal, None, Coverage::new())
     } else {
         let digest = base_digest(target, limits);
-        let world = match fork.as_mut().and_then(|store| store.lookup(digest)) {
-            Some(base) => {
-                let mut world = base.world.fork();
-                install_scripts(&mut world, &base.sites, target.name(), &scripts, compiled);
-                world
-            }
-            None => {
-                let (mut world, sites) = target.build();
-                // Timer life-cycle records are a coverage signal; trace
-                // them for the driven phase (build-time convergence stays
-                // untraced on purpose).
-                world.trace_timers = true;
-                if limits.step_budget > 0 {
-                    for &(node, pfi_layer) in &sites {
-                        let _: PfiReply = world.control(
-                            node,
-                            pfi_layer,
-                            PfiControl::SetStepBudget(limits.step_budget),
-                        );
-                    }
-                }
-                if let Some(store) = fork {
-                    store.capture(digest, &sites, &world);
-                }
-                install_scripts(&mut world, &sites, target.name(), &scripts, compiled);
-                world
-            }
-        };
-        judge(target, world, limits)
+        let filters = (&scripts[..], &compiled[..]);
+        match fork {
+            Some(store) => match store.lookup(digest) {
+                Some(base) => run_forked(target, store, &base, filters, limits),
+                None => run_cold(target, Some((store, digest)), filters, limits),
+            },
+            None => run_cold(target, None, filters, limits),
+        }
     };
     ScheduleRun {
         schedule_id: id,
@@ -375,6 +376,95 @@ pub(crate) fn execute(
         oracle,
         coverage,
     }
+}
+
+/// A schedule's lowered scripts and, index for index, their compiled form.
+type Filters<'a> = (&'a [SiteScripts], &'a [CompiledSite]);
+
+/// Runs a schedule from the campaign's base world, restored into the world
+/// the store's last run retired (a fresh one the first time).
+///
+/// When the base carries the baseline's recording, the filters are first
+/// probed against it ([`Baseline::acts`]): a candidate whose filters never
+/// act would re-simulate the baseline message for message, so it is handed
+/// the baseline's outcome and not driven. The probe's evaluations advance
+/// the interpreters, so a candidate that does act is restored once more
+/// and runs from a world byte-identical to a fresh fork.
+fn run_forked(
+    target: &dyn TestTarget,
+    store: &mut SnapshotStore,
+    base: &BaseWorld,
+    (scripts, compiled): Filters<'_>,
+    limits: &RunLimits,
+) -> Outcome {
+    let mut world = store.retired.take().unwrap_or_else(|| World::new(0));
+    world.restore(&base.world);
+    install_scripts(&mut world, &base.sites, target.name(), scripts, compiled);
+    if let Some(baseline) = &base.baseline {
+        if !baseline.acts(&mut world, &base.sites, scripts) {
+            store.stats.replayed += 1;
+            store.retire(world);
+            return baseline.outcome.clone();
+        }
+        world.restore(&base.world);
+        install_scripts(&mut world, &base.sites, target.name(), scripts, compiled);
+    }
+    let outcome = judge(target, &mut world, limits);
+    store.retire(world);
+    outcome
+}
+
+/// Builds the target's world and runs a schedule in it. With a store (a
+/// miss under `digest`), the built world is captured as the base first —
+/// and when the schedule installs no filter at all, this run *is* the
+/// fault-free baseline: every fault site records the traffic reaching its
+/// filters, and if the run ends without crash or hang the recording and
+/// the outcome stay with the base for [`run_forked`] to probe against.
+fn run_cold(
+    target: &dyn TestTarget,
+    capture: Option<(&mut SnapshotStore, u64)>,
+    (scripts, compiled): Filters<'_>,
+    limits: &RunLimits,
+) -> Outcome {
+    let (mut world, sites) = target.build();
+    // Timer life-cycle records are a coverage signal; trace them for the
+    // driven phase (build-time convergence stays untraced on purpose).
+    world.trace_timers = true;
+    if limits.step_budget > 0 {
+        for &(node, pfi_layer) in &sites {
+            let _: PfiReply = world.control(
+                node,
+                pfi_layer,
+                PfiControl::SetStepBudget(limits.step_budget),
+            );
+        }
+    }
+    // Captured before anything records, so no fork ever does.
+    let recorder = capture
+        .and_then(|(store, digest)| store.capture(digest, &sites, &world).then_some(store))
+        .filter(|_| scripts.iter().all(SiteScripts::is_empty));
+    if recorder.is_some() {
+        for &(node, pfi_layer) in &sites {
+            let _: PfiReply = world.control(node, pfi_layer, PfiControl::Record);
+        }
+    }
+    install_scripts(&mut world, &sites, target.name(), scripts, compiled);
+    let outcome = judge(target, &mut world, limits);
+    if let Some(store) = recorder {
+        if !outcome.0.is_infrastructure() {
+            let traffic = sites
+                .iter()
+                .map(|&(node, pfi_layer)| {
+                    match world.control(node, pfi_layer, PfiControl::TakeRecording) {
+                        PfiReply::Recording(traffic) => traffic,
+                        other => panic!("fault site {node} answered TakeRecording with {other:?}"),
+                    }
+                })
+                .collect();
+            store.record_baseline(Baseline::new(traffic, outcome.clone()));
+        }
+    }
+    outcome
 }
 
 /// Installs every non-empty script — in the compiled form the install
@@ -388,7 +478,7 @@ fn install_scripts(
     sites: &[(NodeId, usize)],
     target_name: &str,
     scripts: &[SiteScripts],
-    compiled: Vec<CompiledSite>,
+    compiled: &[CompiledSite],
 ) {
     for (s, filters) in scripts.iter().zip(compiled) {
         let &(node, pfi_layer) = sites.get(s.site as usize).unwrap_or_else(|| {
@@ -403,9 +493,10 @@ fn install_scripts(
             PfiControl::SetSendFilter as fn(Filter) -> _,
             PfiControl::SetRecvFilter,
         ];
-        for (script, make_op) in filters.into_iter().zip(make_ops) {
+        for (script, make_op) in filters.iter().zip(make_ops) {
             if let Some(script) = script {
-                let _: PfiReply = world.control(node, pfi_layer, make_op(Filter::Script(script)));
+                let filter = Filter::Script(Arc::clone(script));
+                let _: PfiReply = world.control(node, pfi_layer, make_op(filter));
             }
         }
     }
@@ -422,14 +513,10 @@ fn install_scripts(
 /// crashing schedule leaves no silent hole in the search space. Verdict
 /// priority: `Violated` (even on a truncated or partial trace) beats
 /// `Crashed` beats `Hung` beats the target's own service verdict.
-fn judge(
-    target: &dyn TestTarget,
-    mut world: World,
-    limits: &RunLimits,
-) -> (Verdict, Option<String>, Coverage) {
+fn judge(target: &dyn TestTarget, world: &mut World, limits: &RunLimits) -> Outcome {
     let driven = catch_unwind(AssertUnwindSafe(|| {
-        let capped = target.drive(&mut world, limits);
-        target.harvest(&mut world);
+        let capped = target.drive(world, limits);
+        target.harvest(world);
         capped
     }));
     // The trace survives a drive panic; salvage whatever coverage the run
@@ -490,7 +577,7 @@ fn judge(
             coverage,
         );
     }
-    match catch_unwind(AssertUnwindSafe(|| target.verdict(&mut world))) {
+    match catch_unwind(AssertUnwindSafe(|| target.verdict(world))) {
         Ok(verdict) => (verdict, None, coverage),
         Err(payload) => (
             Verdict::Crashed(format!(
@@ -1245,6 +1332,186 @@ mod tests {
             "scramble mutants must never enter the store"
         );
         assert_eq!(store.stats(), &crate::snapshot::SnapshotStats::default());
+    }
+
+    /// A store whose base was captured by a fault-free baseline run of
+    /// `target` under `limits` — what a campaign's candidates fork.
+    fn store_after_baseline(target: &dyn TestTarget, limits: &RunLimits) -> SnapshotStore {
+        let mut store = SnapshotStore::default();
+        run_schedule_snapshotted(target, &FaultSchedule::empty(), limits, Some(&mut store));
+        assert_eq!(store.stats().stored, 1);
+        store
+    }
+
+    /// Runs hand-written `send`/`recv` filters on gmp site 1 through the
+    /// forking path and cold; the two outcomes must be equal. Returns the
+    /// forked run and whether it was replayed instead of driven.
+    fn forked_and_cold(send: &str, recv: &str, limits: &RunLimits) -> (ScheduleRun, bool) {
+        let target = GmpTarget {
+            fault_secs: 5,
+            ..GmpTarget::default()
+        };
+        let lowered = Lowered::check(
+            format!("send {send:?} recv {recv:?}"),
+            vec![SiteScripts {
+                site: 1,
+                send: send.to_string(),
+                recv: recv.to_string(),
+            }],
+            target.fault_sites(),
+        );
+        assert_eq!(lowered.install_errors, Vec::<String>::new());
+        let mut store = store_after_baseline(&target, limits);
+        assert!(
+            store.base.as_ref().unwrap().baseline.is_some(),
+            "a clean baseline leaves its recording with the base"
+        );
+        let forked = execute(&target, lowered.clone(), limits, Some(&mut store));
+        let cold = execute(&target, lowered, limits, None);
+        assert_eq!(forked.verdict, cold.verdict, "{send:?} / {recv:?}");
+        assert_eq!(forked.oracle, cold.oracle, "{send:?} / {recv:?}");
+        assert_eq!(forked.coverage, cold.coverage, "{send:?} / {recv:?}");
+        (forked, store.stats().replayed == 1)
+    }
+
+    /// Filters whose only effect leaves by a side channel — no verdict, no
+    /// duplicate, nothing `Effects` used to show — must each be classified
+    /// as acting: every one of them changes what a run leaves behind (the
+    /// packet log, a board, the RNG stream every later draw sees, a timer
+    /// in the queue, the bytes the protocol parses, a `ScriptFailed`
+    /// record).
+    #[test]
+    fn filters_acting_only_through_a_side_channel_are_driven() {
+        let unlimited = RunLimits::default();
+        let budgeted = RunLimits {
+            step_budget: 500,
+            ..unlimited
+        };
+        for (recv, limits) in [
+            ("msg_log", &unlimited),
+            ("global_set seen 1", &unlimited),
+            ("coin 0.5", &unlimited),
+            ("xAfter 100 {set fired 1}", &unlimited),
+            ("msg_set_byte 0 255", &unlimited),
+            ("while {1} {incr spin}", &budgeted),
+            ("error boom", &unlimited),
+            ("no_such_command", &unlimited),
+        ] {
+            let (run, replayed) = forked_and_cold("", recv, limits);
+            assert!(!replayed, "{recv:?} acts and must be driven");
+            if recv.starts_with("while") {
+                assert!(run.verdict.is_hung(), "{recv:?}: {:?}", run.verdict);
+            }
+        }
+    }
+
+    /// Filters that stay inside their interpreter pair may be classified
+    /// either way; what `execute` returns must equal the driven run's.
+    #[test]
+    fn filters_staying_inside_the_interpreter_pair_keep_the_driven_outcome() {
+        let limits = RunLimits::default();
+        // Counts messages, reads the clock and the message, decides
+        // nothing: never acts, so it is the baseline's run.
+        let (run, replayed) = forked_and_cold(
+            "incr sent",
+            "incr seen; set t [now_ms]; set ty [msg_type]; xPass",
+            &limits,
+        );
+        assert!(replayed, "a pure observer re-simulates the baseline");
+        assert_eq!(run.verdict, Verdict::Pass);
+        // Writes back the byte that is already there.
+        forked_and_cold("", "msg_set_byte 0 [msg_byte 0]", &limits);
+        // The send side sets a variable; the receive side of the same site
+        // reads it through the peer interpreter and starts dropping. The
+        // probe has to evaluate both directions in recorded order on the
+        // one interpreter pair to see the drop coming.
+        let (_, replayed) = forked_and_cold(
+            "set armed 1",
+            "if {[peer_get armed 0] == 1} { xDrop }",
+            &limits,
+        );
+        assert!(!replayed, "the armed receive filter drops");
+    }
+
+    /// The baseline's outcome is only handed on when the baseline ended
+    /// without crash or hang: a capped, hung or crashed baseline leaves no
+    /// recording, and every candidate is driven.
+    #[test]
+    fn a_crashed_hung_or_capped_baseline_is_never_replayed() {
+        /// GMP, but the service verdict panics.
+        #[derive(Clone)]
+        struct VerdictPanics(GmpTarget);
+        impl TestTarget for VerdictPanics {
+            fn name(&self) -> &'static str {
+                "gmp-verdict-panics"
+            }
+            fn seed(&self) -> u64 {
+                self.0.seed()
+            }
+            fn node_count(&self) -> u32 {
+                self.0.node_count()
+            }
+            fn fault_sites(&self) -> u32 {
+                self.0.fault_sites()
+            }
+            fn build(&self) -> (World, Vec<(NodeId, usize)>) {
+                self.0.build()
+            }
+            fn drive(&self, world: &mut World, limits: &RunLimits) -> bool {
+                self.0.drive(world, limits)
+            }
+            fn oracles(&self) -> Vec<Box<dyn Oracle>> {
+                self.0.oracles()
+            }
+            fn verdict(&self, _world: &mut World) -> Verdict {
+                panic!("verdict sabotage")
+            }
+            fn share(&self) -> Arc<dyn TestTarget> {
+                Arc::new(self.clone())
+            }
+        }
+
+        let gmp = GmpTarget {
+            fault_secs: 5,
+            ..GmpTarget::default()
+        };
+        let capped = RunLimits {
+            event_cap: 10,
+            step_budget: 0,
+        };
+        let crashing = VerdictPanics(gmp.clone());
+        let cases: [(&dyn TestTarget, RunLimits); 2] =
+            [(&gmp, capped), (&crashing, RunLimits::default())];
+        for (target, limits) in cases {
+            let mut store = SnapshotStore::default();
+            let empty = FaultSchedule::empty();
+            let baseline = run_schedule_snapshotted(target, &empty, &limits, Some(&mut store));
+            let expected = limits == capped;
+            assert_eq!(
+                baseline.verdict.is_hung(),
+                expected,
+                "{:?}",
+                baseline.verdict
+            );
+            assert_eq!(baseline.verdict.is_crashed(), !expected);
+            assert!(store.base.as_ref().unwrap().baseline.is_none());
+            // The fault-free schedule again: nothing can act, and still it
+            // is driven.
+            let again = run_schedule_snapshotted(target, &empty, &limits, Some(&mut store));
+            assert_eq!(store.stats().hits, 1);
+            assert_eq!(store.stats().replayed, 0);
+            assert_eq!(again.verdict, baseline.verdict);
+        }
+        // A base captured by a *faulted* run has no baseline either: what
+        // its sites saw was not fault-free traffic.
+        let mut store = SnapshotStore::default();
+        run_schedule_snapshotted(&gmp, &drop_heartbeats(), &capped, Some(&mut store));
+        assert!(store.base.as_ref().unwrap().baseline.is_none());
+        // And the clean case, for contrast: the same second run is replayed.
+        let limits = RunLimits::default();
+        let mut store = store_after_baseline(&gmp, &limits);
+        run_schedule_snapshotted(&gmp, &FaultSchedule::empty(), &limits, Some(&mut store));
+        assert_eq!(store.stats().replayed, 1);
     }
 
     #[test]

@@ -491,6 +491,13 @@ pub struct SiteScripts {
     pub recv: String,
 }
 
+impl SiteScripts {
+    /// Whether neither direction has a script: nothing to install.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.send.is_empty() && self.recv.is_empty()
+    }
+}
+
 /// Mutates schedules within a protocol's message vocabulary.
 #[derive(Debug, Clone)]
 pub struct ScheduleMutator {

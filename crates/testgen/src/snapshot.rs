@@ -9,6 +9,17 @@
 //! There is exactly one such world per (target, limits), named by
 //! [`base_digest`]; a [`SnapshotStore`] is the slot holding it.
 //!
+//! The run that captures the base is the fault-free baseline, and it runs
+//! as a pure probe: every fault site records the traffic that reaches its
+//! filters. That recording stays with the base ([`Baseline`]), and a
+//! forked candidate first *probes* its filters against it. A candidate
+//! whose filters never act on the baseline's traffic would re-simulate the
+//! baseline message for message, so it gets the baseline's outcome without
+//! being driven (`SnapshotStats::replayed` counts them). And the world a
+//! run leaves behind is kept by the store
+//! ([`SnapshotStore::retired`]) for the next run to restore into, so a
+//! fork stops allocating a world and freeing one.
+//!
 //! Fork-equivalence is load-bearing: filter installation emits no trace
 //! events and draws no RNG, and preparation never advances virtual time,
 //! so a forked run is byte-identical to a cold one (`tests/snapshot_fork.rs`
@@ -19,10 +30,12 @@
 use std::fmt;
 use std::sync::Arc;
 
+use pfi_core::{PfiControl, PfiReply, RecordedMsg};
 use pfi_sim::fnv::Fnv;
 use pfi_sim::{NodeId, World, WorldSnapshot};
 
-use crate::runner::{RunLimits, TestTarget};
+use crate::runner::{Outcome, RunLimits, TestTarget};
+use crate::schedule::SiteScripts;
 
 /// The digest identifying `target`'s prepared fault-free base world under
 /// `limits`. Covers exactly what shapes the world before any filter is
@@ -46,6 +59,99 @@ pub(crate) struct BaseWorld {
     /// The target's fault sites, as built.
     pub(crate) sites: Vec<(NodeId, usize)>,
     pub(crate) world: WorldSnapshot,
+    /// What the capturing run went on to do, when it was the fault-free
+    /// baseline and ended without crash or hang.
+    pub(crate) baseline: Option<Baseline>,
+}
+
+/// What the baseline already ran: the traffic each fault site's filters
+/// would have seen, and how the run was judged. It lives with the
+/// campaign's base world and nowhere shared — it is only meaningful
+/// against that world (same target, same limits), and goes when it goes.
+pub(crate) struct Baseline {
+    /// Per fault site, the messages that reached its filters, in order.
+    traffic: Vec<Arc<[RecordedMsg]>>,
+    /// `(site, index into that site's traffic)` of every recorded message,
+    /// in recorded-time order (ties by site, then arrival).
+    order: Vec<(u32, u32)>,
+    /// The baseline's verdict, violated oracle and coverage — the outcome
+    /// of every run that re-simulates it.
+    pub(crate) outcome: Outcome,
+}
+
+impl Baseline {
+    pub(crate) fn new(traffic: Vec<Vec<RecordedMsg>>, outcome: Outcome) -> Baseline {
+        let mut order: Vec<(u32, u32)> = (0u32..)
+            .zip(&traffic)
+            .flat_map(|(site, msgs)| (0..msgs.len() as u32).map(move |i| (site, i)))
+            .collect();
+        // Stable, and each site's slice is already in time order.
+        order.sort_by_key(|&(site, i)| traffic[site as usize][i as usize].time);
+        Baseline {
+            traffic: traffic.into_iter().map(Arc::from).collect(),
+            order,
+            outcome,
+        }
+    }
+
+    /// Whether any filter of `scripts` — installed in `world`, a fresh
+    /// restore of the base, at `sites` — acts on the traffic the baseline
+    /// recorded ([`PfiControl::Probe`] defines *acts*). Messages are
+    /// probed in recorded-time order across sites, so the first one that
+    /// is acted on — the first heartbeat, for most candidates — ends the
+    /// probe after a handful of evaluations.
+    ///
+    /// `false` means the candidate's run *is* the baseline's, by
+    /// induction over its events: up to the first message that reaches a
+    /// fault site both worlds are the base; a filter evaluation that does
+    /// not act leaves everything outside its interpreter pair as a
+    /// filterless layer would, so the next message is the baseline's next
+    /// message, at the baseline's time, meeting the interpreter state the
+    /// probe has just left. Sites share nothing a non-acting evaluation
+    /// can write, so the order in which they are probed does not matter.
+    ///
+    /// Leaves `world` used up: restore it before driving it.
+    pub(crate) fn acts(
+        &self,
+        world: &mut World,
+        sites: &[(NodeId, usize)],
+        scripts: &[SiteScripts],
+    ) -> bool {
+        let mut active = vec![false; self.traffic.len()];
+        for s in scripts {
+            active[s.site as usize] |= !s.is_empty();
+        }
+        let mut next = 0;
+        while next < self.order.len() {
+            let (site, first) = self.order[next];
+            next += 1;
+            if !active[site as usize] {
+                continue;
+            }
+            // One call covers this site's messages up to the next message
+            // of another active site.
+            let mut last = first;
+            while let Some(&(s, i)) = self.order.get(next) {
+                if s == site {
+                    last = i;
+                } else if active[s as usize] {
+                    break;
+                }
+                next += 1;
+            }
+            let (node, layer) = sites[site as usize];
+            let probe = PfiControl::Probe {
+                traffic: Arc::clone(&self.traffic[site as usize]),
+                range: first as usize..last as usize + 1,
+            };
+            match world.control::<PfiReply>(node, layer, probe) {
+                PfiReply::Probe(None) => {}
+                PfiReply::Probe(Some(_)) => return true,
+                other => panic!("fault site n{site} answered a probe with {other:?}"),
+            }
+        }
+        false
+    }
 }
 
 impl fmt::Debug for BaseWorld {
@@ -67,6 +173,12 @@ pub struct SnapshotStats {
     pub stored: u64,
     /// Simulator events forks skipped re-processing, summed over hits.
     pub events_skipped: u64,
+    /// Forked runs that were not driven at all: their filters never act on
+    /// the traffic the baseline recorded, so they were handed the
+    /// baseline's outcome. A pure function of the candidate, like `hits`
+    /// (and like `hits` it counts live executions only — work a resume
+    /// replays from its journal ran nothing).
+    pub replayed: u64,
 }
 
 impl SnapshotStats {
@@ -84,8 +196,14 @@ impl SnapshotStats {
         self.misses += other.misses;
         self.stored += other.stored;
         self.events_skipped += other.events_skipped;
+        self.replayed += other.replayed;
     }
 }
+
+/// The longest trace a world may carry into retirement
+/// ([`SnapshotStore::retire`]): ten times a 60 s GMP run's, a thousandth
+/// of what a storm stopped at the default event cap can reach.
+const RETIRED_TRACE_RECORDS: usize = 1 << 15;
 
 /// The slot for a campaign's one base world, with its counters. Starts
 /// empty ([`Default`]): the first run through it misses, builds the world
@@ -100,6 +218,13 @@ pub struct SnapshotStore {
     /// not stored it: that counted once, on the master.
     pub(crate) base: Option<Arc<BaseWorld>>,
     pub(crate) stats: SnapshotStats,
+    /// The world the last forked run through this store left behind; the
+    /// next one restores the base into it ([`World::restore`] reuses what
+    /// it overwrites) instead of forking a fresh world. Whatever that run
+    /// did to it — another schedule, a capped storm, a contained panic —
+    /// the restore overwrites. A campaign worker carries it from one
+    /// candidate's store to the next.
+    pub(crate) retired: Option<World>,
 }
 
 impl SnapshotStore {
@@ -127,17 +252,43 @@ impl SnapshotStore {
     /// Captures `world` — freshly built with fault sites `sites` — as the
     /// base under `digest`, replacing any other; counts toward
     /// [`SnapshotStats::stored`]. A world that refuses (a layer that cannot
-    /// clone: native filters, unclonable stubs) leaves the slot as it was.
-    pub(crate) fn capture(&mut self, digest: u64, sites: &[(NodeId, usize)], world: &World) {
-        if let Ok(world) = world.try_snapshot() {
-            let sites = sites.to_vec();
-            self.stats.stored += 1;
-            self.base = Some(Arc::new(BaseWorld {
-                digest,
-                sites,
-                world,
-            }));
-        }
+    /// clone: native filters, unclonable stubs) leaves the slot as it was
+    /// and answers `false`.
+    pub(crate) fn capture(
+        &mut self,
+        digest: u64,
+        sites: &[(NodeId, usize)],
+        world: &World,
+    ) -> bool {
+        let Ok(world) = world.try_snapshot() else {
+            return false;
+        };
+        self.stats.stored += 1;
+        self.base = Some(Arc::new(BaseWorld {
+            digest,
+            sites: sites.to_vec(),
+            world,
+            baseline: None,
+        }));
+        true
+    }
+
+    /// Keeps `world`, just run, for the next run to restore into — unless
+    /// that run grew it far past a healthy one's size. A message storm
+    /// driven up to the event cap leaves a trace arena of tens of
+    /// megabytes, which a retired world would hold on to for the rest of
+    /// the campaign (in pfi-serve, for the pool's life); such a world is
+    /// dropped, and the next run forks a fresh one.
+    pub(crate) fn retire(&mut self, world: World) {
+        self.retired = (world.trace().len() <= RETIRED_TRACE_RECORDS).then_some(world);
+    }
+
+    /// Attaches what the run that captured the base went on to do. Only
+    /// that run calls this, while the store still holds the one handle.
+    pub(crate) fn record_baseline(&mut self, baseline: Baseline) {
+        let base = self.base.as_mut().and_then(Arc::get_mut);
+        base.expect("the capturing run holds the base's only handle")
+            .baseline = Some(baseline);
     }
 }
 
@@ -177,6 +328,24 @@ mod tests {
     }
 
     #[test]
+    fn a_world_a_storm_blew_up_is_not_kept() {
+        let mut store = SnapshotStore::default();
+        let mut world = World::new(7);
+        let record = |world: &mut World, n: usize| {
+            for _ in 0..n {
+                let now = world.now();
+                world.trace_mut().record(now, NodeId::new(0), "test", 0u8);
+            }
+        };
+        record(&mut world, RETIRED_TRACE_RECORDS);
+        store.retire(world);
+        let mut world = store.retired.take().expect("a healthy run's world is kept");
+        record(&mut world, 1);
+        store.retire(world);
+        assert!(store.retired.is_none());
+    }
+
+    #[test]
     fn seeding_does_not_count_as_stored() {
         let mut master = SnapshotStore::default();
         master.capture(1, &[], &World::new(7));
@@ -191,6 +360,7 @@ mod tests {
             misses: 1,
             stored: 1,
             events_skipped: 50,
+            replayed: 1,
         };
         let mut merged = store.stats().clone();
         merged.merge(&other);

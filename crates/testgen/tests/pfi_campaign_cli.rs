@@ -90,6 +90,31 @@ fn stats_block_keeps_the_labels_the_benchmark_reads() {
         assert!(snap.contains(label), "{label:?} missing from {snap:?}");
     }
     assert!(!snap.starts_with("snapshots: 0 hit"), "{snap}");
+    // The one counter added behind the labels above: forks that were not
+    // driven because their filters never act on the baseline's traffic.
+    // Some of gmp's candidates always are (they fault message types a
+    // converged group never sends), and never all of them.
+    let number_before = |label: &str| -> u64 {
+        let end = snap
+            .find(label)
+            .unwrap_or_else(|| panic!("{label:?} missing from {snap:?}"));
+        let digits = snap[..end]
+            .rsplit(|c: char| !c.is_ascii_digit())
+            .next()
+            .unwrap_or_default();
+        digits
+            .parse()
+            .unwrap_or_else(|_| panic!("no count before {label:?} in {snap:?}"))
+    };
+    assert!(
+        snap.ends_with(" replayed from the baseline"),
+        "the new label comes after every existing one: {snap:?}"
+    );
+    let (replayed, hits) = (
+        number_before(" replayed from the baseline"),
+        number_before(" hit(s), "),
+    );
+    assert!(0 < replayed && replayed < hits, "{snap:?}");
     let fleet = stdout
         .lines()
         .find(|l| l.starts_with("fleet: "))

@@ -8,12 +8,13 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pfi_sim::{Context, Layer, Message, NodeId, World};
 use pfi_testgen::{
     explore, explore_fleet, ExploreConfig, ExploreOutcome, FaultSchedule, GmpTarget, Journal,
-    Oracle, ProtocolSpec, RunLimits, TestTarget, Verdict,
+    Oracle, ProtocolSpec, RunLimits, TcpTarget, TestTarget, TpcTarget, Verdict,
 };
 
 /// The seed the acceptance criteria pin (same as the CI smoke job and the
@@ -56,10 +57,29 @@ fn snapshot_and_cold_campaigns_are_byte_identical() {
     let spec = ProtocolSpec::gmp();
 
     for jobs in [1, 2, 4] {
-        let (on, _) = explore_fleet(Arc::clone(&target) as _, &spec, &config(true), jobs);
-        let (off, _) = explore_fleet(Arc::clone(&target) as _, &spec, &config(false), jobs);
+        let journal = |snapshots: bool| tmp(&format!("j{jobs}-{snapshots}.journal"));
+        let run = |snapshots: bool| {
+            let mut cfg = config(snapshots);
+            cfg.journal = Some(journal(snapshots));
+            explore_fleet(Arc::clone(&target) as _, &spec, &cfg, jobs).0
+        };
+        let (on, off) = (run(true), run(false));
 
         assert_eq!(on.digest(), off.digest(), "digest diverged at jobs={jobs}");
+        // The journals say which strategy ran, and nothing else differs:
+        // a candidate replayed from the baseline is journaled exactly as
+        // if it had been driven.
+        let [on_journal, off_journal] = [true, false].map(|snapshots| {
+            let text = fs::read_to_string(journal(snapshots)).unwrap();
+            let _ = fs::remove_file(journal(snapshots));
+            text
+        });
+        assert!(on_journal.contains("\nsnapshots on\n"));
+        assert_eq!(
+            on_journal.replace("\nsnapshots on\n", "\nsnapshots off\n"),
+            off_journal,
+            "journal bytes diverged at jobs={jobs}"
+        );
         assert_eq!(
             corpus_ids(&on),
             corpus_ids(&off),
@@ -80,6 +100,11 @@ fn snapshot_and_cold_campaigns_are_byte_identical() {
             on.snapshots.events_skipped > 0,
             "forking must skip replayed prefix events (jobs={jobs})"
         );
+        assert!(
+            on.snapshots.replayed > 0 && on.snapshots.replayed < on.snapshots.hits,
+            "some forks re-simulate the baseline and are not driven, most act (jobs={jobs}): {:?}",
+            on.snapshots
+        );
         assert_eq!(
             off.snapshots,
             Default::default(),
@@ -98,7 +123,8 @@ fn snapshot_and_cold_campaigns_are_byte_identical() {
 }
 
 /// Snapshot stats are a pure function of the campaign, not of how it was
-/// scheduled: counting per candidate makes hit/miss counts identical at
+/// scheduled: counting per candidate makes hit/miss counts — and how many
+/// forks were replayed from the baseline instead of driven — identical at
 /// every worker count.
 #[test]
 fn snapshot_stats_are_worker_count_invariant() {
@@ -106,6 +132,7 @@ fn snapshot_stats_are_worker_count_invariant() {
     let spec = ProtocolSpec::gmp();
 
     let (reference, _) = explore_fleet(Arc::clone(&target) as _, &spec, &config(true), 1);
+    assert!(reference.snapshots.replayed > 0);
     for jobs in [2, 4] {
         let (outcome, _) = explore_fleet(Arc::clone(&target) as _, &spec, &config(true), jobs);
         assert_eq!(
@@ -225,6 +252,183 @@ fn resume_composes_with_snapshot_fork() {
                 torn.cases.len(),
                 "journaled cases must be replayed, never re-executed"
             );
+            // The resume's unrecorded re-run of the baseline captures the
+            // base *and* records its traffic like any baseline, so the
+            // live remainder is still replayed from it; the counter, like
+            // `hits`, counts live executions only.
+            let live = &resumed.snapshots;
+            if snapshots {
+                assert!(live.replayed > 0, "{live:?}");
+                assert!(live.replayed < uninterrupted.snapshots.replayed);
+            } else {
+                assert_eq!(*live, Default::default());
+            }
+        }
+    }
+}
+
+/// A pass-through bystander whose `clone_box` panics exactly once: on its
+/// `fuse`-th call, counted across every copy of it on every thread.
+struct FusedBystander {
+    clones: Arc<AtomicUsize>,
+    fuse: usize,
+}
+
+impl Layer for FusedBystander {
+    fn name(&self) -> &'static str {
+        "fused-bystander"
+    }
+    fn push(&mut self, msg: Message, ctx: &mut Context<'_>) {
+        ctx.send_down(msg);
+    }
+    fn pop(&mut self, msg: Message, ctx: &mut Context<'_>) {
+        ctx.send_up(msg);
+    }
+    fn clone_box(&self) -> Option<Box<dyn Layer>> {
+        if self.clones.fetch_add(1, Ordering::SeqCst) + 1 == self.fuse {
+            panic!("fused bystander refuses this one clone");
+        }
+        Some(Box::new(FusedBystander {
+            clones: Arc::clone(&self.clones),
+            fuse: self.fuse,
+        }))
+    }
+}
+
+/// The GMP target plus a bystander node carrying a [`FusedBystander`].
+#[derive(Clone)]
+struct FusedTarget {
+    gmp: GmpTarget,
+    clones: Arc<AtomicUsize>,
+    fuse: usize,
+}
+
+impl TestTarget for FusedTarget {
+    fn name(&self) -> &'static str {
+        self.gmp.name()
+    }
+    fn seed(&self) -> u64 {
+        self.gmp.seed()
+    }
+    fn node_count(&self) -> u32 {
+        self.gmp.node_count()
+    }
+    fn fault_sites(&self) -> u32 {
+        self.gmp.fault_sites()
+    }
+    fn build(&self) -> (World, Vec<(NodeId, usize)>) {
+        let (mut world, sites) = self.gmp.build();
+        world.add_node(vec![Box::new(FusedBystander {
+            clones: Arc::clone(&self.clones),
+            fuse: self.fuse,
+        })]);
+        (world, sites)
+    }
+    fn drive(&self, world: &mut World, limits: &RunLimits) -> bool {
+        self.gmp.drive(world, limits)
+    }
+    fn oracles(&self) -> Vec<Box<dyn Oracle>> {
+        self.gmp.oracles()
+    }
+    fn verdict(&self, world: &mut World) -> Verdict {
+        self.gmp.verdict(world)
+    }
+    fn share(&self) -> Arc<dyn TestTarget> {
+        Arc::new(self.clone())
+    }
+}
+
+/// One layer clone that panics while a worker restores the shared base
+/// costs the campaign that one attempt and nothing else. The base's
+/// guarded state is only ever read under its lock, so the lock the panic
+/// poisoned is recovered; it used to be `expect`ed, which quarantined
+/// every later candidate of the campaign at its fork.
+#[test]
+fn one_panicking_layer_clone_loses_exactly_that_candidate() {
+    let spec = ProtocolSpec::gmp();
+    let fused = |fuse: usize| FusedTarget {
+        gmp: GmpTarget {
+            fault_secs: 5,
+            ..GmpTarget::default()
+        },
+        clones: Arc::new(AtomicUsize::new(0)),
+        fuse,
+    };
+    let (clean, _) = explore_fleet(Arc::new(fused(usize::MAX)), &spec, &config(true), 2);
+    assert!(clean.quarantined.is_empty());
+    assert!(
+        clean.snapshots.hits > 8,
+        "the fuse below must land in a fork"
+    );
+
+    // No retries: the candidate whose restore hit the fuse is quarantined,
+    // alone. (Clone 1 is the capture; every restore after it clones once
+    // more, or twice when a probe is followed by a drive.)
+    let mut strict = config(true);
+    strict.max_retries = 0;
+    let (lossy, report) = explore_fleet(Arc::new(fused(6)), &spec, &strict, 2);
+    assert_eq!(lossy.quarantined.len(), 1, "{:?}", lossy.quarantined);
+    assert!(lossy.quarantined[0].error.contains("fused bystander"));
+    assert_eq!(report.workers.iter().map(|w| w.panics).sum::<u64>(), 1);
+    assert!(
+        lossy.snapshots.hits > 8,
+        "candidates after the fuse still forked the base: {:?}",
+        lossy.snapshots
+    );
+
+    // With the default retries the candidate runs on its second attempt
+    // and the campaign is the clean one.
+    let (healed, report) = explore_fleet(Arc::new(fused(6)), &spec, &config(true), 2);
+    assert!(healed.quarantined.is_empty());
+    assert_eq!(report.retries, 1);
+    assert_eq!(healed.digest(), clean.digest());
+    assert_eq!(healed.executed, clean.executed);
+}
+
+/// A worker's retired world is whatever its last run left: another
+/// schedule's run, another target's world, a storm the event cap cut
+/// short. Restoring a base into any of them gives the world a fresh fork
+/// of that base would be — same digest, same continuation, same trace.
+#[test]
+fn a_base_restored_into_any_retired_world_continues_like_a_fresh_fork() {
+    let limits = RunLimits::default();
+    let driven = |target: &dyn TestTarget, cap: u64| {
+        let (mut world, _) = target.build();
+        world.trace_timers = true;
+        let capped = target.drive(
+            &mut world,
+            &RunLimits {
+                event_cap: cap,
+                ..limits
+            },
+        );
+        assert_eq!(capped, cap < limits.event_cap);
+        world
+    };
+    let gmp = GmpTarget {
+        fault_secs: 5,
+        ..GmpTarget::default()
+    };
+    let targets: [&dyn TestTarget; 3] = [&gmp, &TcpTarget::default(), &TpcTarget];
+    for base_target in targets {
+        let (mut base, _) = base_target.build();
+        base.trace_timers = true;
+        let snapshot = base.try_snapshot().expect("bundled targets fork");
+        let mut fresh = snapshot.fork();
+        base_target.drive(&mut fresh, &limits);
+        let want = (fresh.trace().render(), fresh.snapshot_digest());
+
+        let mut retired: Vec<World> = targets
+            .iter()
+            .map(|t| driven(*t, limits.event_cap))
+            .collect();
+        retired.push(driven(&gmp, 40));
+        for mut world in retired {
+            world.restore(&snapshot);
+            assert_eq!(world.snapshot_digest(), snapshot.digest());
+            base_target.drive(&mut world, &limits);
+            assert_eq!(world.snapshot_digest(), want.1, "{}", base_target.name());
+            assert_eq!(world.trace().render(), want.0, "{}", base_target.name());
         }
     }
 }
