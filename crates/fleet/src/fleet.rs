@@ -351,8 +351,6 @@ impl<J: Send + 'static, R: Send + 'static> Fleet<J, R> {
             epochs: self.epochs,
             dispatched: self.dispatched,
             rejected: 0, // only the campaign layer knows what it pre-filtered
-            pruned: 0,   // likewise: equivalence pruning happens above the fleet
-            inert: 0,    // and so does semantic pruning
             retries: self.retries,
             quarantined: self.quarantined,
             job_queue_high_water: self.jobs.high_water(),

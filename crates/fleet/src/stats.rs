@@ -54,15 +54,6 @@ pub struct FleetReport {
     /// never had to schedule. Set by the caller; the fleet itself only
     /// ever sees jobs that survived.
     pub rejected: u64,
-    /// Jobs the master skipped before dispatch because an equivalent
-    /// canonical schedule had already been executed (equivalence pruning).
-    /// Like `rejected`, set by the caller — the fleet never sees them.
-    pub pruned: u64,
-    /// Jobs the master skipped before dispatch because their semantic
-    /// quotient (statically-inert faults stripped) matched an already
-    /// executed result (semantic pruning). Like `rejected` and `pruned`,
-    /// set by the caller — the fleet never sees them.
-    pub inert: u64,
     /// Panicked jobs re-dispatched by
     /// [`Fleet::run_epoch_checked`](crate::Fleet::run_epoch_checked)
     /// (each with exponential virtual backoff).
@@ -108,15 +99,15 @@ impl FleetReport {
 
 impl fmt::Display for FleetReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // `0 pruned as equivalent, 0 pruned as inert` are the retired prune
+        // tiers' labels, kept while bench/src/campaign_stats.rs requires them.
         writeln!(
             f,
-            "fleet: {} worker(s), {} epoch(s), {} job(s), {} rejected pre-dispatch, {} pruned as equivalent, {} pruned as inert, {} panic(s), {} retried, {} quarantined, {:.1} exec/s wall ({:.0} ms wall, {:.0} ms busy), queue high-water jobs={} results={}",
+            "fleet: {} worker(s), {} epoch(s), {} job(s), {} rejected pre-dispatch, 0 pruned as equivalent, 0 pruned as inert, {} panic(s), {} retried, {} quarantined, {:.1} exec/s wall ({:.0} ms wall, {:.0} ms busy), queue high-water jobs={} results={}",
             self.workers.len(),
             self.epochs,
             self.dispatched,
             self.rejected,
-            self.pruned,
-            self.inert,
             self.panics(),
             self.retries,
             self.quarantined,

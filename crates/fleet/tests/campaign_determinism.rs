@@ -125,14 +125,11 @@ fn reference_sequential_explore(
         failures,
         executed,
         rejected: 0,
-        pruned: 0,
-        inert: 0,
         replayed: 0,
         crashed: 0,
         hung: 0,
         quarantined: Vec::new(),
         snapshots: pfi_testgen::SnapshotStats::default(),
-        skipped: Vec::new(),
     }
 }
 
@@ -154,9 +151,6 @@ fn epoch_one_fleet_reproduces_the_prefleet_sequential_explorer() {
         max_faults: 3,
         epoch: 1,
         prefilter: false,
-        // The reference loop predates equivalence pruning too, so the
-        // `executed` comparison needs pruning off as well.
-        pruning: false,
         ..ExploreConfig::default()
     };
 

@@ -63,10 +63,6 @@ submit FLAGS (after the protocol name: gmp, tcp, or tpc):
     --buggy           gmp with the paper's seeded bugs
     --fault-secs N    gmp fault-window length (default 60; 5 = loop-heavy)
     --no-prefilter    run statically-invalid candidates
-    --no-pruning      execute candidates even when an equivalent canonical
-                      schedule already ran (same digest, more executions)
-    --no-semantic     keep canonical pruning but run candidates whose
-                      semantic quotient already settled
     --no-snapshots    rebuild every world instead of forking snapshots
     --share-corpus    seed from the store's corpus pool for this target
     --wait            block until the campaign finishes, print its
@@ -259,8 +255,6 @@ fn main() {
             }
             params.buggy = args.iter().any(|a| a == "--buggy");
             params.prefilter = !args.iter().any(|a| a == "--no-prefilter");
-            params.pruning = !args.iter().any(|a| a == "--no-pruning");
-            params.semantic = !args.iter().any(|a| a == "--no-semantic");
             params.snapshots = !args.iter().any(|a| a == "--no-snapshots");
             params.share_corpus = args.iter().any(|a| a == "--share-corpus");
 

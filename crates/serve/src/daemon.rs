@@ -197,8 +197,6 @@ struct Summary {
     digest64: String,
     executed: usize,
     rejected: usize,
-    pruned: usize,
-    inert: usize,
     replayed: usize,
     crashed: usize,
     hung: usize,
@@ -224,8 +222,6 @@ impl Summary {
             digest64: outcome.digest64(),
             executed: outcome.executed,
             rejected: outcome.rejected,
-            pruned: outcome.pruned,
-            inert: outcome.inert,
             replayed: outcome.replayed,
             crashed: outcome.crashed,
             hung: outcome.hung,
@@ -253,7 +249,7 @@ impl Summary {
             0.0
         };
         format!(
-            "exit={} digest={} executed={} rejected={} pruned={} inert={} replayed={} \
+            "exit={} digest={} executed={} rejected={} replayed={} \
              crashed={} hung={} quarantined={} failures={} corpus={} edges={} \
              corpus-shared={} snapshot-hit-rate={hit_rate:.1} exec-per-sec={exec_per_sec:.1} \
              elapsed-ms={} dispatched={} worker-panics={}",
@@ -261,8 +257,6 @@ impl Summary {
             self.digest64,
             self.executed,
             self.rejected,
-            self.pruned,
-            self.inert,
             self.replayed,
             self.crashed,
             self.hung,
@@ -925,12 +919,10 @@ fn handle_request<W: Write>(req: &Request, shared: &Shared, w: &mut W) -> io::Re
                     let mut lines = vec![
                         format!("digest {}", summary.digest64),
                         format!(
-                            "counters executed={} rejected={} pruned={} inert={} replayed={} \
+                            "counters executed={} rejected={} replayed={} \
                              crashed={} hung={} quarantined={}",
                             summary.executed,
                             summary.rejected,
-                            summary.pruned,
-                            summary.inert,
                             summary.replayed,
                             summary.crashed,
                             summary.hung,

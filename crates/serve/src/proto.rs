@@ -9,11 +9,14 @@
 //!          | "wait" SP "id=" ID | "ping" | "shutdown"
 //! params   = "proto=" NAME SP "seed=" N SP "budget=" N SP "max-faults=" N
 //!            SP "epoch=" N SP "buggy=" B SP "fault-secs=" N SP "prefilter=" B
-//!            SP "pruning=" B SP "semantic=" B SP "snapshots=" B
-//!            SP "step-budget=" N SP "share-corpus=" B
+//!            SP "snapshots=" B SP "step-budget=" N SP "share-corpus=" B
 //! reply    = ("ok" [SP kv*] | "err" SP message) NL [payload]
 //! payload  = *(line NL) "." NL        ; only for status / results / corpus
 //! ```
+//!
+//! `params` may also carry `pruning=` B and `semantic=` B, the switches of
+//! the retired prune tiers: older clients send them and older store
+//! indexes hold them. They are checked and ignored.
 //!
 //! Payload lines are dot-stuffed (a line starting with `.` is sent as
 //! `..`), and the payload is terminated by a lone `.` — the SMTP framing,
@@ -127,7 +130,7 @@ pub struct CampaignParams {
     /// Use the implementation with the paper's seeded bugs (gmp only).
     pub buggy: bool,
     /// Fault window length in virtual seconds (gmp only; 60 is the grid
-    /// default, 5 the loop-heavy corpus used by the pruning experiments).
+    /// default, 5 the loop-heavy shallow corpus).
     pub fault_secs: u64,
     /// Exploration RNG seed.
     pub seed: u64,
@@ -139,12 +142,6 @@ pub struct CampaignParams {
     pub epoch: usize,
     /// Reject statically-invalid candidates before dispatch.
     pub prefilter: bool,
-    /// Skip candidates whose canonical schedule already executed.
-    pub pruning: bool,
-    /// Additionally skip candidates whose semantic quotient (statically
-    /// inert faults stripped) matches a settled result. Only effective
-    /// with `pruning=1` and the default step budget.
-    pub semantic: bool,
     /// Fork candidate worlds from cached snapshots.
     pub snapshots: bool,
     /// Interpreter step budget per filter script (0 = default).
@@ -167,8 +164,6 @@ impl Default for CampaignParams {
             max_faults: cfg.max_faults,
             epoch: cfg.epoch,
             prefilter: cfg.prefilter,
-            pruning: cfg.pruning,
-            semantic: cfg.semantic,
             snapshots: cfg.snapshots,
             step_budget: cfg.step_budget,
             share_corpus: false,
@@ -181,8 +176,7 @@ impl CampaignParams {
     pub fn to_kv(&self) -> String {
         format!(
             "proto={} seed={} budget={} max-faults={} epoch={} buggy={} \
-             fault-secs={} prefilter={} pruning={} semantic={} snapshots={} \
-             step-budget={} share-corpus={}",
+             fault-secs={} prefilter={} snapshots={} step-budget={} share-corpus={}",
             self.proto,
             self.seed,
             self.budget,
@@ -191,8 +185,6 @@ impl CampaignParams {
             self.buggy as u8,
             self.fault_secs,
             self.prefilter as u8,
-            self.pruning as u8,
-            self.semantic as u8,
             self.snapshots as u8,
             self.step_budget,
             self.share_corpus as u8,
@@ -201,7 +193,9 @@ impl CampaignParams {
 
     /// Parses the [`to_kv`](CampaignParams::to_kv) form. Strict: every
     /// field must be present, so a half-written (torn) index line can
-    /// never parse into a campaign with silently-defaulted fields.
+    /// never parse into a campaign with silently-defaulted fields. The
+    /// retired `pruning=` / `semantic=` (module docs) may be absent; when
+    /// present they must still be booleans.
     pub fn from_kv(kv: &str) -> Result<Self, String> {
         let map = parse_kv(kv);
         let get = |k: &str| {
@@ -225,6 +219,11 @@ impl CampaignParams {
         if !BUNDLED.contains(&proto.as_str()) {
             return Err(unknown_protocol(&proto));
         }
+        for retired in ["pruning", "semantic"] {
+            if map.contains_key(retired) {
+                boolean(retired)?;
+            }
+        }
         Ok(CampaignParams {
             proto,
             seed: num("seed")?,
@@ -234,8 +233,6 @@ impl CampaignParams {
             buggy: boolean("buggy")?,
             fault_secs: num("fault-secs")?,
             prefilter: boolean("prefilter")?,
-            pruning: boolean("pruning")?,
-            semantic: boolean("semantic")?,
             snapshots: boolean("snapshots")?,
             step_budget: num("step-budget")?,
             share_corpus: boolean("share-corpus")?,
@@ -264,8 +261,6 @@ impl CampaignParams {
             max_faults: self.max_faults,
             epoch: self.epoch,
             prefilter: self.prefilter,
-            pruning: self.pruning,
-            semantic: self.semantic,
             snapshots: self.snapshots,
             step_budget: self.step_budget,
             ..ExploreConfig::default()
@@ -789,8 +784,6 @@ mod tests {
             max_faults: 2,
             epoch: 8,
             prefilter: false,
-            pruning: false,
-            semantic: false,
             snapshots: false,
             step_budget: 7,
             share_corpus: true,
@@ -801,6 +794,28 @@ mod tests {
         assert_eq!(p.corpus_key(), "gmp-fs5");
         p.fault_secs = 60;
         assert_eq!(p.corpus_key(), "gmp");
+    }
+
+    /// What a client or store index from the prune-tier era sends: the two
+    /// retired switches, checked and ignored.
+    #[test]
+    fn retired_prune_switches_are_checked_and_ignored() {
+        let p = CampaignParams::default();
+        let kv = p.to_kv();
+        assert!(!kv.contains("pruning=") && !kv.contains("semantic="));
+        for old in [
+            "pruning=1 semantic=1",
+            "pruning=0 semantic=true",
+            "semantic=0",
+        ] {
+            let with = kv.replace(" snapshots=", &format!(" {old} snapshots="));
+            assert_eq!(CampaignParams::from_kv(&with).unwrap(), p, "{with}");
+        }
+        for bad in ["pruning=maybe", "semantic=", "pruning=2"] {
+            let with = format!("{kv} {bad}");
+            assert!(CampaignParams::from_kv(&with).is_err(), "{with}");
+            assert!(Request::parse(&format!("submit {with}")).is_err(), "{with}");
+        }
     }
 
     #[test]

@@ -26,19 +26,13 @@ fn arb_params() -> impl Strategy<Value = CampaignParams> {
             any::<u64>(),
         ),
         (0usize..100_000, 0usize..64, 1usize..1_000, any::<bool>()),
-        (
-            any::<bool>(),
-            any::<bool>(),
-            any::<bool>(),
-            0u64..1_000_000,
-            any::<bool>(),
-        ),
+        (any::<bool>(), 0u64..1_000_000, any::<bool>()),
     )
         .prop_map(
             |(
                 (proto, buggy, fault_secs, seed),
                 (budget, max_faults, epoch, prefilter),
-                (pruning, semantic, snapshots, step_budget, share_corpus),
+                (snapshots, step_budget, share_corpus),
             )| CampaignParams {
                 proto,
                 buggy,
@@ -48,8 +42,6 @@ fn arb_params() -> impl Strategy<Value = CampaignParams> {
                 max_faults,
                 epoch,
                 prefilter,
-                pruning,
-                semantic,
                 snapshots,
                 step_budget,
                 share_corpus,

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use pfi_core::Direction;
 use pfi_testgen::{
     bundled, explore_fleet, generate, run_campaign, unknown_protocol, ChaosOracleTarget,
-    ExploreConfig, FaultKind, SkipReason, Verdict,
+    ExploreConfig, FaultKind, Verdict,
 };
 
 const HELP: &str = "pfi-campaign — script-driven fault-injection campaigns
@@ -60,20 +60,8 @@ FLAGS:
                       printed, shown in --stats, and recorded in the journal)
     --no-prefilter    run statically-invalid candidates instead of rejecting them
                       up front (same digest either way; used by CI to prove it)
-    --no-pruning      execute candidates even when an equivalent canonical
-                      schedule already ran (same digest either way — pruning
-                      only ever saves executions; CI diffs the modes)
-    --no-semantic     keep the canonical pruning tier but disable the semantic
-                      one: candidates whose quotient under the target's flow
-                      model (statically-inert faults stripped, shadowed
-                      corruptions removed) matches a settled result run anyway
-                      (same digest either way; CI diffs the modes)
-    --explain-pruned  print one line per skipped candidate naming the tier
-                      that skipped it (canonical duplicate / semantic
-                      duplicate / inert quotient) and, for inert faults, the
-                      reachability rule that proved each one can never fire
     --fault-secs N    gmp fault-window length in virtual seconds (default 60;
-                      5 is the loop-heavy corpus the pruning experiments use)
+                      5 is the loop-heavy shallow corpus)
     --snapshots       capture the prepared fault-free world once and fork it
                       per run instead of rebuilding it (default; same digest
                       either way). A forked candidate whose filters never act
@@ -99,6 +87,10 @@ FLAGS:
     --digest          print a one-line outcome digest (for golden comparisons)
     --help            this text
 
+RETIRED (accepted and ignored):
+    --no-pruning      the prune tiers are gone: every admitted candidate runs
+    --no-semantic     (or is handed the baseline's outcome), whatever the flags
+
 EXIT CODES:
     0   clean: no violations, no infrastructure trouble
     1   at least one oracle violation was found (the campaign's purpose)
@@ -107,16 +99,17 @@ EXIT CODES:
         uninstallable cases, but no violations
 ";
 
-const SWITCHES: [&str; 12] = [
+const SWITCHES: [&str; 11] = [
     "--buggy",
     "--list",
     "--explore",
     "--stats",
     "--digest",
     "--no-prefilter",
+    // Retired no-ops, kept while bench/src/bin/pfi_bench/explore.rs (its
+    // PLAINEST path and KNOWN DEFECT branch) passes them.
     "--no-pruning",
     "--no-semantic",
-    "--explain-pruned",
     "--snapshots",
     "--no-snapshots",
     "--inject-panic",
@@ -246,15 +239,6 @@ fn main() {
         if cli.has("--no-prefilter") {
             config.prefilter = false;
         }
-        if cli.has("--no-pruning") {
-            config.pruning = false;
-        }
-        if cli.has("--no-semantic") {
-            config.semantic = false;
-        }
-        if cli.has("--explain-pruned") {
-            config.explain = true;
-        }
         if cli.has("--no-snapshots") {
             config.snapshots = false;
         } else if cli.has("--snapshots") {
@@ -296,7 +280,7 @@ fn main() {
             );
         } else {
             println!(
-                "ran {} schedules; corpus kept {} ({} coverage edges); {} candidate(s) rejected as uninstallable{}; {} pruned as equivalent, {} pruned as inert",
+                "ran {} schedules; corpus kept {} ({} coverage edges); {} candidate(s) rejected as uninstallable{}",
                 outcome.executed,
                 outcome.corpus.len(),
                 outcome.coverage.len(),
@@ -306,31 +290,7 @@ fn main() {
                 } else {
                     " at install time"
                 },
-                outcome.pruned,
-                outcome.inert,
             );
-            for skip in &outcome.skipped {
-                match &skip.reason {
-                    SkipReason::CanonicalDuplicate { canonical } => println!(
-                        "SKIPPED {} — canonical duplicate of already-run {canonical}",
-                        skip.schedule.id()
-                    ),
-                    SkipReason::SemanticDuplicate { quotient } => println!(
-                        "SKIPPED {} — semantically equivalent to settled {quotient} \
-                         (shadowed corruption stripped)",
-                        skip.schedule.id()
-                    ),
-                    SkipReason::InertQuotient { quotient, facts } => {
-                        println!(
-                            "SKIPPED {} — quotient {quotient} already settled; inert faults:",
-                            skip.schedule.id()
-                        );
-                        for fact in facts {
-                            println!("    {} [{}]: {}", fact.line, fact.rule, fact.message);
-                        }
-                    }
-                }
-            }
             if outcome.replayed > 0 {
                 println!(
                     "resumed: {} of those results were replayed from the journal, not re-executed",

@@ -52,7 +52,6 @@ use crate::coverage::Coverage;
 use crate::journal::{
     Journal, JournalCase, JournalCounters, JournalMeta, JournalQuarantine, JournalWriter,
 };
-use crate::reach::FlowModel;
 use crate::repro::Repro;
 use crate::runner::{
     execute, run_schedule_limited, run_schedule_snapshotted, Lowered, RunLimits, ScheduleRun,
@@ -64,6 +63,18 @@ use crate::snapshot::{BaseWorld, SnapshotStats, SnapshotStore};
 use crate::spec::ProtocolSpec;
 
 /// Exploration parameters.
+///
+/// Admission is one check: a candidate is lowered, install-checked
+/// against the target, and refused if it cannot install
+/// ([`prefilter`](ExploreConfig::prefilter)). Every admitted candidate
+/// executes. The one execution-saving equivalence is dynamic, not static:
+/// with [`snapshots`](ExploreConfig::snapshots) on, a candidate whose
+/// filters never act on the traffic the baseline run recorded is handed
+/// the baseline's outcome instead of being driven. Schedule analysis —
+/// canonical forms, statically-inert faults, the semantic quotient — lives
+/// on as lint and dedup keys ([`crate::FlowModel`]), never as a reason to
+/// skip a run: a static rewrite that is wrong changes what a campaign
+/// finds (DESIGN.md, "Schedule analysis (lint, not admission)").
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
     /// Seed for every mutation / corpus-selection decision.
@@ -88,54 +99,11 @@ pub struct ExploreConfig {
     /// unfiltered engine runs the candidate just to watch it refuse
     /// installation). Default `true`.
     pub prefilter: bool,
-    /// Equivalence pruning: skip candidates whose *canonical form*
-    /// ([`FaultSchedule::canonical`] — faults stably sorted by
-    /// `(site, dir)`, which provably preserves the lowered scripts and
-    /// therefore the run) already executed with a non-violating verdict.
-    /// Such a candidate would replay a byte-identical run whose coverage
-    /// the campaign has already merged, so skipping it changes nothing
-    /// the campaign finds: corpus, coverage, failures — the whole digest —
-    /// are byte-identical with pruning on or off (pinned in CI like
-    /// `--no-prefilter`); only `executed` shrinks, by exactly the
-    /// `pruned` count. Violating equivalents still execute (delta
-    /// debugging a permuted fault vector can minimize to a *different*
-    /// 1-minimal schedule, a distinct failure the unpruned engine would
-    /// report), candidates are never pruned against others of the same
-    /// epoch batch (only against merge-settled results), and only
-    /// candidates passing the install predicate
-    /// ([`crate::validate::schedule_is_installable`]) are canonicalized
-    /// at all, so `rejected` accounting is untouched. Default `true`.
-    pub pruning: bool,
-    /// Semantic schedule pruning — the third prune tier, on top of
-    /// `pruning`'s canonical dedup. Candidates are keyed by their
-    /// [semantic quotient](crate::FlowModel::semantic_schedule) under the
-    /// target's [`FlowModel`](crate::FlowModel): statically-inert faults
-    /// stripped, corruption shadowed by an unconditional drop on the same
-    /// flow removed. A candidate whose quotient id is already
-    /// merge-settled (non-violating) is skipped and counted in `inert` —
-    /// running it would be behaviour-indistinguishable from a run the
-    /// campaign already merged, so corpus, coverage, failures — the whole
-    /// digest — are byte-identical with this on or off;
-    /// `executed_off == executed_on + pruned_on + inert_on` exactly.
-    /// Effective only when `pruning` is on (a canonical duplicate is also
-    /// a semantic duplicate; tiering keeps the counters disjoint), when
-    /// the target publishes a flow model
-    /// ([`TestTarget::flow_model`](crate::TestTarget::flow_model)), and
-    /// when `step_budget` is 0 (inert clauses still consume interpreter
-    /// steps, so at a budget boundary the quotient is *not* equivalent).
-    /// Default `true`.
-    pub semantic: bool,
-    /// Record every pruned candidate (all tiers) into
-    /// [`ExploreOutcome::skipped`] with the reason and the facts that
-    /// proved it — what `pfi-campaign --explain-pruned` prints.
-    /// Diagnostics only: never journaled, never part of the digest.
-    /// Default `false`.
-    pub explain: bool,
     /// Schedules to execute before the budgeted search begins — a corpus
     /// pool carried over from earlier campaigns against the same target
     /// (the pfi-serve store shares coverage-novel schedules across
     /// campaigns on one target build). Seeds run through the ordinary
-    /// dispatch/merge machinery (journaled, replayable, prunable) right
+    /// dispatch/merge machinery (journaled, replayable) right
     /// after the baseline: coverage-novel ones join the corpus and steer
     /// parent selection from epoch one.
     /// They count toward `executed` but consume no mutation budget and no
@@ -232,8 +200,6 @@ impl ExploreConfig {
             max_faults: self.max_faults,
             epoch: self.epoch,
             prefilter: self.prefilter,
-            pruning: self.pruning,
-            semantic: self.semantic,
             seed_corpus: seed_corpus_digest(&self.seed_corpus),
             step_budget: self.step_budget,
             max_retries: self.max_retries,
@@ -269,9 +235,6 @@ impl Default for ExploreConfig {
             max_faults: 3,
             epoch: DEFAULT_EPOCH,
             prefilter: true,
-            pruning: true,
-            semantic: true,
-            explain: false,
             seed_corpus: Vec::new(),
             max_retries: DEFAULT_MAX_RETRIES,
             step_budget: 0,
@@ -318,21 +281,6 @@ pub struct ExploreOutcome {
     /// candidates are refused either way; with the pre-filter on they
     /// never consume a worker.
     pub rejected: usize,
-    /// Candidates skipped by equivalence pruning
-    /// ([`ExploreConfig::pruning`]): their canonical form already
-    /// executed with a non-violating verdict, so running them would have
-    /// replayed a byte-identical run and merged nothing new. Each one is
-    /// an execution the unpruned engine pays for the same digest
-    /// (`executed_off == executed_on + pruned_on`).
-    pub pruned: usize,
-    /// Candidates skipped by semantic pruning ([`ExploreConfig::semantic`]):
-    /// canonically novel, but their semantic quotient under the target's
-    /// flow model — inert faults stripped, shadowed corruption removed —
-    /// matches a merge-settled non-violating result, so executing them
-    /// could not be distinguished from a run already merged. Disjoint from
-    /// `pruned` by construction (the canonical tier runs first);
-    /// `executed_off == executed_on + pruned_on + inert_on` exactly.
-    pub inert: usize,
     /// How many of the `executed` results were replayed from a resume
     /// journal instead of re-executed. An uninterrupted campaign reports
     /// 0; a resumed one reports the work the interruption did not lose.
@@ -354,47 +302,6 @@ pub struct ExploreOutcome {
     /// of the [`digest`](ExploreOutcome::digest), since replayed work
     /// legitimately skips the forks an uninterrupted run performs.
     pub snapshots: SnapshotStats,
-    /// Why each skipped candidate was skipped, in skip order. Populated
-    /// only under [`ExploreConfig::explain`]; diagnostics only — never
-    /// journaled and never part of the digest.
-    pub skipped: Vec<SkippedCandidate>,
-}
-
-/// One candidate a prune tier skipped, with the proof that skipping it
-/// loses nothing ([`ExploreConfig::explain`] diagnostics).
-#[derive(Debug, Clone)]
-pub struct SkippedCandidate {
-    /// The candidate as the mutator produced it.
-    pub schedule: FaultSchedule,
-    /// Which tier skipped it, and why.
-    pub reason: SkipReason,
-}
-
-/// Why a candidate was skipped without executing.
-#[derive(Debug, Clone)]
-pub enum SkipReason {
-    /// Canonical tier: the candidate's canonical form already executed
-    /// with a non-violating verdict.
-    CanonicalDuplicate {
-        /// The settled canonical id the candidate rewrites to.
-        canonical: String,
-    },
-    /// Semantic tier, no quotient rewrites: a *different* canonical form
-    /// with the same semantic quotient already settled.
-    SemanticDuplicate {
-        /// The shared quotient id.
-        quotient: String,
-    },
-    /// Semantic tier with quotient rewrites: statically-inert faults (with
-    /// the reachability facts that proved each) and/or shadowed corruption
-    /// were stripped, and the residue already settled.
-    InertQuotient {
-        /// The quotient id the candidate reduces to.
-        quotient: String,
-        /// Proofs for each stripped inert fault (shadow removals carry no
-        /// per-fault fact; an empty list means only shadows were removed).
-        facts: Vec<crate::reach::InertFact>,
-    },
 }
 
 impl ExploreOutcome {
@@ -428,11 +335,9 @@ impl ExploreOutcome {
 // Worker-side candidate execution
 // ---------------------------------------------------------------------
 
-/// One candidate past admission ([`Tiers::admit`]): lowered and
-/// install-checked once, with whichever prune-tier ids admission computed
-/// on the way. It is the job a worker receives — which therefore neither
-/// re-lowers nor re-validates the main run — and its ids travel back in
-/// the [`CandidateReport`], so merge settles them without recomputing.
+/// One candidate past admission ([`Admission::admit`]): lowered and
+/// install-checked once. It is the job a worker receives — which
+/// therefore neither re-lowers nor re-validates the main run.
 #[derive(Debug, Clone)]
 struct CandidateJob {
     /// The candidate as the mutator produced it.
@@ -440,11 +345,6 @@ struct CandidateJob {
     /// Its id, lowered scripts, and install errors (non-empty only with
     /// the pre-filter off: the runner refuses those at install time).
     lowered: Lowered,
-    /// The canonical id; `None` with pruning off or for an uninstallable
-    /// candidate.
-    canonical: Option<String>,
-    /// The semantic-quotient id; `None` unless the semantic tier is active.
-    semantic: Option<String>,
 }
 
 /// Everything one candidate execution produced. Computed entirely on the
@@ -467,10 +367,6 @@ struct CandidateReport {
     /// the base it was dispatched with), so totals are independent of job
     /// scheduling and worker count.
     snapshots: SnapshotStats,
-    /// The prune-tier ids admission computed ([`CandidateJob::canonical`],
-    /// [`CandidateJob::semantic`]) — what merge settles.
-    canonical: Option<String>,
-    semantic: Option<String>,
 }
 
 #[derive(Debug, Clone)]
@@ -503,12 +399,7 @@ fn candidate_report(
     job: CandidateJob,
     retired: &mut Option<World>,
 ) -> CandidateReport {
-    let CandidateJob {
-        schedule,
-        lowered,
-        canonical,
-        semantic,
-    } = job;
+    let CandidateJob { schedule, lowered } = job;
     let (target, limits) = (ctx.target.as_ref(), &ctx.limits);
     let mut local = ctx.snapshots.then(|| SnapshotStore {
         base: ctx.base.clone(),
@@ -547,8 +438,6 @@ fn candidate_report(
         shrink,
         worker: 0,
         snapshots,
-        canonical,
-        semantic,
     }
 }
 
@@ -576,8 +465,6 @@ fn replayed_report(world_seed: u64, case: JournalCase, job: CandidateJob) -> Can
         worker: 0,
         // Replayed work performed no runs at all — no forks to count.
         snapshots: SnapshotStats::default(),
-        canonical: job.canonical,
-        semantic: job.semantic,
     }
 }
 
@@ -666,8 +553,8 @@ impl CampaignFleet {
     }
 
     /// Cumulative pool statistics since construction (non-consuming; the
-    /// pool keeps running). Per-campaign accounting (`rejected`, `pruned`)
-    /// lives on each campaign's [`ExploreOutcome`], not here.
+    /// pool keeps running). Per-campaign accounting (`rejected`) lives on
+    /// each campaign's [`ExploreOutcome`], not here.
     pub fn report(&self) -> FleetReport {
         self.fleet.report()
     }
@@ -682,125 +569,30 @@ impl CampaignFleet {
 // The search loop
 // ---------------------------------------------------------------------
 
-/// The admission pipeline: the three prune tiers' switches, what has
-/// merge-settled, and the accounting of what admission skipped.
-#[derive(Default)]
-struct Tiers {
+/// Admission: the install check, and the count of what it refused.
+struct Admission {
     prefilter: bool,
-    pruning: bool,
-    explain: bool,
     /// The target's fault-site count (the install predicate's bound).
     sites: u32,
-    /// The target's flow model, `Some` only while the semantic tier is
-    /// active: it needs the canonical tier on (so the counters stay
-    /// disjoint), a flow model from the target, and no interpreter step
-    /// budget (inert clauses still burn steps, so at a budget boundary
-    /// the quotient is not behaviour-equivalent).
-    model: Option<FlowModel>,
-    /// Canonical ids of merge-settled, non-violating results — what
-    /// equivalence pruning skips duplicates of. Updated only at merge
-    /// time, so candidates are never pruned against siblings of their own
-    /// epoch batch (which would race the canonical merge order).
-    settled: BTreeSet<String>,
-    /// Semantic-quotient ids of the same results, for the third tier.
-    settled_sem: BTreeSet<String>,
     rejected: usize,
-    pruned: usize,
-    inert: usize,
-    skipped: Vec<SkippedCandidate>,
 }
 
-impl Tiers {
-    fn new(master: &dyn TestTarget, config: &ExploreConfig) -> Self {
-        Tiers {
-            prefilter: config.prefilter,
-            pruning: config.pruning,
-            explain: config.explain,
-            sites: master.fault_sites(),
-            model: (config.pruning && config.semantic && config.step_budget == 0)
-                .then(|| master.flow_model())
-                .flatten(),
-            ..Tiers::default()
-        }
-    }
-
-    /// One pass over one candidate: lower once, install-check once,
-    /// compute each active tier's id at most once. `None` means skipped —
-    /// the tier's counter (and, under `explain`, `skipped`) says why.
-    ///
-    /// * **Pre-filter** — uninstallable candidates are dropped before they
-    ///   reach a worker. This happens *after* generation (the RNG and the
-    ///   `seen` set have already advanced identically to the unfiltered
-    ///   engine), so the surviving runs are the same runs. With the
-    ///   pre-filter off they are admitted as they are — never
-    ///   canonicalized — to be refused by the runner, keeping `rejected`
-    ///   identical in every mode.
-    /// * **Canonical tier** — a candidate whose canonical form already
-    ///   executed (with a non-violating verdict) would replay a
-    ///   byte-identical run and merge nothing. Violating equivalence
-    ///   classes never settle: delta-debugging a permuted fault vector can
-    ///   minimize to a different 1-minimal failure the unpruned engine
-    ///   would report.
-    /// * **Semantic tier** — a canonically-novel candidate whose semantic
-    ///   quotient (inert faults stripped, shadowed corruption removed)
-    ///   matches a settled non-violating result is behaviour-equivalent to
-    ///   a run the campaign already merged. Same discipline: installable
-    ///   candidates only, settled results only, violating classes never.
+impl Admission {
+    /// One pass over one candidate: lower once, install-check once. With
+    /// the pre-filter on, an uninstallable candidate is refused here
+    /// (`None`, counted in `rejected`) instead of reaching a worker. This
+    /// happens *after* generation — the RNG and the `seen` set have
+    /// already advanced identically to the unfiltered engine — so the
+    /// surviving runs are the same runs. With it off the candidate is
+    /// admitted as it is, to be refused by the runner, keeping `rejected`
+    /// identical in both modes.
     fn admit(&mut self, schedule: FaultSchedule) -> Option<CandidateJob> {
         let lowered = Lowered::check(schedule.id(), schedule.lower(), self.sites);
-        let installable = lowered.install_errors.is_empty();
-        if self.prefilter && !installable {
+        if self.prefilter && !lowered.install_errors.is_empty() {
             self.rejected += 1;
             return None;
         }
-        let (mut canonical, mut semantic) = (None, None);
-        if self.pruning && installable {
-            let id = schedule.canonical_id();
-            if self.settled.contains(&id) {
-                self.pruned += 1;
-                if self.explain {
-                    let reason = SkipReason::CanonicalDuplicate { canonical: id };
-                    self.skipped.push(SkippedCandidate { schedule, reason });
-                }
-                return None;
-            }
-            canonical = Some(id);
-            if let Some(model) = &self.model {
-                let quotient = model.semantic_schedule(&schedule);
-                let id = quotient.id();
-                if self.settled_sem.contains(&id) {
-                    self.inert += 1;
-                    if self.explain {
-                        let reason = if quotient == schedule.canonical() {
-                            SkipReason::SemanticDuplicate { quotient: id }
-                        } else {
-                            let facts = model.inert_facts(&schedule);
-                            SkipReason::InertQuotient {
-                                quotient: id,
-                                facts,
-                            }
-                        };
-                        self.skipped.push(SkippedCandidate { schedule, reason });
-                    }
-                    return None;
-                }
-                semantic = Some(id);
-            }
-        }
-        Some(CandidateJob {
-            schedule,
-            lowered,
-            canonical,
-            semantic,
-        })
-    }
-
-    /// Settles a merged non-violating result's equivalence classes: any
-    /// later candidate with the same canonical form or semantic quotient
-    /// would replay this very run.
-    fn settle(&mut self, report: &mut CandidateReport) {
-        self.settled.extend(report.canonical.take());
-        self.settled_sem.extend(report.semantic.take());
+        Some(CandidateJob { schedule, lowered })
     }
 }
 
@@ -885,18 +677,21 @@ fn explore_with(
     let mut hung = 0usize;
     let mut quarantined: Vec<JournalQuarantine> = Vec::new();
 
-    let mut tiers = Tiers::new(master, config);
+    let mut admission = Admission {
+        prefilter: config.prefilter,
+        sites: master.fault_sites(),
+        rejected: 0,
+    };
 
-    // The baseline is the zeroth admitted candidate: nothing has settled
-    // yet, so no tier can skip it.
-    let baseline = tiers
+    // The baseline is the zeroth admitted candidate.
+    let baseline = admission
         .admit(FaultSchedule::empty())
-        .expect("the fault-free baseline installs and precedes every settled result");
+        .expect("the fault-free baseline installs");
     if let Some(w) = writer.as_mut() {
         w.dispatch(&baseline.lowered.id)
             .unwrap_or_else(|e| panic!("cannot append to campaign journal: {e}"));
     }
-    let mut base_report = match replay.remove(&baseline.lowered.id) {
+    let base_report = match replay.remove(&baseline.lowered.id) {
         Some(case) => {
             replayed += 1;
             // A replayed baseline ran nothing, so the master store is
@@ -915,8 +710,6 @@ fn explore_with(
             shrink: None,
             worker: 0,
             snapshots: SnapshotStats::default(),
-            canonical: baseline.canonical,
-            semantic: baseline.semantic,
         },
     };
     journal_record(writer.as_mut(), &base_report, None);
@@ -925,14 +718,6 @@ fn explore_with(
     }
     if base_report.run.verdict.is_hung() {
         hung += 1;
-    }
-    if !base_report.run.verdict.is_violation() {
-        // Among much else this settles the empty quotient: a candidate
-        // made of nothing but statically-inert faults reduces to it and
-        // skips. (No candidate *canonicalizes* to the baseline — canonical
-        // rewrites never empty a schedule — so its canonical entry matches
-        // nothing and the tiers stay disjoint.)
-        tiers.settle(&mut base_report);
     }
     // What every live candidate forks is fixed here (not a lookup: the
     // executing worker's own does the hit accounting).
@@ -965,7 +750,7 @@ fn explore_with(
         if seeds_pending {
             // The seed corpus is the zeroth batch: schedules carried over
             // from earlier campaigns run through the ordinary dispatch
-            // and merge machinery (journaled, replayable, prunable), so
+            // and merge machinery (journaled, replayable), so
             // coverage-novel ones steer parent selection from epoch one.
             // They consume no mutation budget and no RNG draws.
             seeds_pending = false;
@@ -996,7 +781,7 @@ fn explore_with(
         }
         let batch: Vec<CandidateJob> = batch
             .into_iter()
-            .filter_map(|candidate| tiers.admit(candidate))
+            .filter_map(|candidate| admission.admit(candidate))
             .collect();
         if batch.is_empty() {
             continue;
@@ -1056,7 +841,7 @@ fn explore_with(
         });
 
         for result in results {
-            let mut report = match result {
+            let report = match result {
                 Ok(report) => report,
                 Err(q) => {
                     // The supervisor gave up on this candidate: no result,
@@ -1086,12 +871,9 @@ fn explore_with(
                 // refused the same candidate the filter would have
                 // dropped. Coverage is empty, so nothing downstream sees
                 // a difference.
-                tiers.rejected += 1;
+                admission.rejected += 1;
                 journal_record(writer.as_mut(), &report, None);
                 continue;
-            }
-            if !report.run.verdict.is_violation() {
-                tiers.settle(&mut report);
             }
             if coverage.merge(&report.run.coverage) > 0 {
                 corpus.push(report.schedule.clone());
@@ -1162,9 +944,7 @@ fn explore_with(
         // read the final accounting without replaying the campaign.
         w.counters(&JournalCounters {
             executed,
-            rejected: tiers.rejected,
-            pruned: tiers.pruned,
-            inert: tiers.inert,
+            rejected: admission.rejected,
             replayed,
             crashed,
             hung,
@@ -1183,15 +963,12 @@ fn explore_with(
         coverage,
         failures,
         executed,
-        rejected: tiers.rejected,
-        pruned: tiers.pruned,
-        inert: tiers.inert,
+        rejected: admission.rejected,
         replayed,
         crashed,
         hung,
         quarantined,
         snapshots: snap_stats,
-        skipped: tiers.skipped,
     }
 }
 
@@ -1222,8 +999,6 @@ pub fn explore_fleet(
     let outcome = pool.explore(target, spec, config);
     let mut report = pool.shutdown();
     report.rejected = outcome.rejected as u64;
-    report.pruned = outcome.pruned as u64;
-    report.inert = outcome.inert as u64;
     (outcome, report)
 }
 

@@ -28,8 +28,6 @@
 //! max-faults 3
 //! epoch 8
 //! prefilter true
-//! pruning true
-//! semantic true
 //! seed-corpus 0000000000000000
 //! step-budget 0
 //! max-retries 2
@@ -51,9 +49,14 @@
 //! shrink-runs 3
 //! message n1 declared itself dead
 //! case end
-//! counters executed=27 rejected=2 pruned=0 inert=0 replayed=0 crashed=0 hung=0
+//! counters executed=27 rejected=2 replayed=0 crashed=0 hung=0
 //! complete
 //! ```
+//!
+//! Journals written while the engine had prune tiers also carry `pruning`
+//! and `semantic` header lines (after `prefilter`) and `pruned=` /
+//! `inert=` counters; the loader checks that each is well-formed and drops
+//! it, so such a journal resumes and reconstructs like any other.
 //!
 //! The `jobs` line records the resolved worker count of the run that
 //! wrote the journal, the `snapshots` line whether it used snapshot/fork
@@ -112,15 +115,6 @@ pub struct JournalMeta {
     pub epoch: usize,
     /// Whether static pre-filtering was on.
     pub prefilter: bool,
-    /// Whether equivalence pruning was on. Identity, exactly like
-    /// `prefilter`: pruning changes the `executed` accounting and which
-    /// candidates the journal records, so a journal recorded with it on
-    /// must resume with it on.
-    pub pruning: bool,
-    /// Whether semantic schedule pruning was on. Identity for the same
-    /// reason as `pruning`: the semantic tier changes which candidates the
-    /// journal records.
-    pub semantic: bool,
     /// FNV-1a digest of the seed-corpus schedule ids (0 when the campaign
     /// started from the bare baseline). Identity: a campaign seeded with a
     /// different corpus walks a different space, so resume must be handed
@@ -176,12 +170,6 @@ pub struct JournalCounters {
     pub executed: usize,
     /// Candidates refused as uninstallable.
     pub rejected: usize,
-    /// Candidates skipped because their canonical form already executed
-    /// with a non-violating verdict.
-    pub pruned: usize,
-    /// Candidates skipped because their semantic quotient matched a
-    /// settled non-violating result.
-    pub inert: usize,
     /// Results replayed from a resume journal instead of re-executed.
     pub replayed: usize,
     /// Runs whose target or oracle panicked (contained).
@@ -258,8 +246,6 @@ fn render_meta(meta: &JournalMeta) -> String {
     let _ = writeln!(out, "max-faults {}", meta.max_faults);
     let _ = writeln!(out, "epoch {}", meta.epoch);
     let _ = writeln!(out, "prefilter {}", meta.prefilter);
-    let _ = writeln!(out, "pruning {}", meta.pruning);
-    let _ = writeln!(out, "semantic {}", meta.semantic);
     let _ = writeln!(out, "seed-corpus {:016x}", meta.seed_corpus);
     let _ = writeln!(out, "step-budget {}", meta.step_budget);
     let _ = writeln!(out, "max-retries {}", meta.max_retries);
@@ -267,12 +253,12 @@ fn render_meta(meta: &JournalMeta) -> String {
 }
 
 /// The number of metadata lines [`render_meta`] writes after the header.
-const META_LINES: usize = 12;
+const META_LINES: usize = 10;
 
 fn render_counters(c: &JournalCounters) -> String {
     format!(
-        "counters executed={} rejected={} pruned={} inert={} replayed={} crashed={} hung={}\n",
-        c.executed, c.rejected, c.pruned, c.inert, c.replayed, c.crashed, c.hung
+        "counters executed={} rejected={} replayed={} crashed={} hung={}\n",
+        c.executed, c.rejected, c.replayed, c.crashed, c.hung
     )
 }
 
@@ -398,8 +384,6 @@ impl Journal {
         let mut max_faults = None;
         let mut epoch = None;
         let mut prefilter = None;
-        let mut pruning = None;
-        let mut semantic = None;
         let mut seed_corpus = None;
         let mut step_budget = None;
         let mut max_retries = None;
@@ -411,11 +395,17 @@ impl Journal {
             v.parse::<bool>()
                 .map_err(|e| format!("bad {field} {v:?}: {e}"))
         };
-        for _ in 0..META_LINES {
+        let mut read = 0;
+        while read < META_LINES {
             let Some(line) = lines.next() else {
                 return Err("journal truncated inside its metadata header".to_string());
             };
             match line.split_once(' ') {
+                // The switches of the retired prune tiers (module doc).
+                Some((key @ ("pruning" | "semantic"), v)) => {
+                    parse_bool(key, v)?;
+                    continue;
+                }
                 Some(("target", v)) => target = Some(v.to_string()),
                 Some(("world-seed", v)) => world_seed = Some(parse_u64("world-seed", v)?),
                 Some(("seed", v)) => seed = Some(parse_u64("seed", v)?),
@@ -423,8 +413,6 @@ impl Journal {
                 Some(("max-faults", v)) => max_faults = Some(parse_u64("max-faults", v)? as usize),
                 Some(("epoch", v)) => epoch = Some(parse_u64("epoch", v)? as usize),
                 Some(("prefilter", v)) => prefilter = Some(parse_bool("prefilter", v)?),
-                Some(("pruning", v)) => pruning = Some(parse_bool("pruning", v)?),
-                Some(("semantic", v)) => semantic = Some(parse_bool("semantic", v)?),
                 Some(("seed-corpus", v)) => {
                     seed_corpus = Some(
                         u64::from_str_radix(v, 16)
@@ -435,6 +423,7 @@ impl Journal {
                 Some(("max-retries", v)) => max_retries = Some(parse_u64("max-retries", v)? as u32),
                 _ => return Err(format!("unrecognised metadata line: {line:?}")),
             }
+            read += 1;
         }
         let meta = JournalMeta {
             target: target.ok_or("missing target line")?,
@@ -444,8 +433,6 @@ impl Journal {
             max_faults: max_faults.ok_or("missing max-faults line")?,
             epoch: epoch.ok_or("missing epoch line")?,
             prefilter: prefilter.ok_or("missing prefilter line")?,
-            pruning: pruning.ok_or("missing pruning line")?,
-            semantic: semantic.ok_or("missing semantic line")?,
             seed_corpus: seed_corpus.ok_or("missing seed-corpus line")?,
             step_budget: step_budget.ok_or("missing step-budget line")?,
             max_retries: max_retries.ok_or("missing max-retries line")?,
@@ -485,8 +472,8 @@ impl Journal {
                             match name {
                                 "executed" => c.executed = value,
                                 "rejected" => c.rejected = value,
-                                "pruned" => c.pruned = value,
-                                "inert" => c.inert = value,
+                                // The retired prune tiers' counters.
+                                "pruned" | "inert" => {}
                                 "replayed" => c.replayed = value,
                                 "crashed" => c.crashed = value,
                                 "hung" => c.hung = value,
@@ -581,14 +568,11 @@ impl Journal {
             failures,
             executed: c.executed,
             rejected: c.rejected,
-            pruned: c.pruned,
-            inert: c.inert,
             replayed: c.replayed,
             crashed: c.crashed,
             hung: c.hung,
             quarantined: self.quarantined.clone(),
             snapshots: crate::SnapshotStats::default(),
-            skipped: Vec::new(),
         }
     }
 }
@@ -805,8 +789,6 @@ mod tests {
                 max_faults: 3,
                 epoch: 8,
                 prefilter: true,
-                pruning: true,
-                semantic: true,
                 seed_corpus: 0,
                 step_budget: 0,
                 max_retries: 2,
@@ -844,8 +826,6 @@ mod tests {
             counters: Some(JournalCounters {
                 executed: 6,
                 rejected: 1,
-                pruned: 2,
-                inert: 0,
                 replayed: 0,
                 crashed: 0,
                 hung: 0,
@@ -917,6 +897,43 @@ mod tests {
         assert_ne!(old, text);
         assert_eq!(Journal::from_text(&old).unwrap(), journal);
         assert!(Journal::from_text(&old.replace("cache=64", "cache=lots")).is_err());
+    }
+
+    /// The header and counters of a journal written while the prune tiers
+    /// existed: both switches after `prefilter`, both counters after
+    /// `rejected` — in either setting the journal loads as the same value.
+    fn with_prune_tier_lines(text: &str, pruning: bool, semantic: bool) -> String {
+        text.replace(
+            "prefilter true\n",
+            &format!("prefilter true\npruning {pruning}\nsemantic {semantic}\n"),
+        )
+        .replace("rejected=1 ", "rejected=1 pruned=2 inert=5 ")
+    }
+
+    #[test]
+    fn a_journal_from_the_prune_tier_era_still_loads() {
+        let journal = sample();
+        let text = journal.to_text();
+        for (pruning, semantic) in [(true, true), (false, true), (true, false)] {
+            let old = with_prune_tier_lines(&text, pruning, semantic);
+            assert_ne!(old, text);
+            assert_eq!(Journal::from_text(&old).unwrap(), journal);
+            // Torn anywhere past the old, longer header, it still loads.
+            let header = old.find("jobs ").unwrap();
+            for cut in header..old.len() {
+                assert_eq!(Journal::from_text(&old[..cut]).unwrap().meta, journal.meta);
+            }
+        }
+        // Checked, not skipped: a malformed value is an error.
+        let old = with_prune_tier_lines(&text, true, true);
+        for bad in [
+            old.replace("pruning true", "pruning yes"),
+            old.replace("semantic true", "semantic"),
+            old.replace("pruned=2", "pruned=two"),
+            old.replace("inert=5", "inert"),
+        ] {
+            assert!(Journal::from_text(&bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -72,7 +72,7 @@ mod validate;
 pub use coverage::Coverage;
 pub use explore::{
     explore, explore_fleet, replay, seed_corpus_digest, CampaignFleet, ExploreConfig,
-    ExploreOutcome, FoundFailure, LiveProgress, SkipReason, SkippedCandidate, DEFAULT_EPOCH,
+    ExploreOutcome, FoundFailure, LiveProgress, DEFAULT_EPOCH,
 };
 pub use generate::{generate, Campaign, FaultKind, TestCase};
 pub use journal::{

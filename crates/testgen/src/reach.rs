@@ -15,24 +15,26 @@
 //! Two consumers share one predicate, [`FlowModel::fault_inertness`], so
 //! their verdicts can never drift:
 //!
-//! * the explorer's third prune tier ([`FlowModel::semantic_id`]) quotients
-//!   candidate schedules by stripping inert faults and removing corruption
-//!   that is shadowed by an unconditional drop on the same flow, then
-//!   dedupes by the quotient's id — the quotient is a **dedup key only**,
-//!   the original schedule is what executes when it is novel;
-//! * `validate.rs` and `pfi-lint --spec` report the same facts as
-//!   [`InertFault`](pfi_lint::Category::InertFault) diagnostics.
+//! * `validate.rs` and `pfi-lint --spec` report the facts as
+//!   [`InertFault`](pfi_lint::Category::InertFault) diagnostics — "this
+//!   fault can never fire", a claim a user acts on;
+//! * [`FlowModel::semantic_schedule`] / [`FlowModel::semantic_id`] build a
+//!   **dedup key** from them (the canonical form with inert faults
+//!   stripped). The campaign engine does not read it: no candidate is
+//!   skipped on a static rewrite. Only the benchmark's traced stream
+//!   (`pfi-bench-layers`) still times it.
 //!
 //! # Soundness
 //!
-//! Every rule here must be *behaviour-preserving*: running the original
-//! schedule and its quotient must produce byte-identical verdict, oracle,
-//! and coverage results. The load-bearing facts:
+//! The inertness rules must be *behaviour-preserving*: a schedule with its
+//! inert faults removed in place must produce byte-identical verdict,
+//! oracle, and coverage results (`props.rs` checks it on gmp, tcp and
+//! tpc). The load-bearing facts:
 //!
 //! * an inert fault's clauses never fire, so they emit no trace events and
 //!   apply no verdicts — stripping them changes nothing observable (they do
-//!   consume interpreter steps, which is why callers must not use the
-//!   quotient under a step budget);
+//!   consume interpreter steps, so under a step budget the stripped
+//!   schedule is not equivalent);
 //! * `msg_type` as seen by a filter guard is parsed from the message
 //!   **bytes** by the packet stub, so a live `corrupt-byte` elsewhere in
 //!   the schedule can rewrite the type a *receive*-side guard observes —
@@ -43,6 +45,16 @@
 //!   so destination facts are corruption-immune, and the simulator delivers
 //!   strictly to `dst` — a receive filter on node *n* only ever sees
 //!   messages addressed to *n*.
+//!
+//! The quotient is *not* behaviour-preserving: it starts from
+//! [`FaultSchedule::canonical`], which reorders the clauses of one
+//! filter, and a `corrupt-byte` changes what every later clause's
+//! `[msg_type]` guard reads (the stub re-parses the type from the bytes
+//! on each call). On tcp, `n0 recv corrupt-byte SYN 9 64 + n0 recv
+//! drop-all SYN` corrupts each SYN, so the drop's guard no longer matches
+//! and the corrupted segment reaches the server (`tcp:n1:DecodeFailed`);
+//! its canonical order drops every SYN first. No rule here may treat a
+//! live corrupt as removable because a drop on its flow follows it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -405,14 +417,13 @@ impl FlowModel {
             .collect()
     }
 
-    /// The semantic quotient of a schedule: canonicalize, strip statically
-    /// inert faults, remove corruption shadowed by an unconditional drop on
-    /// the same flow, and iterate to a fixpoint (removing a shadowed
-    /// corrupt can un-gate a receive-side type fact, which can strip more).
+    /// The semantic quotient of a schedule: canonicalize, then strip
+    /// statically inert faults, to a fixpoint (stripping an inert
+    /// `corrupt-byte` can un-gate a receive-side type fact elsewhere).
     ///
-    /// The result is a **dedup key**, not a replacement schedule to run —
-    /// though by construction running it is behaviour-equivalent whenever
-    /// no interpreter step budget is in force.
+    /// The result is a **dedup key**, not a schedule equivalent to the
+    /// original: canonicalization reorders clauses a live `corrupt-byte`
+    /// can interact with (module docs, "Soundness").
     pub fn semantic_schedule(&self, schedule: &FaultSchedule) -> FaultSchedule {
         let mut cur = schedule.canonical();
         loop {
@@ -423,7 +434,7 @@ impl FlowModel {
                 .filter(|(i, _)| self.fault_inertness(&cur, *i).is_none())
                 .map(|(_, f)| f.clone())
                 .collect();
-            let next = strip_shadowed_corrupts(&FaultSchedule { faults: kept }).canonical();
+            let next = FaultSchedule { faults: kept }.canonical();
             if next == cur {
                 return cur;
             }
@@ -431,9 +442,7 @@ impl FlowModel {
         }
     }
 
-    /// The id of the [semantic quotient](FlowModel::semantic_schedule) —
-    /// the explorer's third-tier dedup key. Two schedules with the same
-    /// semantic id are behaviour-equivalent under this model.
+    /// The id of the [semantic quotient](FlowModel::semantic_schedule).
     pub fn semantic_id(&self, schedule: &FaultSchedule) -> String {
         self.semantic_schedule(schedule).id()
     }
@@ -454,83 +463,10 @@ pub struct InertFact {
     pub message: String,
 }
 
-/// Removes `corrupt-byte` faults whose every mutation lands on a message
-/// that an unconditional drop on the same `(site, direction, msg_type)`
-/// flow discards anyway. Expects (and preserves) canonical fault order.
-///
-/// A corrupt is shadowed only when all four of these hold for its group:
-///
-/// 1. the group's chained (non-floating) faults include a `drop-all`, so
-///    every message of the flow gets a `Drop` verdict;
-/// 2. those chained faults are *all* pure drops — a delay or hold would
-///    reorder verdicts and is not "unconditionally discarded";
-/// 3. the group has no `duplicate` — duplicated copies are forwarded even
-///    when the original is dropped, and they carry the corruption;
-/// 4. the group is the *last* one lowered into its `(site, direction)`
-///    filter program — a later group's type guard re-reads the (mutated)
-///    bytes, so the corruption could redirect traffic into it.
-fn strip_shadowed_corrupts(canon: &FaultSchedule) -> FaultSchedule {
-    let faults = &canon.faults;
-    fn group_key(f: &ScheduledFault) -> (u32, bool, &str) {
-        (f.site, matches!(f.dir, Direction::Receive), f.op.msg_type())
-    }
-    let dir_key = |f: &ScheduledFault| (f.site, matches!(f.dir, Direction::Receive));
-    let pure_drop = |f: &ScheduledFault| {
-        matches!(
-            f.op,
-            FaultOp::DropAll { .. }
-                | FaultOp::DropNth { .. }
-                | FaultOp::DropAfter { .. }
-                | FaultOp::DropToDest { .. }
-        )
-    };
-    let floating = |f: &ScheduledFault| {
-        matches!(
-            f.op,
-            FaultOp::Duplicate { .. } | FaultOp::CorruptByteAt { .. }
-        )
-    };
-
-    let mut keep = vec![true; faults.len()];
-    let mut i = 0;
-    while i < faults.len() {
-        let mut j = i;
-        while j < faults.len() && group_key(&faults[j]) == group_key(&faults[i]) {
-            j += 1;
-        }
-        let group = &faults[i..j];
-        let last_on_dir = j >= faults.len() || dir_key(&faults[j]) != dir_key(&faults[i]);
-        let chained: Vec<&ScheduledFault> = group.iter().filter(|f| !floating(f)).collect();
-        let has_drop_all = chained
-            .iter()
-            .any(|f| matches!(f.op, FaultOp::DropAll { .. }));
-        let chained_pure = chained.iter().all(|f| pure_drop(f));
-        let no_dup = !group
-            .iter()
-            .any(|f| matches!(f.op, FaultOp::Duplicate { .. }));
-        if last_on_dir && has_drop_all && chained_pure && no_dup {
-            for (k, f) in group.iter().enumerate() {
-                if matches!(f.op, FaultOp::CorruptByteAt { .. }) {
-                    keep[i + k] = false;
-                }
-            }
-        }
-        i = j;
-    }
-    FaultSchedule {
-        faults: faults
-            .iter()
-            .zip(&keep)
-            .filter(|(_, k)| **k)
-            .map(|(f, _)| f.clone())
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_schedule, GmpTarget, TestTarget};
+    use crate::runner::{run_schedule, GmpTarget, TcpTarget, TestTarget};
     use crate::schedule::ScheduleMutator;
     use pfi_sim::SimRng;
 
@@ -852,7 +788,7 @@ mod tests {
     }
 
     #[test]
-    fn semantic_quotient_strips_inert_and_shadowed_faults() {
+    fn semantic_quotient_strips_inert_faults_and_keeps_live_corruption() {
         let m = FlowModel::gmp();
         // Inert-only schedule quotients to the baseline.
         let s = sched(vec![fault(
@@ -865,7 +801,10 @@ mod tests {
         )]);
         assert_eq!(m.semantic_id(&s), "baseline");
 
-        // Corrupt shadowed by a drop-all on the same flow is removed.
+        // A live corrupt stays, whatever else its flow carries: a drop-all
+        // on the same flow does not shadow it (it may be what stops the
+        // drop's guard from matching), nor does a duplicate or a later
+        // group, nor a drop-nth.
         let corrupt = fault(
             0,
             Direction::Send,
@@ -883,9 +822,9 @@ mod tests {
             },
         );
         let s = sched(vec![corrupt.clone(), drop_all.clone()]);
-        assert_eq!(m.semantic_schedule(&s).faults, vec![drop_all.clone()]);
+        assert_eq!(m.semantic_schedule(&s), s.canonical());
+        assert_eq!(m.semantic_schedule(&s).faults.len(), 2);
 
-        // ...but a duplicate in the group forwards corrupted copies.
         let dup = fault(
             0,
             Direction::Send,
@@ -897,8 +836,6 @@ mod tests {
         let s = sched(vec![corrupt.clone(), drop_all.clone(), dup]);
         assert_eq!(m.semantic_schedule(&s).faults.len(), 3);
 
-        // ...and a later group on the same filter program re-reads the
-        // mutated bytes, so the corrupt survives there too.
         let later = fault(
             0,
             Direction::Send,
@@ -909,8 +846,6 @@ mod tests {
         let s = sched(vec![corrupt.clone(), drop_all.clone(), later]);
         assert_eq!(m.semantic_schedule(&s).faults.len(), 3);
 
-        // A drop-nth does not shadow: most messages pass uncorrupted only
-        // if dropped — here they are not.
         let drop_nth = fault(
             0,
             Direction::Send,
@@ -924,12 +859,11 @@ mod tests {
     }
 
     #[test]
-    fn shadow_removal_ungates_type_facts_at_the_fixpoint() {
+    fn stripping_an_inert_corrupt_ungates_type_facts_at_the_fixpoint() {
         let m = FlowModel::gmp();
-        // The corrupt is live on its own, but every ACK it touches is
-        // dropped in the same program — so after shadow removal the
-        // receive-side unknown-type drop becomes provably inert too, and
-        // the whole schedule quotients to the lone drop-all.
+        // The corrupt is itself inert (no GMP message reaches byte 32),
+        // but while it is in the schedule it gates the receive-side
+        // unknown-type fact; the second round strips that drop too.
         let recv_unknown = fault(
             2,
             Direction::Receive,
@@ -942,19 +876,39 @@ mod tests {
             Direction::Send,
             FaultOp::CorruptByteAt {
                 msg_type: "ACK".into(),
-                offset: 3,
+                offset: 32,
                 mask: 0xFF,
             },
         );
-        let drop_all = fault(
-            0,
-            Direction::Send,
-            FaultOp::DropAll {
-                msg_type: "ACK".into(),
-            },
-        );
-        let s = sched(vec![recv_unknown, corrupt, drop_all.clone()]);
-        assert_eq!(m.semantic_schedule(&s).faults, vec![drop_all]);
+        let s = sched(vec![recv_unknown, corrupt]);
+        assert_eq!(m.inert_facts(&s).len(), 1);
+        assert_eq!(m.semantic_id(&s), "baseline");
+    }
+
+    /// The candidate behind the one digest divergence the prune tiers
+    /// showed (tcp seed 17000): its corrupt rewrites each SYN before the
+    /// drop's `[msg_type]` guard reads it, so the server is handed a
+    /// segment it cannot decode — coverage the drop alone never reaches.
+    /// The retired shadow rule quotiented it to the drop; the quotient
+    /// now keeps the corrupt.
+    #[test]
+    fn a_corrupt_before_a_drop_on_its_flow_is_not_the_drop() {
+        let target = TcpTarget::default();
+        let model = target.flow_model().expect("tcp has a flow model");
+        let parse = |lines: &[&str]| FaultSchedule::from_lines(lines.iter().copied()).unwrap();
+        let candidate = parse(&["n0 recv corrupt-byte SYN 9 64", "n0 recv drop-all SYN"]);
+        let drop = parse(&["n0 recv drop-all SYN"]);
+        let decode_failed = |s: &FaultSchedule| {
+            run_schedule(&target, s)
+                .coverage
+                .edges()
+                .any(|e| e == "tcp:n1:DecodeFailed")
+        };
+        assert!(decode_failed(&candidate));
+        assert!(!decode_failed(&drop));
+        let quotient = model.semantic_schedule(&candidate);
+        assert_eq!(quotient.len(), 2, "{}", quotient.id());
+        assert_ne!(model.semantic_id(&candidate), model.semantic_id(&drop));
     }
 
     #[test]
@@ -974,11 +928,11 @@ mod tests {
         }
     }
 
-    /// The load-bearing soundness test: wherever the semantic quotient
-    /// differs from the canonical form, running the original schedule and
-    /// the quotient against the real GMP target must be indistinguishable
-    /// — same verdict, same oracle outcome, same coverage. Mirrors
-    /// `canonicalization_is_behaviour_preserving`, one rewrite tier up.
+    /// Wherever the semantic quotient differs from the canonical form —
+    /// by stripped inert faults alone — running the two against the real
+    /// GMP target must be indistinguishable: same verdict, same oracle
+    /// outcome, same coverage. (The canonical form itself is a dedup key,
+    /// not an equivalent of the original: module docs, "Soundness".)
     #[test]
     fn semantic_quotient_is_behaviour_preserving() {
         let target = GmpTarget {
@@ -999,12 +953,12 @@ mod tests {
                 continue;
             }
             parent = s.clone();
-            let q = model.semantic_schedule(&s);
-            if q == s.canonical() {
+            let (canonical, q) = (s.canonical(), model.semantic_schedule(&s));
+            if q == canonical {
                 continue;
             }
             checked += 1;
-            let a = run_schedule(&target, &s);
+            let a = run_schedule(&target, &canonical);
             let b = run_schedule(&target, &q);
             assert_eq!(a.verdict, b.verdict, "quotient diverged for {}", s.id());
             assert_eq!(a.oracle, b.oracle, "quotient diverged for {}", s.id());

@@ -211,10 +211,10 @@ pub trait TestTarget: Send + Sync {
     fn verdict(&self, world: &mut World) -> Verdict;
     /// The target's static [`FlowModel`](crate::reach::FlowModel), when it
     /// has one — what the spec and topology guarantee about the traffic
-    /// each fault site observes. `None` (the default) disables semantic
-    /// schedule pruning for the target; it never changes which schedules
-    /// *execute* to what, only which provably-equivalent candidates the
-    /// explorer skips.
+    /// each fault site observes. Read by analysis only — `pfi-lint
+    /// --spec`'s inert-fault diagnostics — never by the campaign engine,
+    /// so it cannot change what a campaign runs or finds. `None` (the
+    /// default) leaves `pfi-lint --spec` without the target's facts.
     fn flow_model(&self) -> Option<crate::reach::FlowModel> {
         None
     }

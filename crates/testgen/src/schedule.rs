@@ -301,12 +301,19 @@ impl FaultSchedule {
         Ok(FaultSchedule { faults })
     }
 
-    /// The schedule's canonical form under execution equivalence. Two
-    /// schedules with the same canonical form produce identical runs —
-    /// same trace, same coverage, same verdict — so the campaign engine
-    /// may skip one when the other already executed
-    /// ([`crate::ExploreConfig::pruning`]). Three rewrites, each proved
-    /// against the filter semantics the runner enforces:
+    /// The schedule's canonical form: a **dedup key** (the pfi-serve
+    /// corpus pool collapses schedules on it, and
+    /// [`crate::FlowModel::semantic_schedule`] starts from it), not a
+    /// proof that two schedules run alike — the campaign engine never
+    /// skips a run on it. The rewrites below hold against the filter
+    /// semantics the runner enforces *as long as no live `corrupt-byte`
+    /// precedes a type-guarded clause in the same filter*: a corrupt XORs
+    /// the bytes in place and every later `[msg_type]` guard re-parses
+    /// them, so floating the corrupt past a drop (rule 4) or sorting a
+    /// later group ahead of it (rule 3) can change which clauses fire. On
+    /// tcp, `n0 recv corrupt-byte SYN 9 64 + n0 recv drop-all SYN` hands
+    /// the server an undecodable segment; its canonical form, drop first,
+    /// never does. The rewrites:
     ///
     /// 1. **Window normalization** — `drop-after 0` fires on every
     ///    instance (`Window::After(0)`: the counter is at least 1 by the
@@ -333,19 +340,14 @@ impl FaultSchedule {
     /// 4. **Within-group commuters** — duplicate counts accumulate in
     ///    their own effect slot and corruption XORs bytes in place (XOR
     ///    commutes; forwarded copies clone the message *after* the whole
-    ///    filter ran), so `duplicate` and `corrupt-byte` faults interact
-    ///    with nothing in their group: they float to a sorted tail of it.
+    ///    filter ran), so `duplicate` and `corrupt-byte` faults float to a
+    ///    sorted tail of their group — exact for XOR against XOR, and for
+    ///    the type guards only under the proviso above.
     ///    And a run of *consecutive* pure-drop faults all write the same
     ///    `Drop` verdict — a message is dropped iff any of their windows
     ///    fires, in any order — so each such run is sorted. (Drops
     ///    separated by a delay do not commute: which verdict lands last
     ///    depends on the order.)
-    ///
-    /// Only installable schedules are canonicalized by the engine,
-    /// validated with the same
-    /// [`crate::validate::schedule_is_installable`] predicate the runner
-    /// enforces — an uninstallable schedule never runs, so it has no
-    /// behaviour to be equivalent to.
     pub fn canonical(&self) -> FaultSchedule {
         let mut faults: Vec<ScheduledFault> = self
             .faults
@@ -450,7 +452,7 @@ impl FaultSchedule {
     }
 
     /// The [`id`](FaultSchedule::id) of the [`canonical`](FaultSchedule::canonical)
-    /// form — the equivalence-class key the campaign engine prunes on.
+    /// form — the pool's dedup key.
     pub fn canonical_id(&self) -> String {
         self.canonical().id()
     }
@@ -743,11 +745,11 @@ mod tests {
 
     #[test]
     fn canonicalization_is_behaviour_preserving() {
-        // The equivalence-pruning contract, checked against the actual
-        // runner: every mutator-produced schedule whose canonical form
-        // differs from it still executes to the same verdict, oracle, and
-        // coverage. This is the soundness property pruning rests on — a
-        // canonical collision means the runs were interchangeable.
+        // Checked against the actual runner on a gmp sample: every
+        // mutator-produced schedule here whose canonical form differs
+        // from it still executes to the same verdict, oracle, and
+        // coverage. A sample, not a proof — `canonical`'s doc names the
+        // shape (a live corrupt-byte ahead of a type guard) where it fails.
         let mutator = ScheduleMutator::new(&ProtocolSpec::gmp(), 3, 3);
         let mut rng = SimRng::seed_from(1234);
         let mut parent = FaultSchedule::empty();

@@ -136,10 +136,9 @@ pub fn validate_schedule(
     }
 
     // Inert-fault warnings are *not* re-derived here: the permissive flow
-    // model (spec + node count, no placement or routing facts) is the same
-    // predicate the semantic pruning tier and `pfi-lint --spec` run, so
-    // what validation warns about and what the explorer quotients away can
-    // never drift apart.
+    // model (spec + node count, no placement or routing facts) runs the
+    // same predicate `pfi-lint --spec` does, so what validation warns
+    // about and what the linter reports can never drift apart.
     let model = crate::reach::FlowModel::permissive(spec, nodes);
     for fact in model.inert_facts(schedule) {
         findings.push(ScheduleFinding::new(

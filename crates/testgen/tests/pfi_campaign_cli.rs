@@ -22,6 +22,10 @@ fn arguments_it_does_not_understand_exit_2_and_are_named() {
             "--no-snapshot",
         ),
         (&["gmp", "--explore", "--serve", "pfi.sock"][..], "--serve"),
+        (
+            &["gmp", "--explore", "--explain-pruned"][..],
+            "--explain-pruned",
+        ),
         // A flag missing its value, mid-line and at the end.
         (
             &["gmp", "--explore", "--budget", "--digest"][..],
@@ -133,6 +137,11 @@ fn stats_block_keeps_the_labels_the_benchmark_reads() {
     ] {
         assert!(fleet.contains(label), "{label:?} missing from {fleet:?}");
     }
+    // The retired prune tiers' labels stay, reading zero.
+    assert!(
+        fleet.contains(" 0 pruned as equivalent, 0 pruned as inert, "),
+        "{fleet}"
+    );
 
     let plainest = run(&[
         "gmp",
@@ -155,4 +164,54 @@ fn stats_block_keeps_the_labels_the_benchmark_reads() {
         stdout.contains("snapshots: disabled"),
         "the benchmark reads this as zero hits: {stdout}"
     );
+}
+
+/// `--no-pruning` and `--no-semantic` outlived the tiers they switched
+/// off (the benchmark's plainest path passes them): accepted, and no byte
+/// of a report changes but the host-time figures.
+#[test]
+fn retired_prune_flags_change_no_byte_but_wall_and_busy() {
+    // Every number that reads the host clock: the one before `exec/s` or
+    // `ms`, masked.
+    let mask = |out: Output| -> String {
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let mut masked = format!("exit {:?}\n", out.status.code());
+        for line in stdout.lines() {
+            let tokens: Vec<&str> = line.split(' ').collect();
+            for (i, token) in tokens.iter().enumerate() {
+                let timed = tokens
+                    .get(i + 1)
+                    .is_some_and(|next| next.starts_with("exec/s") || next.starts_with("ms"));
+                if timed {
+                    masked.extend(token.chars().take_while(|c| !c.is_ascii_digit()));
+                    masked.push('*');
+                } else {
+                    masked.push_str(token);
+                }
+                masked.push(' ');
+            }
+            masked.push('\n');
+        }
+        masked
+    };
+    let base = "tcp --explore --budget 64 --seed 17000 --epoch 8 --jobs 1 --stats";
+    for report in [&[][..], &["--digest"][..]] {
+        let args = |retired: &[&'static str]| -> Vec<&str> {
+            base.split(' ')
+                .chain(report.iter().chain(retired).copied())
+                .collect()
+        };
+        let plain = mask(run(&args(&[])));
+        assert!(
+            plain.contains(" * exec/s wall (* ms wall, * ms busy)"),
+            "{plain}"
+        );
+        for retired in [
+            &["--no-pruning"][..],
+            &["--no-semantic"][..],
+            &["--no-pruning", "--no-semantic"][..],
+        ] {
+            assert_eq!(mask(run(&args(retired))), plain, "{retired:?}");
+        }
+    }
 }

@@ -64,7 +64,6 @@ fn assert_journals_equivalent(resumed_text: &str, full_text: &str) {
     let full = Journal::from_text(full_text).unwrap().counters.unwrap();
     assert_eq!(resumed.executed, full.executed);
     assert_eq!(resumed.rejected, full.rejected);
-    assert_eq!(resumed.pruned, full.pruned);
     assert_eq!(resumed.crashed, full.crashed);
     assert_eq!(resumed.hung, full.hung);
 }
@@ -141,6 +140,75 @@ fn killed_campaign_resumes_to_identical_digest_and_journal() {
 
     fs::remove_file(&full_path).ok();
     fs::remove_file(&resumed_path).ok();
+}
+
+/// A journal written while the engine had prune tiers: their two switches
+/// in the header, their two counters in the counters line.
+fn prune_tier_era(text: &str, pruning: bool, semantic: bool) -> String {
+    text.replace(
+        "prefilter true\n",
+        &format!("prefilter true\npruning {pruning}\nsemantic {semantic}\n"),
+    )
+    .replace(" replayed=", " pruned=0 inert=0 replayed=")
+}
+
+/// Journals from before the prune tiers were retired resume into today's
+/// engine: one torn mid-campaign with pruning on — the candidates a tier
+/// skipped never reached it, so they simply run now — and one complete
+/// with pruning off. Either way the resumed campaign is the uninterrupted
+/// one, digest and journal bytes.
+#[test]
+fn a_journal_from_the_prune_tier_era_resumes_to_the_same_campaign() {
+    let target = GmpTarget::default();
+    let spec = ProtocolSpec::gmp();
+    let full_path = tmp("era_full.journal");
+    let mut cfg = config();
+    cfg.journal = Some(full_path.clone());
+    let uninterrupted = explore(&target, &spec, &cfg);
+    let full_bytes = fs::read_to_string(&full_path).unwrap();
+
+    // Pruning on: every third non-violating case never ran, and the
+    // process died 60% of the way through what it did write.
+    let mut pruned = Journal::from_text(&full_bytes).unwrap();
+    let skipped: Vec<String> = pruned.cases[1..]
+        .iter()
+        .filter(|c| !c.verdict.is_violation())
+        .step_by(3)
+        .map(|c| c.schedule.id())
+        .collect();
+    assert!(!skipped.is_empty());
+    pruned.cases.retain(|c| !skipped.contains(&c.schedule.id()));
+    pruned.dispatched.retain(|id| !skipped.contains(id));
+    pruned.counters = None;
+    pruned.complete = false;
+    let pruned_text = prune_tier_era(&pruned.to_text(), true, true);
+    let torn = &pruned_text[..pruned_text.len() * 3 / 5];
+
+    // Pruning off: the whole campaign, as the parent wrote it.
+    let complete_text = prune_tier_era(&full_bytes, false, true);
+    assert!(complete_text.contains("pruning false\n") && complete_text.contains(" inert=0 "));
+
+    let cases = [
+        ("torn, pruning on", torn),
+        ("complete, pruning off", complete_text.as_str()),
+    ];
+    for (what, old) in cases {
+        let journal = Journal::from_text(old).unwrap();
+        if journal.complete {
+            assert_eq!(journal.reconstruct().digest(), uninterrupted.digest());
+        }
+        let resumed_path = tmp("era_resumed.journal");
+        let mut cfg = config();
+        cfg.journal = Some(resumed_path.clone());
+        cfg.resume = Some(journal);
+        let resumed = explore(&target, &spec, &cfg);
+        assert_eq!(resumed.digest(), uninterrupted.digest(), "{what}");
+        assert!(resumed.replayed > 0, "{what}");
+        let resumed_bytes = fs::read_to_string(&resumed_path).unwrap();
+        assert_journals_equivalent(&resumed_bytes, &full_bytes);
+        fs::remove_file(&resumed_path).ok();
+    }
+    fs::remove_file(&full_path).ok();
 }
 
 /// Crash containment is not just survival — it must not skew the search.
