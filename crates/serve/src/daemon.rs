@@ -384,7 +384,7 @@ pub fn run(opts: DaemonOptions) -> io::Result<()> {
             Ok(journal) if journal.complete => {
                 let outcome = journal.reconstruct();
                 // The pool merge already happened when the campaign first
-                // completed; merging again is a no-op by canonical dedup,
+                // completed; merging again is a no-op by exact-id dedup,
                 // and re-running it here heals a crash that landed between
                 // journal completion and the pool append.
                 let shared = store
@@ -400,6 +400,14 @@ pub fn run(opts: DaemonOptions) -> io::Result<()> {
         campaigns.insert(id, CampaignEntry { params, state });
     }
     queue.sort_by_key(|id| seq_of(id));
+    // A campaign whose index line is spoilt (and skipped) still owns its
+    // journal, so its id is never issued again.
+    for entry in std::fs::read_dir(&opts.store)? {
+        let name = entry?.file_name();
+        if let Some(id) = name.to_str().and_then(|n| n.strip_suffix(".journal")) {
+            next_seq = next_seq.max(seq_of(id));
+        }
+    }
 
     enum Listener {
         Tcp(TcpListener),
@@ -581,25 +589,16 @@ fn run_campaign(
     cfg.seed_corpus = store.read_seeds(id)?;
     let progress = Arc::new(LiveProgress::default());
     let journal_path = store.journal_path(id);
-    match Journal::load(&journal_path) {
-        Ok(journal) if journal.complete => {
-            // Fully finished before a crash; reconstruct, don't re-run.
-            let outcome = journal.reconstruct();
-            let shared = retry_store(&daemon.stats, || {
-                store.merge_corpus(&params.corpus_key(), &outcome.corpus)
-            })?;
-            return Ok(Summary::from_outcome(&outcome, shared));
-        }
-        Ok(journal) => {
-            let edges: BTreeSet<&str> = journal
-                .cases
-                .iter()
-                .flat_map(|c| c.coverage.iter().map(String::as_str))
-                .collect();
-            progress.raise(journal.dispatched.len(), journal.cases.len(), edges.len());
-            cfg.resume = Some(journal);
-        }
-        Err(_) => {} // no journal yet (or unreadable): fresh run
+    // A torn journal resumes; none (or an unreadable one) is a fresh run.
+    // A complete one never gets here: the startup scan made it `Done`.
+    if let Ok(journal) = Journal::load(&journal_path) {
+        let edges: BTreeSet<&str> = journal
+            .cases
+            .iter()
+            .flat_map(|c| c.coverage.iter().map(String::as_str))
+            .collect();
+        progress.raise(journal.dispatched.len(), journal.cases.len(), edges.len());
+        cfg.resume = Some(journal);
     }
     cfg.journal = Some(journal_path);
     cfg.progress = Some(Arc::clone(&progress));

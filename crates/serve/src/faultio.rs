@@ -209,11 +209,6 @@ impl<S> FaultStream<S> {
     pub fn new(inner: S, plan: Arc<FaultPlan>) -> FaultStream<S> {
         FaultStream { inner, plan }
     }
-
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
 }
 
 impl<S: Read> Read for FaultStream<S> {

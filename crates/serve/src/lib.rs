@@ -16,7 +16,7 @@
 //!   boundary demands.
 //! - [`store`]: the store directory — append-only index, per-campaign
 //!   journals and pinned seed corpora, and per-target shared corpus
-//!   pools deduplicated by canonical schedule.
+//!   pools deduplicated by exact schedule.
 //! - [`daemon`]: the listener/executor runtime.
 //! - [`faultio`]: PFI turned on the daemon itself — a deterministic
 //!   seeded interposition layer for the daemon's own wire and disk I/O,

@@ -23,6 +23,10 @@
 //! chosen because repro artifacts are multi-line free text. Whether a
 //! reply carries a payload is a function of the *request* verb, so the
 //! client never guesses.
+//!
+//! A wire line is a line of the one line codec, and a stream that ends
+//! mid-line is torn like a file that does (DESIGN.md, "Line files and
+//! torn tails").
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -30,7 +34,7 @@ use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
-use pfi_testgen::{unknown_protocol, ExploreConfig, BUNDLED};
+use pfi_testgen::{lines, unknown_protocol, ExploreConfig, BUNDLED};
 
 /// Budget caps for the protocol readers. Every reader in this module is
 /// bounded: a peer can never make the other side buffer without limit,
@@ -59,65 +63,35 @@ impl Default for ProtoLimits {
 pub enum LineOutcome {
     /// Clean end of stream before any byte of a new line.
     Eof,
-    /// A complete, validated line (newline and optional trailing CR
-    /// stripped).
+    /// A complete line, [`lines::decode`]d.
     Line(String),
-    /// The line exceeded the cap. The excess is *not* consumed — the
+    /// The line exceeded the cap. The rest of it is not consumed — the
     /// only safe continuation is closing the connection.
     TooLong,
-    /// The line carried bytes the protocol explicitly rejects (embedded
-    /// NUL, interior CR, or non-UTF-8); the reason names the offense.
+    /// The line failed [`lines::decode`]; the reason names the offense.
     Garbage(&'static str),
 }
 
 /// Reads one protocol line without ever buffering more than `max_line`
-/// bytes. Injected/real `EINTR` is retried here (matching kernel-loop
-/// convention); every other error propagates. A stream that ends mid-line
-/// reads as [`LineOutcome::Eof`] — a torn trailing line is the peer's
-/// loss, exactly like the store's torn-tail rule.
+/// bytes plus one. Injected/real `EINTR` is retried here (matching
+/// kernel-loop convention); every other error propagates. A stream that
+/// ends mid-line reads as [`LineOutcome::Eof`]: a torn line is the peer's
+/// loss.
 pub fn read_line_bounded<R: BufRead>(r: &mut R, max_line: usize) -> io::Result<LineOutcome> {
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let available = match r.fill_buf() {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if available.is_empty() {
-            return Ok(LineOutcome::Eof);
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                if buf.len() + pos > max_line {
-                    return Ok(LineOutcome::TooLong);
-                }
-                buf.extend_from_slice(&available[..pos]);
-                r.consume(pos + 1);
-                break;
-            }
-            None => {
-                let n = available.len();
-                if buf.len() + n > max_line {
-                    return Ok(LineOutcome::TooLong);
-                }
-                buf.extend_from_slice(available);
-                r.consume(n);
-            }
-        }
+    // One byte past the cap is enough to tell a line that is too long.
+    let mut buf = Vec::new();
+    let read = r.take(max_line as u64 + 1).read_until(b'\n', &mut buf)?;
+    if buf.last() != Some(&b'\n') {
+        return Ok(if read > max_line {
+            LineOutcome::TooLong
+        } else {
+            LineOutcome::Eof
+        });
     }
-    if buf.contains(&0) {
-        return Ok(LineOutcome::Garbage("embedded NUL byte"));
-    }
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    if buf.contains(&b'\r') {
-        return Ok(LineOutcome::Garbage("embedded CR"));
-    }
-    match String::from_utf8(buf) {
-        Ok(s) => Ok(LineOutcome::Line(s)),
-        Err(_) => Ok(LineOutcome::Garbage("non-UTF-8 bytes")),
-    }
+    Ok(match lines::decode(&buf[..read - 1]) {
+        Ok(line) => LineOutcome::Line(line.to_string()),
+        Err(why) => LineOutcome::Garbage(why),
+    })
 }
 
 /// Everything that identifies a campaign submission. The daemon persists
@@ -589,18 +563,12 @@ impl Write for Stream {
 pub struct Client {
     reader: BufReader<Stream>,
     writer: Stream,
-    limits: ProtoLimits,
 }
 
 impl Client {
     /// Connects to `addr`: anything containing `/` — or without the `:`
     /// a TCP `host:port` must carry — is a Unix socket path.
     pub fn connect(addr: &str) -> io::Result<Client> {
-        Client::connect_with(addr, ProtoLimits::default())
-    }
-
-    /// [`connect`](Client::connect) with explicit reader budgets.
-    pub fn connect_with(addr: &str, limits: ProtoLimits) -> io::Result<Client> {
         let (reader, writer) = if addr.contains('/') || !addr.contains(':') {
             let s = UnixStream::connect(addr)?;
             (Stream::Unix(s.try_clone()?), Stream::Unix(s))
@@ -611,7 +579,6 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(reader),
             writer,
-            limits,
         })
     }
 
@@ -619,7 +586,7 @@ impl Client {
     pub fn call(&mut self, req: &Request) -> io::Result<Reply> {
         writeln!(self.writer, "{}", req.render())?;
         self.writer.flush()?;
-        read_reply_limited(&mut self.reader, req.has_payload(), &self.limits)
+        read_reply(&mut self.reader, req.has_payload())
     }
 }
 
@@ -675,7 +642,6 @@ impl RetryPolicy {
 pub struct RetryClient {
     addr: String,
     policy: RetryPolicy,
-    limits: ProtoLimits,
     conn: Option<Client>,
     /// Reconnect-and-retry count so far (observability for chaos runs).
     pub retries: u64,
@@ -688,16 +654,9 @@ impl RetryClient {
         RetryClient {
             addr: addr.to_string(),
             policy,
-            limits: ProtoLimits::default(),
             conn: None,
             retries: 0,
         }
-    }
-
-    /// Overrides the reader budgets.
-    pub fn with_limits(mut self, limits: ProtoLimits) -> RetryClient {
-        self.limits = limits;
-        self
     }
 
     /// Sends `req`, reconnecting and retrying per the policy. `wait` and
@@ -717,7 +676,7 @@ impl RetryClient {
                 std::thread::sleep(self.policy.backoff(attempt));
             }
             if self.conn.is_none() {
-                match Client::connect_with(&self.addr, self.limits) {
+                match Client::connect(&self.addr) {
                     Ok(c) => self.conn = Some(c),
                     Err(e) => {
                         last_err = Some(e);
@@ -875,15 +834,7 @@ mod tests {
         // loss, like the store's torn-tail rule.
         assert_eq!(read(b"pin", 64), LineOutcome::Eof);
         assert_eq!(read(&[b'a'; 65], 64), LineOutcome::TooLong);
-        assert_eq!(
-            read(b"pi\0ng\n", 64),
-            LineOutcome::Garbage("embedded NUL byte")
-        );
         assert_eq!(read(b"pi\rng\n", 64), LineOutcome::Garbage("embedded CR"));
-        assert_eq!(
-            read(&[0xff, 0xfe, b'\n'], 64),
-            LineOutcome::Garbage("non-UTF-8 bytes")
-        );
         // Exactly at the cap is fine.
         let mut exact = vec![b'a'; 64];
         exact.push(b'\n');

@@ -1,7 +1,7 @@
 //! The daemon's journal-backed store: one directory holding everything a
 //! restart needs to resume every in-flight campaign byte-for-byte.
 //!
-//! Layout (all plain text, all torn-tail tolerant):
+//! Layout (all line files — DESIGN.md, "Line files and torn tails"):
 //!
 //! ```text
 //! store.index        append-only: one `campaign <id> <params kv>` line
@@ -10,50 +10,39 @@
 //! <id>.journal       the campaign's pfi-journal v1 write-ahead journal
 //!                    (crash-safe; a missing `complete` terminator marks
 //!                    the campaign as unfinished and resumable)
-//! <id>.seeds         the seed-corpus snapshot taken at submission, one
-//!                    schedule per line (` + `-joined fault lines).
-//!                    Exists only when seeds were pinned: a submit
-//!                    without `share-corpus`, or against an empty pool,
-//!                    writes nothing, and a missing file *is* the empty
-//!                    seed corpus. When there are seeds they are written
-//!                    before the index line (seeds if any -> index fsync
-//!                    -> ack), via <id>.seeds.tmp + rename, so an indexed
-//!                    campaign always has its pinned seeds and the final
-//!                    path is always absent or complete, never torn
+//! <id>.seeds         the seed corpus pinned at submission, one schedule
+//!                    per line; only when there were seeds to pin (a
+//!                    missing file *is* the empty corpus), written before
+//!                    the index line by temp-file + rename (`write_seeds`)
 //! corpus-<key>       the shared corpus pool for one target build,
-//!                    deduplicated by canonical schedule — the
+//!                    deduplicated by exact schedule id — the
 //!                    cross-campaign minimization pass
 //! ```
 //!
 //! Identity lives in the index + seeds; progress lives in the journal.
 //!
-//! The pool's dedup set is held in memory, one set of canonical ids per
-//! corpus key, loaded from `corpus-<key>` the first time the key is
-//! merged into; after that a merge touches the disk only to append
-//! schedules the set did not hold. This assumes the `Store` value is the
-//! directory's only writer for as long as it lives — a daemon owns its
-//! store — so nothing is watched for outside edits. A key's set is
-//! thrown away, and re-read from the file on the next merge, whenever an
-//! append to that pool fails (the file may then hold any prefix of the
-//! record), and a new `Store::open` starts with no sets at all.
-//! A SIGKILL — or an injected short write / ENOSPC from the chaos
-//! fault plan ([`crate::faultio`]) — can tear at most the trailing line
-//! of whichever file was being appended; every reader here (and the
-//! journal loader) drops an unparseable tail instead of failing, and
-//! every appender heals a torn tail (missing final newline) before
-//! writing so the fragment can never swallow a later good record.
+//! Every append holds the one store lock across cutting back a torn tail,
+//! the write and the fsync. The lock also guards the pool's dedup sets,
+//! one set of exact ids per corpus key, read from `corpus-<key>` on the
+//! key's first merge; later merges touch the disk only to append. The
+//! `Store` value is the directory's only writer while it lives (a daemon
+//! owns its store). A key's set is thrown away, to be re-read, when an
+//! append to its pool fails, and a new `Store::open` starts with none.
 
-use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use pfi_testgen::FaultSchedule;
+use pfi_testgen::{lines, FaultSchedule};
 
 use crate::faultio::{faulty_sync, faulty_write_all, FaultPlan};
 use crate::proto::CampaignParams;
+
+/// Corpus key -> exact ids of every schedule in `corpus-<key>`, present
+/// once the key has been merged into.
+type PoolSets = BTreeMap<String, BTreeSet<String>>;
 
 /// Handle on a store directory.
 #[derive(Debug)]
@@ -62,10 +51,8 @@ pub struct Store {
     /// When set, every write and fsync consults the plan — the chaos
     /// suite's disk-fault surface. `None` in production.
     plan: Option<Arc<FaultPlan>>,
-    /// Corpus key -> canonical ids of every schedule in `corpus-<key>`,
-    /// present once the key has been merged into (see the module header
-    /// for what keeps it equal to the file).
-    pools: Mutex<BTreeMap<String, BTreeSet<String>>>,
+    /// The store lock, and the pool sets it guards (module header).
+    pools: Mutex<PoolSets>,
 }
 
 impl Store {
@@ -84,11 +71,6 @@ impl Store {
     pub fn with_fault_plan(mut self, plan: Arc<FaultPlan>) -> Store {
         self.plan = Some(plan);
         self
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// `store.index` path.
@@ -111,38 +93,31 @@ impl Store {
         self.dir.join(format!("corpus-{key}"))
     }
 
-    /// Appends one line to an append-only store file, healing a torn
-    /// tail first: if a previous short write (SIGKILL, ENOSPC) left the
-    /// file without a trailing newline, a separator newline is written
-    /// before the new record so the torn fragment can never concatenate
-    /// with — and thereby swallow — a later good line. The fragment
-    /// itself stays behind as a lone unparseable line, which every
-    /// loader here already drops.
-    fn append_line(&self, path: &Path, line: &str) -> io::Result<()> {
+    /// Takes the store lock (module header).
+    fn lock(&self) -> MutexGuard<'_, PoolSets> {
+        self.pools.lock().expect("a store append panicked")
+    }
+
+    /// Appends one record (whole lines, newline added) to an append-only
+    /// store file and fsyncs. The caller holds the store lock — `_held`
+    /// is the proof — across the whole call. A torn tail a failed append
+    /// left is cut off first, so a fragment never becomes a line.
+    fn append_line(&self, _held: &PoolSets, path: &Path, record: &str) -> io::Result<()> {
         let mut f = OpenOptions::new()
             .read(true)
             .create(true)
             .append(true)
             .open(path)?;
-        let len = f.metadata()?.len();
-        if len > 0 {
-            let mut last = [0u8; 1];
-            f.seek(SeekFrom::Start(len - 1))?;
-            f.read_exact(&mut last)?;
-            if last[0] != b'\n' {
-                f.write_all(b"\n")?;
-            }
-        }
-        let record = format!("{line}\n");
+        lines::truncate_torn_tail(&mut f)?;
+        let record = format!("{record}\n");
         let sync_fails = faulty_write_all(&mut f, record.as_bytes(), self.plan.as_ref())?;
         faulty_sync(&f, sync_fails)
     }
 
     /// Appends one submission to the index and fsyncs. Only after this
-    /// returns may the daemon acknowledge the submit — an unacknowledged
-    /// (torn) line fails the strict params parse and is skipped on load.
-    /// The optional `ident` (the client's idempotency token) rides the
-    /// same line so dedup survives restarts.
+    /// returns may the daemon acknowledge the submit. The optional
+    /// `ident` (the client's idempotency token) rides the same line so
+    /// dedup survives restarts.
     pub fn append_index(
         &self,
         id: &str,
@@ -153,31 +128,22 @@ impl Store {
             Some(tok) => format!("campaign {id} {} ident={tok}", params.to_kv()),
             None => format!("campaign {id} {}", params.to_kv()),
         };
-        self.append_line(&self.index_path(), &line)
+        self.append_line(&self.lock(), &self.index_path(), &line)
     }
 
     /// Loads the index: every fully-written submission, in submission
     /// order, with its idempotency token when the submit carried one.
-    ///
-    /// Self-healing: a write that failed *after* its bytes landed (an
-    /// injected or real fsync failure) gets retried by the daemon, which
-    /// appends the record a second time — so duplicate ids are expected
-    /// debris, and the loader keeps one entry per id. The LAST occurrence
-    /// wins: a retried complete line must beat any torn prefix of itself
-    /// that happens to still parse (e.g. a short write that cut the
-    /// trailing ident token).
+    /// Malformed lines are skipped (older stores hold healed fragments
+    /// mid-file). A failed fsync leaves a whole line the daemon's retry
+    /// appends again, so the loader keeps one entry per id, the last.
     #[allow(clippy::type_complexity)]
     pub fn load_index(&self) -> io::Result<Vec<(String, CampaignParams, Option<String>)>> {
-        let text = match fs::read_to_string(self.index_path()) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
+        let bytes = read_or_empty(&self.index_path())?;
         let mut out: Vec<(String, CampaignParams, Option<String>)> = Vec::new();
         let mut slot: BTreeMap<String, usize> = BTreeMap::new();
-        for line in text.lines() {
+        for line in lines::complete(&bytes).filter_map(Result::ok) {
             let Some(rest) = line.strip_prefix("campaign ") else {
-                continue; // torn or foreign line
+                continue; // malformed or foreign line
             };
             let Some((id, kv)) = rest.split_once(' ') else {
                 continue;
@@ -200,20 +166,18 @@ impl Store {
 
     /// Writes a campaign's pinned seed corpus (one schedule per line) and
     /// fsyncs. Empty baselines are never seeds, and with nothing to pin no
-    /// file is written ([`read_seeds`](Store::read_seeds) reads a missing
-    /// file as the empty corpus); a stale `<id>.seeds` — from a submit
-    /// refused at the index, under an id the next start issues again — is
-    /// unlinked. Otherwise crash-safe by temp-file + rename: the final
-    /// path either doesn't exist or holds a complete, fsynced seed set —
-    /// an ENOSPC or short write mid-stream strands only the `.tmp` file,
-    /// which the next attempt overwrites.
+    /// file is written (a missing file is the empty corpus) and a stale
+    /// `<id>.seeds` — from a submit refused at the index, under an id the
+    /// next start issues again — is unlinked. Otherwise crash-safe by
+    /// temp-file + rename: the final path is absent or complete; a failed
+    /// write strands only the `.tmp` file, which the next attempt overwrites.
     pub fn write_seeds(&self, id: &str, seeds: &[FaultSchedule]) -> io::Result<()> {
         let final_path = self.seeds_path(id);
-        let mut body = String::new();
-        for s in seeds.iter().filter(|s| !s.is_empty()) {
-            body.push_str(&s.id());
-            body.push('\n');
-        }
+        let body: String = seeds
+            .iter()
+            .filter(|s| !s.is_empty())
+            .map(|s| s.id() + "\n")
+            .collect();
         if body.is_empty() {
             return match fs::remove_file(&final_path) {
                 // The removal has to be as durable as the index line that
@@ -243,35 +207,32 @@ impl Store {
         read_schedule_lines(&self.corpus_path(key))
     }
 
-    /// Merges a finished campaign's corpus into the target's shared pool,
-    /// the cross-campaign dedup/minimization pass: a schedule joins the
-    /// pool only if no pool schedule already has its canonical form, so
-    /// equivalent discoveries from different campaigns collapse to one
-    /// seed. Returns how many schedules were actually added. Append-only
-    /// and fsynced; pool order is deterministic in campaign completion
-    /// order. The pool file is read only on the first merge into `key`
-    /// and after a failed append (module header).
+    /// Merges a finished campaign's corpus into the target's shared pool:
+    /// a schedule joins only if no pool schedule has its exact id (a
+    /// canonical form is not an equivalence). Returns how many joined.
+    /// Append-only and fsynced, in campaign completion order. The pool
+    /// file is read only on the first merge into `key` and after a failed
+    /// append (module header).
     pub fn merge_corpus(&self, key: &str, corpus: &[FaultSchedule]) -> io::Result<usize> {
-        let mut pools = self
-            .pools
-            .lock()
-            .expect("no merge panics while holding the pool index");
-        let seen = match pools.entry(key.to_string()) {
-            Entry::Occupied(held) => held.into_mut(),
-            Entry::Vacant(slot) => {
-                let on_disk = self.read_corpus(key)?;
-                slot.insert(on_disk.iter().map(|s| s.canonical_id()).collect())
-            }
-        };
-        let fresh: Vec<&FaultSchedule> = corpus
+        let mut pools = self.lock();
+        if !pools.contains_key(key) {
+            let pool = self.read_corpus(key)?;
+            pools.insert(
+                key.to_string(),
+                pool.iter().map(FaultSchedule::id).collect(),
+            );
+        }
+        let seen = pools.get_mut(key).expect("inserted above");
+        let fresh: Vec<String> = corpus
             .iter()
-            .filter(|s| !s.is_empty() && seen.insert(s.canonical_id()))
+            .filter(|s| !s.is_empty())
+            .map(FaultSchedule::id)
+            .filter(|id| seen.insert(id.clone()))
             .collect();
         if fresh.is_empty() {
             return Ok(0);
         }
-        let lines: Vec<String> = fresh.iter().map(|s| s.id()).collect();
-        if let Err(e) = self.append_line(&self.corpus_path(key), &lines.join("\n")) {
+        if let Err(e) = self.append_line(&pools, &self.corpus_path(key), &fresh.join("\n")) {
             pools.remove(key);
             return Err(e);
         }
@@ -279,18 +240,19 @@ impl Store {
     }
 }
 
-/// Reads one-schedule-per-line files (` + `-joined fault lines, the
-/// `FaultSchedule::id()` form). Unparseable lines — at worst one torn
-/// tail — are dropped.
+/// A store file's bytes; a missing file is an empty one.
+fn read_or_empty(path: &Path) -> io::Result<Vec<u8>> {
+    match fs::read(path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
+        read => read,
+    }
+}
+
+/// Reads one-schedule-per-line files (the `FaultSchedule::id()` form).
+/// Malformed lines are skipped, like the index's.
 fn read_schedule_lines(path: &Path) -> io::Result<Vec<FaultSchedule>> {
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    Ok(text
-        .lines()
-        .filter_map(|line| FaultSchedule::from_lines(line.split(" + ")).ok())
+    Ok(lines::complete(&read_or_empty(path)?)
+        .filter_map(|line| FaultSchedule::from_id(line.ok()?).ok())
         .filter(|s| !s.is_empty())
         .collect())
 }
@@ -299,6 +261,7 @@ fn read_schedule_lines(path: &Path) -> io::Result<Vec<FaultSchedule>> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::io::Write;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pfi_store_{}_{name}", std::process::id()))
@@ -317,12 +280,13 @@ mod tests {
         };
         store.append_index("c1", &p1, None).unwrap();
         store.append_index("c2", &p2, Some("tok-1")).unwrap();
-        // Simulate a SIGKILL mid-append: a torn trailing line.
+        // Simulate a SIGKILL mid-append: a torn trailing line, cut after
+        // its last required field, so it would parse but for its newline.
         let mut f = OpenOptions::new()
             .append(true)
             .open(store.index_path())
             .unwrap();
-        write!(f, "campaign c3 proto=gmp seed=9").unwrap();
+        write!(f, "campaign c3 {} ident=cli-ab", p1.to_kv()).unwrap();
         drop(f);
         let loaded = store.load_index().unwrap();
         assert_eq!(
@@ -331,11 +295,10 @@ mod tests {
                 ("c1".to_string(), p1.clone(), None),
                 ("c2".to_string(), p2.clone(), Some("tok-1".to_string()))
             ],
-            "the torn c3 line must be dropped, not half-parsed"
+            "the torn c3 line must be dropped, not parsed"
         );
-        // Torn-tail healing: an append after the torn line must not let
-        // the fragment swallow it — the new record lands on its own line
-        // and the fragment stays an isolated, dropped, garbage line.
+        // The next append cuts the fragment off before it writes, so the
+        // fragment never becomes a line of its own.
         store.append_index("c4", &p1, None).unwrap();
         let healed = store.load_index().unwrap();
         assert_eq!(healed.len(), 3);
@@ -344,32 +307,32 @@ mod tests {
     }
 
     #[test]
-    fn corpus_pool_dedups_by_canonical_schedule() {
+    fn corpus_pool_dedups_by_exact_schedule() {
         let dir = tmp("corpus");
         fs::remove_dir_all(&dir).ok();
         let store = Store::open(&dir).unwrap();
         let a = FaultSchedule::from_lines(["n1 send drop-all HEARTBEAT"]).unwrap();
         let b = FaultSchedule::from_lines(["n0 recv delay-ms ACK 250"]).unwrap();
-        // Same canonical form as `a` composed with `b`, opposite order.
+        // `a` composed with `b` in both orders: one canonical form, two
+        // schedules — both join.
         let ab = FaultSchedule {
             faults: [a.faults.clone(), b.faults.clone()].concat(),
         };
         let ba = FaultSchedule {
             faults: [b.faults.clone(), a.faults.clone()].concat(),
         };
-        assert_eq!(ab.canonical_id(), ba.canonical_id());
-        assert_eq!(store.merge_corpus("gmp", &[a.clone(), ab]).unwrap(), 2);
+        assert_eq!(
+            store.merge_corpus("gmp", &[a.clone(), ab.clone()]).unwrap(),
+            2
+        );
         assert_eq!(
             store
-                .merge_corpus("gmp", &[a.clone(), ba, b.clone()])
+                .merge_corpus("gmp", &[a.clone(), ba.clone(), b.clone()])
                 .unwrap(),
-            1,
-            "only the genuinely new schedule may join the pool"
+            2,
+            "only the schedules not pooled yet may join"
         );
-        let pool = store.read_corpus("gmp").unwrap();
-        assert_eq!(pool.len(), 3);
-        assert_eq!(pool[0], a);
-        assert_eq!(pool[2], b);
+        assert_eq!(store.read_corpus("gmp").unwrap(), [a, ab, ba, b]);
         assert!(store.read_corpus("tcp").unwrap().is_empty());
         fs::remove_dir_all(&dir).ok();
     }
@@ -382,32 +345,47 @@ mod tests {
         let plan = FaultPlan::new(FaultConfig {
             seed: 9,
             wire_permille: 0,
-            disk_permille: 600,
+            disk_permille: 350,
             max_faults: 0, // unlimited: every op rolls the dice
             max_delay_ms: 1,
         });
         let store = Store::open(&dir).unwrap().with_fault_plan(plan.clone());
         // The daemon's contract: an append that returned Ok was acked; an
-        // append that errored is retried. After any interleaving of
-        // failures, the index must hold exactly the acked campaigns, in
-        // order, with no half-parsed ghosts.
-        let mut acked = Vec::new();
-        for i in 0..32 {
-            let id = format!("c{i}");
-            let p = CampaignParams {
-                seed: i,
-                ..CampaignParams::default()
-            };
-            for _ in 0..64 {
-                // bounded retry, like the daemon's
-                if store.append_index(&id, &p, None).is_ok() {
-                    acked.push((id.clone(), p.clone(), None));
-                    break;
-                }
-            }
-        }
+        // append that errored is retried. Submits append from their
+        // connection threads, so four threads append at once. After any
+        // interleaving of failures, the index must hold exactly the acked
+        // campaigns, with no half-parsed or glued ghosts: no append may
+        // land between another's heal and its write.
+        let append = |i: u64| {
+            let (id, p) = (
+                format!("c{i}"),
+                CampaignParams {
+                    seed: i,
+                    ..CampaignParams::default()
+                },
+            );
+            // bounded retry, like the daemon's
+            (0..64)
+                .any(|_| store.append_index(&id, &p, None).is_ok())
+                .then_some((id, p, None))
+        };
+        let mut acked: Vec<_> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..4u64)
+                .map(|t| {
+                    s.spawn(move || (t * 24..t * 24 + 24).filter_map(append).collect::<Vec<_>>())
+                })
+                .collect();
+            threads
+                .into_iter()
+                .flat_map(|t| t.join().unwrap())
+                .collect()
+        });
         assert!(plan.disk_injected() > 0, "the sweep must actually inject");
-        assert_eq!(store.load_index().unwrap(), acked);
+        let mut loaded = store.load_index().unwrap();
+        for list in [&mut loaded, &mut acked] {
+            list.sort_by(|a, b| a.0.cmp(&b.0));
+        }
+        assert_eq!(loaded, acked);
 
         // Seeds are atomic: a failed write leaves the previous (absent or
         // complete) file; a successful one is complete.
@@ -456,29 +434,28 @@ mod tests {
     }
 
     /// The pool merge as it was before the in-memory index: the whole
-    /// pool file is re-read and re-canonicalised on every call. Kept as
-    /// the reference `merge_corpus` must be indistinguishable from.
+    /// pool file is re-read on every call. Kept as the reference
+    /// `merge_corpus` must be indistinguishable from.
     fn merge_rereading(store: &Store, key: &str, corpus: &[FaultSchedule]) -> io::Result<usize> {
-        let mut seen: BTreeSet<String> = store
-            .read_corpus(key)?
+        let mut seen: BTreeSet<String> = store.read_corpus(key)?.iter().map(|s| s.id()).collect();
+        let fresh: Vec<String> = corpus
             .iter()
-            .map(|s| s.canonical_id())
-            .collect();
-        let fresh: Vec<&FaultSchedule> = corpus
-            .iter()
-            .filter(|s| !s.is_empty() && seen.insert(s.canonical_id()))
+            .filter(|s| !s.is_empty())
+            .map(|s| s.id())
+            .filter(|id| seen.insert(id.clone()))
             .collect();
         if fresh.is_empty() {
             return Ok(0);
         }
-        let lines: Vec<String> = fresh.iter().map(|s| s.id()).collect();
-        store.append_line(&store.corpus_path(key), &lines.join("\n"))?;
+        let held = store.lock();
+        store.append_line(&held, &store.corpus_path(key), &fresh.join("\n"))?;
         Ok(fresh.len())
     }
 
     /// Fault lines the generated corpora draw from: several sites and
-    /// directions, so permuted draws share a canonical form, and a
-    /// `drop-after 0` that canonicalises to the `drop-all` beside it.
+    /// directions, so permuted draws repeat schedules and schedules that
+    /// share a canonical form (and a `drop-after 0` beside the `drop-all`
+    /// it canonicalises to), which the exact-id dedup keeps apart.
     const FAULT_LINES: [&str; 7] = [
         "n1 send drop-all HEARTBEAT",
         "n1 send drop-after HEARTBEAT 0",

@@ -4,13 +4,19 @@
 //! fed truncated, bit-flipped, or garbage-prefixed frames. These are the
 //! same corruption shapes `faultio` injects at runtime; the properties
 //! here pin the parser half of that contract without needing a daemon.
+//!
+//! Every text loader — the store's index, seeds and corpus pool, the
+//! schedule line, repro artifacts and the journal — meets the same three
+//! shapes at the end of this file.
 
 use std::io::BufReader;
+use std::path::PathBuf;
 
 use pfi_serve::proto::{
     parse_kv, read_line_bounded, read_reply_limited, write_reply, LineOutcome, ProtoLimits,
 };
-use pfi_serve::{CampaignParams, Request};
+use pfi_serve::{CampaignParams, Request, Store};
+use pfi_testgen::FaultSchedule;
 use proptest::prelude::*;
 
 fn arb_params() -> impl Strategy<Value = CampaignParams> {
@@ -225,6 +231,321 @@ proptest! {
         for (k, v) in map {
             prop_assert!(!k.contains(' '));
             prop_assert!(!v.contains(' '));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Line files. Every text loader meets the same three shapes: its file cut
+// at every byte, one bit flipped, or garbage prefixed. It returns `Ok` or
+// `Err` and never panics. Cut anywhere, a file yields exactly the records
+// whose lines were finished: a line without its newline is torn. A flipped
+// bit or a garbage prefix costs the line it lands in (junk is glued onto
+// the first line) and nothing else. The store's loaders skip a bad line;
+// the journal and repro loaders refuse the file.
+
+/// One of the three damage shapes.
+#[derive(Debug)]
+enum Damage {
+    /// Keep the first `n` bytes.
+    Cut(usize),
+    /// Flip one bit of the byte at this offset.
+    Flip(usize, u8),
+    /// Prefix these bytes.
+    Junk(Vec<u8>),
+}
+
+/// A drawn flip or junk prefix, whatever the file's length.
+type Draw = (bool, u32, u8, Vec<u8>);
+
+fn arb_draw() -> impl Strategy<Value = Draw> {
+    (
+        any::<bool>(),
+        0u32..1000,
+        0u8..8,
+        proptest::collection::vec(any::<u8>(), 1..48),
+    )
+}
+
+impl Damage {
+    /// Every cut of a `len`-byte file, then the drawn flip or junk prefix.
+    fn each((flip, at, bit, junk): Draw, len: usize) -> impl Iterator<Item = Damage> {
+        let drawn = if flip {
+            Damage::Flip((len - 1) * at as usize / 1000, bit)
+        } else {
+            Damage::Junk(junk)
+        };
+        (0..len).map(Damage::Cut).chain([drawn])
+    }
+
+    fn apply(&self, bytes: &[u8]) -> Vec<u8> {
+        match self {
+            Damage::Cut(at) => bytes[..*at].to_vec(),
+            Damage::Flip(at, bit) => {
+                let mut flipped = bytes.to_vec();
+                flipped[*at] ^= 1 << bit;
+                flipped
+            }
+            Damage::Junk(junk) => [junk, bytes].concat(),
+        }
+    }
+
+    /// Whether a store loader's `loaded` is what this damage may leave of
+    /// `records`, written one per line as `bytes`.
+    fn check_store<T: PartialEq + std::fmt::Debug>(
+        &self,
+        bytes: &[u8],
+        records: &[T],
+        loaded: &[T],
+    ) -> Result<(), TestCaseError> {
+        let lines_before = |at: usize| bytes[..at].iter().filter(|&&b| b == b'\n').count();
+        match *self {
+            Damage::Cut(at) => {
+                prop_assert_eq!(loaded, &records[..lines_before(at)], "cut at {}", at)
+            }
+            Damage::Flip(at, _) => {
+                // The flipped line — and the next one as well when the flip
+                // took the newline between them — may be lost or altered.
+                let hit = lines_before(at);
+                let kept = (hit + 1 + usize::from(bytes[at] == b'\n')).min(records.len());
+                prop_assert!(
+                    loaded.starts_with(&records[..hit])
+                        && loaded.ends_with(&records[kept..])
+                        && loaded.len() <= hit + 1 + records.len() - kept,
+                    "{:?} of {:?} loaded {:?}",
+                    self,
+                    records,
+                    loaded
+                );
+            }
+            Damage::Junk(_) => prop_assert!(
+                loaded == records || loaded == &records[1..],
+                "{:?} of {:?} loaded {:?}",
+                self,
+                records,
+                loaded
+            ),
+        }
+        Ok(())
+    }
+}
+
+/// A fresh directory per property.
+fn store_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("pfi_props_{}_{name}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Writes `bytes`, damaged every way `draw` stands for, to `path`, loads
+/// each with `load`, and checks what it returns against `records`.
+fn check_store_file<T: PartialEq + std::fmt::Debug>(
+    path: &std::path::Path,
+    records: &[T],
+    draw: Draw,
+    load: impl Fn() -> Vec<T>,
+) -> Result<(), TestCaseError> {
+    let bytes = std::fs::read(path).unwrap();
+    for damage in Damage::each(draw, bytes.len()) {
+        std::fs::write(path, damage.apply(&bytes)).unwrap();
+        damage.check_store(&bytes, records, &load())?;
+    }
+    Ok(())
+}
+
+const FAULT_LINES: [&str; 6] = [
+    "n1 send drop-all HEARTBEAT",
+    "n0 recv delay-ms ACK 250",
+    "n2 recv drop-nth JOIN 2",
+    "n0 send duplicate PROCLAIM 2",
+    "n2 send corrupt-byte COMMIT 2 64",
+    "n1 recv reorder ACK 3",
+];
+
+fn arb_schedule() -> impl Strategy<Value = FaultSchedule> {
+    proptest::collection::vec(0usize..FAULT_LINES.len(), 1..4)
+        .prop_map(|picks| FaultSchedule::from_lines(picks.iter().map(|&i| FAULT_LINES[i])).unwrap())
+}
+
+/// Campaign ids no single bit flip turns into one another.
+const IDS: [&str; 5] = ["c1", "c2", "c4", "c7", "c8"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// `store.index`: a damaged index loads every campaign the damage did
+    /// not touch, and a torn tail is never a campaign.
+    #[test]
+    fn a_damaged_index_loses_only_what_the_damage_touched(
+        campaigns in proptest::collection::vec(
+            (arb_params(), proptest::option::of("[A-Za-z0-9._-]{1,12}")), 1..6),
+        draw in arb_draw(),
+    ) {
+        let dir = store_dir("index");
+        let store = Store::open(&dir).unwrap();
+        let records: Vec<_> = IDS
+            .iter()
+            .zip(campaigns)
+            .map(|(id, (params, ident))| (id.to_string(), params, ident))
+            .collect();
+        for (id, params, ident) in &records {
+            store.append_index(id, params, ident.as_deref()).unwrap();
+        }
+        check_store_file(&store.index_path(), &records, draw, || store.load_index().unwrap())?;
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `<id>.seeds`: the same for a pinned seed corpus.
+    #[test]
+    fn damaged_seeds_lose_only_what_the_damage_touched(
+        seeds in proptest::collection::vec(arb_schedule(), 1..6),
+        draw in arb_draw(),
+    ) {
+        let dir = store_dir("seeds");
+        let store = Store::open(&dir).unwrap();
+        store.write_seeds("c1", &seeds).unwrap();
+        check_store_file(&store.seeds_path("c1"), &seeds, draw, || store.read_seeds("c1").unwrap())?;
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `corpus-<key>`: the same for a pool several merges wrote. And a
+    /// torn pool is never merged over: after any cut, re-merging what was
+    /// pooled restores exactly the pool.
+    #[test]
+    fn a_damaged_pool_loses_only_what_the_damage_touched(
+        merges in proptest::collection::vec(
+            proptest::collection::vec(arb_schedule(), 1..4), 1..4),
+        draw in arb_draw(),
+        cut_permille in 0usize..1000,
+    ) {
+        let dir = store_dir("pool");
+        let store = Store::open(&dir).unwrap();
+        for corpus in &merges {
+            store.merge_corpus("gmp", corpus).unwrap();
+        }
+        let pool = store.read_corpus("gmp").unwrap();
+        let path = store.corpus_path("gmp");
+        let bytes = std::fs::read(&path).unwrap();
+        check_store_file(&path, &pool, draw, || store.read_corpus("gmp").unwrap())?;
+        std::fs::write(&path, &bytes[..bytes.len() * cut_permille / 1000]).unwrap();
+        let reopened = Store::open(&dir).unwrap();
+        reopened.merge_corpus("gmp", &pool).unwrap();
+        prop_assert_eq!(reopened.read_corpus("gmp").unwrap(), pool);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+proptest! {
+    /// The schedule line (`FaultSchedule::id`): it round-trips, and
+    /// parsed from damaged text it errs or yields faults of which all but
+    /// the last were written whole. (A cut can shorten the last one's
+    /// number, which is why the store reads schedule lines only from
+    /// finished lines.)
+    #[test]
+    fn a_damaged_schedule_line_errs_or_keeps_its_whole_faults(
+        schedule in prop_oneof![Just(FaultSchedule::empty()).boxed(), arb_schedule().boxed()],
+        draw in arb_draw(),
+    ) {
+        let id = schedule.id();
+        prop_assert_eq!(FaultSchedule::from_id(&id).unwrap(), schedule.clone());
+        for damage in Damage::each(draw, id.len()) {
+            let text = String::from_utf8_lossy(&damage.apply(id.as_bytes())).into_owned();
+            let Ok(parsed) = FaultSchedule::from_id(&text) else { continue };
+            let whole = parsed.len().saturating_sub(1);
+            match damage {
+                Damage::Cut(_) => prop_assert_eq!(&parsed.faults[..whole], &schedule.faults[..whole]),
+                Damage::Flip(..) => prop_assert!(parsed.len() <= schedule.len()),
+                Damage::Junk(_) => prop_assert!(
+                    parsed.faults.ends_with(&schedule.faults[1..]),
+                    "{:?} parsed as {}", text, parsed.id()
+                ),
+            }
+        }
+    }
+
+    /// A repro artifact: damaged, it loads only if a bit flip left it
+    /// well-formed — cut, it has lost the newline after `end`; prefixed,
+    /// its header.
+    #[test]
+    fn a_damaged_repro_is_refused_unless_a_flip_left_it_well_formed(
+        schedule in arb_schedule(),
+        message in "[ -~]{0,40}",
+        draw in arb_draw(),
+    ) {
+        let repro = pfi_testgen::Repro {
+            target: "gmp".into(),
+            seed: 4242,
+            oracle: "gmp-agreement".into(),
+            message,
+            schedule,
+        };
+        let text = repro.to_text();
+        prop_assert_eq!(pfi_testgen::Repro::from_text(&text).unwrap(), repro.clone());
+        for damage in Damage::each(draw, text.len()) {
+            if let Ok(parsed) = pfi_testgen::Repro::from_text(damage.apply(text.as_bytes())) {
+                prop_assert!(matches!(damage, Damage::Flip(..)), "{:?} loaded", damage);
+                prop_assert!(parsed.schedule.len() <= repro.schedule.len());
+            }
+        }
+    }
+
+    /// A journal: cut, it loads a prefix of its cases (an error only
+    /// inside the metadata header); with a bit flipped it loads with at
+    /// most one case altered, or errs; prefixed with junk it errs.
+    #[test]
+    fn a_damaged_journal_errs_or_keeps_its_untouched_cases(
+        seed in any::<u64>(),
+        cases in proptest::collection::vec((arb_schedule(), 0u8..4, 0u32..4), 1..5),
+        complete in any::<bool>(),
+        draw in arb_draw(),
+    ) {
+        use pfi_testgen::{Journal, JournalCase, JournalMeta, Verdict};
+        let mut journal = Journal::new(JournalMeta {
+            target: "gmp".into(),
+            world_seed: seed / 3,
+            seed,
+            budget: 24,
+            max_faults: 3,
+            epoch: 8,
+            prefilter: true,
+            seed_corpus: 0,
+            step_budget: 0,
+            max_retries: 2,
+        });
+        let meta_len = journal.to_text().len();
+        for (schedule, verdict, edges) in cases {
+            journal.dispatched.push(schedule.id());
+            journal.cases.push(JournalCase {
+                schedule,
+                verdict: match verdict {
+                    0 => Verdict::Pass,
+                    1 => Verdict::Degraded("views diverged:\nn0 {1 2}".into()),
+                    2 => Verdict::Crashed("panicked at\r\n'boom'\0".into()),
+                    _ => Verdict::Hung("event cap".into()),
+                },
+                oracle: None,
+                coverage: (0..edges).map(|n| format!("gmp:n{n}:Started")).collect(),
+                shrink: None,
+            });
+        }
+        journal.complete = complete;
+        let text = journal.to_text();
+        let written = Journal::from_text(&text).unwrap();
+        for damage in Damage::each(draw, text.len()) {
+            match (Journal::from_text(damage.apply(text.as_bytes())), &damage) {
+                (Ok(loaded), Damage::Cut(_)) => {
+                    prop_assert_eq!(&loaded.cases[..], &written.cases[..loaded.cases.len()]);
+                    prop_assert!(!loaded.complete);
+                }
+                (Err(_), Damage::Cut(at)) => prop_assert!(*at < meta_len, "cut at {} errs", at),
+                (Ok(loaded), Damage::Flip(..)) => {
+                    prop_assert!(loaded.cases.len() <= written.cases.len());
+                    let altered = loaded.cases.iter().zip(&written.cases).filter(|(a, b)| a != b);
+                    prop_assert!(altered.count() <= 1, "{:?}", damage);
+                }
+                (Ok(_), Damage::Junk(_)) => prop_assert!(false, "{:?} loaded", damage),
+                (Err(_), _) => {}
+            }
         }
     }
 }

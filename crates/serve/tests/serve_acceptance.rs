@@ -231,7 +231,7 @@ fn daemon_matches_inline_exploration_and_shares_corpus() {
     let seeds: Vec<FaultSchedule> = pool
         .payload
         .iter()
-        .map(|l| FaultSchedule::from_lines(l.split(" + ")).unwrap())
+        .map(|l| FaultSchedule::from_id(l).unwrap())
         .collect();
 
     // Campaign 2: different seed, seeded from the pool. The daemon must
@@ -384,7 +384,7 @@ fn seeds_are_pinned_only_when_shared_and_survive_a_grown_pool() {
     let (_, digest3) = wait_digest(&mut client, &id3);
     let seeds = pinned
         .iter()
-        .map(|l| FaultSchedule::from_lines(l.split(" + ")).unwrap())
+        .map(|l| FaultSchedule::from_id(l).unwrap())
         .collect();
     assert_eq!(
         digest3,
@@ -593,6 +593,101 @@ fn a_store_from_the_prune_tier_era_opens_and_serves_its_results() {
     for (id, text) in ["c1", "c2"].iter().zip(&before) {
         assert_eq!(&results_text(&mut client, id), text, "{id}");
     }
+    daemon.shutdown_and_join();
+    std::fs::remove_dir_all(&store).ok();
+    std::fs::remove_file(&socket).ok();
+}
+
+/// What a SIGKILL mid-append leaves: an index line and a pool line
+/// without their newlines. Each would parse — the index line is cut after
+/// its last required field, the pool line is `… 250` cut to `… 25` — and
+/// neither was ever acknowledged. After a restart the index line is no
+/// campaign, and the pool line is never served, pinned or merged over.
+#[test]
+fn torn_store_tails_are_no_campaign_and_no_seed_after_a_restart() {
+    let store = tmp("torn_store");
+    let socket = tmp("torn.sock");
+    let socket2 = tmp("torn2.sock");
+    std::fs::remove_dir_all(&store).ok();
+    let daemon = Daemon::start(&store, &socket);
+    let mut client = daemon.client();
+    let id1 = submit(&mut client, &params(42, 24));
+    wait_digest(&mut client, &id1);
+    daemon.shutdown_and_join();
+
+    let append = |file: &str, text: &str| {
+        use std::io::Write;
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(store.join(file))
+            .unwrap();
+        f.write_all(text.as_bytes()).unwrap();
+    };
+    let torn = "n2 send delay-ms JOIN 25";
+    append("corpus-gmp", torn);
+    append(
+        "store.index",
+        &format!("campaign c2 {} ident=cli-ab", params(7, 24).to_kv()),
+    );
+
+    let daemon = Daemon::start(&store, &socket2);
+    let mut client = daemon.client();
+    let status = client.call(&Request::Status { id: None }).unwrap();
+    assert_eq!(status.get("campaigns"), Some("1"), "{:?}", status.payload);
+    let pool = |client: &mut Client| client.call(&Request::Corpus { key: "gmp".into() }).unwrap();
+    let served = pool(&mut client).payload;
+    assert!(!served.is_empty() && !served.iter().any(|l| l == torn));
+
+    let p2 = CampaignParams {
+        share_corpus: true,
+        ..params(7, 24)
+    };
+    let id2 = submit(&mut client, &p2);
+    assert_eq!(id2, "c2", "the torn c2 was never issued");
+    let seeds = std::fs::read_to_string(store.join("c2.seeds")).unwrap();
+    assert_eq!(
+        seeds,
+        served.join("\n") + "\n",
+        "only whole pool lines are pinned"
+    );
+    let (_, digest2) = wait_digest(&mut client, &id2);
+    let pinned = served
+        .iter()
+        .map(|l| FaultSchedule::from_id(l).unwrap())
+        .collect();
+    assert_eq!(digest2, inline_digest(&p2, pinned));
+    let merged = pool(&mut client).payload;
+    assert!(merged.starts_with(&served) && !merged.iter().any(|l| l == torn));
+    let index = std::fs::read_to_string(store.join("store.index")).unwrap();
+    assert!(!index.contains("cli-ab"), "{index}");
+    daemon.shutdown_and_join();
+
+    // A byte outside the line grammar costs its line only: with c2's index
+    // line and the first pool line spoilt, the daemon starts, serves the
+    // pool, and runs gmp campaigns — under a fresh id, since c2 still owns
+    // its journal.
+    for (file, at) in [("store.index", 2), ("corpus-gmp", 1)] {
+        let mut bytes = std::fs::read(store.join(file)).unwrap();
+        let at = if file == "store.index" {
+            bytes.len() - at
+        } else {
+            at
+        };
+        bytes[at] = 0xff;
+        std::fs::write(store.join(file), bytes).unwrap();
+    }
+    let daemon = Daemon::start(&store, &socket);
+    let mut client = daemon.client();
+    let status = client.call(&Request::Status { id: None }).unwrap();
+    assert_eq!(status.get("campaigns"), Some("1"), "{:?}", status.payload);
+    assert!(pool(&mut client).ok);
+    let p3 = params(9, 24);
+    let id3 = submit(&mut client, &p3);
+    assert_eq!(id3, "c3");
+    assert_eq!(
+        wait_digest(&mut client, &id3).1,
+        inline_digest(&p3, Vec::new())
+    );
     daemon.shutdown_and_join();
     std::fs::remove_dir_all(&store).ok();
     std::fs::remove_file(&socket).ok();

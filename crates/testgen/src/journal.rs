@@ -79,17 +79,19 @@
 //!
 //! # Torn tails
 //!
-//! The journal is written record-at-a-time, so a killed process leaves at
-//! most one partial record at the end of the file. [`Journal::from_text`]
-//! drops an unterminated trailing block (and a final line without a
-//! newline) silently — that work simply re-executes on resume. Garbage
-//! *before* the tail is corruption, not interruption, and is an error.
+//! The journal is a line file (DESIGN.md, "Line files and torn tails"),
+//! written record-at-a-time, so a killed process leaves at most one
+//! partial record at the end. [`Journal::from_text`] drops it — the torn
+//! line and an unterminated trailing block — and that work re-executes on
+//! resume. Anything malformed *before* the tail is corruption, not
+//! interruption, and is an error.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use crate::lines::{self, one_line};
 use crate::runner::Verdict;
 use crate::schedule::FaultSchedule;
 
@@ -225,16 +227,6 @@ pub struct Journal {
     pub complete: bool,
 }
 
-/// Multi-line text (verdict messages can carry panic payloads) collapsed
-/// to the one-line form the journal requires.
-fn one_line(s: &str) -> String {
-    if s.contains(['\n', '\r']) {
-        s.replace(['\n', '\r'], " ")
-    } else {
-        s.to_string()
-    }
-}
-
 fn render_meta(meta: &JournalMeta) -> String {
     let mut out = String::new();
     out.push_str(HEADER);
@@ -365,14 +357,13 @@ impl Journal {
     /// Parses journal text. A torn tail — a final line without its
     /// newline, or an unterminated trailing `case`/`quarantine` block — is
     /// dropped silently (that work re-executes on resume). Anything
-    /// malformed *before* the tail is an error.
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        // Only lines the writer finished (newline-terminated) count: the
-        // final `split` element is either the empty string after the last
-        // newline or a torn partial line — drop it either way.
-        let mut lines: Vec<&str> = text.split('\n').collect();
-        lines.pop();
-        let mut lines = lines.into_iter();
+    /// malformed *before* the tail, a line outside the line grammar
+    /// included, is an error.
+    pub fn from_text(text: impl AsRef<[u8]>) -> Result<Self, String> {
+        let mut lines = lines::complete(text.as_ref())
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|why| format!("malformed journal line: {why}"))?
+            .into_iter();
         if lines.next() != Some(HEADER) {
             return Err(format!("missing {HEADER:?} header"));
         }
@@ -511,9 +502,9 @@ impl Journal {
 
     /// Loads and parses a journal file.
     pub fn load(path: &Path) -> Result<Self, String> {
-        let text = std::fs::read_to_string(path)
+        let bytes = std::fs::read(path)
             .map_err(|e| format!("cannot read journal {}: {e}", path.display()))?;
-        Self::from_text(&text)
+        Self::from_text(bytes)
     }
 
     /// Rebuilds the campaign outcome the recorded cases merge to —
@@ -851,11 +842,7 @@ mod tests {
         // with a prefix of the records, or (inside the metadata header)
         // fail — never accept garbage or panic.
         for cut in 0..text.len() {
-            let torn = &text[..cut];
-            if !torn.is_ascii() {
-                continue;
-            }
-            match Journal::from_text(torn) {
+            match Journal::from_text(&text.as_bytes()[..cut]) {
                 Ok(j) => {
                     assert_eq!(j.meta, journal.meta);
                     // Whatever cases survived are a prefix of the real ones.
@@ -887,6 +874,13 @@ mod tests {
 
         let corrupted = sample().to_text().replace("verdict pass", "verdict yolo");
         assert!(Journal::from_text(&corrupted).is_err());
+
+        // A line outside the line grammar is malformed like any other.
+        let mut bytes = sample().to_text().into_bytes();
+        bytes[40] = 0xff;
+        assert!(Journal::from_text(&bytes)
+            .unwrap_err()
+            .contains("non-UTF-8"));
     }
 
     #[test]
@@ -896,7 +890,7 @@ mod tests {
         let old = text.replace("snapshots on\n", "snapshots on cache=64\n");
         assert_ne!(old, text);
         assert_eq!(Journal::from_text(&old).unwrap(), journal);
-        assert!(Journal::from_text(&old.replace("cache=64", "cache=lots")).is_err());
+        assert!(Journal::from_text(old.replace("cache=64", "cache=lots")).is_err());
     }
 
     /// The header and counters of a journal written while the prune tiers
@@ -955,9 +949,9 @@ mod tests {
         }
         w.counters(journal.counters.as_ref().unwrap()).unwrap();
         w.complete().unwrap();
-        let bytes = std::fs::read_to_string(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(bytes, journal.to_text());
+        assert_eq!(bytes, journal.to_text().as_bytes());
         assert_eq!(Journal::from_text(&bytes).unwrap(), journal);
     }
 
@@ -967,7 +961,7 @@ mod tests {
         journal.cases[1].verdict = Verdict::Crashed("panicked at:\nassertion failed".into());
         journal.cases[1].oracle = None;
         journal.cases[1].shrink = None;
-        let parsed = Journal::from_text(&journal.to_text()).unwrap();
+        let parsed = Journal::from_text(journal.to_text()).unwrap();
         assert_eq!(
             parsed.cases[1].verdict,
             Verdict::Crashed("panicked at: assertion failed".into())

@@ -59,6 +59,7 @@ mod coverage;
 mod explore;
 mod generate;
 mod journal;
+pub mod lines;
 mod oracle;
 mod reach;
 mod repro;

@@ -17,7 +17,10 @@
 //! fault n1 send drop-all HEARTBEAT
 //! end
 //! ```
+//!
+//! It is a line file (DESIGN.md, "Line files and torn tails").
 
+use crate::lines::{self, one_line};
 use crate::schedule::FaultSchedule;
 
 /// The artifact's format-version header line.
@@ -40,7 +43,7 @@ pub struct Repro {
 
 impl Repro {
     /// Renders the artifact text (stable: identical repros render
-    /// identical bytes).
+    /// identical bytes; the message as the journal records it, [`one_line`]).
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str(HEADER);
@@ -48,7 +51,7 @@ impl Repro {
         out.push_str(&format!("target {}\n", self.target));
         out.push_str(&format!("seed {}\n", self.seed));
         out.push_str(&format!("oracle {}\n", self.oracle));
-        out.push_str(&format!("message {}\n", self.message));
+        out.push_str(&format!("message {}\n", one_line(&self.message)));
         for line in self.schedule.to_lines() {
             out.push_str(&format!("fault {line}\n"));
         }
@@ -57,9 +60,9 @@ impl Repro {
     }
 
     /// Parses an artifact back; inverse of [`to_text`](Repro::to_text).
-    pub fn from_text(text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        if lines.next() != Some(HEADER) {
+    pub fn from_text(text: impl AsRef<[u8]>) -> Result<Self, String> {
+        let mut lines = lines::complete(text.as_ref());
+        if lines.next() != Some(Ok(HEADER)) {
             return Err(format!("missing {HEADER:?} header"));
         }
         let mut target = None;
@@ -69,6 +72,7 @@ impl Repro {
         let mut fault_lines = Vec::new();
         let mut ended = false;
         for line in lines {
+            let line = line.map_err(|why| format!("malformed line: {why}"))?;
             if ended {
                 return Err(format!("content after end: {line:?}"));
             }
@@ -145,16 +149,12 @@ mod tests {
 
     #[test]
     fn text_is_the_documented_shape() {
-        let text = sample().to_text();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "pfi-repro v1");
-        assert_eq!(lines[1], "target gmp");
-        assert_eq!(lines[2], "seed 4242");
-        assert_eq!(lines[3], "oracle gmp-no-self-death");
-        assert_eq!(lines[4], "message n1 declared itself dead");
-        assert_eq!(lines[5], "fault n1 send drop-all HEARTBEAT");
-        assert_eq!(lines[6], "fault n2 recv delay-ms COMMIT 5000");
-        assert_eq!(lines[7], "end");
+        assert_eq!(
+            sample().to_text(),
+            "pfi-repro v1\ntarget gmp\nseed 4242\noracle gmp-no-self-death\n\
+             message n1 declared itself dead\nfault n1 send drop-all HEARTBEAT\n\
+             fault n2 recv delay-ms COMMIT 5000\nend\n"
+        );
     }
 
     #[test]

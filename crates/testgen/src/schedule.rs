@@ -274,7 +274,8 @@ impl FaultSchedule {
         self.faults.is_empty()
     }
 
-    /// A stable identifier (the serialized lines joined with ` + `).
+    /// A stable identifier (the serialized lines joined with ` + `), parsed
+    /// back by [`from_id`](FaultSchedule::from_id).
     pub fn id(&self) -> String {
         if self.is_empty() {
             "baseline".to_string()
@@ -285,6 +286,15 @@ impl FaultSchedule {
                 .collect::<Vec<_>>()
                 .join(" + ")
         }
+    }
+
+    /// Parses the [`id`](FaultSchedule::id) form back: `baseline` is the
+    /// empty schedule, anything else ` + `-joined fault lines.
+    pub fn from_id(id: &str) -> Result<Self, String> {
+        if id == "baseline" {
+            return Ok(Self::empty());
+        }
+        Self::from_lines(id.split(" + "))
     }
 
     /// Serializes to one line per fault (the repro artifact body).
@@ -301,9 +311,8 @@ impl FaultSchedule {
         Ok(FaultSchedule { faults })
     }
 
-    /// The schedule's canonical form: a **dedup key** (the pfi-serve
-    /// corpus pool collapses schedules on it, and
-    /// [`crate::FlowModel::semantic_schedule`] starts from it), not a
+    /// The schedule's canonical form: a **dedup key**
+    /// ([`crate::FlowModel::semantic_schedule`] starts from it), not a
     /// proof that two schedules run alike — the campaign engine never
     /// skips a run on it. The rewrites below hold against the filter
     /// semantics the runner enforces *as long as no live `corrupt-byte`
@@ -452,7 +461,7 @@ impl FaultSchedule {
     }
 
     /// The [`id`](FaultSchedule::id) of the [`canonical`](FaultSchedule::canonical)
-    /// form — the pool's dedup key.
+    /// form.
     pub fn canonical_id(&self) -> String {
         self.canonical().id()
     }

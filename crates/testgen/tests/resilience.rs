@@ -18,7 +18,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use pfi_sim::{NodeId, World};
+use pfi_core::PfiEvent;
+use pfi_sim::{NodeId, TraceLog, World};
 use pfi_testgen::{
     explore, explore_fleet, ChaosOracleTarget, ExploreConfig, ExploreOutcome, FlowModel, GmpTarget,
     Journal, LiveProgress, Oracle, ProtocolSpec, RunLimits, TestTarget, Verdict,
@@ -323,6 +324,85 @@ fn resume_replays_watchdog_verdicts_too() {
 
     fs::remove_file(&full_path).ok();
     fs::remove_file(&resumed_path).ok();
+}
+
+/// GMP judged by one extra oracle whose violation message spans lines, as
+/// a message built from a multi-line `Debug` or a panic payload does.
+#[derive(Clone)]
+struct MultiLineMessages(GmpTarget);
+
+struct MultiLineOracle;
+
+impl Oracle for MultiLineOracle {
+    fn name(&self) -> &'static str {
+        "multi-line"
+    }
+    fn check(&self, trace: &TraceLog) -> Result<(), String> {
+        let drops = trace
+            .iter_of::<PfiEvent>()
+            .filter(|(_, _, e)| matches!(e, PfiEvent::Dropped { .. }))
+            .count();
+        match drops {
+            0 => Ok(()),
+            n => Err(format!("saw {n} dropped message(s):\nfirst\r\nsecond")),
+        }
+    }
+}
+
+impl TestTarget for MultiLineMessages {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+    fn seed(&self) -> u64 {
+        self.0.seed()
+    }
+    fn node_count(&self) -> u32 {
+        self.0.node_count()
+    }
+    fn fault_sites(&self) -> u32 {
+        self.0.fault_sites()
+    }
+    fn build(&self) -> (World, Vec<(NodeId, usize)>) {
+        self.0.build()
+    }
+    fn drive(&self, world: &mut World, limits: &RunLimits) -> bool {
+        self.0.drive(world, limits)
+    }
+    fn oracles(&self) -> Vec<Box<dyn Oracle>> {
+        let mut oracles = self.0.oracles();
+        oracles.push(Box::new(MultiLineOracle));
+        oracles
+    }
+    fn verdict(&self, world: &mut World) -> Verdict {
+        self.0.verdict(world)
+    }
+    fn share(&self) -> Arc<dyn TestTarget> {
+        Arc::new(self.clone())
+    }
+}
+
+/// A violation message that spans lines reads the same live and rebuilt
+/// from the journal, which is how `pfi-serve` answers `results` after a
+/// restart: the same digest and the same repro bytes.
+#[test]
+fn a_multi_line_violation_message_reads_the_same_from_the_journal() {
+    let path = tmp("multi_line.journal");
+    let cfg = ExploreConfig {
+        journal: Some(path.clone()),
+        ..config()
+    };
+    let live = explore(&MultiLineMessages(short_gmp()), &ProtocolSpec::gmp(), &cfg);
+    assert!(
+        live.failures.iter().any(|f| f.message.contains('\n')),
+        "the multi-line oracle must fire"
+    );
+    let rebuilt = Journal::load(&path).unwrap().reconstruct();
+    fs::remove_file(&path).ok();
+    assert_eq!(rebuilt.digest(), live.digest());
+    let repros = |o: &ExploreOutcome| -> Vec<String> {
+        o.failures.iter().map(|f| f.repro.to_text()).collect()
+    };
+    assert_eq!(repros(&rebuilt), repros(&live));
 }
 
 /// Resuming under a journal recorded for a different campaign must refuse
