@@ -350,7 +350,7 @@ impl<J: Send + 'static, R: Send + 'static> Fleet<J, R> {
             workers: self.stats.clone(),
             epochs: self.epochs,
             dispatched: self.dispatched,
-            rejected: 0, // only the campaign layer knows what it pre-filtered
+            rejected: 0, // only the campaign layer knows what admission refused
             retries: self.retries,
             quarantined: self.quarantined,
             job_queue_high_water: self.jobs.high_water(),

@@ -49,8 +49,8 @@ pub struct FleetReport {
     pub epochs: u64,
     /// Jobs dispatched across all epochs.
     pub dispatched: u64,
-    /// Jobs the master rejected before dispatch (e.g. statically-invalid
-    /// campaign candidates dropped by a pre-filter) — work the fleet
+    /// Jobs the master rejected before dispatch (e.g. uninstallable
+    /// campaign candidates refused at admission) — work the fleet
     /// never had to schedule. Set by the caller; the fleet itself only
     /// ever sees jobs that survived.
     pub rejected: u64,

@@ -18,9 +18,9 @@ use std::sync::Arc;
 use pfi_gmp::GmpBugs;
 use pfi_sim::SimRng;
 use pfi_testgen::{
-    explore, explore_fleet, run_schedule, shrink_schedule, ExploreConfig, ExploreOutcome,
-    FaultSchedule, FoundFailure, GmpTarget, ProtocolSpec, Repro, ScheduleMutator, TestTarget,
-    Verdict,
+    explore, explore_fleet, run_schedule_limited, shrink_schedule, ExploreConfig, ExploreOutcome,
+    FaultSchedule, FoundFailure, GmpTarget, ProtocolSpec, Repro, RunLimits, ScheduleMutator,
+    TestTarget, Verdict,
 };
 
 /// The seed all determinism assertions run under (same as the testgen
@@ -48,11 +48,8 @@ fn fixed_gmp() -> GmpTarget {
 /// dedup, run, merge coverage, shrink-and-confirm violations — one
 /// candidate at a time on one thread. The epoch engine at `epoch: 1` must
 /// reproduce this loop exactly (same RNG stream, same executed counts,
-/// same artifact bytes). This loop predates static pre-filtering, so it
-/// runs uninstallable candidates (which refuse at install time with
-/// empty coverage) — the comparison below therefore uses
-/// `prefilter: false`; digest equality between the filtered and
-/// unfiltered engines is asserted separately in the testgen suite.
+/// same artifact bytes). A candidate the runner refuses at install time
+/// counts as `rejected`, not `executed`, as admission counts it.
 fn reference_sequential_explore(
     target: &dyn TestTarget,
     spec: &ProtocolSpec,
@@ -62,10 +59,11 @@ fn reference_sequential_explore(
     let mutator = ScheduleMutator::new(spec, target.node_count(), target.fault_sites());
 
     let baseline = FaultSchedule::empty();
-    let base_run = run_schedule(target, &baseline);
+    let base_run = run_schedule_limited(target, &baseline, &RunLimits::default());
     let mut coverage = base_run.coverage;
     let mut corpus = vec![baseline.clone()];
     let mut executed = 1usize;
+    let mut rejected = 0usize;
 
     let mut seen = BTreeSet::new();
     seen.insert(baseline.id());
@@ -78,7 +76,11 @@ fn reference_sequential_explore(
         if !seen.insert(candidate.id()) {
             continue;
         }
-        let run = run_schedule(target, &candidate);
+        let run = run_schedule_limited(target, &candidate, &RunLimits::default());
+        if run.verdict.is_invalid() {
+            rejected += 1;
+            continue;
+        }
         executed += 1;
         if coverage.merge(&run.coverage) > 0 {
             corpus.push(candidate.clone());
@@ -89,13 +91,13 @@ fn reference_sequential_explore(
         let oracle = run.oracle.clone().unwrap_or_else(|| "target".to_string());
         let shrunk = shrink_schedule(&candidate, |s| {
             executed += 1;
-            let rerun = run_schedule(target, s);
+            let rerun = run_schedule_limited(target, s, &RunLimits::default());
             rerun.verdict.is_violation() && rerun.oracle.as_deref() == Some(oracle.as_str())
         });
         if !failure_keys.insert((oracle.clone(), shrunk.id())) {
             continue;
         }
-        let final_run = run_schedule(target, &shrunk);
+        let final_run = run_schedule_limited(target, &shrunk, &RunLimits::default());
         executed += 1;
         let message = match &final_run.verdict {
             Verdict::Violated(m) => m
@@ -124,7 +126,7 @@ fn reference_sequential_explore(
         coverage,
         failures,
         executed,
-        rejected: 0,
+        rejected,
         replayed: 0,
         crashed: 0,
         hung: 0,
@@ -150,7 +152,6 @@ fn epoch_one_fleet_reproduces_the_prefleet_sequential_explorer() {
         budget: 40, // smallest budget at which this seed rediscovers the bug
         max_faults: 3,
         epoch: 1,
-        prefilter: false,
         ..ExploreConfig::default()
     };
 
@@ -164,6 +165,11 @@ fn epoch_one_fleet_reproduces_the_prefleet_sequential_explorer() {
     let inline = explore(&target, &spec, &config);
     assert_eq!(inline.digest(), reference.digest(), "inline explore");
     assert_eq!(inline.executed, reference.executed, "inline executed");
+    assert_eq!(inline.rejected, reference.rejected, "inline rejected");
+    assert!(
+        reference.rejected > 0,
+        "the comparison must cover a refusal"
+    );
 
     for jobs in [1, 2, 4] {
         let (outcome, report) = explore_fleet(Arc::new(target.clone()), &spec, &config, jobs);
@@ -201,7 +207,6 @@ fn wide_epoch_outcomes_are_worker_count_invariant() {
             budget: 24,
             max_faults: 3,
             epoch,
-            prefilter: true,
             ..ExploreConfig::default()
         };
         let mut digests = Vec::new();
@@ -233,7 +238,6 @@ fn golden_campaign_digest_is_stable() {
         budget: 24,
         max_faults: 3,
         epoch: 8,
-        prefilter: true,
         ..ExploreConfig::default()
     };
     let (outcome, _) = explore_fleet(Arc::new(fixed_gmp()), &ProtocolSpec::gmp(), &config, 2);

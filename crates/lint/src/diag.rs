@@ -7,10 +7,9 @@ use pfi_script::Span;
 /// How serious a finding is.
 ///
 /// `Error` means the script cannot work as written (unknown command,
-/// impossible arity, malformed body) — campaign pre-filtering rejects on
-/// it. `Warning` flags code that runs but is almost certainly not what was
-/// meant. `Note` marks conservative "maybe" findings the analysis cannot
-/// prove either way.
+/// impossible arity, malformed body). `Warning` flags code that runs but
+/// is almost certainly not what was meant. `Note` marks conservative
+/// "maybe" findings the analysis cannot prove either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Conservative finding; may be fine.

@@ -9,8 +9,7 @@
 //! The analysis is deliberately conservative: whenever a construct is
 //! dynamic (a computed command word, a computed `set` target, a dynamic
 //! `eval`), the affected pass degrades to silence or a `note` rather than
-//! risk an `error`-severity false positive — campaign pre-filtering
-//! rejects candidates on `error` findings, so an error must mean the
+//! risk an `error`-severity false positive: an error must mean the
 //! script truly cannot work.
 //!
 //! ```

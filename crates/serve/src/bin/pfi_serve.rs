@@ -62,7 +62,6 @@ submit FLAGS (after the protocol name: gmp, tcp, or tpc):
     --seed N --budget N --max-faults N --epoch N --step-budget N
     --buggy           gmp with the paper's seeded bugs
     --fault-secs N    gmp fault-window length (default 60; 5 = loop-heavy)
-    --no-prefilter    run statically-invalid candidates
     --no-snapshots    rebuild every world instead of forking snapshots
     --share-corpus    seed from the store's corpus pool for this target
     --wait            block until the campaign finishes, print its
@@ -70,6 +69,10 @@ submit FLAGS (after the protocol name: gmp, tcp, or tpc):
                       (0 clean / 1 violations / 3 infrastructure)
     submit reconnects and retries torn exchanges (8 attempts, seeded
     exponential backoff); `wait` and `results` resume by campaign id
+
+RETIRED submit FLAGS (accepted and ignored):
+    --no-prefilter    a candidate that cannot install is always refused
+                      before dispatch (it would be refused at install time)
 
 status FLAGS:
     --id cN           only this campaign
@@ -254,7 +257,6 @@ fn main() {
                 params.fault_secs = v;
             }
             params.buggy = args.iter().any(|a| a == "--buggy");
-            params.prefilter = !args.iter().any(|a| a == "--no-prefilter");
             params.snapshots = !args.iter().any(|a| a == "--no-snapshots");
             params.share_corpus = args.iter().any(|a| a == "--share-corpus");
 

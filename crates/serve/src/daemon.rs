@@ -367,15 +367,22 @@ pub fn run(opts: DaemonOptions) -> io::Result<()> {
         j => j,
     };
 
-    // Startup scan: rebuild the world from the store. Complete journals
-    // reconstruct without execution; everything else re-enqueues. The
-    // idempotency map is rebuilt from the persisted index lines, so a
-    // resubmit after a daemon restart still dedupes.
+    // Startup scan: rebuild the world from the store, in seq order.
+    // Complete journals reconstruct without execution; everything else
+    // re-enqueues. The idempotency map is rebuilt from the persisted index
+    // lines, so a resubmit after a daemon restart still dedupes.
     let mut campaigns = BTreeMap::new();
     let mut queue: Vec<String> = Vec::new();
     let mut idents = BTreeMap::new();
     let mut next_seq = 0;
-    for (id, params, ident) in store.load_index()? {
+    let mut index = store.load_index()?;
+    index.sort_by_key(|(id, ..)| seq_of(id));
+    // Each pool as the finished campaigns built it so far: the executor
+    // completes campaigns in seq order, so merging in that order recounts
+    // the `shared` each live merge returned. (Under the canonical-id
+    // dedup of older pools, live counts were at most this.)
+    let mut pools: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for (id, params, ident) in index {
         next_seq = next_seq.max(seq_of(&id));
         if let Some(tok) = ident {
             idents.insert(tok, id.clone());
@@ -383,13 +390,19 @@ pub fn run(opts: DaemonOptions) -> io::Result<()> {
         let state = match Journal::load(&store.journal_path(&id)) {
             Ok(journal) if journal.complete => {
                 let outcome = journal.reconstruct();
+                let key = params.corpus_key();
                 // The pool merge already happened when the campaign first
                 // completed; merging again is a no-op by exact-id dedup,
                 // and re-running it here heals a crash that landed between
                 // journal completion and the pool append.
-                let shared = store
-                    .merge_corpus(&params.corpus_key(), &outcome.corpus)
-                    .unwrap_or(0);
+                store.merge_corpus(&key, &outcome.corpus).ok();
+                let pool = pools.entry(key).or_default();
+                let shared = outcome
+                    .corpus
+                    .iter()
+                    .filter(|s| !s.is_empty())
+                    .filter(|s| pool.insert(s.id()))
+                    .count();
                 CampaignState::Done(Box::new(Summary::from_outcome(&outcome, shared)))
             }
             _ => {
@@ -399,7 +412,6 @@ pub fn run(opts: DaemonOptions) -> io::Result<()> {
         };
         campaigns.insert(id, CampaignEntry { params, state });
     }
-    queue.sort_by_key(|id| seq_of(id));
     // A campaign whose index line is spoilt (and skipped) still owns its
     // journal, so its id is never issued again.
     for entry in std::fs::read_dir(&opts.store)? {

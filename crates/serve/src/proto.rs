@@ -14,9 +14,11 @@
 //! payload  = *(line NL) "." NL        ; only for status / results / corpus
 //! ```
 //!
+//! `prefilter=` B is checked and ignored (admission refuses what cannot
+//! install); it is still written as `1` for readers that require it.
 //! `params` may also carry `pruning=` B and `semantic=` B, the switches of
 //! the retired prune tiers: older clients send them and older store
-//! indexes hold them. They are checked and ignored.
+//! indexes hold them. All three are checked and ignored, and may be absent.
 //!
 //! Payload lines are dot-stuffed (a line starting with `.` is sent as
 //! `..`), and the payload is terminated by a lone `.` — the SMTP framing,
@@ -114,8 +116,6 @@ pub struct CampaignParams {
     pub max_faults: usize,
     /// Candidates per dispatch epoch.
     pub epoch: usize,
-    /// Reject statically-invalid candidates before dispatch.
-    pub prefilter: bool,
     /// Fork candidate worlds from cached snapshots.
     pub snapshots: bool,
     /// Interpreter step budget per filter script (0 = default).
@@ -137,7 +137,6 @@ impl Default for CampaignParams {
             budget: cfg.budget,
             max_faults: cfg.max_faults,
             epoch: cfg.epoch,
-            prefilter: cfg.prefilter,
             snapshots: cfg.snapshots,
             step_budget: cfg.step_budget,
             share_corpus: false,
@@ -150,7 +149,7 @@ impl CampaignParams {
     pub fn to_kv(&self) -> String {
         format!(
             "proto={} seed={} budget={} max-faults={} epoch={} buggy={} \
-             fault-secs={} prefilter={} snapshots={} step-budget={} share-corpus={}",
+             fault-secs={} prefilter=1 snapshots={} step-budget={} share-corpus={}",
             self.proto,
             self.seed,
             self.budget,
@@ -158,7 +157,6 @@ impl CampaignParams {
             self.epoch,
             self.buggy as u8,
             self.fault_secs,
-            self.prefilter as u8,
             self.snapshots as u8,
             self.step_budget,
             self.share_corpus as u8,
@@ -167,9 +165,9 @@ impl CampaignParams {
 
     /// Parses the [`to_kv`](CampaignParams::to_kv) form. Strict: every
     /// field must be present, so a half-written (torn) index line can
-    /// never parse into a campaign with silently-defaulted fields. The
-    /// retired `pruning=` / `semantic=` (module docs) may be absent; when
-    /// present they must still be booleans.
+    /// never parse into a campaign with silently-defaulted fields.
+    /// `prefilter=`, `pruning=` and `semantic=` (module docs) may be
+    /// absent; when present they must still be booleans.
     pub fn from_kv(kv: &str) -> Result<Self, String> {
         let map = parse_kv(kv);
         let get = |k: &str| {
@@ -193,7 +191,7 @@ impl CampaignParams {
         if !BUNDLED.contains(&proto.as_str()) {
             return Err(unknown_protocol(&proto));
         }
-        for retired in ["pruning", "semantic"] {
+        for retired in ["prefilter", "pruning", "semantic"] {
             if map.contains_key(retired) {
                 boolean(retired)?;
             }
@@ -206,7 +204,6 @@ impl CampaignParams {
             epoch: (num("epoch")? as usize).max(1),
             buggy: boolean("buggy")?,
             fault_secs: num("fault-secs")?,
-            prefilter: boolean("prefilter")?,
             snapshots: boolean("snapshots")?,
             step_budget: num("step-budget")?,
             share_corpus: boolean("share-corpus")?,
@@ -234,7 +231,6 @@ impl CampaignParams {
             budget: self.budget,
             max_faults: self.max_faults,
             epoch: self.epoch,
-            prefilter: self.prefilter,
             snapshots: self.snapshots,
             step_budget: self.step_budget,
             ..ExploreConfig::default()
@@ -742,7 +738,6 @@ mod tests {
             budget: 1024,
             max_faults: 2,
             epoch: 8,
-            prefilter: false,
             snapshots: false,
             step_budget: 7,
             share_corpus: true,
@@ -756,21 +751,24 @@ mod tests {
     }
 
     /// What a client or store index from the prune-tier era sends: the two
-    /// retired switches, checked and ignored.
+    /// retired switches, and `prefilter=` in any spelling (or none),
+    /// checked and ignored.
     #[test]
     fn retired_prune_switches_are_checked_and_ignored() {
         let p = CampaignParams::default();
         let kv = p.to_kv();
         assert!(!kv.contains("pruning=") && !kv.contains("semantic="));
+        assert!(kv.contains(" prefilter=1 "), "{kv}");
         for old in [
-            "pruning=1 semantic=1",
-            "pruning=0 semantic=true",
-            "semantic=0",
+            "prefilter=0 pruning=1 semantic=1",
+            "prefilter=true pruning=0 semantic=true",
+            "prefilter=false semantic=0",
+            "",
         ] {
-            let with = kv.replace(" snapshots=", &format!(" {old} snapshots="));
+            let with = kv.replace("prefilter=1", old);
             assert_eq!(CampaignParams::from_kv(&with).unwrap(), p, "{with}");
         }
-        for bad in ["pruning=maybe", "semantic=", "pruning=2"] {
+        for bad in ["pruning=maybe", "semantic=", "pruning=2", "prefilter=maybe"] {
             let with = format!("{kv} {bad}");
             assert!(CampaignParams::from_kv(&with).is_err(), "{with}");
             assert!(Request::parse(&format!("submit {with}")).is_err(), "{with}");

@@ -31,13 +31,13 @@ fn arb_params() -> impl Strategy<Value = CampaignParams> {
             0u64..10_000,
             any::<u64>(),
         ),
-        (0usize..100_000, 0usize..64, 1usize..1_000, any::<bool>()),
+        (0usize..100_000, 0usize..64, 1usize..1_000),
         (any::<bool>(), 0u64..1_000_000, any::<bool>()),
     )
         .prop_map(
             |(
                 (proto, buggy, fault_secs, seed),
-                (budget, max_faults, epoch, prefilter),
+                (budget, max_faults, epoch),
                 (snapshots, step_budget, share_corpus),
             )| CampaignParams {
                 proto,
@@ -47,7 +47,6 @@ fn arb_params() -> impl Strategy<Value = CampaignParams> {
                 budget,
                 max_faults,
                 epoch,
-                prefilter,
                 snapshots,
                 step_budget,
                 share_corpus,
@@ -507,7 +506,6 @@ proptest! {
             budget: 24,
             max_faults: 3,
             epoch: 8,
-            prefilter: true,
             seed_corpus: 0,
             step_budget: 0,
             max_retries: 2,

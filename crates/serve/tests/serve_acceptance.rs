@@ -146,19 +146,12 @@ fn seeds_files(store: &Path) -> Vec<String> {
     names
 }
 
-/// A `results` reply as one comparable string, minus `shared=N`: how many
-/// schedules a campaign added to the pool is known only to the daemon
-/// that ran it (a restarted one re-merges and adds none).
+/// A `results` reply as one comparable string.
 fn results_text(client: &mut Client, id: &str) -> String {
     let reply = client.call(&Request::Results { id: id.into() }).unwrap();
     assert!(reply.ok, "results refused: {}", reply.head);
-    let mut lines = vec![reply.head.clone()];
-    lines.extend(reply.payload.iter().map(|line| {
-        line.split(' ')
-            .filter(|tok| !tok.starts_with("shared="))
-            .collect::<Vec<_>>()
-            .join(" ")
-    }));
+    let mut lines = vec![reply.head];
+    lines.extend(reply.payload);
     lines.join("\n")
 }
 
@@ -312,6 +305,44 @@ fn sigkill_mid_campaign_restart_resumes_every_in_flight_campaign() {
         "the ≥4 journaled cases must be replayed, not re-executed (got {replayed})"
     );
 
+    daemon.shutdown_and_join();
+    std::fs::remove_dir_all(&store).ok();
+    std::fs::remove_file(&socket).ok();
+}
+
+/// `results … shared=N` (how many schedules a campaign added to its
+/// pool) reads the same from a restarted daemon as from the one that ran
+/// the campaigns: two campaigns on one corpus key, both adding to it.
+#[test]
+fn shared_counts_survive_a_restart() {
+    let store = tmp("shared_store");
+    let socket = tmp("shared.sock");
+    let socket2 = tmp("shared2.sock");
+    std::fs::remove_dir_all(&store).ok();
+    let daemon = Daemon::start(&store, &socket);
+    let mut client = daemon.client();
+    let ids: Vec<String> = [params(42, 24), params(7, 24)]
+        .iter()
+        .map(|p| submit(&mut client, p))
+        .collect();
+    let shared = |text: &str| field(text.split('\n').nth(3).unwrap(), "shared").unwrap();
+    let before: Vec<String> = ids
+        .iter()
+        .map(|id| {
+            wait_digest(&mut client, id);
+            results_text(&mut client, id)
+        })
+        .collect();
+    for text in &before {
+        assert!(shared(text) > 0, "{text}");
+    }
+    daemon.shutdown_and_join();
+
+    let daemon = Daemon::start(&store, &socket2);
+    let mut client = daemon.client();
+    for (id, text) in ids.iter().zip(&before) {
+        assert_eq!(&results_text(&mut client, id), text, "{id}");
+    }
     daemon.shutdown_and_join();
     std::fs::remove_dir_all(&store).ok();
     std::fs::remove_file(&socket).ok();
@@ -529,7 +560,9 @@ fn live_status_is_monotone_bounded_by_the_journal_and_resumes_from_it() {
 
 /// A store a daemon wrote while the engine had prune tiers: index lines
 /// carrying `pruning=` / `semantic=`, journals carrying their header lines
-/// and counters. It opens, the finished campaign's `results` read back, the
+/// and counters, and (on `c1`'s line) the `prefilter=0` of a campaign
+/// submitted with the retired `--no-prefilter`. It opens, the finished
+/// campaign's `results` read back, the
 /// one killed mid-run resumes to the digest it always had, and both read
 /// back the same again after another restart.
 #[test]
@@ -560,6 +593,7 @@ fn a_store_from_the_prune_tier_era_opens_and_serves_its_results() {
         std::fs::write(&path, text).unwrap();
         let switches = format!(" pruning={0} semantic={0} snapshots=", on as u8);
         let kv = p.to_kv().replace(" snapshots=", &switches);
+        let kv = kv.replace("prefilter=1", &format!("prefilter={}", !on as u8));
         index.push_str(&format!("campaign {id} {kv}\n"));
     }
     std::fs::write(store.join("store.index"), index).unwrap();

@@ -58,18 +58,15 @@ FLAGS:
                       host's available parallelism. Any value yields
                       byte-identical campaign results (the resolved count is
                       printed, shown in --stats, and recorded in the journal)
-    --no-prefilter    run statically-invalid candidates instead of rejecting them
-                      up front (same digest either way; used by CI to prove it)
     --fault-secs N    gmp fault-window length in virtual seconds (default 60;
                       5 is the loop-heavy shallow corpus)
-    --snapshots       capture the prepared fault-free world once and fork it
-                      per run instead of rebuilding it (default; same digest
-                      either way). A forked candidate whose filters never act
-                      on the traffic the baseline run recorded is not driven:
-                      it would re-simulate the baseline, so it gets the
-                      baseline's outcome (--stats: N replayed from the
-                      baseline; the same N at every --jobs)
-    --no-snapshots    rebuild every candidate's world from scratch
+    --no-snapshots    rebuild every candidate's world from scratch instead of
+                      forking the prepared fault-free world captured once
+                      (same digest either way). By default a forked candidate
+                      whose filters never act on the traffic the baseline run
+                      recorded is not driven: it would re-simulate the
+                      baseline, so it gets the baseline's outcome (--stats: N
+                      replayed from the baseline; the same N at every --jobs)
     --journal PATH    write-ahead journal: record dispatch intent and every
                       result to PATH as the exploration runs (crash-safe)
     --resume PATH     replay the completed work recorded in PATH instead of
@@ -90,6 +87,8 @@ FLAGS:
 RETIRED (accepted and ignored):
     --no-pruning      the prune tiers are gone: every admitted candidate runs
     --no-semantic     (or is handed the baseline's outcome), whatever the flags
+    --no-prefilter    a candidate that cannot install is always refused before
+                      dispatch (it would be refused at install time anyway)
 
 EXIT CODES:
     0   clean: no violations, no infrastructure trouble
@@ -99,20 +98,19 @@ EXIT CODES:
         uninstallable cases, but no violations
 ";
 
-const SWITCHES: [&str; 11] = [
+const SWITCHES: [&str; 10] = [
     "--buggy",
     "--list",
     "--explore",
     "--stats",
     "--digest",
-    "--no-prefilter",
+    "--no-snapshots",
+    "--inject-panic",
     // Retired no-ops, kept while bench/src/bin/pfi_bench/explore.rs (its
     // PLAINEST path and KNOWN DEFECT branch) passes them.
     "--no-pruning",
     "--no-semantic",
-    "--snapshots",
-    "--no-snapshots",
-    "--inject-panic",
+    "--no-prefilter",
 ];
 const NUMBERS: [&str; 8] = [
     "--seed",
@@ -236,13 +234,8 @@ fn main() {
         if let Some(max_faults) = flag_value("--max-faults") {
             config.max_faults = (max_faults as usize).max(1);
         }
-        if cli.has("--no-prefilter") {
-            config.prefilter = false;
-        }
         if cli.has("--no-snapshots") {
             config.snapshots = false;
-        } else if cli.has("--snapshots") {
-            config.snapshots = true;
         }
         if let Some(retries) = flag_value("--max-retries") {
             config.max_retries = retries as u32;
@@ -280,16 +273,11 @@ fn main() {
             );
         } else {
             println!(
-                "ran {} schedules; corpus kept {} ({} coverage edges); {} candidate(s) rejected as uninstallable{}",
+                "ran {} schedules; corpus kept {} ({} coverage edges); {} candidate(s) rejected as uninstallable before dispatch",
                 outcome.executed,
                 outcome.corpus.len(),
                 outcome.coverage.len(),
                 outcome.rejected,
-                if config.prefilter {
-                    " before dispatch"
-                } else {
-                    " at install time"
-                },
             );
             if outcome.replayed > 0 {
                 println!(

@@ -30,7 +30,9 @@
 //! Candidates cross the thread boundary as typed [`FaultSchedule`]s with
 //! the scripts admission already lowered them to and the compiled form the
 //! install check parsed — plain `Send` data, no text round-trip, nothing
-//! lowered, install-checked or parsed twice.
+//! lowered, install-checked or parsed twice. A candidate that cannot
+//! install is refused there, at admission on the master, and never
+//! reaches a worker.
 //! With snapshot/fork execution on (the default), the campaign context
 //! each candidate carries holds the captured base world, so workers *fork*
 //! the prepared world instead of replaying `TestTarget::build` per run;
@@ -54,8 +56,7 @@ use crate::journal::{
 };
 use crate::repro::Repro;
 use crate::runner::{
-    execute, run_schedule_limited, run_schedule_snapshotted, Lowered, RunLimits, ScheduleRun,
-    TestTarget, Verdict,
+    execute, run_schedule_snapshotted, Lowered, RunLimits, ScheduleRun, TestTarget, Verdict,
 };
 use crate::schedule::{FaultSchedule, ScheduleMutator};
 use crate::shrink::shrink_schedule;
@@ -65,8 +66,8 @@ use crate::spec::ProtocolSpec;
 /// Exploration parameters.
 ///
 /// Admission is one check: a candidate is lowered, install-checked
-/// against the target, and refused if it cannot install
-/// ([`prefilter`](ExploreConfig::prefilter)). Every admitted candidate
+/// against the target, and refused before dispatch if it cannot install
+/// (counted in [`ExploreOutcome::rejected`]). Every admitted candidate
 /// executes. The one execution-saving equivalence is dynamic, not static:
 /// with [`snapshots`](ExploreConfig::snapshots) on, a candidate whose
 /// filters never act on the traffic the baseline run recorded is handed
@@ -90,15 +91,6 @@ pub struct ExploreConfig {
     /// worker count executing the epoch. `1` reproduces the classic
     /// fully-sequential explorer byte-for-byte.
     pub epoch: usize,
-    /// Statically reject uninstallable candidates (out-of-topology fault
-    /// sites, lowered scripts that do not parse) before dispatching them
-    /// to workers. Rejection uses exactly the install predicate the
-    /// runner enforces ([`crate::validate::schedule_is_installable`]), so
-    /// corpus, coverage, failures — the whole digest — are byte-identical
-    /// with pre-filtering on or off; only `executed` shrinks (the
-    /// unfiltered engine runs the candidate just to watch it refuse
-    /// installation). Default `true`.
-    pub prefilter: bool,
     /// Schedules to execute before the budgeted search begins — a corpus
     /// pool carried over from earlier campaigns against the same target
     /// (the pfi-serve store shares coverage-novel schedules across
@@ -199,7 +191,6 @@ impl ExploreConfig {
             budget: self.budget,
             max_faults: self.max_faults,
             epoch: self.epoch,
-            prefilter: self.prefilter,
             seed_corpus: seed_corpus_digest(&self.seed_corpus),
             step_budget: self.step_budget,
             max_retries: self.max_retries,
@@ -234,7 +225,6 @@ impl Default for ExploreConfig {
             budget: 48,
             max_faults: 3,
             epoch: DEFAULT_EPOCH,
-            prefilter: true,
             seed_corpus: Vec::new(),
             max_retries: DEFAULT_MAX_RETRIES,
             step_budget: 0,
@@ -271,15 +261,14 @@ pub struct ExploreOutcome {
     pub coverage: Coverage,
     /// Shrunk failures, deduplicated by their minimal schedule.
     pub failures: Vec<FoundFailure>,
-    /// How many schedules actually ran: the baseline plus every novel
-    /// mutation (≤ budget + 1), plus the re-executions shrinking performs
+    /// How many schedules actually ran: the baseline plus every admitted
+    /// novel mutation (≤ budget + 1), plus the re-executions shrinking performs
     /// for each found failure.
     pub executed: usize,
-    /// How many candidates were refused as uninstallable — statically by
-    /// the pre-filter ([`ExploreConfig::prefilter`]), or at install time
-    /// ([`crate::Verdict::Invalid`]) when pre-filtering is off. The same
-    /// candidates are refused either way; with the pre-filter on they
-    /// never consume a worker.
+    /// How many candidates admission refused as uninstallable — exactly
+    /// the ones the runner would refuse at install time
+    /// ([`crate::Verdict::Invalid`]). They never consume a worker and do
+    /// not count toward `executed`.
     pub rejected: usize,
     /// How many of the `executed` results were replayed from a resume
     /// journal instead of re-executed. An uninterrupted campaign reports
@@ -342,8 +331,8 @@ impl ExploreOutcome {
 struct CandidateJob {
     /// The candidate as the mutator produced it.
     schedule: FaultSchedule,
-    /// Its id, lowered scripts, and install errors (non-empty only with
-    /// the pre-filter off: the runner refuses those at install time).
+    /// Its id and lowered scripts; admission refused it unless its
+    /// install errors are empty.
     lowered: Lowered,
 }
 
@@ -571,24 +560,21 @@ impl CampaignFleet {
 
 /// Admission: the install check, and the count of what it refused.
 struct Admission {
-    prefilter: bool,
     /// The target's fault-site count (the install predicate's bound).
     sites: u32,
     rejected: usize,
 }
 
 impl Admission {
-    /// One pass over one candidate: lower once, install-check once. With
-    /// the pre-filter on, an uninstallable candidate is refused here
-    /// (`None`, counted in `rejected`) instead of reaching a worker. This
-    /// happens *after* generation — the RNG and the `seen` set have
-    /// already advanced identically to the unfiltered engine — so the
-    /// surviving runs are the same runs. With it off the candidate is
-    /// admitted as it is, to be refused by the runner, keeping `rejected`
-    /// identical in both modes.
+    /// One pass over one candidate: lower once, install-check once. An
+    /// uninstallable candidate is refused here (`None`, counted in
+    /// `rejected`) instead of reaching a worker, where the runner would
+    /// refuse it with empty coverage. This happens *after* generation —
+    /// the RNG and the `seen` set have already advanced — so refusing
+    /// changes which runs execute, never what the campaign finds.
     fn admit(&mut self, schedule: FaultSchedule) -> Option<CandidateJob> {
         let lowered = Lowered::check(schedule.id(), schedule.lower(), self.sites);
-        if self.prefilter && !lowered.install_errors.is_empty() {
+        if !lowered.install_errors.is_empty() {
             self.rejected += 1;
             return None;
         }
@@ -678,7 +664,6 @@ fn explore_with(
     let mut quarantined: Vec<JournalQuarantine> = Vec::new();
 
     let mut admission = Admission {
-        prefilter: config.prefilter,
         sites: master.fault_sites(),
         rejected: 0,
     };
@@ -866,15 +851,6 @@ fn explore_with(
             if report.run.verdict.is_hung() {
                 hung += 1;
             }
-            if report.run.verdict.is_invalid() {
-                // Only reachable with the pre-filter off: the runner
-                // refused the same candidate the filter would have
-                // dropped. Coverage is empty, so nothing downstream sees
-                // a difference.
-                admission.rejected += 1;
-                journal_record(writer.as_mut(), &report, None);
-                continue;
-            }
             if coverage.merge(&report.run.coverage) > 0 {
                 corpus.push(report.schedule.clone());
                 fleet.note_novel(report.worker);
@@ -1000,10 +976,4 @@ pub fn explore_fleet(
     let mut report = pool.shutdown();
     report.rejected = outcome.rejected as u64;
     (outcome, report)
-}
-
-/// Replays a repro artifact against a target; the returned run should
-/// reproduce the recorded violation (asserted by callers, not here).
-pub fn replay(target: &dyn TestTarget, repro: &Repro) -> crate::runner::ScheduleRun {
-    run_schedule_limited(target, &repro.schedule, &RunLimits::default())
 }

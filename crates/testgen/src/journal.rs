@@ -53,10 +53,16 @@
 //! complete
 //! ```
 //!
+//! The `prefilter` line is always `true`: admission refuses what cannot
+//! install, and there is no other setting. It is still written, so a
+//! journal stays readable by binaries that require it; the loader checks
+//! that it is a boolean and drops it. A journal written with the old
+//! `--no-prefilter` reads `prefilter false` and carries `case` records
+//! with an `invalid` verdict; resume and reconstruction skip those.
 //! Journals written while the engine had prune tiers also carry `pruning`
 //! and `semantic` header lines (after `prefilter`) and `pruned=` /
-//! `inert=` counters; the loader checks that each is well-formed and drops
-//! it, so such a journal resumes and reconstructs like any other.
+//! `inert=` counters; the loader checks and drops them the same way, so
+//! every such journal resumes and reconstructs like any other.
 //!
 //! The `jobs` line records the resolved worker count of the run that
 //! wrote the journal, the `snapshots` line whether it used snapshot/fork
@@ -115,8 +121,6 @@ pub struct JournalMeta {
     pub max_faults: usize,
     /// Candidates per dispatch epoch.
     pub epoch: usize,
-    /// Whether static pre-filtering was on.
-    pub prefilter: bool,
     /// FNV-1a digest of the seed-corpus schedule ids (0 when the campaign
     /// started from the bare baseline). Identity: a campaign seeded with a
     /// different corpus walks a different space, so resume must be handed
@@ -237,15 +241,17 @@ fn render_meta(meta: &JournalMeta) -> String {
     let _ = writeln!(out, "budget {}", meta.budget);
     let _ = writeln!(out, "max-faults {}", meta.max_faults);
     let _ = writeln!(out, "epoch {}", meta.epoch);
-    let _ = writeln!(out, "prefilter {}", meta.prefilter);
+    // Read and ignored (module doc); kept for readers that require it.
+    out.push_str("prefilter true\n");
     let _ = writeln!(out, "seed-corpus {:016x}", meta.seed_corpus);
     let _ = writeln!(out, "step-budget {}", meta.step_budget);
     let _ = writeln!(out, "max-retries {}", meta.max_retries);
     out
 }
 
-/// The number of metadata lines [`render_meta`] writes after the header.
-const META_LINES: usize = 10;
+/// The number of identity lines [`render_meta`] writes after the header
+/// (`prefilter` is not one).
+const META_LINES: usize = 9;
 
 fn render_counters(c: &JournalCounters) -> String {
     format!(
@@ -374,7 +380,6 @@ impl Journal {
         let mut budget = None;
         let mut max_faults = None;
         let mut epoch = None;
-        let mut prefilter = None;
         let mut seed_corpus = None;
         let mut step_budget = None;
         let mut max_retries = None;
@@ -392,8 +397,9 @@ impl Journal {
                 return Err("journal truncated inside its metadata header".to_string());
             };
             match line.split_once(' ') {
-                // The switches of the retired prune tiers (module doc).
-                Some((key @ ("pruning" | "semantic"), v)) => {
+                // Switches with one surviving value, and those of the
+                // retired prune tiers (module doc).
+                Some((key @ ("prefilter" | "pruning" | "semantic"), v)) => {
                     parse_bool(key, v)?;
                     continue;
                 }
@@ -403,7 +409,6 @@ impl Journal {
                 Some(("budget", v)) => budget = Some(parse_u64("budget", v)? as usize),
                 Some(("max-faults", v)) => max_faults = Some(parse_u64("max-faults", v)? as usize),
                 Some(("epoch", v)) => epoch = Some(parse_u64("epoch", v)? as usize),
-                Some(("prefilter", v)) => prefilter = Some(parse_bool("prefilter", v)?),
                 Some(("seed-corpus", v)) => {
                     seed_corpus = Some(
                         u64::from_str_radix(v, 16)
@@ -423,7 +428,6 @@ impl Journal {
             budget: budget.ok_or("missing budget line")?,
             max_faults: max_faults.ok_or("missing max-faults line")?,
             epoch: epoch.ok_or("missing epoch line")?,
-            prefilter: prefilter.ok_or("missing prefilter line")?,
             seed_corpus: seed_corpus.ok_or("missing seed-corpus line")?,
             step_budget: step_budget.ok_or("missing step-budget line")?,
             max_retries: max_retries.ok_or("missing max-retries line")?,
@@ -525,6 +529,7 @@ impl Journal {
         let mut failures = Vec::new();
         for case in &self.cases {
             if case.verdict.is_invalid() {
+                // Only a journal written with `--no-prefilter` holds one.
                 continue;
             }
             let novel = coverage.merge(&crate::Coverage::from_edges(case.coverage.clone())) > 0;
@@ -779,7 +784,6 @@ mod tests {
                 budget: 24,
                 max_faults: 3,
                 epoch: 8,
-                prefilter: true,
                 seed_corpus: 0,
                 step_budget: 0,
                 max_retries: 2,
@@ -894,12 +898,13 @@ mod tests {
     }
 
     /// The header and counters of a journal written while the prune tiers
-    /// existed: both switches after `prefilter`, both counters after
-    /// `rejected` — in either setting the journal loads as the same value.
+    /// existed: both switches after `prefilter` (`false` under the retired
+    /// `--no-prefilter`), both counters after `rejected` — in any setting
+    /// the journal loads as the same value.
     fn with_prune_tier_lines(text: &str, pruning: bool, semantic: bool) -> String {
         text.replace(
             "prefilter true\n",
-            &format!("prefilter true\npruning {pruning}\nsemantic {semantic}\n"),
+            &format!("prefilter {pruning}\npruning {pruning}\nsemantic {semantic}\n"),
         )
         .replace("rejected=1 ", "rejected=1 pruned=2 inert=5 ")
     }
@@ -922,6 +927,7 @@ mod tests {
         let old = with_prune_tier_lines(&text, true, true);
         for bad in [
             old.replace("pruning true", "pruning yes"),
+            old.replace("prefilter true", "prefilter maybe"),
             old.replace("semantic true", "semantic"),
             old.replace("pruned=2", "pruned=two"),
             old.replace("inert=5", "inert"),

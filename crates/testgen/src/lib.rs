@@ -72,8 +72,8 @@ mod validate;
 
 pub use coverage::Coverage;
 pub use explore::{
-    explore, explore_fleet, replay, seed_corpus_digest, CampaignFleet, ExploreConfig,
-    ExploreOutcome, FoundFailure, LiveProgress, DEFAULT_EPOCH,
+    explore, explore_fleet, seed_corpus_digest, CampaignFleet, ExploreConfig, ExploreOutcome,
+    FoundFailure, LiveProgress, DEFAULT_EPOCH,
 };
 pub use generate::{generate, Campaign, FaultKind, TestCase};
 pub use journal::{
@@ -90,7 +90,7 @@ pub use pfi_fleet::{FleetReport, WorkerStats};
 pub use reach::{FlowModel, InertFact};
 pub use repro::Repro;
 pub use runner::{
-    bundled, run_campaign, run_case, run_schedule, run_schedule_limited, run_schedule_snapshotted,
+    bundled, run_campaign, run_case, run_schedule_limited, run_schedule_snapshotted,
     unknown_protocol, CaseResult, ChaosOracleTarget, GmpTarget, RunLimits, ScheduleRun, TcpTarget,
     TestTarget, TpcTarget, Verdict, BUNDLED, DRIVE_EVENT_CAP,
 };

@@ -466,7 +466,7 @@ pub struct InertFact {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_schedule, GmpTarget, TcpTarget, TestTarget};
+    use crate::runner::{run_schedule_limited, GmpTarget, RunLimits, TcpTarget, TestTarget};
     use crate::schedule::ScheduleMutator;
     use pfi_sim::SimRng;
 
@@ -899,7 +899,7 @@ mod tests {
         let candidate = parse(&["n0 recv corrupt-byte SYN 9 64", "n0 recv drop-all SYN"]);
         let drop = parse(&["n0 recv drop-all SYN"]);
         let decode_failed = |s: &FaultSchedule| {
-            run_schedule(&target, s)
+            run_schedule_limited(&target, s, &RunLimits::default())
                 .coverage
                 .edges()
                 .any(|e| e == "tcp:n1:DecodeFailed")
@@ -958,8 +958,8 @@ mod tests {
                 continue;
             }
             checked += 1;
-            let a = run_schedule(&target, &canonical);
-            let b = run_schedule(&target, &q);
+            let a = run_schedule_limited(&target, &canonical, &RunLimits::default());
+            let b = run_schedule_limited(&target, &q, &RunLimits::default());
             assert_eq!(a.verdict, b.verdict, "quotient diverged for {}", s.id());
             assert_eq!(a.oracle, b.oracle, "quotient diverged for {}", s.id());
             assert_eq!(

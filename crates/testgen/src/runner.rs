@@ -36,9 +36,10 @@ pub enum Verdict {
     Violated(String),
     /// The schedule could not be installed — a fault site the target does
     /// not have, or a lowered script that does not parse. Nothing ran;
-    /// the run contributed no coverage. Campaign pre-filtering
-    /// ([`crate::ExploreConfig::prefilter`]) rejects exactly these
-    /// schedules without executing them.
+    /// the run contributed no coverage. A campaign's admission refuses
+    /// exactly these schedules without executing them
+    /// ([`crate::ExploreOutcome::rejected`]); the grid and repro replay
+    /// meet them here.
     Invalid(String),
     /// The target (or an oracle) panicked mid-run. The panic was contained
     /// by the runner: coverage reached before the crash is kept, and any
@@ -258,14 +259,8 @@ pub fn run_case(target: &dyn TestTarget, case: &TestCase) -> CaseResult {
 }
 
 /// Runs one fault schedule: lowers it, installs the filters on each fault
-/// site it touches, and judges the run. Uses the default [`RunLimits`];
-/// campaigns with a configured step budget use
-/// [`run_schedule_limited`].
-pub fn run_schedule(target: &dyn TestTarget, schedule: &FaultSchedule) -> ScheduleRun {
-    run_schedule_snapshotted(target, schedule, &RunLimits::default(), None)
-}
-
-/// [`run_schedule`] with explicit runaway-run watchdog budgets.
+/// site it touches, and judges the run under the given runaway-run
+/// watchdog budgets ([`RunLimits::default`] when nothing is configured).
 pub fn run_schedule_limited(
     target: &dyn TestTarget,
     schedule: &FaultSchedule,
@@ -329,7 +324,7 @@ pub(crate) type Outcome = (Verdict, Option<String>, Coverage);
 /// have (e.g. a repro artifact written for a different target), or a
 /// script that does not parse — are refused *before* anything is built or
 /// the store is consulted: [`Verdict::Invalid`] is exactly the refusal
-/// campaign pre-filtering predicts without executing, and corrupted
+/// campaign admission predicts without executing, and corrupted
 /// candidates (e.g. [`crate::ScheduleMutator`] scrambles) never count as
 /// lookups.
 ///
@@ -1179,7 +1174,7 @@ mod tests {
         mute.faults[0].dir = Direction::Send;
         for buggy in [false, true] {
             let (_, gmp) = bundled("gmp", buggy, 60).unwrap();
-            let verdict = run_schedule(gmp.as_ref(), &mute).verdict;
+            let verdict = run_schedule_limited(gmp.as_ref(), &mute, &RunLimits::default()).verdict;
             assert_eq!(verdict.is_violation(), buggy, "{verdict:?}");
         }
     }
@@ -1189,7 +1184,7 @@ mod tests {
         let target = ChaosOracleTarget {
             inner: Arc::new(GmpTarget::default()),
         };
-        let run = run_schedule(&target, &drop_heartbeats());
+        let run = run_schedule_limited(&target, &drop_heartbeats(), &RunLimits::default());
         assert!(
             run.verdict.is_crashed(),
             "expected Crashed, got {:?}",
@@ -1214,7 +1209,7 @@ mod tests {
         let target = ChaosOracleTarget {
             inner: Arc::new(GmpTarget::default()),
         };
-        let run = run_schedule(&target, &FaultSchedule::empty());
+        let run = run_schedule_limited(&target, &FaultSchedule::empty(), &RunLimits::default());
         assert!(
             !run.verdict.is_infrastructure(),
             "no drops, no panic: got {:?}",

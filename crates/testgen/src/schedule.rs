@@ -587,8 +587,8 @@ impl ScheduleMutator {
     /// a fault site the target does not have, or its message type carries
     /// a stray `}` that closes the lowered guard's braced condition early
     /// and breaks the filter script's parse. Both classes are refused at
-    /// install time ([`crate::Verdict::Invalid`]); the campaign pre-filter
-    /// exists to reject them before a worker is even dispatched.
+    /// install time ([`crate::Verdict::Invalid`]); campaign admission
+    /// refuses them before a worker is even dispatched.
     fn scrambled_fault(&self, rng: &mut SimRng) -> ScheduledFault {
         let mut fault = self.random_fault(rng);
         if rng.coin(0.5) {
@@ -605,7 +605,7 @@ impl ScheduleMutator {
     /// *scramble* — the child carries a statically-invalid fault
     /// (an out-of-topology site or a parse-breaking type), modelling the
     /// corrupted or cross-target schedules a long campaign accumulates;
-    /// the static pre-filter is what keeps them off the workers.
+    /// admission's install check is what keeps them off the workers.
     pub fn mutate(
         &self,
         parent: &FaultSchedule,
@@ -736,7 +736,7 @@ mod tests {
             assert_eq!(next, mutator.mutate(&sa, 4, &mut b));
             assert!(next.len() <= 4);
             // Like the engine's corpus, only installable mutants become
-            // parents (invalid ones are pre-filtered away).
+            // parents (admission refuses invalid ones).
             if !crate::validate::schedule_is_installable(&next, 3) {
                 continue;
             }
@@ -766,6 +766,9 @@ mod tests {
             fault_secs: 5,
             ..crate::runner::GmpTarget::default()
         };
+        let run = |s: &FaultSchedule| {
+            crate::runner::run_schedule_limited(&target, s, &crate::runner::RunLimits::default())
+        };
         let mut rewritten = 0usize;
         for _ in 0..500 {
             let child = mutator.mutate(&parent, 4, &mut rng);
@@ -776,8 +779,7 @@ mod tests {
             if crate::validate::schedule_is_installable(&child, 3) {
                 if canon != child && rewritten < 60 {
                     rewritten += 1;
-                    let a = crate::runner::run_schedule(&target, &child);
-                    let b = crate::runner::run_schedule(&target, &canon);
+                    let (a, b) = (run(&child), run(&canon));
                     assert_eq!(a.verdict, b.verdict, "{}", child.id());
                     assert_eq!(a.oracle, b.oracle, "{}", child.id());
                     assert_eq!(
@@ -931,7 +933,7 @@ mod tests {
                 bad_parse += 1;
                 assert!(errs[0].contains("does not parse"), "{errs:?}");
                 // ... and still round-trips through the repro line format,
-                // so unfiltered engines can ship it to fleet workers.
+                // so a journal or repro can carry it.
                 let back =
                     FaultSchedule::from_lines(child.to_lines().iter().map(String::as_str)).unwrap();
                 assert_eq!(back, child);

@@ -5,19 +5,16 @@
 //! * [`install_errors`] — the *exact* predicate the runner enforces at
 //!   install time: every fault site must exist on the target, and every
 //!   lowered filter script must parse. A schedule failing it can never be
-//!   installed, so campaign pre-filtering may reject it **without
-//!   changing any run that would have happened** — the unfiltered engine
-//!   refuses the same schedules at execution time
-//!   ([`Verdict::Invalid`](crate::Verdict)), and both modes reach the
-//!   same corpus, coverage, and failures.
+//!   installed, so campaign admission refuses it **without changing any
+//!   run that would have happened** — the runner refuses exactly the same
+//!   schedules at execution time ([`Verdict::Invalid`](crate::Verdict)).
 //! * [`validate_schedule`] — everything else worth telling a human:
 //!   message types outside the protocol spec, destinations outside the
 //!   topology, inert parameters (a zero XOR mask, zero duplicate
 //!   copies), plus a full `pfi-lint` pass over each lowered script.
 //!   These are warnings: such schedules install and run fine (the fault
 //!   just never fires, or fires vacuously), so rejecting them would
-//!   change which runs execute and break digest equality with the
-//!   unfiltered engine.
+//!   change which runs execute and so what a campaign finds.
 
 use std::sync::Arc;
 
@@ -107,7 +104,7 @@ pub fn install_errors(schedule: &FaultSchedule, sites: u32) -> Vec<String> {
 }
 
 /// Whether the schedule can be installed on a target with `sites` fault
-/// sites. The campaign pre-filter rejects on exactly this predicate.
+/// sites. Campaign admission refuses on exactly this predicate.
 pub fn schedule_is_installable(schedule: &FaultSchedule, sites: u32) -> bool {
     install_errors(schedule, sites).is_empty()
 }
@@ -241,7 +238,7 @@ mod tests {
     #[test]
     fn inert_but_runnable_schedules_are_warnings_not_errors() {
         // These faults never fire, but they install and run: rejecting
-        // them would desynchronize the filtered and unfiltered engines.
+        // them would change what a campaign finds.
         let s = FaultSchedule {
             faults: vec![
                 fault(

@@ -15,7 +15,9 @@ use std::cell::Cell;
 
 use pfi_core::{Filter, PfiControl, PfiReply};
 use pfi_sim::{NodeId, World, WorldSnapshot};
-use pfi_testgen::{run_schedule, FaultSchedule, GmpTarget, RunLimits, TcpTarget, TestTarget};
+use pfi_testgen::{
+    run_schedule_limited, FaultSchedule, GmpTarget, RunLimits, TcpTarget, TestTarget,
+};
 
 thread_local! {
     /// Allocations made by this thread. Per thread, so the libtest harness
@@ -166,11 +168,11 @@ fn a_driven_event_stays_within_its_allocation_budget() {
     // One untimed run first lets lazy one-off state (thread locals, the
     // harness's own buffers) settle.
     let faults = schedule(&THREE_FAULTS);
-    let warm = run_schedule(&target, &faults);
+    let warm = run_schedule_limited(&target, &faults, &RunLimits::default());
     let mut counts = [0u64; 2];
     for count in &mut counts {
         let before = allocations();
-        let run = run_schedule(&target, &faults);
+        let run = run_schedule_limited(&target, &faults, &RunLimits::default());
         *count = allocations() - before;
         assert_eq!(run.verdict, warm.verdict);
         assert_eq!(run.coverage, warm.coverage);
@@ -253,10 +255,12 @@ fn a_run_restored_into_the_retired_world_stops_growing_buffers() {
 #[test]
 fn a_tcp_execution_reports_what_it_allocates() {
     let target = TcpTarget::default();
-    let warm = run_schedule(&target, &FaultSchedule::empty());
+    let warm = run_schedule_limited(&target, &FaultSchedule::empty(), &RunLimits::default());
     let mut runs = [[0u64; 3]; 2];
     for run in &mut runs {
-        let (again, counts) = counted(|| run_schedule(&target, &FaultSchedule::empty()));
+        let (again, counts) = counted(|| {
+            run_schedule_limited(&target, &FaultSchedule::empty(), &RunLimits::default())
+        });
         assert_eq!(again.verdict, warm.verdict);
         *run = counts;
     }

@@ -8,13 +8,13 @@ use std::sync::Arc;
 
 use pfi_gmp::GmpBugs;
 use pfi_testgen::{
-    run_schedule, ChaosOracleTarget, FaultSchedule, GmpTarget, ScheduleRun, TcpTarget, TestTarget,
-    TpcTarget,
+    run_schedule_limited, ChaosOracleTarget, FaultSchedule, GmpTarget, RunLimits, ScheduleRun,
+    TcpTarget, TestTarget, TpcTarget,
 };
 
 fn run(target: &dyn TestTarget, faults: &[&str]) -> ScheduleRun {
     let schedule = FaultSchedule::from_lines(faults.iter().copied()).expect("fixture schedule");
-    run_schedule(target, &schedule)
+    run_schedule_limited(target, &schedule, &RunLimits::default())
 }
 
 /// The fixture text of one run: the verdict, then one edge per line.

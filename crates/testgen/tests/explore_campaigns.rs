@@ -9,8 +9,8 @@ use std::sync::Arc;
 use pfi_core::Direction;
 use pfi_gmp::GmpBugs;
 use pfi_testgen::{
-    explore, explore_fleet, generate, replay, run_campaign, run_schedule, Coverage, ExploreConfig,
-    FaultKind, GmpTarget, ProtocolSpec, TestTarget,
+    explore, explore_fleet, generate, run_campaign, run_schedule_limited, Coverage, ExploreConfig,
+    FaultKind, GmpTarget, ProtocolSpec, RunLimits, TestTarget,
 };
 
 /// The fixed seed the rediscovery tests run under. The budgets below were
@@ -46,7 +46,6 @@ fn rediscovers(bug: &str, oracle: &str, budget: usize) {
             budget,
             max_faults: 3,
             epoch: 1,
-            prefilter: true,
             ..ExploreConfig::default()
         },
     );
@@ -71,7 +70,7 @@ fn rediscovers(bug: &str, oracle: &str, budget: usize) {
         "{bug}: empty shrunk schedule"
     );
     assert!(failure.shrunk.len() <= failure.schedule.len());
-    let rerun = run_schedule(&target, &failure.shrunk);
+    let rerun = run_schedule_limited(&target, &failure.shrunk, &RunLimits::default());
     assert!(
         rerun.verdict.is_violation() && rerun.oracle.as_deref() == Some(oracle),
         "{bug}: shrunk schedule no longer violates {oracle}: {:?}",
@@ -82,7 +81,7 @@ fn rediscovers(bug: &str, oracle: &str, budget: usize) {
     for i in 0..failure.shrunk.faults.len() {
         let mut cand = failure.shrunk.clone();
         let removed = cand.faults.remove(i);
-        let run = run_schedule(&target, &cand);
+        let run = run_schedule_limited(&target, &cand, &RunLimits::default());
         assert!(
             !(run.verdict.is_violation() && run.oracle.as_deref() == Some(oracle)),
             "{bug}: still violates {oracle} without fault {}",
@@ -98,7 +97,7 @@ fn rediscovers(bug: &str, oracle: &str, budget: usize) {
     assert_eq!(parsed.to_text(), text, "{bug}: re-serialization differs");
     assert_eq!(parsed.target, "gmp");
     assert_eq!(parsed.seed, target.seed());
-    let replayed = replay(&target, &parsed);
+    let replayed = run_schedule_limited(&target, &parsed.schedule, &RunLimits::default());
     assert!(
         replayed.verdict.is_violation() && replayed.oracle.as_deref() == Some(oracle),
         "{bug}: replayed repro gave {:?}",
@@ -152,7 +151,6 @@ fn coverage_guided_search_beats_the_grid() {
             budget: campaign.len() - 1,
             max_faults: 3,
             epoch: 1,
-            prefilter: true,
             ..ExploreConfig::default()
         },
     );
@@ -179,7 +177,6 @@ fn exploration_is_deterministic() {
         budget: 40,
         max_faults: 3,
         epoch: 1,
-        prefilter: true,
         ..ExploreConfig::default()
     };
     let a = explore(&target, &spec, &config);
@@ -195,50 +192,9 @@ fn exploration_is_deterministic() {
     assert_ne!(a.digest(), c.digest());
 }
 
-/// The pre-filter contract: statically rejecting uninstallable mutants
-/// must not change *anything* the campaign produces — an unfiltered run
-/// ships the same candidates to the runner, which refuses them at install
-/// time with empty coverage, and both engines reach byte-identical
-/// corpus, coverage, and failures. Only the executed/rejected accounting
-/// moves.
-#[test]
-fn prefiltering_preserves_the_unfiltered_outcome() {
-    let target = buggy("self_death");
-    let spec = ProtocolSpec::gmp();
-    let base = ExploreConfig {
-        seed: SEED,
-        budget: 24,
-        max_faults: 3,
-        epoch: 1,
-        prefilter: true,
-        ..ExploreConfig::default()
-    };
-    let filtered = explore(&target, &spec, &base);
-    let unfiltered = explore(
-        &target,
-        &spec,
-        &ExploreConfig {
-            prefilter: false,
-            ..base
-        },
-    );
-
-    assert!(
-        filtered.rejected > 0,
-        "seed {SEED} must draw at least one statically-invalid mutant for \
-         this comparison to mean anything"
-    );
-    // Same mutants fail statically as fail at install time.
-    assert_eq!(filtered.rejected, unfiltered.rejected);
-    // The filtered engine saved exactly that many executions.
-    assert_eq!(unfiltered.executed, filtered.executed + filtered.rejected);
-    // And nothing the campaign *found* is different.
-    assert_eq!(filtered.digest(), unfiltered.digest());
-}
-
-/// Pre-filtering happens on the master thread before dispatch, so a
-/// filtered campaign stays byte-stable across worker counts, and the
-/// fleet report carries the rejection count.
+/// Admission refuses uninstallable candidates on the master thread before
+/// dispatch, so a campaign with refusals stays byte-stable across worker
+/// counts, and the fleet report carries the rejection count.
 #[test]
 fn prefiltered_exploration_is_worker_count_invariant() {
     let spec = ProtocolSpec::gmp();
@@ -247,7 +203,6 @@ fn prefiltered_exploration_is_worker_count_invariant() {
         budget: 24,
         max_faults: 3,
         epoch: 8,
-        prefilter: true,
         ..ExploreConfig::default()
     };
     let mut outcomes = Vec::new();
@@ -281,7 +236,6 @@ fn clean_target_yields_no_failures() {
             budget: 24,
             max_faults: 3,
             epoch: 1,
-            prefilter: true,
             ..ExploreConfig::default()
         },
     );

@@ -167,8 +167,9 @@ fn stats_block_keeps_the_labels_the_benchmark_reads() {
 }
 
 /// `--no-pruning` and `--no-semantic` outlived the tiers they switched
-/// off (the benchmark's plainest path passes them): accepted, and no byte
-/// of a report changes but the host-time figures.
+/// off, and `--no-prefilter` the second place a refusal could happen (the
+/// benchmark's plainest path passes all three): accepted, and no byte of a
+/// report changes but the host-time figures.
 #[test]
 fn retired_prune_flags_change_no_byte_but_wall_and_busy() {
     // Every number that reads the host clock: the one before `exec/s` or
@@ -209,7 +210,8 @@ fn retired_prune_flags_change_no_byte_but_wall_and_busy() {
         for retired in [
             &["--no-pruning"][..],
             &["--no-semantic"][..],
-            &["--no-pruning", "--no-semantic"][..],
+            &["--no-prefilter"][..],
+            &["--no-pruning", "--no-semantic", "--no-prefilter"][..],
         ] {
             assert_eq!(mask(run(&args(retired))), plain, "{retired:?}");
         }

@@ -139,8 +139,8 @@ proptest! {
         prop_assert_eq!(back.to_lines(), lines);
     }
 
-    /// Any mutation chain stays within bounds, and every child the static
-    /// pre-filter admits lowers to parseable filter scripts, whatever the
+    /// Any mutation chain stays within bounds, and every child campaign
+    /// admission admits lowers to parseable filter scripts, whatever the
     /// seed. (One mutation roll in ten is a deliberate *scramble* — an
     /// out-of-topology site or a brace-breaking message type — so "every
     /// child is lowerable" is intentionally false; `schedule_is_installable`
@@ -254,7 +254,6 @@ fn journal_meta(seed: u64) -> JournalMeta {
         budget: (seed % 100) as usize,
         max_faults: 3,
         epoch: 1 + (seed % 16) as usize,
-        prefilter: seed.is_multiple_of(2),
         seed_corpus: seed.wrapping_mul(7),
         step_budget: seed % 5000,
         max_retries: (seed % 4) as u32,
@@ -367,7 +366,7 @@ proptest! {
     fn coverage_of_mutation_chains_is_a_sorted_mergeable_set(
         seed in any::<u64>(), steps in 1usize..8,
     ) {
-        use pfi_testgen::{run_schedule, Coverage, GmpTarget, TestTarget};
+        use pfi_testgen::{run_schedule_limited, Coverage, GmpTarget, RunLimits, TestTarget};
 
         let target = GmpTarget { fault_secs: 5, ..GmpTarget::default() };
         let mutator = ScheduleMutator::new(
@@ -380,7 +379,7 @@ proptest! {
         let mut union = Coverage::new();
         for _ in 0..steps {
             sched = mutator.mutate(&sched, 3, &mut rng);
-            let c = run_schedule(&target, &sched).coverage;
+            let c = run_schedule_limited(&target, &sched, &RunLimits::default()).coverage;
 
             let edges: Vec<&str> = c.edges().collect();
             prop_assert!(edges.windows(2).all(|w| w[0] < w[1]), "edges() strictly sorted");
@@ -411,7 +410,7 @@ proptest! {
     fn a_union_merged_by_key_equals_one_merged_as_text(
         seed in any::<u64>(), steps in 4usize..14,
     ) {
-        use pfi_testgen::{run_schedule, Coverage, GmpTarget, TestTarget};
+        use pfi_testgen::{run_schedule_limited, Coverage, GmpTarget, RunLimits, TestTarget};
 
         let target = GmpTarget { fault_secs: 5, ..GmpTarget::default() };
         let mutator = ScheduleMutator::new(
@@ -424,15 +423,16 @@ proptest! {
         let mut sched = FaultSchedule::empty();
         // The baseline run becomes the union, as in the engine: a live
         // run on one side, its text on the other.
-        let baseline = run_schedule(&target, &sched).coverage;
+        let baseline = run_schedule_limited(&target, &sched, &RunLimits::default()).coverage;
         let mut by_text = replayed(&baseline);
         let mut by_key = baseline;
         for _ in 0..steps {
             sched = mutator.mutate(&sched, 3, &mut rng);
             // A fresh, never-rendered run for the key side; the text side
             // only ever sees strings.
-            let text = replayed(&run_schedule(&target, &sched).coverage);
-            let live = run_schedule(&target, &sched).coverage;
+            let run = || run_schedule_limited(&target, &sched, &RunLimits::default()).coverage;
+            let text = replayed(&run());
+            let live = run();
             prop_assert_eq!(live.len(), text.len(), "len() from keys");
             let new = by_text.merge(&text);
             if rng.coin(0.3) {
@@ -519,7 +519,9 @@ proptest! {
     fn inert_faults_are_execution_equivalent_to_their_quotient(
         seed in any::<u64>(), steps in 1usize..10,
     ) {
-        use pfi_testgen::{run_schedule, GmpTarget, TcpTarget, TestTarget, TpcTarget};
+        use pfi_testgen::{
+            run_schedule_limited, GmpTarget, RunLimits, ScheduleRun, TcpTarget, TestTarget, TpcTarget,
+        };
 
         let targets: [(Box<dyn TestTarget>, ProtocolSpec); 3] = [
             (Box::new(GmpTarget { fault_secs: 5, ..GmpTarget::default() }), ProtocolSpec::gmp()),
@@ -530,15 +532,26 @@ proptest! {
             let target = target.as_ref();
             let model = target.flow_model().expect("bundled targets have flow models");
             let mutator = ScheduleMutator::new(spec, target.node_count(), target.fault_sites());
+            let run = |s: &FaultSchedule| -> ScheduleRun {
+                run_schedule_limited(target, s, &RunLimits::default())
+            };
             let runs_alike = |a: &FaultSchedule, b: &FaultSchedule| {
-                let (a, b) = (run_schedule(target, a), run_schedule(target, b));
+                let (a, b) = (run(a), run(b));
                 a.verdict == b.verdict && a.oracle == b.oracle && a.coverage == b.coverage
             };
             let mut rng = SimRng::seed_from(seed);
             let mut sched = FaultSchedule::empty();
             for _ in 0..steps {
                 sched = mutator.mutate(&sched, 3, &mut rng);
-                if !schedule_is_installable(&sched, target.fault_sites()) {
+                // Admission's predicate is the runner's refusal: a
+                // candidate is refused iff running it comes back Invalid.
+                let installable = schedule_is_installable(&sched, target.fault_sites());
+                prop_assert_eq!(
+                    !installable,
+                    run(&sched).verdict.is_invalid(),
+                    "{}: {}", target.name(), sched.id()
+                );
+                if !installable {
                     continue;
                 }
                 let inert: Vec<usize> = model.inert_facts(&sched).iter().map(|f| f.fault).collect();

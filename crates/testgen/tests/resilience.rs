@@ -35,7 +35,6 @@ fn config() -> ExploreConfig {
         budget: 24,
         max_faults: 3,
         epoch: 8,
-        prefilter: true,
         ..ExploreConfig::default()
     }
 }
@@ -209,6 +208,44 @@ fn a_journal_from_the_prune_tier_era_resumes_to_the_same_campaign() {
         assert_journals_equivalent(&resumed_bytes, &full_bytes);
         fs::remove_file(&resumed_path).ok();
     }
+    fs::remove_file(&full_path).ok();
+}
+
+/// A journal the engine wrote with the retired `--no-prefilter` (`pfi-
+/// campaign gmp --explore --seed 42 --budget 24 --epoch 8 --jobs 1
+/// --no-prefilter --journal …`, torn mid-record in its second epoch): its
+/// header says `prefilter false`, and uninstallable candidates were
+/// dispatched and recorded with an `invalid` verdict. Admission now refuses
+/// those before dispatch, so their records are never looked up, and the
+/// resumed campaign is the default one, digest and journal bytes.
+#[test]
+fn a_torn_no_prefilter_journal_resumes_to_the_default_campaign() {
+    let target = GmpTarget::default();
+    let spec = ProtocolSpec::gmp();
+    let full_path = tmp("nopf_full.journal");
+    let mut cfg = config();
+    cfg.journal = Some(full_path.clone());
+    let uninterrupted = explore(&target, &spec, &cfg);
+    let full_bytes = fs::read_to_string(&full_path).unwrap();
+
+    let old = include_str!("fixtures/journal_no_prefilter_torn.txt");
+    assert!(old.contains("\nprefilter false\n") && old.contains("\nverdict invalid "));
+    let journal = Journal::from_text(old).unwrap();
+    assert!(!journal.complete);
+    assert!(journal.cases.iter().any(|c| c.verdict.is_invalid()));
+
+    let resumed_path = tmp("nopf_resumed.journal");
+    let mut cfg = config();
+    cfg.journal = Some(resumed_path.clone());
+    cfg.resume = Some(journal);
+    let resumed = explore(&target, &spec, &cfg);
+    assert_eq!(resumed.digest(), uninterrupted.digest());
+    assert_eq!(resumed.executed, uninterrupted.executed);
+    assert_eq!(resumed.rejected, uninterrupted.rejected);
+    assert!(resumed.replayed > 0);
+    let resumed_bytes = fs::read_to_string(&resumed_path).unwrap();
+    assert_journals_equivalent(&resumed_bytes, &full_bytes);
+    fs::remove_file(&resumed_path).ok();
     fs::remove_file(&full_path).ok();
 }
 

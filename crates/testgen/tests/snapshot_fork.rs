@@ -27,7 +27,6 @@ fn config(snapshots: bool) -> ExploreConfig {
         budget: 24,
         max_faults: 3,
         epoch: 8,
-        prefilter: true,
         snapshots,
         ..ExploreConfig::default()
     }

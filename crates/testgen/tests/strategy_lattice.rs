@@ -1,8 +1,7 @@
 //! The strategy lattice: every way of executing a campaign — worker
-//! count, epoch width aside, snapshot/fork on or off, the static
-//! pre-filter on or off — must reach the digest the plainest path reaches,
-//! on every target and every seed swept, and account for every candidate
-//! the plainest path executed. Plus the bookkeeping that rides along: the
+//! count, epoch width aside, snapshot/fork on or off — must reach the
+//! digest the plainest path reaches, on every target and every seed
+//! swept, and account for every candidate the plainest path executed. Plus the bookkeeping that rides along: the
 //! journal's counters, seed corpora, and a pool reused across campaigns.
 
 use std::sync::Arc;
@@ -40,11 +39,10 @@ fn lattice_seeds() -> u64 {
         .unwrap_or(3)
 }
 
-/// {gmp 5 s, tcp, tpc} × seeds × {default, prefilter off, snapshots off,
-/// all off} × epoch {1, 8} × jobs {1, 2}: one digest per (target, seed,
-/// epoch) — the plainest path's, all off at one job — the same rejected
-/// candidates, and `executed_plain == executed + rejected` wherever the
-/// pre-filter kept the rejects from running (`== executed` where not).
+/// {gmp 5 s, tcp, tpc} × seeds × {default, snapshots off} × epoch {1, 8}
+/// × jobs {1, 2}: one digest per (target, seed, epoch) — the plainest
+/// path's, snapshots off at one job — the same rejected candidates, and
+/// the same executed count.
 #[test]
 fn strategy_lattice_agrees_on_every_target() {
     let targets: [(&str, Arc<dyn TestTarget>, ProtocolSpec); 3] = [
@@ -52,42 +50,30 @@ fn strategy_lattice_agrees_on_every_target() {
         ("tcp", Arc::new(TcpTarget::default()), ProtocolSpec::tcp()),
         ("tpc", Arc::new(TpcTarget), ProtocolSpec::two_phase_commit()),
     ];
-    // (name, prefilter, snapshots); the plainest path last.
-    let rows = [
-        ("default", true, true),
-        ("prefilter off", false, true),
-        ("snapshots off", true, false),
-        ("all off", false, false),
-    ];
+    // (name, snapshots); the plainest path last.
+    let rows = [("default", true), ("snapshots off", false)];
     // One pool per worker count, reused by every cell (reuse is itself
     // outcome-invariant: `campaign_fleet_reuse_is_outcome_invariant`).
     let mut pools = [CampaignFleet::new(1), CampaignFleet::new(2)];
     for (name, target, spec) in &targets {
         for seed in 1..=lattice_seeds() {
             for epoch in [1usize, 8] {
-                let config = |prefilter, snapshots| ExploreConfig {
+                let config = |snapshots| ExploreConfig {
                     seed,
                     budget: 256,
                     epoch,
-                    prefilter,
                     snapshots,
                     ..ExploreConfig::default()
                 };
-                let plain = pools[0].explore(Arc::clone(target), spec, &config(false, false));
-                for (row, prefilter, snapshots) in rows {
+                let plain = pools[0].explore(Arc::clone(target), spec, &config(false));
+                for (row, snapshots) in rows {
                     for pool in &mut pools {
                         let jobs = pool.workers();
                         let at = format!("{name} seed={seed} epoch={epoch} jobs={jobs} [{row}]");
-                        let outcome =
-                            pool.explore(Arc::clone(target), spec, &config(prefilter, snapshots));
+                        let outcome = pool.explore(Arc::clone(target), spec, &config(snapshots));
                         assert_eq!(outcome.digest(), plain.digest(), "{at}");
                         assert_eq!(outcome.rejected, plain.rejected, "{at}");
-                        let unexecuted_rejects = if prefilter { outcome.rejected } else { 0 };
-                        assert_eq!(
-                            plain.executed,
-                            outcome.executed + unexecuted_rejects,
-                            "{at}"
-                        );
+                        assert_eq!(outcome.executed, plain.executed, "{at}");
                     }
                 }
             }
@@ -101,12 +87,11 @@ fn strategy_lattice_agrees_on_every_target() {
 /// the plainest path always printed.
 #[test]
 fn tcp_seed_17000_reaches_the_plainest_digest() {
-    for (prefilter, snapshots) in [(true, true), (false, false)] {
+    for snapshots in [true, false] {
         let config = ExploreConfig {
             seed: 17000,
             budget: 256,
             epoch: 8,
-            prefilter,
             snapshots,
             ..ExploreConfig::default()
         };
