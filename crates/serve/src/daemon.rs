@@ -42,7 +42,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use pfi_testgen::{
-    bundled, unknown_protocol, CampaignFleet, ExploreOutcome, Journal, LiveProgress,
+    bundled, unknown_protocol, CampaignFleet, ExploreOutcome, Journal, LiveProgress, ProtocolSpec,
+    TestTarget,
 };
 
 use crate::faultio::{FaultConfig, FaultPlan, FaultStream};
@@ -210,7 +211,10 @@ struct Summary {
     // -- observational only --
     snapshot_hits: u64,
     snapshot_misses: u64,
-    elapsed_ms: u64,
+    /// Wall time, kept finer than the whole milliseconds `elapsed-ms`
+    /// prints: a campaign can take about one, and `exec-per-sec` divides
+    /// by it.
+    elapsed: Duration,
     dispatched: u64,
     panics: u64,
     exit: i32,
@@ -243,10 +247,10 @@ impl Summary {
         } else {
             0.0
         };
-        let exec_per_sec = if self.elapsed_ms > 0 {
-            self.executed as f64 / (self.elapsed_ms as f64 / 1e3)
-        } else {
+        let exec_per_sec = if self.elapsed.is_zero() {
             0.0
+        } else {
+            self.executed as f64 / self.elapsed.as_secs_f64()
         };
         format!(
             "exit={} digest={} executed={} rejected={} replayed={} \
@@ -265,7 +269,7 @@ impl Summary {
             self.corpus,
             self.edges,
             self.shared,
-            self.elapsed_ms,
+            self.elapsed.as_millis(),
             self.dispatched,
             self.panics,
         )
@@ -545,6 +549,7 @@ fn is_timeout(e: &io::Error) -> bool {
 /// at a time, finishes the in-flight campaign on shutdown.
 fn executor_loop(shared: &Shared, jobs: usize) {
     let mut pool = CampaignFleet::new(jobs);
+    let mut targets = LastTarget::default();
     loop {
         let (id, params) = {
             let mut state = shared.state.lock().unwrap();
@@ -567,16 +572,49 @@ fn executor_loop(shared: &Shared, jobs: usize) {
             }
         };
         let started = Instant::now();
-        let summary = run_campaign(&mut pool, shared, &id, &params);
+        let summary = run_campaign(&mut pool, &mut targets, shared, &id, &params);
         let mut summary = summary.unwrap_or_else(|e| Summary {
             digest64: format!("error: {e}"),
             exit: 3,
             ..Summary::default()
         });
-        summary.elapsed_ms = started.elapsed().as_millis() as u64;
+        summary.elapsed = started.elapsed();
         let mut state = shared.state.lock().unwrap();
         state.campaigns.get_mut(&id).unwrap().state = CampaignState::Done(Box::new(summary));
         shared.cv.notify_all();
+    }
+}
+
+/// The executor's last target, keyed on the three parameters [`bundled`]
+/// builds it from. Consecutive campaigns of one target configuration get
+/// the same handle, which is what lets the pool fork the base world and
+/// baseline the previous campaign left instead of building them again
+/// ([`CampaignFleet`]). One slot, like the pool's.
+#[derive(Default)]
+struct LastTarget {
+    slot: Option<(TargetKey, Bundled)>,
+}
+
+/// `(proto, buggy, fault_secs)`.
+type TargetKey = (String, bool, u64);
+
+/// What [`bundled`] returns.
+type Bundled = (ProtocolSpec, Arc<dyn TestTarget>);
+
+impl LastTarget {
+    /// The spec and target `params` name: the kept ones when they were
+    /// built from the same values.
+    fn get(&mut self, params: &CampaignParams) -> io::Result<&Bundled> {
+        let key = (params.proto.clone(), params.buggy, params.fault_secs);
+        if self.slot.as_ref().is_none_or(|(kept, _)| *kept != key) {
+            // `CampaignParams::from_kv` admits only bundled names; a
+            // hand-built `CampaignParams` that slipped past it fails its
+            // campaign here, and leaves the slot as it was.
+            let built = bundled(&params.proto, params.buggy, params.fault_secs)
+                .ok_or_else(|| io::Error::other(unknown_protocol(&params.proto)))?;
+            self.slot = Some((key, built));
+        }
+        Ok(&self.slot.as_ref().expect("filled above").1)
     }
 }
 
@@ -588,15 +626,13 @@ fn executor_loop(shared: &Shared, jobs: usize) {
 /// restart starts from those counts and never from zero.
 fn run_campaign(
     pool: &mut CampaignFleet,
+    targets: &mut LastTarget,
     daemon: &Shared,
     id: &str,
     params: &CampaignParams,
 ) -> io::Result<Summary> {
     let store = &daemon.store;
-    // `CampaignParams::from_kv` admits only bundled names; a hand-built
-    // `CampaignParams` that slipped past it fails its campaign here.
-    let (spec, target) = bundled(&params.proto, params.buggy, params.fault_secs)
-        .ok_or_else(|| io::Error::other(unknown_protocol(&params.proto)))?;
+    let (spec, target) = targets.get(params)?;
     let mut cfg = params.to_config();
     cfg.seed_corpus = store.read_seeds(id)?;
     let progress = Arc::new(LiveProgress::default());
@@ -622,7 +658,7 @@ fn run_campaign(
     drop(state);
 
     let before = pool.report();
-    let outcome = pool.explore(target, &spec, &cfg);
+    let outcome = pool.explore(Arc::clone(target), spec, &cfg);
     let after = pool.report();
     let shared = retry_store(&daemon.stats, || {
         store.merge_corpus(&params.corpus_key(), &outcome.corpus)
@@ -1018,4 +1054,35 @@ fn handle_request<W: Write>(req: &Request, shared: &Shared, w: &mut W) -> io::Re
         }
     }
     Ok(false)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rate_and_ms(executed: usize, elapsed: Duration) -> (String, String) {
+        let kv = Summary {
+            executed,
+            elapsed,
+            ..Summary::default()
+        }
+        .status_kv();
+        let field = |name: &str| {
+            let at = kv.find(&format!(" {name}=")).expect(name) + name.len() + 2;
+            kv[at..].split(' ').next().unwrap().to_string()
+        };
+        (field("exec-per-sec"), field("elapsed-ms"))
+    }
+
+    /// The rate divides by the elapsed time itself, not by the whole
+    /// milliseconds `elapsed-ms` prints.
+    #[test]
+    fn status_rates_a_short_campaign_by_its_whole_elapsed_time() {
+        let rate = |executed, micros| rate_and_ms(executed, Duration::from_micros(micros));
+        assert_eq!(rate(19, 1_900), ("10000.0".into(), "1".into()));
+        assert_eq!(rate(5, 500), ("10000.0".into(), "0".into()));
+        assert_eq!(rate(25, 2_500_000), ("10.0".into(), "2500".into()));
+        // A reconstructed campaign was not timed.
+        assert_eq!(rate(25, 0), ("0.0".into(), "0".into()));
+    }
 }

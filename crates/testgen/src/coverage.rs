@@ -19,7 +19,9 @@
 //! every run. [`Coverage::merge`] asks the union about keys first and
 //! renders text only for the ones it has never seen; everything that
 //! speaks text ([`edges`](Coverage::edges), `==`, `contains`,
-//! `difference`) renders on first demand.
+//! `difference`) renders on first demand, except a journal record's
+//! `cover` lines, which are rendered from the keys straight into the
+//! record.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -175,8 +177,10 @@ impl Coverage {
         // An unseen key may still spell an edge a replayed run brought in
         // as text, so novelty is counted where text is inserted.
         let text = self.text_mut();
-        let inserted = render(&unseen).map(|edge| text.insert(edge));
-        let new = inserted.filter(|new| *new).count();
+        let mut new = 0;
+        render(&unseen, |edge| {
+            new += usize::from(text.insert(edge.to_string()))
+        });
         self.keys.extend(unseen);
         self.keys.sort_unstable();
         new
@@ -207,10 +211,46 @@ impl Coverage {
         self.text().difference(other.text()).map(String::as_str)
     }
 
+    /// Appends one `{tag}{edge}` line per edge to `out`, in
+    /// [`edges`](Coverage::edges) order — the `cover` lines of a journal
+    /// record. Text already rendered is read; a live run's keys are
+    /// rendered straight into `out`, each once, and the text set is never
+    /// built.
+    pub(crate) fn write_lines(&self, tag: &str, out: &mut String) {
+        let line = |out: &mut String, edge: &str| {
+            out.push_str(tag);
+            out.push_str(edge);
+            out.push('\n');
+        };
+        if let Some(text) = self.text.get() {
+            text.iter().for_each(|edge| line(out, edge));
+            return;
+        }
+        let start = out.len();
+        // Where each edge's text landed in `out`.
+        let mut spans = Vec::with_capacity(self.keys.len());
+        render(&self.keys, |edge| {
+            let at = out.len() + tag.len();
+            line(out, edge);
+            spans.push(at..at + edge.len());
+        });
+        // Key order is text order only while every node is single-digit
+        // (see `Edge`); otherwise the lines are laid out again in text order.
+        if spans.is_sorted_by(|a, b| out[a.clone()] <= out[b.clone()]) {
+            return;
+        }
+        let lines = out.split_off(start);
+        let text = |span: &std::ops::Range<usize>| &lines[span.start - start..span.end - start];
+        spans.sort_unstable_by(|a, b| text(a).cmp(text(b)));
+        spans.iter().for_each(|span| line(out, text(span)));
+    }
+
     /// The whole set as text, rendered from the keys on first demand.
     fn text(&self) -> &BTreeSet<String> {
         self.text.get_or_init(|| {
-            let text: BTreeSet<String> = render(&self.keys).collect();
+            let mut edges = Vec::with_capacity(self.keys.len());
+            render(&self.keys, |edge| edges.push(edge.to_string()));
+            let text: BTreeSet<String> = edges.into_iter().collect();
             debug_assert_eq!(text.len(), self.keys.len(), "two keys spell one edge");
             text
         })
@@ -342,14 +382,14 @@ impl PartialEq for Name {
 
 impl Eq for Name {}
 
-/// The text of each key, in key order: `namespace:node:[layer:]what`.
-/// Sorted keys keep a stream's edges together, so its prefix is spelt
-/// once and every edge is copied out exactly sized.
-fn render(keys: &[Edge]) -> impl Iterator<Item = String> + '_ {
+/// Hands `each` the text of each key, in key order:
+/// `namespace:node:[layer:]what`. Sorted keys keep a stream's edges
+/// together, so its prefix is spelt once; `each` copies out what it keeps.
+fn render(keys: &[Edge], mut each: impl FnMut(&str)) {
     let mut edge = String::new();
     let mut stream = None;
     let mut prefix = 0;
-    keys.iter().map(move |key| {
+    for key in keys {
         // The namespace, and what the stream's bucket edge is called.
         let (namespace, counter) = match key.family {
             Family::Gmp => ("gmp", ""),
@@ -380,8 +420,8 @@ fn render(keys: &[Edge]) -> impl Iterator<Item = String> + '_ {
                 edge.push_str(BUCKETS[bucket]);
             }
         }
-        edge.clone()
-    })
+        each(&edge);
+    }
 }
 
 /// Which edge namespace a record belongs to. Each `(family, node)` — for
@@ -1045,5 +1085,29 @@ mod tests {
         // Started>FormedSingleton and FormedSingleton are the new edges.
         assert_eq!(acc.merge(&two), 2);
         assert!(acc.difference(&one).count() == 2);
+    }
+
+    /// Node 2 sorts before node 10 as a key and after it as text; the
+    /// lines come out in text order either way.
+    #[test]
+    fn lines_from_keys_follow_text_order() {
+        let mut log = TraceLog::new();
+        for node in [2, 10] {
+            log.record(SimTime::ZERO, n(node), "gmd", GmpEvent::Started);
+            log.record(SimTime::ZERO, n(node), "gmd", GmpEvent::FormedSingleton);
+        }
+        let cov = Coverage::from_trace(&log);
+        assert_eq!(cov.keys[0].node, n(2), "keys sort by node number");
+        let mut lines = String::from("case begin\n");
+        cov.write_lines("cover ", &mut lines);
+        assert!(cov.text.get().is_none(), "write_lines built the text set");
+
+        let want: String = cov.edges().map(|e| format!("cover {e}\n")).collect();
+        assert!(want.starts_with("cover gmp:n10:"), "{want}");
+        assert_eq!(lines, format!("case begin\n{want}"));
+        // Once the text exists it is what is read, to the same lines.
+        let mut again = String::new();
+        cov.write_lines("cover ", &mut again);
+        assert_eq!(again, want);
     }
 }

@@ -52,7 +52,8 @@ use pfi_sim::{SimRng, World};
 
 use crate::coverage::Coverage;
 use crate::journal::{
-    Journal, JournalCase, JournalCounters, JournalMeta, JournalQuarantine, JournalWriter,
+    Journal, JournalCase, JournalCounters, JournalMeta, JournalQuarantine, JournalShrink,
+    JournalWriter,
 };
 use crate::repro::Repro;
 use crate::runner::{
@@ -501,12 +502,25 @@ struct FleetJob {
 /// Each campaign hands its own target and limits along with every
 /// dispatched candidate, so consecutive campaigns may target different
 /// protocols entirely. Outcomes are byte-identical at the same config for
-/// any pool size and history: the pool carries no campaign state across
-/// [`explore`](CampaignFleet::explore) calls, only warm threads and
-/// cumulative statistics.
+/// any pool size and history. Across [`explore`](CampaignFleet::explore)
+/// calls the pool carries warm threads, cumulative statistics and one
+/// base world: the last one a campaign captured or forked, with the
+/// baseline it recorded. The next campaign on the same target handle
+/// (`Arc::ptr_eq`) under equal [`RunLimits`] forks it instead of building
+/// the target and driving the baseline again; its baseline counts as one
+/// snapshot hit handed the baseline's outcome, with no miss and nothing
+/// stored.
 pub struct CampaignFleet {
     fleet: Fleet<FleetJob, CandidateReport>,
+    kept: Option<KeptBase>,
 }
+
+/// A base world outliving its campaign, with the target handle and limits
+/// it was captured under. The handle, not [`crate::base_digest`], is the
+/// key: the baseline recorded with the base also depends on what the
+/// digest leaves out (the fault window, the bugs, the event cap), and a
+/// handle held here cannot be freed and its address reused by another.
+type KeptBase = (Arc<dyn TestTarget>, RunLimits, Arc<BaseWorld>);
 
 impl CampaignFleet {
     /// Builds a pool of `jobs` workers (0 is clamped to 1): the calling
@@ -520,7 +534,7 @@ impl CampaignFleet {
             let mut retired: Option<World> = None;
             Box::new(move |fj: FleetJob| candidate_report(&fj.ctx, fj.job, &mut retired))
         });
-        CampaignFleet { fleet }
+        CampaignFleet { fleet, kept: None }
     }
 
     /// The resolved worker count.
@@ -538,7 +552,7 @@ impl CampaignFleet {
         config: &ExploreConfig,
     ) -> ExploreOutcome {
         self.fleet.set_max_retries(config.max_retries);
-        explore_with(&mut self.fleet, target, spec, config)
+        explore_with(&mut self.fleet, &mut self.kept, target, spec, config)
     }
 
     /// Cumulative pool statistics since construction (non-consuming; the
@@ -592,22 +606,20 @@ fn journal_record(
     message: Option<&str>,
 ) {
     let Some(w) = writer else { return };
-    let case = JournalCase {
-        schedule: report.schedule.clone(),
-        verdict: report.run.verdict.clone(),
-        oracle: report.run.oracle.clone(),
-        coverage: report.run.coverage.edges().map(str::to_string).collect(),
-        shrink: report
-            .shrink
-            .as_ref()
-            .map(|s| crate::journal::JournalShrink {
-                shrunk: s.shrunk.clone(),
-                runs: s.runs,
-                message: message.map(str::to_string),
-            }),
-    };
-    w.case(&case)
-        .unwrap_or_else(|e| panic!("cannot append to campaign journal: {e}"));
+    let shrink = report.shrink.as_ref().map(|s| JournalShrink {
+        shrunk: s.shrunk.clone(),
+        runs: s.runs,
+        message: message.map(str::to_string),
+    });
+    let run = &report.run;
+    w.live_case(
+        &report.schedule,
+        &run.verdict,
+        run.oracle.as_deref(),
+        &run.coverage,
+        shrink.as_ref(),
+    )
+    .unwrap_or_else(|e| panic!("cannot append to campaign journal: {e}"));
 }
 
 /// The epoch-synchronous search. The calling thread is the master: it
@@ -615,9 +627,13 @@ fn journal_record(
 /// RNG), the baseline run, the final confirmation run of each unique
 /// shrunk failure, and the write-ahead journal — and hands each epoch's
 /// live candidates to `fleet`, whose supervisor retries a panicking one and
-/// finally quarantines it instead of aborting the epoch.
+/// finally quarantines it instead of aborting the epoch. With snapshots
+/// on, `kept` is the pool's base world: the master store starts from it
+/// when it was captured for this target handle under these limits, and
+/// holds the base this campaign forked from when it ends.
 fn explore_with(
     fleet: &mut Fleet<FleetJob, CandidateReport>,
+    kept: &mut Option<KeptBase>,
     target: Arc<dyn TestTarget>,
     spec: &ProtocolSpec,
     config: &ExploreConfig,
@@ -652,7 +668,16 @@ fn explore_with(
         w
     });
 
-    let mut master_store = config.snapshots.then(SnapshotStore::default);
+    // A kept base makes the baseline below a hit, handed the outcome the
+    // base's own baseline recorded (or, when that run crashed or hung,
+    // forked and driven again) — byte-identical to capturing it afresh.
+    let mut master_store = config.snapshots.then(|| SnapshotStore {
+        base: kept
+            .as_ref()
+            .filter(|(handle, under, _)| Arc::ptr_eq(handle, &target) && *under == limits)
+            .map(|(.., base)| Arc::clone(base)),
+        ..SnapshotStore::default()
+    });
     let mut snap_stats = SnapshotStats::default();
 
     let mut rng = SimRng::seed_from(config.seed);
@@ -679,10 +704,10 @@ fn explore_with(
     let base_report = match replay.remove(&baseline.lowered.id) {
         Some(case) => {
             replayed += 1;
-            // A replayed baseline ran nothing, so the master store is
-            // still cold: run it once, unrecorded, purely to capture the
-            // base world every live candidate forks.
-            if let Some(store) = master_store.as_mut() {
+            // A replayed baseline ran nothing, so unless the pool kept a
+            // base the master store is still cold: run it once, unrecorded,
+            // purely to capture the base world every live candidate forks.
+            if let Some(store) = master_store.as_mut().filter(|store| store.base.is_none()) {
                 run_schedule_snapshotted(master, &baseline.schedule, &limits, Some(store));
             }
             replayed_report(master.seed(), case, baseline)
@@ -705,12 +730,17 @@ fn explore_with(
         hung += 1;
     }
     // What every live candidate forks is fixed here (not a lookup: the
-    // executing worker's own does the hit accounting).
+    // executing worker's own does the hit accounting), and it is what the
+    // pool keeps for the next campaign.
+    let base = master_store.as_ref().and_then(|store| store.base.clone());
+    if let Some(base) = &base {
+        *kept = Some((Arc::clone(&target), limits, Arc::clone(base)));
+    }
     let ctx = Arc::new(CampaignContext {
         target: Arc::clone(&target),
         limits,
         snapshots: config.snapshots,
-        base: master_store.as_ref().and_then(|store| store.base.clone()),
+        base,
     });
     let mut coverage = base_report.run.coverage;
     let mut corpus = vec![base_report.schedule];

@@ -97,6 +97,7 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use crate::coverage::Coverage;
 use crate::lines::{self, one_line};
 use crate::runner::Verdict;
 use crate::schedule::FaultSchedule;
@@ -262,11 +263,51 @@ fn render_counters(c: &JournalCounters) -> String {
 
 fn render_case(case: &JournalCase) -> String {
     let mut out = String::new();
+    write_case(
+        &mut out,
+        &case.schedule,
+        &case.verdict,
+        case.oracle.as_deref(),
+        case.shrink.as_ref(),
+        |out| {
+            for edge in &case.coverage {
+                let _ = writeln!(out, "cover {edge}");
+            }
+        },
+    );
+    out
+}
+
+/// [`render_case`] of the result a live run produced, its `cover` lines
+/// rendered from the run's coverage ([`Coverage::write_lines`]) instead of
+/// from an edge list built for the purpose. The same bytes.
+fn render_live_case(
+    schedule: &FaultSchedule,
+    verdict: &Verdict,
+    oracle: Option<&str>,
+    coverage: &Coverage,
+    shrink: Option<&JournalShrink>,
+) -> String {
+    let mut out = String::new();
+    let cover = |out: &mut String| coverage.write_lines("cover ", out);
+    write_case(&mut out, schedule, verdict, oracle, shrink, cover);
+    out
+}
+
+/// Appends one `case` record to `out`; `cover` appends its `cover` lines.
+fn write_case(
+    out: &mut String,
+    schedule: &FaultSchedule,
+    verdict: &Verdict,
+    oracle: Option<&str>,
+    shrink: Option<&JournalShrink>,
+    cover: impl FnOnce(&mut String),
+) {
     out.push_str("case begin\n");
-    for line in case.schedule.to_lines() {
+    for line in schedule.to_lines() {
         let _ = writeln!(out, "fault {line}");
     }
-    let verdict = match &case.verdict {
+    let verdict = match verdict {
         Verdict::Pass => "pass".to_string(),
         Verdict::Degraded(m) => format!("degraded {}", one_line(m)),
         Verdict::Violated(m) => format!("violated {}", one_line(m)),
@@ -275,13 +316,11 @@ fn render_case(case: &JournalCase) -> String {
         Verdict::Hung(m) => format!("hung {}", one_line(m)),
     };
     let _ = writeln!(out, "verdict {verdict}");
-    if let Some(oracle) = &case.oracle {
+    if let Some(oracle) = oracle {
         let _ = writeln!(out, "oracle {oracle}");
     }
-    for edge in &case.coverage {
-        let _ = writeln!(out, "cover {edge}");
-    }
-    if let Some(shrink) = &case.shrink {
+    cover(out);
+    if let Some(shrink) = shrink {
         for line in shrink.shrunk.to_lines() {
             let _ = writeln!(out, "shrunk {line}");
         }
@@ -291,7 +330,6 @@ fn render_case(case: &JournalCase) -> String {
         }
     }
     out.push_str("case end\n");
-    out
 }
 
 fn render_quarantine(q: &JournalQuarantine) -> String {
@@ -732,6 +770,23 @@ impl JournalWriter {
         self.append(&render_case(case))
     }
 
+    /// Journals the result a live run produced, byte-for-byte the
+    /// [`case`](JournalWriter::case) record it loads back as, without
+    /// building that [`JournalCase`]: each coverage edge is rendered once,
+    /// into the record.
+    pub(crate) fn live_case(
+        &mut self,
+        schedule: &FaultSchedule,
+        verdict: &Verdict,
+        oracle: Option<&str>,
+        coverage: &Coverage,
+        shrink: Option<&JournalShrink>,
+    ) -> Result<(), String> {
+        self.append(&render_live_case(
+            schedule, verdict, oracle, coverage, shrink,
+        ))
+    }
+
     /// Journals one quarantined candidate.
     pub fn quarantine(&mut self, q: &JournalQuarantine) -> Result<(), String> {
         self.append(&render_quarantine(q))
@@ -975,6 +1030,48 @@ mod tests {
         // The rest of the journal survives the awkward payload.
         assert_eq!(parsed.cases.len(), 2);
         assert!(parsed.complete);
+    }
+
+    /// A live run's record is the record of its edge list, on each bundled
+    /// target (a violated one carrying its shrink lines too).
+    #[test]
+    fn a_record_from_live_coverage_is_the_record_of_its_edges() {
+        use crate::runner::{run_schedule_limited, GmpTarget, RunLimits, TcpTarget, TpcTarget};
+        use crate::TestTarget;
+        let targets: [&dyn TestTarget; 3] =
+            [&GmpTarget::default(), &TcpTarget::default(), &TpcTarget];
+        for target in targets {
+            let schedule = FaultSchedule {
+                faults: vec![drop_fault(0, "HEARTBEAT")],
+            };
+            let run = run_schedule_limited(target, &schedule, &RunLimits::default());
+            assert!(run.coverage.len() > 10, "{}", target.name());
+            let shrink = JournalShrink {
+                shrunk: schedule.clone(),
+                runs: 2,
+                message: Some("gone".into()),
+            };
+            for shrink in [None, Some(&shrink)] {
+                // Cloned before `edges()` renders the text set, so the
+                // live record is rendered from the keys.
+                let coverage = run.coverage.clone();
+                let live = render_live_case(
+                    &schedule,
+                    &run.verdict,
+                    run.oracle.as_deref(),
+                    &coverage,
+                    shrink,
+                );
+                let case = JournalCase {
+                    schedule: schedule.clone(),
+                    verdict: run.verdict.clone(),
+                    oracle: run.oracle.clone(),
+                    coverage: coverage.edges().map(str::to_string).collect(),
+                    shrink: shrink.cloned(),
+                };
+                assert_eq!(live, render_case(&case), "{}", target.name());
+            }
+        }
     }
 
     #[test]

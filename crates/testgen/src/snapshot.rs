@@ -67,7 +67,10 @@ pub(crate) struct BaseWorld {
 /// What the baseline already ran: the traffic each fault site's filters
 /// would have seen, and how the run was judged. It lives with the
 /// campaign's base world and nowhere shared — it is only meaningful
-/// against that world (same target, same limits), and goes when it goes.
+/// against that world (same target, same limits), and goes when it goes:
+/// at the campaign's end, or, on a [`crate::CampaignFleet`] that keeps
+/// the base for the next campaign of the same target, when that pool
+/// lets it go.
 pub(crate) struct Baseline {
     /// Per fault site, the messages that reached its filters, in order.
     traffic: Vec<Arc<[RecordedMsg]>>,

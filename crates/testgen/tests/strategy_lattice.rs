@@ -182,7 +182,12 @@ fn seed_corpus_is_deterministic_and_counts_toward_executed() {
 
 /// One long-lived pool serves consecutive campaigns — different targets
 /// and configs, same threads — and each outcome is byte-identical to a
-/// fresh fleet's.
+/// fresh fleet's. Back to back on one target handle under equal limits,
+/// the second campaign forks the base world and baseline the first one
+/// left on the pool: its baseline is one more snapshot hit handed the
+/// recorded outcome, with no miss and nothing stored, and digest and
+/// journal bytes stay a fresh fleet's. Another handle or another step
+/// budget captures afresh.
 #[test]
 fn campaign_fleet_reuse_is_outcome_invariant() {
     let spec = ProtocolSpec::gmp();
@@ -205,4 +210,45 @@ fn campaign_fleet_reuse_is_outcome_invariant() {
         (first.executed - 1 + second.executed - 1) as u64,
         "the shared pool dispatched exactly both campaigns' work"
     );
+
+    let journal = |name: &str| {
+        let file = format!("pfi_lattice_reuse_{}_{name}.journal", std::process::id());
+        std::env::temp_dir().join(file)
+    };
+    let journaled = |name| ExploreConfig {
+        journal: Some(journal(name)),
+        ..config(40)
+    };
+    let handle: Arc<dyn TestTarget> = Arc::new(heavy());
+    let mut pool = CampaignFleet::new(2);
+    pool.explore(Arc::clone(&handle), &spec, &config(24));
+    let kept = pool.explore(Arc::clone(&handle), &spec, &journaled("kept"));
+    let (fresh, _) = explore_fleet(Arc::new(heavy()), &spec, &journaled("fresh"), 2);
+    let (kept_snap, fresh_snap) = (&kept.snapshots, &fresh.snapshots);
+    assert_eq!((fresh_snap.misses, fresh_snap.stored), (1, 1));
+    assert_eq!((kept_snap.misses, kept_snap.stored), (0, 0));
+    assert_eq!(kept_snap.hits, fresh_snap.hits + 1);
+    assert_eq!(kept_snap.replayed, fresh_snap.replayed + 1);
+    assert_eq!(kept.digest(), fresh.digest());
+    let bytes = |name| {
+        let path = journal(name);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    };
+    assert_eq!(bytes("kept"), bytes("fresh"), "journal bytes");
+
+    // The kept base is the first handle's: an equal target behind another
+    // handle captures its own, and so does that handle under a step budget.
+    let other: Arc<dyn TestTarget> = Arc::new(heavy());
+    let equal = pool.explore(Arc::clone(&other), &spec, &config(40));
+    assert_eq!(equal.snapshots.misses, 1);
+    assert_eq!(equal.digest(), fresh.digest());
+    let budgeted = ExploreConfig {
+        step_budget: 5000,
+        ..config(40)
+    };
+    let budgeted = pool.explore(other, &spec, &budgeted);
+    assert_eq!(budgeted.snapshots.misses, 1);
+    pool.shutdown();
 }
