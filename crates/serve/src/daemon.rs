@@ -24,11 +24,13 @@
 //!
 //! Durability contract: `submit` writes the seed snapshot if there are
 //! seeds to pin, then the index line (fsynced), then acknowledges. The
-//! campaign itself runs with a write-ahead journal in the store. On
-//! startup the daemon scans the index: campaigns whose journal carries the `complete` terminator are
-//! reconstructed (no re-execution) for `status`/`results`; everything
-//! else — running or still queued at the kill — is re-enqueued, and the
-//! torn journal's completed cases are replayed, not re-executed. Epoch-
+//! campaign itself runs with a write-ahead journal, appended as one block
+//! to the store's `store.journal`. On startup the daemon reads that file
+//! once, block by block, then scans the index: campaigns whose last
+//! journal block carries the `complete` terminator are reconstructed (no
+//! re-execution) for `status`/`results`; everything else — running or
+//! still queued at the kill — is re-enqueued, handed the torn journal it
+//! left, whose completed cases are replayed, not re-executed. Epoch-
 //! synchronous determinism makes the resumed outcome byte-identical to
 //! an uninterrupted run's.
 
@@ -42,8 +44,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use pfi_testgen::{
-    bundled, unknown_protocol, CampaignFleet, ExploreOutcome, Journal, LiveProgress, ProtocolSpec,
-    TestTarget,
+    bundled, unknown_protocol, CampaignFleet, ExploreOutcome, FaultSchedule, Journal, LiveProgress,
+    ProtocolSpec, TestTarget,
 };
 
 use crate::faultio::{FaultConfig, FaultPlan, FaultStream};
@@ -288,9 +290,31 @@ fn exit_code(outcome: &ExploreOutcome) -> i32 {
     }
 }
 
+/// What the startup scan keeps of a campaign's journal, parsed once.
+enum Recovered {
+    /// Finished: its summary, with `shared` still to count, and the
+    /// corpus it kept.
+    Done(Summary, Vec<FaultSchedule>),
+    /// Unfinished: the torn journal it resumes from, when one loaded.
+    Resume(Option<Journal>),
+}
+
+impl Recovered {
+    fn from_journal(journal: Result<Journal, String>) -> Recovered {
+        match journal {
+            Ok(journal) if journal.complete => {
+                let outcome = journal.reconstruct();
+                Recovered::Done(Summary::from_outcome(&outcome, 0), outcome.corpus)
+            }
+            journal => Recovered::Resume(journal.ok()),
+        }
+    }
+}
+
 enum CampaignState {
-    /// Waiting its turn, or taken off the queue and still loading.
-    Queued,
+    /// Waiting its turn, with the torn journal it resumes from, if any;
+    /// or taken off the queue (and its journal) and still loading.
+    Queued(Option<Box<Journal>>),
     Running {
         started: Instant,
         progress: Arc<LiveProgress>,
@@ -379,6 +403,15 @@ pub fn run(opts: DaemonOptions) -> io::Result<()> {
     let mut queue: Vec<String> = Vec::new();
     let mut idents = BTreeMap::new();
     let mut next_seq = 0;
+    // Each campaign's last journal block: a resume appends a fresh block
+    // after the torn one. An id that owns a block is never issued again,
+    // even when its index line is spoilt (and skipped).
+    let mut journals: BTreeMap<String, Recovered> = BTreeMap::new();
+    for block in store.journal_blocks()? {
+        let (id, journal) = block?;
+        next_seq = next_seq.max(seq_of(&id));
+        journals.insert(id, Recovered::from_journal(journal));
+    }
     let mut index = store.load_index()?;
     index.sort_by_key(|(id, ..)| seq_of(id));
     // Each pool as the finished campaigns built it so far: the executor
@@ -391,33 +424,35 @@ pub fn run(opts: DaemonOptions) -> io::Result<()> {
         if let Some(tok) = ident {
             idents.insert(tok, id.clone());
         }
-        let state = match Journal::load(&store.journal_path(&id)) {
-            Ok(journal) if journal.complete => {
-                let outcome = journal.reconstruct();
+        // A campaign of the per-campaign layout has no block, only its own
+        // journal file.
+        let recovered = journals.remove(&id).unwrap_or_else(|| {
+            Recovered::from_journal(Journal::load(&store.legacy_journal_path(&id)))
+        });
+        let state = match recovered {
+            Recovered::Done(mut summary, corpus) => {
                 let key = params.corpus_key();
                 // The pool merge already happened when the campaign first
                 // completed; merging again is a no-op by exact-id dedup,
                 // and re-running it here heals a crash that landed between
                 // journal completion and the pool append.
-                store.merge_corpus(&key, &outcome.corpus).ok();
+                store.merge_corpus(&key, &corpus).ok();
                 let pool = pools.entry(key).or_default();
-                let shared = outcome
-                    .corpus
+                summary.shared = corpus
                     .iter()
                     .filter(|s| !s.is_empty())
                     .filter(|s| pool.insert(s.id()))
                     .count();
-                CampaignState::Done(Box::new(Summary::from_outcome(&outcome, shared)))
+                CampaignState::Done(Box::new(summary))
             }
-            _ => {
+            Recovered::Resume(journal) => {
                 queue.push(id.clone());
-                CampaignState::Queued
+                CampaignState::Queued(journal.map(Box::new))
             }
         };
         campaigns.insert(id, CampaignEntry { params, state });
     }
-    // A campaign whose index line is spoilt (and skipped) still owns its
-    // journal, so its id is never issued again.
+    // The same holds for a journal file of the per-campaign layout.
     for entry in std::fs::read_dir(&opts.store)? {
         let name = entry?.file_name();
         if let Some(id) = name.to_str().and_then(|n| n.strip_suffix(".journal")) {
@@ -551,7 +586,7 @@ fn executor_loop(shared: &Shared, jobs: usize) {
     let mut pool = CampaignFleet::new(jobs);
     let mut targets = LastTarget::default();
     loop {
-        let (id, params) = {
+        let (id, params, resume) = {
             let mut state = shared.state.lock().unwrap();
             loop {
                 // Shutdown wins over queued work: queued campaigns stay in
@@ -565,14 +600,19 @@ fn executor_loop(shared: &Shared, jobs: usize) {
                     return;
                 }
                 if let Some(id) = state.queue.pop_front() {
-                    let params = state.campaigns[&id].params.clone();
-                    break (id, params);
+                    let entry = state.campaigns.get_mut(&id).unwrap();
+                    let resume = match &mut entry.state {
+                        CampaignState::Queued(resume) => resume.take(),
+                        _ => None,
+                    };
+                    let params = entry.params.clone();
+                    break (id, params, resume);
                 }
                 state = shared.cv.wait(state).unwrap();
             }
         };
         let started = Instant::now();
-        let summary = run_campaign(&mut pool, &mut targets, shared, &id, &params);
+        let summary = run_campaign(&mut pool, &mut targets, shared, &id, &params, resume);
         let mut summary = summary.unwrap_or_else(|e| Summary {
             digest64: format!("error: {e}"),
             exit: 3,
@@ -618,37 +658,38 @@ impl LastTarget {
     }
 }
 
-/// Runs (or resumes) one campaign on the shared pool and merges its
-/// corpus into the target's pool file. Pool merges are disk writes, so
-/// they go through the same self-healing retry as submit's store writes.
-/// The campaign turns `Running` here, once its progress counters hold
-/// what a journal being resumed already records, so `status` after a
-/// restart starts from those counts and never from zero.
+/// Runs (or resumes from the torn journal `resume`) one campaign on the
+/// shared pool, journaling it as a fresh block of the store's segment,
+/// and merges its corpus into the target's pool file. The marker and the
+/// pool merge are disk writes, so they go through the same self-healing
+/// retry as submit's store writes. The campaign turns `Running` here,
+/// once its progress counters hold what a journal being resumed already
+/// records, so `status` after a restart starts from those counts and
+/// never from zero.
 fn run_campaign(
     pool: &mut CampaignFleet,
     targets: &mut LastTarget,
     daemon: &Shared,
     id: &str,
     params: &CampaignParams,
+    resume: Option<Box<Journal>>,
 ) -> io::Result<Summary> {
     let store = &daemon.store;
     let (spec, target) = targets.get(params)?;
     let mut cfg = params.to_config();
     cfg.seed_corpus = store.read_seeds(id)?;
     let progress = Arc::new(LiveProgress::default());
-    let journal_path = store.journal_path(id);
-    // A torn journal resumes; none (or an unreadable one) is a fresh run.
-    // A complete one never gets here: the startup scan made it `Done`.
-    if let Ok(journal) = Journal::load(&journal_path) {
+    // A complete journal never gets here: the startup scan made it `Done`.
+    if let Some(journal) = resume {
         let edges: BTreeSet<&str> = journal
             .cases
             .iter()
             .flat_map(|c| c.coverage.iter().map(String::as_str))
             .collect();
         progress.raise(journal.dispatched.len(), journal.cases.len(), edges.len());
-        cfg.resume = Some(journal);
+        cfg.resume = Some(*journal);
     }
-    cfg.journal = Some(journal_path);
+    cfg.journal = Some(retry_store(&daemon.stats, || store.begin_journal(id))?);
     cfg.progress = Some(Arc::clone(&progress));
     let mut state = daemon.state.lock().unwrap();
     state.campaigns.get_mut(id).unwrap().state = CampaignState::Running {
@@ -898,6 +939,11 @@ fn handle_request<W: Write>(req: &Request, shared: &Shared, w: &mut W) -> io::Re
                 retry_store(&shared.stats, || shared.store.write_seeds(&id, &seeds))?;
                 retry_store(&shared.stats, || {
                     shared.store.append_index(&id, params, ident.as_deref())
+                })
+                .inspect_err(|_| {
+                    // An attempt whose fsync failed may have left the whole
+                    // line; a restart must not run the nacked submit.
+                    shared.store.revoke_index(&id).ok();
                 })?;
                 Ok(seeds)
             })();
@@ -916,7 +962,7 @@ fn handle_request<W: Write>(req: &Request, shared: &Shared, w: &mut W) -> io::Re
                 id.clone(),
                 CampaignEntry {
                     params: params.clone(),
-                    state: CampaignState::Queued,
+                    state: CampaignState::Queued(None),
                 },
             );
             state.queue.push_back(id.clone());
@@ -944,7 +990,7 @@ fn handle_request<W: Write>(req: &Request, shared: &Shared, w: &mut W) -> io::Re
                 .map(|id| {
                     let entry = &state.campaigns[*id];
                     let (word, kv) = match &entry.state {
-                        CampaignState::Queued => ("queued", String::new()),
+                        CampaignState::Queued(_) => ("queued", String::new()),
                         CampaignState::Running { started, progress } => {
                             ("running", live_status_kv(progress, *started))
                         }

@@ -14,9 +14,9 @@
 //!   payloads) and a small [`proto::Client`] for TCP or Unix sockets,
 //!   plus the bounded readers and [`proto::RetryClient`] the hardened
 //!   boundary demands.
-//! - [`store`]: the store directory — append-only index, per-campaign
-//!   journals and pinned seed corpora, and per-target shared corpus
-//!   pools deduplicated by exact schedule.
+//! - [`store`]: the store directory — append-only index, one append-only
+//!   file of every campaign's journal, pinned seed corpora, and
+//!   per-target shared corpus pools deduplicated by exact schedule.
 //! - [`daemon`]: the listener/executor runtime.
 //! - [`faultio`]: PFI turned on the daemon itself — a deterministic
 //!   seeded interposition layer for the daemon's own wire and disk I/O,

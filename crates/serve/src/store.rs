@@ -6,10 +6,14 @@
 //! ```text
 //! store.index        append-only: one `campaign <id> <params kv>` line
 //!                    per accepted submission, fsynced before the submit
-//!                    is acknowledged
-//! <id>.journal       the campaign's pfi-journal v1 write-ahead journal
-//!                    (crash-safe; a missing `complete` terminator marks
-//!                    the campaign as unfinished and resumable)
+//!                    is acknowledged; a `revoked <id>` line after one
+//!                    whose fsync never succeeded (the submit was nacked)
+//! store.journal      append-only: every campaign's pfi-journal v1
+//!                    write-ahead journal, one block each — a
+//!                    `journal <id>` line, then the journal unchanged (a
+//!                    missing `complete` terminator marks the campaign as
+//!                    unfinished and resumable; a resume appends a fresh
+//!                    block, and the last block of an id is its journal)
 //! <id>.seeds         the seed corpus pinned at submission, one schedule
 //!                    per line; only when there were seeds to pin (a
 //!                    missing file *is* the empty corpus), written before
@@ -17,25 +21,34 @@
 //! corpus-<key>       the shared corpus pool for one target build,
 //!                    deduplicated by exact schedule id — the
 //!                    cross-campaign minimization pass
+//! <id>.journal       a campaign's journal in stores written before
+//!                    `store.journal`; read for an id with no block there
 //! ```
 //!
 //! Identity lives in the index + seeds; progress lives in the journal.
 //!
+//! No journal line starts with `journal `, so the markers split the
+//! segment back into blocks. Only the daemon's executor writes it, one
+//! campaign at a time, so a block's records follow its marker unbroken.
+//!
 //! Every append holds the one store lock across cutting back a torn tail,
-//! the write and the fsync. The lock also guards the pool's dedup sets,
-//! one set of exact ids per corpus key, read from `corpus-<key>` on the
-//! key's first merge; later merges touch the disk only to append. The
-//! `Store` value is the directory's only writer while it lives (a daemon
-//! owns its store). A key's set is thrown away, to be re-read, when an
-//! append to its pool fails, and a new `Store::open` starts with none.
+//! the write and the fsync (a marker is not fsynced: journals never were).
+//! The cut keeps a line a kill tore off the end of one block from being
+//! glued to the next block's marker. The lock also guards the pool's
+//! dedup sets, one set of exact ids per corpus key, read from
+//! `corpus-<key>` on the key's first merge; later merges touch the disk
+//! only to append. The `Store` value is the directory's only writer while
+//! it lives (a daemon owns its store). A key's set is thrown away, to be
+//! re-read, when an append to its pool fails, and a new `Store::open`
+//! starts with none.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
-use std::io;
+use std::io::{self, BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use pfi_testgen::{lines, FaultSchedule};
+use pfi_testgen::{lines, FaultSchedule, Journal};
 
 use crate::faultio::{faulty_sync, faulty_write_all, FaultPlan};
 use crate::proto::CampaignParams;
@@ -78,8 +91,13 @@ impl Store {
         self.dir.join("store.index")
     }
 
-    /// A campaign's journal path.
-    pub fn journal_path(&self, id: &str) -> PathBuf {
+    /// `store.journal` path: every campaign's journal, one block each.
+    pub fn journal_path(&self) -> PathBuf {
+        self.dir.join("store.journal")
+    }
+
+    /// Where a store of the per-campaign layout kept a campaign's journal.
+    pub fn legacy_journal_path(&self, id: &str) -> PathBuf {
         self.dir.join(format!("{id}.journal"))
     }
 
@@ -102,7 +120,14 @@ impl Store {
     /// store file and fsyncs. The caller holds the store lock — `_held`
     /// is the proof — across the whole call. A torn tail a failed append
     /// left is cut off first, so a fragment never becomes a line.
-    fn append_line(&self, _held: &PoolSets, path: &Path, record: &str) -> io::Result<()> {
+    fn append_line(&self, held: &PoolSets, path: &Path, record: &str) -> io::Result<()> {
+        let (f, sync_fails) = self.write_line(held, path, record)?;
+        faulty_sync(&f, sync_fails)
+    }
+
+    /// [`append_line`](Store::append_line) up to the fsync: returns the
+    /// file, and whether the plan fails its fsync.
+    fn write_line(&self, _held: &PoolSets, path: &Path, record: &str) -> io::Result<(File, bool)> {
         let mut f = OpenOptions::new()
             .read(true)
             .create(true)
@@ -111,7 +136,31 @@ impl Store {
         lines::truncate_torn_tail(&mut f)?;
         let record = format!("{record}\n");
         let sync_fails = faulty_write_all(&mut f, record.as_bytes(), self.plan.as_ref())?;
-        faulty_sync(&f, sync_fails)
+        Ok((f, sync_fails))
+    }
+
+    /// Starts campaign `id`'s block: appends its `journal <id>` marker to
+    /// `store.journal`, unsynced, and returns the path the campaign's
+    /// journal is then appended to.
+    pub fn begin_journal(&self, id: &str) -> io::Result<PathBuf> {
+        let path = self.journal_path();
+        self.write_line(&self.lock(), &path, &format!("journal {id}"))?;
+        Ok(path)
+    }
+
+    /// Streams `store.journal` block by block (module header): each
+    /// marker's id and its journal as [`Journal::from_text`] reads the
+    /// block, in file order, so an id may come more than once. Lines
+    /// before the first marker belong to no block and are skipped. A
+    /// missing file holds no blocks.
+    pub fn journal_blocks(&self) -> io::Result<JournalBlocks> {
+        let file = match File::open(self.journal_path()) {
+            // Blocks run to tens of KB: read in chunks of that size.
+            Ok(f) => Some(BufReader::with_capacity(1 << 16, f)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e),
+        };
+        Ok(JournalBlocks { file, next: None })
     }
 
     /// Appends one submission to the index and fsyncs. Only after this
@@ -131,17 +180,36 @@ impl Store {
         self.append_line(&self.lock(), &self.index_path(), &line)
     }
 
+    /// Revokes the submission `id` whose index append never succeeded,
+    /// though its line may be on disk whole (the fsync failed), because
+    /// its submit was nacked: appends a `revoked <id>` line, which drops
+    /// every `campaign <id>` line before it from [`load_index`]. Best
+    /// effort; concurrent submits may have appended after that line, so
+    /// the index is never cut back.
+    ///
+    /// [`load_index`]: Store::load_index
+    pub fn revoke_index(&self, id: &str) -> io::Result<()> {
+        self.append_line(&self.lock(), &self.index_path(), &format!("revoked {id}"))
+    }
+
     /// Loads the index: every fully-written submission, in submission
     /// order, with its idempotency token when the submit carried one.
     /// Malformed lines are skipped (older stores hold healed fragments
     /// mid-file). A failed fsync leaves a whole line the daemon's retry
-    /// appends again, so the loader keeps one entry per id, the last.
+    /// appends again, so the loader keeps one entry per id, the last —
+    /// unless a `revoked <id>` line follows it.
     #[allow(clippy::type_complexity)]
     pub fn load_index(&self) -> io::Result<Vec<(String, CampaignParams, Option<String>)>> {
         let bytes = read_or_empty(&self.index_path())?;
-        let mut out: Vec<(String, CampaignParams, Option<String>)> = Vec::new();
+        let mut out: Vec<Option<(String, CampaignParams, Option<String>)>> = Vec::new();
         let mut slot: BTreeMap<String, usize> = BTreeMap::new();
         for line in lines::complete(&bytes).filter_map(Result::ok) {
+            if let Some(id) = line.strip_prefix("revoked ") {
+                if let Some(i) = slot.remove(id) {
+                    out[i] = None;
+                }
+                continue;
+            }
             let Some(rest) = line.strip_prefix("campaign ") else {
                 continue; // malformed or foreign line
             };
@@ -152,16 +220,17 @@ impl Store {
                 let ident = crate::proto::parse_kv(kv)
                     .get("ident")
                     .map(|s| s.to_string());
+                let entry = Some((id.to_string(), params, ident));
                 match slot.get(id) {
-                    Some(&i) => out[i] = (id.to_string(), params, ident),
+                    Some(&i) => out[i] = entry,
                     None => {
                         slot.insert(id.to_string(), out.len());
-                        out.push((id.to_string(), params, ident));
+                        out.push(entry);
                     }
                 }
             }
         }
-        Ok(out)
+        Ok(out.into_iter().flatten().collect())
     }
 
     /// Writes a campaign's pinned seed corpus (one schedule per line) and
@@ -257,6 +326,71 @@ fn read_schedule_lines(path: &Path) -> io::Result<Vec<FaultSchedule>> {
         .collect())
 }
 
+/// The blocks of `store.journal`, read one at a time
+/// ([`Store::journal_blocks`]): only the block being read is in memory.
+#[derive(Debug)]
+pub struct JournalBlocks {
+    /// `None` once the file is read to its end (or was missing).
+    file: Option<BufReader<File>>,
+    /// The id of the block being read: the last marker seen.
+    next: Option<String>,
+}
+
+impl Iterator for JournalBlocks {
+    type Item = io::Result<(String, Result<Journal, String>)>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self.read_block() {
+            Ok(block) => block.map(|(id, bytes)| Ok((id, Journal::from_text(bytes)))),
+            Err(e) => {
+                (self.file, self.next) = (None, None);
+                Some(Err(e))
+            }
+        }
+    }
+}
+
+impl JournalBlocks {
+    /// The next block's id and bytes: everything up to the next marker,
+    /// or to the end of the file.
+    fn read_block(&mut self) -> io::Result<Option<(String, Vec<u8>)>> {
+        let mut block = Vec::new();
+        while let Some(file) = self.file.as_mut() {
+            // A marker is a line that starts with `j`, and a journal has
+            // few of those, so the reader skips from `j` to `j` rather
+            // than line by line, and reads on to the newline only from a
+            // `j` that starts a line. A block starts at a line start.
+            if file.read_until(b'j', &mut block)? == 0 {
+                self.file = None;
+                break;
+            }
+            let j = block.len() - 1;
+            if block[j] == b'j' && (j == 0 || block[j - 1] == b'\n') {
+                file.read_until(b'\n', &mut block)?;
+                if let Some(id) = marker(&block[j..]) {
+                    let id = id.to_string();
+                    block.truncate(j);
+                    match self.next.replace(id) {
+                        Some(done) => return Ok(Some((done, block))),
+                        None => block.clear(), // what came before the first marker
+                    }
+                }
+            } else if self.next.is_none() {
+                // Before the first marker only the last byte matters: it
+                // says whether a line starts after it.
+                block.drain(..j);
+            }
+        }
+        Ok(self.next.take().map(|id| (id, block)))
+    }
+}
+
+/// The id a finished `journal <id>` marker line names.
+fn marker(line: &[u8]) -> Option<&str> {
+    let id = line.strip_prefix(b"journal ")?.strip_suffix(b"\n")?;
+    lines::decode(id).ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,6 +437,116 @@ mod tests {
         let healed = store.load_index().unwrap();
         assert_eq!(healed.len(), 3);
         assert_eq!(healed[2].0, "c4");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A plan whose first `ops` disk operations all land their bytes and
+    /// fail their fsync: the first seed whose draws say so.
+    fn every_sync_fails(ops: usize) -> Arc<FaultPlan> {
+        use crate::faultio::{DiskFault, FaultConfig};
+        let config = |seed| FaultConfig {
+            seed,
+            wire_permille: 0,
+            disk_permille: 1000,
+            max_faults: 0,
+            max_delay_ms: 1,
+        };
+        let seed = (1..)
+            .find(|&seed| {
+                let probe = FaultPlan::new(config(seed));
+                (0..ops).all(|_| probe.disk_fault() == Some(DiskFault::SyncFail))
+            })
+            .unwrap();
+        FaultPlan::new(config(seed))
+    }
+
+    /// A submit whose every index fsync failed is nacked, but each attempt
+    /// left its whole line. The `revoked` line the daemon appends then
+    /// keeps those lines from ever being a campaign, after a restart too;
+    /// the id, issued again, is a campaign from its next line on.
+    #[test]
+    fn a_revoked_submission_is_no_campaign_after_a_restart() {
+        let dir = tmp("revoked");
+        fs::remove_dir_all(&dir).ok();
+        let p = CampaignParams::default();
+        Store::open(&dir)
+            .unwrap()
+            .append_index("c1", &p, None)
+            .unwrap();
+        // The daemon's six attempts, then its one revoke, every fsync failing.
+        let store = Store::open(&dir)
+            .unwrap()
+            .with_fault_plan(every_sync_fails(7));
+        for _ in 0..6 {
+            assert!(store.append_index("c2", &p, Some("tok")).is_err());
+        }
+        let index = || fs::read_to_string(store.index_path()).unwrap();
+        assert_eq!(index().matches("campaign c2 ").count(), 6);
+        assert!(store.revoke_index("c2").is_err(), "its fsync fails too");
+        assert!(index().ends_with("\nrevoked c2\n"));
+        let c1 = ("c1".to_string(), p.clone(), None);
+        assert_eq!(store.load_index().unwrap(), std::slice::from_ref(&c1));
+
+        let restarted = Store::open(&dir).unwrap();
+        assert_eq!(restarted.load_index().unwrap(), std::slice::from_ref(&c1));
+        restarted.append_index("c2", &p, None).unwrap();
+        let c2 = ("c2".to_string(), p, None);
+        assert_eq!(restarted.load_index().unwrap(), [c1, c2]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Each campaign's journal is one block of `store.journal`, read back
+    /// in file order: a resume's fresh block follows the torn one, and the
+    /// marker cuts the line the kill tore, so it is not glued to the torn
+    /// block's last line.
+    #[test]
+    fn journal_blocks_read_back_in_order_and_a_torn_line_is_cut() {
+        use pfi_testgen::JournalMeta;
+        let dir = tmp("blocks");
+        fs::remove_dir_all(&dir).ok();
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.journal_blocks().unwrap().count(), 0, "no file");
+        let journal = |seed| {
+            let mut journal = Journal::new(JournalMeta {
+                target: "gmp".into(),
+                world_seed: 4242,
+                seed,
+                budget: 24,
+                max_faults: 3,
+                epoch: 8,
+                seed_corpus: 0,
+                step_budget: 0,
+                max_retries: 2,
+            });
+            journal.dispatched.push("baseline".into());
+            journal.complete = true;
+            journal
+        };
+        let append = |id: &str, text: &str| {
+            let path = store.begin_journal(id).unwrap();
+            let mut f = OpenOptions::new().append(true).open(path).unwrap();
+            f.write_all(text.as_bytes()).unwrap();
+        };
+        let (one, two) = (journal(1), journal(2));
+        append("c1", &one.to_text());
+        let text = two.to_text();
+        append("c2", &text[..text.len() - 3]); // killed inside `complete`
+        append("c2", &text);
+        let mut torn = two.clone();
+        torn.complete = false;
+        let blocks: Vec<_> = store
+            .journal_blocks()
+            .unwrap()
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(
+            blocks,
+            [
+                ("c1".to_string(), Ok(one)),
+                ("c2".to_string(), Ok(torn)),
+                ("c2".to_string(), Ok(two))
+            ]
+        );
         fs::remove_dir_all(&dir).ok();
     }
 

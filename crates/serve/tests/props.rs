@@ -16,7 +16,7 @@ use pfi_serve::proto::{
     parse_kv, read_line_bounded, read_reply_limited, write_reply, LineOutcome, ProtoLimits,
 };
 use pfi_serve::{CampaignParams, Request, Store};
-use pfi_testgen::FaultSchedule;
+use pfi_testgen::{FaultSchedule, Journal, JournalCase, JournalMeta, Verdict};
 use proptest::prelude::*;
 
 fn arb_params() -> impl Strategy<Value = CampaignParams> {
@@ -369,6 +369,43 @@ fn arb_schedule() -> impl Strategy<Value = FaultSchedule> {
 /// Campaign ids no single bit flip turns into one another.
 const IDS: [&str; 5] = ["c1", "c2", "c4", "c7", "c8"];
 
+/// A journal of up to four cases, complete or not, whose free text needs
+/// `one_line`.
+fn arb_journal() -> impl Strategy<Value = Journal> {
+    let cases = proptest::collection::vec((arb_schedule(), 0u8..4, 0u32..4), 1..5);
+    (any::<u64>(), cases, any::<bool>()).prop_map(|(seed, cases, complete)| {
+        let mut journal = Journal::new(JournalMeta {
+            target: "gmp".into(),
+            world_seed: seed / 3,
+            seed,
+            budget: 24,
+            max_faults: 3,
+            epoch: 8,
+            seed_corpus: 0,
+            step_budget: 0,
+            max_retries: 2,
+        });
+        for (schedule, verdict, edges) in cases {
+            journal.dispatched.push(schedule.id());
+            journal.cases.push(JournalCase {
+                schedule,
+                verdict: match verdict {
+                    0 => Verdict::Pass,
+                    1 => Verdict::Degraded("views diverged:\nn0 {1 2}".into()),
+                    2 => Verdict::Crashed("panicked at\r\n'boom'\0".into()),
+                    _ => Verdict::Hung("event cap".into()),
+                },
+                oracle: None,
+                coverage: (0..edges).map(|n| format!("gmp:n{n}:Started")).collect(),
+                shrink: None,
+            });
+        }
+        journal.complete = complete;
+        // What the journal loads back as: its free text made one line.
+        Journal::from_text(journal.to_text()).unwrap()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -432,6 +469,80 @@ proptest! {
         prop_assert_eq!(reopened.read_corpus("gmp").unwrap(), pool);
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// `store.journal`: every block before the damage loads unchanged.
+    /// Cut, the block the cut lands in loads as a prefix of its cases (an
+    /// error only inside its metadata header), and none after it. A
+    /// flipped bit costs the block it lands in and its two neighbours at
+    /// most: a marker that no longer reads as one glues its block to the
+    /// one before, a lost newline glues the next marker to its line. A
+    /// junk prefix costs the first block at most.
+    #[test]
+    fn a_damaged_journal_segment_keeps_the_blocks_before_the_damage(
+        journals in proptest::collection::vec(arb_journal(), 1..4),
+        draw in arb_draw(),
+    ) {
+        let dir = store_dir("segment");
+        let store = Store::open(&dir).unwrap();
+        let path = store.journal_path();
+        // Where each block's marker starts, and its marker's length.
+        let mut starts = Vec::new();
+        let records: Vec<_> = IDS.iter().zip(&journals).map(|(id, journal)| {
+            starts.push(std::fs::metadata(&path).map_or(0, |m| m.len() as usize));
+            let mut f = std::fs::OpenOptions::new().append(true).open(store.begin_journal(id).unwrap()).unwrap();
+            std::io::Write::write_all(&mut f, journal.to_text().as_bytes()).unwrap();
+            (id.to_string(), Ok(journal.clone()))
+        }).collect();
+        let bytes = std::fs::read(&path).unwrap();
+        let load = || -> Vec<(String, Result<Journal, String>)> {
+            store.journal_blocks().unwrap().map(Result::unwrap).collect()
+        };
+        prop_assert_eq!(&load(), &records);
+        let end = |k: usize| starts.get(k + 1).copied().unwrap_or(bytes.len());
+        for damage in Damage::each(draw, bytes.len()) {
+            std::fs::write(&path, damage.apply(&bytes)).unwrap();
+            let loaded = load();
+            match damage {
+                Damage::Cut(at) => {
+                    let marked = (0..records.len())
+                        .filter(|&k| starts[k] + records[k].0.len() + "journal \n".len() <= at)
+                        .count();
+                    prop_assert_eq!(loaded.len(), marked, "cut at {}", at);
+                    let Some(k) = marked.checked_sub(1) else { continue };
+                    prop_assert_eq!(&loaded[..k], &records[..k], "cut at {}", at);
+                    prop_assert_eq!(&loaded[k].0, &records[k].0);
+                    let whole = &journals[k];
+                    match &loaded[k].1 {
+                        _ if at >= end(k) => prop_assert_eq!(&loaded[k], &records[k]),
+                        Ok(torn) => {
+                            prop_assert_eq!(&torn.meta, &whole.meta);
+                            prop_assert_eq!(&torn.cases[..], &whole.cases[..torn.cases.len()]);
+                            prop_assert!(!torn.complete);
+                        }
+                        Err(_) => {
+                            let header = starts[k] + records[k].0.len() + "journal \n".len()
+                                + Journal::new(whole.meta.clone()).to_text().len();
+                            prop_assert!(at < header, "cut at {} errs past the header", at);
+                        }
+                    }
+                }
+                Damage::Flip(at, _) => {
+                    let k = starts.iter().rposition(|&s| s <= at).unwrap();
+                    let kept = (k + 2).min(records.len());
+                    prop_assert!(
+                        loaded.starts_with(&records[..k.saturating_sub(1)])
+                            && loaded.ends_with(&records[kept..]),
+                        "{:?} loaded {:?}", damage, loaded
+                    );
+                }
+                Damage::Junk(_) => prop_assert!(
+                    loaded == records || loaded == records[1..],
+                    "{:?} loaded {:?}", damage, loaded
+                ),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 proptest! {
@@ -493,40 +604,10 @@ proptest! {
     /// most one case altered, or errs; prefixed with junk it errs.
     #[test]
     fn a_damaged_journal_errs_or_keeps_its_untouched_cases(
-        seed in any::<u64>(),
-        cases in proptest::collection::vec((arb_schedule(), 0u8..4, 0u32..4), 1..5),
-        complete in any::<bool>(),
+        journal in arb_journal(),
         draw in arb_draw(),
     ) {
-        use pfi_testgen::{Journal, JournalCase, JournalMeta, Verdict};
-        let mut journal = Journal::new(JournalMeta {
-            target: "gmp".into(),
-            world_seed: seed / 3,
-            seed,
-            budget: 24,
-            max_faults: 3,
-            epoch: 8,
-            seed_corpus: 0,
-            step_budget: 0,
-            max_retries: 2,
-        });
-        let meta_len = journal.to_text().len();
-        for (schedule, verdict, edges) in cases {
-            journal.dispatched.push(schedule.id());
-            journal.cases.push(JournalCase {
-                schedule,
-                verdict: match verdict {
-                    0 => Verdict::Pass,
-                    1 => Verdict::Degraded("views diverged:\nn0 {1 2}".into()),
-                    2 => Verdict::Crashed("panicked at\r\n'boom'\0".into()),
-                    _ => Verdict::Hung("event cap".into()),
-                },
-                oracle: None,
-                coverage: (0..edges).map(|n| format!("gmp:n{n}:Started")).collect(),
-                shrink: None,
-            });
-        }
-        journal.complete = complete;
+        let meta_len = Journal::new(journal.meta.clone()).to_text().len();
         let text = journal.to_text();
         let written = Journal::from_text(&text).unwrap();
         for damage in Damage::each(draw, text.len()) {

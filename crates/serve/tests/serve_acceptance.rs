@@ -20,11 +20,14 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pfi_serve::proto::{parse_kv, Client, Request};
 use pfi_serve::CampaignParams;
-use pfi_testgen::{explore, ExploreConfig, FaultSchedule, GmpTarget, Journal, ProtocolSpec};
+use pfi_testgen::{
+    explore, explore_fleet, ExploreConfig, FaultSchedule, GmpTarget, Journal, ProtocolSpec,
+};
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pfi_serve_{}_{name}", std::process::id()))
@@ -144,6 +147,65 @@ fn seeds_files(store: &Path) -> Vec<String> {
         .collect();
     names.sort();
     names
+}
+
+/// The `*.journal` files in a store directory, sorted.
+fn journal_files(store: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(store)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.ends_with(".journal"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// The blocks of a store's `store.journal`, in file order: each marker's
+/// id and the text from its `journal <id>` line to the next one.
+fn journal_blocks(store: &Path) -> Vec<(String, String)> {
+    let text = std::fs::read_to_string(store.join("store.journal")).unwrap();
+    let mut blocks: Vec<(String, String)> = Vec::new();
+    for line in text.split_inclusive('\n') {
+        match line.strip_prefix("journal ") {
+            Some(id) => blocks.push((id.trim_end().to_string(), String::new())),
+            None => blocks.last_mut().expect("a marker first").1.push_str(line),
+        }
+    }
+    blocks
+}
+
+/// Campaign `id`'s journal: the last block the store holds for it.
+fn last_block(store: &Path, id: &str) -> String {
+    let mut blocks = journal_blocks(store).into_iter().rev();
+    blocks.find(|(of, _)| of == id).unwrap().1
+}
+
+/// Journal text but its `counters` line, where a resumed run reports
+/// what it replayed.
+fn but_counters(journal: &str) -> String {
+    journal
+        .split_inclusive('\n')
+        .filter(|l| !l.starts_with("counters "))
+        .collect()
+}
+
+/// The journal `explore` writes for a daemon campaign on the test daemon's
+/// two workers, and its digest: what the daemon journals for it when
+/// nothing interrupts the campaign.
+fn journal_of(p: &CampaignParams, path: &Path) -> (String, String) {
+    std::fs::remove_file(path).ok();
+    let cfg = ExploreConfig {
+        journal: Some(path.to_path_buf()),
+        ..p.to_config()
+    };
+    let target = GmpTarget {
+        fault_secs: p.fault_secs,
+        ..GmpTarget::default()
+    };
+    let (outcome, _) = explore_fleet(Arc::new(target), &ProtocolSpec::gmp(), &cfg, 2);
+    let text = std::fs::read_to_string(path).unwrap();
+    std::fs::remove_file(path).unwrap();
+    (text, outcome.digest64())
 }
 
 /// A `results` reply as one comparable string.
@@ -434,7 +496,9 @@ fn seeds_are_pinned_only_when_shared_and_survive_a_grown_pool() {
 /// as the daemon answers, through a SIGKILL and a resume: it never steps
 /// back, it is `running` after the restart only with at least what the
 /// torn journal held, it never runs ahead of the journal the campaign
-/// finally leaves, and it costs the daemon's other clients nothing.
+/// finally leaves, and it costs the daemon's other clients nothing. Both
+/// journals are blocks of `store.journal`, and the last one is byte for
+/// byte an uninterrupted run's journal (but for its `counters` line).
 #[test]
 fn live_status_is_monotone_bounded_by_the_journal_and_resumes_from_it() {
     let store = tmp("live_store");
@@ -504,8 +568,7 @@ fn live_status_is_monotone_bounded_by_the_journal_and_resumes_from_it() {
             .collect();
         (journal.cases.len() as u64, edges.len() as u64)
     };
-    let journal_path = store.join(format!("{big}.journal"));
-    let torn = Journal::load(&journal_path).unwrap();
+    let torn = Journal::from_text(last_block(&store, &big)).unwrap();
     assert!(!torn.complete);
     let (torn_cases, torn_edges) = journal_counts(&torn);
     assert!(torn_cases >= 256);
@@ -514,14 +577,16 @@ fn live_status_is_monotone_bounded_by_the_journal_and_resumes_from_it() {
     let after_restart = poll(daemon.client(), big.clone(), true);
     let mut client = daemon.client();
     let (_, digest) = wait_digest(&mut client, &big);
-    let target = GmpTarget {
-        fault_secs: big_params.fault_secs,
-        ..GmpTarget::default()
-    };
-    assert_eq!(
-        digest,
-        explore(&target, &ProtocolSpec::gmp(), &big_params.to_config()).digest64()
-    );
+    let (uninterrupted, want) = journal_of(&big_params, &tmp("live_reference.journal"));
+    assert_eq!(digest, want);
+    // The resume appended a fresh block after the torn one: the store's
+    // one journal file holds the small campaign's, the torn and the fresh
+    // one, and the fresh one is the uninterrupted run's journal.
+    let ids: Vec<String> = journal_blocks(&store).into_iter().map(|b| b.0).collect();
+    assert_eq!(ids, [small.clone(), big.clone(), big.clone()]);
+    assert_eq!(journal_files(&store), ["store.journal"]);
+    let resumed = last_block(&store, &big);
+    assert_eq!(but_counters(&resumed), but_counters(&uninterrupted));
 
     assert!(!before_kill.is_empty() && !after_restart.is_empty());
     for run in [&before_kill, &after_restart] {
@@ -538,7 +603,7 @@ fn live_status_is_monotone_bounded_by_the_journal_and_resumes_from_it() {
         "status after the restart started at {first:?}, below the torn journal's \
          ({torn_cases}, {torn_edges})"
     );
-    let done = Journal::load(&journal_path).unwrap();
+    let done = Journal::from_text(&resumed).unwrap();
     assert!(done.complete);
     let (final_cases, final_edges) = journal_counts(&done);
     for &(executed, edges) in before_kill.iter().chain(&after_restart) {
@@ -621,6 +686,83 @@ fn a_store_from_the_prune_tier_era_opens_and_serves_its_results() {
         before[1]
     );
     daemon.shutdown_and_join();
+
+    let daemon = Daemon::start(&store, &socket2);
+    let mut client = daemon.client();
+    for (id, text) in ["c1", "c2"].iter().zip(&before) {
+        assert_eq!(&results_text(&mut client, id), text, "{id}");
+    }
+    daemon.shutdown_and_join();
+    std::fs::remove_dir_all(&store).ok();
+    std::fs::remove_file(&socket).ok();
+}
+
+/// A store of the per-campaign layout, one `<id>.journal` per campaign as
+/// daemons wrote before `store.journal`: `c1` finished, `c2` killed
+/// mid-run. It opens and `c1`'s results read back from its file; `c2`
+/// resumes to its digest and journals into `store.journal`, as a block
+/// byte-identical to an uninterrupted run's journal (but for `counters`),
+/// while the files of the old layout stay as they were. After another
+/// restart both read back the same.
+#[test]
+fn a_store_of_the_per_campaign_layout_opens_and_resumes_into_the_segment() {
+    let store = tmp("layout_store");
+    let socket = tmp("layout.sock");
+    let socket2 = tmp("layout2.sock");
+    std::fs::remove_dir_all(&store).ok();
+    std::fs::create_dir_all(&store).unwrap();
+    let campaigns = [("c1", params(42, 24)), ("c2", params(7, 24))];
+    let mut index = String::new();
+    let mut full = Vec::new();
+    for (id, p) in &campaigns {
+        let (journal, digest) = journal_of(p, &tmp(&format!("layout_{id}.journal")));
+        assert_eq!(digest, inline_digest(p, Vec::new()));
+        full.push(journal);
+        index.push_str(&format!("campaign {id} {}\n", p.to_kv()));
+    }
+    let torn = &full[1][..full[1].len() / 2];
+    std::fs::write(store.join("c1.journal"), &full[0]).unwrap();
+    std::fs::write(store.join("c2.journal"), torn).unwrap();
+    std::fs::write(store.join("store.index"), index).unwrap();
+
+    let daemon = Daemon::start(&store, &socket);
+    let mut client = daemon.client();
+    for (id, p) in &campaigns {
+        let (_, digest) = wait_digest(&mut client, id);
+        assert_eq!(digest, inline_digest(p, Vec::new()), "{id}");
+    }
+    let before: Vec<String> = ["c1", "c2"]
+        .iter()
+        .map(|id| results_text(&mut client, id))
+        .collect();
+    let counters = Journal::from_text(&full[0]).unwrap().counters.unwrap();
+    assert!(
+        before[0].contains(&format!(
+            "\ncounters executed={} rejected={} replayed=0 ",
+            counters.executed, counters.rejected
+        )),
+        "{}",
+        before[0]
+    );
+    assert!(
+        !before[1].contains(" replayed=0 "),
+        "c2 resumed: {}",
+        before[1]
+    );
+    daemon.shutdown_and_join();
+
+    let blocks = journal_blocks(&store);
+    assert_eq!(blocks.len(), 1, "only the resumed campaign journals");
+    assert_eq!(blocks[0].0, "c2");
+    assert_eq!(but_counters(&blocks[0].1), but_counters(&full[1]));
+    assert_eq!(
+        std::fs::read_to_string(store.join("c1.journal")).unwrap(),
+        full[0]
+    );
+    assert_eq!(
+        std::fs::read_to_string(store.join("c2.journal")).unwrap(),
+        torn
+    );
 
     let daemon = Daemon::start(&store, &socket2);
     let mut client = daemon.client();

@@ -253,6 +253,15 @@ fn main() {
                 }
             }
         }
+        // The engine appends to the journal file, and this run's journal is
+        // the whole file: empty it, once `--resume` has been read (the two
+        // may name one file).
+        if let Some(path) = &config.journal {
+            if let Err(e) = std::fs::File::create(path) {
+                eprintln!("cannot create journal {}: {e}", path.display());
+                std::process::exit(2);
+            }
+        }
         if !digest {
             println!(
                 "exploring {} (seed {}, budget {}, ≤{} faults per schedule, epoch {}, {} job(s))…\n",

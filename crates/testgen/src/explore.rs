@@ -117,11 +117,15 @@ pub struct ExploreConfig {
     /// and the run reports [`Verdict::Hung`]. `0` (the default) keeps the
     /// interpreter's own generous default fuel.
     pub step_budget: u64,
-    /// Write-ahead journal path. When set, the campaign appends dispatch
-    /// intent and every merged result to this file as it runs (creating
-    /// or truncating it first), so an interrupted campaign can resume.
-    /// Journal I/O failure panics: a crash-safety journal that silently
-    /// stopped recording would be worse than none.
+    /// Write-ahead journal path. When set, the campaign appends its
+    /// journal — dispatch intent and every merged result — to this file as
+    /// it runs, so an interrupted campaign can resume. The file is created
+    /// if missing and never truncated: the journal starts where the file
+    /// ends, and whoever owns the file decides whether it starts empty
+    /// (`pfi-campaign --journal` empties it; pfi-serve appends every
+    /// campaign to one store file). Journal I/O failure panics: a
+    /// crash-safety journal that silently stopped recording would be worse
+    /// than none.
     pub journal: Option<PathBuf>,
     /// Snapshot/fork execution: capture the prepared fault-free base world
     /// once and fork it per candidate instead of replaying
@@ -135,9 +139,8 @@ pub struct ExploreConfig {
     /// (the metadata is checked; a mismatch panics). Recorded results are
     /// replayed without re-execution; only unrecorded work runs. The
     /// resulting [`ExploreOutcome`] — digest included — is byte-identical
-    /// to an uninterrupted run's, and a journal written alongside
-    /// (`journal` may point at the same path) ends byte-identical to an
-    /// uninterrupted run's journal.
+    /// to an uninterrupted run's, and the journal written alongside is
+    /// byte-identical to an uninterrupted run's journal.
     pub resume: Option<Journal>,
     /// Counters the search raises as it records progress, for an observer
     /// on another thread (pfi-serve answers `status` from them). Strictly
@@ -653,8 +656,8 @@ fn explore_with(
         None => BTreeMap::new(),
     };
     let mut writer = config.journal.as_ref().map(|path| {
-        let mut w = JournalWriter::create(path, &meta)
-            .unwrap_or_else(|e| panic!("cannot create campaign journal: {e}"));
+        let mut w = JournalWriter::append_to(path, &meta)
+            .unwrap_or_else(|e| panic!("cannot open campaign journal: {e}"));
         // Worker count is recorded for the campaign record but kept out of
         // the identity `meta` — outcomes never depend on it, so resuming
         // under a different `--jobs` is legitimate.

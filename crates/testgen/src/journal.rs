@@ -722,10 +722,13 @@ fn parse_quarantine<'a>(
 /// written and flushed whole, so a killed process tears at most the last
 /// record — exactly what [`Journal::from_text`] tolerates.
 ///
-/// [`create`](JournalWriter::create) truncates: a resumed campaign writes
-/// a *fresh* journal (replayed records included, in the same canonical
-/// merge order), so the resumed file ends byte-identical to the journal an
-/// uninterrupted run would have written.
+/// A resumed campaign writes a *fresh* journal (replayed records included,
+/// in the same canonical merge order), so what it writes is byte-identical
+/// to the journal an uninterrupted run would have written.
+/// [`create`](JournalWriter::create) starts the file empty;
+/// [`append_to`](JournalWriter::append_to) writes after whatever the file
+/// already holds (pfi-serve's store keeps every campaign's journal, one
+/// block each, in one file).
 #[derive(Debug)]
 pub struct JournalWriter {
     file: std::fs::File,
@@ -736,8 +739,20 @@ impl JournalWriter {
     /// Creates (or truncates) the journal file and writes the metadata
     /// header.
     pub fn create(path: &Path, meta: &JournalMeta) -> Result<Self, String> {
-        let file = std::fs::File::create(path)
+        std::fs::File::create(path)
             .map_err(|e| format!("cannot create journal {}: {e}", path.display()))?;
+        Self::append_to(path, meta)
+    }
+
+    /// Opens the journal file for appending, creating it if needed and
+    /// never truncating it, and writes the metadata header after what the
+    /// file holds.
+    pub fn append_to(path: &Path, meta: &JournalMeta) -> Result<Self, String> {
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .map_err(|e| format!("cannot open journal {}: {e}", path.display()))?;
         let mut writer = JournalWriter {
             file,
             path: path.to_path_buf(),
@@ -1014,6 +1029,30 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
         assert_eq!(bytes, journal.to_text().as_bytes());
         assert_eq!(Journal::from_text(&bytes).unwrap(), journal);
+    }
+
+    /// `append_to` writes after what the file holds, creating it if
+    /// missing; `create` starts it empty.
+    #[test]
+    fn append_to_keeps_the_file_and_create_empties_it() {
+        let meta = sample().meta;
+        let path =
+            std::env::temp_dir().join(format!("pfi_journal_{}_append_to", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        for _ in 0..2 {
+            JournalWriter::append_to(&path, &meta)
+                .unwrap()
+                .complete()
+                .unwrap();
+        }
+        let one = Journal::new(meta.clone()).to_text() + "complete\n";
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), one.repeat(2));
+        JournalWriter::create(&path, &meta).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            Journal::new(meta).to_text()
+        );
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -166,6 +166,59 @@ fn stats_block_keeps_the_labels_the_benchmark_reads() {
     );
 }
 
+/// `--resume X --journal X` reads the torn journal before it empties the
+/// file, which then holds the journal an uninterrupted run writes, but for
+/// the `counters` line, where the resumed run reports what it replayed.
+#[test]
+fn resuming_into_the_journal_it_reads_leaves_the_uninterrupted_journal() {
+    let path = |name: &str| {
+        let file = format!("pfi_campaign_cli_{}_{name}.journal", std::process::id());
+        std::env::temp_dir().join(file)
+    };
+    let (full, torn) = (path("full"), path("torn"));
+    let campaign = |journal_flags: &[&str]| {
+        let args = "gmp --explore --seed 42 --budget 24 --epoch 8 --digest";
+        let args: Vec<&str> = args
+            .split(' ')
+            .chain(journal_flags.iter().copied())
+            .collect();
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        out.stdout
+    };
+    let digest = campaign(&["--journal", full.to_str().unwrap()]);
+    let full_text = std::fs::read_to_string(&full).unwrap();
+    std::fs::write(&torn, &full_text[..full_text.len() / 2]).unwrap();
+    let torn_arg = torn.to_str().unwrap();
+    assert_eq!(
+        campaign(&["--resume", torn_arg, "--journal", torn_arg]),
+        digest
+    );
+
+    let resumed_text = std::fs::read_to_string(&torn).unwrap();
+    let (counters, rest): (Vec<&str>, Vec<&str>) = resumed_text
+        .split_inclusive('\n')
+        .partition(|l| l.starts_with("counters "));
+    let (full_counters, full_rest): (Vec<&str>, Vec<&str>) = full_text
+        .split_inclusive('\n')
+        .partition(|l| l.starts_with("counters "));
+    assert_eq!(rest, full_rest);
+    assert!(
+        full_counters[0].contains(" replayed=0 "),
+        "{full_counters:?}"
+    );
+    assert!(!counters[0].contains(" replayed=0 "), "{counters:?}");
+    let but_replayed = |line: &str| {
+        line.split(' ')
+            .filter(|f| !f.starts_with("replayed="))
+            .collect::<String>()
+    };
+    assert_eq!(but_replayed(counters[0]), but_replayed(full_counters[0]));
+    for file in [full, torn] {
+        std::fs::remove_file(file).unwrap();
+    }
+}
+
 /// `--no-pruning` and `--no-semantic` outlived the tiers they switched
 /// off, and `--no-prefilter` the second place a refusal could happen (the
 /// benchmark's plainest path passes all three): accepted, and no byte of a

@@ -39,8 +39,11 @@ fn config() -> ExploreConfig {
     }
 }
 
+/// A journal path holding no file: the engine appends to what it finds.
 fn tmp(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("pfi_resilience_{}_{name}", std::process::id()))
+    let path = std::env::temp_dir().join(format!("pfi_resilience_{}_{name}", std::process::id()));
+    fs::remove_file(&path).ok();
+    path
 }
 
 /// Journal equality modulo the `counters` line. Counters are non-identity

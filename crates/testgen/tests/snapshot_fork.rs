@@ -59,6 +59,8 @@ fn snapshot_and_cold_campaigns_are_byte_identical() {
         let journal = |snapshots: bool| tmp(&format!("j{jobs}-{snapshots}.journal"));
         let run = |snapshots: bool| {
             let mut cfg = config(snapshots);
+            // The engine appends to what it finds.
+            let _ = fs::remove_file(journal(snapshots));
             cfg.journal = Some(journal(snapshots));
             explore_fleet(Arc::clone(&target) as _, &spec, &cfg, jobs).0
         };
@@ -222,6 +224,7 @@ fn resume_composes_with_snapshot_fork() {
     let spec = ProtocolSpec::gmp();
 
     let full_path = tmp("full.journal");
+    let _ = fs::remove_file(&full_path);
     let mut cfg = config(true);
     cfg.journal = Some(full_path.clone());
     let uninterrupted = explore(&target, &spec, &cfg);

@@ -111,6 +111,7 @@ fn journal_counters_round_trip_and_reconstruct_matches_the_live_outcome() {
         "pfi_lattice_counters_{}.journal",
         std::process::id()
     ));
+    std::fs::remove_file(&path).ok(); // the engine appends to what it finds
     let mut cfg = config(256);
     cfg.journal = Some(path.clone());
     let live = explore(&heavy(), &spec, &cfg);
@@ -215,9 +216,12 @@ fn campaign_fleet_reuse_is_outcome_invariant() {
         let file = format!("pfi_lattice_reuse_{}_{name}.journal", std::process::id());
         std::env::temp_dir().join(file)
     };
-    let journaled = |name| ExploreConfig {
-        journal: Some(journal(name)),
-        ..config(40)
+    let journaled = |name| {
+        std::fs::remove_file(journal(name)).ok(); // the engine appends
+        ExploreConfig {
+            journal: Some(journal(name)),
+            ..config(40)
+        }
     };
     let handle: Arc<dyn TestTarget> = Arc::new(heavy());
     let mut pool = CampaignFleet::new(2);
