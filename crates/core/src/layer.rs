@@ -147,10 +147,40 @@ impl PfiLayer {
         self
     }
 
+    /// Whether evaluating `dir`'s filter on `msg` is known to do nothing:
+    /// no filter is installed, or the script's [type gate] admits no
+    /// message of `msg`'s type. The gate is trusted only while `msg_type`
+    /// is the host's command (the interpreter defines no proc) and the step
+    /// budget covers every guard (else the evaluation would fail). A
+    /// skipped evaluation binds no braced word, which only the interpreter's
+    /// cache statistics show.
+    ///
+    /// [type gate]: pfi_script::TypeGate
+    fn skips(&mut self, dir: Direction, msg: &Message, ctx: &mut Context<'_>) -> bool {
+        let i = idx(dir);
+        let gated = match &self.filters[i] {
+            None => return true,
+            Some(Filter::Native(_)) => false,
+            Some(Filter::Script(script)) => script.type_gate().is_some_and(|gate| {
+                let interp = &self.interps[i];
+                !interp.has_procs()
+                    && interp.step_budget() >= gate.guard_steps()
+                    && !gate.admits(self.stub.type_name(msg).as_deref().unwrap_or("unknown"))
+            }),
+        };
+        if gated {
+            // Allocated as the evaluation would have, so the boards'
+            // first-touch order does not depend on the gate.
+            self.board(ctx);
+        }
+        gated
+    }
+
     /// Evaluates `dir`'s filter on `msg` as of virtual time `now`,
     /// collecting into `effects`; the script error if the filter failed.
     /// Touches nothing but the interpreter pair, `msg`, and what the
-    /// effects' side-channel flag reports.
+    /// effects' side-channel flag reports. Callers ask
+    /// [`skips`](Self::skips) first.
     fn evaluate(
         &mut self,
         dir: Direction,
@@ -207,6 +237,9 @@ impl PfiLayer {
             });
         }
         let mut effects = Effects::default();
+        if self.skips(dir, msg, ctx) {
+            return effects;
+        }
         if let Some(error) = self.evaluate(dir, now, msg, &mut effects, ctx) {
             // A failing filter must not eat traffic silently: pass the
             // message and record the failure.
@@ -227,7 +260,7 @@ impl PfiLayer {
     /// set its key.
     fn probe(&mut self, traffic: &[RecordedMsg], ctx: &mut Context<'_>) -> Option<usize> {
         traffic.iter().position(|rec| {
-            if self.filters[idx(rec.dir)].is_none() {
+            if self.skips(rec.dir, &rec.msg, ctx) {
                 return false;
             }
             let mut msg = rec.msg.clone();

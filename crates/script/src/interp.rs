@@ -303,6 +303,12 @@ impl Interp {
         self.fuel_limit
     }
 
+    /// Whether any proc is defined. One may shadow a host command such as
+    /// `msg_type`; builtins always win over procs.
+    pub fn has_procs(&self) -> bool {
+        !self.procs.is_empty()
+    }
+
     /// Rebounds the script/expr caches. A capacity of 0 disables caching
     /// (every [`eval`](Interp::eval) re-parses its source and everything
     /// in it — the cold path used by determinism cross-checks).

@@ -51,6 +51,7 @@ mod builtins;
 mod cache;
 mod error;
 mod expr;
+mod gate;
 mod interp;
 mod list;
 mod parse;
@@ -60,6 +61,7 @@ pub use builtins::{builtins, lookup_builtin, BuiltinInfo};
 pub use cache::CacheStats;
 pub use error::{ScriptError, ScriptErrorKind};
 pub use expr::{analyze_expr, analyze_guard, CmpOp, ExprSummary, GuardAtom};
+pub use gate::TypeGate;
 pub use interp::{Host, Interp, NoHost};
 pub use list::{glob_match, list_format, list_parse};
 pub use parse::{Braced, Command, Part, Script, Span, Word};

@@ -13,6 +13,7 @@ use std::sync::{Arc, OnceLock};
 use crate::builtins::{lookup_builtin, BuiltinInfo};
 use crate::error::ScriptError;
 use crate::expr::{parse_expr, ExprAst};
+use crate::gate::TypeGate;
 use crate::list::list_parse;
 
 /// A line/column position in script source (both 1-based; `0` = unknown).
@@ -56,9 +57,27 @@ impl Span {
 /// let s = Script::parse("set x 1; incr x").unwrap();
 /// assert_eq!(s.len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Script {
     pub(crate) commands: Vec<Command>,
+    /// [`Script::type_gate`], decided on first use. Boxed: every `[…]`
+    /// word holds a script, and an unboxed gate would widen them all.
+    gate: OnceLock<Option<Box<TypeGate>>>,
+}
+
+/// Scripts are equal when their commands are: the gate follows from them.
+impl PartialEq for Script {
+    fn eq(&self, other: &Self) -> bool {
+        self.commands == other.commands
+    }
+}
+
+impl fmt::Debug for Script {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Script")
+            .field("commands", &self.commands)
+            .finish()
+    }
 }
 
 impl Script {
@@ -99,6 +118,15 @@ impl Script {
     /// The parsed commands, in source order.
     pub fn commands(&self) -> &[Command] {
         &self.commands
+    }
+
+    /// What this script can act on when it is made only of clauses
+    /// guarded by `[msg_type] == "literal"`; `None` for any other shape.
+    /// Decided on the first call and remembered.
+    pub fn type_gate(&self) -> Option<&TypeGate> {
+        self.gate
+            .get_or_init(|| TypeGate::of(self).map(Box::new))
+            .as_deref()
     }
 }
 
@@ -416,7 +444,10 @@ impl Parser {
                 }
             }
         }
-        Ok(Script { commands })
+        Ok(Script {
+            commands,
+            gate: OnceLock::new(),
+        })
     }
 
     /// Parses one command; stops (without consuming) at `\n`, `;`, EOF, or

@@ -118,7 +118,8 @@ pub struct CampaignParams {
     pub epoch: usize,
     /// Fork candidate worlds from cached snapshots.
     pub snapshots: bool,
-    /// Interpreter step budget per filter script (0 = default).
+    /// Interpreter steps one filter evaluation may take, refilled for
+    /// every message (0 = default).
     pub step_budget: u64,
     /// Seed this campaign with the store's shared corpus pool for the
     /// same target (snapshotted at submission time, so a resume replays

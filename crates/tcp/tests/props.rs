@@ -48,6 +48,30 @@ proptest! {
         prop_assert!(Segment::decode(&m).is_err(), "bit {bit} of byte {off} slipped through");
     }
 
+    /// The stub names a segment in place exactly as decoding it would,
+    /// for intact, bit-flipped and arbitrary images.
+    #[test]
+    fn type_name_in_place_matches_decode(
+        seg in arb_segment(),
+        flip in proptest::option::of((any::<usize>(), 0u8..8)),
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut m = seg.encode(NodeId::new(0), NodeId::new(1));
+        if let Some((byte, bit)) = flip {
+            let off = byte % m.len();
+            let orig = m.byte_at(off).unwrap();
+            m.set_byte_at(off, orig ^ (1 << bit));
+        }
+        let junk = Message::new(NodeId::new(0), NodeId::new(1), &bytes);
+        for m in [&m, &junk] {
+            let named = TcpStub.type_name(m);
+            prop_assert_eq!(
+                named.as_deref(),
+                Segment::decode(m).ok().map(|s| s.type_name())
+            );
+        }
+    }
+
     /// The decoder never panics on arbitrary byte buffers.
     #[test]
     fn decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..700)) {

@@ -75,8 +75,9 @@ FLAGS:
                       with a journal byte-identical to an uninterrupted run's
     --max-retries N   panic retries before a candidate is quarantined and its
                       lineage dropped (any --jobs, 1 included; default 2)
-    --step-budget N   interpreter step budget per filter script per run; a
-                      script that burns it out reports the run as HUNG
+    --step-budget N   interpreter steps one filter evaluation may take (the
+                      budget refills for every message); a script that
+                      burns it out reports the run as HUNG
     --inject-panic    add a sabotage oracle that panics whenever a run drops
                       a message — exercises crash containment (CI resilience)
     --stats           (--explore only) print the fleet execution report

@@ -112,10 +112,11 @@ pub struct ExploreConfig {
     /// the same number of attempts, so corpus, coverage and journal bytes
     /// stay worker-count-independent. Default [`DEFAULT_MAX_RETRIES`].
     pub max_retries: u32,
-    /// Interpreter step budget installed per run on every fault site's
-    /// filter interpreters; a filter script that exhausts it is cut short
-    /// and the run reports [`Verdict::Hung`]. `0` (the default) keeps the
-    /// interpreter's own generous default fuel.
+    /// Interpreter steps each filter evaluation may take, installed per run
+    /// on every fault site's filter interpreters; a filter script that
+    /// exhausts it on any one message is cut short and the run reports
+    /// [`Verdict::Hung`]. `0` (the default) keeps the interpreter's own
+    /// generous default fuel.
     pub step_budget: u64,
     /// Write-ahead journal path. When set, the campaign appends its
     /// journal — dispatch intent and every merged result — to this file as

@@ -270,3 +270,39 @@ fn retired_prune_flags_change_no_byte_but_wall_and_busy() {
         }
     }
 }
+
+/// Campaigns at step budgets of 1–6 keep their recorded digests and
+/// replayed counts. At these budgets some filters run out of steps on some
+/// messages and not on others; an evaluation skipped that would have run
+/// out, or run that would not have, moves a count or a digest.
+#[test]
+fn small_step_budgets_keep_their_digests() {
+    let golden = include_str!("fixtures/step_budget_digests.txt");
+    for line in golden.lines().filter(|l| !l.starts_with('#')) {
+        let mut fields = line.split(" | ");
+        let (Some(config), Some(digest), Some(snapshots)) =
+            (fields.next(), fields.next(), fields.next())
+        else {
+            panic!("`config | digest | snapshots`: {line}");
+        };
+        let mut args: Vec<&str> = config.split(' ').collect();
+        args.extend([
+            "--explore",
+            "--budget",
+            "64",
+            "--epoch",
+            "8",
+            "--seed",
+            "5",
+            "--jobs",
+            "1",
+            "--digest",
+            "--stats",
+        ]);
+        let out = run(&args);
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let line_of = |prefix: &str| stdout.lines().find(|l| l.starts_with(prefix));
+        assert_eq!(line_of("pfi-campaign digest "), Some(digest), "{config}");
+        assert_eq!(line_of("snapshots: "), Some(snapshots), "{config}");
+    }
+}
