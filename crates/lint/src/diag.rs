@@ -143,13 +143,16 @@ impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}[{}]: {} (line {}:{})",
+            "{}[{}]: {}",
             self.severity.as_str(),
             self.category.as_str(),
-            self.message,
-            self.span.line,
-            self.span.col
-        )
+            self.message
+        )?;
+        // An unknown span (line 0) has no position to show.
+        if self.span.line > 0 {
+            write!(f, " (line {}:{})", self.span.line, self.span.col)?;
+        }
+        Ok(())
     }
 }
 

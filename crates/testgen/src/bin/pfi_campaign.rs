@@ -1,7 +1,7 @@
-//! Command-line campaign runner: generate a fault-injection campaign from
-//! a bundled protocol specification and run it against the matching target,
-//! or run a coverage-guided exploration instead of the fixed grid. The
-//! grid runs on the calling thread; exploration fans candidates out across
+//! Command-line campaign runner: run the grid of one-fault schedules
+//! generated from a bundled protocol specification against the matching
+//! target, or run a coverage-guided exploration instead. The grid runs on
+//! the calling thread; exploration fans candidates out across
 //! a worker fleet (`--jobs`), with outcomes byte-identical for any worker
 //! count.
 //!
@@ -10,7 +10,7 @@
 //! pfi-campaign gmp --buggy              # against the implementation with the paper's bugs
 //! pfi-campaign tcp                      # against a TCP transfer
 //! pfi-campaign tpc                      # against a two-phase commit transaction
-//! pfi-campaign gmp --list               # print the generated scripts, don't run
+//! pfi-campaign gmp --list               # print each grid schedule and its script, don't run
 //! pfi-campaign gmp --explore            # coverage-guided search instead of the grid
 //! pfi-campaign gmp --explore --budget 64 --seed 7
 //! pfi-campaign gmp --explore --jobs 4 --stats
@@ -27,10 +27,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use pfi_core::Direction;
 use pfi_testgen::{
-    bundled, explore_fleet, generate, run_campaign, unknown_protocol, ChaosOracleTarget,
-    ExploreConfig, FaultKind, Verdict,
+    bundled, explore_fleet, grid, run_schedule_snapshotted, unknown_protocol, ChaosOracleTarget,
+    ExploreConfig, RunLimits, SnapshotStore, Verdict,
 };
 
 const HELP: &str = "pfi-campaign — script-driven fault-injection campaigns
@@ -45,7 +44,7 @@ PROTOCOL (default gmp):
 
 FLAGS:
     --buggy           use the implementation with the paper's seeded bugs (gmp)
-    --list            print the generated grid scripts and exit
+    --list            print each grid schedule and its filter script and exit
     --explore         coverage-guided schedule search instead of the fixed grid
     --seed N          exploration RNG seed
     --budget N        exploration mutation budget
@@ -348,57 +347,67 @@ fn main() {
         return;
     }
 
-    let campaign = generate(
-        &spec,
-        &FaultKind::default_matrix(),
-        &[Direction::Send, Direction::Receive],
-    );
+    let grid = grid(&spec, target.primary_site());
     println!(
-        "campaign: {} cases for protocol {}\n",
-        campaign.len(),
-        campaign.protocol
+        "grid: {} schedules for protocol {}\n",
+        grid.len(),
+        spec.name
     );
 
     if list_only {
-        for case in &campaign.cases {
-            println!("## {}\n{}", case.id, case.script);
+        for schedule in &grid {
+            // One site, one direction: the other script is empty.
+            let [site] = &schedule.lower()[..] else {
+                unreachable!("a grid row faults one site")
+            };
+            println!("## {}\n{}{}", schedule.id(), site.send, site.recv);
         }
         return;
     }
 
-    let results = run_campaign(target.as_ref(), &campaign);
+    // One store for the whole grid: the first row builds and captures the
+    // base world, every later one forks it, as in every campaign.
+    let mut store = SnapshotStore::default();
+    let results = grid.iter().map(|schedule| {
+        run_schedule_snapshotted(
+            target.as_ref(),
+            schedule,
+            &RunLimits::default(),
+            Some(&mut store),
+        )
+    });
 
     let mut pass = 0;
     let mut degraded = 0;
     let mut violated = 0;
     let mut infra = 0;
-    for r in &results {
+    for r in results {
         match &r.verdict {
             Verdict::Pass => pass += 1,
             Verdict::Degraded(_) => degraded += 1,
             Verdict::Violated(why) => {
                 violated += 1;
-                println!("VIOLATION {:<44} {}", r.case_id, why);
+                println!("VIOLATION {:<44} {}", r.schedule_id, why);
             }
-            // Grid cases are generated against the target's own primary
+            // Grid rows are generated against the target's own primary
             // site, so refusal can only mean a harness bug — infra class.
             Verdict::Invalid(why) => {
                 infra += 1;
-                println!("INVALID   {:<44} {}", r.case_id, why);
+                println!("INVALID   {:<44} {}", r.schedule_id, why);
             }
             Verdict::Crashed(why) => {
                 infra += 1;
-                println!("CRASHED   {:<44} {}", r.case_id, why);
+                println!("CRASHED   {:<44} {}", r.schedule_id, why);
             }
             Verdict::Hung(why) => {
                 infra += 1;
-                println!("HUNG      {:<44} {}", r.case_id, why);
+                println!("HUNG      {:<44} {}", r.schedule_id, why);
             }
         }
     }
     println!("\n{pass} pass, {degraded} degraded, {violated} violations, {infra} infrastructure");
     // Exit codes: violations are findings (1); crashes, hangs, and
-    // uninstallable grid cases are harness trouble (3). A run with both
+    // uninstallable grid rows are harness trouble (3). A run with both
     // reports the findings — they are the result the campaign exists for.
     if violated > 0 {
         std::process::exit(1);

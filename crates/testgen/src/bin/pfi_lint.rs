@@ -7,7 +7,7 @@
 //! pfi-lint failure.repro                  # validate a repro's schedule
 //! pfi-lint --deny nondeterministic *.tcl  # promote a category to error
 //! pfi-lint --spec gmp drop_acks.tcl       # + semantic reachability analysis
-//! pfi-lint --spec gmp --grid              # lint the generated grid corpus
+//! pfi-lint --spec gmp --grid              # validate every grid schedule
 //! ```
 //!
 //! Input kind is sniffed per file (a `pfi-repro v1` header means a repro
@@ -18,8 +18,8 @@
 
 use pfi_lint::{analyze_effects, render, Category, Diagnostic, Effect, Linter, Severity};
 use pfi_testgen::{
-    bundled, generate, unknown_protocol, validate_schedule, FaultKind, FaultSchedule, FlowModel,
-    ProtocolSpec, Repro, ScheduleFinding, TestTarget, BUNDLED,
+    bundled, grid, unknown_protocol, validate_schedule, FaultSchedule, FlowModel, ProtocolSpec,
+    Repro, ScheduleFinding, TestTarget, BUNDLED,
 };
 
 const HELP: &str = "pfi-lint — static analysis for PFI scripts and fault schedules
@@ -40,8 +40,9 @@ FLAGS:
                     a clause proven unable to fire gets an `inert-fault`
                     warning with the rule that proved it (promote with
                     `--deny inert-fault`)
-    --grid          lint the generated grid campaign for the --spec protocol
-                    instead of reading input files (CI corpus self-check)
+    --grid          validate every grid schedule of the --spec protocol, as
+                    schedule text against that protocol\'s target, instead
+                    of reading input files (CI corpus self-check)
     --script        treat every input as a Tcl filter script
     --schedule      treat every input as fault-schedule text
     --deny CAT      treat findings of category CAT as errors (repeatable)
@@ -123,31 +124,17 @@ fn reachability_diags(src: &str, model: &FlowModel) -> Vec<Diagnostic> {
         .collect()
 }
 
-/// `--grid`: regenerate the full grid campaign for the `--spec` protocol
-/// and lint every script in it, semantic pass included. This is the CI
-/// self-check that generated scripts never contain statically-dead faults.
-fn lint_grid(spec: &ProtocolSpec, model: &FlowModel, deny: &[Category], warn: &[Category]) -> bool {
-    let campaign = generate(
-        spec,
-        &FaultKind::default_matrix(),
-        &[pfi_core::Direction::Send, pfi_core::Direction::Receive],
-    );
+/// `--grid`: validate every schedule of the `--spec` protocol's grid
+/// exactly as a schedule file is validated, against that protocol's own
+/// target. This is the CI self-check that the grid holds no dead faults.
+fn lint_grid(target: &Bundled, deny: &[Category], warn: &[Category]) -> bool {
+    let (spec, built) = target;
+    let grid = grid(spec, built.primary_site());
     let mut failed = false;
-    let mut findings = 0usize;
-    for case in &campaign.cases {
-        let (out, f) = lint_script(&case.id, &case.script, Some(model), deny, warn);
-        if !out.is_empty() {
-            print!("{out}");
-            findings += 1;
-        }
-        failed |= f;
+    for schedule in &grid {
+        failed |= lint_schedule_parsed(&schedule.id(), schedule, target, deny, warn);
     }
-    println!(
-        "grid {}: {} script(s) linted, {} with findings",
-        campaign.protocol,
-        campaign.len(),
-        findings
-    );
+    println!("grid {}: {} schedule(s) linted", spec.name, grid.len());
     failed
 }
 
@@ -220,7 +207,7 @@ fn lint_schedule_parsed(
     deny: &[Category],
     warn: &[Category],
 ) -> bool {
-    let mut findings = validate_schedule(schedule, spec, target.node_count(), target.fault_sites());
+    let mut findings = validate_schedule(schedule, spec, target.as_ref());
     for f in &mut findings {
         for d in &mut f.diagnostics {
             adjust(d, deny, warn);
@@ -333,11 +320,11 @@ fn main() {
         .as_ref()
         .and_then(|(_, built)| built.flow_model());
     if grid {
-        let (Some((spec, _)), Some(model)) = (&spec_target, &model) else {
-            eprintln!("--grid needs --spec NAME to know which campaign to generate");
+        let Some(spec_target) = &spec_target else {
+            eprintln!("--grid needs --spec NAME to know which grid to generate");
             std::process::exit(2);
         };
-        let failed = lint_grid(spec, model, &deny, &warn);
+        let failed = lint_grid(spec_target, &deny, &warn);
         std::process::exit(if failed { 1 } else { 0 });
     }
     if files.is_empty() {

@@ -1,10 +1,10 @@
 //! The coverage-guided campaign engine, expressed as a fleet of epochs.
 //!
-//! Where [`crate::generate`] enumerates a fixed grid, [`explore`] *searches*:
-//! starting from the fault-free baseline, it repeatedly picks a corpus
-//! schedule, mutates it under a seeded RNG, runs the mutant against a fresh
-//! target, and keeps it iff it reaches coverage no earlier schedule
-//! reached. Violations are delta-debugged to 1-minimal fault sets and
+//! Where [`crate::grid`] enumerates fixed one-fault schedules, [`explore`]
+//! *searches*: starting from the fault-free baseline, it repeatedly picks
+//! a corpus schedule, mutates it under a seeded RNG, runs the mutant
+//! against a fresh target, and keeps it iff it reaches coverage no earlier
+//! schedule reached. Violations are delta-debugged to 1-minimal fault sets and
 //! rendered as replayable [`Repro`] artifacts.
 //!
 //! # Determinism across worker counts

@@ -2,13 +2,14 @@
 //!
 //! The paper closes with three future directions; the second is "automatic
 //! generation of test scripts from a protocol specification". This crate
-//! implements it twice over:
+//! implements it in two ways over one fault vocabulary, [`FaultSchedule`]:
 //!
-//! * **Grid generation** — a [`ProtocolSpec`] lists a protocol's message
-//!   types and roles, [`generate`] crosses them with a [`FaultKind`] matrix
-//!   and both filter directions, and every product is an ordinary PFI Tcl
-//!   filter script (parse-checked at generation time). [`run_campaign`]
-//!   applies each to a fresh [`TestTarget`] and checks its invariants.
+//! * **The grid** — a [`ProtocolSpec`] lists a protocol's message types
+//!   and roles, and [`grid`] crosses them with one fault of each kind on
+//!   both filter directions of the target's primary fault site. Every row
+//!   is a one-fault [`FaultSchedule`], so it prints as a schedule line
+//!   (`n1 send drop-all HEARTBEAT`) and runs through the same
+//!   [`run_schedule_snapshotted`] as every campaign candidate.
 //! * **Coverage-guided exploration** — [`explore`] searches over composed
 //!   [`FaultSchedule`]s instead: seeded mutation ([`ScheduleMutator`]),
 //!   trace-derived [`Coverage`] as the keep/discard signal, [`Oracle`]s as
@@ -25,19 +26,14 @@
 //! # Examples
 //!
 //! ```
-//! use pfi_core::Direction;
-//! use pfi_testgen::{generate, FaultKind, ProtocolSpec};
+//! use pfi_testgen::{grid, ProtocolSpec};
 //!
-//! let campaign = generate(
-//!     &ProtocolSpec::gmp(),
-//!     &[FaultKind::Drop],
-//!     &[Direction::Receive],
-//! );
-//! assert_eq!(campaign.len(), 8); // one drop case per GMP message type
-//! let commit_case = campaign.cases.iter()
-//!     .find(|c| c.id == "gmp/receive/drop/COMMIT")
+//! let grid = grid(&ProtocolSpec::gmp(), 1);
+//! assert_eq!(grid.len(), 8 * 11); // 11 one-fault rows per GMP message type
+//! let commit_drop = grid.iter()
+//!     .find(|s| s.id() == "n1 recv drop-all COMMIT")
 //!     .unwrap();
-//! assert!(commit_case.script.contains("xDrop"));
+//! assert!(commit_drop.lower()[0].recv.contains("xDrop"));
 //! ```
 //!
 //! A tiny exploration of the (fixed) GMP target:
@@ -57,7 +53,6 @@
 
 mod coverage;
 mod explore;
-mod generate;
 mod journal;
 pub mod lines;
 mod oracle;
@@ -75,7 +70,6 @@ pub use explore::{
     explore, explore_fleet, seed_corpus_digest, CampaignFleet, ExploreConfig, ExploreOutcome,
     FoundFailure, LiveProgress, DEFAULT_EPOCH,
 };
-pub use generate::{generate, Campaign, FaultKind, TestCase};
 pub use journal::{
     Journal, JournalCase, JournalCounters, JournalMeta, JournalQuarantine, JournalShrink,
     JournalWriter,
@@ -90,15 +84,12 @@ pub use pfi_fleet::{FleetReport, WorkerStats};
 pub use reach::{FlowModel, InertFact};
 pub use repro::Repro;
 pub use runner::{
-    bundled, run_campaign, run_case, run_schedule_limited, run_schedule_snapshotted,
-    unknown_protocol, CaseResult, ChaosOracleTarget, GmpTarget, RunLimits, ScheduleRun, TcpTarget,
-    TestTarget, TpcTarget, Verdict, BUNDLED, DRIVE_EVENT_CAP,
+    bundled, run_schedule_limited, run_schedule_snapshotted, unknown_protocol, ChaosOracleTarget,
+    GmpTarget, RunLimits, ScheduleRun, TcpTarget, TestTarget, TpcTarget, Verdict, BUNDLED,
+    DRIVE_EVENT_CAP,
 };
-pub use schedule::{FaultOp, FaultSchedule, ScheduleMutator, ScheduledFault, SiteScripts};
+pub use schedule::{grid, FaultOp, FaultSchedule, ScheduleMutator, ScheduledFault, SiteScripts};
 pub use shrink::shrink_schedule;
 pub use snapshot::{base_digest, SnapshotStats, SnapshotStore};
 pub use spec::{MessageSpec, ProtocolSpec, Role};
-pub use validate::{
-    install_errors, schedule_is_installable, scripts_install_errors, validate_schedule,
-    ScheduleFinding,
-};
+pub use validate::{install_errors, schedule_is_installable, validate_schedule, ScheduleFinding};

@@ -1,11 +1,10 @@
-//! Campaign runner: applies generated scripts or fault schedules to a
-//! target system, extracts coverage, and judges the run with the target's
-//! oracles.
+//! Campaign runner: applies fault schedules to a target system, extracts
+//! coverage, and judges the run with the target's oracles.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use pfi_core::{Direction, Filter, PfiControl, PfiEvent, PfiReply};
+use pfi_core::{Filter, PfiControl, PfiEvent, PfiReply};
 use pfi_fleet::panic_message;
 use pfi_gmp::{GmpBugs, GmpConfig, GmpControl, GmpEvent, GmpLayer, GmpReply, GmpStub};
 use pfi_rudp::RudpLayer;
@@ -14,7 +13,6 @@ use pfi_tcp::{ConnId, TcpControl, TcpLayer, TcpProfile, TcpReply, TcpStub};
 use pfi_tpc::{TpcControl, TpcEvent, TpcLayer, TpcReply, TpcStub};
 
 use crate::coverage::Coverage;
-use crate::generate::{Campaign, TestCase};
 use crate::oracle::{
     first_violation, DeliveredStream, GmpAgreementOracle, GmpLeaderUniquenessOracle,
     GmpNoSelfDeathOracle, GmpProclaimRoutingOracle, GmpTimerDisciplineOracle, Oracle,
@@ -82,26 +80,6 @@ impl Verdict {
     pub fn is_infrastructure(&self) -> bool {
         self.is_crashed() || self.is_hung()
     }
-}
-
-/// One case's result — enough to diagnose and replay the case without
-/// re-running the whole campaign.
-#[derive(Debug, Clone)]
-pub struct CaseResult {
-    /// The case id from the campaign.
-    pub case_id: String,
-    /// The target's world seed the case ran under.
-    pub seed: u64,
-    /// The generated filter script the case installed.
-    pub script: String,
-    /// The verdict.
-    pub verdict: Verdict,
-    /// Name of the violated oracle, when `verdict` is a violation found by
-    /// one (service-level violations from the target itself leave this
-    /// empty).
-    pub oracle: Option<String>,
-    /// Behavioural coverage the run reached.
-    pub coverage: Coverage,
 }
 
 /// Outcome of running one [`FaultSchedule`].
@@ -189,8 +167,8 @@ pub trait TestTarget: Send + Sync {
     fn fault_sites(&self) -> u32 {
         1
     }
-    /// Which fault site grid-generated single-script cases install on.
-    fn primary_site(&self) -> usize {
+    /// Which fault site the [`grid`](crate::grid)'s schedules go on.
+    fn primary_site(&self) -> u32 {
         0
     }
     /// Builds a fresh instance; returns the world plus the fault sites —
@@ -225,39 +203,6 @@ pub trait TestTarget: Send + Sync {
     fn share(&self) -> Arc<dyn TestTarget>;
 }
 
-/// Runs every case of a campaign against fresh instances of the target.
-pub fn run_campaign(target: &dyn TestTarget, campaign: &Campaign) -> Vec<CaseResult> {
-    campaign
-        .cases
-        .iter()
-        .map(|case| run_case(target, case))
-        .collect()
-}
-
-/// Runs a single grid-generated case (on the target's primary site).
-pub fn run_case(target: &dyn TestTarget, case: &TestCase) -> CaseResult {
-    let (send, recv) = match case.dir {
-        Direction::Send => (case.script.clone(), String::new()),
-        Direction::Receive => (String::new(), case.script.clone()),
-    };
-    let site = target.primary_site() as u32;
-    let scripts = vec![SiteScripts { site, send, recv }];
-    let run = execute(
-        target,
-        Lowered::check(case.id.clone(), scripts, target.fault_sites()),
-        &RunLimits::default(),
-        None,
-    );
-    CaseResult {
-        case_id: run.schedule_id,
-        seed: run.seed,
-        script: case.script.clone(),
-        verdict: run.verdict,
-        oracle: run.oracle,
-        coverage: run.coverage,
-    }
-}
-
 /// Runs one fault schedule: lowers it, installs the filters on each fault
 /// site it touches, and judges the run under the given runaway-run
 /// watchdog budgets ([`RunLimits::default`] when nothing is configured).
@@ -289,7 +234,7 @@ pub fn run_schedule_snapshotted(
 /// the scripts the install check compiled are the ones installed.
 #[derive(Debug, Clone)]
 pub(crate) struct Lowered {
-    /// The schedule's (or grid case's) stable id.
+    /// The schedule's stable id.
     pub(crate) id: String,
     /// The per-site filter scripts.
     pub(crate) scripts: Vec<SiteScripts>,
@@ -297,8 +242,9 @@ pub(crate) struct Lowered {
     /// They live as long as the candidate does and no longer — nothing
     /// keyed by script text outlives a run.
     compiled: Vec<CompiledSite>,
-    /// [`scripts_install_errors`](crate::validate::scripts_install_errors)
-    /// of `scripts` against the target; non-empty means nothing will run.
+    /// The install check's errors for `scripts` against the target
+    /// ([`install_errors`](crate::install_errors)); non-empty means nothing
+    /// will run.
     pub(crate) install_errors: Vec<String>,
 }
 
@@ -606,8 +552,8 @@ fn budget_exhausted_script(trace: &TraceLog) -> Option<String> {
 // ---------------------------------------------------------------------
 
 /// A three-daemon GMP cluster. Every daemon's PFI layer is a fault site
-/// (site index = node index); grid-generated single-script cases fault
-/// node 1, a non-leader member.
+/// (site index = node index); the grid faults node 1, a non-leader
+/// member.
 #[derive(Debug, Clone)]
 pub struct GmpTarget {
     /// Which implementation bugs are present.
@@ -652,8 +598,8 @@ impl TestTarget for GmpTarget {
         3
     }
 
-    fn primary_site(&self) -> usize {
-        1 // grid cases fault node 1, a non-leader member
+    fn primary_site(&self) -> u32 {
+        1 // the grid faults node 1, a non-leader member
     }
 
     fn share(&self) -> Arc<dyn TestTarget> {
@@ -905,8 +851,8 @@ impl TestTarget for TcpTarget {
 // ---------------------------------------------------------------------
 
 /// A coordinator plus three participants running one transaction. Every
-/// node's PFI layer is a fault site (site index = node index);
-/// grid-generated cases fault participant 1.
+/// node's PFI layer is a fault site (site index = node index); the grid
+/// faults participant 1.
 ///
 /// Invariant: **decision agreement** — no two nodes ever apply conflicting
 /// decisions for the same transaction. Faults may block participants or
@@ -935,8 +881,8 @@ impl TestTarget for TpcTarget {
         4
     }
 
-    fn primary_site(&self) -> usize {
-        1 // grid cases fault participant 1
+    fn primary_site(&self) -> u32 {
+        1 // the grid faults participant 1
     }
 
     fn share(&self) -> Arc<dyn TestTarget> {
@@ -1038,7 +984,7 @@ impl TestTarget for ChaosOracleTarget {
         self.inner.fault_sites()
     }
 
-    fn primary_site(&self) -> usize {
+    fn primary_site(&self) -> u32 {
         self.inner.primary_site()
     }
 
@@ -1122,6 +1068,7 @@ pub fn unknown_protocol(proto: &str) -> String {
 mod tests {
     use super::*;
     use crate::schedule::{FaultOp, FaultSchedule, ScheduledFault};
+    use pfi_core::Direction;
 
     fn drop_heartbeats() -> FaultSchedule {
         FaultSchedule {

@@ -1,8 +1,8 @@
 //! Parameterized fault schedules: the campaign engine's genome.
 //!
-//! The grid generator ([`crate::generate`]) enumerates one fault per case;
-//! a coverage-guided campaign instead searches over [`FaultSchedule`]s —
-//! small *compositions* of parameterized faults installed on both filter
+//! The [`grid`] is a list of one-fault schedules; a coverage-guided
+//! campaign instead searches over [`FaultSchedule`]s that are small
+//! *compositions* of parameterized faults installed on both filter
 //! directions at once. Schedules lower to ordinary PFI Tcl scripts through
 //! [`pfi_core::lower`], serialize to a stable one-line-per-fault text form
 //! (the repro artifact format), and mutate under a seeded [`SimRng`] so a
@@ -509,6 +509,57 @@ impl SiteScripts {
     }
 }
 
+/// The grid: every message type of `spec` crossed with one representative
+/// fault of each kind, each a one-fault schedule on fault site `site`, on
+/// both filter directions. `drop-to-dest` is on the send direction only: a
+/// receive filter sees only traffic addressed to its own node, so there it
+/// is either inert or `drop-all` again.
+pub fn grid(spec: &ProtocolSpec, site: u32) -> Vec<FaultSchedule> {
+    let mut schedules = Vec::new();
+    for msg in &spec.messages {
+        let msg_type = || msg.name.clone();
+        let ops = [
+            FaultOp::DropAll {
+                msg_type: msg_type(),
+            },
+            FaultOp::DropAfter {
+                msg_type: msg_type(),
+                after: 10,
+            },
+            FaultOp::DelayMs {
+                msg_type: msg_type(),
+                ms: 5_000,
+            },
+            FaultOp::Duplicate {
+                msg_type: msg_type(),
+                copies: 1,
+            },
+            FaultOp::CorruptByteAt {
+                msg_type: msg_type(),
+                offset: 2,
+                mask: 0x40,
+            },
+            FaultOp::DropToDest {
+                msg_type: msg_type(),
+                dst: 0,
+            },
+        ];
+        for op in ops {
+            let dirs = match op {
+                FaultOp::DropToDest { .. } => &[Direction::Send][..],
+                _ => &[Direction::Send, Direction::Receive],
+            };
+            for &dir in dirs {
+                let op = op.clone();
+                schedules.push(FaultSchedule {
+                    faults: vec![ScheduledFault { site, dir, op }],
+                });
+            }
+        }
+    }
+    schedules
+}
+
 /// Mutates schedules within a protocol's message vocabulary.
 #[derive(Debug, Clone)]
 pub struct ScheduleMutator {
@@ -722,6 +773,64 @@ mod tests {
         ] {
             assert!(ScheduledFault::from_line(bad).is_err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn full_cross_product_is_generated_and_parses() {
+        let grid = grid(&ProtocolSpec::gmp(), 1);
+        // Six faults on two directions, but drop-to-dest on send only.
+        assert_eq!(grid.len(), 8 * 11);
+        for schedule in &grid {
+            assert_eq!(schedule.len(), 1);
+            let [scripts] = &schedule.lower()[..] else {
+                panic!("{}: one site", schedule.id());
+            };
+            assert_eq!(scripts.site, 1);
+            let script = [&scripts.send, &scripts.recv]
+                .into_iter()
+                .find(|s| !s.is_empty());
+            let script = script.expect("one direction carries the fault");
+            assert!(Script::parse(script).is_ok(), "{}", schedule.id());
+            assert!(script.contains(schedule.faults[0].op.msg_type()));
+        }
+    }
+
+    #[test]
+    fn ids_are_unique() {
+        let grid = grid(&ProtocolSpec::tcp(), 0);
+        let mut ids: Vec<String> = grid.iter().map(FaultSchedule::id).collect();
+        let n = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), n);
+        // Every id is a schedule line and parses back to its schedule.
+        for schedule in &grid {
+            assert_eq!(&FaultSchedule::from_id(&schedule.id()).unwrap(), schedule);
+        }
+    }
+
+    #[test]
+    fn drop_after_counts_before_dropping() {
+        let spec = ProtocolSpec::new("toy", &[("A-B", crate::spec::Role::Data)]);
+        let drop_after = grid(&spec, 0)
+            .into_iter()
+            .find(|s| matches!(s.faults[0].op, FaultOp::DropAfter { .. }))
+            .unwrap();
+        // Hyphens in type names must not break the lowering.
+        let script = &drop_after.lower()[0].send;
+        assert!(
+            script.contains("incr") && script.contains("> 10"),
+            "{script}"
+        );
+        assert!(Script::parse(script).is_ok());
+    }
+
+    #[test]
+    fn paper_style_case_is_among_the_output() {
+        // The paper's "drop COMMITs" test must fall out of the grid.
+        assert!(grid(&ProtocolSpec::gmp(), 1)
+            .iter()
+            .any(|s| s.id() == "n1 recv drop-all COMMIT"));
     }
 
     #[test]

@@ -9,18 +9,21 @@
 //!   run that would have happened** — the runner refuses exactly the same
 //!   schedules at execution time ([`Verdict::Invalid`](crate::Verdict)).
 //! * [`validate_schedule`] — everything else worth telling a human:
-//!   message types outside the protocol spec, destinations outside the
-//!   topology, inert parameters (a zero XOR mask, zero duplicate
-//!   copies), plus a full `pfi-lint` pass over each lowered script.
+//!   faults the target's flow model proves inert (message types outside
+//!   the protocol spec, destinations outside the topology or another
+//!   node's traffic, a zero XOR mask, zero duplicate copies), plus a full
+//!   `pfi-lint` pass over each lowered script.
 //!   These are warnings: such schedules install and run fine (the fault
 //!   just never fires, or fires vacuously), so rejecting them would
 //!   change which runs execute and so what a campaign finds.
 
 use std::sync::Arc;
 
-use pfi_lint::{Diagnostic, Linter, Severity};
-use pfi_script::Script;
+use pfi_lint::{Category, Diagnostic, Linter, Severity};
+use pfi_script::{Script, Span};
 
+use crate::reach::FlowModel;
+use crate::runner::TestTarget;
 use crate::schedule::{FaultSchedule, SiteScripts};
 use crate::spec::ProtocolSpec;
 
@@ -89,18 +92,11 @@ pub(crate) fn check_install(
     (errors, compiled)
 }
 
-/// The install-blocking problems of a set of lowered site scripts against
-/// a target with `sites` fault sites — the exact checks the runner
-/// performs before installing anything.
-pub fn scripts_install_errors(scripts: &[SiteScripts], sites: u32) -> Vec<String> {
-    check_install(scripts, sites).0
-}
-
 /// The install-blocking problems of a schedule against a target with
 /// `sites` fault sites — exactly what the runner refuses at install time,
 /// nothing more. Empty means the schedule will install.
 pub fn install_errors(schedule: &FaultSchedule, sites: u32) -> Vec<String> {
-    scripts_install_errors(&schedule.lower(), sites)
+    check_install(&schedule.lower(), sites).0
 }
 
 /// Whether the schedule can be installed on a target with `sites` fault
@@ -109,15 +105,18 @@ pub fn schedule_is_installable(schedule: &FaultSchedule, sites: u32) -> bool {
     install_errors(schedule, sites).is_empty()
 }
 
-/// Full static validation: install errors, spec/topology warnings, inert
-/// parameter warnings, and a `pfi-lint` pass over every lowered script.
+/// Full static validation against `target`: install errors, inert-fault
+/// warnings, and a `pfi-lint` pass over every lowered script. Inert faults
+/// are judged by the target's own [`FlowModel`], placement facts included;
+/// a target without one gets the permissive model of `spec` and its node
+/// count.
 pub fn validate_schedule(
     schedule: &FaultSchedule,
     spec: &ProtocolSpec,
-    nodes: u32,
-    sites: u32,
+    target: &dyn TestTarget,
 ) -> Vec<ScheduleFinding> {
     let mut findings = Vec::new();
+    let sites = target.fault_sites();
 
     for (i, fault) in schedule.faults.iter().enumerate() {
         if fault.site >= sites {
@@ -132,20 +131,22 @@ pub fn validate_schedule(
         }
     }
 
-    // Inert-fault warnings are *not* re-derived here: the permissive flow
-    // model (spec + node count, no placement or routing facts) runs the
-    // same predicate `pfi-lint --spec` does, so what validation warns
-    // about and what the linter reports can never drift apart.
-    let model = crate::reach::FlowModel::permissive(spec, nodes);
+    // Inert-fault warnings are *not* re-derived here: the flow model runs
+    // the same predicate `pfi-lint --spec` does, so what validation warns
+    // about and what the linter reports can never drift apart. Each one
+    // carries an `inert-fault` diagnostic, so `--deny` / `--warn` re-tier it.
+    let model = target
+        .flow_model()
+        .unwrap_or_else(|| FlowModel::permissive(spec, target.node_count()));
     for fact in model.inert_facts(schedule) {
-        findings.push(ScheduleFinding::new(
+        let mut finding = ScheduleFinding::new(Severity::Warning, Some(fact.fault), fact.line);
+        finding.diagnostics.push(Diagnostic::new(
             Severity::Warning,
-            Some(fact.fault),
-            format!(
-                "the fault will never fire: {} [{}]",
-                fact.message, fact.rule
-            ),
+            Category::InertFault,
+            Span::default(),
+            format!("fault can never fire: {} [{}]", fact.message, fact.rule),
         ));
+        findings.push(finding);
     }
 
     let linter = Linter::filter();
@@ -177,6 +178,7 @@ pub fn validate_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::GmpTarget;
     use crate::schedule::{FaultOp, ScheduledFault};
     use pfi_core::Direction;
 
@@ -265,12 +267,40 @@ mod tests {
             ],
         };
         assert!(install_errors(&s, 3).is_empty());
-        let findings = validate_schedule(&s, &ProtocolSpec::gmp(), 3, 3);
+        let findings = validate_schedule(&s, &ProtocolSpec::gmp(), &GmpTarget::default());
         assert!(findings.len() >= 3, "{findings:?}");
         assert!(
             findings.iter().all(|f| f.severity < Severity::Error),
             "{findings:?}"
         );
+        // Each of the three inert faults carries the diagnostic `--deny`
+        // re-tiers.
+        let inert = findings.iter().filter(|f| {
+            f.diagnostics
+                .iter()
+                .any(|d| d.category == Category::InertFault)
+        });
+        assert_eq!(inert.count(), 3, "{findings:?}");
+    }
+
+    #[test]
+    fn recv_drop_to_another_node_is_inert_by_placement() {
+        // A receive filter only sees traffic addressed to its own node:
+        // on gmp, n1's receive filter never sees a message to node 0.
+        let s = FaultSchedule::from_id("n1 recv drop-to-dest HEARTBEAT 0").unwrap();
+        let findings = validate_schedule(&s, &ProtocolSpec::gmp(), &GmpTarget::default());
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].fault, Some(0));
+        assert!(
+            findings[0].diagnostics[0]
+                .message
+                .contains("[recv-dst-mismatch]"),
+            "{findings:?}"
+        );
+        // The same fault on the send side is live.
+        let send = FaultSchedule::from_id("n1 send drop-to-dest HEARTBEAT 0").unwrap();
+        let findings = validate_schedule(&send, &ProtocolSpec::gmp(), &GmpTarget::default());
+        assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
@@ -293,7 +323,7 @@ mod tests {
                 ),
             ],
         };
-        let findings = validate_schedule(&s, &ProtocolSpec::gmp(), 3, 3);
+        let findings = validate_schedule(&s, &ProtocolSpec::gmp(), &GmpTarget::default());
         assert!(findings.is_empty(), "{findings:?}");
     }
 }

@@ -1,29 +1,36 @@
-//! End-to-end campaigns: generated scripts actually find the paper's bugs.
+//! End-to-end campaigns: grid schedules actually find the paper's bugs.
 
-use pfi_core::Direction;
 use pfi_gmp::GmpBugs;
-use pfi_sim::SimDuration;
 use pfi_testgen::{
-    generate, run_campaign, run_case, FaultKind, GmpTarget, ProtocolSpec, TcpTarget, Verdict,
+    grid, run_schedule_limited, FaultOp, FaultSchedule, GmpTarget, ProtocolSpec, RunLimits,
+    ScheduleRun, TcpTarget, TestTarget, TpcTarget, Verdict,
 };
+
+fn run(target: &dyn TestTarget, schedule: &FaultSchedule) -> ScheduleRun {
+    run_schedule_limited(target, schedule, &RunLimits::default())
+}
+
+/// Runs the schedule a one-line id names.
+fn run_id(target: &dyn TestTarget, id: &str) -> ScheduleRun {
+    run(target, &FaultSchedule::from_id(id).unwrap())
+}
 
 #[test]
 fn fixed_gmp_passes_the_full_drop_campaign() {
     // Every single-message-type drop, both directions, against the fixed
     // implementation: plenty of degradation, zero invariant violations.
-    let campaign = generate(
-        &ProtocolSpec::gmp(),
-        &[FaultKind::Drop],
-        &[Direction::Send, Direction::Receive],
-    );
     let target = GmpTarget {
         bugs: GmpBugs::none(),
         fault_secs: 60,
     };
-    let results = run_campaign(&target, &campaign);
-    assert_eq!(results.len(), 16);
-    let violations: Vec<_> = results
+    let drops: Vec<FaultSchedule> = grid(&ProtocolSpec::gmp(), target.primary_site())
+        .into_iter()
+        .filter(|s| matches!(s.faults[0].op, FaultOp::DropAll { .. }))
+        .collect();
+    assert_eq!(drops.len(), 16);
+    let violations: Vec<_> = drops
         .iter()
+        .map(|s| run(&target, s))
         .filter(|r| r.verdict.is_violation())
         .collect();
     assert!(
@@ -34,10 +41,9 @@ fn fixed_gmp_passes_the_full_drop_campaign() {
 
 #[test]
 fn campaign_discovers_the_self_death_bug_automatically() {
-    // The same generated campaign against the buggy implementation finds
-    // the self-death bug: dropping outgoing heartbeats (which includes the
-    // daemon's own loopback heartbeat) trips it.
-    let campaign = generate(&ProtocolSpec::gmp(), &[FaultKind::Drop], &[Direction::Send]);
+    // The grid's send-side heartbeat drop against the buggy implementation
+    // finds the self-death bug: dropping outgoing heartbeats (which
+    // includes the daemon's own loopback heartbeat) trips it.
     let target = GmpTarget {
         bugs: GmpBugs {
             self_death: true,
@@ -45,21 +51,14 @@ fn campaign_discovers_the_self_death_bug_automatically() {
         },
         fault_secs: 60,
     };
-    let results = run_campaign(&target, &campaign);
-    let heartbeat_case = results
-        .iter()
-        .find(|r| r.case_id == "gmp/send/drop/HEARTBEAT")
-        .expect("the heartbeat case exists");
+    let heartbeat = run_id(&target, "n1 send drop-all HEARTBEAT");
     assert!(
-        heartbeat_case.verdict.is_violation(),
-        "the generated heartbeat-drop case must find the bug: {heartbeat_case:?}"
+        heartbeat.verdict.is_violation(),
+        "the grid's heartbeat-drop row must find the bug: {heartbeat:?}"
     );
     // And the discovery is *selective*: dropping e.g. NAKs does not trip it.
-    let nak_case = results
-        .iter()
-        .find(|r| r.case_id == "gmp/send/drop/NAK")
-        .unwrap();
-    assert!(!nak_case.verdict.is_violation(), "{nak_case:?}");
+    let nak = run_id(&target, "n1 send drop-all NAK");
+    assert!(!nak.verdict.is_violation(), "{nak:?}");
 }
 
 #[test]
@@ -69,18 +68,7 @@ fn delay_campaign_matches_the_papers_delayed_equals_dropped_observation() {
     // would. (A *constant* delay then resumes regular arrival, so the
     // member is eventually readmitted; probing mid-expulsion shows the
     // degradation.)
-    let campaign = generate(
-        &ProtocolSpec::gmp(),
-        &[FaultKind::Delay(SimDuration::from_secs(5))],
-        &[Direction::Send],
-    );
-    let target = GmpTarget::default();
-    let hb = campaign
-        .cases
-        .iter()
-        .find(|c| c.message_type == "HEARTBEAT")
-        .unwrap();
-    let result = run_case(&target, hb);
+    let result = run_id(&GmpTarget::default(), "n1 send delay-ms HEARTBEAT 5000");
     match &result.verdict {
         Verdict::Degraded(_) => {}
         other => panic!("expected degradation from delayed heartbeats, got {other:?}"),
@@ -91,55 +79,37 @@ fn delay_campaign_matches_the_papers_delayed_equals_dropped_observation() {
 fn tcp_campaign_corruption_never_violates_integrity() {
     // Corrupting bytes in DATA/ACK segments must never corrupt the
     // delivered stream — the checksum is the invariant's enforcer.
-    let campaign = generate(
-        &ProtocolSpec::tcp(),
-        &[
-            FaultKind::CorruptByte(6),
-            FaultKind::Duplicate,
-            FaultKind::Drop,
-        ],
-        &[Direction::Receive],
-    );
     let target = TcpTarget {
         fault_secs: 120,
         payload_len: 4_096,
         ..TcpTarget::default()
     };
-    let results = run_campaign(&target, &campaign);
-    for r in &results {
-        assert!(!r.verdict.is_violation(), "integrity violated: {r:?}");
+    for msg in &ProtocolSpec::tcp().messages {
+        let m = &msg.name;
+        for id in [
+            format!("n0 recv corrupt-byte {m} 6 64"),
+            format!("n0 recv duplicate {m} 1"),
+            format!("n0 recv drop-all {m}"),
+        ] {
+            let r = run_id(&target, &id);
+            assert!(!r.verdict.is_violation(), "integrity violated: {r:?}");
+        }
     }
     // Duplicating DATA must be fully transparent.
-    let dup = results
-        .iter()
-        .find(|r| r.case_id == "tcp/receive/duplicate/DATA")
-        .unwrap();
+    let dup = run_id(&target, "n0 recv duplicate DATA 1");
     assert_eq!(dup.verdict, Verdict::Pass, "{dup:?}");
     // Dropping all DATA degrades but does not violate.
-    let drop = results
-        .iter()
-        .find(|r| r.case_id == "tcp/receive/drop/DATA")
-        .unwrap();
+    let drop = run_id(&target, "n0 recv drop-all DATA");
     assert!(matches!(drop.verdict, Verdict::Degraded(_)), "{drop:?}");
 }
 
 #[test]
 fn tcp_syn_drop_prevents_connection_degraded_only() {
-    let campaign = generate(
-        &ProtocolSpec::tcp(),
-        &[FaultKind::Drop],
-        &[Direction::Receive],
-    );
-    let syn = campaign
-        .cases
-        .iter()
-        .find(|c| c.message_type == "SYN")
-        .unwrap();
     let target = TcpTarget {
         fault_secs: 60,
         ..TcpTarget::default()
     };
-    let result = run_case(&target, syn);
+    let result = run_id(&target, "n0 recv drop-all SYN");
     assert!(
         matches!(result.verdict, Verdict::Degraded(ref m) if m.contains("never established")),
         "{result:?}"
@@ -148,20 +118,15 @@ fn tcp_syn_drop_prevents_connection_degraded_only() {
 
 #[test]
 fn destination_selective_drops_are_generated_and_run() {
-    // The paper's partition experiments drop by destination; the generator
+    // The paper's partition experiments drop by destination; the grid
     // covers that dimension too.
-    let campaign = generate(
-        &ProtocolSpec::gmp(),
-        &[FaultKind::DropToDest(0)],
-        &[Direction::Send],
-    );
-    let hb = campaign
-        .cases
-        .iter()
-        .find(|c| c.message_type == "HEARTBEAT")
-        .unwrap();
-    assert!(hb.script.contains("msg_dst"));
-    let result = run_case(&GmpTarget::default(), hb);
+    let target = GmpTarget::default();
+    let hb = grid(&ProtocolSpec::gmp(), target.primary_site())
+        .into_iter()
+        .find(|s| s.id() == "n1 send drop-to-dest HEARTBEAT 0")
+        .expect("the grid drops heartbeats toward node 0");
+    assert!(hb.lower()[0].send.contains("msg_dst"));
+    let result = run(&target, &hb);
     // Node 1 mute toward the leader only: it gets expelled (leader can't
     // hear it) but no invariant breaks.
     assert!(!result.verdict.is_violation(), "{result:?}");
@@ -169,26 +134,22 @@ fn destination_selective_drops_are_generated_and_run() {
 
 #[test]
 fn tpc_campaign_never_splits_the_decision() {
-    // Every generated fault against 2PC may abort or block, never split
-    // the commit/abort decision between nodes.
-    let campaign = generate(
-        &ProtocolSpec::two_phase_commit(),
-        &FaultKind::default_matrix(),
-        &[Direction::Send, Direction::Receive],
-    );
-    let results = run_campaign(&pfi_testgen::TpcTarget, &campaign);
-    assert_eq!(results.len(), 6 * 6 * 2);
+    // Every grid fault against 2PC may abort or block, never split the
+    // commit/abort decision between nodes.
+    let schedules = grid(&ProtocolSpec::two_phase_commit(), TpcTarget.primary_site());
+    assert_eq!(schedules.len(), 6 * 11);
+    let results: Vec<ScheduleRun> = schedules.iter().map(|s| run(&TpcTarget, s)).collect();
     for r in &results {
         assert!(
             !r.verdict.is_violation(),
             "decision agreement violated: {r:?}"
         );
     }
-    // The blocking window is discovered by the campaign, not hand-staged:
-    // at least one generated case leaves a participant blocked.
+    // The blocking window is discovered by the grid, not hand-staged: at
+    // least one grid row leaves a participant blocked.
     let blocked = results
         .iter()
         .filter(|r| matches!(&r.verdict, Verdict::Degraded(m) if m.contains("blocked")))
         .count();
-    assert!(blocked > 0, "some case must expose the blocking window");
+    assert!(blocked > 0, "some row must expose the blocking window");
 }

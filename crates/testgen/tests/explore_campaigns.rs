@@ -1,16 +1,15 @@
 //! Acceptance tests for the coverage-guided campaign engine: the seeded
 //! exploration loop must rediscover every seeded GMP bug within a fixed
 //! budget, shrink each failure to a 1-minimal fault set, emit a repro
-//! artifact that replays byte-identically, beat the legacy grid on
+//! artifact that replays byte-identically, beat the grid on
 //! coverage at equal case count, and be bit-for-bit deterministic.
 
 use std::sync::Arc;
 
-use pfi_core::Direction;
 use pfi_gmp::GmpBugs;
 use pfi_testgen::{
-    explore, explore_fleet, generate, run_campaign, run_schedule_limited, Coverage, ExploreConfig,
-    FaultKind, GmpTarget, ProtocolSpec, RunLimits, TestTarget,
+    explore, explore_fleet, grid, run_schedule_limited, run_schedule_snapshotted, Coverage,
+    ExploreConfig, GmpTarget, ProtocolSpec, RunLimits, SnapshotStore, TestTarget,
 };
 
 /// The fixed seed the rediscovery tests run under. The budgets below were
@@ -129,18 +128,17 @@ fn coverage_guided_search_beats_the_grid() {
         bugs: GmpBugs::none(),
         fault_secs: 60,
     };
-    let campaign = generate(
-        &spec,
-        &FaultKind::default_matrix(),
-        &[Direction::Send, Direction::Receive],
-    );
-    let mut grid = Coverage::new();
-    for result in run_campaign(&target, &campaign) {
-        grid.merge(&result.coverage);
+    let schedules = grid(&spec, target.primary_site());
+    let mut grid_coverage = Coverage::new();
+    let mut store = SnapshotStore::default();
+    for schedule in &schedules {
+        let run =
+            run_schedule_snapshotted(&target, schedule, &RunLimits::default(), Some(&mut store));
+        grid_coverage.merge(&run.coverage);
     }
 
-    // Equal case count: the grid ran campaign.len() cases, exploration
-    // gets a budget of campaign.len() - 1 mutations plus its baseline.
+    // Equal case count: the grid ran schedules.len() rows, exploration
+    // gets a budget of schedules.len() - 1 mutations plus its baseline.
     // The fixed target yields no failures — so no shrink re-runs inflate
     // the count and exploration can never out-run the grid.
     let outcome = explore(
@@ -148,24 +146,24 @@ fn coverage_guided_search_beats_the_grid() {
         &spec,
         &ExploreConfig {
             seed: SEED,
-            budget: campaign.len() - 1,
+            budget: schedules.len() - 1,
             max_faults: 3,
             epoch: 1,
             ..ExploreConfig::default()
         },
     );
-    assert!(outcome.executed <= campaign.len());
+    assert!(outcome.executed <= schedules.len());
     assert!(
-        outcome.coverage.len() > grid.len(),
+        outcome.coverage.len() > grid_coverage.len(),
         "explore reached {} edges in {} runs, grid reached {} in {}",
         outcome.coverage.len(),
         outcome.executed,
-        grid.len(),
-        campaign.len()
+        grid_coverage.len(),
+        schedules.len()
     );
     // Not just more edges: edges the whole grid never reaches at all
     // (composed multi-fault schedules drive states single faults cannot).
-    assert!(outcome.coverage.difference(&grid).next().is_some());
+    assert!(outcome.coverage.difference(&grid_coverage).next().is_some());
 }
 
 #[test]

@@ -1,14 +1,13 @@
 //! The in-tree script corpus must stay lint-clean: every checked-in
-//! filter script and every machine-generated campaign script passes
+//! filter script and every grid schedule's lowered script passes
 //! `pfi-lint` with zero error-severity findings. CI runs the same check
 //! through the CLI; this test pins it from inside the suite. It doubles
 //! as the zero-false-positive acceptance gate: these scripts all run
 //! today, so any `error` the analyzer reports against them is by
 //! definition a false positive.
 
-use pfi_core::Direction;
 use pfi_lint::{Linter, Severity};
-use pfi_testgen::{generate, FaultKind, ProtocolSpec};
+use pfi_testgen::{grid, ProtocolSpec};
 
 fn assert_no_errors(linter: &Linter, name: &str, src: &str) {
     let errors: Vec<_> = linter
@@ -72,15 +71,15 @@ fn generated_grid_scripts_lint_perfectly_clean() {
         ProtocolSpec::tcp(),
         ProtocolSpec::two_phase_commit(),
     ] {
-        let campaign = generate(
-            &spec,
-            &FaultKind::default_matrix(),
-            &[Direction::Send, Direction::Receive],
-        );
-        assert!(!campaign.cases.is_empty());
-        for case in &campaign.cases {
-            let diags = linter.lint(&case.script);
-            assert!(diags.is_empty(), "{}: {diags:?}", case.id);
+        let schedules = grid(&spec, 0);
+        assert!(!schedules.is_empty());
+        for schedule in &schedules {
+            for site in schedule.lower() {
+                for script in [&site.send, &site.recv] {
+                    let diags = linter.lint(script);
+                    assert!(diags.is_empty(), "{}: {diags:?}", schedule.id());
+                }
+            }
         }
     }
 }

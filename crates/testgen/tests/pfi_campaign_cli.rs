@@ -1,7 +1,8 @@
 //! End-to-end tests of the `pfi-campaign` CLI: arguments it does not
 //! understand are usage errors (exit 2, naming the argument) instead of
-//! being skipped, and the `--stats` block keeps the labels the repository
-//! benchmark (`bench/src/campaign_stats.rs`) reads off stdout.
+//! being skipped, the `--stats` block keeps the labels the repository
+//! benchmark (`bench/src/campaign_stats.rs`) reads off stdout, and the
+//! grid prints its rows as schedule ids.
 
 use std::process::{Command, Output};
 
@@ -304,5 +305,45 @@ fn small_step_budgets_keep_their_digests() {
         let line_of = |prefix: &str| stdout.lines().find(|l| l.starts_with(prefix));
         assert_eq!(line_of("pfi-campaign digest "), Some(digest), "{config}");
         assert_eq!(line_of("snapshots: "), Some(snapshots), "{config}");
+    }
+}
+
+/// The grid (no `--explore`): every row is a one-fault schedule, printed
+/// by its schedule id, and a violation row is a schedule line a repro or
+/// `pfi-lint` takes as is.
+#[test]
+fn grid_rows_are_schedules() {
+    let out = run(&["gmp", "--buggy"]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(
+        stdout.contains("VIOLATION n1 send drop-all HEARTBEAT "),
+        "{stdout}"
+    );
+    let violations: Vec<&str> = stdout
+        .lines()
+        .filter(|l| l.starts_with("VIOLATION "))
+        .collect();
+    assert_eq!(violations.len(), 9, "{stdout}");
+
+    let out = run(&["tpc"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+
+    let out = run(&["gmp", "--list"]);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let headers: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("## "))
+        .collect();
+    assert_eq!(headers.len(), 88, "{stdout}");
+    for id in headers {
+        let schedule = pfi_testgen::FaultSchedule::from_id(id).unwrap();
+        assert_eq!(schedule.id(), id);
     }
 }

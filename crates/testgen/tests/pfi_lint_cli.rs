@@ -133,3 +133,51 @@ fn an_unbundled_protocol_is_a_usage_error() {
         assert!(out.stdout.is_empty(), "{args:?} must lint nothing");
     }
 }
+
+/// An inert fault in schedule text carries an `inert-fault` diagnostic,
+/// so `--deny inert-fault` fails it exactly as it fails the same fault
+/// written as a script under `--spec`. The second input is the
+/// receive-side destination drop the grid leaves out: placement makes it
+/// dead.
+#[test]
+fn deny_inert_fault_applies_to_schedule_text() {
+    for (name, text, rule) in [
+        (
+            "outside.txt",
+            "n1 send drop-to-dest HEARTBEAT 9\n",
+            "[dst-outside-topology]",
+        ),
+        (
+            "recv_dst.txt",
+            "n1 recv drop-to-dest HEARTBEAT 0\n",
+            "[recv-dst-mismatch]",
+        ),
+    ] {
+        let schedule = temp_file(name, text);
+        let path = schedule.to_str().unwrap();
+        let out = run(&["--deny", "inert-fault", path], &fixtures());
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{stdout}");
+        assert!(stdout.contains("error[inert-fault]"), "{stdout}");
+        assert!(stdout.contains(rule), "{stdout}");
+        let out = run(&[path], &fixtures());
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert_eq!(out.status.code(), Some(0), "{stdout}");
+        assert!(stdout.contains("warning[inert-fault]"), "{stdout}");
+    }
+}
+
+/// `--grid` validates every grid schedule against the `--spec` target's
+/// own flow model, placement included, and the grid has no dead row.
+#[test]
+fn the_grid_has_no_dead_faults() {
+    for proto in pfi_testgen::BUNDLED {
+        let out = run(
+            &["--spec", proto, "--grid", "--deny", "inert-fault"],
+            &fixtures(),
+        );
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert_eq!(out.status.code(), Some(0), "{proto}: {stdout}");
+        assert!(stdout.contains(&format!("grid {proto}: ")), "{stdout}");
+    }
+}

@@ -1,5 +1,5 @@
 //! Automatic test-script generation — the paper's future work (ii),
-//! realised: generate a fault-injection campaign from a protocol
+//! realised: generate the grid of one-fault schedules from a protocol
 //! specification, run it against both the buggy and the fixed group
 //! membership implementation, and diff the verdicts.
 //!
@@ -7,49 +7,52 @@
 //! cargo run --release --example testgen_campaign
 //! ```
 
-use pfi::core::Direction;
 use pfi::gmp::GmpBugs;
-use pfi::testgen::{generate, run_campaign, FaultKind, GmpTarget, ProtocolSpec, Verdict};
+use pfi::testgen::{
+    grid, run_schedule_snapshotted, FaultSchedule, GmpTarget, ProtocolSpec, RunLimits, ScheduleRun,
+    SnapshotStore, TestTarget, Verdict,
+};
+
+/// Runs every grid row against `target`, forking one base world.
+fn run_grid(target: &GmpTarget, grid: &[FaultSchedule]) -> Vec<ScheduleRun> {
+    let mut store = SnapshotStore::default();
+    grid.iter()
+        .map(|s| run_schedule_snapshotted(target, s, &RunLimits::default(), Some(&mut store)))
+        .collect()
+}
 
 fn main() {
     let spec = ProtocolSpec::gmp();
-    let campaign = generate(
-        &spec,
-        &FaultKind::default_matrix(),
-        &[Direction::Send, Direction::Receive],
-    );
+    let fixed_target = GmpTarget {
+        bugs: GmpBugs::none(),
+        fault_secs: 60,
+    };
+    let grid = grid(&spec, fixed_target.primary_site());
     println!(
-        "generated {} cases from the {} specification ({} message types × {} faults × 2 directions)\n",
-        campaign.len(),
-        campaign.protocol,
+        "generated {} one-fault schedules from the {} specification ({} message types)\n",
+        grid.len(),
+        spec.name,
         spec.messages.len(),
-        FaultKind::default_matrix().len(),
     );
-    println!("a generated script (gmp/send/drop/HEARTBEAT):");
-    let sample = campaign
-        .cases
+    println!("a generated schedule and its filter script:");
+    let sample = grid
         .iter()
-        .find(|c| c.id == "gmp/send/drop/HEARTBEAT")
+        .find(|s| s.id() == "n1 send drop-all HEARTBEAT")
         .unwrap();
-    for line in sample.script.lines() {
+    println!("    {}", sample.id());
+    for line in sample.lower()[0].send.lines() {
         println!("    {line}");
     }
 
-    println!("\nrunning the campaign against the FIXED implementation…");
-    let fixed = run_campaign(
-        &GmpTarget {
-            bugs: GmpBugs::none(),
-            fault_secs: 60,
-        },
-        &campaign,
-    );
+    println!("\nrunning the grid against the FIXED implementation…");
+    let fixed = run_grid(&fixed_target, &grid);
     println!("…and against the implementation WITH the paper's bugs…\n");
-    let buggy = run_campaign(
+    let buggy = run_grid(
         &GmpTarget {
             bugs: GmpBugs::all(),
             fault_secs: 60,
         },
-        &campaign,
+        &grid,
     );
 
     let mut pass = 0;
@@ -60,17 +63,17 @@ fn main() {
             Verdict::Pass => pass += 1,
             Verdict::Degraded(_) => degraded += 1,
             Verdict::Violated(v) => panic!("fixed implementation violated an invariant: {v}"),
-            Verdict::Invalid(v) => panic!("grid case refused to install: {v}"),
+            Verdict::Invalid(v) => panic!("grid row refused to install: {v}"),
             Verdict::Crashed(v) => panic!("fixed implementation crashed: {v}"),
             Verdict::Hung(v) => panic!("fixed implementation hung: {v}"),
         }
         if b.verdict.is_violation() && !f.verdict.is_violation() {
-            found.push((b.case_id.clone(), b.verdict.clone()));
+            found.push((b.schedule_id.clone(), b.verdict.clone()));
         }
     }
     println!("fixed implementation:  {pass} pass, {degraded} degraded, 0 violations");
     println!(
-        "buggy implementation:  {} cases exposed a bug the fixed version survives:\n",
+        "buggy implementation:  {} rows exposed a bug the fixed version survives:\n",
         found.len()
     );
     for (id, verdict) in found.iter().take(10) {
@@ -81,6 +84,6 @@ fn main() {
     }
     assert!(
         !found.is_empty(),
-        "the campaign must discover the injected bugs"
+        "the grid must discover the injected bugs"
     );
 }
