@@ -26,6 +26,9 @@
 //! ```
 //!
 //! Identity lives in the index + seeds; progress lives in the journal.
+//! A journal `case` lists only the coverage edges it added, so a block
+//! is a few KB; blocks of older daemons list every run's full edge set
+//! and recover to the same results.
 //!
 //! No journal line starts with `journal `, so the markers split the
 //! segment back into blocks. Only the daemon's executor writes it, one

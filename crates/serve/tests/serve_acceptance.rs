@@ -18,6 +18,9 @@
 //!    steps back, never runs ahead of the journal the campaign ends up
 //!    with, and picks up after a restart where the torn journal stopped.
 
+#[path = "../../testgen/tests/support/mod.rs"]
+mod support;
+
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
@@ -28,6 +31,7 @@ use pfi_serve::CampaignParams;
 use pfi_testgen::{
     explore, explore_fleet, ExploreConfig, FaultSchedule, GmpTarget, Journal, ProtocolSpec,
 };
+use support::torn_cut;
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pfi_serve_{}_{name}", std::process::id()))
@@ -646,6 +650,7 @@ fn a_store_from_the_prune_tier_era_opens_and_serves_its_results() {
     };
     let (p1, p2) = (params(42, 24), params(7, 24));
     let mut index = String::new();
+    let mut c2_cases = (0, 0);
     for (id, p, on) in [("c1", &p1, true), ("c2", &p2, false)] {
         let path = store.join(format!("{id}.journal"));
         let mut cfg = p.to_config();
@@ -653,7 +658,10 @@ fn a_store_from_the_prune_tier_era_opens_and_serves_its_results() {
         explore(&GmpTarget::default(), &ProtocolSpec::gmp(), &cfg);
         let mut text = era_journal(&std::fs::read_to_string(&path).unwrap(), on);
         if id == "c2" {
-            text.truncate(text.len() / 2); // killed mid-campaign
+            // Killed mid-campaign.
+            let (cut, kept) = torn_cut(&text);
+            c2_cases = (kept, text.matches("case end\n").count());
+            text.truncate(cut);
         }
         std::fs::write(&path, text).unwrap();
         let switches = format!(" pruning={0} semantic={0} snapshots=", on as u8);
@@ -680,8 +688,10 @@ fn a_store_from_the_prune_tier_era_opens_and_serves_its_results() {
             "{text}"
         );
     }
+    let (kept, cases) = c2_cases;
+    assert!(kept > 0 && kept < cases, "{kept} of {cases}");
     assert!(
-        !before[1].contains(" replayed=0 "),
+        before[1].contains(&format!(" replayed={kept} ")),
         "c2 resumed: {}",
         before[1]
     );
@@ -720,7 +730,9 @@ fn a_store_of_the_per_campaign_layout_opens_and_resumes_into_the_segment() {
         full.push(journal);
         index.push_str(&format!("campaign {id} {}\n", p.to_kv()));
     }
-    let torn = &full[1][..full[1].len() / 2];
+    let (cut, kept) = torn_cut(&full[1]);
+    let torn = &full[1][..cut];
+    assert!(kept > 0 && kept < full[1].matches("case end\n").count());
     std::fs::write(store.join("c1.journal"), &full[0]).unwrap();
     std::fs::write(store.join("c2.journal"), torn).unwrap();
     std::fs::write(store.join("store.index"), index).unwrap();
@@ -745,7 +757,7 @@ fn a_store_of_the_per_campaign_layout_opens_and_resumes_into_the_segment() {
         before[0]
     );
     assert!(
-        !before[1].contains(" replayed=0 "),
+        before[1].contains(&format!(" replayed={kept} ")),
         "c2 resumed: {}",
         before[1]
     );
@@ -771,6 +783,63 @@ fn a_store_of_the_per_campaign_layout_opens_and_resumes_into_the_segment() {
     }
     daemon.shutdown_and_join();
     std::fs::remove_dir_all(&store).ok();
+    std::fs::remove_file(&socket).ok();
+}
+
+/// A store whose journal block lists each run's full edge set, as
+/// daemons wrote before a case recorded only the edges it added, restarts
+/// to the `results` of the same campaign run by this daemon: digest,
+/// counters, kept, shared and edges.
+#[test]
+fn a_store_of_full_edge_sets_restarts_to_the_same_results() {
+    let p = CampaignParams {
+        fault_secs: 5,
+        seed: 1000,
+        budget: 8,
+        max_faults: 2,
+        epoch: 8,
+        ..CampaignParams::default()
+    };
+    let old = tmp("full_sets_store");
+    let new = tmp("fresh_sets_store");
+    let socket = tmp("full_sets.sock");
+    for store in [&old, &new] {
+        std::fs::remove_dir_all(store).ok();
+        std::fs::create_dir_all(store).unwrap();
+    }
+    let fixture = include_str!("../../testgen/tests/fixtures/journal_full_sets.txt");
+    std::fs::write(old.join("store.journal"), format!("journal c1\n{fixture}")).unwrap();
+    std::fs::write(
+        old.join("store.index"),
+        format!("campaign c1 {}\n", p.to_kv()),
+    )
+    .unwrap();
+
+    let daemon = Daemon::start(&new, &socket);
+    let mut client = daemon.client();
+    let id = submit(&mut client, &p);
+    let (_, digest) = wait_digest(&mut client, &id);
+    assert_eq!(digest, inline_digest(&p, Vec::new()));
+    daemon.shutdown_and_join();
+
+    let results: Vec<String> = [&old, &new]
+        .iter()
+        .map(|store| {
+            let daemon = Daemon::start(store, &socket);
+            let text = results_text(&mut daemon.client(), "c1");
+            daemon.shutdown_and_join();
+            text
+        })
+        .collect();
+    assert!(
+        results[0].contains(&format!("\ndigest {digest}\n")),
+        "{}",
+        results[0]
+    );
+    assert_eq!(results[0], results[1]);
+    for store in [&old, &new] {
+        std::fs::remove_dir_all(store).ok();
+    }
     std::fs::remove_file(&socket).ok();
 }
 

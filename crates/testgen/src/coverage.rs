@@ -19,9 +19,9 @@
 //! every run. [`Coverage::merge`] asks the union about keys first and
 //! renders text only for the ones it has never seen; everything that
 //! speaks text ([`edges`](Coverage::edges), `==`, `contains`,
-//! `difference`) renders on first demand, except a journal record's
-//! `cover` lines, which are rendered from the keys straight into the
-//! record.
+//! `difference`) renders on first demand. A journal record's `cover`
+//! lines are the edges a merge added, which
+//! [`merge_with`](Coverage::merge_with) hands over as it inserts them.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -146,19 +146,28 @@ impl Coverage {
     }
 
     /// Merges `other` in; returns how many of its edges were new.
+    pub fn merge(&mut self, other: &Coverage) -> usize {
+        self.merge_with(other, |_| ())
+    }
+
+    /// [`merge`](Coverage::merge), handing `added` each edge the union
+    /// lacked as it is inserted. A run's keys come out in key order, which
+    /// is not text order once a node number has two digits; a caller that
+    /// keeps them sorts them.
     ///
     /// A run straight from [`from_trace`](Coverage::from_trace) is asked
     /// for its keys first: if the union has seen every one, nothing is
     /// new and no string is built to find that out; otherwise only the
     /// unseen keys are rendered. Anything else merges as text, copying
     /// only the strings the union lacks.
-    pub fn merge(&mut self, other: &Coverage) -> usize {
+    pub fn merge_with(&mut self, other: &Coverage, mut added: impl FnMut(&str)) -> usize {
+        let mut new = 0;
         if !other.is_keys_only() {
             let text = self.text_mut();
-            let mut new = 0;
             for edge in other.text() {
                 if !text.contains(edge) {
                     text.insert(edge.clone());
+                    added(edge);
                     new += 1;
                 }
             }
@@ -177,9 +186,11 @@ impl Coverage {
         // An unseen key may still spell an edge a replayed run brought in
         // as text, so novelty is counted where text is inserted.
         let text = self.text_mut();
-        let mut new = 0;
         render(&unseen, |edge| {
-            new += usize::from(text.insert(edge.to_string()))
+            if text.insert(edge.to_string()) {
+                added(edge);
+                new += 1;
+            }
         });
         self.keys.extend(unseen);
         self.keys.sort_unstable();
@@ -209,40 +220,6 @@ impl Coverage {
     /// Edges in `self` that `other` lacks, in sorted order.
     pub fn difference<'a>(&'a self, other: &'a Coverage) -> impl Iterator<Item = &'a str> {
         self.text().difference(other.text()).map(String::as_str)
-    }
-
-    /// Appends one `{tag}{edge}` line per edge to `out`, in
-    /// [`edges`](Coverage::edges) order — the `cover` lines of a journal
-    /// record. Text already rendered is read; a live run's keys are
-    /// rendered straight into `out`, each once, and the text set is never
-    /// built.
-    pub(crate) fn write_lines(&self, tag: &str, out: &mut String) {
-        let line = |out: &mut String, edge: &str| {
-            out.push_str(tag);
-            out.push_str(edge);
-            out.push('\n');
-        };
-        if let Some(text) = self.text.get() {
-            text.iter().for_each(|edge| line(out, edge));
-            return;
-        }
-        let start = out.len();
-        // Where each edge's text landed in `out`.
-        let mut spans = Vec::with_capacity(self.keys.len());
-        render(&self.keys, |edge| {
-            let at = out.len() + tag.len();
-            line(out, edge);
-            spans.push(at..at + edge.len());
-        });
-        // Key order is text order only while every node is single-digit
-        // (see `Edge`); otherwise the lines are laid out again in text order.
-        if spans.is_sorted_by(|a, b| out[a.clone()] <= out[b.clone()]) {
-            return;
-        }
-        let lines = out.split_off(start);
-        let text = |span: &std::ops::Range<usize>| &lines[span.start - start..span.end - start];
-        spans.sort_unstable_by(|a, b| text(a).cmp(text(b)));
-        spans.iter().for_each(|span| line(out, text(span)));
     }
 
     /// The whole set as text, rendered from the keys on first demand.
@@ -1087,10 +1064,11 @@ mod tests {
         assert!(acc.difference(&one).count() == 2);
     }
 
-    /// Node 2 sorts before node 10 as a key and after it as text; the
-    /// lines come out in text order either way.
+    /// Node 2 sorts before node 10 as a key and after it as text: the
+    /// edges a merge hands over are the same from keys and from text, in
+    /// text order once sorted.
     #[test]
-    fn lines_from_keys_follow_text_order() {
+    fn added_edges_from_keys_sort_into_text_order() {
         let mut log = TraceLog::new();
         for node in [2, 10] {
             log.record(SimTime::ZERO, n(node), "gmd", GmpEvent::Started);
@@ -1098,16 +1076,20 @@ mod tests {
         }
         let cov = Coverage::from_trace(&log);
         assert_eq!(cov.keys[0].node, n(2), "keys sort by node number");
-        let mut lines = String::from("case begin\n");
-        cov.write_lines("cover ", &mut lines);
-        assert!(cov.text.get().is_none(), "write_lines built the text set");
+        let added = |run: &Coverage| {
+            let mut edges = Vec::new();
+            let new = Coverage::new().merge_with(run, |e| edges.push(e.to_string()));
+            assert_eq!(new, edges.len());
+            edges
+        };
+        let mut by_key = added(&cov);
+        assert!(cov.text.get().is_none(), "merging built the run's text set");
+        assert!(by_key[0].starts_with("gmp:n2:"), "{by_key:?}");
+        by_key.sort_unstable();
 
-        let want: String = cov.edges().map(|e| format!("cover {e}\n")).collect();
-        assert!(want.starts_with("cover gmp:n10:"), "{want}");
-        assert_eq!(lines, format!("case begin\n{want}"));
-        // Once the text exists it is what is read, to the same lines.
-        let mut again = String::new();
-        cov.write_lines("cover ", &mut again);
-        assert_eq!(again, want);
+        let by_text = added(&Coverage::from_edges(cov.edges().map(str::to_string)));
+        assert!(by_text[0].starts_with("gmp:n10:"), "{by_text:?}");
+        assert_eq!(by_key, by_text);
+        assert!(by_key.iter().map(String::as_str).eq(cov.edges()));
     }
 }

@@ -600,13 +600,24 @@ impl Admission {
     }
 }
 
+/// Merges a run's coverage into the campaign's union; returns the edges it
+/// added, in text order — what its journal record lists.
+fn merge_coverage(union: &mut Coverage, run: &Coverage) -> Vec<String> {
+    let mut added = Vec::new();
+    union.merge_with(run, |edge| added.push(edge.to_string()));
+    added.sort_unstable();
+    added
+}
+
 /// Appends one merged result to the write-ahead journal (no-op without a
-/// writer). `message` is the confirmed bare violation message, present
-/// exactly when this report first discovered its failure — its presence is
-/// what lets resume skip the confirmation run.
+/// writer), its `cover` lines the edges it `added` to the union. `message`
+/// is the confirmed bare violation message, present exactly when this
+/// report first discovered its failure — its presence is what lets resume
+/// skip the confirmation run.
 fn journal_record(
     writer: Option<&mut JournalWriter>,
     report: &CandidateReport,
+    added: &[String],
     message: Option<&str>,
 ) {
     let Some(w) = writer else { return };
@@ -620,7 +631,7 @@ fn journal_record(
         &report.schedule,
         &run.verdict,
         run.oracle.as_deref(),
-        &run.coverage,
+        added,
         shrink.as_ref(),
     )
     .unwrap_or_else(|e| panic!("cannot append to campaign journal: {e}"));
@@ -726,7 +737,10 @@ fn explore_with(
             snapshots: SnapshotStats::default(),
         },
     };
-    journal_record(writer.as_mut(), &base_report, None);
+    // The union starts empty, so the baseline journals its whole set.
+    let mut coverage = Coverage::new();
+    let added = merge_coverage(&mut coverage, &base_report.run.coverage);
+    journal_record(writer.as_mut(), &base_report, &added, None);
     if base_report.run.verdict.is_crashed() {
         crashed += 1;
     }
@@ -746,7 +760,6 @@ fn explore_with(
         snapshots: config.snapshots,
         base,
     });
-    let mut coverage = base_report.run.coverage;
     let mut corpus = vec![base_report.schedule];
     let mut executed = 1usize;
     // The `dispatch` and `case` records so far, for `config.progress`.
@@ -885,17 +898,18 @@ fn explore_with(
             if report.run.verdict.is_hung() {
                 hung += 1;
             }
-            if coverage.merge(&report.run.coverage) > 0 {
+            let added = merge_coverage(&mut coverage, &report.run.coverage);
+            if !added.is_empty() {
                 corpus.push(report.schedule.clone());
                 fleet.note_novel(report.worker);
             }
             let Some(shrink) = report.shrink.clone() else {
-                journal_record(writer.as_mut(), &report, None);
+                journal_record(writer.as_mut(), &report, &added, None);
                 continue;
             };
             if !failure_keys.insert((shrink.oracle.clone(), shrink.shrunk.id())) {
                 // Same minimal failure already reported.
-                journal_record(writer.as_mut(), &report, None);
+                journal_record(writer.as_mut(), &report, &added, None);
                 continue;
             }
             let message = match &shrink.message {
@@ -928,7 +942,7 @@ fn explore_with(
                     }
                 }
             };
-            journal_record(writer.as_mut(), &report, Some(&message));
+            journal_record(writer.as_mut(), &report, &added, Some(&message));
             failures.push(FoundFailure {
                 schedule: report.schedule,
                 shrunk: shrink.shrunk.clone(),

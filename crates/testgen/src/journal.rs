@@ -40,6 +40,7 @@
 //! cover gmp:n0:Started>GroupView:3
 //! case end
 //! dispatch n1 recv drop-all HEARTBEAT
+//! dispatch n2 send delay-ms JOIN 250
 //! case begin
 //! fault n1 recv drop-all HEARTBEAT
 //! verdict violated gmp-no-self-death: n1 declared itself dead
@@ -49,9 +50,20 @@
 //! shrink-runs 3
 //! message n1 declared itself dead
 //! case end
+//! case begin
+//! fault n2 send delay-ms JOIN 250
+//! verdict pass
+//! case end
 //! counters executed=27 rejected=2 replayed=0 crashed=0 hung=0
 //! complete
 //! ```
+//!
+//! A case's `cover` lines are the coverage edges it added to the
+//! campaign's union when it was merged, in text order: the baseline's
+//! whole set, and none for a run that reached nothing new (the last case
+//! above). Older journals list every run's full edge set under the same
+//! header; resume and reconstruction only merge a case's edges into the
+//! union in merge order, so those load, resume and reconstruct the same.
 //!
 //! The `prefilter` line is always `true`: admission refuses what cannot
 //! install, and there is no other setting. It is still written, so a
@@ -97,7 +109,6 @@ use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::coverage::Coverage;
 use crate::lines::{self, one_line};
 use crate::runner::Verdict;
 use crate::schedule::FaultSchedule;
@@ -157,7 +168,10 @@ pub struct JournalCase {
     pub verdict: Verdict,
     /// Violated oracle name, when the verdict is a violation.
     pub oracle: Option<String>,
-    /// The run's full coverage edge set, sorted.
+    /// The coverage edges the run added to the campaign's union when it
+    /// was merged, sorted: the baseline's whole set, then only what each
+    /// case reached first. An older journal holds the run's full set
+    /// here, which merges to the same union.
     pub coverage: Vec<String>,
     /// Shrink results, when the run violated an oracle (the baseline is
     /// never shrunk, so a violated baseline legitimately lacks this).
@@ -268,40 +282,20 @@ fn render_case(case: &JournalCase) -> String {
         &case.schedule,
         &case.verdict,
         case.oracle.as_deref(),
+        &case.coverage,
         case.shrink.as_ref(),
-        |out| {
-            for edge in &case.coverage {
-                let _ = writeln!(out, "cover {edge}");
-            }
-        },
     );
     out
 }
 
-/// [`render_case`] of the result a live run produced, its `cover` lines
-/// rendered from the run's coverage ([`Coverage::write_lines`]) instead of
-/// from an edge list built for the purpose. The same bytes.
-fn render_live_case(
-    schedule: &FaultSchedule,
-    verdict: &Verdict,
-    oracle: Option<&str>,
-    coverage: &Coverage,
-    shrink: Option<&JournalShrink>,
-) -> String {
-    let mut out = String::new();
-    let cover = |out: &mut String| coverage.write_lines("cover ", out);
-    write_case(&mut out, schedule, verdict, oracle, shrink, cover);
-    out
-}
-
-/// Appends one `case` record to `out`; `cover` appends its `cover` lines.
+/// Appends one `case` record to `out`.
 fn write_case(
     out: &mut String,
     schedule: &FaultSchedule,
     verdict: &Verdict,
     oracle: Option<&str>,
+    coverage: &[String],
     shrink: Option<&JournalShrink>,
-    cover: impl FnOnce(&mut String),
 ) {
     out.push_str("case begin\n");
     for line in schedule.to_lines() {
@@ -319,7 +313,9 @@ fn write_case(
     if let Some(oracle) = oracle {
         let _ = writeln!(out, "oracle {oracle}");
     }
-    cover(out);
+    for edge in coverage {
+        let _ = writeln!(out, "cover {edge}");
+    }
     if let Some(shrink) = shrink {
         for line in shrink.shrunk.to_lines() {
             let _ = writeln!(out, "shrunk {line}");
@@ -787,19 +783,19 @@ impl JournalWriter {
 
     /// Journals the result a live run produced, byte-for-byte the
     /// [`case`](JournalWriter::case) record it loads back as, without
-    /// building that [`JournalCase`]: each coverage edge is rendered once,
-    /// into the record.
+    /// building that [`JournalCase`]. `coverage` is the edges the run added
+    /// to the campaign's union, sorted.
     pub(crate) fn live_case(
         &mut self,
         schedule: &FaultSchedule,
         verdict: &Verdict,
         oracle: Option<&str>,
-        coverage: &Coverage,
+        coverage: &[String],
         shrink: Option<&JournalShrink>,
     ) -> Result<(), String> {
-        self.append(&render_live_case(
-            schedule, verdict, oracle, coverage, shrink,
-        ))
+        let mut out = String::new();
+        write_case(&mut out, schedule, verdict, oracle, coverage, shrink);
+        self.append(&out)
     }
 
     /// Journals one quarantined candidate.
@@ -1071,45 +1067,48 @@ mod tests {
         assert!(parsed.complete);
     }
 
-    /// A live run's record is the record of its edge list, on each bundled
-    /// target (a violated one carrying its shrink lines too).
+    /// A campaign's `cover` lines are the edges each case added to its
+    /// union, on each bundled target: the baseline's whole set first, then
+    /// sorted sets disjoint from everything before them, which merge to the
+    /// campaign's coverage and keep exactly the cases it kept.
     #[test]
-    fn a_record_from_live_coverage_is_the_record_of_its_edges() {
-        use crate::runner::{run_schedule_limited, GmpTarget, RunLimits, TcpTarget, TpcTarget};
-        use crate::TestTarget;
-        let targets: [&dyn TestTarget; 3] =
-            [&GmpTarget::default(), &TcpTarget::default(), &TpcTarget];
-        for target in targets {
-            let schedule = FaultSchedule {
-                faults: vec![drop_fault(0, "HEARTBEAT")],
+    fn cover_lines_are_the_edges_each_case_added() {
+        use crate::runner::{bundled, run_schedule_limited, RunLimits};
+        for proto in ["gmp", "tcp", "tpc"] {
+            let (spec, target) = bundled(proto, true, 5).unwrap();
+            let path = std::env::temp_dir()
+                .join(format!("pfi_journal_{}_added_{proto}", std::process::id()));
+            let cfg = crate::ExploreConfig {
+                seed: 7,
+                budget: 32,
+                journal: Some(path.clone()),
+                ..crate::ExploreConfig::default()
             };
-            let run = run_schedule_limited(target, &schedule, &RunLimits::default());
-            assert!(run.coverage.len() > 10, "{}", target.name());
-            let shrink = JournalShrink {
-                shrunk: schedule.clone(),
-                runs: 2,
-                message: Some("gone".into()),
-            };
-            for shrink in [None, Some(&shrink)] {
-                // Cloned before `edges()` renders the text set, so the
-                // live record is rendered from the keys.
-                let coverage = run.coverage.clone();
-                let live = render_live_case(
-                    &schedule,
-                    &run.verdict,
-                    run.oracle.as_deref(),
-                    &coverage,
-                    shrink,
-                );
-                let case = JournalCase {
-                    schedule: schedule.clone(),
-                    verdict: run.verdict.clone(),
-                    oracle: run.oracle.clone(),
-                    coverage: coverage.edges().map(str::to_string).collect(),
-                    shrink: shrink.cloned(),
-                };
-                assert_eq!(live, render_case(&case), "{}", target.name());
+            let outcome = crate::explore(target.as_ref(), &spec, &cfg);
+            let journal = Journal::load(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+
+            let baseline = run_schedule_limited(
+                target.as_ref(),
+                &FaultSchedule::empty(),
+                &RunLimits::default(),
+            );
+            assert!(journal.cases[0]
+                .coverage
+                .iter()
+                .eq(baseline.coverage.edges()));
+            let mut union = std::collections::BTreeSet::new();
+            for case in &journal.cases {
+                assert!(case.coverage.is_sorted(), "{proto}");
+                for edge in &case.coverage {
+                    assert!(union.insert(edge.as_str()), "{proto}: {edge} twice");
+                }
             }
+            assert!(union.into_iter().eq(outcome.coverage.edges()), "{proto}");
+            let kept = journal.cases.iter().filter(|c| !c.coverage.is_empty());
+            assert_eq!(kept.count(), outcome.corpus.len(), "{proto}");
+            assert!(journal.cases.len() > outcome.corpus.len(), "{proto}");
+            assert_eq!(journal.reconstruct().digest(), outcome.digest(), "{proto}");
         }
     }
 

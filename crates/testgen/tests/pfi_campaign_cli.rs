@@ -4,7 +4,11 @@
 //! benchmark (`bench/src/campaign_stats.rs`) reads off stdout, and the
 //! grid prints its rows as schedule ids.
 
+mod support;
+
 use std::process::{Command, Output};
+
+use support::torn_cut;
 
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_pfi-campaign"))
@@ -189,7 +193,8 @@ fn resuming_into_the_journal_it_reads_leaves_the_uninterrupted_journal() {
     };
     let digest = campaign(&["--journal", full.to_str().unwrap()]);
     let full_text = std::fs::read_to_string(&full).unwrap();
-    std::fs::write(&torn, &full_text[..full_text.len() / 2]).unwrap();
+    let (cut, kept) = torn_cut(&full_text);
+    std::fs::write(&torn, &full_text[..cut]).unwrap();
     let torn_arg = torn.to_str().unwrap();
     assert_eq!(
         campaign(&["--resume", torn_arg, "--journal", torn_arg]),
@@ -208,7 +213,9 @@ fn resuming_into_the_journal_it_reads_leaves_the_uninterrupted_journal() {
         full_counters[0].contains(" replayed=0 "),
         "{full_counters:?}"
     );
-    assert!(!counters[0].contains(" replayed=0 "), "{counters:?}");
+    let replayed = format!(" replayed={kept} ");
+    assert!(counters[0].contains(&replayed), "{counters:?}");
+    assert!(kept > 0 && kept < full_text.matches("case end\n").count());
     let but_replayed = |line: &str| {
         line.split(' ')
             .filter(|f| !f.starts_with("replayed="))

@@ -13,6 +13,9 @@
 //! pool size, `explore`'s pool of one included: retried, then quarantined
 //! with the same attempt count, digest and journal bytes.
 
+mod support;
+
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -24,6 +27,7 @@ use pfi_testgen::{
     explore, explore_fleet, ChaosOracleTarget, ExploreConfig, ExploreOutcome, FlowModel, GmpTarget,
     Journal, LiveProgress, Oracle, ProtocolSpec, RunLimits, TestTarget, Verdict,
 };
+use support::torn_cut;
 
 /// The seed the acceptance criteria pin: resumed digest == uninterrupted
 /// digest at seed 42.
@@ -72,9 +76,9 @@ fn assert_journals_equivalent(resumed_text: &str, full_text: &str) {
 }
 
 /// The tentpole acceptance test: write a journal while exploring, simulate
-/// a SIGKILL by tearing that journal mid-record at 50%, resume from the
-/// torn journal, and demand the resumed campaign is indistinguishable from
-/// the uninterrupted one — same digest, same executed count, zero
+/// a SIGKILL by tearing that journal in the record after its middle case,
+/// resume from the torn journal, and demand the resumed campaign is
+/// indistinguishable from the uninterrupted one — same digest, same executed count, zero
 /// completed cases re-executed, and a byte-identical journal on disk.
 #[test]
 fn killed_campaign_resumes_to_identical_digest_and_journal() {
@@ -92,16 +96,18 @@ fn killed_campaign_resumes_to_identical_digest_and_journal() {
         "an uninterrupted journal must carry the completion terminator"
     );
 
-    // A process kill tears the journal at an arbitrary byte; cutting at
-    // 50% lands mid-record, which the loader must tolerate by dropping
-    // only the partial trailing block.
-    let cut = full_bytes.len() / 2;
+    // A process kill tears the journal at an arbitrary byte; cutting
+    // halfway through the record after the middle case lands mid-record,
+    // which the loader must tolerate by dropping only the partial
+    // trailing block.
+    let (cut, kept) = torn_cut(&full_bytes);
     let torn = Journal::from_text(&full_bytes[..cut]).unwrap();
     assert!(!torn.complete, "a torn journal must not read as complete");
     let survivors = torn.cases.len();
+    assert_eq!(survivors, kept);
     assert!(
         survivors > 0,
-        "the 50% cut must leave completed work worth resuming"
+        "the cut must leave completed work worth resuming"
     );
 
     // The resumed run is also watched through `progress`, pre-loaded with
@@ -129,6 +135,10 @@ fn killed_campaign_resumes_to_identical_digest_and_journal() {
     assert_eq!(
         resumed.replayed, survivors,
         "every journaled case must be replayed, never re-executed"
+    );
+    assert!(
+        survivors < full.cases.len(),
+        "the cut must leave work to re-execute"
     );
     let resumed_bytes = fs::read_to_string(&resumed_path).unwrap();
     assert_journals_equivalent(&resumed_bytes, &full_bytes);
@@ -252,6 +262,76 @@ fn a_torn_no_prefilter_journal_resumes_to_the_default_campaign() {
     fs::remove_file(&full_path).ok();
 }
 
+/// A journal whose `cover` lines list each run's full edge set, as the
+/// engine wrote them before a case recorded only the edges it added
+/// (`pfi-campaign gmp --fault-secs 5 --max-faults 2 --explore --epoch 8
+/// --budget 8 --seed 1000 --jobs 1 --journal …`). It reconstructs to the
+/// live digest, names the same edges, and resumed from after any of its
+/// cases writes the journal an uninterrupted run writes today.
+#[test]
+fn a_full_set_journal_reconstructs_and_resumes_to_the_same_campaign() {
+    let target = GmpTarget {
+        fault_secs: 5,
+        ..GmpTarget::default()
+    };
+    let spec = ProtocolSpec::gmp();
+    let cfg = || ExploreConfig {
+        seed: 1000,
+        budget: 8,
+        max_faults: 2,
+        epoch: 8,
+        ..ExploreConfig::default()
+    };
+    let full_path = tmp("full_sets_live.journal");
+    let live = explore(
+        &target,
+        &spec,
+        &ExploreConfig {
+            journal: Some(full_path.clone()),
+            ..cfg()
+        },
+    );
+    let live_bytes = fs::read_to_string(&full_path).unwrap();
+    fs::remove_file(&full_path).ok();
+
+    let old = include_str!("fixtures/journal_full_sets.txt");
+    let journal = Journal::from_text(old).unwrap();
+    assert!(journal.complete);
+    assert_eq!(journal.reconstruct().digest(), live.digest());
+
+    let edges = |journal: &Journal| -> BTreeSet<String> {
+        journal
+            .cases
+            .iter()
+            .flat_map(|c| c.coverage.clone())
+            .collect()
+    };
+    let now = Journal::from_text(&live_bytes).unwrap();
+    assert_eq!(edges(&journal), edges(&now));
+    assert!(old.len() > 2 * live_bytes.len(), "cover lines repeat edges");
+
+    let ends = old
+        .match_indices("case end\n")
+        .map(|(at, line)| at + line.len());
+    for (kept, cut) in ends.enumerate() {
+        let resumed_path = tmp("full_sets_resumed.journal");
+        let resume = Journal::from_text(&old[..cut]).unwrap();
+        let resumed = explore(
+            &target,
+            &spec,
+            &ExploreConfig {
+                journal: Some(resumed_path.clone()),
+                resume: Some(resume),
+                ..cfg()
+            },
+        );
+        assert_eq!(resumed.replayed, kept + 1);
+        let resumed_bytes = fs::read_to_string(&resumed_path).unwrap();
+        assert_journals_equivalent(&resumed_bytes, &live_bytes);
+        fs::remove_file(&resumed_path).ok();
+    }
+}
+
 /// Crash containment is not just survival — it must not skew the search.
 /// An oracle that panics whenever a run drops a message turns verdicts
 /// into `Crashed`, but coverage is salvaged from the pre-crash trace and
@@ -347,9 +427,12 @@ fn resume_replays_watchdog_verdicts_too() {
     let uninterrupted = explore(&target, &spec, &cfg);
     let full_bytes = fs::read_to_string(&full_path).unwrap();
 
-    let torn = Journal::from_text(&full_bytes[..full_bytes.len() / 2]).unwrap();
+    let (cut, kept) = torn_cut(&full_bytes);
+    let torn = Journal::from_text(&full_bytes[..cut]).unwrap();
     let survivors = torn.cases.len();
+    assert_eq!(survivors, kept);
     assert!(survivors > 0);
+    assert!(survivors < Journal::from_text(&full_bytes).unwrap().cases.len());
 
     let resumed_path = tmp("hung_resumed.journal");
     cfg.journal = Some(resumed_path.clone());

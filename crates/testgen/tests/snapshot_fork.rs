@@ -6,6 +6,8 @@
 //! journal resume. Snapshots are an execution strategy, never an outcome
 //! input.
 
+mod support;
+
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -16,6 +18,7 @@ use pfi_testgen::{
     explore, explore_fleet, ExploreConfig, ExploreOutcome, FaultSchedule, GmpTarget, Journal,
     Oracle, ProtocolSpec, RunLimits, TcpTarget, TestTarget, TpcTarget, Verdict,
 };
+use support::torn_cut;
 
 /// The seed the acceptance criteria pin (same as the CI smoke job and the
 /// committed golden digest).
@@ -213,7 +216,7 @@ fn capture_refusal_degrades_to_cold() {
 }
 
 /// Journal resume composes with snapshot forking: tear a journal written
-/// by a forking campaign at 50%, resume it — with forking on and with it
+/// by a forking campaign after its middle case, resume it — with forking on and with it
 /// off — and both resumed runs land on the uninterrupted digest with the
 /// journaled prefix replayed, not re-executed. So does the same journal as
 /// the engine wrote it while its store was a keyed cache (`snapshots on
@@ -235,9 +238,13 @@ fn resume_composes_with_snapshot_fork() {
     let keyed = full_bytes.replace("\nsnapshots on\n", "\nsnapshots on cache=64\n");
     assert_ne!(keyed, full_bytes);
 
+    let cases = Journal::from_text(&full_bytes).unwrap().cases.len();
     for text in [&full_bytes, &keyed] {
-        let torn = Journal::from_text(&text[..text.len() / 2]).unwrap();
+        let (cut, kept) = torn_cut(text);
+        let torn = Journal::from_text(&text[..cut]).unwrap();
+        assert_eq!(torn.cases.len(), kept);
         assert!(!torn.cases.is_empty(), "the cut must leave work to replay");
+        assert!(kept < cases, "the cut must leave work to re-execute");
 
         for snapshots in [true, false] {
             let mut cfg = config(snapshots);
