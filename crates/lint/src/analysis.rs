@@ -319,7 +319,7 @@ impl Analysis<'_> {
                 continue;
             };
             match name.as_str() {
-                "set" | "incr" | "append" | "lappend" => match words.get(1).and_then(static_text) {
+                "set" | "incr" => match words.get(1).and_then(static_text) {
                     Some((target, _)) => {
                         scope.assigned_any.insert(base_name(&target).to_string());
                     }
@@ -585,8 +585,8 @@ impl Analysis<'_> {
                         }
                     }
                 }
-                "incr" | "append" | "lappend" => {
-                    // Unset targets default (0 / empty), so this is an
+                "incr" => {
+                    // An unset target counts from 0, so this is an
                     // assignment, not a read.
                     if let Some((target, _)) = words.get(1).and_then(static_text) {
                         flow.definite.insert(base_name(&target).to_string());

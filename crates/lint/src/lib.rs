@@ -56,6 +56,10 @@ mod tests {
         assert_eq!(diags[0].severity, Severity::Error);
         assert_eq!((diags[0].span.line, diags[0].span.col), (2, 1));
         assert!(diags[0].message.contains("xDorp"));
+        // A Tcl command outside the interpreter's subset is unknown too.
+        let diags = Linter::filter().lint("lappend x 1\n");
+        assert_eq!(cats(&diags), vec![Category::UnknownCommand]);
+        assert!(diags[0].message.contains("lappend"), "{diags:?}");
     }
 
     #[test]
@@ -87,7 +91,7 @@ mod tests {
 
     #[test]
     fn bad_arity_on_builtin_host_and_proc() {
-        let diags = Linter::filter().lint("llength a b\n");
+        let diags = Linter::filter().lint("incr a b c\n");
         assert_eq!(cats(&diags), vec![Category::BadArity]);
         assert_eq!(diags[0].severity, Severity::Error);
 
@@ -165,9 +169,9 @@ mod tests {
     }
 
     #[test]
-    fn incr_and_append_count_as_definitions() {
-        // Unset targets default to 0 / empty at runtime.
-        let src = "incr hits\nappend log x\nset y $hits$log\n";
+    fn incr_counts_as_a_definition() {
+        // An unset target counts from 0 at runtime.
+        let src = "incr hits\nset y $hits\n";
         assert!(Linter::filter().lint(src).is_empty());
     }
 

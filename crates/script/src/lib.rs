@@ -3,10 +3,11 @@
 //! The paper argues that fault-injection scripts should be written in "a
 //! popular interpreted language with a collection of predefined libraries"
 //! and chooses Tcl. This crate is a from-scratch implementation of the Tcl
-//! subset those scripts need: Tcl word/substitution rules, `expr`, control
-//! flow, procs, strings, and lists — plus a [`Host`] trait through which the
-//! embedding application (the PFI layer) exposes commands like `msg_type`,
-//! `xDrop`, and `xDelay`, exactly as Tcl extensions written in C would be.
+//! subset those scripts need: Tcl word/substitution rules, variables and
+//! arrays, `expr`, control flow, procs and `puts` (the commands are
+//! [`builtins`]) — plus a [`Host`] trait through which the embedding
+//! application (the PFI layer) exposes commands like `msg_type`, `xDrop`,
+//! and `xDelay`, exactly as Tcl extensions written in C would be.
 //!
 //! # Examples
 //!

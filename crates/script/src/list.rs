@@ -1,5 +1,5 @@
-//! Tcl list parsing and formatting, plus glob matching for `string match`
-//! and `switch -glob`.
+//! Tcl list parsing (`foreach`, `proc` parameters, `switch` arms) and
+//! formatting (a proc's `args`), plus glob matching for `switch -glob`.
 //!
 //! Tcl lists are strings: elements are separated by whitespace; elements
 //! containing special characters are wrapped in braces (or backslash-escaped
@@ -202,7 +202,7 @@ fn quote_elem(s: &str) -> String {
     out
 }
 
-/// Tcl-style glob matching (`string match`): `*` matches any run, `?` any
+/// Tcl-style glob matching (`switch -glob`): `*` matches any run, `?` any
 /// single character, `[a-z]` character classes, `\x` escapes.
 ///
 /// # Examples

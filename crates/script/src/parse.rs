@@ -823,7 +823,7 @@ mod tests {
     fn brackets_containing_braces_with_brackets() {
         // The braced word inside the bracket contains an unbalanced-looking
         // bracket; structural parsing must handle it.
-        let w = words("set x [string match {[a]} $v]");
+        let w = words("set x [switch -glob $v {[a]} {set r 1}]");
         assert!(matches!(&parts(&w[2])[0], Part::Cmd(_)));
     }
 

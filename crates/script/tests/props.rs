@@ -102,14 +102,6 @@ proptest! {
             }
         }
     }
-
-    /// `string length` agrees with Rust's char count.
-    #[test]
-    fn string_length_agrees(s in "[a-zA-Z0-9_.]{0,40}") {
-        let mut interp = Interp::new();
-        let got = interp.eval(&mut NoHost, &format!("string length \"{s}\"")).unwrap();
-        prop_assert_eq!(got, s.chars().count().to_string());
-    }
 }
 
 /// Every generated script starts from the same state, so each evaluation

@@ -26,22 +26,22 @@ const SCRIPT: &str = r#"
     set out {}
     for {set i 0} {$i < 3} {incr i} {
         if {$i == 0} {
-            lappend out [scale $i]
+            set out "$out [scale $i]"
         } elseif {$i == 1} {
-            lappend out [probe]
+            set out "$out [probe]"
         } else {
-            lappend out [local $base]
+            set out "$out [local $base]"
         }
     }
     set n 0
     while {$n < 2} { incr n }
     foreach w {a b} {
         switch $w {
-            a { lappend out [scale 10] }
-            default { lappend out [expr {[probe] * 2}] }
+            a { set out "$out [scale 10]" }
+            default { set out "$out [expr {[probe] * 2}]" }
         }
     }
-    catch { eval { lappend out [scale $n] } }
+    catch { eval { set out "$out [scale $n]" } }
     set out
 "#;
 
@@ -75,6 +75,7 @@ fn interp(factor: i64, base: i64) -> Interp {
 const A: (i64, i64, i64) = (2, 100, 7);
 const B: (i64, i64, i64) = (-3, 5, 1000);
 
+/// The numbers the script appends to `out`, each after a space.
 fn expected((factor, base, probe): (i64, i64, i64)) -> String {
     [
         1,
@@ -84,8 +85,8 @@ fn expected((factor, base, probe): (i64, i64, i64)) -> String {
         probe * 2,
         2 * factor + 1,
     ]
-    .map(|n| n.to_string())
-    .join(" ")
+    .map(|n| format!(" {n}"))
+    .concat()
 }
 
 #[test]
@@ -186,7 +187,7 @@ fn a_proc_named_like_a_builtin_never_shadows_it() {
              set direct [if {1} {set r builtin}]\n\
              set c if\n\
              set computed [$c {1} {set r builtin}]\n\
-             list $direct $computed",
+             set both \"$direct $computed\"",
         )
         .unwrap();
     assert_eq!(out, "builtin builtin");
