@@ -29,14 +29,6 @@ pub struct CrashProbeRow {
     pub reset_observed: bool,
 }
 
-/// Wire-level observation of one vendor: open a connection, stream data,
-/// crash the receiver (the only fault active probing can induce), and
-/// passively record every packet the vendor puts on the wire through a
-/// `WireTap` — our NetMetrix.
-pub fn run_crash_probe(profile: TcpProfile) -> CrashProbeRow {
-    run_crash_probe_with_tap_profile(profile)
-}
-
 /// A passive wire tap: a pass-through layer that records every segment it
 /// carries. It has no ability to drop, delay, duplicate, modify, or inject
 /// — the structural limitation of monitoring-based approaches.
@@ -78,13 +70,7 @@ pub fn adaptability_distinguishability() -> (bool, bool) {
     // Passive crash probe on both: compare the retransmission interval
     // series (what a wire monitor can measure).
     let a = run_crash_probe(adaptive.clone());
-    let b = {
-        // run_crash_probe resolves by name; run the non-adaptive variant
-        // through the tap directly.
-        let mut row = run_crash_probe_with_tap_profile(non_adaptive.clone());
-        row.vendor = "SunOS (non-adaptive variant)".to_string();
-        row
-    };
+    let b = run_crash_probe(non_adaptive.clone());
     let quantise =
         |v: &[f64]| -> Vec<i64> { v.iter().map(|x| (x * 10.0).round() as i64).collect() };
     let passive_distinguishes = quantise(&a.intervals) != quantise(&b.intervals);
@@ -96,7 +82,11 @@ pub fn adaptability_distinguishability() -> (bool, bool) {
     (passive_distinguishes, pfi_distinguishes)
 }
 
-fn run_crash_probe_with_tap_profile(profile: TcpProfile) -> CrashProbeRow {
+/// Wire-level observation of one vendor: open a connection, stream data,
+/// crash the receiver (the only fault active probing can induce), and
+/// passively record every packet the vendor puts on the wire through a
+/// `WireTap` — our NetMetrix.
+pub fn run_crash_probe(profile: TcpProfile) -> CrashProbeRow {
     let name = profile.name.to_string();
     let mut world = World::new(1995);
     let captured = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));

@@ -16,38 +16,23 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
 
-    if want("tcp1") {
-        table1();
-    }
-    if want("tcp2") {
-        table2_fig4();
-    }
-    if want("tcp3") {
-        table3();
-    }
-    if want("tcp4") {
-        table4();
-    }
-    if want("tcp5") {
-        exp5();
-    }
-    if want("gmp1") {
-        table5();
-    }
-    if want("gmp2") {
-        table6();
-    }
-    if want("gmp3") {
-        table7();
-    }
-    if want("gmp4") {
-        table8();
-    }
-    if want("identify") {
-        identification();
-    }
-    if want("baseline") {
-        baseline_comparison();
+    let tables: [(&str, fn()); 11] = [
+        ("tcp1", table1),
+        ("tcp2", table2_fig4),
+        ("tcp3", table3),
+        ("tcp4", table4),
+        ("tcp5", exp5),
+        ("gmp1", table5),
+        ("gmp2", table6),
+        ("gmp3", table7),
+        ("gmp4", table8),
+        ("identify", identification),
+        ("baseline", baseline_comparison),
+    ];
+    for (name, table) in tables {
+        if want(name) {
+            table();
+        }
     }
 }
 

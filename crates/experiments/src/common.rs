@@ -1,19 +1,22 @@
-//! Shared experiment infrastructure: the paper's two testbeds.
+//! Shared experiment infrastructure: the paper's two testbeds, as
+//! drive-and-measure views over the campaign engine's own worlds.
 //!
 //! **TCP testbed** (paper Figure 3): one *vendor machine* running a vendor
 //! TCP talks to the *x-Kernel machine*, whose stack carries the PFI layer
 //! directly between TCP and the wire. Connections are opened from the
 //! vendor machine to the x-Kernel machine, and filters on the x-Kernel side
-//! manipulate what the vendor sees.
+//! manipulate what the vendor sees. The world is
+//! [`TcpTarget::build`]'s, whose one fault site is the x-Kernel PFI layer.
 //!
 //! **GMP testbed** (paper Figure 5): `n` group membership daemons, each
-//! with a PFI layer between the daemon and its reliable datagram layer.
+//! with a PFI layer between the daemon and its reliable datagram layer,
+//! all sharing one blackboard. The world is [`GmpTarget::cluster`]'s.
 
-use pfi_core::{Filter, GlobalBoard, PfiControl, PfiLayer, PfiReply};
-use pfi_gmp::{GmpBugs, GmpConfig, GmpControl, GmpLayer, GmpReply, GmpStatusReport, GmpStub};
-use pfi_rudp::RudpLayer;
+use pfi_core::{Filter, GlobalBoard, PfiControl, PfiReply};
+use pfi_gmp::{GmpBugs, GmpControl, GmpReply, GmpStatusReport};
 use pfi_sim::{NodeId, SimDuration, SimTime, World};
-use pfi_tcp::{ConnId, TcpControl, TcpEvent, TcpLayer, TcpProfile, TcpReply, TcpStub};
+use pfi_tcp::{ConnId, TcpControl, TcpEvent, TcpProfile, TcpReply};
+use pfi_testgen::{GmpTarget, TcpTarget, TestTarget};
 
 /// The TCP testbed.
 #[derive(Debug)]
@@ -22,31 +25,28 @@ pub struct TcpTestbed {
     pub world: World,
     /// The vendor machine (node 0).
     pub vendor: NodeId,
-    /// The x-Kernel machine (node 1); layer 0 is TCP, layer 1 the PFI
-    /// layer.
+    /// The x-Kernel machine (node 1); layer 0 is TCP.
     pub xk: NodeId,
+    /// Stack index of the PFI layer on the x-Kernel machine.
+    xk_pfi: usize,
     /// The vendor-side connection handle.
     pub conn: ConnId,
 }
 
-/// Stack layer index of the PFI layer on the x-Kernel machine.
-pub const XK_PFI: usize = 1;
 /// Stack layer index of TCP on either machine.
 pub const TCP: usize = 0;
-/// Port the x-Kernel machine listens on.
-pub const XK_PORT: u16 = 7777;
 
 impl TcpTestbed {
     /// Builds the testbed and opens a connection from the vendor machine
     /// to the x-Kernel machine (completing the handshake).
     pub fn new(vendor_profile: TcpProfile) -> Self {
-        let mut world = World::new(1995);
-        let vendor = world.add_node(vec![Box::new(TcpLayer::new(vendor_profile))]);
-        let xk = world.add_node(vec![
-            Box::new(TcpLayer::new(TcpProfile::rfc_reference())),
-            Box::new(PfiLayer::new(Box::new(TcpStub))),
-        ]);
-        world.control::<TcpReply>(xk, TCP, TcpControl::Listen { port: XK_PORT });
+        let target = TcpTarget {
+            profile: vendor_profile,
+            ..TcpTarget::default()
+        };
+        let (mut world, sites) = target.build();
+        let vendor = NodeId::new(0);
+        let (xk, xk_pfi) = sites[0];
         let conn = world
             .control::<TcpReply>(
                 vendor,
@@ -54,7 +54,7 @@ impl TcpTestbed {
                 TcpControl::Open {
                     local_port: 0,
                     remote: xk,
-                    remote_port: XK_PORT,
+                    remote_port: TcpTarget::PORT,
                 },
             )
             .expect_conn();
@@ -63,51 +63,35 @@ impl TcpTestbed {
             world,
             vendor,
             xk,
+            xk_pfi,
             conn,
         }
     }
 
     /// The x-Kernel side's accepted connection.
     pub fn xk_conn(&mut self) -> ConnId {
-        match self
-            .world
-            .control::<TcpReply>(self.xk, TCP, TcpControl::AcceptedOn { port: XK_PORT })
-        {
+        match self.world.control::<TcpReply>(
+            self.xk,
+            TCP,
+            TcpControl::AcceptedOn {
+                port: TcpTarget::PORT,
+            },
+        ) {
             TcpReply::MaybeConn(Some(c)) => c,
             other => panic!("handshake did not complete: {other:?}"),
         }
     }
 
-    /// Installs a receive filter on the x-Kernel PFI layer.
-    pub fn set_recv_filter(&mut self, f: Filter) {
-        let _: PfiReply = self
-            .world
-            .control(self.xk, XK_PFI, PfiControl::SetRecvFilter(f));
-    }
-
-    /// Installs a send filter on the x-Kernel PFI layer.
-    pub fn set_send_filter(&mut self, f: Filter) {
-        let _: PfiReply = self
-            .world
-            .control(self.xk, XK_PFI, PfiControl::SetSendFilter(f));
-    }
-
-    /// Installs a parsed script as the receive filter.
-    ///
-    /// # Panics
-    ///
-    /// Panics on script parse errors.
+    /// Installs a script as the x-Kernel PFI layer's receive filter.
     pub fn recv_script(&mut self, src: &str) {
-        self.set_recv_filter(Filter::script(src).expect("receive filter script"));
+        let op = PfiControl::SetRecvFilter(script(src));
+        self.world.control::<PfiReply>(self.xk, self.xk_pfi, op);
     }
 
-    /// Installs a parsed script as the send filter.
-    ///
-    /// # Panics
-    ///
-    /// Panics on script parse errors.
+    /// Installs a script as the x-Kernel PFI layer's send filter.
     pub fn send_script(&mut self, src: &str) {
-        self.set_send_filter(Filter::script(src).expect("send filter script"));
+        let op = PfiControl::SetSendFilter(script(src));
+        self.world.control::<PfiReply>(self.xk, self.xk_pfi, op);
     }
 
     /// Queues a stream of `count` segments of `seg_size` bytes on the
@@ -148,6 +132,15 @@ impl TcpTestbed {
     }
 }
 
+/// A filter script, parsed.
+///
+/// # Panics
+///
+/// Panics on script parse errors.
+fn script(src: &str) -> Filter {
+    Filter::script(src).expect("filter script")
+}
+
 /// Gaps between consecutive instants, in seconds.
 pub fn intervals_secs(times: &[SimTime]) -> Vec<f64> {
     times
@@ -185,21 +178,14 @@ pub const GMP_PFI: usize = 1;
 impl GmpTestbed {
     /// Builds `n` daemons (not yet started) with the given bugs.
     pub fn new(n: u32, bugs: GmpBugs) -> Self {
-        let mut world = World::new(1995);
-        let board = GlobalBoard::alloc_in(world.boards_mut());
-        let peers: Vec<NodeId> = (0..n).map(NodeId::new).collect();
-        for _ in 0..n {
-            let gmd = GmpLayer::new(GmpConfig::new(peers.clone()).with_bugs(bugs));
-            let pfi = PfiLayer::new(Box::new(GmpStub)).with_globals(board);
-            world.add_node(vec![
-                Box::new(gmd),
-                Box::new(pfi),
-                Box::new(RudpLayer::default()),
-            ]);
+        let (world, board) = GmpTarget {
+            bugs,
+            ..GmpTarget::default()
         }
+        .cluster(n);
         GmpTestbed {
             world,
-            peers,
+            peers: (0..n).map(NodeId::new).collect(),
             board,
         }
     }
@@ -233,24 +219,34 @@ impl GmpTestbed {
             .collect()
     }
 
-    /// Installs a send filter on one daemon's PFI layer.
+    /// Installs a script as one daemon's PFI send filter.
     pub fn send_script(&mut self, node: NodeId, src: &str) {
-        let f = Filter::script(src).expect("send filter script");
-        let _: PfiReply = self
-            .world
-            .control(node, GMP_PFI, PfiControl::SetSendFilter(f));
+        let op = PfiControl::SetSendFilter(script(src));
+        self.world.control::<PfiReply>(node, GMP_PFI, op);
     }
 
-    /// Installs a receive filter on one daemon's PFI layer.
+    /// Installs a script as one daemon's PFI receive filter.
     pub fn recv_script(&mut self, node: NodeId, src: &str) {
-        let f = Filter::script(src).expect("receive filter script");
-        let _: PfiReply = self
-            .world
-            .control(node, GMP_PFI, PfiControl::SetRecvFilter(f));
+        let op = PfiControl::SetRecvFilter(script(src));
+        self.world.control::<PfiReply>(node, GMP_PFI, op);
     }
 
     /// Runs the world forward.
     pub fn run(&mut self, d: SimDuration) {
         self.world.run_for(d);
+    }
+}
+
+#[cfg(test)]
+impl GmpTestbed {
+    /// The campaign engine's GMP oracles this world's trace violates, by
+    /// name.
+    pub(crate) fn violated_oracles(&self) -> Vec<&'static str> {
+        GmpTarget::default()
+            .oracles()
+            .iter()
+            .filter(|o| o.check(self.world.trace()).is_err())
+            .map(|o| o.name())
+            .collect()
     }
 }

@@ -13,7 +13,7 @@
 //!    else commits it into the view, then kicks it for not heartbeating.
 
 use pfi_gmp::{GmpBugs, GmpEvent, GmpStatus};
-use pfi_sim::SimDuration;
+use pfi_sim::{NodeId, SimDuration};
 
 use crate::common::GmpTestbed;
 
@@ -38,25 +38,29 @@ const DROP_SELF_HB: &str = r#"
     if {[msg_type] == "HEARTBEAT" && [msg_dst] == [node_id]} { xDrop }
 "#;
 
-/// Runs the self-heartbeat-drop test with or without the bugs.
-pub fn run_self_heartbeat(buggy: bool) -> SelfHeartbeatRow {
-    let bugs = if buggy {
-        GmpBugs {
-            self_death: true,
-            ..GmpBugs::none()
-        }
-    } else {
-        GmpBugs::none()
-    };
-    let mut tb = GmpTestbed::new(3, bugs);
+/// Stages the self-heartbeat-drop test: a converged group whose node 1
+/// drops its heartbeats to itself for 40 s, with or without the
+/// self-death bug.
+fn stage(buggy: bool) -> GmpTestbed {
+    let mut tb = GmpTestbed::new(3, self_death(buggy));
     tb.start_all();
     tb.run(SimDuration::from_secs(60));
-    let victim = tb.peers[1];
-    tb.send_script(victim, DROP_SELF_HB);
+    tb.send_script(tb.peers[1], DROP_SELF_HB);
     tb.run(SimDuration::from_secs(40));
-    // A fourth party proclaim tests the (possibly broken) forwarding path:
-    // node 2, if it ends up outside the victim's group, will proclaim at it.
-    // Simpler and deterministic: inject a forged proclaim at the victim.
+    tb
+}
+
+/// The self-death bug alone, or no bug.
+fn self_death(buggy: bool) -> GmpBugs {
+    GmpBugs {
+        self_death: buggy,
+        ..GmpBugs::none()
+    }
+}
+
+/// Reduces a self-death test's world (victim node 1) to its row.
+fn self_death_row(tb: &mut GmpTestbed, buggy: bool) -> SelfHeartbeatRow {
+    let victim = tb.peers[1];
     let evs = tb.world.trace().events_of::<GmpEvent>(Some(victim));
     let declared_self_dead = evs
         .iter()
@@ -77,18 +81,15 @@ pub fn run_self_heartbeat(buggy: bool) -> SelfHeartbeatRow {
     }
 }
 
+/// Runs the self-heartbeat-drop test with or without the bugs.
+pub fn run_self_heartbeat(buggy: bool) -> SelfHeartbeatRow {
+    self_death_row(&mut stage(buggy), buggy)
+}
+
 /// Runs the `SIGTSTP` variant: suspend the daemon 30 s, then resume; all
 /// its timers fire at once on resume, triggering the same path.
 pub fn run_suspend(buggy: bool) -> SelfHeartbeatRow {
-    let bugs = if buggy {
-        GmpBugs {
-            self_death: true,
-            ..GmpBugs::none()
-        }
-    } else {
-        GmpBugs::none()
-    };
-    let mut tb = GmpTestbed::new(3, bugs);
+    let mut tb = GmpTestbed::new(3, self_death(buggy));
     tb.start_all();
     tb.run(SimDuration::from_secs(60));
     let victim = tb.peers[1];
@@ -96,24 +97,7 @@ pub fn run_suspend(buggy: bool) -> SelfHeartbeatRow {
     tb.run(SimDuration::from_secs(30));
     tb.world.resume(victim);
     tb.run(SimDuration::from_secs(40));
-    let evs = tb.world.trace().events_of::<GmpEvent>(Some(victim));
-    let declared_self_dead = evs
-        .iter()
-        .any(|(_, e)| matches!(e, GmpEvent::SelfDeclaredDead));
-    let formed_singleton = evs
-        .iter()
-        .any(|(t, e)| matches!(e, GmpEvent::FormedSingleton) && t.as_secs_f64() > 60.0);
-    let proclaim_lost_in_forwarding = evs
-        .iter()
-        .any(|(_, e)| matches!(e, GmpEvent::ProclaimForwardDroppedByBug));
-    let leader_view = tb.members(tb.peers[0]);
-    SelfHeartbeatRow {
-        buggy,
-        declared_self_dead,
-        formed_singleton,
-        proclaim_lost_in_forwarding,
-        victim_still_in_others_view: leader_view.contains(&victim.as_u32()),
-    }
+    self_death_row(&mut tb, buggy)
 }
 
 /// Result of the drop-heartbeats-to-others sub-experiment.
@@ -208,19 +192,21 @@ pub fn run_drop_ack() -> DropAckRow {
             }
         }
     }
-    let commit_timeouts = tb
-        .world
-        .trace()
-        .events_of::<GmpEvent>(Some(tb.peers[2]))
-        .iter()
-        .filter(|(_, e)| matches!(e, GmpEvent::CommitTimedOut))
-        .count();
+    let commit_timeouts = commit_timeouts(&tb, tb.peers[2]);
     let core_group = tb.members(tb.peers[0]);
     DropAckRow {
         ever_admitted,
         commit_timeouts,
         core_group,
     }
+}
+
+/// How many times `node` gave up waiting for a `COMMIT`.
+fn commit_timeouts(tb: &GmpTestbed, node: NodeId) -> usize {
+    let evs = tb.world.trace().events_of::<GmpEvent>(Some(node));
+    evs.iter()
+        .filter(|(_, e)| matches!(e, GmpEvent::CommitTimedOut))
+        .count()
 }
 
 /// Result of the drop-COMMIT sub-experiment.
@@ -270,13 +256,7 @@ pub fn run_drop_commit() -> DropCommitRow {
             }
         }
     }
-    let commit_timeouts = tb
-        .world
-        .trace()
-        .events_of::<GmpEvent>(Some(victim))
-        .iter()
-        .filter(|(_, e)| matches!(e, GmpEvent::CommitTimedOut))
-        .count();
+    let commit_timeouts = commit_timeouts(&tb, victim);
     DropCommitRow {
         transiently_admitted,
         kicked_after_admission,
@@ -309,6 +289,12 @@ mod tests {
         assert!(!buggy.formed_singleton, "{buggy:?}");
         let fixed = run_suspend(false);
         assert!(!fixed.declared_self_dead, "{fixed:?}");
+    }
+
+    #[test]
+    fn table5_self_death_is_what_the_engine_oracles_see() {
+        assert_eq!(stage(true).violated_oracles(), ["gmp-no-self-death"]);
+        assert_eq!(stage(false).violated_oracles(), Vec::<&str>::new());
     }
 
     #[test]

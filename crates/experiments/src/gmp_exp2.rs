@@ -89,36 +89,7 @@ pub struct LeaderCpRow {
 /// Separates leader (node 0) and crown prince (node 1): each drops
 /// messages destined for the other.
 pub fn run_leader_cp_separation() -> LeaderCpRow {
-    let mut tb = GmpTestbed::new(5, GmpBugs::none());
-    tb.start_all();
-    tb.run(SimDuration::from_secs(60));
-    tb.send_script(tb.peers[0], r#"if {[msg_dst] == 1} { xDrop }"#);
-    tb.send_script(tb.peers[1], r#"if {[msg_dst] == 0} { xDrop }"#);
-    tb.run(SimDuration::from_secs(120));
-    let leader_view = tb.members(tb.peers[0]);
-    let crown_prince_view = tb.members(tb.peers[1]);
-    // Did the crown prince ever commit a view in which it led the others?
-    // Only views committed after the separation count (initial cluster
-    // formation also passes through transient small groups).
-    let mut cp_ever_led_others = false;
-    for (t, e) in tb.world.trace().events_of::<GmpEvent>(Some(tb.peers[1])) {
-        if t.as_secs_f64() <= 60.0 {
-            continue;
-        }
-        if let GmpEvent::GroupView {
-            leader, members, ..
-        } = e
-        {
-            if leader == 1 && members.len() > 1 {
-                cp_ever_led_others = true;
-            }
-        }
-    }
-    LeaderCpRow {
-        leader_view,
-        crown_prince_view,
-        cp_ever_led_others,
-    }
+    separate(None)
 }
 
 /// Which of the paper's "two possible courses of action" to force.
@@ -138,54 +109,54 @@ pub enum Course {
 /// paper's deterministic orchestration of "hard-to-reach global states",
 /// applied to its own experiment.
 pub fn run_leader_cp_separation_forced(course: Course) -> LeaderCpRow {
+    separate(Some(course))
+}
+
+/// The leader/crown-prince separation, its course left to chance or
+/// forced.
+fn separate(course: Option<Course>) -> LeaderCpRow {
     let mut tb = GmpTestbed::new(5, GmpBugs::none());
     tb.start_all();
     tb.run(SimDuration::from_secs(60));
     // The separation itself.
-    tb.send_script(tb.peers[0], r#"if {[msg_dst] == 1} { xDrop }"#);
-    tb.send_script(tb.peers[1], r#"if {[msg_dst] == 0} { xDrop }"#);
+    let mut filters = [
+        r#"if {[msg_dst] == 1} { xDrop }"#.to_string(),
+        r#"if {[msg_dst] == 0} { xDrop }"#.to_string(),
+    ];
     // The orchestration: park the losing contender's MEMBERSHIP_CHANGEs for
     // ten seconds so the chosen course is taken deterministically.
-    let delay_mc = r#"
+    if let Some(course) = course {
+        let loser = match course {
+            Course::LeaderFirst => 1,
+            Course::CrownPrinceFirst => 0,
+        };
+        filters[loser].push_str(
+            r#"
         if {[msg_type] == "MEMBERSHIP_CHANGE"} {
             incr held
             if {$held <= 4} { xDelay 10000 }
         }
-    "#;
-    match course {
-        Course::LeaderFirst => {
-            // Re-install node 1's filter to ALSO delay its MCs.
-            tb.send_script(
-                tb.peers[1],
-                &format!(r#"if {{[msg_dst] == 0}} {{ xDrop }}{delay_mc}"#),
-            );
-        }
-        Course::CrownPrinceFirst => {
-            tb.send_script(
-                tb.peers[0],
-                &format!(r#"if {{[msg_dst] == 1}} {{ xDrop }}{delay_mc}"#),
-            );
-        }
+    "#,
+        );
+    }
+    for (node, filter) in filters.iter().enumerate() {
+        tb.send_script(tb.peers[node], filter);
     }
     tb.run(SimDuration::from_secs(120));
     let leader_view = tb.members(tb.peers[0]);
     let crown_prince_view = tb.members(tb.peers[1]);
+    // Did the crown prince ever commit a view in which it led the others?
     // Only views committed after the separation count (initial cluster
     // formation also passes through transient small groups).
-    let mut cp_ever_led_others = false;
-    for (t, e) in tb.world.trace().events_of::<GmpEvent>(Some(tb.peers[1])) {
-        if t.as_secs_f64() <= 60.0 {
-            continue;
-        }
-        if let GmpEvent::GroupView {
-            leader, members, ..
-        } = e
-        {
-            if leader == 1 && members.len() > 1 {
-                cp_ever_led_others = true;
-            }
-        }
-    }
+    let cp_ever_led_others = tb
+        .world
+        .trace()
+        .events_of::<GmpEvent>(Some(tb.peers[1]))
+        .into_iter()
+        .any(|(t, e)| {
+            t.as_secs_f64() > 60.0
+                && matches!(e, GmpEvent::GroupView { leader: 1, members, .. } if members.len() > 1)
+        });
     LeaderCpRow {
         leader_view,
         crown_prince_view,

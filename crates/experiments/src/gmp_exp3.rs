@@ -28,29 +28,32 @@ pub struct Exp3Row {
     pub newcomer_admitted: bool,
 }
 
-/// Runs the test with or without the forwarding bug.
-pub fn run(buggy: bool) -> Exp3Row {
-    let bugs = if buggy {
+/// Stages the test: a leader (node 0) and crown prince (node 1) group,
+/// then a newcomer (node 2) whose proclaims to the leader are dropped at
+/// the sender, run for 30 s with or without the forwarding bug.
+fn stage(buggy: bool) -> GmpTestbed {
+    let mut tb = GmpTestbed::new(
+        3,
         GmpBugs {
-            proclaim_forward: true,
+            proclaim_forward: buggy,
             ..GmpBugs::none()
-        }
-    } else {
-        GmpBugs::none()
-    };
-    let mut tb = GmpTestbed::new(3, bugs);
-    // Nodes 0 (leader) and 1 (crown prince) form a group.
+        },
+    );
     tb.start(tb.peers[0]);
     tb.start(tb.peers[1]);
     tb.run(SimDuration::from_secs(30));
-    // The newcomer's proclaims to the leader are dropped at the sender.
     tb.send_script(
         tb.peers[2],
         r#"if {[msg_type] == "PROCLAIM" && [msg_dst] == 0} { xDrop }"#,
     );
     tb.start(tb.peers[2]);
     tb.run(SimDuration::from_secs(30));
+    tb
+}
 
+/// Runs the test with or without the forwarding bug.
+pub fn run(buggy: bool) -> Exp3Row {
+    let mut tb = stage(buggy);
     let cp = tb.peers[1].as_u32();
     let newcomer = tb.peers[2].as_u32();
     let mut forwards = 0;
@@ -111,5 +114,11 @@ mod tests {
         assert!(row.newcomer_admitted, "{row:?}");
         assert_eq!(row.answers_to_forwarder, 0, "{row:?}");
         assert!(row.answers_to_originator >= 1, "{row:?}");
+    }
+
+    #[test]
+    fn table7_misrouted_answers_are_what_the_engine_oracles_see() {
+        assert_eq!(stage(true).violated_oracles(), ["gmp-proclaim-routing"]);
+        assert_eq!(stage(false).violated_oracles(), Vec::<&str>::new());
     }
 }

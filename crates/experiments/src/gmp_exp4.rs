@@ -24,28 +24,32 @@ pub struct Exp4Row {
     pub spurious_timer_fires: usize,
 }
 
-/// Runs the timer test with or without the bug.
-pub fn run(buggy: bool) -> Exp4Row {
-    let bugs = if buggy {
+/// Stages the timer test: a converged group whose node 2 drops `COMMIT`s
+/// while node 1 is isolated, run for 30 s with or without the bug.
+fn stage(buggy: bool) -> GmpTestbed {
+    let mut tb = GmpTestbed::new(
+        3,
         GmpBugs {
-            timer_unset: true,
+            timer_unset: buggy,
             ..GmpBugs::none()
-        }
-    } else {
-        GmpBugs::none()
-    };
-    let mut tb = GmpTestbed::new(3, bugs);
+        },
+    );
     tb.start_all();
     tb.run(SimDuration::from_secs(60));
-    let victim = tb.peers[2];
     // Park the victim in IN_TRANSITION by dropping the COMMITs of the next
     // change…
-    tb.recv_script(victim, r#"if {[msg_type] == "COMMIT"} { xDrop }"#);
+    tb.recv_script(tb.peers[2], r#"if {[msg_type] == "COMMIT"} { xDrop }"#);
     // …which is triggered by isolating node 1 (the leader proposes {0, 2}).
     let peers = tb.peers.clone();
     tb.world.network_mut().isolate(peers[1], &peers);
     tb.run(SimDuration::from_secs(30));
+    tb
+}
 
+/// Runs the timer test with or without the bug.
+pub fn run(buggy: bool) -> Exp4Row {
+    let tb = stage(buggy);
+    let victim = tb.peers[2];
     let evs = tb.world.trace().events_of::<GmpEvent>(Some(victim));
     let entered_transition = evs
         .iter()
@@ -77,5 +81,11 @@ mod tests {
         let row = run(false);
         assert!(row.entered_transition, "{row:?}");
         assert_eq!(row.spurious_timer_fires, 0, "{row:?}");
+    }
+
+    #[test]
+    fn table8_stale_timers_are_what_the_engine_oracles_see() {
+        assert_eq!(stage(true).violated_oracles(), ["gmp-timer-discipline"]);
+        assert_eq!(stage(false).violated_oracles(), Vec::<&str>::new());
     }
 }

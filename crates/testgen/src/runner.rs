@@ -4,7 +4,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use pfi_core::{Filter, PfiControl, PfiEvent, PfiReply};
+use pfi_core::{Filter, GlobalBoard, PfiControl, PfiEvent, PfiLayer, PfiReply};
 use pfi_fleet::panic_message;
 use pfi_gmp::{GmpBugs, GmpConfig, GmpControl, GmpEvent, GmpLayer, GmpReply, GmpStub};
 use pfi_rudp::RudpLayer;
@@ -551,9 +551,10 @@ fn budget_exhausted_script(trace: &TraceLog) -> Option<String> {
 // GMP target
 // ---------------------------------------------------------------------
 
-/// A three-daemon GMP cluster. Every daemon's PFI layer is a fault site
-/// (site index = node index); the grid faults node 1, a non-leader
-/// member.
+/// A three-daemon GMP cluster ([`cluster`](GmpTarget::cluster), started
+/// and converged for 40 virtual seconds). Every daemon's PFI layer is a
+/// fault site (site index = node index), and all of them share one
+/// blackboard; the grid faults node 1, a non-leader member.
 #[derive(Debug, Clone)]
 pub struct GmpTarget {
     /// Which implementation bugs are present.
@@ -574,6 +575,25 @@ impl Default for GmpTarget {
 impl GmpTarget {
     fn peers() -> Vec<NodeId> {
         (0..3).map(NodeId::new).collect()
+    }
+
+    /// `n` daemons, not yet started, each above its PFI layer (stack
+    /// index 1) and a reliable-datagram layer — the paper's GMP testbed
+    /// (Figure 5). Every PFI layer shares the returned blackboard, so
+    /// `global_set` on one node is `global_get` on another.
+    pub fn cluster(&self, n: u32) -> (World, GlobalBoard) {
+        let mut world = World::new(self.seed());
+        let board = GlobalBoard::alloc_in(world.boards_mut());
+        let peers: Vec<NodeId> = (0..n).map(NodeId::new).collect();
+        for _ in 0..n {
+            let gmd = GmpLayer::new(GmpConfig::new(peers.clone()).with_bugs(self.bugs));
+            world.add_node(vec![
+                Box::new(gmd),
+                Box::new(PfiLayer::new(Box::new(GmpStub)).with_globals(board)),
+                Box::new(RudpLayer::default()),
+            ]);
+        }
+        (world, board)
     }
 }
 
@@ -607,16 +627,8 @@ impl TestTarget for GmpTarget {
     }
 
     fn build(&self) -> (World, Vec<(NodeId, usize)>) {
-        let mut world = World::new(self.seed());
+        let (mut world, _) = self.cluster(3);
         let peers = Self::peers();
-        for _ in 0..3 {
-            let gmd = GmpLayer::new(GmpConfig::new(peers.clone()).with_bugs(self.bugs));
-            world.add_node(vec![
-                Box::new(gmd),
-                Box::new(pfi_core::PfiLayer::new(Box::new(GmpStub))),
-                Box::new(RudpLayer::default()),
-            ]);
-        }
         for &p in &peers {
             world.control::<GmpReply>(p, 0, GmpControl::Start);
         }
@@ -687,8 +699,10 @@ impl TestTarget for GmpTarget {
 // TCP target
 // ---------------------------------------------------------------------
 
-/// A client/server TCP transfer; the case filter is installed on the
-/// server's PFI layer.
+/// A client/server TCP transfer on the paper's TCP testbed (Figure 3):
+/// node 0 runs the client's (vendor's) TCP, node 1 the reference TCP under
+/// a PFI layer, listening on [`PORT`](TcpTarget::PORT). The case filter is
+/// installed on that PFI layer, the one fault site.
 #[derive(Debug, Clone)]
 pub struct TcpTarget {
     /// Client profile.
@@ -723,6 +737,8 @@ impl TcpTarget {
         NodeId::new(1)
     }
     const CONN: ConnId = ConnId(0);
+    /// The port the server (the PFI side) listens on.
+    pub const PORT: u16 = 80;
 }
 
 impl TestTarget for TcpTarget {
@@ -748,15 +764,14 @@ impl TestTarget for TcpTarget {
 
     fn build(&self) -> (World, Vec<(NodeId, usize)>) {
         let mut world = World::new(self.seed());
-        let client = world.add_node(vec![Box::new(TcpLayer::new(self.profile.clone()))]);
+        world.add_node(vec![Box::new(TcpLayer::new(self.profile.clone()))]);
         let server = world.add_node(vec![
             Box::new(TcpLayer::new(TcpProfile::rfc_reference())),
-            Box::new(pfi_core::PfiLayer::new(Box::new(TcpStub))),
+            Box::new(PfiLayer::new(Box::new(TcpStub))),
         ]);
-        world.control::<TcpReply>(server, 0, TcpControl::Listen { port: 80 });
+        world.control::<TcpReply>(server, 0, TcpControl::Listen { port: Self::PORT });
         // Open the connection only after the fault is installed — SYN-path
         // faults are part of the campaign.
-        let _ = client;
         (world, vec![(server, 1)])
     }
 
@@ -768,7 +783,7 @@ impl TestTarget for TcpTarget {
                 TcpControl::Open {
                     local_port: 0,
                     remote: Self::server(),
-                    remote_port: 80,
+                    remote_port: Self::PORT,
                 },
             )
             .expect_conn();
@@ -795,12 +810,14 @@ impl TestTarget for TcpTarget {
     fn harvest(&self, world: &mut World) {
         // Take whatever the server-side application can read and record it
         // for the stream oracles (RecvTake consumes, so this happens once).
-        let sconn =
-            match world.control::<TcpReply>(Self::server(), 0, TcpControl::AcceptedOn { port: 80 })
-            {
-                TcpReply::MaybeConn(Some(c)) => c,
-                _ => return,
-            };
+        let sconn = match world.control::<TcpReply>(
+            Self::server(),
+            0,
+            TcpControl::AcceptedOn { port: Self::PORT },
+        ) {
+            TcpReply::MaybeConn(Some(c)) => c,
+            _ => return,
+        };
         let data = world
             .control::<TcpReply>(Self::server(), 0, TcpControl::RecvTake { conn: sconn })
             .expect_data();
@@ -851,8 +868,8 @@ impl TestTarget for TcpTarget {
 // ---------------------------------------------------------------------
 
 /// A coordinator plus three participants running one transaction. Every
-/// node's PFI layer is a fault site (site index = node index); the grid
-/// faults participant 1.
+/// node's PFI layer is a fault site (site index = node index), and all of
+/// them share one blackboard; the grid faults participant 1.
 ///
 /// Invariant: **decision agreement** — no two nodes ever apply conflicting
 /// decisions for the same transaction. Faults may block participants or
@@ -891,10 +908,11 @@ impl TestTarget for TpcTarget {
 
     fn build(&self) -> (World, Vec<(NodeId, usize)>) {
         let mut world = World::new(self.seed());
+        let board = GlobalBoard::alloc_in(world.boards_mut());
         for _ in 0..4 {
             world.add_node(vec![
                 Box::new(TpcLayer::default()),
-                Box::new(pfi_core::PfiLayer::new(Box::new(TpcStub))),
+                Box::new(PfiLayer::new(Box::new(TpcStub)).with_globals(board)),
                 Box::new(RudpLayer::default()),
             ]);
         }
@@ -1123,6 +1141,25 @@ mod tests {
             let (_, gmp) = bundled("gmp", buggy, 60).unwrap();
             let verdict = run_schedule_limited(gmp.as_ref(), &mute, &RunLimits::default()).verdict;
             assert_eq!(verdict.is_violation(), buggy, "{verdict:?}");
+        }
+    }
+
+    /// A multi-site target's fault sites share one blackboard: what a
+    /// filter on site 0 sets, a filter on the last site reads.
+    #[test]
+    fn gmp_and_tpc_sites_share_a_board() {
+        let targets: [&dyn TestTarget; 2] = [&GmpTarget::default(), &TpcTarget];
+        for target in targets {
+            let (mut world, sites) = target.build();
+            let mut eval = |(node, pfi): (NodeId, usize), op: PfiControl| {
+                world.control::<PfiReply>(node, pfi, op).expect_eval()
+            };
+            eval(sites[0], PfiControl::EvalInSend("global_set k v".into()));
+            let got = eval(
+                sites[sites.len() - 1],
+                PfiControl::EvalInRecv("global_get k".into()),
+            );
+            assert_eq!(got, "v", "{}", target.name());
         }
     }
 
