@@ -8,28 +8,23 @@
 //! life-cycle pairs — and the campaign engine keeps any schedule that
 //! reaches an edge no earlier schedule reached.
 //!
-//! An edge *is* its text: ordered, mergeable, byte-for-byte deterministic
-//! across runs, and what journals, digests and reports carry. But a
-//! campaign extracts a hundred edges from every run and nineteen runs in
-//! twenty reach nothing new, so text is built late. Extraction works on
-//! integers — one pass classifies each record to a [`Kind`] code and
-//! per-stream state dedupes transitions on packed keys — and ends in one
-//! [`Edge`] key per distinct edge: label codes, counts, and the few
-//! `&'static str` names compared by content, so a key means the same in
-//! every run. [`Coverage::merge`] asks the union about keys first and
-//! renders text only for the ones it has never seen; everything that
-//! speaks text ([`edges`](Coverage::edges), `==`, `contains`,
-//! `difference`) renders on first demand. A journal record's `cover`
-//! lines are the edges a merge added, which
-//! [`merge_with`](Coverage::merge_with) hands over as it inserts them.
+//! An edge *is* its text, which journals, digests and reports carry. But
+//! most runs reach nothing new, so extraction makes one typed
+//! [`TraceLog::iter_of`] pass per event family into packed `u128` keys,
+//! names as ids from one process-wide table, so a key means the same in
+//! every run and thread. [`Coverage::merge`] walks two sorted key lists and
+//! renders text only for keys the union lacks; [`edges`](Coverage::edges),
+//! `==`, `contains` and `difference` render on first demand. A journal
+//! record's `cover` lines are the edges [`merge_with`](Coverage::merge_with)
+//! hands over as it inserts them.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use pfi_gmp::GmpEvent;
-use pfi_sim::{NodeId, TimerTrace, TraceLog};
+use pfi_sim::{NodeId, SimTime, TimerTrace, TraceLog};
 use pfi_tcp::{CloseReason, TcpEvent};
 use pfi_tpc::TpcEvent;
 
@@ -44,7 +39,7 @@ use pfi_tpc::TpcEvent;
 pub struct Coverage {
     /// What [`from_trace`](Coverage::from_trace) extracted plus every key
     /// merged in since: sorted, distinct, and what `merge` consults first.
-    keys: Vec<Edge>,
+    keys: Vec<Key>,
     /// Every edge as text, once someone has asked for text or merged some
     /// in (replayed runs are text only).
     text: OnceLock<BTreeSet<String>>,
@@ -58,76 +53,22 @@ impl Coverage {
 
     /// Extracts every supported coverage signal from a trace.
     pub fn from_trace(trace: &TraceLog) -> Self {
-        let mut args = Vec::new();
-        let mut layers = Vec::new();
-        let mut streams: BTreeMap<(Family, usize, NodeId), Stream> = BTreeMap::new();
-        trace.for_each(|r| {
-            // `layer` is the interned owning layer of a timer record, 0
-            // otherwise; `counted` marks the records the bucket edges
-            // count: timer firings and TCP retransmissions.
-            let (family, layer, kind, counted) = if let Some(e) = r.event_as::<TimerTrace>() {
-                let (layer, label) = timer_kind(e);
-                let fired = matches!(e, TimerTrace::Fired { .. });
-                let layer = layer_slot(layer, &mut layers);
-                (Family::Timer, layer, Kind::plain(label), fired)
-            } else if let Some(e) = r.event_as::<GmpEvent>() {
-                (Family::Gmp, 0, gmp_kind(e, &mut args), false)
-            } else if let Some(e) = r.event_as::<TcpEvent>() {
-                let retx = matches!(
-                    e,
-                    TcpEvent::Retransmit { .. } | TcpEvent::FastRetransmit { .. }
-                );
-                (Family::Tcp, 0, tcp_kind(e, &mut args), retx)
-            } else if let Some(e) = r.event_as::<TpcEvent>() {
-                (Family::Tpc, 0, Kind::plain(tpc_kind(e)), false)
-            } else {
-                return;
-            };
-            let stream = match streams.entry((family, layer, r.node)) {
-                Entry::Vacant(slot) => slot.insert(Stream::starting_with(kind)),
-                Entry::Occupied(slot) => {
-                    let stream = slot.into_mut();
-                    stream.step(kind);
-                    stream
-                }
-            };
-            stream.count += usize::from(counted);
-        });
-
-        // One key per distinct edge: the per-extraction slots (arguments,
-        // layers) resolve to what they name, so keys compare across runs.
-        let edges = streams.values().map(|s| s.kinds.len() + s.pairs.len() + 1);
-        let mut keys = Vec::with_capacity(edges.sum());
-        for (&(family, layer, node), stream) in &streams {
-            let layer = Name(layer.checked_sub(1).map_or("", |ix| layers[ix]));
-            let mut emit = |what, names| {
-                keys.push(Edge {
-                    family,
-                    node,
-                    layer,
-                    what,
-                    names,
-                })
-            };
-            for &kind in &stream.kinds {
-                let (kind, name) = kind.term(&args);
-                emit(What::Seen(kind, None), [name, Name("")]);
-            }
-            for &pair in &stream.pairs {
-                let (from, from_name) = Kind((pair >> 32) as u32).term(&args);
-                let (to, to_name) = Kind(pair as u32).term(&args);
-                emit(What::Seen(from, Some(to)), [from_name, to_name]);
-            }
-            if stream.count > 0 {
-                let none = [Name(""); 2];
-                emit(What::Counted(bucket(stream.count)), none);
-            }
+        thread_local! {
+            /// Each thread's extraction state, kept between runs: an
+            /// extraction allocates only the keys it returns.
+            static EXTRACTION: RefCell<Extraction> = RefCell::default();
         }
-        keys.sort_unstable();
-        Coverage {
-            keys,
-            text: OnceLock::new(),
-        }
+        EXTRACTION.with_borrow_mut(|x| {
+            x.start();
+            x.walk(trace.iter_of(), Family::Gmp, gmp_record);
+            x.walk(trace.iter_of(), Family::Tcp, tcp_record);
+            x.walk(trace.iter_of(), Family::Timer, timer_record);
+            x.walk(trace.iter_of(), Family::Tpc, tpc_record);
+            Coverage {
+                keys: x.finish(),
+                text: OnceLock::new(),
+            }
+        })
     }
 
     /// Rebuilds coverage from a recorded edge list — the inverse of
@@ -152,8 +93,8 @@ impl Coverage {
 
     /// [`merge`](Coverage::merge), handing `added` each edge the union
     /// lacked as it is inserted. A run's keys come out in key order, which
-    /// is not text order once a node number has two digits; a caller that
-    /// keeps them sorts them.
+    /// is not text order (nodes compare as numbers, names by id); a caller
+    /// that keeps them sorts them.
     ///
     /// A run straight from [`from_trace`](Coverage::from_trace) is asked
     /// for its keys first: if the union has seen every one, nothing is
@@ -179,7 +120,7 @@ impl Coverage {
             while known.next_if(|k| k < key).is_some() {}
             known.peek() != Some(key)
         });
-        let unseen: Vec<Edge> = unseen.copied().collect();
+        let unseen: Vec<Key> = unseen.copied().collect();
         if unseen.is_empty() {
             return 0;
         }
@@ -192,8 +133,11 @@ impl Coverage {
                 new += 1;
             }
         });
+        // Two sorted runs end to end, which the stable sort merges in one
+        // linear pass.
         self.keys.extend(unseen);
-        self.keys.sort_unstable();
+        self.keys.sort();
+        debug_assert!(self.keys.is_sorted_by(|a, b| a < b), "merge unsorted");
         new
     }
 
@@ -274,138 +218,87 @@ impl fmt::Display for Coverage {
 /// `expect` message for `write!` into a `String`.
 const INFALLIBLE: &str = "writing to a String cannot fail";
 
-/// One edge as a key that means the same in every run: small integers,
-/// plus the few names edges spell out, compared by content.
-///
-/// Nothing depends on how keys order except speed, twice over: the
-/// argument names come last, so nearly every comparison is settled on
-/// integers; and the rest follows the text — families and labels are
-/// declared in the byte order of what they spell, a lone term sorts
-/// before the same term with a successor as `Set` sorts before
-/// `Set>Fired` — so sorted keys render to text that is already sorted
-/// (for single-digit nodes), which is what building the text set costs
-/// least from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Edge {
-    family: Family,
-    node: NodeId,
-    /// The owning layer of a timer stream; empty for the other families.
-    layer: Name,
-    what: What,
-    /// The name arguments of `what`'s terms (`SegmentSent:<kind>`); empty
-    /// where a term has none.
-    names: [Name; 2],
+/// One edge, packed so that it means the same in every run. From the top:
+/// 2 bits of [`Family`], 16 of owning layer (a timer stream's name id,
+/// else 0), 32 of node, then two 32-bit term codes: what occurred, and
+/// what directly followed it (0 for the occurrence alone). A bucket edge's
+/// first term is [`COUNTED`] plus the index into [`BUCKETS`].
+type Key = u128;
+
+/// Where each field of a [`Key`] starts.
+const FIRST: u32 = 32;
+const NODE: u32 = 64;
+const LAYER: u32 = 96;
+const FAMILY: u32 = 112;
+
+/// A term code is one plus a [`Label`] in the top byte and the label's
+/// argument below it: `GroupView`'s member count, `SegmentSent`'s name id.
+const ARG_BITS: u32 = 24;
+const ARG_MASK: u32 = (1 << ARG_BITS) - 1;
+
+/// The first term of a bucket edge, above every label.
+const COUNTED: u32 = 0xff << ARG_BITS;
+
+/// The term code of a label and its argument (0 for one without).
+fn term(label: Label, arg: usize) -> u32 {
+    assert!(arg <= ARG_MASK as usize, "a term argument fits in 24 bits");
+    (label as u32 + 1) << ARG_BITS | arg as u32
 }
 
-/// What an edge records about its stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum What {
-    /// A kind of record occurred — and, with a second term, that one
-    /// followed it directly.
-    Seen(Term, Option<Term>),
-    /// How many counted records (timer firings, retransmissions), as an
-    /// index into [`BUCKETS`].
-    Counted(usize),
-}
-
-/// A [`Kind`] resolved: what one record was, less its name argument (the
-/// edge holds those, see [`Edge::names`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Term {
-    label: Label,
-    /// One plus the count argument (`GroupView:<n>`); 0 without one.
-    count: usize,
-}
-
-impl Term {
-    /// Appends this term's edge text — label, then whichever argument it
-    /// has — to `out`.
-    fn render(self, name: Name, out: &mut String) {
-        out.push_str(LABEL_TEXT[self.label as usize]);
-        if let Some(count) = self.count.checked_sub(1) {
-            write!(out, "{count}").expect(INFALLIBLE);
-        }
-        out.push_str(name.0);
+/// Appends a term's edge text — its label, then its argument if it takes
+/// one — to `out`.
+fn render_term(code: u32, out: &mut String) {
+    let (label, arg) = ((code >> ARG_BITS) as usize - 1, code & ARG_MASK);
+    out.push_str(LABEL_TEXT[label]);
+    if label == Label::GroupView as usize {
+        write!(out, "{arg}").expect(INFALLIBLE);
+    } else if label == Label::SegmentSent as usize {
+        out.push_str(name(arg));
     }
 }
-
-/// A `&'static str` that is part of a key. Keys from different runs must
-/// agree, so names compare by content — after trying identity, because a
-/// name is nearly always the same static on both sides.
-#[derive(Debug, Clone, Copy)]
-struct Name(&'static str);
-
-impl Ord for Name {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        if std::ptr::eq(self.0, other.0) {
-            std::cmp::Ordering::Equal
-        } else {
-            self.0.cmp(other.0)
-        }
-    }
-}
-
-impl PartialOrd for Name {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Name {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other).is_eq()
-    }
-}
-
-impl Eq for Name {}
 
 /// Hands `each` the text of each key, in key order:
 /// `namespace:node:[layer:]what`. Sorted keys keep a stream's edges
 /// together, so its prefix is spelt once; `each` copies out what it keeps.
-fn render(keys: &[Edge], mut each: impl FnMut(&str)) {
+fn render(keys: &[Key], mut each: impl FnMut(&str)) {
     let mut edge = String::new();
     let mut stream = None;
     let mut prefix = 0;
-    for key in keys {
+    for &key in keys {
         // The namespace, and what the stream's bucket edge is called.
-        let (namespace, counter) = match key.family {
-            Family::Gmp => ("gmp", ""),
-            Family::Tcp => ("tcp", "retx:"),
-            Family::Tpc => ("tpc", ""),
-            Family::Timer => ("timer", "fired:"),
-        };
-        if stream != Some((key.family, key.node, key.layer)) {
-            stream = Some((key.family, key.node, key.layer));
+        let family = (key >> FAMILY) as usize;
+        let (namespace, counter) = FAMILIES[family];
+        if stream != Some(key >> NODE) {
+            stream = Some(key >> NODE);
             edge.clear();
-            write!(edge, "{namespace}:{}:", key.node).expect(INFALLIBLE);
-            if key.family == Family::Timer {
-                write!(edge, "{}:", key.layer.0).expect(INFALLIBLE);
+            let node = NodeId::new((key >> NODE) as u32);
+            write!(edge, "{namespace}:{node}:").expect(INFALLIBLE);
+            if family == Family::Timer as usize {
+                edge.push_str(name(u32::from((key >> LAYER) as u16)));
+                edge.push(':');
             }
             prefix = edge.len();
         }
         edge.truncate(prefix);
-        match key.what {
-            What::Seen(kind, then) => {
-                kind.render(key.names[0], &mut edge);
-                if let Some(next) = then {
-                    edge.push('>');
-                    next.render(key.names[1], &mut edge);
-                }
-            }
-            What::Counted(bucket) => {
-                edge.push_str(counter);
-                edge.push_str(BUCKETS[bucket]);
+        let (first, second) = ((key >> FIRST) as u32, key as u32);
+        if first & !ARG_MASK == COUNTED {
+            edge.push_str(counter);
+            edge.push_str(BUCKETS[(first & ARG_MASK) as usize]);
+        } else {
+            render_term(first, &mut edge);
+            if second != 0 {
+                edge.push('>');
+                render_term(second, &mut edge);
             }
         }
         each(&edge);
     }
 }
 
-/// Which edge namespace a record belongs to. Each `(family, node)` — for
-/// timers `(family, node, owning layer)` — is one *stream* whose adjacent
-/// records form the transition edges. In the order of the namespaces'
-/// text (see [`Edge`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Which edge namespace a record belongs to, in key order (the order
+/// `from_trace` walks them in). Each `(family, node)` — for timers with the
+/// owning layer — is one *stream*; adjacent records form its transitions.
+#[derive(Clone, Copy)]
 enum Family {
     Gmp,
     Tcp,
@@ -413,18 +306,23 @@ enum Family {
     Tpc,
 }
 
+/// Each family's namespace and the name of its streams' bucket edges.
+const FAMILIES: [(&str, &str); 4] = [
+    ("gmp", ""),
+    ("tcp", "retx:"),
+    ("timer", "fired:"),
+    ("tpc", ""),
+];
+
 /// Declares the static label table: one variant per edge label, with the
 /// text the edge strings carry. A label ending in `:` takes an argument.
 /// Rows are in the byte order of their text (gmp, tcp, tpc and timer
-/// labels mixed; `Started` is both gmp's and tpc's), so that label codes
-/// sort the way edge text does — see [`Edge`].
+/// labels mixed; `Started` is both gmp's and tpc's).
 macro_rules! labels {
     ($($name:ident = $text:literal,)*) => {
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-        #[repr(u8)]
+        #[derive(Clone, Copy)]
         enum Label { $($name,)* }
         const LABEL_TEXT: &[&str] = &[$($text,)*];
-        const LABELS: &[Label] = &[$(Label::$name,)*];
     };
 }
 
@@ -477,115 +375,206 @@ labels! {
     ZeroWindowProbe = "ZeroWindowProbe",
 }
 
-/// The open-ended part of a label: the two payload values edges spell out
-/// rather than enumerate. Interned per extraction, so a [`Kind`] stays an
-/// integer.
-#[derive(Debug, PartialEq, Eq)]
-enum Arg {
-    /// `GroupView:<n>` — the committed view's member count.
-    Count(usize),
-    /// `SegmentSent:<kind>` — the segment kind the TCP layer names.
-    Name(&'static str),
+/// Every layer and segment name an edge has spelt, once per distinct
+/// text: an id is an index. One table for the process, so keys agree
+/// across threads; its one update is a push, so a poisoned lock is safe.
+static NAMES: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
+
+/// The name an id stands for.
+fn name(id: u32) -> &'static str {
+    NAMES.lock().unwrap_or_else(PoisonError::into_inner)[id as usize]
 }
 
-/// One plus the index of `item` in `table`, adding it on first sight. A
-/// run names a handful of distinct arguments and layers, so tables are
-/// scanned, not hashed.
-fn slot_of<T: PartialEq>(item: T, table: &mut Vec<T>) -> usize {
-    let ix = table.iter().position(|t| *t == item).unwrap_or_else(|| {
+/// A thread's view of [`NAMES`]: the statics it has met, with their ids.
+type Names = Vec<(&'static str, u16)>;
+
+/// The id of `name`, found by identity among the statics met, so that
+/// [`NAMES`] is consulted once per new static.
+fn name_id(met: &mut Names, name: &'static str) -> u16 {
+    if let Some(&(_, id)) = met.iter().find(|(seen, _)| std::ptr::eq(*seen, name)) {
+        return id;
+    }
+    let mut table = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+    let id = u16::try_from(slot_of(&mut table, name)).expect("under 2^16 distinct names");
+    met.push((name, id));
+    id
+}
+
+/// The index of `item` in `table`, appending it on first sight.
+fn slot_of<T: PartialEq>(table: &mut Vec<T>, item: T) -> usize {
+    table.iter().position(|t| *t == item).unwrap_or_else(|| {
         table.push(item);
         table.len() - 1
-    });
-    ix + 1
+    })
 }
 
-/// The slot of a timer's owning layer. Timer records are most of a trace
-/// and nearly always name their layer through the same static, so
-/// identity is tried before content; two statics with equal text still
-/// share a slot.
-fn layer_slot(layer: &'static str, layers: &mut Vec<&'static str>) -> usize {
-    match layers.iter().position(|l| std::ptr::eq(*l, layer)) {
-        Some(ix) => ix + 1,
-        None => slot_of(layer, layers),
-    }
+/// One thread's extraction state. Term codes are *kinds*, which index
+/// bitmasks: a label's own, then each pass's codes with an argument.
+#[derive(Default)]
+struct Extraction {
+    names: Names,
+    streams: Vec<Stream>,
+    /// `successors[64 * stream + from]` has bit `to` set once kind `from`
+    /// was directly followed by kind `to` in that stream.
+    successors: Vec<u64>,
+    /// The keys of what those masks cannot hold.
+    wide: Vec<Key>,
+    /// This pass's term codes with an argument, in kind order.
+    args: Vec<u32>,
+    /// Per layer id, one plus this pass's stream of each node (node ids are
+    /// dense from 0): the streams in key order.
+    lanes: Vec<Vec<u32>>,
+    keys: Vec<Key>,
 }
 
-/// A classified trace record: a [`Label`] in the top byte and, below it,
-/// zero or one plus the index of its interned [`Arg`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Kind(u32);
-
-impl Kind {
-    const ARG_BITS: u32 = 24;
-
-    fn plain(label: Label) -> Kind {
-        Kind((label as u32) << Self::ARG_BITS)
-    }
-
-    fn with_arg(label: Label, arg: Arg, args: &mut Vec<Arg>) -> Kind {
-        let slot = slot_of(arg, args);
-        assert!(slot < 1 << Self::ARG_BITS, "too many distinct arguments");
-        Kind(Self::plain(label).0 | slot as u32)
-    }
-
-    /// This kind with its argument slot resolved against the extraction's
-    /// table: the term, and its name argument (empty without one).
-    fn term(self, args: &[Arg]) -> (Term, Name) {
-        let slot = (self.0 & ((1 << Self::ARG_BITS) - 1)) as usize;
-        let (count, name) = match slot.checked_sub(1).map(|ix| &args[ix]) {
-            None => (0, ""),
-            Some(Arg::Count(n)) => (n + 1, ""),
-            Some(Arg::Name(name)) => (0, *name),
-        };
-        let label = LABELS[(self.0 >> Self::ARG_BITS) as usize];
-        (Term { label, count }, Name(name))
-    }
-}
-
-/// One stream's extraction state: the previous record's kind plus the
-/// distinct kinds and adjacent pairs seen so far.
 struct Stream {
-    prev: Kind,
-    kinds: Vec<Kind>,
-    /// `from << 32 | to`, sorted.
-    pairs: Vec<u64>,
-    /// Records the stream's bucket edge counts (see `from_trace`).
+    /// The family, layer and node fields of the stream's keys.
+    base: Key,
+    prev: Option<usize>,
+    /// Bit `k` is set once kind `k` (below 64) has occurred.
+    kinds: u64,
+    /// The records the stream's bucket edge counts.
     count: usize,
 }
 
-impl Stream {
-    fn starting_with(kind: Kind) -> Stream {
-        Stream {
-            prev: kind,
-            kinds: vec![kind],
-            pairs: Vec::new(),
+/// A stream's edge `first>second`, or `first` alone for `second` 0.
+fn key(stream: &Stream, first: u32, second: u32) -> Key {
+    stream.base | Key::from(first) << FIRST | Key::from(second)
+}
+
+impl Extraction {
+    /// Forgets the previous run, keeping what it allocated.
+    fn start(&mut self) {
+        self.streams.clear();
+        self.successors.clear();
+        self.keys.clear();
+        self.wide.clear();
+    }
+
+    /// One family's pass: `classify` gives a record's owning layer id (0
+    /// outside timers), its term code, and whether its stream's bucket
+    /// edge counts it (timer firings, retransmissions).
+    fn walk<'t, T: 't>(
+        &mut self,
+        records: impl Iterator<Item = (SimTime, NodeId, &'t T)>,
+        family: Family,
+        classify: fn(&T, &mut Names) -> (u16, u32, bool),
+    ) {
+        self.args.clear();
+        self.lanes.iter_mut().for_each(|lane| lane.fill(0));
+        for (_, node, event) in records {
+            let (layer, code, counted) = classify(event, &mut self.names);
+            let kind = match code & ARG_MASK {
+                0 => (code >> ARG_BITS) as usize - 1,
+                _ => LABEL_TEXT.len() + slot_of(&mut self.args, code),
+            };
+            let s = self.stream(family, layer, node);
+            let stream = &mut self.streams[s];
+            stream.count += usize::from(counted);
+            let from = stream.prev.replace(kind);
+            stream.kinds |= 1u64.checked_shl(kind as u32).unwrap_or(0);
+            match from {
+                Some(from) if from < 64 && kind < 64 => {
+                    self.successors[64 * s + from] |= 1 << kind;
+                }
+                None if kind < 64 => {}
+                // A pass of over 64 kinds: what the masks cannot hold is
+                // kept as keys.
+                _ => {
+                    let pair = from.map(|f| key(stream, code_of(&self.args, f), code));
+                    for edge in [Some(key(stream, code, 0)), pair].into_iter().flatten() {
+                        if !self.wide.contains(&edge) {
+                            self.wide.push(edge);
+                        }
+                    }
+                }
+            }
+        }
+        self.emit();
+    }
+
+    /// The stream of `node` and `layer` in this pass, opened on first sight.
+    fn stream(&mut self, family: Family, layer: u16, node: NodeId) -> usize {
+        let layer = usize::from(layer);
+        self.lanes
+            .resize_with(self.lanes.len().max(layer + 1), Vec::new);
+        let lane = &mut self.lanes[layer];
+        lane.resize(lane.len().max(node.index() + 1), 0);
+        if let Some(s) = lane[node.index()].checked_sub(1) {
+            return s as usize;
+        }
+        lane[node.index()] = u32::try_from(self.streams.len() + 1).expect("under 2^32 streams");
+        self.streams.push(Stream {
+            base: (family as Key) << FAMILY
+                | (layer as Key) << LAYER
+                | Key::from(node.as_u32()) << NODE,
+            prev: None,
+            kinds: 0,
             count: 0,
+        });
+        self.successors.extend([0; 64]);
+        self.streams.len() - 1
+    }
+
+    /// Appends this pass's keys: streams in lane order, which is key
+    /// order, each stream's edges sorted among themselves.
+    fn emit(&mut self) {
+        let code = |kind| code_of(&self.args, kind);
+        for s in self.lanes.iter().flatten().filter_map(|s| s.checked_sub(1)) {
+            let (s, stream) = (s as usize, &self.streams[s as usize]);
+            let start = self.keys.len();
+            for from in bits(stream.kinds) {
+                let (first, row) = (code(from), self.successors[64 * s + from]);
+                self.keys.push(key(stream, first, 0));
+                self.keys
+                    .extend(bits(row).map(|to| key(stream, first, code(to))));
+            }
+            if stream.count > 0 {
+                let counted = COUNTED | bucket(stream.count) as u32;
+                self.keys.push(key(stream, counted, 0));
+            }
+            self.keys[start..].sort_unstable();
         }
     }
 
-    fn step(&mut self, kind: Kind) {
-        // A kind new to the stream always arrives on a pair new to it, so
-        // the common case is one lookup that finds the pair already there.
-        let pair = u64::from(self.prev.0) << 32 | u64::from(kind.0);
-        if let Err(at) = self.pairs.binary_search(&pair) {
-            self.pairs.insert(at, pair);
-            if !self.kinds.contains(&kind) {
-                self.kinds.push(kind);
-            }
+    /// A copy of the keys, sorted and distinct.
+    fn finish(&mut self) -> Vec<Key> {
+        if !self.wide.is_empty() {
+            self.keys.append(&mut self.wide);
+            self.keys.sort_unstable();
+            self.keys.dedup();
         }
-        self.prev = kind;
+        debug_assert!(self.keys.is_sorted_by(|a, b| a < b), "keys out of order");
+        self.keys.to_vec()
     }
+}
+
+/// The term code of a kind, given the pass's codes with an argument.
+fn code_of(args: &[u32], kind: usize) -> u32 {
+    match kind.checked_sub(LABEL_TEXT.len()) {
+        Some(arg) => args[arg],
+        None => (kind as u32 + 1) << ARG_BITS,
+    }
+}
+
+/// The set bits of a mask, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (bit < 64).then_some(bit)
+    })
 }
 
 // The classifiers below are exhaustive on purpose: a new event variant
 // must fail to compile here until it is given a label.
 
-fn gmp_kind(e: &GmpEvent, args: &mut Vec<Arg>) -> Kind {
+fn gmp_record(e: &GmpEvent, _: &mut Names) -> (u16, u32, bool) {
     let label = match e {
         // Refine the variants whose payload distinguishes behaviour the
         // campaign should steer toward.
         GmpEvent::GroupView { members, .. } => {
-            return Kind::with_arg(Label::GroupView, Arg::Count(members.len()), args)
+            return (0, term(Label::GroupView, members.len()), false);
         }
         GmpEvent::ProclaimAnswered { to, origin } if to == origin => Label::ProclaimAnsweredDirect,
         GmpEvent::ProclaimAnswered { .. } => Label::ProclaimAnsweredMisrouted,
@@ -603,13 +592,17 @@ fn gmp_kind(e: &GmpEvent, args: &mut Vec<Arg>) -> Kind {
         GmpEvent::ProclaimForwardDroppedByBug => Label::ProclaimForwardDroppedByBug,
         GmpEvent::SpuriousTimerInTransition { .. } => Label::SpuriousTimerInTransition,
     };
-    Kind::plain(label)
+    (0, term(label, 0), false)
 }
 
-fn tcp_kind(e: &TcpEvent, args: &mut Vec<Arg>) -> Kind {
+fn tcp_record(e: &TcpEvent, names: &mut Names) -> (u16, u32, bool) {
     let label = match e {
         TcpEvent::SegmentSent { kind, .. } => {
-            return Kind::with_arg(Label::SegmentSent, Arg::Name(kind), args)
+            return (
+                0,
+                term(Label::SegmentSent, name_id(names, kind).into()),
+                false,
+            );
         }
         TcpEvent::Closed { reason, .. } => match reason {
             CloseReason::Timeout => Label::ClosedTimeout,
@@ -631,11 +624,12 @@ fn tcp_kind(e: &TcpEvent, args: &mut Vec<Arg>) -> Kind {
         TcpEvent::ZeroWindowProbe { .. } => Label::ZeroWindowProbe,
         TcpEvent::DecodeFailed => Label::DecodeFailed,
     };
-    Kind::plain(label)
+    let retx = matches!(label, Label::Retransmit | Label::FastRetransmit);
+    (0, term(label, 0), retx)
 }
 
-fn tpc_kind(e: &TpcEvent) -> Label {
-    match e {
+fn tpc_record(e: &TpcEvent, _: &mut Names) -> (u16, u32, bool) {
+    let label = match e {
         TpcEvent::Voted { yes: true, .. } => Label::VotedYes,
         TpcEvent::Voted { yes: false, .. } => Label::VotedNo,
         TpcEvent::DecisionMade { commit: true, .. } => Label::DecisionMadeCommit,
@@ -645,17 +639,23 @@ fn tpc_kind(e: &TpcEvent) -> Label {
         TpcEvent::Started { .. } => Label::Started,
         TpcEvent::Blocked { .. } => Label::Blocked,
         TpcEvent::DecisionRetriesExhausted { .. } => Label::DecisionRetriesExhausted,
-    }
+    };
+    (0, term(label, 0), false)
 }
 
-/// The owning layer and life-cycle label of a timer record.
-fn timer_kind(e: &TimerTrace) -> (&'static str, Label) {
-    match e {
+/// A timer record's stream is its owning layer's.
+fn timer_record(e: &TimerTrace, names: &mut Names) -> (u16, u32, bool) {
+    let (layer, label) = match e {
         TimerTrace::Set { layer, .. } => (layer, Label::Set),
         TimerTrace::Fired { layer, .. } => (layer, Label::Fired),
         TimerTrace::Cancelled { layer } => (layer, Label::Cancelled),
         TimerTrace::Suppressed { layer } => (layer, Label::Suppressed),
-    }
+    };
+    (
+        name_id(names, layer),
+        term(label, 0),
+        matches!(label, Label::Fired),
+    )
 }
 
 /// The small stable labels counts are bucketed into, so coverage saturates
@@ -692,9 +692,9 @@ mod tests {
     fn static_labels_equal_the_debug_derived_names_plus_refinements() {
         use pfi_sim::SimDuration;
 
-        let mut args = Vec::new();
-        // (kind, Debug-derived variant name, refinement suffix)
-        let mut cases: Vec<(Kind, String, String)> = Vec::new();
+        let mut names = Names::default();
+        // (term code, Debug-derived variant name, refinement suffix)
+        let mut cases: Vec<(u32, String, String)> = Vec::new();
 
         let gmp = [
             (GmpEvent::Started, ""),
@@ -739,11 +739,8 @@ mod tests {
             (GmpEvent::SpuriousTimerInTransition { suspect: 2 }, ""),
         ];
         for (e, refinement) in &gmp {
-            cases.push((
-                gmp_kind(e, &mut args),
-                debug_name(e),
-                refinement.to_string(),
-            ));
+            let (_, code, _) = gmp_record(e, &mut names);
+            cases.push((code, debug_name(e), refinement.to_string()));
         }
 
         let second = SimDuration::from_secs(1);
@@ -833,7 +830,8 @@ mod tests {
             tcp.push((TcpEvent::Closed { conn: 0, reason }, format!(":{reason:?}")));
         }
         for (e, refinement) in &tcp {
-            cases.push((tcp_kind(e, &mut args), debug_name(e), refinement.clone()));
+            let (_, code, _) = tcp_record(e, &mut names);
+            cases.push((code, debug_name(e), refinement.clone()));
         }
 
         let mut tpc = vec![
@@ -857,7 +855,8 @@ mod tests {
             ));
         }
         for (e, refinement) in &tpc {
-            cases.push((Kind::plain(tpc_kind(e)), debug_name(e), refinement.clone()));
+            let (_, code, _) = tpc_record(e, &mut names);
+            cases.push((code, debug_name(e), refinement.clone()));
         }
 
         let layer = "gmd";
@@ -867,18 +866,17 @@ mod tests {
             TimerTrace::Cancelled { layer },
             TimerTrace::Suppressed { layer },
         ] {
-            let (owner, label) = timer_kind(&e);
-            assert_eq!(owner, layer);
-            cases.push((Kind::plain(label), debug_name(&e), String::new()));
+            let (owner, code, _) = timer_record(&e, &mut names);
+            assert_eq!(name(owner.into()), layer);
+            cases.push((code, debug_name(&e), String::new()));
         }
 
         let mut labels_seen = BTreeSet::new();
-        for (kind, name, refinement) in &cases {
+        for &(code, ref variant, ref refinement) in &cases {
             let mut text = String::new();
-            let (term, arg) = kind.term(&args);
-            term.render(arg, &mut text);
-            assert_eq!(text, format!("{name}{refinement}"));
-            labels_seen.insert(kind.0 >> Kind::ARG_BITS);
+            render_term(code, &mut text);
+            assert_eq!(text, format!("{variant}{refinement}"));
+            labels_seen.insert(code >> ARG_BITS);
         }
         // Every label in the table is reached by some value above, so a
         // label added without a case here fails rather than going unchecked.
@@ -1075,7 +1073,7 @@ mod tests {
             log.record(SimTime::ZERO, n(node), "gmd", GmpEvent::FormedSingleton);
         }
         let cov = Coverage::from_trace(&log);
-        assert_eq!(cov.keys[0].node, n(2), "keys sort by node number");
+        assert_eq!((cov.keys[0] >> NODE) as u32, 2, "keys sort by node number");
         let added = |run: &Coverage| {
             let mut edges = Vec::new();
             let new = Coverage::new().merge_with(run, |e| edges.push(e.to_string()));

@@ -16,7 +16,7 @@ use std::cell::Cell;
 use pfi_core::{Filter, PfiControl, PfiReply};
 use pfi_sim::{NodeId, World, WorldSnapshot};
 use pfi_testgen::{
-    run_schedule_limited, FaultSchedule, GmpTarget, RunLimits, TcpTarget, TestTarget,
+    run_schedule_limited, Coverage, FaultSchedule, GmpTarget, RunLimits, TcpTarget, TestTarget,
 };
 
 thread_local! {
@@ -269,4 +269,42 @@ fn a_tcp_execution_reports_what_it_allocates() {
         runs[0], target.payload_len
     );
     assert_eq!(runs[0], runs[1], "the counts must repeat");
+}
+
+/// Coverage extraction reuses its thread's scratch state, so a run's
+/// extraction allocates the keys it returns and nothing else, however
+/// many records the trace holds: a three-fault GMP run with a 120 s fault
+/// window carries twice the records of a 60 s one and costs the same one
+/// allocation (35 at each window when every edge was a struct of names
+/// compared by content and each extraction built its own tables). A run
+/// merged into a union that already holds its edges compares integers and
+/// allocates nothing.
+#[test]
+fn coverage_extraction_and_an_idle_merge_stay_within_their_allocation_budget() {
+    let mut records = Vec::new();
+    for fault_secs in [5, 60, 120] {
+        let target = GmpTarget {
+            fault_secs,
+            ..GmpTarget::default()
+        };
+        let (snapshot, sites) = base(&target);
+        let mut world = snapshot.fork();
+        install_and_drive(&target, &mut world, install_ops(&sites, &THREE_FAULTS));
+        records.push(world.trace().len());
+        // The thread's first extraction sets up its state and meets the
+        // names; count the next.
+        let mut union = Coverage::new();
+        union.merge(&Coverage::from_trace(world.trace()));
+        let (run, [allocated, ..]) = counted(|| Coverage::from_trace(world.trace()));
+        let (new, [idle, ..]) = counted(|| union.merge(&run));
+        println!(
+            "gmp {fault_secs} s: {allocated} allocation(s) extracting {} records, \
+             {idle} merging nothing new",
+            world.trace().len()
+        );
+        assert_eq!(allocated, 1, "an extraction allocates only its keys");
+        assert_eq!(new, 0);
+        assert_eq!(idle, 0, "a merge that adds nothing allocated");
+    }
+    assert!(records[2] > records[1] * 3 / 2, "not longer: {records:?}");
 }

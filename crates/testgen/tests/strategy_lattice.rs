@@ -7,8 +7,8 @@
 use std::sync::Arc;
 
 use pfi_testgen::{
-    explore, explore_fleet, CampaignFleet, ExploreConfig, GmpTarget, Journal, ProtocolSpec,
-    TcpTarget, TestTarget, TpcTarget,
+    bundled, explore, explore_fleet, CampaignFleet, ExploreConfig, GmpTarget, Journal,
+    ProtocolSpec, TcpTarget, TestTarget, TpcTarget,
 };
 
 /// The loop-heavy target: short post-fault horizon, so big-budget
@@ -97,6 +97,29 @@ fn tcp_seed_17000_reaches_the_plainest_digest() {
         };
         let outcome = explore(&TcpTarget::default(), &ProtocolSpec::tcp(), &config);
         assert_eq!(outcome.digest64(), "a1c4e5c0ae00747c");
+    }
+}
+
+/// The same seed on the other bundled targets, as `pfi-campaign P
+/// [--buggy] --explore --budget 256 --epoch 8 --seed 17000 --digest`
+/// prints it: campaign digests cover every edge string, so a change to
+/// how coverage is extracted or merged that moves one edge moves these.
+#[test]
+fn seed_17000_digests_hold_on_gmp_and_tpc() {
+    let config = ExploreConfig {
+        seed: 17000,
+        budget: 256,
+        epoch: 8,
+        ..ExploreConfig::default()
+    };
+    for (proto, buggy, digest) in [
+        ("gmp", false, "62b2c325090418ca"),
+        ("gmp", true, "738ae6ccfdf45ed5"),
+        ("tpc", false, "b8afbebab39709d1"),
+    ] {
+        let (spec, target) = bundled(proto, buggy, 60).expect("a bundled protocol");
+        let outcome = explore(target.as_ref(), &spec, &config);
+        assert_eq!(outcome.digest64(), digest, "{proto} buggy={buggy}");
     }
 }
 
