@@ -124,18 +124,6 @@ impl PfiLayer {
             .get_or_insert_with(|| GlobalBoard::alloc_in(ctx.boards()))
     }
 
-    /// Pre-sets a variable in the send filter's interpreter.
-    pub fn with_send_var(mut self, name: &str, value: impl Into<String>) -> Self {
-        self.interps[0].set_var(name, value);
-        self
-    }
-
-    /// Pre-sets a variable in the receive filter's interpreter.
-    pub fn with_recv_var(mut self, name: &str, value: impl Into<String>) -> Self {
-        self.interps[1].set_var(name, value);
-        self
-    }
-
     /// Sets the compile-once cache bounds of both direction interpreters
     /// (`scripts` for control-flow/proc/timer bodies, `exprs` for `expr`
     /// arguments). `(0, 0)` disables caching — every evaluation re-parses,

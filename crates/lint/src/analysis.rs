@@ -9,7 +9,7 @@
 //!    *before* the definition still resolve.
 //! 2. **Scope collection** — a sweep over the scope's reachable bodies
 //!    records every name assigned anywhere (any branch), names guarded by
-//!    `info exists`/`global`, and whether any dynamic construct (computed
+//!    `info exists`, and whether any dynamic construct (computed
 //!    `set` target, dynamic `eval`, computed command word) could define
 //!    arbitrary names — in which case variable findings are suppressed
 //!    entirely rather than risk false positives.
@@ -44,9 +44,6 @@ use crate::diag::{Category, Diagnostic, Severity};
 pub struct Linter {
     /// Host commands available to the script (None = plain Tcl subset).
     host: Option<CommandTable>,
-    /// Variables seeded by the embedder before the script runs
-    /// (`with_send_var` / `with_recv_var`), never undefined.
-    predefined: Vec<String>,
 }
 
 impl Linter {
@@ -55,28 +52,13 @@ impl Linter {
     pub fn filter() -> Self {
         Linter {
             host: Some(CommandTable),
-            predefined: Vec::new(),
         }
     }
 
     /// Lints against the interpreter builtins only (plain scripting, no
     /// host).
     pub fn plain() -> Self {
-        Linter {
-            host: None,
-            predefined: Vec::new(),
-        }
-    }
-
-    /// Declares variables the embedder seeds before the script runs, so
-    /// reads of them are never flagged.
-    pub fn with_predefined_vars<I, S>(mut self, names: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        self.predefined.extend(names.into_iter().map(Into::into));
-        self
+        Linter { host: None }
     }
 
     /// Runs all passes over `src`, returning findings sorted by source
@@ -105,9 +87,6 @@ impl Linter {
             diags: Vec::new(),
         };
         let mut scope = Scope::default();
-        for name in &self.predefined {
-            scope.guarded.insert(name.clone());
-        }
         a.collect(&script, &mut scope);
         a.recording_procs = false;
         let mut flow = Flow::new(false);
@@ -189,8 +168,8 @@ struct ProcBody {
 struct Scope {
     /// Names assigned anywhere in the scope, on any path.
     assigned_any: HashSet<String>,
-    /// Names guarded by `info exists`, linked by `global`, seeded as proc
-    /// parameters, or declared predefined — never flagged.
+    /// Names guarded by `info exists` or seeded as proc parameters —
+    /// never flagged.
     guarded: HashSet<String>,
     /// A dynamic construct could define arbitrary names; suppress all
     /// variable findings in this scope.
@@ -205,7 +184,7 @@ struct Flow {
     /// Inside a `catch` body: would-be errors are downgraded to notes
     /// (the script author asked for runtime errors to be swallowed).
     in_catch: bool,
-    /// False after `return`/`break`/`continue`/`error`.
+    /// False after `return`/`error`.
     reachable: bool,
     /// Dead code is reported once per sequence, not per statement.
     dead_reported: bool,
@@ -224,7 +203,7 @@ impl Flow {
 
 /// The name of a word when it is statically known, plus the origin span
 /// for parsing its content as a nested script/expression.
-fn static_text(w: &Word) -> Option<(String, Span)> {
+pub(crate) fn static_text(w: &Word) -> Option<(String, Span)> {
     match w {
         Word::Braced(s, span) => Some((s.to_string(), Span::at(span.line, span.col + 1))),
         Word::Parts(parts, span) => {
@@ -237,14 +216,6 @@ fn static_text(w: &Word) -> Option<(String, Span)> {
             }
             Some((out, *span))
         }
-    }
-}
-
-/// Strips an array index: `seen(ACK)` assigns the array `seen`.
-fn base_name(name: &str) -> &str {
-    match name.find('(') {
-        Some(i) if name.ends_with(')') => &name[..i],
-        _ => name,
     }
 }
 
@@ -321,7 +292,7 @@ impl Analysis<'_> {
             match name.as_str() {
                 "set" | "incr" => match words.get(1).and_then(static_text) {
                     Some((target, _)) => {
-                        scope.assigned_any.insert(base_name(&target).to_string());
+                        scope.assigned_any.insert(target);
                     }
                     None if words.len() > 1 => scope.wildcard = true,
                     None => {}
@@ -355,13 +326,6 @@ impl Analysis<'_> {
                         scope.assigned_any.insert(var);
                     }
                 }
-                "global" => {
-                    for w in &words[1..] {
-                        if let Some((n, _)) = static_text(w) {
-                            scope.guarded.insert(n);
-                        }
-                    }
-                }
                 "info" => {
                     if let (Some(("exists", _)), Some((var, _))) = (
                         words
@@ -371,7 +335,7 @@ impl Analysis<'_> {
                             .map(|(s, p)| (s.as_str(), p)),
                         words.get(2).and_then(static_text),
                     ) {
-                        scope.guarded.insert(base_name(&var).to_string());
+                        scope.guarded.insert(var);
                     }
                 }
                 "if" => self.collect_if(words, scope),
@@ -393,10 +357,8 @@ impl Analysis<'_> {
 
     fn collect_parts(&mut self, parts: &[Part], scope: &mut Scope) {
         for p in parts {
-            match p {
-                Part::Cmd(sub) => self.collect(sub, scope),
-                Part::ArrVar(_, idx) => self.collect_parts(idx, scope),
-                _ => {}
+            if let Part::Cmd(sub) = p {
+                self.collect(sub, scope);
             }
         }
     }
@@ -579,9 +541,9 @@ impl Analysis<'_> {
                     if let Some((target, span)) = words.get(1).and_then(static_text) {
                         if words.len() == 2 {
                             // `set x` is a read.
-                            self.check_read(base_name(&target), span, scope, flow);
+                            self.check_read(&target, span, scope, flow);
                         } else {
-                            flow.definite.insert(base_name(&target).to_string());
+                            flow.definite.insert(target);
                         }
                     }
                 }
@@ -589,20 +551,13 @@ impl Analysis<'_> {
                     // An unset target counts from 0, so this is an
                     // assignment, not a read.
                     if let Some((target, _)) = words.get(1).and_then(static_text) {
-                        flow.definite.insert(base_name(&target).to_string());
+                        flow.definite.insert(target);
                     }
                 }
                 "unset" => {
                     for w in &words[1..] {
                         if let Some((n, _)) = static_text(w) {
-                            flow.definite.remove(base_name(&n));
-                        }
-                    }
-                }
-                "global" => {
-                    for w in &words[1..] {
-                        if let Some((n, _)) = static_text(w) {
-                            flow.definite.insert(n);
+                            flow.definite.remove(&n);
                         }
                     }
                 }
@@ -614,8 +569,8 @@ impl Analysis<'_> {
                 "if" => self.check_if(words, scope, flow),
                 "while" => {
                     if let Some((cond, origin)) = words.get(1).and_then(static_text) {
-                        // `while {1} {...}` is the loop-with-break idiom;
-                        // only a constantly-false condition is inert.
+                        // `while {1} {...}` is a loop a `return` or an error
+                        // ends; only a constantly-false condition is inert.
                         if self.check_expr(&cond, origin, scope, flow) == Some(false) {
                             self.diag(
                                 Severity::Warning,
@@ -687,7 +642,7 @@ impl Analysis<'_> {
                     // Deferred body: runs later in the same interpreter.
                     self.check_branch_at(words, 2, scope, flow);
                 }
-                "return" | "break" | "continue" | "error" => {
+                "return" | "error" => {
                     flow.reachable = false;
                 }
                 _ => {}
@@ -819,25 +774,17 @@ impl Analysis<'_> {
             match p {
                 Part::Lit(_) => {}
                 Part::Var(name) => self.check_read(name, span, scope, flow),
-                Part::ArrVar(name, idx) => {
-                    self.check_read(name, span, scope, flow);
-                    self.check_parts(idx, span, scope, flow);
-                }
                 Part::Cmd(sub) => self.check(sub, scope, flow),
             }
         }
     }
 
     fn check_read(&mut self, name: &str, span: Span, scope: &Scope, flow: &Flow) {
-        self.reads.insert(base_name(name).to_string());
-        if scope.wildcard
-            || flow.definite.contains(name)
-            || scope.guarded.contains(name)
-            || scope.guarded.contains(base_name(name))
-        {
+        self.reads.insert(name.to_string());
+        if scope.wildcard || flow.definite.contains(name) || scope.guarded.contains(name) {
             return;
         }
-        if scope.assigned_any.contains(name) || scope.assigned_any.contains(base_name(name)) {
+        if scope.assigned_any.contains(name) {
             self.diag(
                 Severity::Note,
                 Category::MaybeUndefVar,

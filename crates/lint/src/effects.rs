@@ -30,6 +30,8 @@ use pfi_script::{
     Word,
 };
 
+use crate::analysis::static_text;
+
 /// One verdict/effect a filter command can apply to a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Effect {
@@ -49,16 +51,6 @@ pub enum Effect {
     /// `xPass` — an explicit pass verdict (can overwrite an earlier one).
     Pass,
 }
-
-const ALL_EFFECTS: [Effect; 7] = [
-    Effect::Drop,
-    Effect::Delay,
-    Effect::Duplicate,
-    Effect::Corrupt,
-    Effect::Reorder,
-    Effect::Inject,
-    Effect::Pass,
-];
 
 /// A set of [`Effect`]s — one point of the effect lattice (⊥ = empty =
 /// "touches nothing", ⊤ = all effects).
@@ -88,36 +80,6 @@ impl EffectSet {
     /// True when no effect is present.
     pub fn is_empty(&self) -> bool {
         self.0 == 0
-    }
-
-    /// Set union (lattice join).
-    pub fn union(self, other: EffectSet) -> EffectSet {
-        EffectSet(self.0 | other.0)
-    }
-
-    /// Drop is absorbing on the same flow: a message that is dropped
-    /// renders any delay or corruption of it unobservable downstream.
-    /// Duplicate, reorder, and inject survive — copies are forwarded and
-    /// held/injected traffic exists regardless of the original's verdict.
-    pub fn absorb_under_drop(self) -> EffectSet {
-        if self.contains(Effect::Drop) {
-            let mut out = self;
-            out.0 &= !(Self::bit(Effect::Delay) | Self::bit(Effect::Corrupt));
-            out
-        } else {
-            self
-        }
-    }
-
-    /// Iterates the present effects in declaration order.
-    pub fn iter(&self) -> impl Iterator<Item = Effect> + '_ {
-        ALL_EFFECTS.into_iter().filter(|e| self.contains(*e))
-    }
-
-    /// True when the two sets share no effect — the first half of the
-    /// "effect-disjoint faults commute" test.
-    pub fn disjoint(&self, other: &EffectSet) -> bool {
-        self.0 & other.0 == 0
     }
 }
 
@@ -224,22 +186,6 @@ struct Walker {
     out: ScriptEffects,
     /// Procs currently being inlined, to cut recursion.
     in_flight: HashSet<String>,
-}
-
-fn static_text(w: &Word) -> Option<(String, Span)> {
-    match w {
-        Word::Braced(s, span) => Some((s.to_string(), Span::at(span.line, span.col + 1))),
-        Word::Parts(parts, span) => {
-            let mut out = String::new();
-            for p in parts {
-                match p {
-                    Part::Lit(s) => out.push_str(s),
-                    _ => return None,
-                }
-            }
-            Some((out, *span))
-        }
-    }
 }
 
 impl Walker {
@@ -447,10 +393,8 @@ impl Walker {
 
     fn walk_parts(&mut self, parts: &[Part], ctx: &Ctx) {
         for p in parts {
-            match p {
-                Part::Cmd(sub) => self.walk(sub, ctx),
-                Part::ArrVar(_, idx) => self.walk_parts(idx, ctx),
-                _ => {}
+            if let Part::Cmd(sub) = p {
+                self.walk(sub, ctx);
             }
         }
     }
@@ -686,24 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_absorbs_delay_and_corrupt_but_not_duplicate() {
-        let mut s = EffectSet::empty();
-        s.insert(Effect::Drop);
-        s.insert(Effect::Delay);
-        s.insert(Effect::Corrupt);
-        s.insert(Effect::Duplicate);
-        let a = s.absorb_under_drop();
-        assert!(a.contains(Effect::Drop));
-        assert!(!a.contains(Effect::Delay));
-        assert!(!a.contains(Effect::Corrupt));
-        assert!(a.contains(Effect::Duplicate));
-        // No drop: nothing absorbed.
-        let mut s = EffectSet::empty();
-        s.insert(Effect::Delay);
-        assert_eq!(s.absorb_under_drop(), s);
-    }
-
-    #[test]
     fn window_bounds_from_counter_comparisons() {
         for (guard, want) in [
             ("$c0 == 2", WindowBound::Nth(2)),
@@ -732,18 +658,5 @@ mod tests {
             .find(|c| c.effects.contains(Effect::Drop))
             .unwrap();
         assert!(drop.opaque_guard);
-    }
-
-    #[test]
-    fn effect_sets_disjointness() {
-        let mut a = EffectSet::empty();
-        a.insert(Effect::Drop);
-        let mut b = EffectSet::empty();
-        b.insert(Effect::Delay);
-        assert!(a.disjoint(&b));
-        b.insert(Effect::Drop);
-        assert!(!a.disjoint(&b));
-        assert_eq!(a.union(b), b);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![Effect::Drop]);
     }
 }

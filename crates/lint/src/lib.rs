@@ -62,6 +62,58 @@ mod tests {
         assert!(diags[0].message.contains("lappend"), "{diags:?}");
     }
 
+    /// What the interpreter's subset leaves out is an error, not a
+    /// finding the analysis could miss: a math function, operator,
+    /// boolean word or array read Tcl has and the subset does not fails to
+    /// parse, and `global`, `break` and `continue` are unknown commands.
+    #[test]
+    fn tcl_forms_outside_the_subset_are_errors() {
+        let headline = |src: &str| {
+            let diags = Linter::filter().lint(src);
+            let out = render(src, "f.tcl", &diags);
+            assert_eq!(diags.len(), 1, "{src}: {out}");
+            out.lines().next().unwrap_or_default().to_string()
+        };
+        let functions = [
+            "abs", "double", "round", "floor", "ceil", "sqrt", "exp", "log", "log10", "sin", "cos",
+            "tan", "atan", "atan2", "pow", "fmod", "hypot", "min", "max",
+        ];
+        for f in functions {
+            let src = format!("if {{{f}([msg_len]) > 1}} {{ xDrop }}\n");
+            assert_eq!(
+                headline(&src),
+                format!("error[parse-error]: malformed expression: unknown math function \"{f}\"")
+            );
+        }
+        for cond in [
+            "[msg_len] ** 2 > 1",
+            "[msg_len] << 1 > 1",
+            "[msg_len] >> 1 > 1",
+            "([msg_len] | 1) > 1",
+            "~[msg_len] > 1",
+            "+[msg_len] > 1",
+            "true",
+            "[msg_len] > 1 && on",
+            "$n(ACK) > 1",
+            "[msg_type] eq {ACK}",
+        ] {
+            let src = format!("set n 1\nif {{{cond}}} {{ xDrop }}\n");
+            assert!(
+                headline(&src).starts_with("error[parse-error]: malformed expression: "),
+                "{cond}"
+            );
+        }
+        assert!(headline("set n(ACK) 1\nset y $n(ACK)\n").starts_with("error[parse-error]: "));
+        for word in ["global n", "break", "continue"] {
+            let src = format!("while {{[msg_len] > 0}} {{ {word} }}\n");
+            let name = word.split(' ').next().unwrap_or_default();
+            assert_eq!(
+                headline(&src),
+                format!("error[unknown-command]: invalid command name \"{name}\"")
+            );
+        }
+    }
+
     #[test]
     fn unknown_command_without_host_table() {
         // `plain()` has no host commands: filter-only words are unknown.
@@ -177,13 +229,11 @@ mod tests {
 
     #[test]
     fn guards_suppress_variable_findings() {
-        let src = "if {[info exists seen]} { set y $seen }\nglobal tally\nincr tally\n";
+        let src = "if {[info exists seen]} { set y $seen }\nincr tally\n";
         assert!(Linter::filter().lint(src).is_empty());
-        // A seeded variable declared by the embedder is never flagged.
-        let diags = Linter::filter()
-            .with_predefined_vars(["budget"])
-            .lint("set y $budget\n");
-        assert!(diags.is_empty(), "{diags:?}");
+        // A proc parameter is never flagged in its body.
+        let src = "proc f {budget} { set y $budget }\nf 1\n";
+        assert!(Linter::filter().lint(src).is_empty());
     }
 
     #[test]
@@ -193,10 +243,15 @@ mod tests {
         assert!(Linter::filter().lint(src).is_empty());
     }
 
+    /// `seen(ACK)` is a variable of that flat name; reading it as
+    /// `$seen(ACK)` does not parse (the subset has no arrays).
     #[test]
-    fn array_reads_and_writes_use_the_base_name() {
-        let src = "set seen(ACK) 1\nset y $seen(ACK)\n";
+    fn array_reads_are_parse_errors() {
+        let src = "set seen(ACK) 1\nset y [set seen(ACK)]\n";
         assert!(Linter::filter().lint(src).is_empty());
+        let diags = Linter::filter().lint("set seen(ACK) 1\nset y $seen(ACK)\n");
+        assert_eq!(cats(&diags), vec![Category::ParseError]);
+        assert_eq!((diags[0].span.line, diags[0].span.col), (2, 12));
     }
 
     #[test]
@@ -234,13 +289,11 @@ mod tests {
     }
 
     #[test]
-    fn code_after_break_continue_error_is_dead() {
-        for term in ["break", "continue", "error oops"] {
-            let src = format!("while {{[msg_len] > 0}} {{\n  {term}\n  xDrop\n}}\n");
-            let diags = Linter::filter().lint(&src);
-            assert_eq!(cats(&diags), vec![Category::DeadCode], "after {term}");
-            assert_eq!(diags[0].span.line, 3, "after {term}");
-        }
+    fn code_after_error_is_dead() {
+        let src = "while {[msg_len] > 0} {\n  error oops\n  xDrop\n}\n";
+        let diags = Linter::filter().lint(src);
+        assert_eq!(cats(&diags), vec![Category::DeadCode]);
+        assert_eq!(diags[0].span.line, 3);
     }
 
     #[test]
@@ -264,7 +317,7 @@ mod tests {
 
     #[test]
     fn while_1_idiom_is_allowed() {
-        let src = "while {1} { break }\n";
+        let src = "while {1} { if {[msg_len] > 8} { return } }\n";
         assert!(Linter::filter().lint(src).is_empty());
     }
 

@@ -84,15 +84,12 @@ const fn b(
 /// optional `-exact`/`-glob` flags), so their upper bounds are `None` even
 /// though the interpreter enforces more structure at runtime.
 const TABLE: &[BuiltinInfo] = &[
-    b("break", 0, Some(0), |_, _, _| Err(Exc::Break)),
     b("catch", 1, Some(2), catch),
-    b("continue", 0, Some(0), |_, _, _| Err(Exc::Continue)),
     b("error", 1, Some(1), error),
     b("eval", 0, None, eval),
     b("expr", 1, None, expr),
     b("for", 4, Some(4), for_),
     b("foreach", 3, Some(3), foreach),
-    b("global", 0, None, global),
     b("if", 2, None, if_),
     b("incr", 1, Some(2), incr),
     b("info", 2, Some(2), info),
@@ -155,23 +152,6 @@ fn integer(call: &Call<'_, '_>, text: &str) -> Result<i64, Exc> {
         .map_err(|_| call.error(format!("expected integer but got \"{text}\"")))
 }
 
-/// Runs a loop body; `Ok(false)` means `break`.
-fn loop_body(
-    interp: &mut Interp,
-    host: &mut dyn Host,
-    body: &Script,
-    want: bool,
-    last: &mut Value,
-) -> Result<bool, Exc> {
-    match interp.eval_script(host, body, want) {
-        Ok(v) => *last = v,
-        Err(Exc::Continue) => {}
-        Err(Exc::Break) => return Ok(false),
-        Err(e) => return Err(e),
-    }
-    Ok(true)
-}
-
 // ---- variables ----------------------------------------------------------
 
 fn set(interp: &mut Interp, _: &mut dyn Host, call: &mut Call<'_, '_>) -> EvalResult {
@@ -232,11 +212,6 @@ fn incr(interp: &mut Interp, _: &mut dyn Host, call: &mut Call<'_, '_>) -> EvalR
             Ok(next)
         }
     }
-}
-
-fn global(interp: &mut Interp, _: &mut dyn Host, call: &mut Call<'_, '_>) -> EvalResult {
-    interp.link_globals(call.args.iter().map(Arg::text));
-    Ok(Value::empty())
 }
 
 fn info(interp: &mut Interp, _: &mut dyn Host, call: &mut Call<'_, '_>) -> EvalResult {
@@ -310,11 +285,10 @@ fn while_(interp: &mut Interp, host: &mut dyn Host, call: &mut Call<'_, '_>) -> 
     let mut last = Value::empty();
     loop {
         interp.burn(call.cmd.span)?;
-        if !interp.expr_truthy(host, &test)?
-            || !loop_body(interp, host, &body, call.want, &mut last)?
-        {
+        if !interp.expr_truthy(host, &test)? {
             return Ok(last);
         }
+        last = interp.eval_script(host, &body, call.want)?;
     }
 }
 
@@ -329,11 +303,10 @@ fn for_(interp: &mut Interp, host: &mut dyn Host, call: &mut Call<'_, '_>) -> Ev
     interp.eval_script(host, &init, false)?;
     loop {
         interp.burn(call.cmd.span)?;
-        if !interp.expr_truthy(host, &test)?
-            || !loop_body(interp, host, &body, false, &mut Value::empty())?
-        {
+        if !interp.expr_truthy(host, &test)? {
             return Ok(Value::empty());
         }
+        interp.eval_script(host, &body, false)?;
         interp.eval_script(host, &next, false)?;
     }
 }
@@ -355,9 +328,7 @@ fn foreach(interp: &mut Interp, host: &mut dyn Host, call: &mut Call<'_, '_>) ->
             let item = items.next().unwrap_or_default();
             interp.set_value(name, Value::from_string(item));
         }
-        if !loop_body(interp, host, &body, false, &mut Value::empty())? {
-            break;
-        }
+        interp.eval_script(host, &body, false)?;
     }
     Ok(Value::empty())
 }
@@ -414,8 +385,6 @@ fn catch(interp: &mut Interp, host: &mut dyn Host, call: &mut Call<'_, '_>) -> E
         Ok(v) => (0, v),
         Err(Exc::Error(e)) => (1, Value::Str(e.message)),
         Err(Exc::Return(v)) => (2, v),
-        Err(Exc::Break) => (3, Value::empty()),
-        Err(Exc::Continue) => (4, Value::empty()),
     };
     if let Some(var) = var {
         interp.set_value(&var.text(), result);
@@ -538,6 +507,9 @@ mod tests {
             "switches",
             // Outside the subset.
             "append",
+            "break",
+            "continue",
+            "global",
             "array",
             "concat",
             "format",
@@ -577,8 +549,8 @@ mod tests {
         let names: Vec<&str> = builtins().iter().map(|info| info.name).collect();
         assert_eq!(
             names.join(" "),
-            "break catch continue error eval expr for foreach global if incr info \
-             proc puts return set switch unset while"
+            "catch error eval expr for foreach if incr info proc puts return set switch \
+             unset while"
         );
     }
 

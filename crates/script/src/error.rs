@@ -109,13 +109,11 @@ impl fmt::Display for ScriptError {
 
 impl std::error::Error for ScriptError {}
 
-/// Internal control flow used during evaluation: errors plus the non-error
-/// exceptional returns of Tcl (`break`, `continue`, `return`).
+/// Internal control flow used during evaluation: errors plus `return`,
+/// the one non-error exceptional return of the subset.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Exc {
     Error(ScriptError),
-    Break,
-    Continue,
     Return(Value),
 }
 
@@ -126,12 +124,11 @@ impl From<ScriptError> for Exc {
 }
 
 impl Exc {
-    /// Converts a loop-less context's exception into a user-facing error.
+    /// Converts an exception that left its context into a user-facing
+    /// error.
     pub(crate) fn into_error(self) -> ScriptError {
         match self {
             Exc::Error(e) => e,
-            Exc::Break => ScriptError::new("invoked \"break\" outside of a loop"),
-            Exc::Continue => ScriptError::new("invoked \"continue\" outside of a loop"),
             Exc::Return(_) => ScriptError::new("invoked \"return\" outside of a proc"),
         }
     }
@@ -168,8 +165,8 @@ mod tests {
     #[test]
     fn exc_into_error() {
         assert_eq!(
-            Exc::Break.into_error().message,
-            "invoked \"break\" outside of a loop"
+            Exc::Return(Value::empty()).into_error().message,
+            "invoked \"return\" outside of a proc"
         );
         let e = ScriptError::new("x");
         assert_eq!(Exc::Error(e.clone()).into_error(), e);

@@ -122,7 +122,7 @@ mod tests {
                 if {$c0 == 3} { xDrop }
             }
             if {"ACK" eq [msg_type cur_msg]} { xDelay 10 }
-            if {[msg_type] eq {DATA}} { xHold }
+            if {[msg_type] eq "DATA"} { xHold }
         "#;
         assert_eq!(
             literals(src),

@@ -68,13 +68,6 @@ pub(crate) struct ProcDef {
     pub(crate) body: Arc<Script>,
 }
 
-#[derive(Debug, Default, Clone)]
-struct Frame {
-    vars: Vars,
-    /// Names `global` linked into this frame.
-    globals: Vec<Box<str>>,
-}
-
 /// One substituted word of a command.
 #[derive(Debug)]
 pub(crate) enum Arg<'w> {
@@ -211,7 +204,8 @@ impl Cached for ExprAst {
 #[derive(Debug, Clone)]
 pub struct Interp {
     globals: Vars,
-    frames: Vec<Frame>,
+    /// The locals of each proc call in progress, innermost last.
+    frames: Vec<Vars>,
     pub(crate) procs: BTreeMap<Box<str>, Arc<ProcDef>>,
     pub(crate) output: String,
     fuel: u64,
@@ -279,18 +273,11 @@ impl Interp {
         }
     }
 
-    /// Caps the number of commands a single top-level `eval` may execute.
-    pub fn set_fuel_limit(&mut self, limit: u64) {
-        self.fuel_limit = limit;
-    }
-
     /// Caps the number of interpreter steps (commands and loop iterations)
     /// a single top-level `eval` may execute — the runaway-script
     /// watchdog. Exceeding it raises the dedicated
     /// [`ScriptErrorKind::BudgetExhausted`](crate::ScriptErrorKind)
-    /// error instead of spinning forever. Same knob as
-    /// [`set_fuel_limit`](Interp::set_fuel_limit) under the campaign
-    /// watchdogs' name.
+    /// error instead of spinning forever.
     pub fn set_step_budget(&mut self, budget: u64) {
         self.fuel_limit = budget;
     }
@@ -335,8 +322,7 @@ impl Interp {
     ///
     /// # Errors
     ///
-    /// Returns the first parse or runtime error; `break`/`continue` outside
-    /// a loop are errors at top level.
+    /// Returns the first parse or runtime error.
     pub fn eval(&mut self, host: &mut dyn Host, src: &str) -> Result<String, ScriptError> {
         let script = self.compile(src)?;
         self.eval_parsed(host, &script)
@@ -368,32 +354,26 @@ impl Interp {
         self.var_ref(name).map(|v| v.text().into_owned())
     }
 
-    /// The scope `name` lives in: the current frame's locals, unless there
-    /// is no frame or `global` linked the name.
-    fn scope(&self, name: &str) -> &Vars {
-        match self.frames.last() {
-            Some(f) if !f.globals.iter().any(|g| &**g == name) => &f.vars,
-            _ => &self.globals,
-        }
+    /// The scope variables live in: the innermost proc call's locals, or
+    /// the globals outside any proc.
+    fn scope(&self) -> &Vars {
+        self.frames.last().unwrap_or(&self.globals)
     }
 
-    fn scope_mut(&mut self, name: &str) -> &mut Vars {
-        match self.frames.last_mut() {
-            Some(f) if !f.globals.iter().any(|g| &**g == name) => &mut f.vars,
-            _ => &mut self.globals,
-        }
+    fn scope_mut(&mut self) -> &mut Vars {
+        self.frames.last_mut().unwrap_or(&mut self.globals)
     }
 
     /// Borrowed variable lookup.
     pub(crate) fn var_ref(&self, name: &str) -> Result<&Value, ScriptError> {
-        self.scope(name)
+        self.scope()
             .get(name)
             .ok_or_else(|| ScriptError::new(format!("can't read \"{name}\": no such variable")))
     }
 
     /// The slot of a variable that is set, to update in place.
     pub(crate) fn var_mut(&mut self, name: &str) -> Option<&mut Value> {
-        self.scope_mut(name).get_mut(name)
+        self.scope_mut().get_mut(name)
     }
 
     /// Sets a variable (respecting the current proc frame).
@@ -402,7 +382,7 @@ impl Interp {
     }
 
     pub(crate) fn set_value(&mut self, name: &str, value: Value) {
-        let vars = self.scope_mut(name);
+        let vars = self.scope_mut();
         match vars.get_mut(name) {
             Some(slot) => *slot = value,
             None => {
@@ -413,23 +393,12 @@ impl Interp {
 
     /// Removes a variable; no-op if unset.
     pub fn unset_var(&mut self, name: &str) {
-        self.scope_mut(name).remove(name);
+        self.scope_mut().remove(name);
     }
 
     /// Whether a variable is currently set.
     pub fn var_exists(&self, name: &str) -> bool {
-        self.scope(name).contains_key(name)
-    }
-
-    /// Links global variables into the current proc frame (`global`).
-    pub(crate) fn link_globals<'n>(&mut self, names: impl Iterator<Item = Cow<'n, str>>) {
-        if let Some(f) = self.frames.last_mut() {
-            for name in names {
-                if !f.globals.iter().any(|g| **g == *name) {
-                    f.globals.push(name.into());
-                }
-            }
-        }
+        self.scope().contains_key(name)
     }
 
     /// Output accumulated by `puts` since the last
@@ -589,11 +558,6 @@ impl Interp {
             match p {
                 Part::Lit(s) => out.push_str(s),
                 Part::Var(name) => self.var_ref(name)?.write_to(&mut out),
-                Part::ArrVar(name, index_parts) => {
-                    let index = self.expand_parts(host, index_parts)?;
-                    self.var_ref(&format!("{name}({index})"))?
-                        .write_to(&mut out);
-                }
                 Part::Cmd(script) => self.eval_script(host, script, true)?.write_to(&mut out),
             }
             if out.len() > MAX_STRING {
@@ -670,7 +634,7 @@ impl Interp {
         }
         let wrong_args =
             |call: &Call<'_, '_>| call.wrong_args(&format!("{name} {}", proc_usage(def)));
-        let mut frame = Frame::default();
+        let mut frame = Vars::default();
         let mut ai = 0usize;
         for (pi, (pname, default)) in def.params.iter().enumerate() {
             if &**pname == "args" && pi == def.params.len() - 1 {
@@ -678,9 +642,7 @@ impl Interp {
                     .iter()
                     .map(Arg::text)
                     .collect();
-                frame
-                    .vars
-                    .insert("args".into(), Value::Str(list_format(&rest)));
+                frame.insert("args".into(), Value::Str(list_format(&rest)));
                 ai = call.args.len();
                 break;
             }
@@ -692,7 +654,7 @@ impl Interp {
                 (None, Some(default)) => Value::from_text(default),
                 (None, None) => return Err(wrong_args(call)),
             };
-            frame.vars.insert(pname.clone(), value);
+            frame.insert(pname.clone(), value);
         }
         if ai < call.args.len() {
             return Err(wrong_args(call));
@@ -702,9 +664,6 @@ impl Interp {
         self.frames.pop();
         match result {
             Ok(v) | Err(Exc::Return(v)) => Ok(v),
-            Err(Exc::Break) | Err(Exc::Continue) => {
-                Err(call.error("invoked \"break\" or \"continue\" outside of a loop"))
-            }
             Err(e) => Err(e),
         }
     }
@@ -867,21 +826,26 @@ mod tests {
         assert_eq!(ev_ok("if {1} then {set r yes}"), "yes");
     }
 
+    /// A loop ends when its condition fails (or at a `return` or an
+    /// error); `break` and `continue` are not in the subset, so a guard
+    /// skips what `continue` would.
     #[test]
     fn while_loop_with_break_continue() {
         let src = "
             set sum 0
             set i 0
-            while {$i < 10} {
+            while {$i < 5} {
                 incr i
-                if {$i == 3} { continue }
-                if {$i == 6} { break }
-                set sum [expr {$sum + $i}]
+                if {$i != 3} { set sum [expr {$sum + $i}] }
             }
             set sum
         ";
         // 1+2+4+5 = 12
         assert_eq!(ev_ok(src), "12");
+        for word in ["break", "continue"] {
+            let e = ev(&format!("while {{1}} {{ {word} }}")).unwrap_err();
+            assert_eq!(e.message, format!("invalid command name \"{word}\""));
+        }
     }
 
     #[test]
@@ -936,17 +900,6 @@ mod tests {
     }
 
     #[test]
-    fn global_links_into_proc() {
-        let src = "
-            set counter 0
-            proc bump {} { global counter; incr counter }
-            bump; bump; bump
-            set counter
-        ";
-        assert_eq!(ev_ok(src), "3");
-    }
-
-    #[test]
     fn wrong_arg_counts_error() {
         assert!(ev("proc f {a} {set a}; f").is_err());
         assert!(ev("proc f {a} {set a}; f 1 2").is_err());
@@ -967,7 +920,7 @@ mod tests {
     #[test]
     fn infinite_loop_exhausts_fuel() {
         let mut interp = Interp::new();
-        interp.set_fuel_limit(10_000);
+        interp.set_step_budget(10_000);
         let err = interp.eval(&mut NoHost, "while {1} {}").unwrap_err();
         assert!(err.message.contains("budget"), "{err}");
         assert!(err.is_budget_exhausted(), "{err:?}");
@@ -998,8 +951,10 @@ mod tests {
         assert_eq!(ev_ok("catch {error boom} msg"), "1");
         assert_eq!(ev_ok("catch {error boom} msg; set msg"), "boom");
         assert_eq!(ev_ok("catch {set x 1} msg; set msg"), "1");
-        assert_eq!(ev_ok("catch {break}"), "3");
-        assert_eq!(ev_ok("catch {continue}"), "4");
+        assert_eq!(
+            ev_ok("catch {break} msg; set msg"),
+            "invalid command name \"break\""
+        );
         assert_eq!(ev_ok("proc f {} { catch {return r} v; set v }; f"), "r");
     }
 
@@ -1155,34 +1110,51 @@ mod array_tests {
         Interp::new().eval(&mut NoHost, src).unwrap()
     }
 
+    fn ev(src: &str) -> Result<String, ScriptError> {
+        Interp::new().eval(&mut NoHost, src)
+    }
+
+    /// The subset has no arrays: `a(x)` is a variable of that flat name,
+    /// which `set` and `incr` name like any other, and `$a(x)` is refused
+    /// when the script is parsed, never read as `$a` followed by `(x)`.
     #[test]
     fn set_and_read_array_elements() {
         assert_eq!(ev_ok("set a(x) 1; set a(y) 2; set a(x)"), "1");
-        assert_eq!(ev_ok("set a(x) hi; puts $a(x); set a(x)"), "hi");
+        assert_eq!(ev_ok("set a(x) hi; puts [set a(x)]; set a(x)"), "hi");
+        let e = Script::parse("set a 1; set a(x) hi; puts $a(x)").unwrap_err();
+        assert_eq!(e.message, "can't read \"a(…)\": no array variables");
+        assert_eq!((e.line, e.col), (1, 30));
+        assert!(Script::parse("puts \"$a(x)\"").is_err());
     }
 
     #[test]
     fn array_index_substitutes_variables() {
-        assert_eq!(ev_ok("set k foo; set a(foo) 42; set v $a($k); set v"), "42");
+        assert_eq!(
+            ev_ok("set k foo; set a(foo) 42; set v [set a($k)]; set v"),
+            "42"
+        );
     }
 
     #[test]
     fn arrays_as_per_type_counters() {
-        // The idiom era filter scripts used: count per message type.
+        // Counting per message type with one variable per type.
         let src = r#"
             foreach t {ACK ACK DATA ACK COMMIT DATA} {
                 if {![info exists seen($t)]} { set seen($t) 0 }
                 incr seen($t)
             }
-            set r "$seen(ACK) $seen(DATA) $seen(COMMIT)"
+            set r "[set seen(ACK)] [set seen(DATA)] [set seen(COMMIT)]"
         "#;
         assert_eq!(ev_ok(src), "3 2 1");
     }
 
     #[test]
-    fn expr_reads_array_elements() {
-        assert_eq!(ev_ok("set a(n) 6; expr {$a(n) * 7}"), "42");
-        assert_eq!(ev_ok("set t ACK; set c(ACK) 9; expr {$c($t) + 1}"), "10");
+    fn expr_refuses_array_elements() {
+        for src in ["set a(n) 6; expr {$a(n) * 7}", "set t A; expr {$c($t) + 1}"] {
+            let e = ev(src).unwrap_err();
+            assert!(e.message.ends_with("no array variables"), "{src}: {e}");
+        }
+        assert_eq!(ev_ok("set a(n) 6; expr {[set a(n)] * 7}"), "42");
     }
 
     #[test]
@@ -1192,24 +1164,19 @@ mod array_tests {
     }
 
     #[test]
-    fn arrays_respect_proc_scope_and_global() {
+    fn arrays_respect_proc_scope() {
         let src = r#"
             set g(k) outer
             proc f {} {
                 set g(k) inner
                 set g(k)
             }
-            set r "[f] $g(k)"
+            set r "[f] [set g(k)]"
         "#;
         assert_eq!(ev_ok(src), "inner outer");
-        // An element is a variable of its own flat name, so it is the
-        // element that `global` links:
-        let src = r#"
-            set g(k) outer
-            proc f {} { global g(k); set g(k) }
-            f
-        "#;
-        assert_eq!(ev_ok(src), "outer");
+        // A proc sees only its locals: there is no `global`.
+        let e = ev("set g 1; proc f {} { global g; set g }; f").unwrap_err();
+        assert_eq!(e.message, "invalid command name \"global\"");
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::builtins::{lookup_builtin, BuiltinInfo};
 use crate::error::ScriptError;
-use crate::expr::{parse_expr, ExprAst};
+use crate::expr::{no_arrays, parse_expr, ExprAst};
 use crate::gate::TypeGate;
 use crate::list::list_parse;
 
@@ -335,9 +335,6 @@ pub enum Part {
     Lit(String),
     /// `$name` / `${name}` variable substitution.
     Var(String),
-    /// `$name(index)` array-element substitution; the index itself is
-    /// substituted at eval time.
-    ArrVar(String, Vec<Part>),
     /// `[…]` command substitution (pre-parsed).
     Cmd(Script),
 }
@@ -561,9 +558,6 @@ impl Parser {
                 None => {
                     match end {
                         PartsEnd::Quote => return Err(self.err("missing close-quote")),
-                        PartsEnd::Paren => {
-                            return Err(self.err("missing close-paren for array index"))
-                        }
                         PartsEnd::Bare(_) => {}
                     }
                     break;
@@ -573,12 +567,6 @@ impl Parser {
             match end {
                 PartsEnd::Quote => {
                     if c == '"' {
-                        self.bump();
-                        break;
-                    }
-                }
-                PartsEnd::Paren => {
-                    if c == ')' {
                         self.bump();
                         break;
                     }
@@ -612,17 +600,16 @@ impl Parser {
                     let braced_name = self.peek() == Some('{');
                     let name = self.parse_var_name()?;
                     match name {
+                        // Tcl reads `$name(…)` as an array element; the
+                        // subset has none, so it is refused rather than
+                        // read as `$name` and the text `(…)`. `${a}(x)` is
+                        // a variable and a literal, as in Tcl.
+                        Some(n) if !braced_name && self.peek() == Some('(') => {
+                            return Err(self.err(no_arrays(&n)));
+                        }
                         Some(n) => {
                             flush!();
-                            // `$name(index)`: an array element (only for
-                            // bare names; `${a}(x)` is a var plus literal).
-                            if !braced_name && self.peek() == Some('(') {
-                                self.bump();
-                                let index = self.parse_parts(PartsEnd::Paren)?;
-                                parts.push(Part::ArrVar(n, index));
-                            } else {
-                                parts.push(Part::Var(n));
-                            }
+                            parts.push(Part::Var(n));
                         }
                         None => lit.push('$'),
                     }
@@ -682,8 +669,6 @@ impl Parser {
 enum PartsEnd {
     Quote,
     Bare(Option<char>),
-    /// Array index: runs to the matching `)`.
-    Paren,
 }
 
 fn name_of(c: char) -> &'static str {

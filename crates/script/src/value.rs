@@ -107,17 +107,16 @@ impl Value {
         }
     }
 
+    /// A condition's truth: a number is true when it is not zero. A string
+    /// is not a truth value (the subset has no boolean words).
     pub(crate) fn truthy(&self) -> Result<bool, ScriptError> {
         match self {
             Value::Int(i) => Ok(*i != 0),
             Value::Dbl(d) => Ok(*d != 0.0),
-            Value::Str(s) => match s.trim().to_ascii_lowercase().as_str() {
-                "true" | "yes" | "on" => Ok(true),
-                "false" | "no" | "off" => Ok(false),
-                other => Err(ScriptError::new(format!(
-                    "expected boolean value but got \"{other}\""
-                ))),
-            },
+            Value::Str(s) => Err(ScriptError::new(format!(
+                "expected boolean value but got \"{}\"",
+                s.trim().to_ascii_lowercase()
+            ))),
         }
     }
 

@@ -23,7 +23,7 @@ proptest! {
     #[test]
     fn interp_never_panics(src in ".{0,120}") {
         let mut interp = Interp::new();
-        interp.set_fuel_limit(10_000);
+        interp.set_step_budget(10_000);
         let _ = interp.eval(&mut NoHost, &src);
     }
 
@@ -108,7 +108,7 @@ proptest! {
 /// of it is a function of the script alone.
 const PROLOGUE: &str = "\
     proc twice {x} { expr {$x * 2} }\n\
-    proc bump {} { global a; incr a }\n\
+    proc bump {} { incr a }\n\
     set a 1; set b 2; set c 3\n";
 
 /// Steps one evaluation may take: enough for any terminating generated

@@ -238,7 +238,7 @@ impl Summary {
             failures: outcome.failures.iter().map(|f| f.repro.to_text()).collect(),
             snapshot_hits: outcome.snapshots.hits,
             snapshot_misses: outcome.snapshots.misses,
-            exit: exit_code(outcome),
+            exit: outcome.exit_code(),
             ..Summary::default()
         }
     }
@@ -275,18 +275,6 @@ impl Summary {
             self.dispatched,
             self.panics,
         )
-    }
-}
-
-/// The standard campaign exit-code contract: violations are findings (1)
-/// and outrank infrastructure trouble (3).
-fn exit_code(outcome: &ExploreOutcome) -> i32 {
-    if !outcome.failures.is_empty() {
-        1
-    } else if outcome.crashed > 0 || outcome.hung > 0 || !outcome.quarantined.is_empty() {
-        3
-    } else {
-        0
     }
 }
 

@@ -336,15 +336,11 @@ fn main() {
             }
             print!("{report}");
         }
-        // Same exit-code contract as the grid: violations are findings
-        // (1) and outrank infrastructure trouble (3).
-        if !outcome.failures.is_empty() {
-            std::process::exit(1);
+        // Same exit-code contract as the grid.
+        match outcome.exit_code() {
+            0 => return,
+            code => std::process::exit(code),
         }
-        if outcome.crashed > 0 || outcome.hung > 0 || !outcome.quarantined.is_empty() {
-            std::process::exit(3);
-        }
-        return;
     }
 
     let grid = grid(&spec, target.primary_site());

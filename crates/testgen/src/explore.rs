@@ -323,6 +323,19 @@ impl ExploreOutcome {
     pub fn digest64(&self) -> String {
         format!("{:016x}", fnv64(self.digest().as_bytes()))
     }
+
+    /// The campaign exit-code contract: a violation is a finding (1) and
+    /// outranks infrastructure trouble — a crashed or hung run, or a
+    /// quarantined candidate (3); a clean campaign is 0.
+    pub fn exit_code(&self) -> i32 {
+        if !self.failures.is_empty() {
+            1
+        } else if self.crashed > 0 || self.hung > 0 || !self.quarantined.is_empty() {
+            3
+        } else {
+            0
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1024,4 +1037,55 @@ pub fn explore_fleet(
     let mut report = pool.shutdown();
     report.rejected = outcome.rejected as u64;
     (outcome, report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn outcome(failures: usize, crashed: usize, hung: usize, quarantined: usize) -> ExploreOutcome {
+        let failure = FoundFailure {
+            schedule: FaultSchedule::empty(),
+            shrunk: FaultSchedule::empty(),
+            oracle: "agreement".into(),
+            message: "two views".into(),
+            repro: Repro {
+                target: "gmp".into(),
+                seed: 42,
+                oracle: "agreement".into(),
+                message: "two views".into(),
+                schedule: FaultSchedule::empty(),
+            },
+        };
+        let quarantine = JournalQuarantine {
+            schedule: FaultSchedule::empty(),
+            attempts: 3,
+            error: "panicked".into(),
+        };
+        ExploreOutcome {
+            corpus: vec![FaultSchedule::empty()],
+            coverage: Coverage::default(),
+            failures: vec![failure; failures],
+            executed: 1,
+            rejected: 0,
+            replayed: 0,
+            crashed,
+            hung,
+            quarantined: vec![quarantine; quarantined],
+            snapshots: SnapshotStats::default(),
+        }
+    }
+
+    /// A violation is the finding a campaign exists for: it outranks every
+    /// kind of infrastructure trouble, and each of those alone is 3.
+    #[test]
+    fn exit_code_puts_violations_before_infrastructure_trouble() {
+        assert_eq!(outcome(0, 0, 0, 0).exit_code(), 0);
+        assert_eq!(outcome(1, 0, 0, 0).exit_code(), 1);
+        assert_eq!(outcome(2, 1, 1, 1).exit_code(), 1);
+        assert_eq!(outcome(0, 1, 0, 0).exit_code(), 3);
+        assert_eq!(outcome(0, 0, 1, 0).exit_code(), 3);
+        assert_eq!(outcome(0, 0, 0, 1).exit_code(), 3);
+        assert_eq!(outcome(0, 2, 3, 4).exit_code(), 3);
+    }
 }

@@ -106,12 +106,14 @@ type OpEffects = Option<Arc<[ClauseEffect]>>;
 
 /// [`FlowModel`]'s memo of per-op effect summaries. Emitting, parsing and
 /// abstract-interpreting a fault's script depends on the [`FaultOp`] alone
-/// — not on the site, the direction, or the rest of the schedule — and a
-/// campaign asks about the same few hundred ops for every candidate on
-/// every fixpoint round, so each is analysed once. Bounded by the distinct
-/// fault ops of one campaign (the mutator's parameter ranges times the
-/// spec's message vocabulary); entries are a few guard facts each, never
-/// script text or compiled scripts.
+/// — not on the site, the direction, or the rest of the schedule. Its
+/// callers are `validate_schedule` (a schedule file, a repro, each row of
+/// `pfi-lint --spec --grid`), which asks about every fault of one
+/// schedule, and the benchmark's layer re-composition, which keeps one
+/// model for every candidate it re-admits; so each op is analysed once per
+/// model. Bounded by the distinct fault ops one model is asked about (the
+/// mutator's parameter ranges times the spec's message vocabulary); entries
+/// are a few guard facts each, never script text or compiled scripts.
 #[derive(Debug, Default)]
 struct EffectMemo(Mutex<HashMap<FaultOp, OpEffects>>);
 

