@@ -8,7 +8,7 @@
 //! clocks (`now_ms`), and probability distributions (`dst_normal`, …).
 
 use pfi_script::{Host, Interp, ScriptError};
-use pfi_sim::{BoardStore, NodeId, SimDuration};
+use pfi_sim::{BoardStore, SimDuration};
 
 use crate::filter::{Direction, FilterCtx};
 use crate::globals::GlobalBoard;
@@ -83,7 +83,6 @@ impl Host for Bindings<'_, '_> {
                 .msg_type()
                 .unwrap_or_else(|| "unknown".to_string())),
             "msg_len" => ok(self.fctx.msg().len().to_string()),
-            "msg_src" => ok(self.fctx.msg().src().index().to_string()),
             "msg_dst" => ok(self.fctx.msg().dst().index().to_string()),
             "msg_byte" => Some((|| {
                 let off: usize = want(args, 0, "byte offset")?;
@@ -127,16 +126,6 @@ impl Host for Bindings<'_, '_> {
                     Err(ScriptError::new(format!("no such field \"{name}\"")))
                 }
             })()),
-            "msg_set_src" => Some((|| {
-                let n: u32 = want(args, 0, "node id")?;
-                self.fctx.msg_mut().set_src(NodeId::new(n));
-                Ok(String::new())
-            })()),
-            "msg_set_dst" => Some((|| {
-                let n: u32 = want(args, 0, "node id")?;
-                self.fctx.msg_mut().set_dst(NodeId::new(n));
-                Ok(String::new())
-            })()),
             "xDrop" => {
                 self.fctx.drop_msg();
                 unit()
@@ -148,11 +137,6 @@ impl Host for Bindings<'_, '_> {
             "xDelay" => Some((|| {
                 let ms: u64 = want(args, 0, "delay in milliseconds")?;
                 self.fctx.delay(SimDuration::from_millis(ms));
-                Ok(String::new())
-            })()),
-            "xDelayUs" => Some((|| {
-                let us: u64 = want(args, 0, "delay in microseconds")?;
-                self.fctx.delay(SimDuration::from_micros(us));
                 Ok(String::new())
             })()),
             "xDuplicate" => {
@@ -245,7 +229,6 @@ impl Host for Bindings<'_, '_> {
             })()),
             // --- clocks, identity --------------------------------------
             "now_ms" => ok(self.fctx.now().as_millis().to_string()),
-            "now_us" => ok(self.fctx.now().as_micros().to_string()),
             "node_id" => ok(self.fctx.node().index().to_string()),
             "pfi_dir" => ok(self.fctx.dir().as_str().to_string()),
             // --- probability distributions -----------------------------
@@ -275,14 +258,6 @@ impl Host for Bindings<'_, '_> {
             "coin" => Some((|| {
                 let p: f64 = want(args, 0, "probability")?;
                 Ok((self.fctx.rng().coin(p) as i32).to_string())
-            })()),
-            "rand_int" => Some((|| {
-                let lo: u64 = want(args, 0, "lower bound")?;
-                let hi: u64 = want(args, 1, "upper bound")?;
-                if lo >= hi {
-                    return Err(ScriptError::new("empty integer range"));
-                }
-                Ok(self.fctx.rng().uniform_u64(lo, hi).to_string())
             })()),
             _ => None,
         }

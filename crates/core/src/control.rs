@@ -35,10 +35,6 @@ pub enum PfiControl {
     SetSendFilter(Filter),
     /// Replaces the receive filter.
     SetRecvFilter(Filter),
-    /// Removes the send filter (pass-through).
-    ClearSendFilter,
-    /// Removes the receive filter (pass-through).
-    ClearRecvFilter,
     /// Evaluates a script in the send interpreter (state setup/query).
     EvalInSend(String),
     /// Evaluates a script in the receive interpreter.
@@ -50,10 +46,6 @@ pub enum PfiControl {
     Revive,
     /// Takes (and clears) the packet log accumulated by `msg_log`.
     TakeLog,
-    /// Releases all held messages now.
-    ReleaseHeld,
-    /// Reports how many messages are currently held.
-    HeldCount,
     /// Reports the compile-once cache counters of one direction's
     /// interpreter (scripts and exprs), for asserting that warm per-message
     /// paths never re-parse.
@@ -107,8 +99,6 @@ pub enum PfiReply {
     Eval(Result<String, ScriptError>),
     /// The harvested packet log.
     Log(Vec<LogEntry>),
-    /// A count (held messages).
-    Count(usize),
     /// Script- and expr-cache counters of one interpreter.
     CacheStats {
         /// Control-flow/proc/timer body cache.
@@ -147,18 +137,6 @@ impl PfiReply {
         match self {
             PfiReply::Log(log) => log,
             other => panic!("expected Log reply, got {other:?}"),
-        }
-    }
-
-    /// Unwraps a `Count` reply.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the reply is not `Count`.
-    pub fn expect_count(self) -> usize {
-        match self {
-            PfiReply::Count(n) => n,
-            other => panic!("expected Count reply, got {other:?}"),
         }
     }
 

@@ -12,6 +12,11 @@
 //!
 //! The models are ordered by severity: anything tolerating a byzantine
 //! filter also tolerates every filter above it.
+//!
+//! Faults that depend on the protocol — drop every ACK, delay COMMITs,
+//! pass thirty packets then drop, oscillate on a timer — are filter
+//! scripts, as in the paper: `msg_type`, a counter and `xDrop` or `xDelay`
+//! (`scripts/*.tcl`, and every schedule `pfi-testgen` lowers).
 
 use pfi_sim::SimDuration;
 
@@ -28,57 +33,11 @@ pub fn pass_all() -> Filter {
     Filter::native(|_ctx| {})
 }
 
-/// Passes the first `n` messages, then drops everything — the setup of the
-/// paper's TCP experiment 1 ("after allowing thirty packets through …, all
-/// incoming packets were dropped"). Logs every message with a timestamp.
-pub fn pass_n_then_drop(n: u64) -> Filter {
-    let mut seen = 0u64;
-    Filter::native(move |ctx| {
-        ctx.log_msg();
-        seen += 1;
-        if seen > n {
-            ctx.drop_msg();
-        }
-    })
-}
-
 /// Omission failure: drops each message independently with probability `p`.
 pub fn omission(p: f64) -> Filter {
     Filter::native(move |ctx| {
         if ctx.rng().coin(p) {
             ctx.drop_msg();
-        }
-    })
-}
-
-/// Drops messages whose stub type is in `types` (deterministic,
-/// type-selective interruption — "drop all ACK messages").
-pub fn drop_types<S: Into<String>>(types: impl IntoIterator<Item = S>) -> Filter {
-    let types: Vec<String> = types.into_iter().map(Into::into).collect();
-    Filter::native(move |ctx| {
-        if let Some(t) = ctx.msg_type() {
-            if types.contains(&t) {
-                ctx.drop_msg();
-            }
-        }
-    })
-}
-
-/// Delays every message by a fixed duration.
-pub fn delay_all(d: SimDuration) -> Filter {
-    Filter::native(move |ctx| ctx.delay(d))
-}
-
-/// Delays messages whose stub type is in `types` by `d` ("delay all ACK
-/// packets" — the test the paper notes monitoring-based approaches cannot
-/// perform).
-pub fn delay_types<S: Into<String>>(types: impl IntoIterator<Item = S>, d: SimDuration) -> Filter {
-    let types: Vec<String> = types.into_iter().map(Into::into).collect();
-    Filter::native(move |ctx| {
-        if let Some(t) = ctx.msg_type() {
-            if types.contains(&t) {
-                ctx.delay(d);
-            }
         }
     })
 }
@@ -195,19 +154,6 @@ pub fn byzantine(config: ByzantineConfig) -> Filter {
                 .rng()
                 .uniform_u64(1, config.reorder_window.as_micros().max(2));
             ctx.delay(SimDuration::from_micros(us));
-        }
-    })
-}
-
-/// Oscillates between an "on" phase (messages dropped) and an "off" phase
-/// (messages pass), switching every `period`. This is the paper's GMP
-/// heartbeat interruption pattern ("configured to oscillate between two
-/// states").
-pub fn oscillating_drop(period: SimDuration) -> Filter {
-    Filter::native(move |ctx| {
-        let phase = ctx.now().as_micros() / period.as_micros().max(1);
-        if phase % 2 == 1 {
-            ctx.drop_msg();
         }
     })
 }

@@ -443,14 +443,6 @@ impl Layer for PfiLayer {
                 self.filters[1] = Some(f);
                 PfiReply::Unit
             }
-            PfiControl::ClearSendFilter => {
-                self.filters[0] = None;
-                PfiReply::Unit
-            }
-            PfiControl::ClearRecvFilter => {
-                self.filters[1] = None;
-                PfiReply::Unit
-            }
             PfiControl::EvalInSend(src) => {
                 PfiReply::Eval(self.eval_control(Direction::Send, &src, ctx))
             }
@@ -472,12 +464,6 @@ impl Layer for PfiLayer {
                 PfiReply::Unit
             }
             PfiControl::TakeLog => PfiReply::Log(std::mem::take(&mut self.packet_log)),
-            PfiControl::ReleaseHeld => {
-                let n = self.held.len();
-                self.release_held(ctx);
-                PfiReply::Count(n)
-            }
-            PfiControl::HeldCount => PfiReply::Count(self.held.len()),
             PfiControl::CacheStats(dir) => {
                 let interp = &self.interps[idx(dir)];
                 PfiReply::CacheStats {

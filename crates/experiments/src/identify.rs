@@ -125,9 +125,9 @@ mod tests {
 
     #[test]
     fn an_unseen_configuration_is_not_misattributed() {
-        // A Tahoe-flavoured stack with modern-ish parameters should not be
-        // claimed as one of the 1995 four.
-        let mut profile = TcpProfile::tahoe();
+        // The x-Kernel reference stack with a retransmission budget none of
+        // the 1995 four had should not be claimed as one of them.
+        let mut profile = TcpProfile::rfc_reference();
         profile.max_data_retx = 15;
         let fp = fingerprint(profile);
         assert_eq!(classify(&fp), "unknown", "{fp:?}");

@@ -37,12 +37,11 @@ use crate::analysis::static_text;
 pub enum Effect {
     /// `xDrop` — discard the message.
     Drop,
-    /// `xDelay` / `xDelayUs` — deliver late.
+    /// `xDelay` — deliver late.
     Delay,
     /// `xDuplicate` — forward extra copies.
     Duplicate,
-    /// `msg_set_byte` / `msg_set_field` / `msg_set_src` / `msg_set_dst` —
-    /// rewrite the wire image in place.
+    /// `msg_set_byte` / `msg_set_field` — rewrite the wire image in place.
     Corrupt,
     /// `xHold` / `xRelease` — deterministic reordering.
     Reorder,
@@ -255,7 +254,7 @@ impl Walker {
             let span = cmd.span();
             match name.as_str() {
                 "xDrop" => self.record(Effect::Drop, &ctx, span, None),
-                "xDelay" | "xDelayUs" => self.record(Effect::Delay, &ctx, span, None),
+                "xDelay" => self.record(Effect::Delay, &ctx, span, None),
                 "xDuplicate" => self.record(Effect::Duplicate, &ctx, span, None),
                 "xHold" | "xRelease" => self.record(Effect::Reorder, &ctx, span, None),
                 "xInject" => self.record(Effect::Inject, &ctx, span, None),
@@ -267,7 +266,7 @@ impl Walker {
                         .and_then(|(t, _)| t.trim().parse::<i64>().ok());
                     self.record(Effect::Corrupt, &ctx, span, offset);
                 }
-                "msg_set_field" | "msg_set_src" | "msg_set_dst" => {
+                "msg_set_field" => {
                     self.record(Effect::Corrupt, &ctx, span, None);
                 }
                 "global_get" | "peer_get" => {

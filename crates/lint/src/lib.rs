@@ -114,6 +114,30 @@ mod tests {
         }
     }
 
+    /// A word outside the PFI library's table is an unknown command, even
+    /// one that reads like a host command.
+    #[test]
+    fn commands_outside_the_library_are_errors() {
+        for call in [
+            "msg_src",
+            "msg_set_src 2",
+            "msg_set_dst 2",
+            "now_us",
+            "xDelayUs 500",
+            "rand_int 0 10",
+        ] {
+            let src = format!("set v [{call}]\nif {{$v > 0}} {{ xDrop }}\n");
+            let diags = Linter::filter().lint(&src);
+            let out = render(&src, "f.tcl", &diags);
+            let name = call.split(' ').next().unwrap_or_default();
+            assert_eq!(cats(&diags), vec![Category::UnknownCommand], "{out}");
+            assert_eq!(
+                out.lines().next().unwrap_or_default(),
+                format!("error[unknown-command]: invalid command name \"{name}\"")
+            );
+        }
+    }
+
     #[test]
     fn unknown_command_without_host_table() {
         // `plain()` has no host commands: filter-only words are unknown.

@@ -1065,6 +1065,26 @@ mod tests {
         let e = eval_expr("$w || 1", &mut r).unwrap_err();
         assert_eq!(e.message, "expected boolean value but got \"yes\"");
         assert_eq!(ev("1 && 2.5").unwrap(), "1");
+        let e = ev(r#""yes" || 1"#).unwrap_err();
+        assert_eq!(e.message, "expected boolean value but got \"yes\"");
+    }
+
+    /// A quoted literal that spells a number is that number as a truth
+    /// value too, exactly as a variable holding it is.
+    #[test]
+    fn quoted_numbers_are_truth_values() {
+        use crate::interp::{Interp, NoHost};
+        for (src, want) in [
+            (r#"expr {"1" && 1}"#, "1"),
+            (r#"if {"1"} { set r yes } else { set r no }"#, "yes"),
+            (r#"set x "1"; if {$x} { set r yes }"#, "yes"),
+            (r#"expr {!"0" && "2.5"}"#, "1"),
+            (r#"expr {"0x0" ? 1 : 2}"#, "2"),
+            (r#"expr {"2" + 3}"#, "5"),
+        ] {
+            let got = Interp::new().eval(&mut NoHost, src).map_err(|e| e.message);
+            assert_eq!(got.as_deref(), Ok(want), "{src}");
+        }
     }
 
     /// The paper's filters count, compare and guard; what else Tcl's

@@ -108,15 +108,20 @@ impl Value {
     }
 
     /// A condition's truth: a number is true when it is not zero. A string
-    /// is not a truth value (the subset has no boolean words).
+    /// that spells a number is that number — a quoted literal such as
+    /// `"1"` reads as a variable holding `1` does; any other string is not
+    /// a truth value (the subset has no boolean words).
     pub(crate) fn truthy(&self) -> Result<bool, ScriptError> {
         match self {
             Value::Int(i) => Ok(*i != 0),
             Value::Dbl(d) => Ok(*d != 0.0),
-            Value::Str(s) => Err(ScriptError::new(format!(
-                "expected boolean value but got \"{}\"",
-                s.trim().to_ascii_lowercase()
-            ))),
+            Value::Str(s) => match parse_numeric(s) {
+                Some(n) => n.truthy(),
+                None => Err(ScriptError::new(format!(
+                    "expected boolean value but got \"{}\"",
+                    s.trim().to_ascii_lowercase()
+                ))),
+            },
         }
     }
 

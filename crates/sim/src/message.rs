@@ -153,11 +153,10 @@ impl Message {
 
     /// Consumes the first `n` bytes in place — [`strip_header`] without
     /// the copy, for a layer that has already read the header through
-    /// [`peek_header`] or [`bytes`]. Returns `false` (and leaves the
-    /// message unchanged) if the message is shorter than `n`.
+    /// [`bytes`]. Returns `false` (and leaves the message unchanged) if the
+    /// message is shorter than `n`.
     ///
     /// [`strip_header`]: Message::strip_header
-    /// [`peek_header`]: Message::peek_header
     /// [`bytes`]: Message::bytes
     pub fn skip_header(&mut self, n: usize) -> bool {
         if self.len() < n {
@@ -165,12 +164,6 @@ impl Message {
         }
         self.head += n;
         true
-    }
-
-    /// Returns the first `n` bytes without consuming them, or `None` if the
-    /// message is shorter than `n`.
-    pub fn peek_header(&self, n: usize) -> Option<&[u8]> {
-        self.bytes().get(..n)
     }
 
     /// Reads one byte at `offset` into the valid region.
@@ -199,11 +192,6 @@ impl Message {
     /// Appends bytes to the end of the message.
     pub fn extend_payload(&mut self, data: &[u8]) {
         self.buf.extend_from_slice(data);
-    }
-
-    /// Copies the valid bytes into a detached, owned buffer.
-    pub fn to_owned_bytes(&self) -> Vec<u8> {
-        self.bytes().to_vec()
     }
 }
 
@@ -284,7 +272,7 @@ mod tests {
         let m = Message::empty(NodeId::new(0), NodeId::new(1));
         assert!(m.is_empty());
         assert_eq!(m.len(), 0);
-        assert_eq!(m.peek_header(1), None);
+        assert_eq!(m.byte_at(0), None);
     }
 
     #[test]
@@ -308,13 +296,5 @@ mod tests {
         let mut other_dst = msg(b"data");
         other_dst.set_dst(NodeId::new(7));
         assert_ne!(m, other_dst);
-    }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let mut m = msg(b"data");
-        m.push_header(b"HH");
-        assert_eq!(m.peek_header(2).unwrap(), b"HH");
-        assert_eq!(m.len(), 6);
     }
 }

@@ -168,11 +168,6 @@ impl WorldSnapshot {
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
-
-    /// Number of pending queue events captured.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 impl fmt::Debug for WorldSnapshot {

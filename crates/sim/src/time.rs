@@ -66,11 +66,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked subtraction of two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -253,14 +248,6 @@ mod tests {
         let b = SimTime::from_micros(20);
         assert_eq!(a.saturating_since(b), SimDuration::ZERO);
         assert_eq!(b.saturating_since(a), SimDuration::from_micros(10));
-    }
-
-    #[test]
-    fn checked_since() {
-        let a = SimTime::from_micros(10);
-        let b = SimTime::from_micros(20);
-        assert_eq!(a.checked_since(b), None);
-        assert_eq!(b.checked_since(a), Some(SimDuration::from_micros(10)));
     }
 
     #[test]

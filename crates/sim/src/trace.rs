@@ -308,24 +308,6 @@ impl TraceLog {
             .collect()
     }
 
-    /// Per-node ordered sequences of a key derived from events of type `T`
-    /// (records where `key` returns `None` are skipped).
-    ///
-    /// Adjacent pairs of the returned sequences are the *transition edges*
-    /// of each node's observable behaviour.
-    pub fn sequences_of<T: Any, K>(
-        &self,
-        key: impl Fn(&T) -> Option<K>,
-    ) -> std::collections::BTreeMap<NodeId, Vec<K>> {
-        let mut out: std::collections::BTreeMap<NodeId, Vec<K>> = std::collections::BTreeMap::new();
-        for (_, node, e) in self.iter_of::<T>() {
-            if let Some(k) = key(e) {
-                out.entry(node).or_default().push(k);
-            }
-        }
-        out
-    }
-
     /// Visits every record in emission order (for queries that need the
     /// layer name or cross-type analysis).
     pub fn for_each<'a>(&'a self, mut f: impl FnMut(&TraceRecord<'a>)) {
@@ -621,19 +603,6 @@ mod tests {
             vec![(SimTime::from_micros(4), NodeId::new(1), EvA(9))]
         );
         assert_eq!(log.len(), 2);
-    }
-
-    #[test]
-    fn sequences_group_keys_per_node_in_order() {
-        let mut log = TraceLog::new();
-        let (n0, n1) = (NodeId::new(0), NodeId::new(1));
-        log.record(SimTime::from_micros(1), n0, "l", EvA(1));
-        log.record(SimTime::from_micros(2), n1, "l", EvA(9));
-        log.record(SimTime::from_micros(3), n0, "l", EvA(2));
-        log.record(SimTime::from_micros(4), n0, "l", EvA(100));
-        let seqs = log.sequences_of::<EvA, u32>(|e| (e.0 < 50).then_some(e.0));
-        assert_eq!(seqs[&n0], vec![1, 2]);
-        assert_eq!(seqs[&n1], vec![9]);
     }
 
     #[test]

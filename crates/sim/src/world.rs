@@ -297,11 +297,6 @@ impl World {
         id
     }
 
-    /// Ids of all nodes, in creation order.
-    pub fn node_ids(&self) -> Vec<NodeId> {
-        (0..self.nodes.len() as u32).map(NodeId::new).collect()
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -476,12 +471,6 @@ impl World {
     pub fn run_for_capped(&mut self, d: SimDuration, max_events: u64) -> u64 {
         let t = self.now + d;
         self.run_until_capped(t, max_events)
-    }
-
-    /// Runs until no events remain. Beware: protocols with periodic timers
-    /// never go idle; prefer [`run_until`](World::run_until) for those.
-    pub fn run_until_idle(&mut self) {
-        while self.step() {}
     }
 
     fn push_entry(&mut self, at: SimTime, kind: EventKind) {
@@ -1463,7 +1452,7 @@ mod tests {
         let (w, _, _) = busy_world();
         let snap = w.try_snapshot().expect("busy world is snapshottable");
         assert_eq!(snap.digest(), w.snapshot_digest());
-        assert!(snap.pending_events() > 0, "conversation still in flight");
+        assert!(snap.fork().step(), "conversation still in flight");
         let mut other = World::new(12345);
         other.restore(&snap);
         assert_eq!(other.snapshot_digest(), snap.digest());

@@ -195,31 +195,3 @@ proptest! {
         prop_assert_eq!(world.snapshot_digest(), forked.snapshot_digest());
     }
 }
-
-#[test]
-fn run_until_idle_drains_finite_event_chains() {
-    struct Countdown(u32);
-    impl Layer for Countdown {
-        fn name(&self) -> &'static str {
-            "countdown"
-        }
-        fn push(&mut self, _m: Message, _c: &mut Context<'_>) {}
-        fn pop(&mut self, _m: Message, _c: &mut Context<'_>) {}
-        fn timer(&mut self, _t: u64, c: &mut Context<'_>) {
-            if self.0 > 0 {
-                self.0 -= 1;
-                c.set_timer(SimDuration::from_millis(10), 0);
-            }
-        }
-        fn control(&mut self, _op: Box<dyn Any>, c: &mut Context<'_>) -> Box<dyn Any> {
-            c.set_timer(SimDuration::from_millis(10), 0);
-            Box::new(())
-        }
-    }
-    let mut world = World::new(1);
-    let n = world.add_node(vec![Box::new(Countdown(25))]);
-    world.control::<()>(n, 0, ());
-    world.run_until_idle();
-    // 26 timer hops of 10 ms each.
-    assert_eq!(world.now(), SimTime::from_micros(260_000));
-}

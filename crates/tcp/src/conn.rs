@@ -128,13 +128,6 @@ pub(crate) struct Conn {
     retx_timer: Option<TimerId>,
     fin_queued: bool,
     fin_sent: bool,
-    /// Congestion window in bytes (only consulted when the profile enables
-    /// congestion control).
-    cwnd: u32,
-    /// Slow-start threshold in bytes.
-    ssthresh: u32,
-    /// Consecutive duplicate ACKs seen.
-    dup_acks: u32,
 
     // Receive side.
     rcv_nxt: u32,
@@ -209,12 +202,6 @@ impl Conn {
             retx_timer: None,
             fin_queued: false,
             fin_sent: false,
-            cwnd: profile
-                .congestion
-                .map(|c| c.initial_cwnd_segments * profile.mss as u32)
-                .unwrap_or(u32::MAX),
-            ssthresh: profile.send_window,
-            dup_acks: 0,
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
             rcv_buf: VecDeque::new(),
@@ -468,10 +455,7 @@ impl Conn {
             if self.send_q.is_empty() {
                 break;
             }
-            let mut wnd = self.snd_wnd.min(profile.send_window);
-            if profile.congestion.is_some() {
-                wnd = wnd.min(self.cwnd);
-            }
+            let wnd = self.snd_wnd.min(profile.send_window);
             let avail = wnd.saturating_sub(self.flight_size());
             if avail == 0 {
                 if self.snd_wnd == 0 && self.inflight.is_empty() {
@@ -707,14 +691,6 @@ impl Conn {
             self.close(ctx, CloseReason::Timeout);
             return;
         }
-        if let Some(_cfg) = profile.congestion {
-            // Tahoe timeout response: halve the threshold, restart slow
-            // start from one segment.
-            let mss = profile.mss as u32;
-            self.ssthresh = (self.flight_size() / 2).max(2 * mss);
-            self.cwnd = mss;
-            self.dup_acks = 0;
-        }
         totals.retransmissions += 1;
         self.emit_segment(profile, ctx, seq, flag_bits, &data);
         let next_rto = self.rtt.backed_off_rto(self.backoff);
@@ -893,27 +869,8 @@ impl Conn {
                 if acked_clean && profile.global_error_counter {
                     self.global_errors = 0;
                 }
-                if let Some(_cfg) = profile.congestion {
-                    self.dup_acks = 0;
-                    let mss = profile.mss as u32;
-                    if self.cwnd < self.ssthresh {
-                        // Slow start: one MSS per ACK.
-                        self.cwnd = self.cwnd.saturating_add(mss);
-                    } else {
-                        // Congestion avoidance: ~one MSS per RTT.
-                        self.cwnd = self.cwnd.saturating_add((mss * mss / self.cwnd).max(1));
-                    }
-                }
             }
             self.rearm_retx(ctx);
-        } else if let Some(cfg) = profile.congestion {
-            // A duplicate ACK: same ack number with data still in flight.
-            if ack == self.snd_una && !self.inflight.is_empty() && seg.payload.is_empty() {
-                self.dup_acks += 1;
-                if cfg.fast_retransmit_dupacks > 0 && self.dup_acks == cfg.fast_retransmit_dupacks {
-                    self.fast_retransmit(profile, ctx, totals);
-                }
-            }
         }
         if self.state == TcpState::Closed {
             return;
@@ -926,43 +883,6 @@ impl Conn {
         } else if !self.send_q.is_empty() && self.inflight.is_empty() {
             self.enter_persist(profile, ctx);
         }
-    }
-
-    /// Tahoe fast retransmit: three duplicate ACKs mean the head segment is
-    /// gone but later data arrived — resend it immediately instead of
-    /// waiting out the RTO, then restart from a one-segment window.
-    fn fast_retransmit(
-        &mut self,
-        profile: &TcpProfile,
-        ctx: &mut Context<'_>,
-        totals: &mut ConnTotals,
-    ) {
-        let Some((&seq, _)) = self.inflight.iter().next() else {
-            return;
-        };
-        let (flag_bits, data, seg_len, retx) = {
-            let seg = self.inflight.get_mut(&seq).expect("first inflight");
-            seg.retx += 1;
-            (seg.flags(), seg.data.clone(), seg.seq_len(), seg.retx)
-        };
-        if self
-            .timed
-            .is_some_and(|(end, _)| end == seq.wrapping_add(seg_len))
-        {
-            self.timed = None; // Karn
-        }
-        let mss = profile.mss as u32;
-        self.ssthresh = (self.flight_size() / 2).max(2 * mss);
-        self.cwnd = mss;
-        self.dup_acks = 0;
-        totals.retransmissions += 1;
-        self.emit_segment(profile, ctx, seq, flag_bits, &data);
-        ctx.emit(TcpEvent::FastRetransmit {
-            conn: self.id,
-            seq,
-            nth: retx,
-        });
-        self.rearm_retx(ctx);
     }
 
     fn on_fin_acked(&mut self, ctx: &mut Context<'_>) {

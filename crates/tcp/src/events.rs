@@ -51,16 +51,6 @@ pub enum TcpEvent {
         /// The RTO that will be used for the *next* timeout.
         next_rto: SimDuration,
     },
-    /// A segment was resent by Tahoe fast retransmit (triple duplicate
-    /// ACK), without waiting for the retransmission timer.
-    FastRetransmit {
-        /// Connection id.
-        conn: usize,
-        /// Sequence number of the retransmitted segment.
-        seq: u32,
-        /// Which retransmission of this segment this is (1-based).
-        nth: u32,
-    },
     /// In-order payload was accepted from the peer.
     DataDelivered {
         /// Connection id.

@@ -53,6 +53,6 @@ mod segment;
 pub use conn::{TcpState, TcpStats};
 pub use events::{CloseReason, TcpEvent};
 pub use layer::{ConnId, TcpControl, TcpLayer, TcpReply};
-pub use profile::{CongestionConfig, KeepaliveStyle, TcpProfile};
+pub use profile::{KeepaliveStyle, TcpProfile};
 pub use rtt::RttEstimator;
 pub use segment::{flags, DecodeError, Segment, TcpStub, HEADER_LEN};

@@ -9,30 +9,6 @@
 
 use pfi_sim::SimDuration;
 
-/// Congestion control configuration (Tahoe-style), an opt-in extension.
-///
-/// The paper's experiments do not exercise congestion control, so the
-/// vendor profiles leave it off to keep their fingerprints exactly as
-/// measured; [`TcpProfile::tahoe`] enables it for the ablation tests
-/// (`tests/congestion.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CongestionConfig {
-    /// Initial congestion window, in segments.
-    pub initial_cwnd_segments: u32,
-    /// Duplicate ACKs that trigger a fast retransmit (0 disables fast
-    /// retransmit while keeping slow start / congestion avoidance).
-    pub fast_retransmit_dupacks: u32,
-}
-
-impl Default for CongestionConfig {
-    fn default() -> Self {
-        CongestionConfig {
-            initial_cwnd_segments: 1,
-            fast_retransmit_dupacks: 3,
-        }
-    }
-}
-
 /// How keep-alive probes are retransmitted when unanswered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeepaliveStyle {
@@ -102,9 +78,6 @@ pub struct TcpProfile {
     pub zw_probe_cap: SimDuration,
     /// Queue out-of-order segments (RFC 1122 SHOULD; all four vendors did).
     pub queue_out_of_order: bool,
-    /// Tahoe congestion control + fast retransmit (`None` = plain
-    /// timeout-driven sender, as the paper's probes exercise).
-    pub congestion: Option<CongestionConfig>,
 }
 
 impl TcpProfile {
@@ -134,7 +107,6 @@ impl TcpProfile {
             zw_probe_initial: SimDuration::from_secs(5),
             zw_probe_cap: SimDuration::from_secs(60),
             queue_out_of_order: true,
-            congestion: None,
         }
     }
 
@@ -183,26 +155,14 @@ impl TcpProfile {
             zw_probe_initial: SimDuration::from_secs(5),
             zw_probe_cap: SimDuration::from_secs(56),
             queue_out_of_order: true,
-            congestion: None,
         }
     }
 
     /// A clean RFC-793/1122 reference configuration (used by the x-Kernel
-    /// side of the experiments and as the baseline in ablations).
+    /// side of the experiments).
     pub fn rfc_reference() -> Self {
         TcpProfile {
             name: "x-Kernel reference",
-            ..Self::sunos_4_1_3()
-        }
-    }
-
-    /// A Tahoe-style sender: the reference profile plus slow start,
-    /// congestion avoidance, and 3-dup-ACK fast retransmit. Used by the
-    /// recovery-speed ablation tests; not part of the paper's probes.
-    pub fn tahoe() -> Self {
-        TcpProfile {
-            name: "Tahoe reference",
-            congestion: Some(CongestionConfig::default()),
             ..Self::sunos_4_1_3()
         }
     }

@@ -343,7 +343,6 @@ labels! {
     DecisionMadeCommit = "DecisionMade:true",
     DecisionRetriesExhausted = "DecisionRetriesExhausted",
     DecodeFailed = "DecodeFailed",
-    FastRetransmit = "FastRetransmit",
     Fired = "Fired",
     FormedSingleton = "FormedSingleton",
     GroupView = "GroupView:",
@@ -617,14 +616,13 @@ fn tcp_record(e: &TcpEvent, names: &mut Names) -> (u16, u32, bool) {
         TcpEvent::PeerWindow { .. } => Label::PeerWindowOpen,
         TcpEvent::Connected { .. } => Label::Connected,
         TcpEvent::Retransmit { .. } => Label::Retransmit,
-        TcpEvent::FastRetransmit { .. } => Label::FastRetransmit,
         TcpEvent::DataDelivered { .. } => Label::DataDelivered,
         TcpEvent::OutOfOrderQueued { .. } => Label::OutOfOrderQueued,
         TcpEvent::KeepaliveProbe { .. } => Label::KeepaliveProbe,
         TcpEvent::ZeroWindowProbe { .. } => Label::ZeroWindowProbe,
         TcpEvent::DecodeFailed => Label::DecodeFailed,
     };
-    let retx = matches!(label, Label::Retransmit | Label::FastRetransmit);
+    let retx = matches!(label, Label::Retransmit);
     (0, term(label, 0), retx)
 }
 
@@ -752,14 +750,6 @@ mod tests {
                     seq: 1,
                     nth: 1,
                     next_rto: second,
-                },
-                String::new(),
-            ),
-            (
-                TcpEvent::FastRetransmit {
-                    conn: 0,
-                    seq: 1,
-                    nth: 1,
                 },
                 String::new(),
             ),

@@ -61,7 +61,7 @@ use crate::runner::{
 };
 use crate::schedule::{FaultSchedule, ScheduleMutator};
 use crate::shrink::shrink_schedule;
-use crate::snapshot::{BaseWorld, SnapshotStats, SnapshotStore};
+use crate::snapshot::{base_digest, BaseWorld, SnapshotStats, SnapshotStore};
 use crate::spec::ProtocolSpec;
 
 /// Exploration parameters.
@@ -409,6 +409,7 @@ fn candidate_report(
     let CandidateJob { schedule, lowered } = job;
     let (target, limits) = (ctx.target.as_ref(), &ctx.limits);
     let mut local = ctx.snapshots.then(|| SnapshotStore {
+        key: Some(ctx.key),
         base: ctx.base.clone(),
         retired: retired.take(),
         ..SnapshotStore::default()
@@ -495,6 +496,8 @@ struct CampaignContext {
     target: Arc<dyn TestTarget>,
     limits: RunLimits,
     snapshots: bool,
+    /// The [`crate::base_digest`] of `target` under `limits`.
+    key: u64,
     /// Snapshots on: the base world the master's baseline run captured,
     /// which workers fork instead of rebuilding (`None` when the target's
     /// world refuses capture — those runs build cold). World snapshots
@@ -533,9 +536,8 @@ pub struct CampaignFleet {
 }
 
 /// A base world outliving its campaign, with the target handle and limits
-/// it was captured under. The handle, not [`crate::base_digest`], is the
-/// key: the baseline recorded with the base also depends on what the
-/// digest leaves out (the fault window, the bugs, the event cap), and a
+/// it was captured under. Only that handle under equal limits forks it —
+/// an equal target behind another handle captures its own base — and a
 /// handle held here cannot be freed and its address reused by another.
 type KeptBase = (Arc<dyn TestTarget>, RunLimits, Arc<BaseWorld>);
 
@@ -669,6 +671,7 @@ fn explore_with(
     assert!(config.epoch > 0, "epoch width must be at least 1");
     let master = target.as_ref();
     let limits = config.limits();
+    let key = base_digest(master, &limits);
     let meta = config.journal_meta(master);
     let mut replay: BTreeMap<String, JournalCase> = match &config.resume {
         Some(journal) => {
@@ -700,6 +703,7 @@ fn explore_with(
     // base's own baseline recorded (or, when that run crashed or hung,
     // forked and driven again) — byte-identical to capturing it afresh.
     let mut master_store = config.snapshots.then(|| SnapshotStore {
+        key: Some(key),
         base: kept
             .as_ref()
             .filter(|(handle, under, _)| Arc::ptr_eq(handle, &target) && *under == limits)
@@ -771,6 +775,7 @@ fn explore_with(
         target: Arc::clone(&target),
         limits,
         snapshots: config.snapshots,
+        key,
         base,
     });
     let mut corpus = vec![base_report.schedule];

@@ -142,7 +142,6 @@ impl Oracle for TcpNoSilentCloseOracle {
                         matches!(
                             e,
                             TcpEvent::Retransmit { conn: c, .. }
-                            | TcpEvent::FastRetransmit { conn: c, .. }
                             | TcpEvent::ZeroWindowProbe { conn: c, .. } if c == conn
                         )
                     });

@@ -1,6 +1,7 @@
 //! Campaign runner: applies fault schedules to a target system, extracts
 //! coverage, and judges the run with the target's oracles.
 
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -155,7 +156,13 @@ impl Default for RunLimits {
 /// it acts, and its candidate is driven. A drive must also reach the
 /// fault sites the same way every time (a pure function of the world it
 /// is given), which the determinism contract already demands.
-pub trait TestTarget: Send + Sync {
+///
+/// The `Debug` form is the target's configuration: it must name
+/// everything that shapes the world [`build`](TestTarget::build) returns
+/// and the run [`drive`](TestTarget::drive) makes of it — a derived one
+/// does — and nothing that changes while campaigns run. It keys the
+/// snapshot store's base world ([`base_digest`]).
+pub trait TestTarget: fmt::Debug + Send + Sync {
     /// Short stable name (used in repro artifacts).
     fn name(&self) -> &'static str;
     /// The world seed every run of this target uses.
@@ -299,13 +306,15 @@ pub(crate) fn execute(
         let refusal = Verdict::Invalid(install_errors.join("; "));
         (refusal, None, Coverage::new())
     } else {
-        let digest = base_digest(target, limits);
         let filters = (&scripts[..], &compiled[..]);
         match fork {
-            Some(store) => match store.lookup(digest) {
-                Some(base) => run_forked(target, store, &base, filters, limits),
-                None => run_cold(target, Some((store, digest)), filters, limits),
-            },
+            Some(store) => {
+                let digest = store.key.unwrap_or_else(|| base_digest(target, limits));
+                match store.lookup(digest) {
+                    Some(base) => run_forked(target, store, &base, filters, limits),
+                    None => run_cold(target, Some((store, digest)), filters, limits),
+                }
+            }
             None => run_cold(target, None, filters, limits),
         }
     };
@@ -979,7 +988,7 @@ impl TestTarget for TpcTarget {
 /// a resilient campaign contains every panic as [`Verdict::Crashed`],
 /// keeps each crashed run's coverage, and finishes. Used by resilience
 /// tests and `pfi-campaign --inject-panic`.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct ChaosOracleTarget {
     /// The real target being sabotaged.
     pub inner: Arc<dyn TestTarget>,
@@ -1418,7 +1427,7 @@ mod tests {
     #[test]
     fn a_crashed_hung_or_capped_baseline_is_never_replayed() {
         /// GMP, but the service verdict panics.
-        #[derive(Clone)]
+        #[derive(Debug, Clone)]
         struct VerdictPanics(GmpTarget);
         impl TestTarget for VerdictPanics {
             fn name(&self) -> &'static str {

@@ -38,15 +38,19 @@ use crate::runner::{Outcome, RunLimits, TestTarget};
 use crate::schedule::SiteScripts;
 
 /// The digest identifying `target`'s prepared fault-free base world under
-/// `limits`. Covers exactly what shapes the world before any filter is
-/// installed: the target's name and world seed, and the interpreter step
-/// budget (armed on every fault site at prepare time). The event cap is
-/// deliberately excluded — it bounds the *drive*, not the prepared world.
+/// `limits`, and the baseline recorded from it. Covers everything that
+/// shapes either: the target's name, world seed and configuration — its
+/// `Debug` form, so a GMP target's fault window and bugs, a TCP target's
+/// profile and a wrapper's inner target all count — the interpreter step
+/// budget (armed on every fault site at prepare time) and the event cap
+/// (which decides whether the baseline's drive ran to its end).
 pub fn base_digest(target: &dyn TestTarget, limits: &RunLimits) -> u64 {
     let mut h = Fnv::new();
     h.write_str(target.name());
     h.write_u64(target.seed());
+    h.write_str(&format!("{target:?}"));
     h.write_u64(limits.step_budget);
+    h.write_u64(limits.event_cap);
     h.finish()
 }
 
@@ -217,6 +221,11 @@ const RETIRED_TRACE_RECORDS: usize = 1 << 15;
 /// candidates landed on workers).
 #[derive(Debug, Default)]
 pub struct SnapshotStore {
+    /// The [`base_digest`] of the one target and limits this store serves,
+    /// when the campaign engine built it for them: computed once per
+    /// campaign, not once per run. A store without one computes each
+    /// run's, and so may serve several targets.
+    pub(crate) key: Option<u64>,
     /// What dispatch attaches to every job. A store built around it has
     /// not stored it: that counted once, on the master.
     pub(crate) base: Option<Arc<BaseWorld>>,
@@ -301,21 +310,50 @@ mod tests {
     use crate::runner::{GmpTarget, TcpTarget};
 
     #[test]
-    fn base_digest_tracks_target_and_limits_but_not_event_cap() {
+    fn base_digest_tracks_target_config_and_limits() {
         let target = GmpTarget::default();
         let limits = RunLimits::default();
         let d = base_digest(&target, &limits);
+        assert_eq!(
+            d,
+            base_digest(&target.clone(), &limits),
+            "equal configs share"
+        );
         let capped = RunLimits {
             event_cap: 10,
             ..limits
         };
-        assert_eq!(d, base_digest(&target, &capped), "event cap is drive state");
+        assert_ne!(
+            d,
+            base_digest(&target, &capped),
+            "the cap can hang the baseline"
+        );
         let budgeted = RunLimits {
             step_budget: 500,
             ..limits
         };
         assert_ne!(d, base_digest(&target, &budgeted));
         assert_ne!(d, base_digest(&TcpTarget::default(), &limits));
+        let short = GmpTarget {
+            fault_secs: 5,
+            ..GmpTarget::default()
+        };
+        let buggy = GmpTarget {
+            bugs: pfi_gmp::GmpBugs::all(),
+            ..GmpTarget::default()
+        };
+        let solaris = TcpTarget {
+            profile: pfi_tcp::TcpProfile::solaris_2_3(),
+            ..TcpTarget::default()
+        };
+        let chaos = crate::runner::ChaosOracleTarget {
+            inner: target.share(),
+        };
+        for other in [&short as &dyn TestTarget, &buggy, &chaos] {
+            assert_ne!(d, base_digest(other, &limits), "{other:?}");
+        }
+        let tcp = base_digest(&TcpTarget::default(), &limits);
+        assert_ne!(tcp, base_digest(&solaris, &limits));
     }
 
     #[test]

@@ -79,10 +79,7 @@ fn reference(trace: &TraceLog) -> BTreeSet<String> {
                 TcpEvent::PeerWindow { .. } => ":open".into(),
                 _ => String::new(),
             };
-            let retx = matches!(
-                e,
-                TcpEvent::Retransmit { .. } | TcpEvent::FastRetransmit { .. }
-            );
+            let retx = matches!(e, TcpEvent::Retransmit { .. });
             (
                 format!("tcp:{node}:"),
                 variant(e) + &refinement,
@@ -320,25 +317,21 @@ impl Counted {
     fn record(&mut self, log: &mut TraceLog, t: SimTime) {
         self.left -= 1;
         let (conn, seq, nth, node) = (0, 1, 1, self.node);
-        match self.kind % 3 {
-            0 => {
-                let fired = TimerTrace::Fired {
-                    layer: self.layer,
-                    token: 1,
-                };
-                log.record(t, node, "world", fired)
-            }
-            1 => {
-                let next_rto = SimDuration::from_secs(1);
-                let retx = TcpEvent::Retransmit {
-                    conn,
-                    seq,
-                    nth,
-                    next_rto,
-                };
-                log.record(t, node, "tcp", retx)
-            }
-            _ => log.record(t, node, "tcp", TcpEvent::FastRetransmit { conn, seq, nth }),
+        if self.kind == 0 {
+            let fired = TimerTrace::Fired {
+                layer: self.layer,
+                token: 1,
+            };
+            log.record(t, node, "world", fired)
+        } else {
+            let next_rto = SimDuration::from_secs(1);
+            let retx = TcpEvent::Retransmit {
+                conn,
+                seq,
+                nth,
+                next_rto,
+            };
+            log.record(t, node, "tcp", retx)
         }
     }
 }
@@ -362,7 +355,7 @@ fn synthetic(seed: u64, records: usize, wide: bool) -> TraceLog {
     let mut pending: Vec<Counted> = [0, 1, 2, 3, 4, 5, 8, 9]
         .into_iter()
         .map(|left| Counted {
-            kind: rng.uniform_u64(0, 3),
+            kind: rng.uniform_u64(0, 2),
             layer: names()[rng.uniform_u64(0, 6) as usize],
             node: NodeId::new(rng.uniform_u64(0, 13) as u32),
             left,

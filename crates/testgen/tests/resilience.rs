@@ -451,7 +451,7 @@ fn resume_replays_watchdog_verdicts_too() {
 
 /// GMP judged by one extra oracle whose violation message spans lines, as
 /// a message built from a multi-line `Debug` or a panic payload does.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 struct MultiLineMessages(GmpTarget);
 
 struct MultiLineOracle;
@@ -561,6 +561,18 @@ struct Sabotaged {
     /// Build one fault site fewer than `fault_sites` promises: installing
     /// a schedule that touches the last site panics, on every attempt.
     hide_last_site: bool,
+}
+
+/// The configuration, without the build counter (it changes as
+/// campaigns run).
+impl std::fmt::Debug for Sabotaged {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Sabotaged")
+            .field("inner", &self.inner)
+            .field("panic_on_build", &self.panic_on_build)
+            .field("hide_last_site", &self.hide_last_site)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Sabotaged {

@@ -15,8 +15,9 @@ use std::sync::Arc;
 
 use pfi_sim::{Context, Layer, Message, NodeId, World};
 use pfi_testgen::{
-    explore, explore_fleet, ExploreConfig, ExploreOutcome, FaultSchedule, GmpTarget, Journal,
-    Oracle, ProtocolSpec, RunLimits, TcpTarget, TestTarget, TpcTarget, Verdict,
+    explore, explore_fleet, run_schedule_limited, run_schedule_snapshotted, ExploreConfig,
+    ExploreOutcome, FaultSchedule, GmpTarget, Journal, Oracle, ProtocolSpec, RunLimits,
+    ScheduleRun, SnapshotStore, TcpTarget, TestTarget, TpcTarget, Verdict,
 };
 use support::torn_cut;
 
@@ -165,7 +166,7 @@ impl Layer for Unclonable {
 /// The GMP target plus a bystander node whose one layer is [`Unclonable`]
 /// — the shape of a target carrying a native filter or a stub that cannot
 /// be deep-copied.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 struct CaptureRefusingTarget(GmpTarget);
 
 impl TestTarget for CaptureRefusingTarget {
@@ -213,6 +214,49 @@ fn capture_refusal_degrades_to_cold() {
     assert_eq!(on.executed, off.executed);
     assert_eq!((on.snapshots.hits, on.snapshots.stored), (0, 0));
     assert!(on.snapshots.misses > 0, "every run asked, none could fork");
+}
+
+/// A store is keyed on the whole configuration. Two fault windows of one
+/// target share its name, seed and limits but not its baseline: running
+/// the 5 s baseline and then the 60 s one through one store captures a
+/// second base, and the 60 s run's outcome is a cold run's — not the 5 s
+/// outcome handed on as a replay. So for an event cap that hangs the
+/// baseline.
+#[test]
+fn one_store_serves_two_configurations_of_a_target() {
+    let short = GmpTarget {
+        fault_secs: 5,
+        ..GmpTarget::default()
+    };
+    let long = GmpTarget::default();
+    let limits = RunLimits::default();
+    let empty = FaultSchedule::empty();
+    let outcome = |run: ScheduleRun| (run.verdict, run.oracle, run.coverage);
+
+    let mut store = SnapshotStore::default();
+    run_schedule_snapshotted(&short, &empty, &limits, Some(&mut store));
+    let shared = run_schedule_snapshotted(&long, &empty, &limits, Some(&mut store));
+    let cold = run_schedule_limited(&long, &empty, &limits);
+    let short_cold = run_schedule_limited(&short, &empty, &limits);
+    assert_ne!(
+        short_cold.coverage, cold.coverage,
+        "the two windows reach different coverage"
+    );
+    assert_eq!(outcome(shared), outcome(cold));
+    let stats = store.stats();
+    assert_eq!((stats.misses, stats.stored, stats.replayed), (2, 2, 0));
+
+    let capped = RunLimits {
+        event_cap: 100,
+        ..limits
+    };
+    let hung = run_schedule_snapshotted(&long, &empty, &capped, Some(&mut store));
+    assert!(hung.verdict.is_hung(), "{:?}", hung.verdict);
+    assert_eq!(
+        outcome(hung),
+        outcome(run_schedule_limited(&long, &empty, &capped))
+    );
+    assert_eq!((store.stats().misses, store.stats().replayed), (3, 0));
 }
 
 /// Journal resume composes with snapshot forking: tear a journal written
@@ -310,6 +354,17 @@ struct FusedTarget {
     gmp: GmpTarget,
     clones: Arc<AtomicUsize>,
     fuse: usize,
+}
+
+/// The configuration, without the clone counter (it changes as
+/// campaigns run).
+impl std::fmt::Debug for FusedTarget {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FusedTarget")
+            .field("gmp", &self.gmp)
+            .field("fuse", &self.fuse)
+            .finish_non_exhaustive()
+    }
 }
 
 impl TestTarget for FusedTarget {

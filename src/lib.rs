@@ -17,7 +17,6 @@
 //! * [`tcp`] — TCP substrate and vendor profiles.
 //! * [`rudp`] — reliable datagram layer.
 //! * [`gmp`] — group membership protocol.
-//! * [`ip`] — IP-style fragmentation/reassembly (Figure 3's layer below PFI).
 //! * [`lint`] — static analysis of filter scripts and fault schedules.
 //! * [`tpc`] — two-phase commit, a second application-level study target
 //!   (the paper's future work (iii)).
@@ -71,7 +70,6 @@ pub use pfi_core as core;
 pub use pfi_experiments as experiments;
 pub use pfi_fleet as fleet;
 pub use pfi_gmp as gmp;
-pub use pfi_ip as ip;
 pub use pfi_lint as lint;
 pub use pfi_rudp as rudp;
 pub use pfi_script as script;

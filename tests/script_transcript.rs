@@ -150,7 +150,6 @@ impl Host for MsgHost {
         Some(match cmd {
             "msg_type" => Ok(TYPES[self.k as usize % 4].to_string()),
             "msg_len" => Ok((16 + k % 5).to_string()),
-            "msg_src" => Ok(((k + 1) % 3).to_string()),
             "msg_dst" => Ok((k % 3).to_string()),
             "msg_byte" => int(0).map(|off| ((k * 31 + off * 7) % 256).to_string()),
             "msg_field" => Ok(k.to_string()),
@@ -158,7 +157,6 @@ impl Host for MsgHost {
             "node_id" => Ok("1".to_string()),
             "pfi_dir" => Ok("receive".to_string()),
             "coin" => Ok(u8::from(self.next().is_multiple_of(10)).to_string()),
-            "rand_int" => Ok((self.next() % 100).to_string()),
             "dst_normal" => Ok(format!("{}.25", self.next() % 90)),
             "peer_set" | "global_set" => {
                 let key = args.first().copied().unwrap_or("").to_string();
@@ -186,7 +184,7 @@ impl Host for MsgHost {
                 let _ = write!(self.effects, "{cmd};");
                 Ok(String::new())
             }
-            "xDelay" | "xDelayUs" | "xDuplicate" => int(0).map(|n| {
+            "xDelay" | "xDuplicate" => int(0).map(|n| {
                 let _ = write!(self.effects, "{cmd}({n});");
                 String::new()
             }),

@@ -268,43 +268,3 @@ fn pfi_kill_affects_only_its_own_stack_position() {
     let got = server_data(&mut world, server);
     assert_eq!(got.len(), 1_024, "after revival the stream completes");
 }
-
-#[test]
-fn gmp_converges_over_a_fragmenting_ip_layer() {
-    // Four protocol layers deep: GMP / PFI / RUDP / IP with a tiny MTU, so
-    // membership-change packets fragment on the wire and the whole tower
-    // must still converge.
-    use pfi::ip::IpLayer;
-    let mut world = World::new(64);
-    let peers: Vec<NodeId> = (0..4).map(NodeId::new).collect();
-    for _ in 0..4 {
-        let gmd = GmpLayer::new(GmpConfig::new(peers.clone()).with_bugs(GmpBugs::none()));
-        world.add_node(vec![
-            Box::new(gmd),
-            Box::new(PfiLayer::new(Box::new(pfi::gmp::GmpStub))),
-            Box::new(RudpLayer::default()),
-            Box::new(IpLayer::new(40)),
-        ]);
-    }
-    for &p in &peers {
-        world.control::<GmpReply>(p, 0, GmpControl::Start);
-    }
-    world.run_for(SimDuration::from_secs(90));
-    for &p in &peers {
-        let v = world
-            .control::<GmpReply>(p, 0, GmpControl::Status)
-            .expect_status();
-        assert_eq!(
-            v.group.members, peers,
-            "{p} failed over the fragmenting stack"
-        );
-    }
-    // Fragmentation really happened somewhere in the tower.
-    let fragged = world
-        .trace()
-        .events_of::<pfi::ip::IpEvent>(None)
-        .iter()
-        .filter(|(_, e)| matches!(e, pfi::ip::IpEvent::Fragmented { .. }))
-        .count();
-    assert!(fragged > 0, "the 40-byte MTU must force fragmentation");
-}
