@@ -264,12 +264,6 @@ impl<'a> FilterCtx<'a> {
         self.effects.side_channel = true;
         self.globals.set(self.boards, key, value);
     }
-
-    /// Removes a key from the blackboard, returning its previous value.
-    pub fn global_remove(&mut self, key: &str) -> Option<String> {
-        self.effects.side_channel = true;
-        self.globals.remove(self.boards, key)
-    }
 }
 
 /// A send or receive filter.

@@ -64,11 +64,6 @@ impl GlobalBoard {
         boards.get(self.id, key).map(str::to_string)
     }
 
-    /// Removes a key, returning its previous value.
-    pub fn remove(&self, boards: &mut BoardStore, key: &str) -> Option<String> {
-        boards.remove(self.id, key)
-    }
-
     /// Number of keys on the board.
     pub fn len(&self, boards: &BoardStore) -> usize {
         boards.len(self.id)
@@ -91,9 +86,9 @@ mod tests {
         let b = a;
         a.set(&mut boards, "k", "v");
         assert_eq!(b.get(&boards, "k").as_deref(), Some("v"));
-        assert_eq!(b.remove(&mut boards, "k").as_deref(), Some("v"));
-        assert!(a.get(&boards, "k").is_none());
-        assert!(a.is_empty(&boards));
+        b.set(&mut boards, "k", "w");
+        assert_eq!(a.get(&boards, "k").as_deref(), Some("w"));
+        assert!(!a.is_empty(&boards));
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl Group {
         self.members[0]
     }
 
-    /// The crown prince: next in line for leadership, if any.
-    pub fn crown_prince(&self) -> Option<NodeId> {
-        self.members.get(1).copied()
-    }
-
     /// Whether `node` is a member.
     pub fn contains(&self, node: NodeId) -> bool {
         self.members.contains(&node)

@@ -25,6 +25,24 @@ fn cluster(n: u32, bugs: GmpBugs) -> (World, Vec<NodeId>) {
     (w, peers)
 }
 
+/// Unplugs every link between the two sides.
+fn cut(w: &mut World, left: &[NodeId], right: &[NodeId]) {
+    for &a in left {
+        for &b in right {
+            w.network_mut().set_link_down(a, b);
+        }
+    }
+}
+
+/// Plugs every link between the two sides back in.
+fn heal(w: &mut World, left: &[NodeId], right: &[NodeId]) {
+    for &a in left {
+        for &b in right {
+            w.network_mut().set_link_up(a, b);
+        }
+    }
+}
+
 fn view(w: &mut World, node: NodeId) -> pfi_gmp::GmpStatusReport {
     w.control::<GmpReply>(node, 0, GmpControl::Status)
         .expect_status()
@@ -52,7 +70,7 @@ fn daemons_converge_to_one_group_with_lowest_leader() {
             "{p} has wrong view"
         );
         assert_eq!(v.group.leader(), peers[0]);
-        assert_eq!(v.group.crown_prince(), Some(peers[1]));
+        assert_eq!(v.group.members.get(1), Some(&peers[1]), "crown prince");
     }
     // All nodes agree on the same group id.
     let gid0 = view(&mut w, peers[0]).group.id;
@@ -102,7 +120,7 @@ fn partition_forms_disjoint_groups_and_heals() {
     let (mut w, peers) = cluster(5, GmpBugs::none());
     w.run_for(SimDuration::from_secs(60));
     // Partition {0,1,2} | {3,4}.
-    w.network_mut().set_partition(&[&peers[0..3], &peers[3..5]]);
+    cut(&mut w, &peers[0..3], &peers[3..5]);
     w.run_for(SimDuration::from_secs(40));
     for &p in &peers[0..3] {
         assert_eq!(
@@ -120,7 +138,7 @@ fn partition_forms_disjoint_groups_and_heals() {
         assert_eq!(view(&mut w, p).group.leader(), peers[3]);
     }
     // Heal: one group again.
-    w.network_mut().clear_partition();
+    heal(&mut w, &peers[0..3], &peers[3..5]);
     w.run_for(SimDuration::from_secs(60));
     for &p in &peers {
         assert_eq!(
@@ -143,7 +161,7 @@ fn isolated_node_cycles_out_and_back() {
         vec![2],
         "isolated node forms a singleton"
     );
-    w.network_mut().rejoin(peers[2], &peers);
+    heal(&mut w, &peers[2..3], &peers[0..2]);
     w.run_for(SimDuration::from_secs(60));
     assert_eq!(members(&mut w, peers[0]), vec![0, 1, 2]);
     assert_eq!(members(&mut w, peers[2]), vec![0, 1, 2]);
@@ -279,9 +297,9 @@ fn all_up_views_agree_after_churn() {
     // sharing a group id has an identical member list.
     let (mut w, peers) = cluster(5, GmpBugs::none());
     w.run_for(SimDuration::from_secs(60));
-    w.network_mut().set_partition(&[&peers[0..2], &peers[2..5]]);
+    cut(&mut w, &peers[0..2], &peers[2..5]);
     w.run_for(SimDuration::from_secs(40));
-    w.network_mut().clear_partition();
+    heal(&mut w, &peers[0..2], &peers[2..5]);
     w.run_for(SimDuration::from_secs(40));
     w.crash(peers[4]);
     w.run_for(SimDuration::from_secs(40));

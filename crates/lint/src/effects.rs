@@ -138,15 +138,6 @@ pub struct ScriptEffects {
     pub opaque: bool,
 }
 
-impl ScriptEffects {
-    /// True when the analysis proved the script can never affect traffic:
-    /// no effectful clause and no opaque escape hatch. (Board writes alone
-    /// do not count — another site's script may read them.)
-    pub fn provably_inert(&self) -> bool {
-        !self.opaque && self.clauses.is_empty() && self.board_writes.is_empty()
-    }
-}
-
 /// Computes the [`ScriptEffects`] summary for one filter script source.
 ///
 /// # Errors
@@ -560,7 +551,7 @@ mod tests {
                    { xDrop }\n}\n";
         let fx = analyze_effects(src).unwrap();
         assert!(fx.clauses.is_empty(), "{fx:?}");
-        assert!(fx.provably_inert());
+        assert!(!fx.opaque && fx.board_writes.is_empty(), "{fx:?}");
     }
 
     #[test]
@@ -610,7 +601,6 @@ mod tests {
         let fx = analyze_effects(src).unwrap();
         assert_eq!(fx.board_reads, vec!["drops"]);
         assert_eq!(fx.board_writes, vec!["drops", "1"]);
-        assert!(!fx.provably_inert(), "board writes are observable");
     }
 
     #[test]
@@ -618,14 +608,16 @@ mod tests {
         let src = "set op xDrop\n$op cur_msg\n";
         let fx = analyze_effects(src).unwrap();
         assert!(fx.opaque);
-        assert!(!fx.provably_inert());
     }
 
     #[test]
     fn pure_observer_script_is_provably_inert() {
         let src = "set t [msg_type]\nmsg_log \"saw $t\"\n";
         let fx = analyze_effects(src).unwrap();
-        assert!(fx.provably_inert(), "{fx:?}");
+        assert!(
+            !fx.opaque && fx.clauses.is_empty() && fx.board_writes.is_empty(),
+            "{fx:?}"
+        );
     }
 
     #[test]

@@ -123,11 +123,6 @@ impl RudpLayer {
         }
     }
 
-    /// Number of datagrams currently awaiting acknowledgement.
-    pub fn pending_count(&self) -> usize {
-        self.pending.len()
-    }
-
     fn wire(kind: u8, seq: u32, payload: &[u8], src: NodeId, dst: NodeId) -> Message {
         let mut msg = Message::new(src, dst, payload);
         Self::frame(&mut msg, kind, seq);
@@ -343,6 +338,7 @@ impl PacketStub for RudpStub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pfi_core::{faults, PfiControl, PfiLayer, PfiReply};
     use pfi_sim::{SimTime, World};
     use std::any::Any;
 
@@ -376,10 +372,19 @@ mod tests {
         }
     }
 
+    /// Two nodes, each `App` over rudp over a PFI layer (layer 2) that
+    /// passes everything until a test installs a filter.
     fn world() -> (World, NodeId, NodeId) {
         let mut w = World::new(3);
-        let a = w.add_node(vec![Box::new(App), Box::new(RudpLayer::default())]);
-        let b = w.add_node(vec![Box::new(App), Box::new(RudpLayer::default())]);
+        let stack = || -> Vec<Box<dyn Layer>> {
+            vec![
+                Box::new(App),
+                Box::new(RudpLayer::default()),
+                Box::new(PfiLayer::new(Box::new(RudpStub))),
+            ]
+        };
+        let a = w.add_node(stack());
+        let b = w.add_node(stack());
         (w, a, b)
     }
 
@@ -415,7 +420,9 @@ mod tests {
     #[test]
     fn retransmits_through_loss_and_suppresses_duplicates() {
         let (mut w, a, b) = world();
-        w.network_mut().default_link_mut().loss = 0.5;
+        // Half of a's data and half of b's ACKs are lost.
+        let _: PfiReply = w.control(a, 2, PfiControl::SetSendFilter(faults::omission(0.5)));
+        let _: PfiReply = w.control(a, 2, PfiControl::SetRecvFilter(faults::omission(0.5)));
         for i in 0..50u8 {
             send(&mut w, a, b, true, &[i]);
         }
@@ -465,7 +472,7 @@ mod tests {
     fn lost_ack_causes_retransmit_but_single_delivery() {
         let (mut w, a, b) = world();
         // Drop the b→a direction (ACKs) entirely.
-        w.network_mut().link_mut(b, a).up = false;
+        let _: PfiReply = w.control(b, 2, PfiControl::SetSendFilter(faults::drop_all()));
         send(&mut w, a, b, true, b"once");
         w.run_for(SimDuration::from_secs(30));
         let got = inbox(&mut w, b);

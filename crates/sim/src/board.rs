@@ -83,11 +83,6 @@ impl BoardStore {
         self.boards[id.index()].get(key).map(String::as_str)
     }
 
-    /// Removes `key` from board `id`, returning the previous value.
-    pub fn remove(&mut self, id: BoardId, key: &str) -> Option<String> {
-        self.boards[id.index()].remove(key)
-    }
-
     /// Number of entries on board `id`.
     pub fn len(&self, id: BoardId) -> usize {
         self.boards[id.index()].len()
@@ -123,8 +118,7 @@ mod tests {
         store.set(b, "k", "2");
         assert_eq!(store.get(a, "k"), Some("1"));
         assert_eq!(store.get(b, "k"), Some("2"));
-        assert_eq!(store.remove(a, "k"), Some("1".to_string()));
-        assert_eq!(store.get(a, "k"), None);
+        store.set(a, "k", "3");
         assert_eq!(store.get(b, "k"), Some("2"));
     }
 

@@ -14,7 +14,8 @@
 //! * [`Layer`] — the protocol-layer trait (`push` down, `pop` up, timers,
 //!   `control` ops); [`Context`] collects a layer's outputs.
 //! * [`Message`] — header-stacking byte buffer with simulator addressing.
-//! * [`Network`] — per-link latency/jitter/loss, partitions, link up/down.
+//! * [`Network`] — fixed latency plus link up/down; loss, delay and
+//!   partitions come from the PFI layer's filters.
 //! * [`TraceLog`] — typed packet/event log every experiment analyses.
 //! * [`BoardStore`] — arena of script-visible key/value blackboards,
 //!   addressed by plain [`BoardId`] indices.
@@ -59,7 +60,7 @@ pub use board::{BoardId, BoardStore};
 pub use ids::{NodeId, TimerId};
 pub use layer::{Context, Layer};
 pub use message::Message;
-pub use network::{LinkConfig, Network, Transit};
+pub use network::{Network, Transit};
 pub use rng::SimRng;
 pub use snapshot::{SnapshotError, WorldSnapshot};
 pub use time::{SimDuration, SimTime};

@@ -2,7 +2,7 @@
 //!
 //! Following the x-Kernel model the paper builds on, a message is a flat
 //! byte buffer onto which each layer *pushes* its header on the way down the
-//! stack and from which it *strips* the header on the way up. The PFI layer
+//! stack and from which it *skips* the header on the way up. The PFI layer
 //! additionally needs raw byte access so that scripts can examine and corrupt
 //! arbitrary header fields.
 
@@ -16,7 +16,7 @@ const DEFAULT_HEADROOM: usize = 64;
 ///
 /// The buffer is contiguous; [`push_header`](Message::push_header) prepends
 /// bytes (lower layers add their headers) and
-/// [`strip_header`](Message::strip_header) removes them again on the way up.
+/// [`skip_header`](Message::skip_header) consumes them again on the way up.
 /// The source and destination node addresses are simulator metadata — they
 /// model the device-level addressing that the bottom of a real stack would
 /// carry — and are preserved across header operations.
@@ -29,8 +29,8 @@ const DEFAULT_HEADROOM: usize = 64;
 /// let mut m = Message::new(NodeId::new(0), NodeId::new(1), b"payload");
 /// m.push_header(&[0xAA, 0xBB]);
 /// assert_eq!(m.len(), 9);
-/// let hdr = m.strip_header(2).unwrap();
-/// assert_eq!(hdr, vec![0xAA, 0xBB]);
+/// assert_eq!(&m.bytes()[..2], &[0xAA, 0xBB]);
+/// assert!(m.skip_header(2));
 /// assert_eq!(m.bytes(), b"payload");
 /// ```
 ///
@@ -97,11 +97,6 @@ impl Message {
         self.src = src;
     }
 
-    /// Overrides the destination address.
-    pub fn set_dst(&mut self, dst: NodeId) {
-        self.dst = dst;
-    }
-
     /// Total number of valid bytes (headers + payload).
     pub fn len(&self) -> usize {
         self.buf.len() - self.head
@@ -140,23 +135,11 @@ impl Message {
         }
     }
 
-    /// Removes and returns the first `n` bytes (a header being stripped on
-    /// the way up the stack), or `None` if the message is shorter than `n`.
-    pub fn strip_header(&mut self, n: usize) -> Option<Vec<u8>> {
-        if self.len() < n {
-            return None;
-        }
-        let hdr = self.buf[self.head..self.head + n].to_vec();
-        self.head += n;
-        Some(hdr)
-    }
-
-    /// Consumes the first `n` bytes in place — [`strip_header`] without
-    /// the copy, for a layer that has already read the header through
-    /// [`bytes`]. Returns `false` (and leaves the message unchanged) if the
-    /// message is shorter than `n`.
+    /// Consumes the first `n` bytes in place (a header being stripped on
+    /// the way up the stack, already read through [`bytes`]). Returns
+    /// `false` (and leaves the message unchanged) if the message is shorter
+    /// than `n`.
     ///
-    /// [`strip_header`]: Message::strip_header
     /// [`bytes`]: Message::bytes
     pub fn skip_header(&mut self, n: usize) -> bool {
         if self.len() < n {
@@ -209,15 +192,16 @@ mod tests {
         m.push_header(b"H1");
         m.push_header(b"H0");
         assert_eq!(m.bytes(), b"H0H1data");
-        assert_eq!(m.strip_header(2).unwrap(), b"H0");
-        assert_eq!(m.strip_header(2).unwrap(), b"H1");
+        assert!(m.skip_header(2));
+        assert_eq!(m.bytes(), b"H1data");
+        assert!(m.skip_header(2));
         assert_eq!(m.bytes(), b"data");
     }
 
     #[test]
     fn strip_too_much_returns_none() {
         let mut m = msg(b"ab");
-        assert!(m.strip_header(3).is_none());
+        assert!(!m.skip_header(3));
         assert_eq!(m.bytes(), b"ab");
     }
 
@@ -248,12 +232,11 @@ mod tests {
     fn addresses_survive_header_ops() {
         let mut m = Message::new(NodeId::new(3), NodeId::new(4), b"p");
         m.push_header(b"h");
-        m.strip_header(1).unwrap();
+        assert!(m.skip_header(1));
         assert_eq!(m.src(), NodeId::new(3));
         assert_eq!(m.dst(), NodeId::new(4));
         m.set_src(NodeId::new(9));
-        m.set_dst(NodeId::new(8));
-        assert_eq!((m.src(), m.dst()), (NodeId::new(9), NodeId::new(8)));
+        assert_eq!((m.src(), m.dst()), (NodeId::new(9), NodeId::new(4)));
     }
 
     #[test]
@@ -277,12 +260,10 @@ mod tests {
 
     #[test]
     fn skip_header_consumes_in_place_like_strip() {
-        let mut stripped = msg(b"data");
-        stripped.push_header(b"HH");
-        let mut skipped = stripped.clone();
-        assert_eq!(stripped.strip_header(2).unwrap(), b"HH");
+        let mut skipped = msg(b"data");
+        skipped.push_header(b"HH");
         assert!(skipped.skip_header(2));
-        assert_eq!(skipped.bytes(), stripped.bytes());
+        assert_eq!(skipped, msg(b"data"));
         assert!(!skipped.skip_header(5), "longer than the message");
         assert_eq!(skipped.bytes(), b"data");
     }
@@ -293,8 +274,7 @@ mod tests {
         assert!(m.skip_header(1));
         assert_eq!(m, msg(b"data"));
         assert_ne!(m, msg(b"Hdata"));
-        let mut other_dst = msg(b"data");
-        other_dst.set_dst(NodeId::new(7));
+        let other_dst = Message::new(NodeId::new(0), NodeId::new(7), b"data");
         assert_ne!(m, other_dst);
     }
 }

@@ -414,10 +414,6 @@ pub enum TimerTrace {
 pub enum DropReason {
     /// The link is administratively down (the "unplugged ethernet").
     LinkDown,
-    /// Source and destination are in different partitions.
-    Partitioned,
-    /// Random loss on the link.
-    RandomLoss,
     /// The destination node has crashed.
     DestCrashed,
     /// The destination node id does not exist.

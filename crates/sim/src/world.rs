@@ -269,11 +269,6 @@ impl World {
         &mut self.boards
     }
 
-    /// Allocates a fresh blackboard in this world's arena.
-    pub fn alloc_board(&mut self) -> BoardId {
-        self.boards.alloc()
-    }
-
     /// The network model.
     pub fn network(&self) -> &Network {
         &self.network
@@ -716,7 +711,7 @@ impl World {
             }
             return;
         }
-        match self.network.transit(src_node, dst, &mut self.rng) {
+        match self.network.transit(src_node, dst) {
             Transit::Deliver(delay) => {
                 let at = self.now + delay;
                 self.push_entry(
@@ -1073,12 +1068,9 @@ mod tests {
         fn push(&mut self, msg: Message, ctx: &mut Context<'_>) {
             ctx.send_down(msg);
         }
-        fn pop(&mut self, mut msg: Message, ctx: &mut Context<'_>) {
+        fn pop(&mut self, msg: Message, ctx: &mut Context<'_>) {
             ctx.emit(format!("echoing {} bytes", msg.len()));
-            let src = msg.src();
-            msg.set_src(msg.dst());
-            msg.set_dst(src);
-            ctx.send_down(msg);
+            ctx.send_down(Message::new(msg.dst(), msg.src(), msg.bytes()));
         }
         fn clone_box(&self) -> Option<Box<dyn Layer>> {
             Some(Box::new(self.clone()))
@@ -1122,6 +1114,50 @@ mod tests {
             let SendTo(dst, payload) = *op.downcast::<SendTo>().expect("bad op");
             ctx.send_down(Message::new(ctx.node(), dst, &payload));
             Box::new(())
+        }
+        fn clone_box(&self) -> Option<Box<dyn Layer>> {
+            Some(Box::new(self.clone()))
+        }
+    }
+
+    /// The bottom of a stack that loses each sent message with
+    /// probability `loss` and holds the rest for up to 4 ms, as a lossy,
+    /// jittery wire would. It draws from the world's RNG on every send, so
+    /// a snapshot taken mid-run must capture the RNG.
+    #[derive(Clone)]
+    struct Flaky {
+        loss: f64,
+        held: Vec<(u64, Message)>,
+        next_token: u64,
+    }
+    impl Flaky {
+        fn boxed(loss: f64) -> Box<dyn Layer> {
+            Box::new(Flaky {
+                loss,
+                held: Vec::new(),
+                next_token: 0,
+            })
+        }
+    }
+    impl Layer for Flaky {
+        fn name(&self) -> &'static str {
+            "flaky"
+        }
+        fn push(&mut self, msg: Message, ctx: &mut Context<'_>) {
+            if ctx.rng().uniform(0.0, 1.0) < self.loss {
+                return;
+            }
+            let hold = ctx.rng().uniform_u64(0, 4_000);
+            self.next_token += 1;
+            self.held.push((self.next_token, msg));
+            ctx.set_timer(SimDuration::from_micros(hold), self.next_token);
+        }
+        fn pop(&mut self, msg: Message, ctx: &mut Context<'_>) {
+            ctx.send_up(msg);
+        }
+        fn timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+            let i = self.held.iter().position(|(t, _)| *t == token).unwrap();
+            ctx.send_down(self.held.remove(i).1);
         }
         fn clone_box(&self) -> Option<Box<dyn Layer>> {
             Some(Box::new(self.clone()))
@@ -1400,10 +1436,8 @@ mod tests {
         fn run() -> Vec<String> {
             let mut w = World::new(99);
             w.trace_packets = true;
-            w.network_mut().default_link_mut().loss = 0.3;
-            w.network_mut().default_link_mut().jitter = SimDuration::from_millis(4);
-            let a = w.add_node(vec![Box::new(Pinger), Box::new(Sink)]);
-            let b = w.add_node(vec![Box::new(Echo)]);
+            let a = w.add_node(vec![Box::new(Pinger), Box::new(Sink), Flaky::boxed(0.3)]);
+            let b = w.add_node(vec![Box::new(Echo), Flaky::boxed(0.3)]);
             for i in 0..50u64 {
                 let payload = vec![i as u8; 8];
                 w.schedule_in(SimDuration::from_millis(i * 3), move |w| {
@@ -1424,15 +1458,14 @@ mod tests {
     }
 
     /// A lossy/jittery ping world mid-conversation: every snapshottable
-    /// corner (queue in flight, RNG advanced, trace populated, boards set).
+    /// corner (queue in flight, RNG advanced, held messages and their
+    /// timers, trace populated, boards set).
     fn busy_world() -> (World, NodeId, NodeId) {
         let mut w = World::new(99);
         w.trace_packets = true;
-        w.network_mut().default_link_mut().loss = 0.2;
-        w.network_mut().default_link_mut().jitter = SimDuration::from_millis(4);
-        let a = w.add_node(vec![Box::new(Pinger), Box::new(Sink)]);
-        let b = w.add_node(vec![Box::new(Echo)]);
-        let board = w.alloc_board();
+        let a = w.add_node(vec![Box::new(Pinger), Box::new(Sink), Flaky::boxed(0.2)]);
+        let b = w.add_node(vec![Box::new(Echo), Flaky::boxed(0.2)]);
+        let board = w.boards_mut().alloc();
         w.boards_mut().set(board, "phase", "warm");
         // All scheduled calls land inside the warm-up window: snapshots
         // refuse pending calls, and the campaign engine snapshots only
@@ -1498,7 +1531,7 @@ mod tests {
         // Diverge hard: more traffic, crashes, board writes.
         w.run_for(SimDuration::from_millis(500));
         w.crash(NodeId::new(1));
-        let board = w.alloc_board();
+        let board = w.boards_mut().alloc();
         w.boards_mut().set(board, "phase", "diverged");
         w.run_for(SimDuration::from_secs(1));
         assert_ne!(w.snapshot_digest(), snap.digest());
@@ -1538,7 +1571,7 @@ mod tests {
         w.suspend(b);
         w.run_for(SimDuration::from_millis(300));
         w.crash(NodeId::new(0));
-        let board = w.alloc_board();
+        let board = w.boards_mut().alloc();
         w.boards_mut().set(board, "phase", "diverged");
         retired.push(("another run of the same stacks", w));
 

@@ -88,11 +88,6 @@ impl RttEstimator {
                 .min(self.max.as_micros()),
         )
     }
-
-    /// Whether at least one sample has been absorbed.
-    pub fn has_sample(&self) -> bool {
-        self.srtt_us.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +107,7 @@ mod tests {
     fn initial_rto_before_samples() {
         let e = est(true);
         assert_eq!(e.base_rto(), SimDuration::from_millis(1_500));
-        assert!(!e.has_sample());
+        assert!(e.srtt_us.is_none());
     }
 
     #[test]
@@ -121,7 +116,7 @@ mod tests {
         e.sample(SimDuration::from_secs(3));
         // SRTT = 3 s, RTTVAR = 1.5 s → RTO = 3 + 6 = 9 s.
         assert_eq!(e.base_rto(), SimDuration::from_secs(9));
-        assert!(e.has_sample());
+        assert!(e.srtt_us.is_some());
     }
 
     #[test]
@@ -168,7 +163,7 @@ mod tests {
         );
         e.sample(SimDuration::from_secs(8));
         assert_eq!(e.base_rto(), SimDuration::from_millis(330));
-        assert!(!e.has_sample());
+        assert!(e.srtt_us.is_none());
     }
 
     #[test]

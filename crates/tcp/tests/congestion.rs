@@ -2,25 +2,35 @@
 //! once, and a lost segment is resent only when the retransmission timer
 //! fires — the 1995 vendor behaviour the paper's probes measure.
 
-use pfi_core::{Filter, PfiLayer};
+use pfi_core::{faults, Filter, PfiLayer, RawStub};
 use pfi_sim::{NodeId, SimDuration, World};
 use pfi_tcp::{ConnId, TcpControl, TcpEvent, TcpLayer, TcpProfile, TcpReply, TcpStub};
 
+/// A client and a server whose PFI layer runs `recv_filter`, `latency_ms`
+/// apart: the wire's fixed 1 ms plus a PFI layer under the server that
+/// delays both directions by the rest.
 fn pair_with_filter(
     profile: TcpProfile,
     recv_filter: Option<Filter>,
     latency_ms: u64,
 ) -> (World, NodeId, NodeId, ConnId) {
     let mut w = World::new(77);
-    w.network_mut().default_link_mut().latency = SimDuration::from_millis(latency_ms);
     let c = w.add_node(vec![Box::new(TcpLayer::new(profile))]);
     let mut pfi = PfiLayer::new(Box::new(TcpStub));
     if let Some(f) = recv_filter {
         pfi = pfi.with_recv_filter(f);
     }
+    let delay = || {
+        let extra = SimDuration::from_millis(latency_ms - 1);
+        faults::timing(faults::DelayDist::Constant(extra))
+    };
+    let wire = PfiLayer::new(Box::new(RawStub))
+        .with_send_filter(delay())
+        .with_recv_filter(delay());
     let s = w.add_node(vec![
         Box::new(TcpLayer::new(TcpProfile::rfc_reference())),
         Box::new(pfi),
+        Box::new(wire),
     ]);
     w.control::<TcpReply>(s, 0, TcpControl::Listen { port: 80 });
     let conn = w

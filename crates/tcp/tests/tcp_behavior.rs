@@ -1,16 +1,20 @@
 //! Behavioural tests for the TCP substrate, exercising every mechanism the
 //! paper's experiments rely on.
 
-use pfi_core::{Filter, PfiLayer};
+use pfi_core::{faults, Filter, PfiControl, PfiLayer, PfiReply};
 use pfi_sim::{NodeId, SimDuration, SimTime, World};
 use pfi_tcp::{CloseReason, ConnId, TcpControl, TcpEvent, TcpLayer, TcpProfile, TcpReply, TcpStub};
 
 /// Builds a client/server pair; client at node 0 with `client_profile`,
-/// server at node 1 listening on port 80 with the reference profile.
+/// server at node 1 listening on port 80 with the reference profile, over
+/// a PFI layer with no filter (see [`wire`]).
 fn pair(client_profile: TcpProfile) -> (World, NodeId, NodeId, ConnId) {
     let mut w = World::new(42);
     let c = w.add_node(vec![Box::new(TcpLayer::new(client_profile))]);
-    let s = w.add_node(vec![Box::new(TcpLayer::new(TcpProfile::rfc_reference()))]);
+    let s = w.add_node(vec![
+        Box::new(TcpLayer::new(TcpProfile::rfc_reference())),
+        Box::new(PfiLayer::new(Box::new(TcpStub))),
+    ]);
     w.control::<TcpReply>(s, 0, TcpControl::Listen { port: 80 });
     let conn = w
         .control::<TcpReply>(
@@ -25,6 +29,13 @@ fn pair(client_profile: TcpProfile) -> (World, NodeId, NodeId, ConnId) {
         .expect_conn();
     w.run_for(SimDuration::from_millis(100));
     (w, c, s, conn)
+}
+
+/// Installs `filter()` on both of the server's PFI filters, so it acts on
+/// the traffic of both directions: a lossy or slow wire.
+fn wire(w: &mut World, s: NodeId, filter: impl Fn() -> Filter) {
+    let _: PfiReply = w.control(s, 1, PfiControl::SetSendFilter(filter()));
+    let _: PfiReply = w.control(s, 1, PfiControl::SetRecvFilter(filter()));
 }
 
 fn server_conn(w: &mut World, s: NodeId) -> ConnId {
@@ -74,7 +85,7 @@ fn bulk_transfer_delivers_in_order() {
 #[test]
 fn transfer_survives_random_loss() {
     let (mut w, c, s, conn) = pair(TcpProfile::sunos_4_1_3());
-    w.network_mut().default_link_mut().loss = 0.2;
+    wire(&mut w, s, || faults::omission(0.2));
     let payload: Vec<u8> = (0..8_000u32).map(|i| (i * 7 % 256) as u8).collect();
     w.control::<TcpReply>(
         c,
@@ -600,10 +611,11 @@ fn corrupted_segments_are_dropped_and_recovered() {
 
 #[test]
 fn retransmission_intervals_increase_exponentially_from_measured_rtt() {
-    // With a 200 ms link, the first RTO reflects the measured RTT.
+    // With a 200 ms round trip (the wire's 1 ms plus 99 ms of PFI delay,
+    // each way), the first RTO reflects the measured RTT.
     let (mut w, c, s, conn) = pair(TcpProfile::sunos_4_1_3());
-    w.network_mut().link_mut(c, s).latency = SimDuration::from_millis(100);
-    w.network_mut().link_mut(s, c).latency = SimDuration::from_millis(100);
+    let slow = faults::DelayDist::Constant(SimDuration::from_millis(99));
+    wire(&mut w, s, || faults::timing(slow));
     // Establish an RTT estimate with some successful traffic.
     for _ in 0..5 {
         w.control::<TcpReply>(

@@ -101,30 +101,29 @@ impl ProtocolSpec {
             ],
         )
     }
-
-    /// Message names, in declaration order.
-    pub fn message_names(&self) -> Vec<&str> {
-        self.messages.iter().map(|m| m.name.as_str()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn message_names(spec: &ProtocolSpec) -> Vec<&str> {
+        spec.messages.iter().map(|m| m.name.as_str()).collect()
+    }
+
     #[test]
     fn bundled_specs_cover_the_wire_types() {
         let gmp = ProtocolSpec::gmp();
         assert_eq!(gmp.messages.len(), 8);
-        assert!(gmp.message_names().contains(&"COMMIT"));
+        assert!(message_names(&gmp).contains(&"COMMIT"));
         let tcp = ProtocolSpec::tcp();
-        assert!(tcp.message_names().contains(&"DATA"));
+        assert!(message_names(&tcp).contains(&"DATA"));
         assert_eq!(tcp.name, "tcp");
     }
 
     #[test]
     fn custom_spec_construction() {
         let s = ProtocolSpec::new("toy", &[("PING", Role::Liveness), ("PONG", Role::Liveness)]);
-        assert_eq!(s.message_names(), vec!["PING", "PONG"]);
+        assert_eq!(message_names(&s), vec!["PING", "PONG"]);
     }
 }

@@ -296,7 +296,7 @@ fn event(pick: u64, rng: &mut SimRng) -> Record {
                 src: NodeId::new(0),
                 dst: NodeId::new(1),
                 len: 9,
-                reason: DropReason::RandomLoss,
+                reason: DropReason::LinkDown,
             }
         ),
         42 => rec!("pfi", format!("note {small}")),

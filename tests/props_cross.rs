@@ -1,12 +1,31 @@
 //! Cross-crate property tests: protocol invariants under randomized fault
 //! schedules.
 
-use pfi::core::{faults, PfiLayer};
+use pfi::core::{faults, PfiLayer, RawStub};
 use pfi::gmp::{GmpBugs, GmpConfig, GmpControl, GmpEvent, GmpLayer, GmpReply, GmpStub};
 use pfi::rudp::RudpLayer;
-use pfi::sim::{NodeId, SimDuration, World};
+use pfi::sim::{Layer, NodeId, SimDuration, World};
 use pfi::tcp::{TcpControl, TcpLayer, TcpProfile, TcpReply, TcpStub};
 use proptest::prelude::*;
+
+/// A lossy, jittery wire under one end of a connection: PFI layers that
+/// drop each message with probability `loss` and delay the rest by up to
+/// `jitter`, in both directions (§2.2's omission and timing failures).
+fn wire(loss: f64, jitter: SimDuration) -> Vec<Box<dyn Layer>> {
+    let delay = || faults::timing(faults::DelayDist::Uniform(SimDuration::ZERO, jitter));
+    vec![
+        Box::new(
+            PfiLayer::new(Box::new(RawStub))
+                .with_send_filter(faults::omission(loss))
+                .with_recv_filter(faults::omission(loss)),
+        ),
+        Box::new(
+            PfiLayer::new(Box::new(RawStub))
+                .with_send_filter(delay())
+                .with_recv_filter(delay()),
+        ),
+    ]
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -24,8 +43,6 @@ proptest! {
         payload_len in 1usize..20_000,
     ) {
         let mut world = World::new(seed);
-        world.network_mut().default_link_mut().loss = loss;
-        world.network_mut().default_link_mut().jitter = SimDuration::from_millis(jitter_ms);
         let client = world.add_node(vec![Box::new(TcpLayer::new(TcpProfile::sunos_4_1_3()))]);
         let byz = faults::byzantine(faults::ByzantineConfig {
             corrupt,
@@ -35,10 +52,10 @@ proptest! {
             reorder_window: SimDuration::from_millis(15),
         });
         let pfi = PfiLayer::new(Box::new(TcpStub)).with_recv_filter(byz);
-        let server = world.add_node(vec![
-            Box::new(TcpLayer::new(TcpProfile::rfc_reference())),
-            Box::new(pfi),
-        ]);
+        let mut stack: Vec<Box<dyn Layer>> =
+            vec![Box::new(TcpLayer::new(TcpProfile::rfc_reference())), Box::new(pfi)];
+        stack.extend(wire(loss, SimDuration::from_millis(jitter_ms)));
+        let server = world.add_node(stack);
         world.control::<TcpReply>(server, 0, TcpControl::Listen { port: 80 });
         let conn = world
             .control::<TcpReply>(client, 0, TcpControl::Open {
@@ -86,9 +103,17 @@ proptest! {
             world.control::<GmpReply>(p, 0, GmpControl::Start);
         }
         world.run_for(SimDuration::from_secs(40));
-        world.network_mut().set_partition(&[&peers[..split], &peers[split..]]);
+        for &a in &peers[..split] {
+            for &b in &peers[split..] {
+                world.network_mut().set_link_down(a, b);
+            }
+        }
         world.run_for(SimDuration::from_secs(partition_secs));
-        world.network_mut().clear_partition();
+        for &a in &peers[..split] {
+            for &b in &peers[split..] {
+                world.network_mut().set_link_up(a, b);
+            }
+        }
         if let Some(ci) = crash_idx {
             world.crash(peers[ci]);
         }
@@ -133,12 +158,13 @@ proptest! {
     fn full_stack_runs_are_deterministic(seed in 0u64..1_000, loss in 0.0f64..0.4) {
         let run = |seed: u64, loss: f64| {
             let mut world = World::new(seed);
-            world.network_mut().default_link_mut().loss = loss;
             let client = world.add_node(vec![Box::new(TcpLayer::new(TcpProfile::solaris_2_3()))]);
-            let server = world.add_node(vec![
+            let mut stack: Vec<Box<dyn Layer>> = vec![
                 Box::new(TcpLayer::new(TcpProfile::rfc_reference())),
                 Box::new(PfiLayer::new(Box::new(TcpStub)).with_recv_filter(faults::omission(0.1))),
-            ]);
+            ];
+            stack.extend(wire(loss, SimDuration::ZERO));
+            let server = world.add_node(stack);
             world.control::<TcpReply>(server, 0, TcpControl::Listen { port: 80 });
             let conn = world
                 .control::<TcpReply>(client, 0, TcpControl::Open {

@@ -4,19 +4,46 @@
 use pfi::core::{faults, Filter, PfiControl, PfiLayer, PfiReply, RawStub};
 use pfi::gmp::{GmpBugs, GmpConfig, GmpControl, GmpLayer, GmpReply};
 use pfi::rudp::RudpLayer;
-use pfi::sim::{NodeId, SimDuration, World};
+use pfi::sim::{Layer, NodeId, SimDuration, World};
 use pfi::tcp::{TcpControl, TcpLayer, TcpProfile, TcpReply, TcpStub};
 
-fn tcp_pair(world: &mut World, recv_filter: Option<Filter>) -> (NodeId, NodeId, pfi::tcp::ConnId) {
+/// A lossy, jittery wire under one end of a connection: PFI layers that
+/// drop each message with probability `loss` and delay the rest by up to
+/// `jitter`, in both directions (§2.2's omission and timing failures).
+fn wire(loss: f64, jitter: SimDuration) -> Vec<Box<dyn Layer>> {
+    let delay = || faults::timing(faults::DelayDist::Uniform(SimDuration::ZERO, jitter));
+    vec![
+        Box::new(
+            PfiLayer::new(Box::new(RawStub))
+                .with_send_filter(faults::omission(loss))
+                .with_recv_filter(faults::omission(loss)),
+        ),
+        Box::new(
+            PfiLayer::new(Box::new(RawStub))
+                .with_send_filter(delay())
+                .with_recv_filter(delay()),
+        ),
+    ]
+}
+
+/// A client and a server whose PFI layer runs `recv_filter`, with the
+/// `wire` layers under the server's.
+fn tcp_pair(
+    world: &mut World,
+    recv_filter: Option<Filter>,
+    wire: Vec<Box<dyn Layer>>,
+) -> (NodeId, NodeId, pfi::tcp::ConnId) {
     let client = world.add_node(vec![Box::new(TcpLayer::new(TcpProfile::sunos_4_1_3()))]);
     let mut pfi = PfiLayer::new(Box::new(TcpStub));
     if let Some(f) = recv_filter {
         pfi = pfi.with_recv_filter(f);
     }
-    let server = world.add_node(vec![
+    let mut stack: Vec<Box<dyn Layer>> = vec![
         Box::new(TcpLayer::new(TcpProfile::rfc_reference())),
         Box::new(pfi),
-    ]);
+    ];
+    stack.extend(wire);
+    let server = world.add_node(stack);
     world.control::<TcpReply>(server, 0, TcpControl::Listen { port: 80 });
     let conn = world
         .control::<TcpReply>(
@@ -46,9 +73,8 @@ fn server_data(world: &mut World, server: NodeId) -> Vec<u8> {
 #[test]
 fn tcp_transfer_through_omission_and_timing_faults_combined() {
     let mut world = World::new(99);
-    // Network jitter + a receive filter injecting both random delay and
+    // Wire jitter + a receive filter injecting both random delay and
     // random drops: a compound fault load.
-    world.network_mut().default_link_mut().jitter = SimDuration::from_millis(3);
     let compound = Filter::native(|ctx: &mut pfi::core::FilterCtx<'_>| {
         if ctx.rng().coin(0.1) {
             ctx.drop_msg();
@@ -57,7 +83,8 @@ fn tcp_transfer_through_omission_and_timing_faults_combined() {
             ctx.delay(SimDuration::from_micros(us));
         }
     });
-    let (client, server, conn) = tcp_pair(&mut world, Some(compound));
+    let jitter = wire(0.0, SimDuration::from_millis(3));
+    let (client, server, conn) = tcp_pair(&mut world, Some(compound), jitter);
     let payload: Vec<u8> = (0..30_000u32).map(|i| (i * 13 % 256) as u8).collect();
     world.control::<TcpReply>(
         client,
@@ -81,7 +108,7 @@ fn tcp_transfer_with_byzantine_corruption_stays_intact() {
         reorder: 0.2,
         reorder_window: SimDuration::from_millis(20),
     });
-    let (client, server, conn) = tcp_pair(&mut world, Some(byz));
+    let (client, server, conn) = tcp_pair(&mut world, Some(byz), Vec::new());
     let payload: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
     world.control::<TcpReply>(
         client,
@@ -110,9 +137,8 @@ fn tcp_transfer_with_byzantine_corruption_stays_intact() {
 fn same_seed_same_full_stack_trace() {
     fn run() -> Vec<String> {
         let mut world = World::new(2718);
-        world.network_mut().default_link_mut().loss = 0.15;
-        world.network_mut().default_link_mut().jitter = SimDuration::from_millis(2);
-        let (client, _server, conn) = tcp_pair(&mut world, Some(faults::omission(0.1)));
+        let lossy = wire(0.15, SimDuration::from_millis(2));
+        let (client, _server, conn) = tcp_pair(&mut world, Some(faults::omission(0.1)), lossy);
         world.control::<TcpReply>(
             client,
             0,
@@ -138,15 +164,18 @@ fn gmp_full_stack_survives_rudp_loss() {
     // occasional false suspicion and churn — the invariants that must hold
     // are agreement and repeated convergence, not a churn-free endpoint.)
     let mut world = World::new(31);
-    world.network_mut().default_link_mut().loss = 0.1;
     let peers: Vec<NodeId> = (0..4).map(NodeId::new).collect();
     for _ in 0..4 {
         let gmd = GmpLayer::new(GmpConfig::new(peers.clone()).with_bugs(GmpBugs::none()));
         let pfi = PfiLayer::new(Box::new(pfi::gmp::GmpStub));
+        // The loss is below rudp, as a lossy wire's would be: every node
+        // omits a tenth of what it sends.
+        let lossy = PfiLayer::new(Box::new(RawStub)).with_send_filter(faults::omission(0.1));
         world.add_node(vec![
             Box::new(gmd),
             Box::new(pfi),
             Box::new(RudpLayer::default()),
+            Box::new(lossy),
         ]);
     }
     for &p in &peers {
@@ -236,7 +265,7 @@ fn pfi_kill_affects_only_its_own_stack_position() {
     // Killing the PFI layer below TCP severs the wire for that node but
     // leaves the TCP state machine alive (it keeps retransmitting).
     let mut world = World::new(4);
-    let (client, server, conn) = tcp_pair(&mut world, None);
+    let (client, server, conn) = tcp_pair(&mut world, None, Vec::new());
     world.control::<TcpReply>(
         client,
         0,
