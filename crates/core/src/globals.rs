@@ -63,16 +63,6 @@ impl GlobalBoard {
     pub fn get(&self, boards: &BoardStore, key: &str) -> Option<String> {
         boards.get(self.id, key).map(str::to_string)
     }
-
-    /// Number of keys on the board.
-    pub fn len(&self, boards: &BoardStore) -> usize {
-        boards.len(self.id)
-    }
-
-    /// Whether the board is empty.
-    pub fn is_empty(&self, boards: &BoardStore) -> bool {
-        self.len(boards) == 0
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +78,7 @@ mod tests {
         assert_eq!(b.get(&boards, "k").as_deref(), Some("v"));
         b.set(&mut boards, "k", "w");
         assert_eq!(a.get(&boards, "k").as_deref(), Some("w"));
-        assert!(!a.is_empty(&boards));
+        assert_eq!(boards.entries(a.id()).len(), 1);
     }
 
     #[test]

@@ -558,11 +558,6 @@ impl CmpOp {
         }
     }
 
-    /// Evaluates the comparison over a concrete integer pair.
-    pub fn holds(self, lhs: i64, rhs: i64) -> bool {
-        self.admits(lhs.cmp(&rhs))
-    }
-
     /// Whether `lhs OP rhs` holds given how `lhs` orders against `rhs`.
     fn admits(self, ord: std::cmp::Ordering) -> bool {
         use std::cmp::Ordering::{Equal, Greater, Less};
@@ -1251,17 +1246,6 @@ mod tests {
                 },
             ]
         );
-    }
-
-    #[test]
-    fn cmp_op_holds() {
-        assert!(CmpOp::Eq.holds(3, 3));
-        assert!(CmpOp::Ne.holds(3, 4));
-        assert!(CmpOp::Lt.holds(3, 4));
-        assert!(CmpOp::Le.holds(4, 4));
-        assert!(CmpOp::Gt.holds(5, 4));
-        assert!(CmpOp::Ge.holds(4, 4));
-        assert!(!CmpOp::Eq.holds(3, 4));
     }
 
     #[test]

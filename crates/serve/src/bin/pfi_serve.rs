@@ -11,11 +11,12 @@
 //! pfi-serve shutdown --socket /tmp/pfi.sock
 //! ```
 
+use std::time::Duration;
+
 use pfi_serve::{
-    daemon, Bind, CampaignParams, Client, DaemonOptions, FaultConfig, Reply, Request, RetryClient,
-    RetryPolicy, ServiceLimits,
+    daemon, Bind, Client, DaemonOptions, FaultConfig, Reply, Request, RetryPolicy, ServiceLimits,
 };
-use pfi_testgen::{unknown_protocol, BUNDLED};
+use pfi_testgen::{Flags, Takes, BUNDLED, CAMPAIGN_FLAGS, CAMPAIGN_HELP};
 
 const HELP: &str = "pfi-serve — persistent campaign daemon and client
 
@@ -53,26 +54,18 @@ start FLAGS:
     --chaos-disk N    disk-fault probability, per-mille (default 100)
     --chaos-budget N  total injected-fault cap (default 128)
 
-submit FLAGS (after the protocol name: gmp, tcp, or tpc):
+submit PROTOCOL [CAMPAIGN FLAGS] [FLAGS] (PROTOCOL: gmp, tcp, or tpc):
     --ident TOK       idempotency token ([A-Za-z0-9._-], <=64 bytes); a
                       resubmit with the same token dedupes to the
                       original campaign instead of double-running
                       (default: a fresh token per invocation, so the
                       client's own reconnect-and-retry never double-runs)
-    --seed N --budget N --max-faults N --epoch N --step-budget N
-    --buggy           gmp with the paper's seeded bugs
-    --fault-secs N    gmp fault-window length (default 60; 5 = loop-heavy)
-    --no-snapshots    rebuild every world instead of forking snapshots
     --share-corpus    seed from the store's corpus pool for this target
     --wait            block until the campaign finishes, print its
                       results, and exit with the campaign's exit code
                       (0 clean / 1 violations / 3 infrastructure)
     submit reconnects and retries torn exchanges (8 attempts, seeded
     exponential backoff); `wait` and `results` resume by campaign id
-
-RETIRED submit FLAGS (accepted and ignored):
-    --no-prefilter    a candidate that cannot install is always refused
-                      before dispatch (it would be refused at install time)
 
 status FLAGS:
     --id cN           only this campaign
@@ -81,147 +74,133 @@ status FLAGS:
 results FLAGS:
     --id cN           required
 
+corpus TARGET-KEY (e.g. gmp, gmp-buggy, gmp-fs5)
+
+";
+
+const EXIT_HELP: &str = "
 EXIT CODES:
     0 ok; 1 violations (submit --wait); 2 usage; 3 infrastructure trouble
 ";
+
+const CONNECTION: [(&str, Takes); 2] = [("--addr", Takes::Text), ("--socket", Takes::Text)];
+
+const START: [(&str, Takes); 11] = [
+    ("--store", Takes::Text),
+    ("--jobs", Takes::Number),
+    ("--read-timeout", Takes::Number),
+    ("--write-timeout", Takes::Number),
+    ("--max-conns", Takes::Number),
+    ("--max-line", Takes::Number),
+    ("--max-payload", Takes::Number),
+    ("--chaos-seed", Takes::Number),
+    ("--chaos-wire", Takes::Number),
+    ("--chaos-disk", Takes::Number),
+    ("--chaos-budget", Takes::Number),
+];
+
+/// `submit`'s flags besides [`CAMPAIGN_FLAGS`].
+const SUBMIT: [(&str, Takes); 3] = [
+    ("--ident", Takes::Text),
+    ("--share-corpus", Takes::Nothing),
+    ("--wait", Takes::Nothing),
+];
+
+const STATUS: [(&str, Takes); 2] = [("--id", Takes::Text), ("--watch", Takes::Nothing)];
 
 fn fail(msg: &str) -> ! {
     eprintln!("{msg}");
     std::process::exit(2);
 }
 
-fn daemon_addr(args: &[String]) -> String {
-    match (flag_str(args, "--addr"), flag_str(args, "--socket")) {
-        (Some(a), None) => a,
-        (None, Some(s)) => s,
+/// The one address `--addr` or `--socket` names.
+fn daemon_addr(flags: &Flags) -> &str {
+    match (flags.text("--addr"), flags.text("--socket")) {
+        (Some(addr), None) | (None, Some(addr)) => addr,
         _ => fail("exactly one of --addr or --socket is required"),
     }
 }
 
-fn connect(args: &[String]) -> Client {
-    let target = daemon_addr(args);
-    match Client::connect(&target) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot connect to {target}: {e}");
-            std::process::exit(3);
-        }
+fn connect(flags: &Flags) -> Client {
+    let target = daemon_addr(flags);
+    Client::connect(target).unwrap_or_else(|e| {
+        eprintln!("cannot connect to {target}: {e}");
+        std::process::exit(3);
+    })
+}
+
+fn ok_or_die<T>(reply: std::io::Result<T>) -> T {
+    reply.unwrap_or_else(|e| {
+        eprintln!("request failed: {e}");
+        std::process::exit(3);
+    })
+}
+
+/// Sends `req` and exits 3 unless the daemon answers `ok`.
+fn call(client: &mut Client, req: &Request) -> Reply {
+    let reply = ok_or_die(client.call(req));
+    if !reply.ok {
+        eprintln!("daemon refused: {}", reply.head);
+        std::process::exit(3);
     }
-}
-
-fn flag_str(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn flag_num(args: &[String], name: &str) -> Option<u64> {
-    flag_str(args, name).and_then(|v| v.parse().ok())
-}
-
-/// First non-flag argument after the subcommand, skipping each
-/// value-taking flag's value — so `submit --socket s.sock tcp` finds
-/// `tcp` no matter where the flags sit.
-fn positional(args: &[String]) -> Option<String> {
-    const VALUE_FLAGS: [&str; 21] = [
-        "--addr",
-        "--socket",
-        "--store",
-        "--jobs",
-        "--seed",
-        "--budget",
-        "--max-faults",
-        "--epoch",
-        "--step-budget",
-        "--fault-secs",
-        "--id",
-        "--ident",
-        "--read-timeout",
-        "--write-timeout",
-        "--max-conns",
-        "--max-line",
-        "--max-payload",
-        "--chaos-seed",
-        "--chaos-wire",
-        "--chaos-disk",
-        "--chaos-budget",
-    ];
-    let mut i = 1;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if a.starts_with("--") {
-            i += if VALUE_FLAGS.contains(&a) { 2 } else { 1 };
-        } else {
-            return Some(args[i].clone());
-        }
-    }
-    None
-}
-
-fn ok_or_die(reply: std::io::Result<Reply>) -> Reply {
-    match reply {
-        Ok(reply) if reply.ok => reply,
-        Ok(reply) => {
-            eprintln!("daemon refused: {}", reply.head);
-            std::process::exit(3);
-        }
-        Err(e) => {
-            eprintln!("request failed: {e}");
-            std::process::exit(3);
-        }
-    }
+    reply
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{HELP}");
+        print!("{HELP}{CAMPAIGN_HELP}{EXIT_HELP}");
         return;
     }
-    match args[0].as_str() {
+    let command = args[0].as_str();
+    let (flags, positionals) = match command {
+        "start" => (START.to_vec(), 0),
+        "submit" => ([&CAMPAIGN_FLAGS[..], &SUBMIT].concat(), 1),
+        "status" => (STATUS.to_vec(), 0),
+        "results" => (vec![("--id", Takes::Text)], 0),
+        "corpus" => (vec![], 1),
+        "ping" | "shutdown" => (vec![], 0),
+        other => fail(&format!("unknown command {other:?} (try --help)")),
+    };
+    let flags = Flags::parse(&args[1..], &[&CONNECTION[..], &flags].concat(), positionals)
+        .unwrap_or_else(|e| fail(&format!("{command}: {e} (try --help)")));
+    match command {
         "start" => {
-            let store =
-                flag_str(&args, "--store").unwrap_or_else(|| fail("start requires --store DIR"));
-            let bind = match (flag_str(&args, "--addr"), flag_str(&args, "--socket")) {
-                (Some(a), None) => Bind::Tcp(a),
-                (None, Some(s)) => Bind::Unix(s.into()),
-                _ => fail("start requires exactly one of --addr or --socket"),
+            let store = flags
+                .text("--store")
+                .unwrap_or_else(|| fail("start requires --store DIR"));
+            let bind = match daemon_addr(&flags) {
+                addr if flags.has("--addr") => Bind::Tcp(addr.to_string()),
+                path => Bind::Unix(path.into()),
             };
+            // Each limit has a floor, so a zero cannot wedge the daemon.
+            let at_least = |name, floor| flags.number(name).map(|n: u64| n.max(floor));
+            let secs = |name| at_least(name, 1).map(Duration::from_secs);
             let mut limits = ServiceLimits::default();
-            if let Some(s) = flag_num(&args, "--read-timeout") {
-                limits.read_timeout = std::time::Duration::from_secs(s.max(1));
-            }
-            if let Some(s) = flag_num(&args, "--write-timeout") {
-                limits.write_timeout = std::time::Duration::from_secs(s.max(1));
-            }
-            if let Some(n) = flag_num(&args, "--max-conns") {
-                limits.max_conns = (n as usize).max(1);
-            }
-            if let Some(n) = flag_num(&args, "--max-line") {
-                limits.max_line = (n as usize).max(64);
-            }
-            if let Some(n) = flag_num(&args, "--max-payload") {
-                limits.max_payload = (n as usize).max(1024);
-            }
-            let chaos = flag_num(&args, "--chaos-seed").map(|seed| {
+            limits.read_timeout = secs("--read-timeout").unwrap_or(limits.read_timeout);
+            limits.write_timeout = secs("--write-timeout").unwrap_or(limits.write_timeout);
+            let size = |name, floor, default| at_least(name, floor).map_or(default, |n| n as usize);
+            limits.max_conns = size("--max-conns", 1, limits.max_conns);
+            limits.max_line = size("--max-line", 64, limits.max_line);
+            limits.max_payload = size("--max-payload", 1024, limits.max_payload);
+            let permille =
+                |name, default| flags.number(name).map_or(default, |n| n.min(1000) as u16);
+            let chaos = flags.number("--chaos-seed").map(|seed| {
                 let defaults = FaultConfig::default();
                 FaultConfig {
                     seed,
-                    wire_permille: flag_num(&args, "--chaos-wire")
-                        .map(|n| n.min(1000) as u16)
-                        .unwrap_or(defaults.wire_permille),
-                    disk_permille: flag_num(&args, "--chaos-disk")
-                        .map(|n| n.min(1000) as u16)
-                        .unwrap_or(defaults.disk_permille),
-                    max_faults: flag_num(&args, "--chaos-budget").unwrap_or(defaults.max_faults),
+                    wire_permille: permille("--chaos-wire", defaults.wire_permille),
+                    disk_permille: permille("--chaos-disk", defaults.disk_permille),
+                    max_faults: flags
+                        .number("--chaos-budget")
+                        .unwrap_or(defaults.max_faults),
                     ..defaults
                 }
             });
             let opts = DaemonOptions {
                 store: store.into(),
                 bind,
-                jobs: flag_num(&args, "--jobs").unwrap_or(0) as usize,
+                jobs: flags.jobs(),
                 limits,
                 chaos,
             };
@@ -232,64 +211,33 @@ fn main() {
         }
 
         "submit" => {
-            let mut params = CampaignParams::default();
-            match positional(&args) {
-                Some(proto) if BUNDLED.contains(&proto.as_str()) => params.proto = proto,
-                Some(other) => fail(&unknown_protocol(&other)),
-                None => fail(&format!("submit needs a protocol: {}", BUNDLED.join(", "))),
+            if flags.positional.is_empty() {
+                fail(&format!("submit needs a protocol: {}", BUNDLED.join(", ")));
             }
-            if let Some(v) = flag_num(&args, "--seed") {
-                params.seed = v;
-            }
-            if let Some(v) = flag_num(&args, "--budget") {
-                params.budget = v as usize;
-            }
-            if let Some(v) = flag_num(&args, "--max-faults") {
-                params.max_faults = v as usize;
-            }
-            if let Some(v) = flag_num(&args, "--epoch") {
-                params.epoch = (v as usize).max(1);
-            }
-            if let Some(v) = flag_num(&args, "--step-budget") {
-                params.step_budget = v;
-            }
-            if let Some(v) = flag_num(&args, "--fault-secs") {
-                params.fault_secs = v;
-            }
-            params.buggy = args.iter().any(|a| a == "--buggy");
-            params.snapshots = !args.iter().any(|a| a == "--no-snapshots");
-            params.share_corpus = args.iter().any(|a| a == "--share-corpus");
-
+            let mut params = flags.campaign().unwrap_or_else(|e| fail(&e));
+            params.share_corpus = flags.has("--share-corpus");
             // Every submit carries an ident — the caller's, or a fresh
             // one per invocation — so a retry after a torn ack dedupes
             // server-side instead of double-running the campaign.
-            let ident = flag_str(&args, "--ident").unwrap_or_else(|| {
-                let nanos = std::time::SystemTime::now()
-                    .duration_since(std::time::UNIX_EPOCH)
-                    .map_or(0, |d| d.as_nanos());
-                format!("cli-{nanos:x}-{:x}", std::process::id())
-            });
-            let mut client = RetryClient::new(&daemon_addr(&args), RetryPolicy::default());
-            let reply = ok_or_die(client.call(&Request::Submit {
-                params,
-                ident: Some(ident),
-            }));
-            let id = reply
-                .get("id")
-                .unwrap_or_else(|| fail("daemon reply carried no campaign id"))
-                .to_string();
-            let dedup = if reply.get("deduped") == Some("1") {
-                " [deduplicated]"
-            } else {
-                ""
-            };
-            println!(
-                "submitted {id} ({} seed schedule(s)){dedup}",
-                reply.get("seeds").unwrap_or("0")
+            let ident = flags.text("--ident").map_or_else(
+                || {
+                    let nanos = std::time::SystemTime::now()
+                        .duration_since(std::time::UNIX_EPOCH)
+                        .map_or(0, |d| d.as_nanos());
+                    format!("cli-{nanos:x}-{:x}", std::process::id())
+                },
+                str::to_string,
             );
-            if args.iter().any(|a| a == "--wait") {
-                let wait = ok_or_die(client.call(&Request::Wait { id: id.clone() }));
-                let results = ok_or_die(client.call(&Request::Results { id }));
+            let mut client = Client::new(daemon_addr(&flags), RetryPolicy::default());
+            let ack = ok_or_die(client.submit(&params, &ident));
+            let dedup = if ack.deduped { " [deduplicated]" } else { "" };
+            println!(
+                "submitted {} ({} seed schedule(s)){dedup}",
+                ack.id, ack.seeds
+            );
+            if flags.has("--wait") {
+                let wait = call(&mut client, &Request::Wait { id: ack.id.clone() });
+                let results = call(&mut client, &Request::Results { id: ack.id });
                 for line in &results.payload {
                     println!("{line}");
                 }
@@ -302,26 +250,27 @@ fn main() {
         }
 
         "status" => {
-            let mut client = connect(&args);
-            let id = flag_str(&args, "--id");
-            let watch = args.iter().any(|a| a == "--watch");
+            let mut client = connect(&flags);
+            let id = flags.text("--id").map(str::to_string);
             loop {
-                let reply = ok_or_die(client.call(&Request::Status { id: id.clone() }));
+                let reply = call(&mut client, &Request::Status { id: id.clone() });
                 println!("campaigns: {}", reply.get("campaigns").unwrap_or("?"));
                 for line in &reply.payload {
                     println!("  {line}");
                 }
-                if !watch {
+                if !flags.has("--watch") {
                     break;
                 }
-                std::thread::sleep(std::time::Duration::from_secs(1));
+                std::thread::sleep(Duration::from_secs(1));
             }
         }
 
         "results" => {
-            let id = flag_str(&args, "--id").unwrap_or_else(|| fail("results requires --id cN"));
-            let mut client = connect(&args);
-            let reply = ok_or_die(client.call(&Request::Results { id }));
+            let id = flags
+                .text("--id")
+                .unwrap_or_else(|| fail("results requires --id cN"))
+                .to_string();
+            let reply = call(&mut connect(&flags), &Request::Results { id });
             for line in &reply.payload {
                 println!("{line}");
             }
@@ -330,10 +279,12 @@ fn main() {
         }
 
         "corpus" => {
-            let key = positional(&args)
-                .unwrap_or_else(|| fail("corpus needs a target key (e.g. gmp, gmp-fs5)"));
-            let mut client = connect(&args);
-            let reply = ok_or_die(client.call(&Request::Corpus { key }));
+            let key = flags
+                .positional
+                .first()
+                .unwrap_or_else(|| fail("corpus needs a target key (e.g. gmp, gmp-fs5)"))
+                .clone();
+            let reply = call(&mut connect(&flags), &Request::Corpus { key });
             println!(
                 "corpus pool: {} schedule(s)",
                 reply.get("schedules").unwrap_or("0")
@@ -344,18 +295,15 @@ fn main() {
         }
 
         "ping" => {
-            let mut client = connect(&args);
-            let reply = ok_or_die(client.call(&Request::Ping));
             // The head carries the service-boundary counters.
-            println!("{}", reply.head);
+            println!("{}", call(&mut connect(&flags), &Request::Ping).head);
         }
 
         "shutdown" => {
-            let mut client = connect(&args);
-            ok_or_die(client.call(&Request::Shutdown));
+            call(&mut connect(&flags), &Request::Shutdown);
             println!("daemon stopping");
         }
 
-        other => fail(&format!("unknown command {other:?} (try --help)")),
+        _ => unreachable!("every command has a flag table above"),
     }
 }

@@ -44,12 +44,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use pfi_testgen::{
-    bundled, unknown_protocol, CampaignFleet, ExploreOutcome, FaultSchedule, Journal, LiveProgress,
+    CampaignFleet, CampaignParams, ExploreOutcome, FaultSchedule, Journal, LiveProgress,
     ProtocolSpec, TestTarget,
 };
 
 use crate::faultio::{FaultConfig, FaultPlan, FaultStream};
-use crate::proto::{read_line_bounded, write_reply, CampaignParams, LineOutcome, Request, Stream};
+use crate::proto::{read_line_bounded, write_reply, LineOutcome, Request, Stream};
 use crate::store::Store;
 
 /// Where the daemon listens.
@@ -101,7 +101,7 @@ pub struct DaemonOptions {
     pub store: PathBuf,
     /// Listen address.
     pub bind: Bind,
-    /// Fleet worker threads (0 = auto-detect).
+    /// Fleet workers: the executor thread plus `jobs - 1` spawned ones.
     pub jobs: usize,
     /// Service-boundary limits.
     pub limits: ServiceLimits,
@@ -376,12 +376,6 @@ pub fn run(opts: DaemonOptions) -> io::Result<()> {
     if let Some(plan) = &chaos {
         store = store.with_fault_plan(Arc::clone(plan));
     }
-    let jobs = match opts.jobs {
-        0 => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        j => j,
-    };
 
     // Startup scan: rebuild the world from the store, in seq order.
     // Complete journals reconstruct without execution; everything else
@@ -491,7 +485,7 @@ pub fn run(opts: DaemonOptions) -> io::Result<()> {
 
     let executor = {
         let shared = Arc::clone(&shared);
-        std::thread::spawn(move || executor_loop(&shared, jobs))
+        std::thread::spawn(move || executor_loop(&shared, opts.jobs))
     };
 
     // Accept-loop error policy: transient failures (EMFILE, EINTR,
@@ -572,7 +566,7 @@ fn is_timeout(e: &io::Error) -> bool {
 /// at a time, finishes the in-flight campaign on shutdown.
 fn executor_loop(shared: &Shared, jobs: usize) {
     let mut pool = CampaignFleet::new(jobs);
-    let mut targets = LastTarget::default();
+    let mut last_target = None;
     loop {
         let (id, params, resume) = {
             let mut state = shared.state.lock().unwrap();
@@ -600,7 +594,7 @@ fn executor_loop(shared: &Shared, jobs: usize) {
             }
         };
         let started = Instant::now();
-        let summary = run_campaign(&mut pool, &mut targets, shared, &id, &params, resume);
+        let summary = run_campaign(&mut pool, &mut last_target, shared, &id, &params, resume);
         let mut summary = summary.unwrap_or_else(|e| Summary {
             digest64: format!("error: {e}"),
             exit: 3,
@@ -613,37 +607,30 @@ fn executor_loop(shared: &Shared, jobs: usize) {
     }
 }
 
-/// The executor's last target, keyed on the three parameters [`bundled`]
-/// builds it from. Consecutive campaigns of one target configuration get
-/// the same handle, which is what lets the pool fork the base world and
-/// baseline the previous campaign left instead of building them again
-/// ([`CampaignFleet`]). One slot, like the pool's.
-#[derive(Default)]
-struct LastTarget {
-    slot: Option<(TargetKey, Bundled)>,
-}
-
-/// `(proto, buggy, fault_secs)`.
+/// `(proto, buggy, fault_secs)`: what [`CampaignParams::target`] builds a
+/// target from.
 type TargetKey = (String, bool, u64);
 
-/// What [`bundled`] returns.
+/// What [`CampaignParams::target`] returns.
 type Bundled = (ProtocolSpec, Arc<dyn TestTarget>);
 
-impl LastTarget {
-    /// The spec and target `params` name: the kept ones when they were
-    /// built from the same values.
-    fn get(&mut self, params: &CampaignParams) -> io::Result<&Bundled> {
-        let key = (params.proto.clone(), params.buggy, params.fault_secs);
-        if self.slot.as_ref().is_none_or(|(kept, _)| *kept != key) {
-            // `CampaignParams::from_kv` admits only bundled names; a
-            // hand-built `CampaignParams` that slipped past it fails its
-            // campaign here, and leaves the slot as it was.
-            let built = bundled(&params.proto, params.buggy, params.fault_secs)
-                .ok_or_else(|| io::Error::other(unknown_protocol(&params.proto)))?;
-            self.slot = Some((key, built));
-        }
-        Ok(&self.slot.as_ref().expect("filled above").1)
+/// The spec and target `params` name. The executor keeps its last one in
+/// `last`: consecutive campaigns of one target configuration get the same
+/// handle, which is what lets the pool fork the base world and baseline
+/// the previous campaign left instead of building them again
+/// ([`CampaignFleet`]). One slot, like the pool's.
+fn target_for<'a>(
+    last: &'a mut Option<(TargetKey, Bundled)>,
+    params: &CampaignParams,
+) -> io::Result<&'a Bundled> {
+    let key = (params.proto.clone(), params.buggy, params.fault_secs);
+    if last.as_ref().is_none_or(|(kept, _)| *kept != key) {
+        // `params_from_kv` admits only bundled names; a hand-built
+        // `CampaignParams` that slipped past it fails its campaign here,
+        // and leaves the slot as it was.
+        *last = Some((key, params.target().map_err(io::Error::other)?));
     }
+    Ok(&last.as_ref().expect("filled above").1)
 }
 
 /// Runs (or resumes from the torn journal `resume`) one campaign on the
@@ -656,14 +643,14 @@ impl LastTarget {
 /// never from zero.
 fn run_campaign(
     pool: &mut CampaignFleet,
-    targets: &mut LastTarget,
+    last_target: &mut Option<(TargetKey, Bundled)>,
     daemon: &Shared,
     id: &str,
     params: &CampaignParams,
     resume: Option<Box<Journal>>,
 ) -> io::Result<Summary> {
     let store = &daemon.store;
-    let (spec, target) = targets.get(params)?;
+    let (spec, target) = target_for(last_target, params)?;
     let mut cfg = params.to_config();
     cfg.seed_corpus = store.read_seeds(id)?;
     let progress = Arc::new(LiveProgress::default());

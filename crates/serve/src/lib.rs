@@ -11,9 +11,9 @@
 //! The pieces:
 //!
 //! - [`proto`]: the wire protocol (requests, replies, dot-stuffed
-//!   payloads) and a small [`proto::Client`] for TCP or Unix sockets,
-//!   plus the bounded readers and [`proto::RetryClient`] the hardened
-//!   boundary demands.
+//!   payloads), its bounded readers, and the one [`proto::Client`] for
+//!   TCP or Unix sockets, which reconnects and retries a torn exchange per
+//!   its [`proto::RetryPolicy`].
 //! - [`store`]: the store directory — append-only index, one append-only
 //!   file of every campaign's journal, pinned seed corpora, and
 //!   per-target shared corpus pools deduplicated by exact schedule.
@@ -29,5 +29,6 @@ pub mod store;
 
 pub use daemon::{run, Bind, DaemonOptions, ServiceLimits};
 pub use faultio::{FaultConfig, FaultPlan, FaultStream};
-pub use proto::{CampaignParams, Client, Reply, Request, RetryClient, RetryPolicy};
+pub use pfi_testgen::CampaignParams;
+pub use proto::{Ack, Client, Reply, Request, RetryPolicy};
 pub use store::Store;

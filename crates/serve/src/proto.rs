@@ -36,7 +36,7 @@ use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
-use pfi_testgen::{lines, unknown_protocol, ExploreConfig, BUNDLED};
+use pfi_testgen::{lines, unknown_protocol, CampaignParams, BUNDLED};
 
 /// Budget caps for the protocol readers. Every reader in this module is
 /// bounded: a peer can never make the other side buffer without limit,
@@ -96,147 +96,71 @@ pub fn read_line_bounded<R: BufRead>(r: &mut R, max_line: usize) -> io::Result<L
     })
 }
 
-/// Everything that identifies a campaign submission. The daemon persists
-/// exactly these fields in its store index, so a restart can rebuild the
-/// [`ExploreConfig`] and target byte-for-byte.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignParams {
-    /// Bundled protocol: `gmp`, `tcp`, or `tpc`.
-    pub proto: String,
-    /// Use the implementation with the paper's seeded bugs (gmp only).
-    pub buggy: bool,
-    /// Fault window length in virtual seconds (gmp only; 60 is the grid
-    /// default, 5 the loop-heavy shallow corpus).
-    pub fault_secs: u64,
-    /// Exploration RNG seed.
-    pub seed: u64,
-    /// Mutation budget.
-    pub budget: usize,
-    /// Max faults per candidate schedule.
-    pub max_faults: usize,
-    /// Candidates per dispatch epoch.
-    pub epoch: usize,
-    /// Fork candidate worlds from cached snapshots.
-    pub snapshots: bool,
-    /// Interpreter steps one filter evaluation may take, refilled for
-    /// every message (0 = default).
-    pub step_budget: u64,
-    /// Seed this campaign with the store's shared corpus pool for the
-    /// same target (snapshotted at submission time, so a resume replays
-    /// the identical seed set even if the pool has grown since).
-    pub share_corpus: bool,
+/// The `k=v` wire/index form of `params`, stable field order.
+pub fn params_to_kv(params: &CampaignParams) -> String {
+    format!(
+        "proto={} seed={} budget={} max-faults={} epoch={} buggy={} \
+         fault-secs={} prefilter=1 snapshots={} step-budget={} share-corpus={}",
+        params.proto,
+        params.seed,
+        params.budget,
+        params.max_faults,
+        params.epoch,
+        params.buggy as u8,
+        params.fault_secs,
+        params.snapshots as u8,
+        params.step_budget,
+        params.share_corpus as u8,
+    )
 }
 
-impl Default for CampaignParams {
-    fn default() -> Self {
-        let cfg = ExploreConfig::default();
-        CampaignParams {
-            proto: "gmp".to_string(),
-            buggy: false,
-            fault_secs: 60,
-            seed: cfg.seed,
-            budget: cfg.budget,
-            max_faults: cfg.max_faults,
-            epoch: cfg.epoch,
-            snapshots: cfg.snapshots,
-            step_budget: cfg.step_budget,
-            share_corpus: false,
-        }
-    }
-}
-
-impl CampaignParams {
-    /// The `k=v` wire/index form, stable field order.
-    pub fn to_kv(&self) -> String {
-        format!(
-            "proto={} seed={} budget={} max-faults={} epoch={} buggy={} \
-             fault-secs={} prefilter=1 snapshots={} step-budget={} share-corpus={}",
-            self.proto,
-            self.seed,
-            self.budget,
-            self.max_faults,
-            self.epoch,
-            self.buggy as u8,
-            self.fault_secs,
-            self.snapshots as u8,
-            self.step_budget,
-            self.share_corpus as u8,
-        )
-    }
-
-    /// Parses the [`to_kv`](CampaignParams::to_kv) form. Strict: every
-    /// field must be present, so a half-written (torn) index line can
-    /// never parse into a campaign with silently-defaulted fields.
-    /// `prefilter=`, `pruning=` and `semantic=` (module docs) may be
-    /// absent; when present they must still be booleans.
-    pub fn from_kv(kv: &str) -> Result<Self, String> {
-        let map = parse_kv(kv);
-        let get = |k: &str| {
-            map.get(k)
-                .copied()
-                .ok_or_else(|| format!("missing {k}= in campaign params"))
-        };
-        let num = |k: &str| {
-            get(k)?
-                .parse::<u64>()
-                .map_err(|_| format!("bad {k}= value"))
-        };
-        let boolean = |k: &str| {
-            Ok::<bool, String>(match get(k)? {
-                "1" | "true" => true,
-                "0" | "false" => false,
-                other => return Err(format!("bad {k}={other}")),
-            })
-        };
-        let proto = get("proto")?.to_string();
-        if !BUNDLED.contains(&proto.as_str()) {
-            return Err(unknown_protocol(&proto));
-        }
-        for retired in ["prefilter", "pruning", "semantic"] {
-            if map.contains_key(retired) {
-                boolean(retired)?;
-            }
-        }
-        Ok(CampaignParams {
-            proto,
-            seed: num("seed")?,
-            budget: num("budget")? as usize,
-            max_faults: num("max-faults")? as usize,
-            epoch: (num("epoch")? as usize).max(1),
-            buggy: boolean("buggy")?,
-            fault_secs: num("fault-secs")?,
-            snapshots: boolean("snapshots")?,
-            step_budget: num("step-budget")?,
-            share_corpus: boolean("share-corpus")?,
+/// Parses the [`params_to_kv`] form. Strict: every field must be present,
+/// so a half-written (torn) index line can never parse into a campaign
+/// with silently-defaulted fields. `prefilter=`, `pruning=` and
+/// `semantic=` (module docs) may be absent; when present they must still
+/// be booleans. Values load as they were stored: an index line of a
+/// campaign submitted with `max-faults=0` names the campaign its journal
+/// records.
+pub fn params_from_kv(kv: &str) -> Result<CampaignParams, String> {
+    let map = parse_kv(kv);
+    let get = |k: &str| {
+        map.get(k)
+            .copied()
+            .ok_or_else(|| format!("missing {k}= in campaign params"))
+    };
+    let num = |k: &str| {
+        get(k)?
+            .parse::<u64>()
+            .map_err(|_| format!("bad {k}= value"))
+    };
+    let boolean = |k: &str| {
+        Ok::<bool, String>(match get(k)? {
+            "1" | "true" => true,
+            "0" | "false" => false,
+            other => return Err(format!("bad {k}={other}")),
         })
+    };
+    let proto = get("proto")?.to_string();
+    if !BUNDLED.contains(&proto.as_str()) {
+        return Err(unknown_protocol(&proto));
     }
-
-    /// The corpus-pool key: campaigns share seed schedules only with
-    /// campaigns exploring the *same* target build.
-    pub fn corpus_key(&self) -> String {
-        let mut key = self.proto.clone();
-        if self.buggy {
-            key.push_str("-buggy");
-        }
-        if self.proto == "gmp" && self.fault_secs != 60 {
-            key.push_str(&format!("-fs{}", self.fault_secs));
-        }
-        key
-    }
-
-    /// The exploration config these params pin (seed corpus, journal, and
-    /// resume state are the daemon's to attach).
-    pub fn to_config(&self) -> ExploreConfig {
-        ExploreConfig {
-            seed: self.seed,
-            budget: self.budget,
-            max_faults: self.max_faults,
-            epoch: self.epoch,
-            snapshots: self.snapshots,
-            step_budget: self.step_budget,
-            ..ExploreConfig::default()
+    for retired in ["prefilter", "pruning", "semantic"] {
+        if map.contains_key(retired) {
+            boolean(retired)?;
         }
     }
+    Ok(CampaignParams {
+        proto,
+        seed: num("seed")?,
+        budget: num("budget")? as usize,
+        max_faults: num("max-faults")? as usize,
+        epoch: (num("epoch")? as usize).max(1),
+        buggy: boolean("buggy")?,
+        fault_secs: num("fault-secs")?,
+        snapshots: boolean("snapshots")?,
+        step_budget: num("step-budget")?,
+        share_corpus: boolean("share-corpus")?,
+    })
 }
 
 /// One parsed request line.
@@ -285,8 +209,8 @@ impl Request {
     pub fn render(&self) -> String {
         match self {
             Request::Submit { params, ident } => match ident {
-                Some(ident) => format!("submit {} ident={ident}", params.to_kv()),
-                None => format!("submit {}", params.to_kv()),
+                Some(ident) => format!("submit {} ident={ident}", params_to_kv(params)),
+                None => format!("submit {}", params_to_kv(params)),
             },
             Request::Status { id: None } => "status".to_string(),
             Request::Status { id: Some(id) } => format!("status id={id}"),
@@ -320,7 +244,7 @@ impl Request {
                     None => None,
                 };
                 Ok(Request::Submit {
-                    params: CampaignParams::from_kv(rest)?,
+                    params: params_from_kv(rest)?,
                     ident,
                 })
             }
@@ -366,10 +290,6 @@ fn validate_ident(tok: &str) -> Result<String, String> {
     Ok(tok.to_string())
 }
 
-/// FNV-1a over bytes — the workspace's one hash ([`pfi_sim::fnv`]), used
-/// here for deterministic retry jitter.
-pub use pfi_sim::fnv::fnv64;
-
 /// A parsed reply: the head line plus (when the request promised one) the
 /// un-dot-stuffed payload lines.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -414,18 +334,13 @@ pub fn write_reply<W: Write>(
     w.flush()
 }
 
-/// Reads one reply with the default [`ProtoLimits`]; `expect_payload`
-/// must mirror [`Request::has_payload`] for the request that elicited it
-/// (an `err` head never carries a payload).
-pub fn read_reply<R: BufRead>(r: &mut R, expect_payload: bool) -> io::Result<Reply> {
-    read_reply_limited(r, expect_payload, &ProtoLimits::default())
-}
-
-/// [`read_reply`] with explicit budgets: no single line may exceed
-/// `limits.max_line` and the whole payload block may not exceed
-/// `limits.max_payload` bytes — the dot-stuffed reader can never be made
-/// to buffer without bound by a hostile or fault-injected peer.
-pub fn read_reply_limited<R: BufRead>(
+/// Reads one reply; `expect_payload` must mirror [`Request::has_payload`]
+/// for the request that elicited it (an `err` head never carries a
+/// payload). No single line may exceed `limits.max_line` and the whole
+/// payload block may not exceed `limits.max_payload` bytes — the
+/// dot-stuffed reader can never be made to buffer without bound by a
+/// hostile or fault-injected peer.
+pub fn read_reply<R: BufRead>(
     r: &mut R,
     expect_payload: bool,
     limits: &ProtoLimits,
@@ -556,38 +471,20 @@ impl Write for Stream {
     }
 }
 
-/// A request/reply client over one daemon connection.
-pub struct Client {
-    reader: BufReader<Stream>,
-    writer: Stream,
+/// Opens a connection to `addr`: its buffered read half and its write
+/// half.
+fn open(addr: &str) -> io::Result<(BufReader<Stream>, Stream)> {
+    let (reader, writer) = if addr.contains('/') || !addr.contains(':') {
+        let s = UnixStream::connect(addr)?;
+        (Stream::Unix(s.try_clone()?), Stream::Unix(s))
+    } else {
+        let s = TcpStream::connect(addr)?;
+        (Stream::Tcp(s.try_clone()?), Stream::Tcp(s))
+    };
+    Ok((BufReader::new(reader), writer))
 }
 
-impl Client {
-    /// Connects to `addr`: anything containing `/` — or without the `:`
-    /// a TCP `host:port` must carry — is a Unix socket path.
-    pub fn connect(addr: &str) -> io::Result<Client> {
-        let (reader, writer) = if addr.contains('/') || !addr.contains(':') {
-            let s = UnixStream::connect(addr)?;
-            (Stream::Unix(s.try_clone()?), Stream::Unix(s))
-        } else {
-            let s = TcpStream::connect(addr)?;
-            (Stream::Tcp(s.try_clone()?), Stream::Tcp(s))
-        };
-        Ok(Client {
-            reader: BufReader::new(reader),
-            writer,
-        })
-    }
-
-    /// Sends one request and reads its reply.
-    pub fn call(&mut self, req: &Request) -> io::Result<Reply> {
-        writeln!(self.writer, "{}", req.render())?;
-        self.writer.flush()?;
-        read_reply(&mut self.reader, req.has_payload())
-    }
-}
-
-/// Reconnect/backoff tuning for [`RetryClient`]. The jitter is
+/// Reconnect/backoff tuning for a [`Client`]. The jitter is
 /// deterministic — a hash of `(seed, attempt)` — so two runs of the same
 /// client behave identically, in the same spirit as every other seeded
 /// schedule in this codebase.
@@ -626,29 +523,44 @@ impl RetryPolicy {
         let mut key = [0u8; 16];
         key[..8].copy_from_slice(&self.seed.to_le_bytes());
         key[8..].copy_from_slice(&(attempt as u64).to_le_bytes());
-        let jitter = fnv64(&key) % (exp / 2 + 1);
+        // The workspace's one hash makes the jitter deterministic.
+        let jitter = pfi_sim::fnv::fnv64(&key) % (exp / 2 + 1);
         Duration::from_millis(exp / 2 + jitter)
     }
 }
 
-/// A self-healing client: reconnects with exponential backoff and
-/// deterministic jitter, and re-issues the request on the fresh
-/// connection. Safe for every request in the protocol except a `submit`
-/// *without* an ident (which could double-run a campaign) — those get
-/// exactly one attempt; attach an ident to make submits retryable.
-pub struct RetryClient {
+/// The daemon's acknowledgement of a `submit`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Ack {
+    /// The campaign id (`cN`).
+    pub id: String,
+    /// Whether the daemon had already accepted this ident.
+    pub deduped: bool,
+    /// Seed schedules pinned from the shared corpus pool.
+    pub seeds: usize,
+}
+
+/// A request/reply client of a daemon. A torn exchange poisons its
+/// connection: the client drops it, and reconnects and re-issues the
+/// request with exponential backoff and deterministic jitter while its
+/// [`RetryPolicy`] has attempts left. That is safe for every request in the
+/// protocol except `shutdown` and a `submit` *without* an ident (which
+/// could double-run a campaign): those get exactly one attempt. A policy
+/// of one attempt never retries.
+pub struct Client {
     addr: String,
     policy: RetryPolicy,
-    conn: Option<Client>,
+    conn: Option<(BufReader<Stream>, Stream)>,
     /// Reconnect-and-retry count so far (observability for chaos runs).
     pub retries: u64,
 }
 
-impl RetryClient {
-    /// A retrying client for `addr` (same syntax as
-    /// [`Client::connect`]).
-    pub fn new(addr: &str, policy: RetryPolicy) -> RetryClient {
-        RetryClient {
+impl Client {
+    /// A client for `addr` that connects at its first call and retries per
+    /// `policy`. An address containing `/` — or without the `:` a TCP
+    /// `host:port` must carry — is a Unix socket path.
+    pub fn new(addr: &str, policy: RetryPolicy) -> Client {
+        Client {
             addr: addr.to_string(),
             policy,
             conn: None,
@@ -656,15 +568,26 @@ impl RetryClient {
         }
     }
 
-    /// Sends `req`, reconnecting and retrying per the policy. `wait` and
-    /// `status` resume transparently across reconnects — the re-issued
-    /// request picks the campaign back up by id on the new connection.
+    /// Connects to `addr` now, for a client that never retries.
+    pub fn connect(addr: &str) -> io::Result<Client> {
+        let once = RetryPolicy {
+            attempts: 1,
+            ..RetryPolicy::default()
+        };
+        Ok(Client {
+            conn: Some(open(addr)?),
+            ..Client::new(addr, once)
+        })
+    }
+
+    /// Sends `req` and reads its reply, reconnecting and retrying per the
+    /// policy. `wait` and `status` resume transparently across reconnects —
+    /// the re-issued request picks the campaign back up by id on the new
+    /// connection.
     pub fn call(&mut self, req: &Request) -> io::Result<Reply> {
-        let retryable = !matches!(req, Request::Submit { ident: None, .. } | Request::Shutdown);
-        let attempts = if retryable {
-            self.policy.attempts.max(1)
-        } else {
-            1
+        let attempts = match req {
+            Request::Submit { ident: None, .. } | Request::Shutdown => 1,
+            _ => self.policy.attempts.max(1),
         };
         let mut last_err = None;
         for attempt in 0..attempts {
@@ -672,32 +595,27 @@ impl RetryClient {
                 self.retries += 1;
                 std::thread::sleep(self.policy.backoff(attempt));
             }
-            if self.conn.is_none() {
-                match Client::connect(&self.addr) {
-                    Ok(c) => self.conn = Some(c),
-                    Err(e) => {
-                        last_err = Some(e);
-                        continue;
-                    }
-                }
-            }
-            match self.conn.as_mut().unwrap().call(req) {
+            // A connection goes back only after a whole exchange: anything
+            // torn mid-exchange poisons it, and the next attempt reconnects.
+            let conn = self.conn.take().map_or_else(|| open(&self.addr), Ok);
+            let exchange = conn.and_then(|(mut reader, mut writer)| {
+                writeln!(writer, "{}", req.render())?;
+                writer.flush()?;
+                let reply = read_reply(&mut reader, req.has_payload(), &ProtoLimits::default())?;
+                self.conn = Some((reader, writer));
+                Ok(reply)
+            });
+            match exchange {
                 Ok(reply) => return Ok(reply),
-                Err(e) => {
-                    // Anything torn mid-exchange poisons the connection:
-                    // drop it so the next attempt starts clean.
-                    self.conn = None;
-                    last_err = Some(e);
-                }
+                Err(e) => last_err = Some(e),
             }
         }
-        Err(last_err.unwrap_or_else(|| io::Error::other("no attempts made")))
+        Err(last_err.expect("every call makes an attempt"))
     }
 
     /// Idempotent submit: attaches `ident` so a retry that lost the ack
-    /// dedupes server-side instead of double-running. Returns the
-    /// campaign id and whether the daemon had already seen this ident.
-    pub fn submit(&mut self, params: &CampaignParams, ident: &str) -> io::Result<(String, bool)> {
+    /// dedupes server-side instead of double-running.
+    pub fn submit(&mut self, params: &CampaignParams, ident: &str) -> io::Result<Ack> {
         let reply = self.call(&Request::Submit {
             params: params.clone(),
             ident: Some(ident.to_string()),
@@ -714,20 +632,17 @@ impl RetryClient {
                 )
             })?
             .to_string();
-        Ok((id, reply.get("deduped") == Some("1")))
+        Ok(Ack {
+            id,
+            deduped: reply.get("deduped") == Some("1"),
+            seeds: reply.get("seeds").and_then(|n| n.parse().ok()).unwrap_or(0),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv64_matches_the_fnv1a_reference_vectors() {
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x8594_4171_f739_67e8);
-    }
 
     #[test]
     fn params_round_trip_through_kv() {
@@ -743,9 +658,9 @@ mod tests {
             step_budget: 7,
             share_corpus: true,
         };
-        assert_eq!(CampaignParams::from_kv(&p.to_kv()).unwrap(), p);
+        assert_eq!(params_from_kv(&params_to_kv(&p)).unwrap(), p);
         p.buggy = false;
-        assert_eq!(CampaignParams::from_kv(&p.to_kv()).unwrap(), p);
+        assert_eq!(params_from_kv(&params_to_kv(&p)).unwrap(), p);
         assert_eq!(p.corpus_key(), "gmp-fs5");
         p.fault_secs = 60;
         assert_eq!(p.corpus_key(), "gmp");
@@ -757,7 +672,7 @@ mod tests {
     #[test]
     fn retired_prune_switches_are_checked_and_ignored() {
         let p = CampaignParams::default();
-        let kv = p.to_kv();
+        let kv = params_to_kv(&p);
         assert!(!kv.contains("pruning=") && !kv.contains("semantic="));
         assert!(kv.contains(" prefilter=1 "), "{kv}");
         for old in [
@@ -767,21 +682,21 @@ mod tests {
             "",
         ] {
             let with = kv.replace("prefilter=1", old);
-            assert_eq!(CampaignParams::from_kv(&with).unwrap(), p, "{with}");
+            assert_eq!(params_from_kv(&with).unwrap(), p, "{with}");
         }
         for bad in ["pruning=maybe", "semantic=", "pruning=2", "prefilter=maybe"] {
             let with = format!("{kv} {bad}");
-            assert!(CampaignParams::from_kv(&with).is_err(), "{with}");
+            assert!(params_from_kv(&with).is_err(), "{with}");
             assert!(Request::parse(&format!("submit {with}")).is_err(), "{with}");
         }
     }
 
     #[test]
     fn torn_params_refuse_to_parse() {
-        let full = CampaignParams::default().to_kv();
+        let full = params_to_kv(&CampaignParams::default());
         let torn = &full[..full.len() / 2];
-        assert!(CampaignParams::from_kv(torn).is_err());
-        assert!(CampaignParams::from_kv("proto=smtp seed=1").is_err());
+        assert!(params_from_kv(torn).is_err());
+        assert!(params_from_kv("proto=smtp seed=1").is_err());
     }
 
     #[test]
@@ -814,7 +729,7 @@ mod tests {
         // at the parser.
         let bad = format!(
             "submit {} ident={}",
-            CampaignParams::default().to_kv(),
+            params_to_kv(&CampaignParams::default()),
             "x".repeat(65)
         );
         assert!(Request::parse(&bad).is_err());
@@ -849,13 +764,13 @@ mod tests {
             max_line: 1024,
             max_payload: 150,
         };
-        let err = read_reply_limited(&mut BufReader::new(&wire[..]), true, &limits).unwrap_err();
+        let err = read_reply(&mut BufReader::new(&wire[..]), true, &limits).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let roomy = ProtoLimits {
             max_line: 1024,
             max_payload: 1024,
         };
-        let reply = read_reply_limited(&mut BufReader::new(&wire[..]), true, &roomy).unwrap();
+        let reply = read_reply(&mut BufReader::new(&wire[..]), true, &roomy).unwrap();
         assert_eq!(reply.payload, lines);
     }
 
@@ -886,7 +801,7 @@ mod tests {
         let mut wire = Vec::new();
         write_reply(&mut wire, true, "n=4", Some(&lines)).unwrap();
         let mut r = BufReader::new(&wire[..]);
-        let reply = read_reply(&mut r, true).unwrap();
+        let reply = read_reply(&mut r, true, &ProtoLimits::default()).unwrap();
         assert!(reply.ok);
         assert_eq!(reply.get("n"), Some("4"));
         assert_eq!(reply.payload, lines);

@@ -51,10 +51,10 @@ use std::io::{self, BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use pfi_testgen::{lines, FaultSchedule, Journal};
+use pfi_testgen::{lines, CampaignParams, FaultSchedule, Journal};
 
 use crate::faultio::{faulty_sync, faulty_write_all, FaultPlan};
-use crate::proto::CampaignParams;
+use crate::proto::{params_from_kv, params_to_kv};
 
 /// Corpus key -> exact ids of every schedule in `corpus-<key>`, present
 /// once the key has been merged into.
@@ -177,8 +177,8 @@ impl Store {
         ident: Option<&str>,
     ) -> io::Result<()> {
         let line = match ident {
-            Some(tok) => format!("campaign {id} {} ident={tok}", params.to_kv()),
-            None => format!("campaign {id} {}", params.to_kv()),
+            Some(tok) => format!("campaign {id} {} ident={tok}", params_to_kv(params)),
+            None => format!("campaign {id} {}", params_to_kv(params)),
         };
         self.append_line(&self.lock(), &self.index_path(), &line)
     }
@@ -219,7 +219,7 @@ impl Store {
             let Some((id, kv)) = rest.split_once(' ') else {
                 continue;
             };
-            if let Ok(params) = CampaignParams::from_kv(kv) {
+            if let Ok(params) = params_from_kv(kv) {
                 let ident = crate::proto::parse_kv(kv)
                     .get("ident")
                     .map(|s| s.to_string());
@@ -423,7 +423,7 @@ mod tests {
             .append(true)
             .open(store.index_path())
             .unwrap();
-        write!(f, "campaign c3 {} ident=cli-ab", p1.to_kv()).unwrap();
+        write!(f, "campaign c3 {} ident=cli-ab", params_to_kv(&p1)).unwrap();
         drop(f);
         let loaded = store.load_index().unwrap();
         assert_eq!(

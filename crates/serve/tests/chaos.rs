@@ -9,7 +9,7 @@
 //!
 //! 1. **Survival & determinism** (seed sweep, `PFI_CHAOS_SEEDS` seeds,
 //!    default 16): a campaign submitted through the self-healing
-//!    [`RetryClient`] completes with a digest byte-identical to the
+//!    retrying [`Client`] completes with a digest byte-identical to the
 //!    clean-path inline run, under every fault schedule. Zero daemon
 //!    panics.
 //! 2. **Idempotency**: resubmitting the same identity token through the
@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use pfi_serve::proto::{parse_kv, Client, Request, RetryClient, RetryPolicy};
+use pfi_serve::proto::{parse_kv, Ack, Client, Request, RetryPolicy};
 use pfi_serve::CampaignParams;
 use pfi_testgen::{explore, ExploreConfig, GmpTarget, ProtocolSpec};
 
@@ -81,7 +81,7 @@ impl Daemon {
     /// Waits (through the retrying client — the daemon may be injecting
     /// faults into the very ping that proves it is up) until the daemon
     /// answers.
-    fn await_up(&self, client: &mut RetryClient) {
+    fn await_up(&self, client: &mut Client) {
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             if let Ok(r) = client.call(&Request::Ping) {
@@ -181,7 +181,7 @@ fn chaos_sweep_campaigns_survive_with_clean_digests() {
                 "5",
             ],
         );
-        let mut client = RetryClient::new(
+        let mut client = Client::new(
             daemon.addr(),
             RetryPolicy {
                 attempts: 12,
@@ -196,11 +196,13 @@ fn chaos_sweep_campaigns_survive_with_clean_digests() {
         // `deduped` may already be true here: if the first ack tore on
         // the wire, the healed retry finds its own ident — exactly the
         // contract working.
-        let (id, _) = client.submit(&p, &ident).expect("submit through chaos");
+        let Ack { id, .. } = client.submit(&p, &ident).expect("submit through chaos");
 
         // Resubmit the same identity through the same flaky link: the
         // daemon must hand back the SAME campaign, not start another.
-        let (id2, deduped) = client.submit(&p, &ident).expect("resubmit through chaos");
+        let Ack {
+            id: id2, deduped, ..
+        } = client.submit(&p, &ident).expect("resubmit through chaos");
         assert_eq!(id2, id, "identical identity must dedupe to one campaign");
         assert!(deduped, "the resubmit must be flagged deduped");
         total_deduped += 1;
@@ -238,7 +240,7 @@ fn chaos_sweep_campaigns_survive_with_clean_digests() {
         // reconstruct the campaign and serve the same digest.
         let socket2 = tmp(&format!("sweep{seed}_verify.sock"));
         let daemon = Daemon::start(&store, &socket2, &[]);
-        let mut verify = RetryClient::new(daemon.addr(), RetryPolicy::default());
+        let mut verify = Client::new(daemon.addr(), RetryPolicy::default());
         daemon.await_up(&mut verify);
         let reply = verify
             .call(&Request::Wait { id: id.clone() })
@@ -277,13 +279,21 @@ fn idempotent_resubmission_runs_once() {
     let socket = tmp("ident.sock");
     std::fs::remove_dir_all(&store).ok();
     let daemon = Daemon::start(&store, &socket, &[]);
-    let mut client = RetryClient::new(daemon.addr(), RetryPolicy::default());
+    let mut client = Client::new(daemon.addr(), RetryPolicy::default());
     daemon.await_up(&mut client);
 
     let p = params(7, 8);
-    let (id, first_dedup) = client.submit(&p, "job-1").unwrap();
+    let Ack {
+        id,
+        deduped: first_dedup,
+        ..
+    } = client.submit(&p, "job-1").unwrap();
     assert!(!first_dedup);
-    let (id2, dedup) = client.submit(&p, "job-1").unwrap();
+    let Ack {
+        id: id2,
+        deduped: dedup,
+        ..
+    } = client.submit(&p, "job-1").unwrap();
     assert_eq!(id2, id);
     assert!(dedup);
 
@@ -307,9 +317,13 @@ fn idempotent_resubmission_runs_once() {
     // contract survives the daemon's death.
     let socket2 = tmp("ident2.sock");
     let daemon = Daemon::start(&store, &socket2, &[]);
-    let mut client = RetryClient::new(daemon.addr(), RetryPolicy::default());
+    let mut client = Client::new(daemon.addr(), RetryPolicy::default());
     daemon.await_up(&mut client);
-    let (id3, dedup) = client.submit(&p, "job-1").unwrap();
+    let Ack {
+        id: id3,
+        deduped: dedup,
+        ..
+    } = client.submit(&p, "job-1").unwrap();
     assert_eq!(id3, id);
     assert!(dedup, "dedup must survive a restart");
     daemon.shutdown_and_join();
@@ -325,7 +339,7 @@ fn slow_loris_is_dropped_at_the_read_deadline() {
     let socket = tmp("loris.sock");
     std::fs::remove_dir_all(&store).ok();
     let daemon = Daemon::start(&store, &socket, &["--read-timeout", "1"]);
-    let mut client = RetryClient::new(daemon.addr(), RetryPolicy::default());
+    let mut client = Client::new(daemon.addr(), RetryPolicy::default());
     daemon.await_up(&mut client);
 
     let mut loris = UnixStream::connect(&socket).unwrap();
@@ -365,7 +379,7 @@ fn oversized_and_garbage_request_lines_are_rejected() {
     let socket = tmp("bounds.sock");
     std::fs::remove_dir_all(&store).ok();
     let daemon = Daemon::start(&store, &socket, &["--max-line", "256"]);
-    let mut client = RetryClient::new(daemon.addr(), RetryPolicy::default());
+    let mut client = Client::new(daemon.addr(), RetryPolicy::default());
     daemon.await_up(&mut client);
 
     // Oversized: a 4 KiB line against a 256 B cap.
@@ -424,7 +438,7 @@ fn connection_cap_evicts_the_oldest_idle_connection() {
     let daemon = Daemon::start(&store, &socket, &["--max-conns", "2"]);
     // Readiness probe uses its own short-lived connections; those come
     // and go before the capped trio below.
-    let mut probe = RetryClient::new(daemon.addr(), RetryPolicy::default());
+    let mut probe = Client::new(daemon.addr(), RetryPolicy::default());
     daemon.await_up(&mut probe);
     drop(probe); // frees its slot…
     std::thread::sleep(Duration::from_millis(200)); // …once the daemon reaps the EOF

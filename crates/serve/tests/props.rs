@@ -13,7 +13,8 @@ use std::io::BufReader;
 use std::path::PathBuf;
 
 use pfi_serve::proto::{
-    parse_kv, read_line_bounded, read_reply_limited, write_reply, LineOutcome, ProtoLimits,
+    params_from_kv, params_to_kv, parse_kv, read_line_bounded, read_reply, write_reply,
+    LineOutcome, ProtoLimits,
 };
 use pfi_serve::{CampaignParams, Request, Store};
 use pfi_testgen::{FaultSchedule, Journal, JournalCase, JournalMeta, Verdict};
@@ -79,8 +80,8 @@ proptest! {
     /// Campaign parameters survive the `k=v` wire/index round trip.
     #[test]
     fn campaign_params_kv_round_trip(params in arb_params()) {
-        let kv = params.to_kv();
-        let back = CampaignParams::from_kv(&kv).unwrap();
+        let kv = params_to_kv(&params);
+        let back = params_from_kv(&kv).unwrap();
         prop_assert_eq!(back, params);
     }
 
@@ -106,7 +107,7 @@ proptest! {
         let head = head.trim().to_string();
         let bytes = frame(ok, &head, Some(&payload));
         let mut r = BufReader::new(&bytes[..]);
-        let reply = read_reply_limited(&mut r, true, &ProtoLimits::default()).unwrap();
+        let reply = read_reply(&mut r, true, &ProtoLimits::default()).unwrap();
         prop_assert_eq!(reply.ok, ok);
         prop_assert_eq!(reply.head, head);
         // An `err` head never carries a payload on the wire contract, but
@@ -127,7 +128,7 @@ proptest! {
         let bytes = frame(true, "id=c1", Some(&payload));
         let cut = (bytes.len() * cut_permille as usize) / 1000;
         let mut r = BufReader::new(&bytes[..cut]);
-        match read_reply_limited(&mut r, true, &ProtoLimits::default()) {
+        match read_reply(&mut r, true, &ProtoLimits::default()) {
             // A cut that lands exactly on a line boundary can leave a
             // parseable prefix; every recovered line must be one we sent.
             Ok(reply) => {
@@ -159,7 +160,7 @@ proptest! {
         let pos = (bytes.len() - 1) * pos_permille as usize / 1000;
         bytes[pos] ^= mask as u8;
         let mut r = BufReader::new(&bytes[..]);
-        let _ = read_reply_limited(&mut r, true, &ProtoLimits::default());
+        let _ = read_reply(&mut r, true, &ProtoLimits::default());
     }
 
     /// Garbage bytes prefixed to a frame (a desynchronised stream) either
@@ -174,7 +175,7 @@ proptest! {
         let mut bytes = junk.clone();
         bytes.extend_from_slice(&frame(true, "id=c2", Some(&payload)));
         let mut r = BufReader::new(&bytes[..]);
-        if let Ok(reply) = read_reply_limited(&mut r, true, &ProtoLimits::default()) {
+        if let Ok(reply) = read_reply(&mut r, true, &ProtoLimits::default()) {
             // The first junk line must itself have been a plausible head.
             let first = junk.split(|&b| b == b'\n').next().unwrap();
             prop_assert!(

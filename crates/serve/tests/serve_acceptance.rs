@@ -26,10 +26,11 @@ use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pfi_serve::proto::{parse_kv, Client, Request};
+use pfi_serve::proto::{params_to_kv, parse_kv, Client, Request};
 use pfi_serve::CampaignParams;
 use pfi_testgen::{
-    explore, explore_fleet, ExploreConfig, FaultSchedule, GmpTarget, Journal, ProtocolSpec,
+    explore, explore_fleet, ExploreConfig, FaultSchedule, Flags, GmpTarget, Journal, ProtocolSpec,
+    CAMPAIGN_FLAGS,
 };
 use support::torn_cut;
 
@@ -665,7 +666,7 @@ fn a_store_from_the_prune_tier_era_opens_and_serves_its_results() {
         }
         std::fs::write(&path, text).unwrap();
         let switches = format!(" pruning={0} semantic={0} snapshots=", on as u8);
-        let kv = p.to_kv().replace(" snapshots=", &switches);
+        let kv = params_to_kv(p).replace(" snapshots=", &switches);
         let kv = kv.replace("prefilter=1", &format!("prefilter={}", !on as u8));
         index.push_str(&format!("campaign {id} {kv}\n"));
     }
@@ -728,7 +729,7 @@ fn a_store_of_the_per_campaign_layout_opens_and_resumes_into_the_segment() {
         let (journal, digest) = journal_of(p, &tmp(&format!("layout_{id}.journal")));
         assert_eq!(digest, inline_digest(p, Vec::new()));
         full.push(journal);
-        index.push_str(&format!("campaign {id} {}\n", p.to_kv()));
+        index.push_str(&format!("campaign {id} {}\n", params_to_kv(p)));
     }
     let (cut, kept) = torn_cut(&full[1]);
     let torn = &full[1][..cut];
@@ -811,7 +812,7 @@ fn a_store_of_full_edge_sets_restarts_to_the_same_results() {
     std::fs::write(old.join("store.journal"), format!("journal c1\n{fixture}")).unwrap();
     std::fs::write(
         old.join("store.index"),
-        format!("campaign c1 {}\n", p.to_kv()),
+        format!("campaign c1 {}\n", params_to_kv(&p)),
     )
     .unwrap();
 
@@ -872,7 +873,7 @@ fn torn_store_tails_are_no_campaign_and_no_seed_after_a_restart() {
     append("corpus-gmp", torn);
     append(
         "store.index",
-        &format!("campaign c2 {} ident=cli-ab", params(7, 24).to_kv()),
+        &format!("campaign c2 {} ident=cli-ab", params_to_kv(&params(7, 24))),
     );
 
     let daemon = Daemon::start(&store, &socket2);
@@ -973,6 +974,68 @@ fn an_unbundled_protocol_is_refused_by_the_cli_and_the_wire_alike() {
     assert!(reply.head.contains(&refusal), "{}", reply.head);
     let status = client.call(&Request::Status { id: None }).unwrap();
     assert_eq!(status.get("campaigns"), Some("0"), "{}", status.head);
+    daemon.shutdown_and_join();
+    std::fs::remove_dir_all(&store).ok();
+}
+
+/// `pfi-serve submit` refuses a command line it cannot read whole, and
+/// exits 2 before it connects to anything (nothing listens on the socket:
+/// a connection attempt would exit 3): an unknown flag, a number that does
+/// not parse, a valued flag without its value, and the retired
+/// `--no-prefilter`.
+#[test]
+fn a_submit_the_cli_cannot_read_exits_2_before_connecting() {
+    let socket = tmp("unread.sock");
+    for (args, named) in [
+        (&["gmp", "--budegt", "8"][..], "--budegt"),
+        (&["gmp", "--seed", "abc"], "--seed"),
+        (&["gmp", "--seed"], "--seed"),
+        (&["gmp", "--ident", "--wait"], "--ident"),
+        (&["gmp", "--no-prefilter"], "--no-prefilter"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pfi-serve"))
+            .args(["submit", "--socket", socket.to_str().unwrap()])
+            .args(args)
+            .output()
+            .expect("pfi-serve runs");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(named),
+            "{args:?} must name {named}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+/// `pfi-serve submit` reads a campaign's flags as `pfi-campaign` does,
+/// clamp included: given `--max-faults 0`, the daemon journals what
+/// `pfi-campaign --journal` journals for the same flags on as many
+/// workers (`max-faults 1`), byte for byte.
+#[test]
+fn the_cli_submits_the_campaign_pfi_campaign_runs() {
+    let flags = "gmp --fault-secs 5 --max-faults 0 --seed 3 --budget 24 --epoch 8";
+    let store = tmp("clamp_store");
+    let socket = tmp("clamp.sock");
+    std::fs::remove_dir_all(&store).ok();
+    let daemon = Daemon::start(&store, &socket);
+    daemon.client();
+    let out = Command::new(env!("CARGO_BIN_EXE_pfi-serve"))
+        .args(["submit", "--socket", socket.to_str().unwrap(), "--wait"])
+        .args(flags.split(' '))
+        .output()
+        .expect("pfi-serve runs");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+
+    let args: Vec<String> = flags.split(' ').map(String::from).collect();
+    let params = Flags::parse(&args, &CAMPAIGN_FLAGS, 1)
+        .and_then(|f| f.campaign())
+        .unwrap();
+    let (local, digest) = journal_of(&params, &tmp("clamp_local.journal"));
+    assert!(local.contains("\nmax-faults 1\n"), "{local}");
+    assert_eq!(last_block(&store, "c1"), local);
+    assert!(stdout.contains(&format!("digest {digest}")), "{stdout}");
     daemon.shutdown_and_join();
     std::fs::remove_dir_all(&store).ok();
 }

@@ -83,16 +83,6 @@ impl BoardStore {
         self.boards[id.index()].get(key).map(String::as_str)
     }
 
-    /// Number of entries on board `id`.
-    pub fn len(&self, id: BoardId) -> usize {
-        self.boards[id.index()].len()
-    }
-
-    /// Whether board `id` has no entries.
-    pub fn is_empty(&self, id: BoardId) -> bool {
-        self.boards[id.index()].is_empty()
-    }
-
     /// All `(key, value)` entries on board `id`, sorted by key (the map
     /// itself is unordered; sorting keeps renders deterministic).
     pub fn entries(&self, id: BoardId) -> Vec<(String, String)> {
@@ -130,9 +120,9 @@ mod tests {
         assert_eq!(a.index(), 0);
         assert_eq!(b.index(), 1);
         assert_eq!(store.board_count(), 2);
-        assert!(store.is_empty(a));
+        assert!(store.entries(a).is_empty());
         store.set(a, "x", "y");
-        assert_eq!(store.len(a), 1);
+        assert_eq!(store.entries(a).len(), 1);
     }
 
     #[test]

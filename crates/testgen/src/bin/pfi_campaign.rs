@@ -23,13 +23,12 @@
 //! Exploration prints each discovered failure as a replayable `pfi-repro`
 //! artifact (shrunk to a 1-minimal fault set).
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use pfi_testgen::{
-    bundled, explore_fleet, grid, run_schedule_snapshotted, unknown_protocol, ChaosOracleTarget,
-    ExploreConfig, RunLimits, SnapshotStore, Verdict,
+    explore_fleet, grid, run_schedule_snapshotted, ChaosOracleTarget, Flags, RunLimits,
+    SnapshotStore, Takes, Verdict, CAMPAIGN_FLAGS, CAMPAIGN_HELP,
 };
 
 const HELP: &str = "pfi-campaign — script-driven fault-injection campaigns
@@ -42,45 +41,31 @@ PROTOCOL (default gmp):
     tcp        client/server TCP transfer
     tpc        two-phase commit transaction
 
+";
+
+const FLAGS_HELP: &str = "
 FLAGS:
-    --buggy           use the implementation with the paper's seeded bugs (gmp)
     --list            print each grid schedule and its filter script and exit
     --explore         coverage-guided schedule search instead of the fixed grid
-    --seed N          exploration RNG seed
-    --budget N        exploration mutation budget
-    --epoch N         candidates per dispatch epoch (determinism unit; outcomes
-                      depend on it, never on --jobs; 1 = classic sequential walk)
-    --max-faults N    cap on faults per generated schedule (outcome input)
     --jobs N          (--explore only; the grid runs on the calling thread)
                       workers: the calling thread plus N-1 spawned ones, so
                       --jobs 1 spawns none; 0 or omitted auto-detects the
                       host's available parallelism. Any value yields
                       byte-identical campaign results (the resolved count is
                       printed, shown in --stats, and recorded in the journal)
-    --fault-secs N    gmp fault-window length in virtual seconds (default 60;
-                      5 is the loop-heavy shallow corpus)
-    --no-snapshots    rebuild every candidate's world from scratch instead of
-                      forking the prepared fault-free world captured once
-                      (same digest either way). By default a forked candidate
-                      whose filters never act on the traffic the baseline run
-                      recorded is not driven: it would re-simulate the
-                      baseline, so it gets the baseline's outcome (--stats: N
-                      replayed from the baseline; the same N at every --jobs)
     --journal PATH    write-ahead journal: record dispatch intent and every
                       result to PATH as the exploration runs (crash-safe)
     --resume PATH     replay the completed work recorded in PATH instead of
-                      re-executing it; must be the same campaign config.
+                      re-executing it; must be the same campaign (exit 2
+                      naming the first journal line that differs otherwise).
                       Combine with --journal (same path is fine) to end up
                       with a journal byte-identical to an uninterrupted run's
     --max-retries N   panic retries before a candidate is quarantined and its
                       lineage dropped (any --jobs, 1 included; default 2)
-    --step-budget N   interpreter steps one filter evaluation may take (the
-                      budget refills for every message); a script that
-                      burns it out reports the run as HUNG
     --inject-panic    add a sabotage oracle that panics whenever a run drops
                       a message — exercises crash containment (CI resilience)
     --stats           (--explore only) print the fleet execution report
-                      (workers, exec/sec, queues)
+                      (workers, exec/sec, queues, snapshot hits)
     --digest          print a one-line outcome digest (for golden comparisons)
     --help            this text
 
@@ -93,87 +78,29 @@ RETIRED (accepted and ignored):
 EXIT CODES:
     0   clean: no violations, no infrastructure trouble
     1   at least one oracle violation was found (the campaign's purpose)
-    2   usage error (unknown argument, missing or malformed value)
+    2   usage error (unknown argument, missing or malformed value, a
+        --resume journal of another campaign)
     3   infrastructure trouble only: crashed / hung / quarantined /
         uninstallable cases, but no violations
 ";
 
-const SWITCHES: [&str; 10] = [
-    "--buggy",
-    "--list",
-    "--explore",
-    "--stats",
-    "--digest",
-    "--no-snapshots",
-    "--inject-panic",
+/// The flags besides [`CAMPAIGN_FLAGS`].
+const FLAGS: [(&str, Takes); 12] = [
+    ("--list", Takes::Nothing),
+    ("--explore", Takes::Nothing),
+    ("--stats", Takes::Nothing),
+    ("--digest", Takes::Nothing),
+    ("--inject-panic", Takes::Nothing),
+    ("--jobs", Takes::Number),
+    ("--max-retries", Takes::Number),
+    ("--journal", Takes::Text),
+    ("--resume", Takes::Text),
     // Retired no-ops, kept while bench/src/bin/pfi_bench/explore.rs (its
     // PLAINEST path and KNOWN DEFECT branch) passes them.
-    "--no-pruning",
-    "--no-semantic",
-    "--no-prefilter",
+    ("--no-pruning", Takes::Nothing),
+    ("--no-semantic", Takes::Nothing),
+    ("--no-prefilter", Takes::Nothing),
 ];
-const NUMBERS: [&str; 8] = [
-    "--seed",
-    "--budget",
-    "--epoch",
-    "--max-faults",
-    "--jobs",
-    "--fault-secs",
-    "--max-retries",
-    "--step-budget",
-];
-const PATHS: [&str; 2] = ["--journal", "--resume"];
-
-/// The command line with every argument accounted for.
-struct Cli {
-    proto: String,
-    switches: BTreeSet<String>,
-    numbers: BTreeMap<String, u64>,
-    paths: BTreeMap<String, PathBuf>,
-}
-
-impl Cli {
-    /// Refuses what `HELP` does not list: an unknown argument, a flag
-    /// without its value, a number that does not parse.
-    fn parse(args: &[String]) -> Result<Cli, String> {
-        let mut cli = Cli {
-            proto: "gmp".to_string(),
-            switches: BTreeSet::new(),
-            numbers: BTreeMap::new(),
-            paths: BTreeMap::new(),
-        };
-        let mut rest = args.iter().enumerate();
-        while let Some((i, arg)) = rest.next() {
-            let name = arg.as_str();
-            if SWITCHES.contains(&name) {
-                cli.switches.insert(arg.clone());
-            } else if NUMBERS.contains(&name) || PATHS.contains(&name) {
-                let value = rest
-                    .next()
-                    .map(|(_, v)| v)
-                    .filter(|v| !v.starts_with("--"))
-                    .ok_or_else(|| format!("{name} needs a value"))?;
-                if PATHS.contains(&name) {
-                    cli.paths.insert(arg.clone(), PathBuf::from(value));
-                } else {
-                    let n = value.parse().map_err(|_| {
-                        format!("{name} takes a non-negative integer, not {value:?}")
-                    })?;
-                    cli.numbers.insert(arg.clone(), n);
-                }
-            } else if i == 0 && !name.starts_with('-') {
-                cli.proto = arg.clone();
-            } else {
-                return Err(format!("unrecognised argument {name:?}"));
-            }
-        }
-        Ok(cli)
-    }
-
-    fn has(&self, switch: &str) -> bool {
-        self.switches.contains(switch)
-    }
-}
 
 /// Exit 2, naming what was wrong with the command line.
 fn usage(error: &str) -> ! {
@@ -184,20 +111,20 @@ fn usage(error: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{HELP}");
+        print!("{HELP}{CAMPAIGN_HELP}{FLAGS_HELP}");
         return;
     }
-    let cli = Cli::parse(&args).unwrap_or_else(|e| usage(&e));
-    let proto = cli.proto.as_str();
-    let list_only = cli.has("--list");
-    let explore_mode = cli.has("--explore");
-    let stats = cli.has("--stats");
-    let digest = cli.has("--digest");
-    let flag_value = |name: &str| cli.numbers.get(name).copied();
+    let table = [&CAMPAIGN_FLAGS[..], &FLAGS].concat();
+    let flags = Flags::parse(&args, &table, 1).unwrap_or_else(|e| usage(&e));
+    let params = flags.campaign().unwrap_or_else(|e| usage(&e));
+    let proto = params.proto.as_str();
+    let explore_mode = flags.has("--explore");
+    let stats = flags.has("--stats");
+    let digest = flags.has("--digest");
     if !explore_mode {
         // The grid runs on the calling thread: there is no fleet to size
         // or to report on.
-        if flag_value("--jobs").is_some() {
+        if flags.has("--jobs") {
             usage("--jobs needs --explore");
         }
         if stats {
@@ -205,61 +132,38 @@ fn main() {
         }
     }
 
-    let fault_secs = flag_value("--fault-secs").unwrap_or(60);
-    let (spec, mut target) = bundled(proto, cli.has("--buggy"), fault_secs)
-        .unwrap_or_else(|| usage(&unknown_protocol(proto)));
-    if cli.has("--inject-panic") {
+    let (spec, mut target) = params.target().unwrap_or_else(|e| usage(&e));
+    if flags.has("--inject-panic") {
         target = Arc::new(ChaosOracleTarget { inner: target });
     }
 
     if explore_mode {
-        // `--jobs 0` (and no flag at all) auto-detects the host's cores; the
-        // resolved count is what gets printed, reported, and journaled.
-        let jobs = match flag_value("--jobs") {
-            Some(0) | None => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            Some(j) => j as usize,
-        };
-        let mut config = ExploreConfig::default();
-        if let Some(seed) = flag_value("--seed") {
-            config.seed = seed;
-        }
-        if let Some(budget) = flag_value("--budget") {
-            config.budget = budget as usize;
-        }
-        if let Some(epoch) = flag_value("--epoch") {
-            config.epoch = (epoch as usize).max(1);
-        }
-        if let Some(max_faults) = flag_value("--max-faults") {
-            config.max_faults = (max_faults as usize).max(1);
-        }
-        if cli.has("--no-snapshots") {
-            config.snapshots = false;
-        }
-        if let Some(retries) = flag_value("--max-retries") {
+        // The resolved worker count is what gets printed, reported, and
+        // journaled.
+        let jobs = flags.jobs();
+        let mut config = params.to_config();
+        if let Some(retries) = flags.number("--max-retries") {
             config.max_retries = retries as u32;
         }
-        if let Some(steps) = flag_value("--step-budget") {
-            config.step_budget = steps;
-        }
-        config.journal = cli.paths.get("--journal").cloned();
-        if let Some(path) = cli.paths.get("--resume") {
-            match pfi_testgen::Journal::load(path) {
-                Ok(journal) => config.resume = Some(journal),
-                Err(e) => {
-                    eprintln!("cannot resume from {}: {e}", path.display());
-                    std::process::exit(2);
-                }
+        config.journal = flags.text("--journal").map(PathBuf::from);
+        if let Some(path) = flags.text("--resume") {
+            let journal = pfi_testgen::Journal::load(path.as_ref())
+                .unwrap_or_else(|e| usage(&format!("cannot resume from {path}: {e}")));
+            let here = config.journal_meta(target.as_ref());
+            if let Some((recorded, wanted)) = journal.meta.first_difference(&here) {
+                usage(&format!(
+                    "--resume {path} was recorded for a different campaign: \
+                     it has `{recorded}` where this one has `{wanted}`"
+                ));
             }
+            config.resume = Some(journal);
         }
         // The engine appends to the journal file, and this run's journal is
         // the whole file: empty it, once `--resume` has been read (the two
         // may name one file).
         if let Some(path) = &config.journal {
             if let Err(e) = std::fs::File::create(path) {
-                eprintln!("cannot create journal {}: {e}", path.display());
-                std::process::exit(2);
+                usage(&format!("cannot create journal {}: {e}", path.display()));
             }
         }
         if !digest {
@@ -350,7 +254,7 @@ fn main() {
         spec.name
     );
 
-    if list_only {
+    if flags.has("--list") {
         for schedule in &grid {
             // One site, one direction: the other script is empty.
             let [site] = &schedule.lower()[..] else {
@@ -373,32 +277,21 @@ fn main() {
         )
     });
 
-    let mut pass = 0;
-    let mut degraded = 0;
-    let mut violated = 0;
-    let mut infra = 0;
+    let (mut pass, mut degraded, mut violated, mut infra) = (0, 0, 0, 0);
     for r in results {
-        match &r.verdict {
-            Verdict::Pass => pass += 1,
-            Verdict::Degraded(_) => degraded += 1,
-            Verdict::Violated(why) => {
-                violated += 1;
-                println!("VIOLATION {:<44} {}", r.schedule_id, why);
-            }
-            // Grid rows are generated against the target's own primary
-            // site, so refusal can only mean a harness bug — infra class.
-            Verdict::Invalid(why) => {
-                infra += 1;
-                println!("INVALID   {:<44} {}", r.schedule_id, why);
-            }
-            Verdict::Crashed(why) => {
-                infra += 1;
-                println!("CRASHED   {:<44} {}", r.schedule_id, why);
-            }
-            Verdict::Hung(why) => {
-                infra += 1;
-                println!("HUNG      {:<44} {}", r.schedule_id, why);
-            }
+        // Grid rows are generated against the target's own primary site,
+        // so refusal can only mean a harness bug — infra class.
+        let (count, row) = match &r.verdict {
+            Verdict::Pass => (&mut pass, None),
+            Verdict::Degraded(_) => (&mut degraded, None),
+            Verdict::Violated(why) => (&mut violated, Some(("VIOLATION", why))),
+            Verdict::Invalid(why) => (&mut infra, Some(("INVALID", why))),
+            Verdict::Crashed(why) => (&mut infra, Some(("CRASHED", why))),
+            Verdict::Hung(why) => (&mut infra, Some(("HUNG", why))),
+        };
+        *count += 1;
+        if let Some((label, why)) = row {
+            println!("{label:<9} {:<44} {why}", r.schedule_id);
         }
     }
     println!("\n{pass} pass, {degraded} degraded, {violated} violations, {infra} infrastructure");

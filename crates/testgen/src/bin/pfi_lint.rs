@@ -18,8 +18,8 @@
 
 use pfi_lint::{analyze_effects, render, Category, Diagnostic, Effect, Linter, Severity};
 use pfi_testgen::{
-    bundled, grid, unknown_protocol, validate_schedule, FaultSchedule, FlowModel, ProtocolSpec,
-    Repro, ScheduleFinding, TestTarget, BUNDLED,
+    grid, validate_schedule, CampaignParams, FaultSchedule, Flags, FlowModel, ProtocolSpec, Repro,
+    ScheduleFinding, Takes, TestTarget,
 };
 
 const HELP: &str = "pfi-lint — static analysis for PFI scripts and fault schedules
@@ -58,6 +58,32 @@ CATEGORIES:
 /// One row of the bundled protocol table: the topology schedule text is
 /// validated against, the flow model `--spec` reads.
 type Bundled = (ProtocolSpec, std::sync::Arc<dyn TestTarget>);
+
+/// The flags `HELP` lists.
+const FLAGS: [(&str, Takes); 7] = [
+    ("--target", Takes::Text),
+    ("--spec", Takes::Text),
+    ("--grid", Takes::Nothing),
+    ("--script", Takes::Nothing),
+    ("--schedule", Takes::Nothing),
+    ("--deny", Takes::Text),
+    ("--warn", Takes::Text),
+];
+
+/// Exit 2, naming what was wrong with the command line.
+fn usage(error: &str) -> ! {
+    eprintln!("pfi-lint: {error} (see --help)");
+    std::process::exit(2);
+}
+
+/// The bundled protocol `name`, as a campaign of it would build it.
+fn named(name: &str) -> Result<Bundled, String> {
+    CampaignParams {
+        proto: name.to_string(),
+        ..CampaignParams::default()
+    }
+    .target()
+}
 
 /// What to lint a given input as.
 #[derive(Clone, Copy, PartialEq)]
@@ -193,9 +219,12 @@ fn lint_repro(name: &str, text: &str, deny: &[Category], warn: &[Category]) -> b
         repro.oracle
     );
     // A repro names its own target, whatever `--target` says.
-    let Some(target) = bundled(&repro.target, false, 60) else {
-        eprintln!("{name}: {}", unknown_protocol(&repro.target));
-        return true;
+    let target = match named(&repro.target) {
+        Ok(target) => target,
+        Err(e) => {
+            eprintln!("{name}: {e}");
+            return true;
+        }
     };
     lint_schedule_parsed(name, &repro.schedule, &target, deny, warn)
 }
@@ -246,94 +275,52 @@ fn main() {
         return;
     }
 
-    let mut kind = Kind::Sniff;
-    let mut target = "gmp".to_string();
-    let mut spec_target: Option<String> = None;
-    let mut grid = false;
-    let mut deny = Vec::new();
-    let mut warn = Vec::new();
-    let mut files = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--script" => kind = Kind::Script,
-            "--schedule" => kind = Kind::Schedule,
-            "--grid" => grid = true,
-            "--target" => {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => target = v.clone(),
-                    None => {
-                        eprintln!("--target needs a value");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--spec" => {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => spec_target = Some(v.clone()),
-                    None => {
-                        eprintln!("--spec needs a protocol name ({})", BUNDLED.join(", "));
-                        std::process::exit(2);
-                    }
-                }
-            }
-            flag @ ("--deny" | "--warn") => {
-                i += 1;
-                let Some(cat) = args.get(i).and_then(|v| Category::from_slug(v)) else {
-                    eprintln!(
+    let flags = Flags::parse(&args, &FLAGS, usize::MAX).unwrap_or_else(|e| usage(&e));
+    let kind = if flags.has("--script") {
+        Kind::Script
+    } else if flags.has("--schedule") {
+        Kind::Schedule
+    } else {
+        Kind::Sniff
+    };
+    let categories = |flag: &str| -> Vec<Category> {
+        flags
+            .texts(flag)
+            .iter()
+            .map(|v| {
+                Category::from_slug(v).unwrap_or_else(|| {
+                    let all: Vec<&str> = Category::ALL.iter().map(|c| c.as_str()).collect();
+                    usage(&format!(
                         "{flag} needs a category; one of: {}",
-                        Category::ALL
-                            .iter()
-                            .map(|c| c.as_str())
-                            .collect::<Vec<_>>()
-                            .join(" ")
-                    );
-                    std::process::exit(2);
-                };
-                if flag == "--deny" {
-                    deny.push(cat);
-                } else {
-                    warn.push(cat);
-                }
-            }
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag {other:?} (see --help)");
-                std::process::exit(2);
-            }
-            path => files.push(path.to_string()),
-        }
-        i += 1;
-    }
+                        all.join(" ")
+                    ))
+                })
+            })
+            .collect()
+    };
+    let (deny, warn) = (categories("--deny"), categories("--warn"));
     // Both names are resolved before any file is read: a protocol the
     // table does not bundle is a usage error, not a finding.
-    let resolve = |flag: &str, name: &str| {
-        bundled(name, false, 60).unwrap_or_else(|| {
-            eprintln!("{flag}: {}", unknown_protocol(name));
-            std::process::exit(2);
-        })
-    };
-    let target = resolve("--target", &target);
-    let spec_target = spec_target.map(|t| resolve("--spec", &t));
+    let resolve =
+        |flag: &str, name: &str| named(name).unwrap_or_else(|e| usage(&format!("{flag}: {e}")));
+    let target = resolve("--target", flags.text("--target").unwrap_or("gmp"));
+    let spec_target = flags.text("--spec").map(|t| resolve("--spec", t));
     let model: Option<FlowModel> = spec_target
         .as_ref()
         .and_then(|(_, built)| built.flow_model());
-    if grid {
+    if flags.has("--grid") {
         let Some(spec_target) = &spec_target else {
-            eprintln!("--grid needs --spec NAME to know which grid to generate");
-            std::process::exit(2);
+            usage("--grid needs --spec NAME to know which grid to generate");
         };
         let failed = lint_grid(spec_target, &deny, &warn);
         std::process::exit(if failed { 1 } else { 0 });
     }
-    if files.is_empty() {
-        eprintln!("no input files (see --help)");
-        std::process::exit(2);
+    if flags.positional.is_empty() {
+        usage("no input files");
     }
 
     let mut failed = false;
-    for path in &files {
+    for path in &flags.positional {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {

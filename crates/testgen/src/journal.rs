@@ -264,6 +264,19 @@ fn render_meta(meta: &JournalMeta) -> String {
     out
 }
 
+impl JournalMeta {
+    /// The first metadata line where this journal's campaign and `other`
+    /// differ, as `(this line, other's line)`; `None` when both name the
+    /// same campaign.
+    pub fn first_difference(&self, other: &JournalMeta) -> Option<(String, String)> {
+        let (ours, theirs) = (render_meta(self), render_meta(other));
+        ours.lines()
+            .zip(theirs.lines())
+            .find(|(a, b)| a != b)
+            .map(|(a, b)| (a.to_string(), b.to_string()))
+    }
+}
+
 /// The number of identity lines [`render_meta`] writes after the header
 /// (`prefilter` is not one).
 const META_LINES: usize = 9;

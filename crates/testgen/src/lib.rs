@@ -51,6 +51,7 @@
 
 #![warn(missing_docs)]
 
+mod cli;
 mod coverage;
 mod explore;
 mod journal;
@@ -65,6 +66,7 @@ mod snapshot;
 mod spec;
 mod validate;
 
+pub use cli::{Flags, Takes, CAMPAIGN_FLAGS, CAMPAIGN_HELP};
 pub use coverage::Coverage;
 pub use explore::{
     explore, explore_fleet, seed_corpus_digest, CampaignFleet, ExploreConfig, ExploreOutcome,
@@ -84,9 +86,9 @@ pub use pfi_fleet::{FleetReport, WorkerStats};
 pub use reach::{FlowModel, InertFact};
 pub use repro::Repro;
 pub use runner::{
-    bundled, run_schedule_limited, run_schedule_snapshotted, unknown_protocol, ChaosOracleTarget,
-    GmpTarget, RunLimits, ScheduleRun, TcpTarget, TestTarget, TpcTarget, Verdict, BUNDLED,
-    DRIVE_EVENT_CAP,
+    bundled, run_schedule_limited, run_schedule_snapshotted, unknown_protocol, CampaignParams,
+    ChaosOracleTarget, GmpTarget, RunLimits, ScheduleRun, TcpTarget, TestTarget, TpcTarget,
+    Verdict, BUNDLED, DRIVE_EVENT_CAP,
 };
 pub use schedule::{grid, FaultOp, FaultSchedule, ScheduleMutator, ScheduledFault, SiteScripts};
 pub use shrink::shrink_schedule;

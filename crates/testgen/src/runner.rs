@@ -14,6 +14,7 @@ use pfi_tcp::{ConnId, TcpControl, TcpLayer, TcpProfile, TcpReply, TcpStub};
 use pfi_tpc::{TpcControl, TpcEvent, TpcLayer, TpcReply, TpcStub};
 
 use crate::coverage::Coverage;
+use crate::explore::ExploreConfig;
 use crate::oracle::{
     first_violation, DeliveredStream, GmpAgreementOracle, GmpLeaderUniquenessOracle,
     GmpNoSelfDeathOracle, GmpProclaimRoutingOracle, GmpTimerDisciplineOracle, Oracle,
@@ -1089,6 +1090,94 @@ pub fn unknown_protocol(proto: &str) -> String {
         "unknown protocol {proto:?} (expected one of: {})",
         BUNDLED.join(", ")
     )
+}
+
+/// Everything that names a campaign: its target (`proto`, `buggy`,
+/// `fault_secs`) and the outcome inputs of its exploration. `pfi-campaign`
+/// and `pfi-serve submit` read it from the same flags
+/// ([`Flags::campaign`](crate::Flags::campaign)), and the daemon persists
+/// it in its store index, so a restart rebuilds the [`ExploreConfig`] and
+/// target byte for byte.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CampaignParams {
+    /// A [`BUNDLED`] protocol name.
+    pub proto: String,
+    /// Use the implementation with the paper's seeded bugs (gmp only).
+    pub buggy: bool,
+    /// Fault window length in virtual seconds (gmp only; 5 is the
+    /// loop-heavy shallow corpus).
+    pub fault_secs: u64,
+    /// Exploration RNG seed.
+    pub seed: u64,
+    /// Mutation budget.
+    pub budget: usize,
+    /// Max faults per candidate schedule.
+    pub max_faults: usize,
+    /// Candidates per dispatch epoch.
+    pub epoch: usize,
+    /// Fork candidate worlds from cached snapshots.
+    pub snapshots: bool,
+    /// Interpreter steps one filter evaluation may take, refilled for
+    /// every message (0 = default).
+    pub step_budget: u64,
+    /// Seed this campaign with the pfi-serve store's shared corpus pool
+    /// for the same target (snapshotted at submission time, so a resume
+    /// replays the identical seed set even if the pool has grown since).
+    pub share_corpus: bool,
+}
+
+impl Default for CampaignParams {
+    fn default() -> Self {
+        let cfg = ExploreConfig::default();
+        CampaignParams {
+            proto: BUNDLED[0].to_string(),
+            buggy: false,
+            fault_secs: GmpTarget::default().fault_secs,
+            seed: cfg.seed,
+            budget: cfg.budget,
+            max_faults: cfg.max_faults,
+            epoch: cfg.epoch,
+            snapshots: cfg.snapshots,
+            step_budget: cfg.step_budget,
+            share_corpus: false,
+        }
+    }
+}
+
+impl CampaignParams {
+    /// The spec and target these params name ([`bundled`]), or the
+    /// [`unknown_protocol`] refusal.
+    pub fn target(&self) -> Result<(ProtocolSpec, Arc<dyn TestTarget>), String> {
+        bundled(&self.proto, self.buggy, self.fault_secs)
+            .ok_or_else(|| unknown_protocol(&self.proto))
+    }
+
+    /// The corpus-pool key: campaigns share seed schedules only with
+    /// campaigns exploring the *same* target build.
+    pub fn corpus_key(&self) -> String {
+        let mut key = self.proto.clone();
+        if self.buggy {
+            key.push_str("-buggy");
+        }
+        if self.proto == "gmp" && self.fault_secs != GmpTarget::default().fault_secs {
+            key.push_str(&format!("-fs{}", self.fault_secs));
+        }
+        key
+    }
+
+    /// The exploration config these params pin (seed corpus, journal, and
+    /// resume state are the caller's to attach).
+    pub fn to_config(&self) -> ExploreConfig {
+        ExploreConfig {
+            seed: self.seed,
+            budget: self.budget,
+            max_faults: self.max_faults,
+            epoch: self.epoch,
+            snapshots: self.snapshots,
+            step_budget: self.step_budget,
+            ..ExploreConfig::default()
+        }
+    }
 }
 
 #[cfg(test)]

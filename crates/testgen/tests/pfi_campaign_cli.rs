@@ -227,6 +227,36 @@ fn resuming_into_the_journal_it_reads_leaves_the_uninterrupted_journal() {
     }
 }
 
+/// A `--resume` journal recorded for another campaign is a usage error
+/// that names the first metadata line that differs, and nothing runs. A
+/// `--max-faults 0` campaign is the `--max-faults 1` one, journal and all.
+#[test]
+fn resuming_another_campaigns_journal_exits_2_naming_the_line() {
+    let journal = std::env::temp_dir().join(format!(
+        "pfi_campaign_cli_{}_other.journal",
+        std::process::id()
+    ));
+    let path = journal.to_str().unwrap();
+    let base = ["gmp", "--explore", "--budget", "8", "--epoch", "8"];
+    let campaign = |extra: &[&str]| run(&[&base[..], extra].concat());
+    let out = campaign(&["--seed", "1", "--max-faults", "0", "--journal", path]);
+    assert_eq!(out.status.code(), Some(0));
+    let text = std::fs::read_to_string(&journal).unwrap();
+    assert!(text.contains("\nmax-faults 1\n"), "{text}");
+    let out = campaign(&["--seed", "1", "--max-faults", "1", "--resume", path]);
+    assert_eq!(out.status.code(), Some(0), "the same campaign resumes");
+
+    let out = campaign(&["--seed", "2", "--resume", path]);
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("`seed 1`") && stderr.contains("`seed 2`"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing runs: {stderr}");
+    std::fs::remove_file(journal).unwrap();
+}
+
 /// `--no-pruning` and `--no-semantic` outlived the tiers they switched
 /// off, and `--no-prefilter` the second place a refusal could happen (the
 /// benchmark's plainest path passes all three): accepted, and no byte of a

@@ -9,10 +9,14 @@
 //!
 //! The check is a token scan, not a resolver. The scanned code is every
 //! `.rs` file under `crates/*/src`, `src`, `examples` and `bench/src`, cut at
-//! its first `#[cfg(test)]` and without its `//` lines, plus `scripts/*.tcl`.
+//! its first `#[cfg(test)]` and without its comments, plus `scripts/*.tcl`.
 //! A name counts as called when it appears there other than right after
-//! `fn`. So a name reached only through a trait, or shared with another
-//! item, is not told apart: such an item goes on the list with its reason.
+//! `fn`, and, for a function or a `PfiControl` variant, outside Rust string
+//! and char literals: a help text or a wire verb that spells a function's
+//! name does not call it. A command is still found inside strings, where
+//! Rust code spells the scripts it evaluates. So a name reached only
+//! through a trait, or shared with another item, is not told apart: such
+//! an item goes on the list with its reason.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -61,16 +65,73 @@ impl fmt::Display for Finding {
     }
 }
 
-/// One scanned file: its path below the root and the lines that count.
+/// One scanned file: its path below the root, the lines that count, and
+/// those lines' code: for Rust, without its literals and comments.
 struct Source {
     path: String,
     lines: Vec<String>,
+    code: String,
 }
 
 /// The identifier tokens of a line, in order.
 fn tokens(line: &str) -> impl Iterator<Item = &str> {
     line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
         .filter(|t| !t.is_empty())
+}
+
+/// `text` with every Rust string and char literal and every comment
+/// blanked out (lifetimes and labels stay).
+fn code_only(text: &str) -> String {
+    let chars: Vec<char> = text.chars().collect();
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let find = |from: usize, pat: &[char]| {
+        (from..chars.len())
+            .find(|&j| chars[j..].starts_with(pat))
+            .map_or(chars.len(), |j| j + pat.len())
+    };
+    let mut out = String::with_capacity(text.len());
+    let mut i = 0;
+    while i < chars.len() {
+        let rest = &chars[i..];
+        let raw = |at: usize| {
+            let hashes = chars[at..].iter().take_while(|&&c| c == '#').count();
+            (chars.get(at + hashes) == Some(&'"')).then(|| {
+                let close: Vec<char> = std::iter::once('"')
+                    .chain(std::iter::repeat_n('#', hashes))
+                    .collect();
+                find(at + hashes + 1, &close)
+            })
+        };
+        let after_ident = i > 0 && ident(chars[i - 1]);
+        // Where the literal or comment that starts here ends, if one does.
+        let end = match rest {
+            ['/', '/', ..] => Some(find(i, &['\n'])),
+            ['/', '*', ..] => Some(find(i + 2, &['*', '/'])),
+            ['"', ..] => {
+                let mut j = i + 1;
+                while j < chars.len() && chars[j] != '"' {
+                    j += if chars[j] == '\\' { 2 } else { 1 };
+                }
+                Some(j + 1)
+            }
+            ['r', ..] if !after_ident => raw(i + 1),
+            ['b', 'r', ..] if !after_ident => raw(i + 2),
+            ['\'', '\\', ..] => Some(find(i + 3, &['\''])),
+            ['\'', _, '\'', ..] => Some(i + 3),
+            _ => None,
+        };
+        match end {
+            Some(end) => {
+                out.push(' ');
+                i = end.min(chars.len());
+            }
+            None => {
+                out.push(chars[i]);
+                i += 1;
+            }
+        }
+    }
+    out
 }
 
 /// The `.rs` files under `dir`, recursively, sorted.
@@ -109,15 +170,19 @@ fn load(root: &Path) -> Vec<Source> {
     let relative = |p: &Path| p.strip_prefix(root).unwrap().to_string_lossy().into_owned();
     let mut sources: Vec<Source> = files
         .iter()
-        .map(|path| Source {
-            path: relative(path),
-            lines: fs::read_to_string(path)
+        .map(|path| {
+            let lines: Vec<String> = fs::read_to_string(path)
                 .unwrap()
                 .lines()
                 .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
                 .filter(|l| !l.trim_start().starts_with("//"))
                 .map(String::from)
-                .collect(),
+                .collect();
+            Source {
+                path: relative(path),
+                code: code_only(&lines.join("\n")),
+                lines,
+            }
         })
         .collect();
     let mut scripts: Vec<PathBuf> = fs::read_dir(root.join("scripts"))
@@ -126,13 +191,11 @@ fn load(root: &Path) -> Vec<Source> {
     scripts.retain(|p| p.extension().is_some_and(|e| e == "tcl"));
     scripts.sort();
     sources.extend(scripts.iter().map(|path| {
+        let text = fs::read_to_string(path).unwrap();
         Source {
             path: relative(path),
-            lines: fs::read_to_string(path)
-                .unwrap()
-                .lines()
-                .map(String::from)
-                .collect(),
+            lines: text.lines().map(String::from).collect(),
+            code: text,
         }
     }));
     sources
@@ -192,11 +255,17 @@ fn items(sources: &[Source]) -> BTreeMap<String, (String, Vec<&'static str>)> {
 }
 
 /// Every name the scanned code mentions other than right after `fn`, with
-/// the files that mention it.
-fn mentions(sources: &[Source]) -> BTreeMap<&str, BTreeSet<&str>> {
+/// the files that mention it: in the code alone, or (`literals`) in its
+/// string and char literals too.
+fn mentions(sources: &[Source], literals: bool) -> BTreeMap<&str, BTreeSet<&str>> {
     let mut seen: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for src in sources {
-        for line in &src.lines {
+        let lines: Vec<&str> = if literals {
+            src.lines.iter().map(String::as_str).collect()
+        } else {
+            vec![&src.code]
+        };
+        for line in lines {
             let mut prev = "";
             for tok in tokens(line) {
                 if prev != "fn" {
@@ -213,9 +282,12 @@ fn mentions(sources: &[Source]) -> BTreeMap<&str, BTreeSet<&str>> {
 fn check(root: &Path) -> Vec<Finding> {
     let sources = load(root);
     let items = items(&sources);
-    let seen = mentions(&sources);
+    let (in_code, in_text) = (mentions(&sources, false), mentions(&sources, true));
     let called = |label: &str, skip: &[&str]| {
-        let name = label.rsplit(':').next().unwrap();
+        let (seen, name) = match label.strip_prefix("command:") {
+            Some(name) => (&in_text, name),
+            None => (&in_code, label.rsplit(':').next().unwrap()),
+        };
         seen.get(name)
             .is_some_and(|files| files.iter().any(|f| !skip.iter().any(|s| f.starts_with(s))))
     };
@@ -397,5 +469,47 @@ only_commented  twice
             Finding::Malformed(6, "only_tested".into()),
             Finding::Malformed(8, "only_commented  twice".into()),
         ]
+    );
+}
+
+/// A function spelled only inside a string or char literal, or a comment,
+/// has no caller; a command spelled only inside a Rust string has one.
+#[test]
+fn names_inside_literals_call_commands_but_not_functions() {
+    const LIB: &str = r##"
+pub fn only_in_strings() {}
+pub fn after_a_quote_char() {}
+pub fn after_a_raw_string() {}
+
+fn caller() {
+    let help = "only_in_strings: \"escaped\" too";
+    let raw = r#"only_in_strings "quoted""#;
+    let quote = '"';
+    after_a_quote_char(); // only_in_strings, or an unclosed " here
+    let bytes = br"only_in_strings";
+    after_a_raw_string(); /* only_in_strings */
+}
+"##;
+    let root = tree(
+        "literals",
+        &[
+            ("crates/a/src/lib.rs", LIB),
+            (
+                "crates/core/src/commands.rs",
+                "const TABLE: &[CommandInfo] = &[\n    cmd(\"string_cmd\", 0, Some(0)),\n];\n",
+            ),
+            (
+                "examples/demo.rs",
+                "fn main() { layer.eval(\"string_cmd; xDrop\"); }\n",
+            ),
+            (KEPT, ""),
+        ],
+    );
+    assert_eq!(
+        check(&root),
+        vec![Finding::Uncalled(
+            "only_in_strings".into(),
+            "crates/a/src/lib.rs".into()
+        )]
     );
 }
