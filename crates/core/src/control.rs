@@ -6,6 +6,7 @@
 //! poke interpreter state, and harvest packet logs through these ops via
 //! [`World::control`](pfi_sim::World::control).
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -26,6 +27,60 @@ pub struct RecordedMsg {
     pub time: SimTime,
     /// The message as the filter was handed it.
     pub msg: Message,
+}
+
+/// What reached a PFI layer's filters while it tallied
+/// ([`PfiControl::Tally`]): per direction, message type and destination,
+/// how many messages and the longest of them. The type is the stub's name
+/// for it, `unknown` when it has none — what `msg_type` answers a filter.
+/// A run's tally is a few dozen rows where its recording is thousands of
+/// messages.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Tally {
+    rows: Vec<TallyRow>,
+}
+
+/// One row of a [`Tally`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TallyRow {
+    /// Which filter the messages reached.
+    pub dir: Direction,
+    /// Their type, as `msg_type` answers it.
+    pub msg_type: Cow<'static, str>,
+    /// Their destination node (what `msg_dst` answers).
+    pub dst: usize,
+    /// How many reached the filter.
+    pub count: u64,
+    /// The length in bytes of the longest (what `msg_len` answers).
+    pub longest: usize,
+}
+
+impl Tally {
+    /// Counts one message of `len` bytes reaching `dir`'s filter.
+    pub fn add(&mut self, dir: Direction, msg_type: Cow<'static, str>, dst: usize, len: usize) {
+        let row = self
+            .rows
+            .iter_mut()
+            .find(|r| r.dst == dst && r.dir == dir && r.msg_type == msg_type);
+        match row {
+            Some(row) => {
+                row.count += 1;
+                row.longest = row.longest.max(len);
+            }
+            None => self.rows.push(TallyRow {
+                dir,
+                msg_type,
+                dst,
+                count: 1,
+                longest: len,
+            }),
+        }
+    }
+
+    /// The rows, in order of each one's first message.
+    pub fn rows(&self) -> &[TallyRow] {
+        &self.rows
+    }
 }
 
 /// Operations accepted by [`PfiLayer::control`](crate::PfiLayer).
@@ -66,6 +121,15 @@ pub enum PfiControl {
     /// Stops recording and takes what was recorded, in arrival order
     /// (empty if the layer was not recording).
     TakeRecording,
+    /// Starts tallying the traffic that reaches the filters — the same
+    /// messages [`Record`](PfiControl::Record) keeps, counted into a
+    /// [`Tally`] instead of copied — until
+    /// [`TakeTally`](PfiControl::TakeTally). A layer that is not tallying
+    /// pays one `Option` test per message.
+    Tally,
+    /// Stops tallying and takes the tally (empty if the layer was not
+    /// tallying).
+    TakeTally,
     /// Evaluates the installed filters over `traffic[range]` — recorded by
     /// this site in an earlier run — and replies with the index of the
     /// first message whose evaluation *acts*, `None` if none does. Acting
@@ -108,6 +172,8 @@ pub enum PfiReply {
     },
     /// The traffic a [`PfiControl::TakeRecording`] harvested.
     Recording(Vec<RecordedMsg>),
+    /// What a [`PfiControl::TakeTally`] harvested.
+    Tally(Tally),
     /// A [`PfiControl::Probe`]'s answer: the index of the first acting
     /// evaluation, if any.
     Probe(Option<usize>),

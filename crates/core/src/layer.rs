@@ -8,6 +8,7 @@
 //! the paper's tool.
 
 use std::any::Any;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -15,7 +16,7 @@ use pfi_script::Interp;
 use pfi_sim::{Context, Layer, Message, SimTime};
 
 use crate::bindings::{Bindings, ControlBindings};
-use crate::control::{PfiControl, PfiReply, RecordedMsg};
+use crate::control::{PfiControl, PfiReply, RecordedMsg, Tally};
 use crate::filter::{Direction, Effects, Filter, FilterCtx, Verdict};
 use crate::globals::GlobalBoard;
 use crate::log::{LogEntry, PfiEvent};
@@ -58,6 +59,9 @@ pub struct PfiLayer {
     /// While `Some`, every message that reaches the filters is appended
     /// here first ([`PfiControl::Record`]) — the layer as pure probe.
     recording: Option<Vec<RecordedMsg>>,
+    /// While `Some`, every message that reaches the filters is counted
+    /// here first ([`PfiControl::Tally`]).
+    tally: Option<Tally>,
 }
 
 impl std::fmt::Debug for PfiLayer {
@@ -94,6 +98,7 @@ impl PfiLayer {
             packet_log: Vec::new(),
             globals: None,
             recording: None,
+            tally: None,
         }
     }
 
@@ -223,6 +228,10 @@ impl PfiLayer {
                 time: now,
                 msg: msg.clone(),
             });
+        }
+        if let Some(tally) = &mut self.tally {
+            let msg_type = self.stub.type_name(msg).unwrap_or(Cow::Borrowed("unknown"));
+            tally.add(dir, msg_type, msg.dst().index(), msg.len());
         }
         let mut effects = Effects::default();
         if self.skips(dir, msg, ctx) {
@@ -484,6 +493,11 @@ impl Layer for PfiLayer {
             PfiControl::TakeRecording => {
                 PfiReply::Recording(self.recording.take().unwrap_or_default())
             }
+            PfiControl::Tally => {
+                self.tally.get_or_insert_with(Tally::default);
+                PfiReply::Unit
+            }
+            PfiControl::TakeTally => PfiReply::Tally(self.tally.take().unwrap_or_default()),
             PfiControl::Probe { traffic, range } => {
                 let first = self.probe(&traffic[range.clone()], ctx);
                 PfiReply::Probe(first.map(|i| range.start + i))
@@ -512,6 +526,7 @@ impl Layer for PfiLayer {
             packet_log: self.packet_log.clone(),
             globals: self.globals,
             recording: self.recording.clone(),
+            tally: self.tally.clone(),
         }))
     }
 
@@ -535,6 +550,7 @@ impl Layer for PfiLayer {
         self.packet_log.clone_from(&src.packet_log);
         self.globals = src.globals;
         self.recording.clone_from(&src.recording);
+        self.tally.clone_from(&src.tally);
         true
     }
 

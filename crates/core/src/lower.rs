@@ -75,6 +75,26 @@ pub struct Clause {
     pub action: FaultAction,
 }
 
+impl Clause {
+    /// The most interpreter steps one evaluation of the clause's emitted
+    /// script takes: every guard holding, the window open and the action
+    /// run — one step per command, substitutions included. A step budget
+    /// of at least this never runs out on the clause.
+    pub fn max_steps(&self) -> u64 {
+        // `if` plus one `[msg_type]` / `[msg_dst]` per guard.
+        let guards = u64::from(self.msg_type.is_some()) + u64::from(self.dst.is_some());
+        let guard = if guards > 0 { 1 + guards } else { 0 };
+        // `incr cN` and its `if`.
+        let window = if self.window == Window::All { 0 } else { 2 };
+        // `if`, `[msg_len]`, `msg_set_byte`, `[expr …]`, `[msg_byte]`.
+        let action = match self.action {
+            FaultAction::CorruptByte { .. } => 5,
+            _ => 1,
+        };
+        guard + window + action
+    }
+}
+
 /// An ordered list of clauses, lowered to a single filter script.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FilterProgram {
@@ -211,6 +231,70 @@ mod tests {
                         Script::parse(&script).is_ok(),
                         "unparseable lowering for {window:?}/{action:?}:\n{script}"
                     );
+                }
+            }
+        }
+    }
+
+    /// Answers every message command as if each guard held on a long
+    /// message: type `T`, destination 2, 64 bytes.
+    struct Matching;
+
+    impl pfi_script::Host for Matching {
+        fn call(
+            &mut self,
+            _interp: &mut pfi_script::Interp,
+            cmd: &str,
+            _args: &[String],
+        ) -> Option<Result<String, pfi_script::ScriptError>> {
+            let answer = match cmd {
+                "msg_type" => "T",
+                "msg_dst" => "2",
+                "msg_len" => "64",
+                "msg_byte" => "7",
+                _ => "",
+            };
+            Some(Ok(answer.to_string()))
+        }
+    }
+
+    /// `max_steps` is the interpreter's fuel for a clause that does
+    /// everything: at that budget its first evaluation — every guard
+    /// holding, every window here open on the first message — finishes,
+    /// one step below it runs out.
+    #[test]
+    fn max_steps_is_the_fuel_of_a_clause_run_in_full() {
+        let open_on_first = [
+            Window::All,
+            Window::Nth(1),
+            Window::After(0),
+            Window::First(1),
+        ];
+        for window in open_on_first {
+            for action in all_actions() {
+                for (msg_type, dst) in [
+                    (None, None),
+                    (Some("T".to_string()), None),
+                    (Some("T".to_string()), Some(2)),
+                    (None, Some(2)),
+                ] {
+                    let clause = Clause {
+                        msg_type,
+                        dst,
+                        window,
+                        action,
+                    };
+                    let script =
+                        Script::parse(&FilterProgram::new().clause(clause.clone()).emit()).unwrap();
+                    let steps = clause.max_steps();
+                    let mut interp = pfi_script::Interp::new();
+                    interp.set_step_budget(steps);
+                    let full = interp.eval_parsed(&mut Matching, &script);
+                    assert!(full.is_ok(), "{clause:?} at {steps}: {full:?}");
+                    let mut interp = pfi_script::Interp::new();
+                    interp.set_step_budget(steps - 1);
+                    let short = interp.eval_parsed(&mut Matching, &script).unwrap_err();
+                    assert!(short.is_budget_exhausted(), "{clause:?} at {}", steps - 1);
                 }
             }
         }

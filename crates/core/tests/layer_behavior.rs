@@ -719,3 +719,52 @@ fn recorded_traffic_is_probed_for_the_first_acting_message() {
     }
     assert_eq!(probe("", "xDrop", 4..5), Some(4));
 }
+
+/// Tally mode counts what reaches the filters — dropped or not — per
+/// direction, type (`unknown` where the stub names none) and destination,
+/// with the longest length; nothing before `Tally` or after `TakeTally`.
+#[test]
+fn tallied_traffic_is_counted_per_direction_type_and_destination() {
+    use pfi_core::{Tally, TallyRow};
+    use std::borrow::Cow;
+
+    let pfi = PfiLayer::new(Box::new(RawStub)).with_send_filter(Filter::script("xDrop").unwrap());
+    let (mut w, a, b) = two_nodes(pfi);
+    let control = |w: &mut World, op: PfiControl| w.control::<PfiReply>(a, 1, op);
+    let take = |w: &mut World| match control(w, PfiControl::TakeTally) {
+        PfiReply::Tally(tally) => tally,
+        other => panic!("TakeTally answers with the tally, not {other:?}"),
+    };
+    send(&mut w, a, b, b"early");
+    assert_eq!(take(&mut w), Tally::default(), "off by default");
+    control(&mut w, PfiControl::Tally);
+    for payload in [&b"s0"[..], b"s111", b"s22"] {
+        send(&mut w, a, b, payload);
+    }
+    send(&mut w, b, a, b"r0");
+    w.run_for(SimDuration::from_millis(10));
+    let row = |dir, dst: NodeId, count, longest| TallyRow {
+        dir,
+        msg_type: Cow::Borrowed("unknown"),
+        dst: dst.index(),
+        count,
+        longest,
+    };
+    assert_eq!(
+        take(&mut w).rows(),
+        [
+            row(Direction::Send, b, 3, 4),
+            row(Direction::Receive, a, 1, 2),
+        ]
+    );
+    assert!(
+        received(&mut w, b).is_empty(),
+        "the send filter dropped all"
+    );
+    send(&mut w, a, b, b"late");
+    assert_eq!(
+        take(&mut w),
+        Tally::default(),
+        "tallying stopped when taken"
+    );
+}

@@ -243,10 +243,13 @@ impl Request {
                     Some(tok) => Some(validate_ident(tok)?),
                     None => None,
                 };
-                Ok(Request::Submit {
-                    params: params_from_kv(rest)?,
-                    ident,
-                })
+                // A submitted campaign is one `pfi-campaign` can name and
+                // resume: `Flags::campaign` raises `--max-faults 0` to 1,
+                // and so does the wire. Stored index lines load through
+                // `params_from_kv` as they were written.
+                let mut params = params_from_kv(rest)?;
+                params.max_faults = params.max_faults.max(1);
+                Ok(Request::Submit { params, ident })
             }
             "status" => Ok(Request::Status { id: id(false)? }),
             "results" => Ok(Request::Results {

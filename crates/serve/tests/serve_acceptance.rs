@@ -1036,6 +1036,18 @@ fn the_cli_submits_the_campaign_pfi_campaign_runs() {
     assert!(local.contains("\nmax-faults 1\n"), "{local}");
     assert_eq!(last_block(&store, "c1"), local);
     assert!(stdout.contains(&format!("digest {digest}")), "{stdout}");
+
+    // A raw wire submit of `max-faults=0`, which no CLI sends, is the same
+    // campaign: the daemon raises it to 1 where it parses the request.
+    let raw = CampaignParams {
+        max_faults: 0,
+        ..params.clone()
+    };
+    let mut client = daemon.client();
+    assert!(params_to_kv(&raw).contains(" max-faults=0 "));
+    let id = submit(&mut client, &raw);
+    assert_eq!(wait_digest(&mut client, &id), (0, digest));
+    assert_eq!(last_block(&store, &id), local);
     daemon.shutdown_and_join();
     std::fs::remove_dir_all(&store).ok();
 }

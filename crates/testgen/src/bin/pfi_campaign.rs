@@ -46,7 +46,10 @@ PROTOCOL (default gmp):
 const FLAGS_HELP: &str = "
 FLAGS:
     --list            print each grid schedule and its filter script and exit
-    --explore         coverage-guided schedule search instead of the fixed grid
+    --explore         coverage-guided schedule search instead of the fixed grid.
+                      Without it, every flag below but --list and
+                      --inject-panic, and every campaign flag but --buggy
+                      and --fault-secs, exits 2: the grid does not read it
     --jobs N          (--explore only; the grid runs on the calling thread)
                       workers: the calling thread plus N-1 spawned ones, so
                       --jobs 1 spawns none; 0 or omitted auto-detects the
@@ -102,6 +105,22 @@ const FLAGS: [(&str, Takes); 12] = [
     ("--no-prefilter", Takes::Nothing),
 ];
 
+/// The flags only an exploration reads.
+const EXPLORE_ONLY: [&str; 12] = [
+    "--seed",
+    "--budget",
+    "--max-faults",
+    "--epoch",
+    "--step-budget",
+    "--no-snapshots",
+    "--jobs",
+    "--stats",
+    "--digest",
+    "--journal",
+    "--resume",
+    "--max-retries",
+];
+
 /// Exit 2, naming what was wrong with the command line.
 fn usage(error: &str) -> ! {
     eprintln!("pfi-campaign: {error} (--help lists the flags)");
@@ -122,13 +141,13 @@ fn main() {
     let stats = flags.has("--stats");
     let digest = flags.has("--digest");
     if !explore_mode {
-        // The grid runs on the calling thread: there is no fleet to size
-        // or to report on.
-        if flags.has("--jobs") {
-            usage("--jobs needs --explore");
-        }
-        if stats {
-            usage("--stats needs --explore");
+        // The grid runs each of its fixed rows once, on the calling thread,
+        // under the default limits: there is no search to seed or budget,
+        // no fleet to size or report on, and nothing journaled or digested.
+        for flag in EXPLORE_ONLY {
+            if flags.has(flag) {
+                usage(&format!("{flag} needs --explore"));
+            }
         }
     }
 
@@ -227,12 +246,13 @@ fn main() {
             let snap = &outcome.snapshots;
             if config.snapshots {
                 println!(
-                    "snapshots: {} hit(s), {} miss(es) ({:.1}% hit rate), {} stored, {} prefix event(s) skipped, {} replayed from the baseline",
+                    "snapshots: {} hit(s), {} miss(es) ({:.1}% hit rate), {} stored, {} prefix event(s) skipped, {} inherited from the parent, {} replayed from the baseline",
                     snap.hits,
                     snap.misses,
                     snap.hit_rate() * 100.0,
                     snap.stored,
                     snap.events_skipped,
+                    snap.inherited,
                     snap.replayed
                 );
             } else {

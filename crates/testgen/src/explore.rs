@@ -46,6 +46,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use pfi_core::Tally;
 use pfi_fleet::{Fleet, FleetReport, DEFAULT_MAX_RETRIES};
 use pfi_sim::fnv::{fnv64, Fnv};
 use pfi_sim::{SimRng, World};
@@ -61,7 +62,7 @@ use crate::runner::{
 };
 use crate::schedule::{FaultSchedule, ScheduleMutator};
 use crate::shrink::shrink_schedule;
-use crate::snapshot::{base_digest, BaseWorld, SnapshotStats, SnapshotStore};
+use crate::snapshot::{base_digest, BaseWorld, Parent, SnapshotStats, SnapshotStore};
 use crate::spec::ProtocolSpec;
 
 /// Exploration parameters.
@@ -69,10 +70,12 @@ use crate::spec::ProtocolSpec;
 /// Admission is one check: a candidate is lowered, install-checked
 /// against the target, and refused before dispatch if it cannot install
 /// (counted in [`ExploreOutcome::rejected`]). Every admitted candidate
-/// executes. The one execution-saving equivalence is dynamic, not static:
+/// executes. The execution-saving equivalences are dynamic, not static:
 /// with [`snapshots`](ExploreConfig::snapshots) on, a candidate whose
 /// filters never act on the traffic the baseline run recorded is handed
-/// the baseline's outcome instead of being driven. Schedule analysis —
+/// the baseline's outcome instead of being driven, and a mutant whose
+/// changed faults cannot act on the traffic its parent's driven run
+/// tallied is handed the parent's. Schedule analysis —
 /// canonical forms, statically-inert faults, the semantic quotient — lives
 /// on as lint and dedup keys ([`crate::FlowModel`]), never as a reason to
 /// skip a run: a static rewrite that is wrong changes what a campaign
@@ -266,9 +269,13 @@ pub struct ExploreOutcome {
     pub coverage: Coverage,
     /// Shrunk failures, deduplicated by their minimal schedule.
     pub failures: Vec<FoundFailure>,
-    /// How many schedules actually ran: the baseline plus every admitted
-    /// novel mutation (≤ budget + 1), plus the re-executions shrinking performs
-    /// for each found failure.
+    /// How many schedules were settled: the baseline plus every admitted
+    /// novel mutation (≤ budget + 1), plus the re-executions shrinking
+    /// performs for each found failure and the confirmation run of each.
+    /// A settled schedule was not necessarily driven: with snapshots on,
+    /// one handed the baseline's outcome ([`SnapshotStats::replayed`]) or
+    /// its parent's ([`SnapshotStats::inherited`]) counts here too, as
+    /// does one replayed from a resume journal ([`replayed`](Self::replayed)).
     pub executed: usize,
     /// How many candidates admission refused as uninstallable — exactly
     /// the ones the runner would refuse at install time
@@ -352,6 +359,9 @@ struct CandidateJob {
     /// Its id and lowered scripts; admission refused it unless its
     /// install errors are empty.
     lowered: Lowered,
+    /// The corpus member it mutates, when that member can hand its
+    /// outcome on ([`Parent::new`]) — one `Arc` shared by the epoch.
+    parent: Option<Arc<Parent>>,
 }
 
 /// Everything one candidate execution produced. Computed entirely on the
@@ -374,6 +384,9 @@ struct CandidateReport {
     /// the base it was dispatched with), so totals are independent of job
     /// scheduling and worker count.
     snapshots: SnapshotStats,
+    /// Each fault site's tally of the run, when it was forked and driven:
+    /// what the run's own mutants read if it joins the corpus.
+    tally: Option<Vec<Tally>>,
 }
 
 #[derive(Debug, Clone)]
@@ -395,6 +408,11 @@ struct ShrinkReport {
 /// violated an oracle. Shrinking re-runs against the *same* oracle: the
 /// minimal schedule must reproduce this failure, not just any failure.
 ///
+/// A candidate whose parent [hands on](Parent::inherits) its outcome is
+/// settled first, without forking anything: its report is the parent's
+/// verdict, oracle and coverage. Only forked runs are tallied, so this
+/// happens exactly when snapshots are on.
+///
 /// With snapshots on, the main run forks the campaign's base world
 /// instead of rebuilding, and every shrink re-run forks it again (shrunk
 /// schedules share the same base). Hits and misses are counted per
@@ -406,15 +424,40 @@ fn candidate_report(
     job: CandidateJob,
     retired: &mut Option<World>,
 ) -> CandidateReport {
-    let CandidateJob { schedule, lowered } = job;
+    let CandidateJob {
+        schedule,
+        lowered,
+        parent,
+    } = job;
     let (target, limits) = (ctx.target.as_ref(), &ctx.limits);
+    if let Some(parent) = parent.filter(|parent| parent.inherits(&schedule, ctx.fuel)) {
+        let (verdict, oracle, coverage) = parent.outcome.clone();
+        return CandidateReport {
+            run: ScheduleRun {
+                schedule_id: lowered.id,
+                seed: target.seed(),
+                scripts: lowered.scripts,
+                verdict,
+                oracle,
+                coverage,
+            },
+            schedule,
+            shrink: None,
+            worker: 0,
+            snapshots: SnapshotStats {
+                inherited: 1,
+                ..SnapshotStats::default()
+            },
+            tally: None,
+        };
+    }
     let mut local = ctx.snapshots.then(|| SnapshotStore {
         key: Some(ctx.key),
         base: ctx.base.clone(),
         retired: retired.take(),
         ..SnapshotStore::default()
     });
-    let run = execute(target, lowered, limits, local.as_mut());
+    let (run, tally) = execute(target, lowered, limits, local.as_mut());
     let shrink = match &run.verdict {
         Verdict::Violated(_) => {
             let oracle = run.oracle.clone().unwrap_or_else(|| "target".to_string());
@@ -446,6 +489,7 @@ fn candidate_report(
         shrink,
         worker: 0,
         snapshots,
+        tally,
     }
 }
 
@@ -471,8 +515,10 @@ fn replayed_report(world_seed: u64, case: JournalCase, job: CandidateJob) -> Can
         run,
         shrink,
         worker: 0,
-        // Replayed work performed no runs at all — no forks to count.
+        // Replayed work performed no runs at all — no forks to count,
+        // nothing tallied.
         snapshots: SnapshotStats::default(),
+        tally: None,
     }
 }
 
@@ -498,6 +544,9 @@ struct CampaignContext {
     snapshots: bool,
     /// The [`crate::base_digest`] of `target` under `limits`.
     key: u64,
+    /// The steps one filter evaluation may take: `limits.step_budget`, or
+    /// the interpreter's own default when that is 0.
+    fuel: u64,
     /// Snapshots on: the base world the master's baseline run captured,
     /// which workers fork instead of rebuilding (`None` when the target's
     /// world refuses capture — those runs build cold). World snapshots
@@ -611,7 +660,11 @@ impl Admission {
             self.rejected += 1;
             return None;
         }
-        Some(CandidateJob { schedule, lowered })
+        Some(CandidateJob {
+            schedule,
+            lowered,
+            parent: None,
+        })
     }
 }
 
@@ -747,11 +800,12 @@ fn explore_with(
         // The baseline's miss is what first captures the base world into
         // the master store (snapshots on).
         None => CandidateReport {
-            run: execute(master, baseline.lowered, &limits, master_store.as_mut()),
+            run: execute(master, baseline.lowered, &limits, master_store.as_mut()).0,
             schedule: baseline.schedule,
             shrink: None,
             worker: 0,
             snapshots: SnapshotStats::default(),
+            tally: None,
         },
     };
     // The union starts empty, so the baseline journals its whole set.
@@ -776,9 +830,15 @@ fn explore_with(
         limits,
         snapshots: config.snapshots,
         key,
+        fuel: match limits.step_budget {
+            0 => pfi_script::Interp::new().step_budget(),
+            budget => budget,
+        },
         base,
     });
     let mut corpus = vec![base_report.schedule];
+    // Index for index with `corpus`: what each member hands its mutants.
+    let mut parents: Vec<Option<Arc<Parent>>> = vec![None];
     let mut executed = 1usize;
     // The `dispatch` and `case` records so far, for `config.progress`.
     let (mut dispatched, mut cases) = (1usize, 1usize);
@@ -797,6 +857,7 @@ fn explore_with(
     let mut attempted = 0usize;
     while seeds_pending || attempted < config.budget {
         let mut batch: Vec<FaultSchedule> = Vec::new();
+        let mut parent = None;
         if seeds_pending {
             // The seed corpus is the zeroth batch: schedules carried over
             // from earlier campaigns run through the ordinary dispatch
@@ -818,12 +879,13 @@ fn explore_with(
             // re-run), which at `epoch == 1` reproduces the classic
             // sequential explorer's RNG stream exactly: one parent draw per
             // attempt.
-            let parent = corpus[rng.uniform_u64(0, corpus.len() as u64) as usize].clone();
+            let pick = rng.uniform_u64(0, corpus.len() as u64) as usize;
+            parent = parents[pick].clone();
             let mut batch_attempts = 0usize;
             while attempted < config.budget && batch_attempts < config.epoch {
                 batch_attempts += 1;
                 attempted += 1;
-                let candidate = mutator.mutate(&parent, config.max_faults, &mut rng);
+                let candidate = mutator.mutate(&corpus[pick], config.max_faults, &mut rng);
                 if seen.insert(candidate.id()) {
                     batch.push(candidate);
                 }
@@ -832,6 +894,10 @@ fn explore_with(
         let batch: Vec<CandidateJob> = batch
             .into_iter()
             .filter_map(|candidate| admission.admit(candidate))
+            .map(|job| CandidateJob {
+                parent: parent.clone(),
+                ..job
+            })
             .collect();
         if batch.is_empty() {
             continue;
@@ -891,7 +957,7 @@ fn explore_with(
         });
 
         for result in results {
-            let report = match result {
+            let mut report = match result {
                 Ok(report) => report,
                 Err(q) => {
                     // The supervisor gave up on this candidate: no result,
@@ -919,6 +985,16 @@ fn explore_with(
             let added = merge_coverage(&mut coverage, &report.run.coverage);
             if !added.is_empty() {
                 corpus.push(report.schedule.clone());
+                // The coverage is merged and journaled by its additions:
+                // the parent keeps the run's own.
+                let outcome = (
+                    report.run.verdict.clone(),
+                    report.run.oracle.clone(),
+                    std::mem::take(&mut report.run.coverage),
+                );
+                parents.push(
+                    Parent::new(&report.schedule, report.tally.take(), outcome).map(Arc::new),
+                );
                 fleet.note_novel(report.worker);
             }
             let Some(shrink) = report.shrink.clone() else {

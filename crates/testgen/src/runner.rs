@@ -5,7 +5,7 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use pfi_core::{Filter, GlobalBoard, PfiControl, PfiEvent, PfiLayer, PfiReply};
+use pfi_core::{Filter, GlobalBoard, PfiControl, PfiEvent, PfiLayer, PfiReply, Tally};
 use pfi_fleet::panic_message;
 use pfi_gmp::{GmpBugs, GmpConfig, GmpControl, GmpEvent, GmpLayer, GmpReply, GmpStub};
 use pfi_rudp::RudpLayer;
@@ -233,7 +233,7 @@ pub fn run_schedule_snapshotted(
     store: Option<&mut SnapshotStore>,
 ) -> ScheduleRun {
     let lowered = Lowered::check(schedule.id(), schedule.lower(), target.fault_sites());
-    execute(target, lowered, limits, store)
+    execute(target, lowered, limits, store).0
 }
 
 /// A schedule lowered and install-checked once — what [`execute`] runs.
@@ -290,22 +290,23 @@ pub(crate) type Outcome = (Verdict, Option<String>, Coverage);
 /// filter yet, so every non-empty script is installed. A forked run is
 /// byte-identical to a cold one: forks restore the captured world exactly,
 /// and filter installation has no observable side effects beyond the
-/// filters themselves.
+/// filters themselves. A forked run that was driven also answers each
+/// fault site's [`Tally`] of it.
 pub(crate) fn execute(
     target: &dyn TestTarget,
     lowered: Lowered,
     limits: &RunLimits,
     fork: Option<&mut SnapshotStore>,
-) -> ScheduleRun {
+) -> (ScheduleRun, Option<Vec<Tally>>) {
     let Lowered {
         id,
         scripts,
         compiled,
         install_errors,
     } = lowered;
-    let (verdict, oracle, coverage) = if !install_errors.is_empty() {
+    let ((verdict, oracle, coverage), tally) = if !install_errors.is_empty() {
         let refusal = Verdict::Invalid(install_errors.join("; "));
-        (refusal, None, Coverage::new())
+        ((refusal, None, Coverage::new()), None)
     } else {
         let filters = (&scripts[..], &compiled[..]);
         match fork {
@@ -313,20 +314,24 @@ pub(crate) fn execute(
                 let digest = store.key.unwrap_or_else(|| base_digest(target, limits));
                 match store.lookup(digest) {
                     Some(base) => run_forked(target, store, &base, filters, limits),
-                    None => run_cold(target, Some((store, digest)), filters, limits),
+                    None => (
+                        run_cold(target, Some((store, digest)), filters, limits),
+                        None,
+                    ),
                 }
             }
-            None => run_cold(target, None, filters, limits),
+            None => (run_cold(target, None, filters, limits), None),
         }
     };
-    ScheduleRun {
+    let run = ScheduleRun {
         schedule_id: id,
         seed: target.seed(),
         scripts,
         verdict,
         oracle,
         coverage,
-    }
+    };
+    (run, tally)
 }
 
 /// A schedule's lowered scripts and, index for index, their compiled form.
@@ -340,14 +345,16 @@ type Filters<'a> = (&'a [SiteScripts], &'a [CompiledSite]);
 /// act would re-simulate the baseline message for message, so it is handed
 /// the baseline's outcome and not driven. The probe's evaluations advance
 /// the interpreters, so a candidate that does act is restored once more
-/// and runs from a world byte-identical to a fresh fork.
+/// and runs from a world byte-identical to a fresh fork. A driven run is
+/// tallied at every fault site ([`PfiControl::Tally`]), for its mutants'
+/// [`Parent::inherits`](crate::snapshot::Parent::inherits).
 fn run_forked(
     target: &dyn TestTarget,
     store: &mut SnapshotStore,
     base: &BaseWorld,
     (scripts, compiled): Filters<'_>,
     limits: &RunLimits,
-) -> Outcome {
+) -> (Outcome, Option<Vec<Tally>>) {
     let mut world = store.retired.take().unwrap_or_else(|| World::new(0));
     world.restore(&base.world);
     install_scripts(&mut world, &base.sites, target.name(), scripts, compiled);
@@ -355,14 +362,27 @@ fn run_forked(
         if !baseline.acts(&mut world, &base.sites, scripts) {
             store.stats.replayed += 1;
             store.retire(world);
-            return baseline.outcome.clone();
+            return (baseline.outcome.clone(), None);
         }
         world.restore(&base.world);
         install_scripts(&mut world, &base.sites, target.name(), scripts, compiled);
     }
+    for &(node, pfi_layer) in &base.sites {
+        let _: PfiReply = world.control(node, pfi_layer, PfiControl::Tally);
+    }
     let outcome = judge(target, &mut world, limits);
+    let tally = base
+        .sites
+        .iter()
+        .map(
+            |&(node, pfi_layer)| match world.control(node, pfi_layer, PfiControl::TakeTally) {
+                PfiReply::Tally(tally) => tally,
+                other => panic!("fault site {node} answered TakeTally with {other:?}"),
+            },
+        )
+        .collect();
     store.retire(world);
-    outcome
+    (outcome, Some(tally))
 }
 
 /// Builds the target's world and runs a schedule in it. With a store (a
@@ -1443,8 +1463,8 @@ mod tests {
             store.base.as_ref().unwrap().baseline.is_some(),
             "a clean baseline leaves its recording with the base"
         );
-        let forked = execute(&target, lowered.clone(), limits, Some(&mut store));
-        let cold = execute(&target, lowered, limits, None);
+        let forked = execute(&target, lowered.clone(), limits, Some(&mut store)).0;
+        let cold = execute(&target, lowered, limits, None).0;
         assert_eq!(forked.verdict, cold.verdict, "{send:?} / {recv:?}");
         assert_eq!(forked.oracle, cold.oracle, "{send:?} / {recv:?}");
         assert_eq!(forked.coverage, cold.coverage, "{send:?} / {recv:?}");
@@ -1606,7 +1626,7 @@ mod tests {
             step_budget: 500,
         };
         let spin = Lowered::check("spin".to_string(), vec![script], target.fault_sites());
-        let run = execute(&target, spin, &limits, None);
+        let run = execute(&target, spin, &limits, None).0;
         let Verdict::Hung(msg) = &run.verdict else {
             panic!(
                 "looping filter script must trip the step-budget watchdog, got {:?}",

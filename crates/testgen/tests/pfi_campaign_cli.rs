@@ -59,6 +59,41 @@ fn arguments_it_does_not_understand_exit_2_and_are_named() {
     }
 }
 
+/// The grid runs fixed one-fault rows under the default limits: a flag
+/// only an exploration reads is refused there, naming it, before anything
+/// runs or any file is written — not ignored.
+#[test]
+fn the_grid_refuses_what_only_an_exploration_reads() {
+    let journal = std::env::temp_dir().join(format!("pfi_grid_{}.journal", std::process::id()));
+    std::fs::remove_file(&journal).ok();
+    let path = journal.to_str().unwrap();
+    for (flag, value) in [
+        ("--seed", Some("5")),
+        ("--budget", Some("8")),
+        ("--max-faults", Some("2")),
+        ("--epoch", Some("4")),
+        ("--step-budget", Some("100")),
+        ("--no-snapshots", None),
+        ("--digest", None),
+        ("--journal", Some(path)),
+        ("--resume", Some(path)),
+        ("--max-retries", Some("1")),
+    ] {
+        let args: Vec<&str> = ["tpc", flag].into_iter().chain(value).collect();
+        let out = run(&args);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} needs --explore")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} must not run the grid");
+    }
+    let out = run(&["gmp", "--budget", "8", "--journal", path]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(!journal.exists(), "a refused grid writes no journal");
+}
+
 #[test]
 fn stats_block_keeps_the_labels_the_benchmark_reads() {
     // Between them the two runs pass every flag the benchmark passes.
@@ -124,6 +159,14 @@ fn stats_block_keeps_the_labels_the_benchmark_reads() {
         number_before(" hit(s), "),
     );
     assert!(0 < replayed && replayed < hits, "{snap:?}");
+    // Mutants handed their parent's outcome fork nothing, so they are
+    // counted beside the hits, ahead of the line's last label.
+    assert!(
+        snap.contains(" prefix event(s) skipped, ")
+            && snap.contains(" inherited from the parent, "),
+        "{snap:?}"
+    );
+    number_before(" inherited from the parent");
     let fleet = stdout
         .lines()
         .find(|l| l.starts_with("fleet: "))
