@@ -47,9 +47,9 @@ const FLAGS_HELP: &str = "
 FLAGS:
     --list            print each grid schedule and its filter script and exit
     --explore         coverage-guided schedule search instead of the fixed grid.
-                      Without it, every flag below but --list and
-                      --inject-panic, and every campaign flag but --buggy
-                      and --fault-secs, exits 2: the grid does not read it
+                      Without it, --jobs, --journal, --resume, --max-retries,
+                      --stats, --digest and every campaign flag but --buggy
+                      and --fault-secs exit 2: the grid does not read them
     --jobs N          (--explore only; the grid runs on the calling thread)
                       workers: the calling thread plus N-1 spawned ones, so
                       --jobs 1 spawns none; 0 or omitted auto-detects the
