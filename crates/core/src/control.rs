@@ -7,34 +7,17 @@
 //! [`World::control`](pfi_sim::World::control).
 
 use std::borrow::Cow;
-use std::ops::Range;
-use std::sync::Arc;
 
 use pfi_script::{CacheStats, ScriptError};
-use pfi_sim::{Message, SimTime};
 
 use crate::filter::{Direction, Filter};
 use crate::log::LogEntry;
-
-/// One message as it reached a PFI layer's filters: what
-/// [`PfiControl::Record`] collects and [`PfiControl::Probe`] re-evaluates
-/// filters over.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecordedMsg {
-    /// Which filter it reached.
-    pub dir: Direction,
-    /// Virtual time at which it did (what `now_ms` answered).
-    pub time: SimTime,
-    /// The message as the filter was handed it.
-    pub msg: Message,
-}
 
 /// What reached a PFI layer's filters while it tallied
 /// ([`PfiControl::Tally`]): per direction, message type and destination,
 /// how many messages and the longest of them. The type is the stub's name
 /// for it, `unknown` when it has none — what `msg_type` answers a filter.
-/// A run's tally is a few dozen rows where its recording is thousands of
-/// messages.
+/// A run's tally is a few dozen rows, however many messages it counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Tally {
     rows: Vec<TallyRow>,
@@ -111,47 +94,16 @@ pub enum PfiControl {
     /// trace as a budget-exhausted `ScriptFailed` event, message passed
     /// unfiltered) instead of wedging the run.
     SetStepBudget(u64),
-    /// Starts recording the traffic that reaches the filters — every
+    /// Starts tallying the traffic that reaches the filters — every
     /// pushed and popped message while the layer is not killed, whether or
-    /// not a filter is installed — until
-    /// [`TakeRecording`](PfiControl::TakeRecording). The paper's PFI layer
-    /// is a probe as much as an injector; this is the probe alone. A layer
-    /// that is not recording pays one `Option` test per message.
-    Record,
-    /// Stops recording and takes what was recorded, in arrival order
-    /// (empty if the layer was not recording).
-    TakeRecording,
-    /// Starts tallying the traffic that reaches the filters — the same
-    /// messages [`Record`](PfiControl::Record) keeps, counted into a
-    /// [`Tally`] instead of copied — until
-    /// [`TakeTally`](PfiControl::TakeTally). A layer that is not tallying
-    /// pays one `Option` test per message.
+    /// not a filter is installed, counted into a [`Tally`] — until
+    /// [`TakeTally`](PfiControl::TakeTally). The paper's PFI layer is a
+    /// probe as much as an injector; this is the probe alone. A layer that
+    /// is not tallying pays one `Option` test per message.
     Tally,
     /// Stops tallying and takes the tally (empty if the layer was not
     /// tallying).
     TakeTally,
-    /// Evaluates the installed filters over `traffic[range]` — recorded by
-    /// this site in an earlier run — and replies with the index of the
-    /// first message whose evaluation *acts*, `None` if none does. Acting
-    /// is anything observable outside the evaluating interpreter pair:
-    /// effects other than a plain pass (drop, delay, hold, duplicates,
-    /// injections, a release, an `xAfter` timer script), a changed message
-    /// (bytes or addresses), a packet-log append, an RNG draw, a
-    /// blackboard write, or a script error (step-budget exhaustion
-    /// included). Filters that never act on the traffic of a run would
-    /// have left that run exactly as it was.
-    ///
-    /// The evaluations are real — interpreter variables advance, an acting
-    /// one has made its log entry or board write — so this is for a world
-    /// that is then discarded or [restored](pfi_sim::World::restore), not
-    /// driven.
-    Probe {
-        /// The site's recorded traffic (shared: probing copies nothing).
-        traffic: Arc<[RecordedMsg]>,
-        /// The slice of it to evaluate, so several sites' traffic can be
-        /// probed interleaved, in recorded-time order.
-        range: Range<usize>,
-    },
 }
 
 /// Replies produced by [`PfiLayer::control`](crate::PfiLayer).
@@ -170,13 +122,8 @@ pub enum PfiReply {
         /// `expr` argument cache.
         exprs: CacheStats,
     },
-    /// The traffic a [`PfiControl::TakeRecording`] harvested.
-    Recording(Vec<RecordedMsg>),
     /// What a [`PfiControl::TakeTally`] harvested.
     Tally(Tally),
-    /// A [`PfiControl::Probe`]'s answer: the index of the first acting
-    /// evaluation, if any.
-    Probe(Option<usize>),
     /// The op was not a [`PfiControl`] value.
     UnknownOp,
 }

@@ -13,10 +13,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pfi_script::Interp;
-use pfi_sim::{Context, Layer, Message, SimTime};
+use pfi_sim::{Context, Layer, Message};
 
 use crate::bindings::{Bindings, ControlBindings};
-use crate::control::{PfiControl, PfiReply, RecordedMsg, Tally};
+use crate::control::{PfiControl, PfiReply, Tally};
 use crate::filter::{Direction, Effects, Filter, FilterCtx, Verdict};
 use crate::globals::GlobalBoard;
 use crate::log::{LogEntry, PfiEvent};
@@ -56,11 +56,8 @@ pub struct PfiLayer {
     /// allocates a private one from the world's arena on the first script
     /// that touches globals (deterministic first-touch order).
     globals: Option<GlobalBoard>,
-    /// While `Some`, every message that reaches the filters is appended
-    /// here first ([`PfiControl::Record`]) — the layer as pure probe.
-    recording: Option<Vec<RecordedMsg>>,
     /// While `Some`, every message that reaches the filters is counted
-    /// here first ([`PfiControl::Tally`]).
+    /// here first ([`PfiControl::Tally`]) — the layer as pure probe.
     tally: Option<Tally>,
 }
 
@@ -97,7 +94,6 @@ impl PfiLayer {
             killed: false,
             packet_log: Vec::new(),
             globals: None,
-            recording: None,
             tally: None,
         }
     }
@@ -169,22 +165,19 @@ impl PfiLayer {
         gated
     }
 
-    /// Evaluates `dir`'s filter on `msg` as of virtual time `now`,
-    /// collecting into `effects`; the script error if the filter failed.
-    /// Touches nothing but the interpreter pair, `msg`, and what the
-    /// effects' side-channel flag reports. Callers ask
+    /// Evaluates `dir`'s filter on `msg`, collecting into `effects`; the
+    /// script error if the filter failed. Callers ask
     /// [`skips`](Self::skips) first.
     fn evaluate(
         &mut self,
         dir: Direction,
-        now: SimTime,
         msg: &mut Message,
         effects: &mut Effects,
         ctx: &mut Context<'_>,
     ) -> Option<pfi_script::ScriptError> {
         let i = idx(dir);
         let mut filter = self.filters[i].take()?;
-        let node = ctx.node();
+        let (node, now) = (ctx.node(), ctx.now());
         let globals = self.board(ctx);
         let mut script_error: Option<pfi_script::ScriptError> = None;
         {
@@ -221,14 +214,6 @@ impl PfiLayer {
     }
 
     fn run_filter(&mut self, dir: Direction, msg: &mut Message, ctx: &mut Context<'_>) -> Effects {
-        let now = ctx.now();
-        if let Some(traffic) = &mut self.recording {
-            traffic.push(RecordedMsg {
-                dir,
-                time: now,
-                msg: msg.clone(),
-            });
-        }
         if let Some(tally) = &mut self.tally {
             let msg_type = self.stub.type_name(msg).unwrap_or(Cow::Borrowed("unknown"));
             tally.add(dir, msg_type, msg.dst().index(), msg.len());
@@ -237,7 +222,7 @@ impl PfiLayer {
         if self.skips(dir, msg, ctx) {
             return effects;
         }
-        if let Some(error) = self.evaluate(dir, now, msg, &mut effects, ctx) {
+        if let Some(error) = self.evaluate(dir, msg, &mut effects, ctx) {
             // A failing filter must not eat traffic silently: pass the
             // message and record the failure.
             effects.verdict = Verdict::Pass;
@@ -248,25 +233,6 @@ impl PfiLayer {
             });
         }
         effects
-    }
-
-    /// [`PfiControl::Probe`]: the index of the first message of `traffic`
-    /// whose evaluation acts. Nothing is applied and nothing is traced,
-    /// but the evaluations are real — interpreter state advances, and an
-    /// acting one has already written its log entry, drawn its number or
-    /// set its key.
-    fn probe(&mut self, traffic: &[RecordedMsg], ctx: &mut Context<'_>) -> Option<usize> {
-        traffic.iter().position(|rec| {
-            if self.skips(rec.dir, &rec.msg, ctx) {
-                return false;
-            }
-            let mut msg = rec.msg.clone();
-            let mut effects = Effects::default();
-            let failed = self
-                .evaluate(rec.dir, rec.time, &mut msg, &mut effects, ctx)
-                .is_some();
-            failed || effects.acts() || msg != rec.msg
-        })
     }
 
     /// Copies of both filters, `None` if either is a native closure.
@@ -486,22 +452,11 @@ impl Layer for PfiLayer {
                 }
                 PfiReply::Unit
             }
-            PfiControl::Record => {
-                self.recording.get_or_insert_with(Vec::new);
-                PfiReply::Unit
-            }
-            PfiControl::TakeRecording => {
-                PfiReply::Recording(self.recording.take().unwrap_or_default())
-            }
             PfiControl::Tally => {
                 self.tally.get_or_insert_with(Tally::default);
                 PfiReply::Unit
             }
             PfiControl::TakeTally => PfiReply::Tally(self.tally.take().unwrap_or_default()),
-            PfiControl::Probe { traffic, range } => {
-                let first = self.probe(&traffic[range.clone()], ctx);
-                PfiReply::Probe(first.map(|i| range.start + i))
-            }
         };
         Box::new(reply)
     }
@@ -525,7 +480,6 @@ impl Layer for PfiLayer {
             killed: self.killed,
             packet_log: self.packet_log.clone(),
             globals: self.globals,
-            recording: self.recording.clone(),
             tally: self.tally.clone(),
         }))
     }
@@ -549,7 +503,6 @@ impl Layer for PfiLayer {
         self.killed = src.killed;
         self.packet_log.clone_from(&src.packet_log);
         self.globals = src.globals;
-        self.recording.clone_from(&src.recording);
         self.tally.clone_from(&src.tally);
         true
     }

@@ -84,7 +84,7 @@ pub mod lower;
 mod stub;
 
 pub use commands::{CommandInfo, CommandTable};
-pub use control::{PfiControl, PfiReply, RecordedMsg, Tally, TallyRow};
+pub use control::{PfiControl, PfiReply, Tally, TallyRow};
 pub use filter::{Direction, Filter, FilterCtx, Injection, Verdict};
 pub use globals::GlobalBoard;
 pub use layer::PfiLayer;

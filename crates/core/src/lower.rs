@@ -39,6 +39,18 @@ pub enum Window {
     First(u32),
 }
 
+impl Window {
+    /// Whether the window opens on one of `n` matching messages.
+    pub fn opens_within(self, n: u64) -> bool {
+        match self {
+            Window::All => n > 0,
+            Window::Nth(k) => k > 0 && n >= u64::from(k),
+            Window::After(k) => n > u64::from(k),
+            Window::First(k) => k > 0 && n > 0,
+        }
+    }
+}
+
 /// What a clause does to a matching message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
@@ -75,23 +87,51 @@ pub struct Clause {
     pub action: FaultAction,
 }
 
+/// How far one evaluation of a [`Clause`] gets on a message: what the
+/// steps it takes depend on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reach {
+    /// The message is of another type: the `if` and `[msg_type]`, and `&&`
+    /// evaluates no further.
+    OtherType,
+    /// Of the clause's type, to another destination: `[msg_dst]` too.
+    OtherDst,
+    /// Both guards hold and the window is shut on this message: its
+    /// counter's `incr` and `if` too.
+    Shut,
+    /// The window is open on a message this many bytes long, and the action
+    /// runs — a `corrupt-byte` past its length guard only when the message
+    /// is longer than its offset.
+    Open(usize),
+}
+
 impl Clause {
-    /// The most interpreter steps one evaluation of the clause's emitted
-    /// script takes: every guard holding, the window open and the action
-    /// run — one step per command, substitutions included. A step budget
-    /// of at least this never runs out on the clause.
-    pub fn max_steps(&self) -> u64 {
-        // `if` plus one `[msg_type]` / `[msg_dst]` per guard.
-        let guards = u64::from(self.msg_type.is_some()) + u64::from(self.dst.is_some());
-        let guard = if guards > 0 { 1 + guards } else { 0 };
+    /// The interpreter steps one evaluation of the clause's emitted script
+    /// takes when it gets as far as `reach`: one step per command,
+    /// substitutions included. A step budget of at least this never runs
+    /// out on the clause there.
+    pub fn steps(&self, reach: Reach) -> u64 {
+        let typed = u64::from(self.msg_type.is_some());
+        // The `if` around the guards, and the guards it evaluates.
+        let guard = |evaluated: u64| if evaluated > 0 { 1 + evaluated } else { 0 };
+        let guards = typed + u64::from(self.dst.is_some());
         // `incr cN` and its `if`.
         let window = if self.window == Window::All { 0 } else { 2 };
-        // `if`, `[msg_len]`, `msg_set_byte`, `[expr …]`, `[msg_byte]`.
-        let action = match self.action {
-            FaultAction::CorruptByte { .. } => 5,
-            _ => 1,
-        };
-        guard + window + action
+        match reach {
+            Reach::OtherType => guard(1),
+            Reach::OtherDst => guard(typed + 1),
+            Reach::Shut => guard(guards) + window,
+            Reach::Open(len) => {
+                // `if` and `[msg_len]`; then `msg_set_byte`, `[expr …]` and
+                // `[msg_byte]` when the message is long enough.
+                let action = match self.action {
+                    FaultAction::CorruptByte { offset, .. } if len > offset => 5,
+                    FaultAction::CorruptByte { .. } => 2,
+                    _ => 1,
+                };
+                guard(guards) + window + action
+            }
+        }
     }
 }
 
@@ -192,6 +232,7 @@ mod tests {
             Window::After(0),
             Window::After(12),
             Window::First(3),
+            Window::First(0),
         ]
     }
 
@@ -236,11 +277,14 @@ mod tests {
         }
     }
 
-    /// Answers every message command as if each guard held on a long
-    /// message: type `T`, destination 2, 64 bytes.
-    struct Matching;
+    /// Answers the message commands for one message.
+    struct Msg {
+        msg_type: &'static str,
+        dst: u32,
+        len: usize,
+    }
 
-    impl pfi_script::Host for Matching {
+    impl pfi_script::Host for Msg {
         fn call(
             &mut self,
             _interp: &mut pfi_script::Interp,
@@ -248,29 +292,66 @@ mod tests {
             _args: &[String],
         ) -> Option<Result<String, pfi_script::ScriptError>> {
             let answer = match cmd {
-                "msg_type" => "T",
-                "msg_dst" => "2",
-                "msg_len" => "64",
-                "msg_byte" => "7",
-                _ => "",
+                "msg_type" => self.msg_type.to_string(),
+                "msg_dst" => self.dst.to_string(),
+                "msg_len" => self.len.to_string(),
+                "msg_byte" => "7".to_string(),
+                _ => String::new(),
             };
-            Some(Ok(answer.to_string()))
+            Some(Ok(answer))
         }
     }
 
-    /// `max_steps` is the interpreter's fuel for a clause that does
-    /// everything: at that budget its first evaluation — every guard
-    /// holding, every window here open on the first message — finishes,
-    /// one step below it runs out.
+    /// A fresh interpreter's first evaluation of `script` on `msg`
+    /// finishes with a budget of `steps`, and runs out with one fewer.
+    fn assert_fuel(script: &str, msg: &mut Msg, steps: u64) {
+        let parsed = Script::parse(script).unwrap();
+        let mut interp = pfi_script::Interp::new();
+        interp.set_step_budget(steps);
+        let full = interp.eval_parsed(msg, &parsed);
+        assert!(full.is_ok(), "{script} at {steps}: {full:?}");
+        let mut interp = pfi_script::Interp::new();
+        interp.set_step_budget(steps - 1);
+        let short = interp.eval_parsed(msg, &parsed).unwrap_err();
+        assert!(short.is_budget_exhausted(), "{script} at {}", steps - 1);
+    }
+
+    /// How far `clause` gets on `msg`, the first message it sees.
+    fn reach(clause: &Clause, msg: &Msg) -> Reach {
+        if clause
+            .msg_type
+            .as_deref()
+            .is_some_and(|t| t != msg.msg_type)
+        {
+            Reach::OtherType
+        } else if clause.dst.is_some_and(|d| d != msg.dst) {
+            Reach::OtherDst
+        } else if clause.window.opens_within(1) {
+            Reach::Open(msg.len)
+        } else {
+            Reach::Shut
+        }
+    }
+
+    /// `steps` is the interpreter's fuel for a clause as far as it gets:
+    /// at that budget its first evaluation finishes, one step below it
+    /// runs out — for every window, action and guard, on a message of
+    /// another type, to another destination, with the window shut, and
+    /// open on a message shorter and longer than a corruption's offset.
     #[test]
-    fn max_steps_is_the_fuel_of_a_clause_run_in_full() {
-        let open_on_first = [
-            Window::All,
-            Window::Nth(1),
-            Window::After(0),
-            Window::First(1),
-        ];
-        for window in open_on_first {
+    fn steps_are_the_fuel_of_a_clause_as_far_as_it_gets() {
+        let msgs = || {
+            [
+                ("T", 2, 64),
+                ("T", 2, 9),
+                ("T", 2, 10),
+                ("U", 2, 64),
+                ("T", 3, 64),
+            ]
+            .map(|(msg_type, dst, len)| Msg { msg_type, dst, len })
+        };
+        let mut reached = Vec::new();
+        for window in all_windows() {
             for action in all_actions() {
                 for (msg_type, dst) in [
                     (None, None),
@@ -284,17 +365,72 @@ mod tests {
                         window,
                         action,
                     };
-                    let script =
-                        Script::parse(&FilterProgram::new().clause(clause.clone()).emit()).unwrap();
-                    let steps = clause.max_steps();
-                    let mut interp = pfi_script::Interp::new();
-                    interp.set_step_budget(steps);
-                    let full = interp.eval_parsed(&mut Matching, &script);
-                    assert!(full.is_ok(), "{clause:?} at {steps}: {full:?}");
-                    let mut interp = pfi_script::Interp::new();
-                    interp.set_step_budget(steps - 1);
-                    let short = interp.eval_parsed(&mut Matching, &script).unwrap_err();
-                    assert!(short.is_budget_exhausted(), "{clause:?} at {}", steps - 1);
+                    let script = FilterProgram::new().clause(clause.clone()).emit();
+                    for mut msg in msgs() {
+                        let reach = reach(&clause, &msg);
+                        assert_fuel(&script, &mut msg, clause.steps(reach));
+                        reached.push(std::mem::discriminant(&reach));
+                    }
+                }
+            }
+        }
+        for every in [
+            Reach::OtherType,
+            Reach::OtherDst,
+            Reach::Shut,
+            Reach::Open(0),
+        ] {
+            assert!(reached.contains(&std::mem::discriminant(&every)));
+        }
+    }
+
+    /// A filter of several clauses costs each clause's steps on the
+    /// message: on a type no clause names, the `if` and `[msg_type]` of
+    /// each — what the type gate lets the layer skip — and on a type some
+    /// clause names, those guards plus the bodies of that type's clauses.
+    #[test]
+    fn a_filter_costs_its_guards_plus_the_bodies_for_the_type() {
+        let clause = |msg_type: &str, dst, window, action| Clause {
+            msg_type: Some(msg_type.to_string()),
+            dst,
+            window,
+            action,
+        };
+        let corrupt = FaultAction::CorruptByte {
+            offset: 9,
+            mask: 0x40,
+        };
+        let filters = [
+            vec![clause("T", None, Window::All, FaultAction::Drop)],
+            vec![
+                clause("T", None, Window::Nth(3), FaultAction::Drop),
+                clause("U", Some(2), Window::All, FaultAction::DelayMs(5)),
+            ],
+            vec![
+                clause("U", None, Window::First(2), FaultAction::Hold),
+                clause("U", None, Window::Nth(3), FaultAction::Release),
+                clause("T", None, Window::All, corrupt),
+            ],
+            vec![
+                clause("T", Some(3), Window::After(0), FaultAction::Duplicate(1)),
+                clause("T", None, Window::After(4), FaultAction::Drop),
+                clause("T", None, Window::All, corrupt),
+            ],
+        ];
+        for clauses in filters {
+            let mut program = FilterProgram::new();
+            for c in &clauses {
+                program.push(c.clone());
+            }
+            let script = program.emit();
+            let gate = Script::parse(&script).unwrap().type_gate().cloned();
+            let gate = gate.expect("every clause is type-guarded");
+            for (msg_type, dst, len) in [("T", 2, 64), ("T", 3, 4), ("U", 2, 64), ("V", 2, 64)] {
+                let mut msg = Msg { msg_type, dst, len };
+                let steps = clauses.iter().map(|c| c.steps(reach(c, &msg))).sum();
+                assert_fuel(&script, &mut msg, steps);
+                if !gate.admits(msg_type) {
+                    assert_eq!(steps, gate.guard_steps(), "{script}");
                 }
             }
         }

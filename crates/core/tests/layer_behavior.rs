@@ -628,98 +628,6 @@ fn fault_delay_all_and_pass_all() {
     assert!(got[1].0 < SimTime::from_micros(1_002_000), "{:?}", got[1].0);
 }
 
-/// The layer as pure probe: it records the traffic that reaches its
-/// filters, and later answers — for filters installed afterwards — which
-/// recorded message is the first one they would have *acted* on.
-#[test]
-fn recorded_traffic_is_probed_for_the_first_acting_message() {
-    use std::sync::Arc;
-
-    let (mut w, a, b) = two_nodes(PfiLayer::new(Box::new(RawStub)));
-    let control = |w: &mut World, op: PfiControl| w.control::<PfiReply>(a, 1, op);
-
-    // Recorded: three sends and two receives, no filter installed, and
-    // nothing before `Record` or after `TakeRecording`.
-    send(&mut w, a, b, b"early");
-    control(&mut w, PfiControl::Record);
-    for payload in [&b"s0"[..], b"s1", b"s2"] {
-        send(&mut w, a, b, payload);
-        w.run_for(SimDuration::from_millis(10));
-    }
-    for payload in [&b"r0"[..], b"r1"] {
-        send(&mut w, b, a, payload);
-        w.run_for(SimDuration::from_millis(10));
-    }
-    let PfiReply::Recording(traffic) = control(&mut w, PfiControl::TakeRecording) else {
-        panic!("TakeRecording answers with the recording");
-    };
-    send(&mut w, a, b, b"late");
-    let seen: Vec<(Direction, &[u8])> = traffic.iter().map(|r| (r.dir, r.msg.bytes())).collect();
-    assert_eq!(
-        seen,
-        vec![
-            (Direction::Send, &b"s0"[..]),
-            (Direction::Send, b"s1"),
-            (Direction::Send, b"s2"),
-            (Direction::Receive, b"r0"),
-            (Direction::Receive, b"r1"),
-        ]
-    );
-    assert_eq!(traffic[1].time, SimTime::from_micros(10_000));
-    let PfiReply::Recording(nothing) = control(&mut w, PfiControl::TakeRecording) else {
-        panic!("TakeRecording answers with the recording");
-    };
-    assert!(nothing.is_empty(), "recording stopped when it was taken");
-
-    // Each row: send filter, receive filter, the first recorded message
-    // either acts on. A fresh layer per probe: probing advances the
-    // interpreters it evaluates in.
-    let traffic: Arc<[_]> = traffic.into();
-    let probe = |send_filter: &str, recv_filter: &str, range: std::ops::Range<usize>| {
-        let mut pfi = PfiLayer::new(Box::new(RawStub));
-        if !send_filter.is_empty() {
-            pfi = pfi.with_send_filter(Filter::script(send_filter).unwrap());
-        }
-        if !recv_filter.is_empty() {
-            pfi = pfi.with_recv_filter(Filter::script(recv_filter).unwrap());
-        }
-        let (mut w, a, _) = two_nodes(pfi);
-        let op = PfiControl::Probe {
-            traffic: Arc::clone(&traffic),
-            range,
-        };
-        let PfiReply::Probe(first) = w.control::<PfiReply>(a, 1, op) else {
-            panic!("Probe answers with an index");
-        };
-        assert!(w.trace().is_empty(), "a probe traces nothing");
-        first
-    };
-    let rows: [(&str, &str, Option<usize>); 12] = [
-        ("", "", None),
-        ("incr n; set t [now_ms]; msg_len; xPass", "incr n", None),
-        ("incr n; if {$n == 3} { xDrop }", "", Some(2)),
-        ("", "xDuplicate", Some(3)),
-        ("if {[now_ms] >= 10} { xDelay 5 }", "", Some(1)),
-        ("", "msg_log", Some(3)),
-        ("", "global_set k v", Some(3)),
-        ("", "coin 0.5", Some(3)),
-        ("", "xAfter 10 {set x 1}", Some(3)),
-        ("", "if {[msg_byte 1] == 49} { msg_set_byte 0 0 }", Some(4)),
-        ("nope", "", Some(0)),
-        // Send-side state the receive filter reads through its peer.
-        ("set armed 1", "if {[peer_get armed 0]} { xHold }", Some(3)),
-    ];
-    for (send_filter, recv_filter, want) in rows {
-        let first = probe(send_filter, recv_filter, 0..traffic.len());
-        assert_eq!(first, want, "{send_filter:?} / {recv_filter:?}");
-        // A sub-range answers in the whole recording's indices.
-        if let Some(i) = want {
-            assert_eq!(probe(send_filter, recv_filter, 0..i), None);
-        }
-    }
-    assert_eq!(probe("", "xDrop", 4..5), Some(4));
-}
-
 /// Tally mode counts what reaches the filters — dropped or not — per
 /// direction, type (`unknown` where the stub names none) and destination,
 /// with the longest length; nothing before `Tally` or after `TakeTally`.

@@ -10,12 +10,9 @@
 
 use std::any::Any;
 use std::borrow::Cow;
-use std::sync::Arc;
 
 use pfi_core::lower::{Clause, FaultAction, FilterProgram, Window};
-use pfi_core::{
-    Direction, Filter, LogEntry, PacketStub, PfiControl, PfiEvent, PfiLayer, PfiReply, RecordedMsg,
-};
+use pfi_core::{Direction, Filter, LogEntry, PacketStub, PfiControl, PfiEvent, PfiLayer, PfiReply};
 use pfi_script::Script;
 use pfi_sim::{Context, Layer, Message, NodeId, SimDuration, SimTime, World};
 use proptest::prelude::*;
@@ -221,34 +218,6 @@ fn run(case: &Case, reference: bool) -> Outcome {
     }
 }
 
-/// `PfiControl::Probe` over the case's traffic, in a fresh world.
-fn probe(case: &Case, reference: bool) -> Option<usize> {
-    let (a, b) = nodes();
-    let traffic: Arc<[RecordedMsg]> = case
-        .traffic
-        .iter()
-        .enumerate()
-        .map(|(i, (sent, bytes))| {
-            let (dir, from, to) = if *sent {
-                (Direction::Send, a, b)
-            } else {
-                (Direction::Receive, b, a)
-            };
-            RecordedMsg {
-                dir,
-                time: SimTime::from_micros(3_000 * i as u64),
-                msg: Message::new(from, to, bytes),
-            }
-        })
-        .collect();
-    let range = 0..traffic.len();
-    let mut w = world(case, reference);
-    match w.control::<PfiReply>(a, 1, PfiControl::Probe { traffic, range }) {
-        PfiReply::Probe(first) => first,
-        other => panic!("Probe replied {other:?}"),
-    }
-}
-
 /// Steps an unmatched evaluation of `src` takes when it is gated.
 fn guard_steps(src: &str) -> u64 {
     let script = Script::parse(src).unwrap();
@@ -334,11 +303,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
     /// Messages, packet log, events, error text, interpreter variables and
-    /// the world digest are the reference's; so is a probe's answer.
+    /// the world digest are the reference's.
     #[test]
     fn a_gated_layer_matches_one_that_evaluates_every_message(case in arb_case()) {
         prop_assert_eq!(run(&case, false), run(&case, true));
-        prop_assert_eq!(probe(&case, false), probe(&case, true));
     }
 }
 

@@ -71,11 +71,11 @@ use crate::spec::ProtocolSpec;
 /// against the target, and refused before dispatch if it cannot install
 /// (counted in [`ExploreOutcome::rejected`]). Every admitted candidate
 /// executes. The execution-saving equivalences are dynamic, not static:
-/// with [`snapshots`](ExploreConfig::snapshots) on, a candidate whose
-/// filters never act on the traffic the baseline run recorded is handed
-/// the baseline's outcome instead of being driven, and a mutant whose
+/// with [`snapshots`](ExploreConfig::snapshots) on, a mutant whose
 /// changed faults cannot act on the traffic its parent's driven run
-/// tallied is handed the parent's. Schedule analysis —
+/// tallied is handed the parent's outcome instead of being driven, and a
+/// candidate none of whose faults can act on the traffic the baseline run
+/// tallied is handed the baseline's. Schedule analysis —
 /// canonical forms, statically-inert faults, the semantic quotient — lives
 /// on as lint and dedup keys ([`crate::FlowModel`]), never as a reason to
 /// skip a run: a static rewrite that is wrong changes what a campaign
@@ -408,10 +408,13 @@ struct ShrinkReport {
 /// violated an oracle. Shrinking re-runs against the *same* oracle: the
 /// minimal schedule must reproduce this failure, not just any failure.
 ///
-/// A candidate whose parent [hands on](Parent::inherits) its outcome is
-/// settled first, without forking anything: its report is the parent's
-/// verdict, oracle and coverage. Only forked runs are tallied, so this
-/// happens exactly when snapshots are on.
+/// A candidate is settled first without forking anything when its epoch
+/// parent [hands on](Parent::inherits) its verdict and oracle, or else the
+/// fault-free baseline, the root of the corpus, does
+/// ([`SnapshotStore::replay`]). Only tallied runs hand on, so this happens
+/// exactly when snapshots are on; a settled candidate's report carries no
+/// coverage, since the campaign's union already holds the one it would
+/// have.
 ///
 /// With snapshots on, the main run forks the campaign's base world
 /// instead of rebuilding, and every shrink re-run forks it again (shrunk
@@ -430,17 +433,17 @@ fn candidate_report(
         parent,
     } = job;
     let (target, limits) = (ctx.target.as_ref(), &ctx.limits);
+    let handed = |lowered: Lowered, parent: &Parent| {
+        let outcome = (
+            parent.verdict.clone(),
+            parent.oracle.clone(),
+            Coverage::new(),
+        );
+        lowered.handed(target, outcome)
+    };
     if let Some(parent) = parent.filter(|parent| parent.inherits(&schedule, ctx.fuel)) {
-        let (verdict, oracle, coverage) = parent.outcome.clone();
         return CandidateReport {
-            run: ScheduleRun {
-                schedule_id: lowered.id,
-                seed: target.seed(),
-                scripts: lowered.scripts,
-                verdict,
-                oracle,
-                coverage,
-            },
+            run: handed(lowered, &parent),
             schedule,
             shrink: None,
             worker: 0,
@@ -457,7 +460,13 @@ fn candidate_report(
         retired: retired.take(),
         ..SnapshotStore::default()
     });
-    let (run, tally) = execute(target, lowered, limits, local.as_mut());
+    let baseline = local
+        .as_mut()
+        .and_then(|store| store.replay(ctx.key, &schedule, ctx.fuel));
+    let (run, tally) = match baseline {
+        Some(baseline) => (handed(lowered, &baseline.root), None),
+        None => execute(target, lowered, limits, local.as_mut()),
+    };
     let shrink = match &run.verdict {
         Verdict::Violated(_) => {
             let oracle = run.oracle.clone().unwrap_or_else(|| "target".to_string());
@@ -574,11 +583,11 @@ struct FleetJob {
 /// any pool size and history. Across [`explore`](CampaignFleet::explore)
 /// calls the pool carries warm threads, cumulative statistics and one
 /// base world: the last one a campaign captured or forked, with the
-/// baseline it recorded. The next campaign on the same target handle
-/// (`Arc::ptr_eq`) under equal [`RunLimits`] forks it instead of building
-/// the target and driving the baseline again; its baseline counts as one
-/// snapshot hit handed the baseline's outcome, with no miss and nothing
-/// stored.
+/// baseline's run, the root parent of a corpus. The next campaign on the
+/// same target handle (`Arc::ptr_eq`) under equal [`RunLimits`] forks it
+/// instead of building the target and driving the baseline again; its
+/// baseline counts as one snapshot hit handed the baseline's outcome, with
+/// no miss and nothing stored.
 pub struct CampaignFleet {
     fleet: Fleet<FleetJob, CandidateReport>,
     kept: Option<KeptBase>,
@@ -654,8 +663,8 @@ impl Admission {
     /// refuse it with empty coverage. This happens *after* generation —
     /// the RNG and the `seen` set have already advanced — so refusing
     /// changes which runs execute, never what the campaign finds.
-    fn admit(&mut self, schedule: FaultSchedule) -> Option<CandidateJob> {
-        let lowered = Lowered::check(schedule.id(), schedule.lower(), self.sites);
+    fn admit(&mut self, id: String, schedule: FaultSchedule) -> Option<CandidateJob> {
+        let lowered = Lowered::check(id, schedule.lower(), self.sites);
         if !lowered.install_errors.is_empty() {
             self.rejected += 1;
             return None;
@@ -753,8 +762,9 @@ fn explore_with(
     });
 
     // A kept base makes the baseline below a hit, handed the outcome the
-    // base's own baseline recorded (or, when that run crashed or hung,
-    // forked and driven again) — byte-identical to capturing it afresh.
+    // base's own baseline left (or, when that run neither passed nor
+    // degraded, forked and driven again) — byte-identical to capturing it
+    // afresh.
     let mut master_store = config.snapshots.then(|| SnapshotStore {
         key: Some(key),
         base: kept
@@ -779,8 +789,9 @@ fn explore_with(
     };
 
     // The baseline is the zeroth admitted candidate.
+    let empty = FaultSchedule::empty();
     let baseline = admission
-        .admit(FaultSchedule::empty())
+        .admit(empty.id(), empty)
         .expect("the fault-free baseline installs");
     if let Some(w) = writer.as_mut() {
         w.dispatch(&baseline.lowered.id)
@@ -791,7 +802,8 @@ fn explore_with(
             replayed += 1;
             // A replayed baseline ran nothing, so unless the pool kept a
             // base the master store is still cold: run it once, unrecorded,
-            // purely to capture the base world every live candidate forks.
+            // purely to capture the base world every live candidate forks
+            // and the tally the baseline hands on.
             if let Some(store) = master_store.as_mut().filter(|store| store.base.is_none()) {
                 run_schedule_snapshotted(master, &baseline.schedule, &limits, Some(store));
             }
@@ -830,14 +842,13 @@ fn explore_with(
         limits,
         snapshots: config.snapshots,
         key,
-        fuel: match limits.step_budget {
-            0 => pfi_script::Interp::new().step_budget(),
-            budget => budget,
-        },
+        fuel: limits.fuel(),
         base,
     });
     let mut corpus = vec![base_report.schedule];
     // Index for index with `corpus`: what each member hands its mutants.
+    // The baseline hands on to every candidate through the base it forks
+    // (`SnapshotStore::replay`), so its mutants have no other parent.
     let mut parents: Vec<Option<Arc<Parent>>> = vec![None];
     let mut executed = 1usize;
     // The `dispatch` and `case` records so far, for `config.progress`.
@@ -856,7 +867,8 @@ fn explore_with(
     let mut seeds_pending = !config.seed_corpus.is_empty();
     let mut attempted = 0usize;
     while seeds_pending || attempted < config.budget {
-        let mut batch: Vec<FaultSchedule> = Vec::new();
+        // Each candidate with its id, rendered once.
+        let mut batch: Vec<(String, FaultSchedule)> = Vec::new();
         let mut parent = None;
         if seeds_pending {
             // The seed corpus is the zeroth batch: schedules carried over
@@ -866,8 +878,9 @@ fn explore_with(
             // They consume no mutation budget and no RNG draws.
             seeds_pending = false;
             for s in &config.seed_corpus {
-                if !s.is_empty() && seen.insert(s.id()) {
-                    batch.push(s.clone());
+                let id = s.id();
+                if !s.is_empty() && seen.insert(id.clone()) {
+                    batch.push((id, s.clone()));
                 }
             }
         } else {
@@ -886,14 +899,15 @@ fn explore_with(
                 batch_attempts += 1;
                 attempted += 1;
                 let candidate = mutator.mutate(&corpus[pick], config.max_faults, &mut rng);
-                if seen.insert(candidate.id()) {
-                    batch.push(candidate);
+                let id = candidate.id();
+                if seen.insert(id.clone()) {
+                    batch.push((id, candidate));
                 }
             }
         }
         let batch: Vec<CandidateJob> = batch
             .into_iter()
-            .filter_map(|candidate| admission.admit(candidate))
+            .filter_map(|(id, candidate)| admission.admit(id, candidate))
             .map(|job| CandidateJob {
                 parent: parent.clone(),
                 ..job
@@ -985,16 +999,14 @@ fn explore_with(
             let added = merge_coverage(&mut coverage, &report.run.coverage);
             if !added.is_empty() {
                 corpus.push(report.schedule.clone());
-                // The coverage is merged and journaled by its additions:
-                // the parent keeps the run's own.
-                let outcome = (
-                    report.run.verdict.clone(),
-                    report.run.oracle.clone(),
-                    std::mem::take(&mut report.run.coverage),
+                let run = &report.run;
+                let parent = Parent::new(
+                    &report.schedule,
+                    report.tally.take(),
+                    run.verdict.clone(),
+                    run.oracle.clone(),
                 );
-                parents.push(
-                    Parent::new(&report.schedule, report.tally.take(), outcome).map(Arc::new),
-                );
+                parents.push(parent.map(Arc::new));
                 fleet.note_novel(report.worker);
             }
             let Some(shrink) = report.shrink.clone() else {

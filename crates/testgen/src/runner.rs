@@ -21,7 +21,7 @@ use crate::oracle::{
     TcpNoSilentCloseOracle, TcpPrefixOracle, TcpRtoBoundsOracle, TpcAtomicityOracle,
 };
 use crate::schedule::{FaultSchedule, SiteScripts};
-use crate::snapshot::{base_digest, BaseWorld, Baseline, SnapshotStore};
+use crate::snapshot::{base_digest, BaseWorld, Baseline, Parent, SnapshotStore};
 use crate::spec::ProtocolSpec;
 use crate::validate::{check_install, CompiledSite};
 
@@ -75,13 +75,6 @@ impl Verdict {
     pub fn is_hung(&self) -> bool {
         matches!(self, Verdict::Hung(_))
     }
-
-    /// Whether this verdict reports harness trouble (crash or hang) rather
-    /// than a protocol judgement — campaigns count these separately and
-    /// the CLI maps them to a distinct exit code.
-    pub fn is_infrastructure(&self) -> bool {
-        self.is_crashed() || self.is_hung()
-    }
 }
 
 /// Outcome of running one [`FaultSchedule`].
@@ -127,6 +120,17 @@ pub struct RunLimits {
     pub step_budget: u64,
 }
 
+impl RunLimits {
+    /// The steps one filter evaluation may take: the step budget, or the
+    /// interpreter's own default when that is 0.
+    pub(crate) fn fuel(&self) -> u64 {
+        match self.step_budget {
+            0 => pfi_script::Interp::new().step_budget(),
+            budget => budget,
+        }
+    }
+}
+
 impl Default for RunLimits {
     fn default() -> Self {
         RunLimits {
@@ -142,21 +146,21 @@ impl Default for RunLimits {
 ///
 /// # What a run may depend on
 ///
-/// With snapshot/fork execution on, a candidate whose filters never *act*
-/// on the traffic the fault-free baseline recorded
-/// ([`PfiControl::Probe`] defines acting) is not driven at all: it is
-/// handed the baseline's verdict, oracle and coverage, because everything
-/// outside its fault sites' interpreter pairs would have evolved exactly
-/// as in the baseline. [`drive`](TestTarget::drive),
+/// With snapshot/fork execution on, a schedule whose faults cannot act on
+/// the traffic the fault-free baseline — or, in a campaign, its corpus
+/// parent — tallied is not driven at all
+/// ([`Parent::inherits`]): it is handed that run's verdict and oracle,
+/// because everything outside its fault sites' interpreter pairs would
+/// have evolved exactly as in that run. [`drive`](TestTarget::drive),
 /// [`harvest`](TestTarget::harvest), [`verdict`](TestTarget::verdict) and
 /// the [`oracles`](TestTarget::oracles) must therefore not read a fault
 /// site's *interpreter state* (`PfiControl::EvalInSend` / `EvalInRecv`,
-/// script-cache counters): it is the one thing such a candidate changes.
-/// Everything else — the trace, protocol layers, boards, packet logs,
-/// held messages, the clock — is fair game; a filter that touches any of
-/// it acts, and its candidate is driven. A drive must also reach the
-/// fault sites the same way every time (a pure function of the world it
-/// is given), which the determinism contract already demands.
+/// script-cache counters): an inert fault's counter is the one thing such
+/// a schedule changes. Everything else — the trace, protocol layers,
+/// boards, packet logs, held messages, the clock — is fair game. A drive
+/// must also reach the fault sites the same way every time (a pure
+/// function of the world it is given), which the determinism contract
+/// already demands.
 ///
 /// The `Debug` form is the target's configuration: it must name
 /// everything that shapes the world [`build`](TestTarget::build) returns
@@ -224,16 +228,27 @@ pub fn run_schedule_limited(
 
 /// [`run_schedule_limited`] with snapshot/fork execution: `store` decides
 /// between forking its base world and building cold (capturing the base
-/// for every later schedule of the same target). `None` always builds
-/// cold. Byte-identical either way.
+/// for every later schedule of the same target). When the run that
+/// captured the base was the fault-free baseline, a schedule none of whose
+/// faults can act on the traffic it tallied is neither forked nor driven:
+/// it is handed the baseline's outcome (`SnapshotStats::replayed`). `None`
+/// always builds cold. Byte-identical either way.
 pub fn run_schedule_snapshotted(
     target: &dyn TestTarget,
     schedule: &FaultSchedule,
     limits: &RunLimits,
-    store: Option<&mut SnapshotStore>,
+    mut store: Option<&mut SnapshotStore>,
 ) -> ScheduleRun {
     let lowered = Lowered::check(schedule.id(), schedule.lower(), target.fault_sites());
-    execute(target, lowered, limits, store).0
+    let installs = lowered.install_errors.is_empty();
+    let baseline = store.as_deref_mut().filter(|_| installs).and_then(|store| {
+        let digest = store.key.unwrap_or_else(|| base_digest(target, limits));
+        store.replay(digest, schedule, limits.fuel())
+    });
+    match baseline {
+        Some(baseline) => lowered.handed(target, baseline.outcome()),
+        None => execute(target, lowered, limits, store).0,
+    }
 }
 
 /// A schedule lowered and install-checked once — what [`execute`] runs.
@@ -265,6 +280,19 @@ impl Lowered {
             scripts,
             compiled,
             install_errors,
+        }
+    }
+
+    /// The run of a schedule that was handed `outcome` instead of driven.
+    pub(crate) fn handed(self, target: &dyn TestTarget, outcome: Outcome) -> ScheduleRun {
+        let (verdict, oracle, coverage) = outcome;
+        ScheduleRun {
+            schedule_id: self.id,
+            seed: target.seed(),
+            scripts: self.scripts,
+            verdict,
+            oracle,
+            coverage,
         }
     }
 }
@@ -338,16 +366,12 @@ pub(crate) fn execute(
 type Filters<'a> = (&'a [SiteScripts], &'a [CompiledSite]);
 
 /// Runs a schedule from the campaign's base world, restored into the world
-/// the store's last run retired (a fresh one the first time).
-///
-/// When the base carries the baseline's recording, the filters are first
-/// probed against it ([`Baseline::acts`]): a candidate whose filters never
-/// act would re-simulate the baseline message for message, so it is handed
-/// the baseline's outcome and not driven. The probe's evaluations advance
-/// the interpreters, so a candidate that does act is restored once more
-/// and runs from a world byte-identical to a fresh fork. A driven run is
-/// tallied at every fault site ([`PfiControl::Tally`]), for its mutants'
-/// [`Parent::inherits`](crate::snapshot::Parent::inherits).
+/// the store's last run retired (a fresh one the first time), tallied at
+/// every fault site ([`PfiControl::Tally`]) for its mutants'
+/// [`Parent::inherits`]. A schedule that installs no filter is the
+/// baseline itself: when the base carries the baseline's run (a later
+/// campaign's baseline, forked from a base its pool kept), it is handed
+/// that run's outcome.
 fn run_forked(
     target: &dyn TestTarget,
     store: &mut SnapshotStore,
@@ -355,24 +379,32 @@ fn run_forked(
     (scripts, compiled): Filters<'_>,
     limits: &RunLimits,
 ) -> (Outcome, Option<Vec<Tally>>) {
+    if let Some(baseline) = &base.baseline {
+        if scripts.iter().all(SiteScripts::is_empty) {
+            store.stats.replayed += 1;
+            return (baseline.outcome(), None);
+        }
+    }
     let mut world = store.retired.take().unwrap_or_else(|| World::new(0));
     world.restore(&base.world);
     install_scripts(&mut world, &base.sites, target.name(), scripts, compiled);
-    if let Some(baseline) = &base.baseline {
-        if !baseline.acts(&mut world, &base.sites, scripts) {
-            store.stats.replayed += 1;
-            store.retire(world);
-            return (baseline.outcome.clone(), None);
-        }
-        world.restore(&base.world);
-        install_scripts(&mut world, &base.sites, target.name(), scripts, compiled);
-    }
-    for &(node, pfi_layer) in &base.sites {
+    tally(&mut world, &base.sites);
+    let outcome = judge(target, &mut world, limits);
+    let tallies = take_tallies(&mut world, &base.sites);
+    store.retire(world);
+    (outcome, Some(tallies))
+}
+
+/// Starts tallying the traffic that reaches every fault site's filters.
+fn tally(world: &mut World, sites: &[(NodeId, usize)]) {
+    for &(node, pfi_layer) in sites {
         let _: PfiReply = world.control(node, pfi_layer, PfiControl::Tally);
     }
-    let outcome = judge(target, &mut world, limits);
-    let tally = base
-        .sites
+}
+
+/// Every fault site's tally, site for site.
+fn take_tallies(world: &mut World, sites: &[(NodeId, usize)]) -> Vec<Tally> {
+    sites
         .iter()
         .map(
             |&(node, pfi_layer)| match world.control(node, pfi_layer, PfiControl::TakeTally) {
@@ -380,17 +412,15 @@ fn run_forked(
                 other => panic!("fault site {node} answered TakeTally with {other:?}"),
             },
         )
-        .collect();
-    store.retire(world);
-    (outcome, Some(tally))
+        .collect()
 }
 
 /// Builds the target's world and runs a schedule in it. With a store (a
 /// miss under `digest`), the built world is captured as the base first —
 /// and when the schedule installs no filter at all, this run *is* the
-/// fault-free baseline: every fault site records the traffic reaching its
-/// filters, and if the run ends without crash or hang the recording and
-/// the outcome stay with the base for [`run_forked`] to probe against.
+/// fault-free baseline: every fault site tallies the traffic reaching its
+/// filters, and if the run passes or degrades it stays with the base as
+/// the root of the corpus ([`Baseline`]).
 fn run_cold(
     target: &dyn TestTarget,
     capture: Option<(&mut SnapshotStore, u64)>,
@@ -410,29 +440,20 @@ fn run_cold(
             );
         }
     }
-    // Captured before anything records, so no fork ever does.
-    let recorder = capture
+    // Captured before anything tallies, so no fork ever does.
+    let baseline = capture
         .and_then(|(store, digest)| store.capture(digest, &sites, &world).then_some(store))
         .filter(|_| scripts.iter().all(SiteScripts::is_empty));
-    if recorder.is_some() {
-        for &(node, pfi_layer) in &sites {
-            let _: PfiReply = world.control(node, pfi_layer, PfiControl::Record);
-        }
+    if baseline.is_some() {
+        tally(&mut world, &sites);
     }
     install_scripts(&mut world, &sites, target.name(), scripts, compiled);
     let outcome = judge(target, &mut world, limits);
-    if let Some(store) = recorder {
-        if !outcome.0.is_infrastructure() {
-            let traffic = sites
-                .iter()
-                .map(|&(node, pfi_layer)| {
-                    match world.control(node, pfi_layer, PfiControl::TakeRecording) {
-                        PfiReply::Recording(traffic) => traffic,
-                        other => panic!("fault site {node} answered TakeRecording with {other:?}"),
-                    }
-                })
-                .collect();
-            store.record_baseline(Baseline::new(traffic, outcome.clone()));
+    if let Some(store) = baseline {
+        let (verdict, oracle, coverage) = outcome.clone();
+        let tallies = Some(take_tallies(&mut world, &sites));
+        if let Some(root) = Parent::new(&FaultSchedule::empty(), tallies, verdict, oracle) {
+            store.record_baseline(Baseline { root, coverage });
         }
     }
     outcome
@@ -1292,7 +1313,6 @@ mod tests {
             "expected Crashed, got {:?}",
             run.verdict
         );
-        assert!(run.verdict.is_infrastructure());
         let Verdict::Crashed(msg) = &run.verdict else {
             unreachable!()
         };
@@ -1313,7 +1333,7 @@ mod tests {
         };
         let run = run_schedule_limited(&target, &FaultSchedule::empty(), &RunLimits::default());
         assert!(
-            !run.verdict.is_infrastructure(),
+            !run.verdict.is_crashed() && !run.verdict.is_hung(),
             "no drops, no panic: got {:?}",
             run.verdict
         );
@@ -1461,7 +1481,7 @@ mod tests {
         let mut store = store_after_baseline(&target, limits);
         assert!(
             store.base.as_ref().unwrap().baseline.is_some(),
-            "a clean baseline leaves its recording with the base"
+            "a clean baseline leaves its tally with the base"
         );
         let forked = execute(&target, lowered.clone(), limits, Some(&mut store)).0;
         let cold = execute(&target, lowered, limits, None).0;
@@ -1472,11 +1492,12 @@ mod tests {
     }
 
     /// Filters whose only effect leaves by a side channel — no verdict, no
-    /// duplicate, nothing `Effects` used to show — must each be classified
-    /// as acting: every one of them changes what a run leaves behind (the
-    /// packet log, a board, the RNG stream every later draw sees, a timer
-    /// in the queue, the bytes the protocol parses, a `ScriptFailed`
-    /// record).
+    /// duplicate — each change what a run leaves behind (the packet log, a
+    /// board, the RNG stream every later draw sees, a timer in the queue,
+    /// the bytes the protocol parses, a `ScriptFailed` record). A filter
+    /// that is not a lowered fault schedule never meets the reuse rule,
+    /// which reads typed faults: each is driven, and its forked run is the
+    /// cold one.
     #[test]
     fn filters_acting_only_through_a_side_channel_are_driven() {
         let unlimited = RunLimits::default();
@@ -1495,44 +1516,41 @@ mod tests {
             ("no_such_command", &unlimited),
         ] {
             let (run, replayed) = forked_and_cold("", recv, limits);
-            assert!(!replayed, "{recv:?} acts and must be driven");
+            assert!(!replayed, "{recv:?} is driven");
             if recv.starts_with("while") {
                 assert!(run.verdict.is_hung(), "{recv:?}: {:?}", run.verdict);
             }
         }
     }
 
-    /// Filters that stay inside their interpreter pair may be classified
-    /// either way; what `execute` returns must equal the driven run's.
+    /// Filters that stay inside their interpreter pair are driven too, and
+    /// what `execute` returns equals the cold run's.
     #[test]
     fn filters_staying_inside_the_interpreter_pair_keep_the_driven_outcome() {
         let limits = RunLimits::default();
         // Counts messages, reads the clock and the message, decides
-        // nothing: never acts, so it is the baseline's run.
+        // nothing: the baseline's run, reached by driving it.
         let (run, replayed) = forked_and_cold(
             "incr sent",
             "incr seen; set t [now_ms]; set ty [msg_type]; xPass",
             &limits,
         );
-        assert!(replayed, "a pure observer re-simulates the baseline");
+        assert!(!replayed, "a hand-written filter is driven");
         assert_eq!(run.verdict, Verdict::Pass);
         // Writes back the byte that is already there.
         forked_and_cold("", "msg_set_byte 0 [msg_byte 0]", &limits);
         // The send side sets a variable; the receive side of the same site
-        // reads it through the peer interpreter and starts dropping. The
-        // probe has to evaluate both directions in recorded order on the
-        // one interpreter pair to see the drop coming.
-        let (_, replayed) = forked_and_cold(
+        // reads it through the peer interpreter and starts dropping.
+        forked_and_cold(
             "set armed 1",
             "if {[peer_get armed 0] == 1} { xDrop }",
             &limits,
         );
-        assert!(!replayed, "the armed receive filter drops");
     }
 
-    /// The baseline's outcome is only handed on when the baseline ended
-    /// without crash or hang: a capped, hung or crashed baseline leaves no
-    /// recording, and every candidate is driven.
+    /// The baseline's outcome is only handed on when the baseline passed or
+    /// degraded: a capped, hung or crashed baseline leaves no tally, and
+    /// every candidate is driven.
     #[test]
     fn a_crashed_hung_or_capped_baseline_is_never_replayed() {
         /// GMP, but the service verdict panics.

@@ -9,20 +9,17 @@
 //! There is exactly one such world per (target, limits), named by
 //! [`base_digest`]; a [`SnapshotStore`] is the slot holding it.
 //!
-//! The run that captures the base is the fault-free baseline, and it runs
-//! as a pure probe: every fault site records the traffic that reaches its
-//! filters. That recording stays with the base ([`Baseline`]), and a
-//! forked candidate first *probes* its filters against it. A candidate
-//! whose filters never act on the baseline's traffic would re-simulate the
-//! baseline message for message, so it gets the baseline's outcome without
-//! being driven (`SnapshotStats::replayed` counts them). Every driven fork
-//! is tallied in the same spirit ([`Tally`]), and a mutant whose changed
-//! faults cannot act on its corpus parent's tally gets the parent's
-//! outcome without being forked at all ([`Parent`],
-//! `SnapshotStats::inherited`). And the world a
-//! run leaves behind is kept by the store
-//! ([`SnapshotStore::retired`]) for the next run to restore into, so a
-//! fork stops allocating a world and freeing one.
+//! The run that captures the base is the fault-free baseline, and every
+//! fault site tallies the traffic that reaches it ([`Tally`]). The
+//! baseline is then the root of the campaign's corpus, a [`Parent`] like
+//! every other member that was forked and driven: a schedule whose faults
+//! cannot act on the traffic its parent tallied runs as that parent did,
+//! so it is handed the parent's outcome without being forked at all
+//! (`SnapshotStats::inherited`, or `SnapshotStats::replayed` when the
+//! parent is the baseline, which hands on to every candidate through the
+//! base it forks: [`SnapshotStore::replay`]). And the world a run leaves
+//! behind is kept by the store ([`SnapshotStore::retired`]) for the next
+//! run to restore into, so a fork stops allocating a world and freeing one.
 //!
 //! Fork-equivalence is load-bearing: filter installation emits no trace
 //! events and draws no RNG, and preparation never advances virtual time,
@@ -34,15 +31,17 @@
 use std::fmt;
 use std::sync::Arc;
 
-use pfi_core::{PfiControl, PfiReply, RecordedMsg, Tally};
+use pfi_core::lower::{Clause, Reach};
+use pfi_core::{Direction, Tally, TallyRow};
 use pfi_sim::fnv::Fnv;
 use pfi_sim::{NodeId, World, WorldSnapshot};
 
+use crate::coverage::Coverage;
 use crate::runner::{Outcome, RunLimits, TestTarget, Verdict};
-use crate::schedule::{FaultOp, FaultSchedule, ScheduledFault, SiteScripts};
+use crate::schedule::{FaultOp, FaultSchedule, ScheduledFault};
 
 /// The digest identifying `target`'s prepared fault-free base world under
-/// `limits`, and the baseline recorded from it. Covers everything that
+/// `limits`, and the baseline run from it. Covers everything that
 /// shapes either: the target's name, world seed and configuration — its
 /// `Debug` form, so a GMP target's fault window and bugs, a TCP target's
 /// profile and a wrapper's inner target all count — the interpreter step
@@ -67,117 +66,52 @@ pub(crate) struct BaseWorld {
     /// The target's fault sites, as built.
     pub(crate) sites: Vec<(NodeId, usize)>,
     pub(crate) world: WorldSnapshot,
-    /// What the capturing run went on to do, when it was the fault-free
-    /// baseline and ended without crash or hang.
+    /// The fault-free baseline, when the capturing run was it and passed
+    /// or degraded.
     pub(crate) baseline: Option<Baseline>,
 }
 
-/// What the baseline already ran: the traffic each fault site's filters
-/// would have seen, and how the run was judged. It lives with the
-/// campaign's base world and nowhere shared — it is only meaningful
-/// against that world (same target, same limits), and goes when it goes:
-/// at the campaign's end, or, on a [`crate::CampaignFleet`] that keeps
-/// the base for the next campaign of the same target, when that pool
-/// lets it go.
+/// The fault-free baseline's run, as every later run from its base world
+/// reads it. It lives with the campaign's base world and nowhere shared —
+/// it is only meaningful against that world (same target, same limits),
+/// and goes when it goes: at the campaign's end, or, on a
+/// [`crate::CampaignFleet`] that keeps the base for the next campaign of
+/// the same target, when that pool lets it go.
 pub(crate) struct Baseline {
-    /// Per fault site, the messages that reached its filters, in order.
-    traffic: Vec<Arc<[RecordedMsg]>>,
-    /// `(site, index into that site's traffic)` of every recorded message,
-    /// in recorded-time order (ties by site, then arrival).
-    order: Vec<(u32, u32)>,
-    /// The baseline's verdict, violated oracle and coverage — the outcome
-    /// of every run that re-simulates it.
-    pub(crate) outcome: Outcome,
+    /// What it hands on: no fault, each site's tally, its verdict.
+    pub(crate) root: Parent,
+    /// Its coverage, which a run handed its outcome outside a campaign
+    /// reports too.
+    pub(crate) coverage: Coverage,
 }
 
 impl Baseline {
-    pub(crate) fn new(traffic: Vec<Vec<RecordedMsg>>, outcome: Outcome) -> Baseline {
-        let mut order: Vec<(u32, u32)> = (0u32..)
-            .zip(&traffic)
-            .flat_map(|(site, msgs)| (0..msgs.len() as u32).map(move |i| (site, i)))
-            .collect();
-        // Stable, and each site's slice is already in time order.
-        order.sort_by_key(|&(site, i)| traffic[site as usize][i as usize].time);
-        Baseline {
-            traffic: traffic.into_iter().map(Arc::from).collect(),
-            order,
-            outcome,
-        }
-    }
-
-    /// Whether any filter of `scripts` — installed in `world`, a fresh
-    /// restore of the base, at `sites` — acts on the traffic the baseline
-    /// recorded ([`PfiControl::Probe`] defines *acts*). Messages are
-    /// probed in recorded-time order across sites, so the first one that
-    /// is acted on — the first heartbeat, for most candidates — ends the
-    /// probe after a handful of evaluations.
-    ///
-    /// `false` means the candidate's run *is* the baseline's, by
-    /// induction over its events: up to the first message that reaches a
-    /// fault site both worlds are the base; a filter evaluation that does
-    /// not act leaves everything outside its interpreter pair as a
-    /// filterless layer would, so the next message is the baseline's next
-    /// message, at the baseline's time, meeting the interpreter state the
-    /// probe has just left. Sites share nothing a non-acting evaluation
-    /// can write, so the order in which they are probed does not matter.
-    ///
-    /// Leaves `world` used up: restore it before driving it.
-    pub(crate) fn acts(
-        &self,
-        world: &mut World,
-        sites: &[(NodeId, usize)],
-        scripts: &[SiteScripts],
-    ) -> bool {
-        let mut active = vec![false; self.traffic.len()];
-        for s in scripts {
-            active[s.site as usize] |= !s.is_empty();
-        }
-        let mut next = 0;
-        while next < self.order.len() {
-            let (site, first) = self.order[next];
-            next += 1;
-            if !active[site as usize] {
-                continue;
-            }
-            // One call covers this site's messages up to the next message
-            // of another active site.
-            let mut last = first;
-            while let Some(&(s, i)) = self.order.get(next) {
-                if s == site {
-                    last = i;
-                } else if active[s as usize] {
-                    break;
-                }
-                next += 1;
-            }
-            let (node, layer) = sites[site as usize];
-            let probe = PfiControl::Probe {
-                traffic: Arc::clone(&self.traffic[site as usize]),
-                range: first as usize..last as usize + 1,
-            };
-            match world.control::<PfiReply>(node, layer, probe) {
-                PfiReply::Probe(None) => {}
-                PfiReply::Probe(Some(_)) => return true,
-                other => panic!("fault site n{site} answered a probe with {other:?}"),
-            }
-        }
-        false
+    /// The baseline's verdict, violated oracle and coverage.
+    pub(crate) fn outcome(&self) -> Outcome {
+        let root = &self.root;
+        (
+            root.verdict.clone(),
+            root.oracle.clone(),
+            self.coverage.clone(),
+        )
     }
 }
 
 /// A corpus member this campaign drove, as its mutants read it: the faults
 /// it ran, what reached each fault site's filters ([`Tally`]) and how it
-/// was judged. Only a forked, driven run that passed or degraded leaves
-/// one ([`Parent::new`]): the baseline's mutants have [`Baseline::acts`],
-/// a member replayed from a resume journal has no tally, and a violating
-/// or infrastructure outcome is not one to hand on.
+/// was judged. Only a tallied run that passed or degraded leaves one
+/// ([`Parent::new`]): the baseline, and every forked, driven run. A member
+/// replayed from a resume journal has no tally, and a violating or
+/// infrastructure outcome is not one to hand on.
 #[derive(Debug)]
 pub(crate) struct Parent {
     schedule: FaultSchedule,
-    /// Per fault site, the tally of its driven run.
+    /// Per fault site, the tally of its run.
     tally: Vec<Tally>,
-    /// Its verdict, oracle (none) and coverage.
-    pub(crate) outcome: Outcome,
+    /// Its verdict and oracle (none). Its coverage is not kept: a child
+    /// handed them adds nothing to a union that already holds it.
+    pub(crate) verdict: Verdict,
+    pub(crate) oracle: Option<String>,
 }
 
 impl Parent {
@@ -186,24 +120,33 @@ impl Parent {
     pub(crate) fn new(
         schedule: &FaultSchedule,
         tally: Option<Vec<Tally>>,
-        outcome: Outcome,
+        verdict: Verdict,
+        oracle: Option<String>,
     ) -> Option<Parent> {
-        let handed_on = matches!(outcome.0, Verdict::Pass | Verdict::Degraded(_));
+        let handed_on = matches!(verdict, Verdict::Pass | Verdict::Degraded(_));
         Some(Parent {
             schedule: schedule.clone(),
             tally: tally.filter(|_| handed_on)?,
-            outcome,
+            verdict,
+            oracle,
         })
+    }
+
+    /// The rows of `site`'s tally for `dir`'s filter.
+    fn rows(&self, site: u32, dir: Direction) -> impl Iterator<Item = &TallyRow> + Clone {
+        self.tally[site as usize]
+            .rows()
+            .iter()
+            .filter(move |r| r.dir == dir)
     }
 
     /// Whether `fault` cannot act on the traffic the parent tallied at its
     /// site and direction: its lowered clause finds no message of its
     /// type, or its window never opens, or its guard never holds.
     fn inert(&self, fault: &ScheduledFault) -> bool {
-        let rows = self.tally[fault.site as usize]
-            .rows()
-            .iter()
-            .filter(|r| r.dir == fault.dir && r.msg_type == fault.op.msg_type());
+        let rows = self
+            .rows(fault.site, fault.dir)
+            .filter(|r| r.msg_type == fault.op.msg_type());
         let count = rows.clone().map(|r| r.count).sum::<u64>();
         match &fault.op {
             FaultOp::DropAll { .. }
@@ -217,33 +160,65 @@ impl Parent {
         }
     }
 
+    /// Whether no evaluation of `child`'s filters on the parent's traffic
+    /// can run out of `fuel`, the steps each evaluation gets. A message
+    /// costs a filter each clause's [steps](Clause::steps) as far as the
+    /// clause can get on a message of its type: past a guard of another
+    /// type, to another destination, into a shut window, or through its
+    /// action on the longest message it admits. So a message whose type
+    /// no clause names costs the `if` and `[msg_type]` of each — what the
+    /// type gate skips when the budget covers them — and any other costs
+    /// those guards plus the bodies of the clauses for its type.
+    fn fits(&self, child: &FaultSchedule, fuel: u64) -> bool {
+        let clauses: Vec<(&ScheduledFault, Clause)> = child
+            .faults
+            .iter()
+            .flat_map(|f| f.op.clauses().into_iter().map(move |c| (f, c)))
+            .collect();
+        let in_full: u64 = clauses
+            .iter()
+            .map(|(_, c)| c.steps(Reach::Open(usize::MAX)))
+            .sum();
+        if in_full <= fuel {
+            return true;
+        }
+        clauses.iter().all(|(f, _)| {
+            let rows = self.rows(f.site, f.dir);
+            let filter = || {
+                clauses
+                    .iter()
+                    .filter(|(g, _)| g.site == f.site && g.dir == f.dir)
+            };
+            rows.clone().all(|row| {
+                let cost: u64 = filter()
+                    .map(|(_, c)| most_steps(c, &row.msg_type, rows.clone()))
+                    .sum();
+                cost <= fuel
+            })
+        })
+    }
+
     /// Whether `child` runs exactly as this parent did, so that its
     /// outcome is the parent's. It does when, against the parent's tally:
     ///
-    /// * its filters cannot run out of steps: every clause of every fault,
-    ///   run in full, fits in `fuel` (the step budget each evaluation
-    ///   gets);
     /// * the two schedules are the same sequence once every fault that is
     ///   [inert](Parent::inert) is taken out of both — so every fault one
     ///   has and the other lacks is inert;
     /// * on a site and direction where the two differ, no `corrupt-byte`
     ///   they share can rewrite a message before a fault that differs
     ///   reads its type, length or destination: the tally counted each
-    ///   message as it reached the filter.
+    ///   message as it reached the filter;
+    /// * its filters cannot run out of steps ([`fits`](Parent::fits)).
+    ///   The parent's did not: a run whose filter ran out is judged hung,
+    ///   and leaves no parent.
     ///
-    /// By induction over the child's run, as for [`Baseline::acts`]: up to
-    /// the first message that reaches a fault site both runs are the
-    /// base's; a filter evaluation makes the parent's decisions — the
-    /// shared clauses see the parent's message in the parent's state, and
-    /// an inert one does nothing, its counter private to it — so the next
-    /// message is the parent's next message.
+    /// By induction over the child's run: up to the first message that
+    /// reaches a fault site both runs are the base's; a filter evaluation
+    /// makes the parent's decisions — the shared clauses see the parent's
+    /// message in the parent's state, and an inert one does nothing, its
+    /// counter private to it — so the next message is the parent's next
+    /// message.
     pub(crate) fn inherits(&self, child: &FaultSchedule, fuel: u64) -> bool {
-        let steps: u64 = child
-            .faults
-            .iter()
-            .flat_map(|f| f.op.clauses())
-            .map(|clause| clause.max_steps())
-            .sum();
         let parent = &self.schedule;
         let live = |f: &&ScheduledFault| !self.inert(f);
         let same_filters = |f: &ScheduledFault| {
@@ -260,14 +235,37 @@ impl Parent {
                 && parent.faults.contains(f)
                 && !same_filters(f)
         };
-        steps <= fuel
-            && child
-                .faults
-                .iter()
-                .filter(live)
-                .eq(parent.faults.iter().filter(live))
+        child
+            .faults
+            .iter()
+            .filter(live)
+            .eq(parent.faults.iter().filter(live))
             && !child.faults.iter().any(unguarded)
+            && self.fits(child, fuel)
     }
+}
+
+/// The most steps `clause` takes on a message of type `label`, at a
+/// filter whose traffic over a run is `rows`.
+fn most_steps<'a>(clause: &Clause, label: &str, rows: impl Iterator<Item = &'a TallyRow>) -> u64 {
+    if clause.msg_type.as_deref().is_some_and(|t| t != label) {
+        return clause.steps(Reach::OtherType);
+    }
+    let (mut admitted, mut longest, mut missed) = (0, 0, 0);
+    for row in rows.filter(|r| clause.msg_type.is_none() || r.msg_type == label) {
+        if clause.dst.is_some_and(|d| row.dst != d as usize) {
+            missed = clause.steps(Reach::OtherDst);
+        } else {
+            admitted += row.count;
+            longest = longest.max(row.longest);
+        }
+    }
+    let reach = match admitted {
+        0 => return missed,
+        n if clause.window.opens_within(n) => Reach::Open(longest),
+        _ => Reach::Shut,
+    };
+    missed.max(clause.steps(reach))
 }
 
 impl fmt::Debug for BaseWorld {
@@ -289,18 +287,20 @@ pub struct SnapshotStats {
     pub stored: u64,
     /// Simulator events forks skipped re-processing, summed over hits.
     pub events_skipped: u64,
-    /// Forked runs that were not driven at all: their filters never act on
-    /// the traffic the baseline recorded, so they were handed the
-    /// baseline's outcome. A pure function of the candidate, like `hits`
-    /// (and like `hits` it counts live executions only — work a resume
-    /// replays from its journal ran nothing).
+    /// Runs that were not forked at all: none of their faults can act on
+    /// the traffic the fault-free baseline tallied, so they were handed
+    /// the baseline's outcome (`SnapshotStore::replay`) — and a later
+    /// campaign's baseline forked from a kept base, which is one hit. A
+    /// pure function of the candidate, like `hits` (and like `hits` it
+    /// counts live executions only — work a resume replays from its
+    /// journal ran nothing).
     pub replayed: u64,
     /// Mutants that were not forked at all: every fault they add to,
     /// remove from or replace in their epoch parent cannot act on the
     /// traffic that parent's driven run tallied, so they were handed the
     /// parent's outcome (`Parent::inherits`). A pure function of the
     /// candidate and its parent, counted, like `replayed`, only for live
-    /// executions.
+    /// executions, and only when the baseline does not hand them its own.
     pub inherited: u64,
 }
 
@@ -419,6 +419,24 @@ impl SnapshotStore {
         base.expect("the capturing run holds the base's only handle")
             .baseline = Some(baseline);
     }
+
+    /// The baseline of the base held under `digest`, when it
+    /// [hands on](Parent::inherits) its outcome to `schedule` at `fuel`
+    /// steps an evaluation: one replayed run, and nothing forked.
+    pub(crate) fn replay(
+        &mut self,
+        digest: u64,
+        schedule: &FaultSchedule,
+        fuel: u64,
+    ) -> Option<&Baseline> {
+        let base = self.base.as_ref().filter(|base| base.digest == digest)?;
+        let baseline = base.baseline.as_ref()?;
+        if !baseline.root.inherits(schedule, fuel) {
+            return None;
+        }
+        self.stats.replayed += 1;
+        Some(baseline)
+    }
 }
 
 #[cfg(test)]
@@ -533,13 +551,10 @@ mod tests {
 /// is its parent's run.
 #[cfg(test)]
 mod inheritance {
-    use std::borrow::Cow;
-
-    use pfi_core::{Direction, Filter, PacketStub, PfiLayer};
-    use pfi_sim::{Context, Layer, Message, SimDuration, SimRng, SimTime};
+    use pfi_core::{Direction, Filter, PacketStub, PfiControl, PfiLayer, PfiReply};
+    use pfi_sim::{Context, Layer, Message, SimDuration, SimRng};
 
     use super::*;
-    use crate::coverage::Coverage;
     use crate::oracle::Oracle;
     use crate::runner::{
         bundled, execute, run_schedule_limited, Lowered, ScheduleRun, TcpTarget, TpcTarget,
@@ -580,88 +595,109 @@ mod inheritance {
         }
     }
 
-    /// `n` messages of type `A` to node `dst`, `len` bytes each, as they
-    /// reach the receive filter of node 0's layer.
-    fn traffic(n: usize, dst: u32, len: usize) -> Vec<RecordedMsg> {
+    /// Passes messages through, and sends down a message its control op
+    /// hands it.
+    #[derive(Debug, Clone)]
+    struct Wire;
+
+    impl Layer for Wire {
+        fn name(&self) -> &'static str {
+            "wire"
+        }
+        fn push(&mut self, msg: Message, ctx: &mut Context<'_>) {
+            ctx.send_down(msg);
+        }
+        fn pop(&mut self, msg: Message, ctx: &mut Context<'_>) {
+            ctx.send_up(msg);
+        }
+        fn control(
+            &mut self,
+            op: Box<dyn std::any::Any>,
+            ctx: &mut Context<'_>,
+        ) -> Box<dyn std::any::Any> {
+            let msg = op.downcast::<Message>().expect("a message to send");
+            ctx.send_down(*msg);
+            Box::new(())
+        }
+    }
+
+    /// `n` messages of type `A` from node 0 to node `dst`, `len` bytes
+    /// each.
+    fn traffic(n: usize, dst: u32, len: usize) -> Vec<Message> {
         let mut payload = vec![b'x'; len];
         payload[0] = b'A';
-        (0..n)
-            .map(|i| RecordedMsg {
-                dir: Direction::Receive,
-                time: SimTime::from_micros(i as u64),
-                msg: Message::new(NodeId::new(1), NodeId::new(dst), &payload),
-            })
-            .collect()
+        let msg = Message::new(NodeId::new(0), NodeId::new(dst), &payload);
+        vec![msg; n]
     }
 
-    /// What a tallying layer counts of `traffic`.
-    fn tally_of(traffic: &[RecordedMsg]) -> Tally {
-        let mut tally = Tally::default();
-        for rec in traffic {
-            let msg_type = FirstByte
-                .type_name(&rec.msg)
-                .unwrap_or(Cow::Borrowed("unknown"));
-            tally.add(rec.dir, msg_type, rec.msg.dst().index(), rec.msg.len());
+    /// `traffic`, sent 10 ms apart through node 0's send filter `script`
+    /// (none when empty) — a tallying PFI layer over [`FirstByte`], at a
+    /// step budget of `fuel` — to nodes 1 and 2: what came out, every
+    /// delivered message with its time and the trace, and the tally of
+    /// what reached the filter.
+    fn drive(script: &str, traffic: &[Message], fuel: u64) -> (Vec<String>, Tally) {
+        let mut pfi = PfiLayer::new(Box::new(FirstByte));
+        if !script.is_empty() {
+            pfi = pfi.with_send_filter(Filter::script(script).expect("lowered scripts parse"));
         }
-        tally
-    }
-
-    /// Whether `op`'s lowered clause, the receive filter of a layer over
-    /// [`FirstByte`], acts on `traffic` ([`PfiControl::Probe`]).
-    fn acts(op: &FaultOp, traffic: Vec<RecordedMsg>) -> bool {
-        let fault = ScheduledFault {
-            site: 0,
-            dir: Direction::Receive,
-            op: op.clone(),
-        };
-        let [scripts] = &FaultSchedule {
-            faults: vec![fault],
-        }
-        .lower()[..] else {
-            unreachable!("one fault, one site")
-        };
-        let filter = Filter::script(&scripts.recv).expect("lowered scripts parse");
         let mut world = World::new(1);
-        let node = world.add_node(vec![Box::new(
-            PfiLayer::new(Box::new(FirstByte)).with_recv_filter(filter),
-        )]);
-        let range = 0..traffic.len();
-        let probe = PfiControl::Probe {
-            traffic: traffic.into(),
-            range,
-        };
-        match world.control::<PfiReply>(node, 0, probe) {
-            PfiReply::Probe(first) => first.is_some(),
-            other => panic!("a probe answers with an index, not {other:?}"),
+        let node = world.add_node(vec![Box::new(Wire), Box::new(pfi)]);
+        let sinks = [
+            world.add_node(vec![Box::new(Wire)]),
+            world.add_node(vec![Box::new(Wire)]),
+        ];
+        let _: PfiReply = world.control(node, 1, PfiControl::SetStepBudget(fuel));
+        let _: PfiReply = world.control(node, 1, PfiControl::Tally);
+        for msg in traffic {
+            world.control::<()>(node, 0, msg.clone());
+            world.run_for(SimDuration::from_millis(10));
         }
+        world.run_for(SimDuration::from_secs(1));
+        let PfiReply::Tally(tally) = world.control(node, 1, PfiControl::TakeTally) else {
+            panic!("TakeTally answers with the tally");
+        };
+        let mut out: Vec<String> = sinks
+            .into_iter()
+            .flat_map(|sink| world.drain_inbox(sink))
+            .map(|(at, msg)| format!("{at:?} {} {:?}", msg.dst(), msg.bytes()))
+            .collect();
+        out.extend(world.trace().render());
+        (out, tally)
     }
 
-    /// A parent that added nothing, whose one fault site saw `traffic`.
-    fn parent_of(traffic: &[RecordedMsg]) -> Parent {
-        let outcome = (Verdict::Pass, None, Coverage::new());
+    /// A parent that added nothing, whose one fault site tallied `tally`.
+    fn parent_of(tally: Tally) -> Parent {
         Parent::new(
             &FaultSchedule::empty(),
-            Some(vec![tally_of(traffic)]),
-            outcome,
+            Some(vec![tally]),
+            Verdict::Pass,
+            None,
         )
         .unwrap()
     }
 
-    /// At the boundary of `op`, the rule and the lowered clause agree:
-    /// over `quiet` the child adding `op` inherits and the clause does not
-    /// act; over `loud` it does not inherit and the clause acts.
-    fn boundary(op: FaultOp, quiet: Vec<RecordedMsg>, loud: Vec<RecordedMsg>) {
+    /// At the boundary of `op` on node 0's send filter, the rule and the
+    /// lowered clause agree: over `quiet` the child adding `op` inherits
+    /// and the clause changes nothing that comes out; over `loud` it does
+    /// not inherit and the clause changes what comes out.
+    fn boundary(op: FaultOp, quiet: Vec<Message>, loud: Vec<Message>) {
         let child = FaultSchedule {
             faults: vec![ScheduledFault {
                 site: 0,
-                dir: Direction::Receive,
+                dir: Direction::Send,
                 op: op.clone(),
             }],
         };
-        assert!(parent_of(&quiet).inherits(&child, fuel()), "{op:?}, quiet");
-        assert!(!acts(&op, quiet), "{op:?} acts on the quiet traffic");
-        assert!(!parent_of(&loud).inherits(&child, fuel()), "{op:?}, loud");
-        assert!(acts(&op, loud), "{op:?} does not act on the loud traffic");
+        let [scripts] = &child.lower()[..] else {
+            unreachable!("one fault, one site")
+        };
+        for (traffic, inert) in [(quiet, true), (loud, false)] {
+            let (plain, tally) = drive("", &traffic, fuel());
+            let inherits = parent_of(tally).inherits(&child, fuel());
+            assert_eq!(inherits, inert, "{op:?}, inert: {inert}");
+            let (faulted, _) = drive(&scripts.send, &traffic, fuel());
+            assert_eq!(faulted == plain, inert, "{op:?}, inert: {inert}");
+        }
     }
 
     fn a() -> String {
@@ -736,12 +772,13 @@ mod inheritance {
     }
 
     /// Inert faults may come and go in a child; the live ones must stay,
-    /// in order, and the step budget must cover every clause run in full.
+    /// in order, and no evaluation of the child's filters may run out of
+    /// steps.
     #[test]
     fn live_faults_and_the_step_budget_must_agree() {
         let fault = |op| ScheduledFault {
             site: 0,
-            dir: Direction::Receive,
+            dir: Direction::Send,
             op,
         };
         let drop = fault(FaultOp::DropAll { msg_type: a() });
@@ -755,9 +792,14 @@ mod inheritance {
         let schedule = |faults: &[&ScheduledFault]| FaultSchedule {
             faults: faults.iter().map(|&f| f.clone()).collect(),
         };
-        let outcome = (Verdict::Pass, None, Coverage::new());
-        let tally = Some(vec![tally_of(&traffic(3, 1, 4))]);
-        let parent = Parent::new(&schedule(&[&drop, &delay]), tally, outcome).unwrap();
+        let (_, tally) = drive("", &traffic(3, 1, 4), fuel());
+        let parent = Parent::new(
+            &schedule(&[&drop, &delay]),
+            Some(vec![tally]),
+            Verdict::Pass,
+            None,
+        )
+        .unwrap();
         assert!(parent.inherits(&schedule(&[&drop, &inert, &delay]), fuel()));
         assert!(
             !parent.inherits(&schedule(&[&delay, &drop]), fuel()),
@@ -767,10 +809,103 @@ mod inheritance {
             !parent.inherits(&schedule(&[&drop]), fuel()),
             "a live fault removed"
         );
-        // `if`, `[msg_type]` and the action: three steps a clause.
+        // On an `A`: the `if` and `[msg_type]` of every clause, and the
+        // action of the two for `A` — eight steps.
         let child = schedule(&[&drop, &inert, &delay]);
-        assert!(parent.inherits(&child, 9));
-        assert!(!parent.inherits(&child, 8), "an evaluation could run out");
+        assert!(parent.inherits(&child, 8));
+        assert!(!parent.inherits(&child, 7), "an evaluation could run out");
+    }
+
+    /// The step bound is the evaluation's, message type by message type:
+    /// a type no clause names costs only the guards, which the type gate
+    /// skips; an inert clause of the type costs its guard and a shut
+    /// window, not its action. At each bound the child's filter runs on
+    /// the parent's traffic without running out, and one step below it
+    /// the filter fails and changes what comes out.
+    #[test]
+    fn the_step_bound_is_what_the_filter_takes_on_the_traffic() {
+        let fault = |op| ScheduledFault {
+            site: 0,
+            dir: Direction::Send,
+            op,
+        };
+        let quiet = traffic(2, 1, 4);
+        let (plain, tally) = drive("", &quiet, fuel());
+        let parent = parent_of(tally);
+        let cases = [
+            // Not an `A` in sight for `B`: two steps a clause.
+            (
+                vec![FaultOp::DropAll {
+                    msg_type: "B".into(),
+                }],
+                2,
+            ),
+            (
+                vec![
+                    FaultOp::DropAll {
+                        msg_type: "B".into(),
+                    },
+                    FaultOp::DelayMs {
+                        msg_type: "C".into(),
+                        ms: 5,
+                    },
+                ],
+                4,
+            ),
+            // An `A` meets `drop-nth A 3` with its window shut: `if`,
+            // `[msg_type]`, `incr` and the window's `if`.
+            (
+                vec![FaultOp::DropNth {
+                    msg_type: a(),
+                    nth: 3,
+                }],
+                4,
+            ),
+            // No `A` goes to node 2: `[msg_dst]` is as far as it gets.
+            (
+                vec![
+                    FaultOp::DropToDest {
+                        msg_type: a(),
+                        dst: 2,
+                    },
+                    FaultOp::DropAll {
+                        msg_type: "B".into(),
+                    },
+                ],
+                5,
+            ),
+            // Four bytes is not longer than offset 6: the length guard.
+            (
+                vec![FaultOp::CorruptByteAt {
+                    msg_type: a(),
+                    offset: 6,
+                    mask: 1,
+                }],
+                4,
+            ),
+        ];
+        for (ops, steps) in cases {
+            let child = FaultSchedule {
+                faults: ops.into_iter().map(fault).collect(),
+            };
+            let [scripts] = &child.lower()[..] else {
+                unreachable!("one site")
+            };
+            assert!(parent.inherits(&child, steps), "{}", child.id());
+            assert!(!parent.inherits(&child, steps - 1), "{}", child.id());
+            assert_eq!(
+                drive(&scripts.send, &quiet, steps).0,
+                plain,
+                "{}",
+                child.id()
+            );
+            assert_ne!(
+                drive(&scripts.send, &quiet, steps - 1).0,
+                plain,
+                "{}",
+                child.id()
+            );
+        }
     }
 
     /// A violating or tally-less run hands nothing on.
@@ -778,17 +913,16 @@ mod inheritance {
     fn only_a_tallied_pass_or_degraded_run_is_a_parent() {
         let empty = FaultSchedule::empty();
         let tally = || Some(vec![Tally::default()]);
-        let judged = |verdict| (verdict, None, Coverage::new());
-        assert!(Parent::new(&empty, tally(), judged(Verdict::Pass)).is_some());
-        assert!(Parent::new(&empty, tally(), judged(Verdict::Degraded("slow".into()))).is_some());
+        assert!(Parent::new(&empty, tally(), Verdict::Pass, None).is_some());
+        assert!(Parent::new(&empty, tally(), Verdict::Degraded("slow".into()), None).is_some());
         for verdict in [
             Verdict::Violated("x".into()),
             Verdict::Crashed("x".into()),
             Verdict::Hung("x".into()),
         ] {
-            assert!(Parent::new(&empty, tally(), judged(verdict)).is_none());
+            assert!(Parent::new(&empty, tally(), verdict, None).is_none());
         }
-        assert!(Parent::new(&empty, None, judged(Verdict::Pass)).is_none());
+        assert!(Parent::new(&empty, None, Verdict::Pass, None).is_none());
     }
 
     /// Sends node 1 a message every 100 ms whose first byte is `A`.
@@ -884,7 +1018,7 @@ mod inheritance {
     }
 
     /// `schedule` built, installed, driven and harvested in full — no
-    /// store, no probe, no parent — and its trace rendered.
+    /// store, no parent — and its trace rendered.
     fn driven_trace(target: &dyn TestTarget, schedule: &FaultSchedule) -> Vec<String> {
         let (mut world, sites) = target.build();
         world.trace_timers = true;
@@ -913,12 +1047,8 @@ mod inheritance {
     ) -> (ScheduleRun, Option<Parent>) {
         let lowered = Lowered::check(schedule.id(), schedule.lower(), target.fault_sites());
         let (run, tally) = execute(target, lowered, &RunLimits::default(), Some(store));
-        let outcome = (
-            run.verdict.clone(),
-            run.oracle.clone(),
-            run.coverage.clone(),
-        );
-        (run, Parent::new(schedule, tally, outcome))
+        let parent = Parent::new(schedule, tally, run.verdict.clone(), run.oracle.clone());
+        (run, parent)
     }
 
     /// The tally counts a message as it reaches the filter. A
@@ -975,63 +1105,91 @@ mod inheritance {
             .unwrap_or(1)
     }
 
-    /// The property on one shape: parents grown as a campaign grows its
-    /// corpus, each forked and driven through one store; every mutant the
-    /// rule says inherits is driven in full and must be its parent's run —
-    /// verdict, oracle, coverage and trace. Returns `(inherited, tried)`.
-    /// The chain starts from `acting`, a fault on a message that does
-    /// flow: mutants of the empty schedule mostly fault types a run never
-    /// sends, and are replayed from the baseline rather than parents.
+    /// Mutates `schedule`, whose run was `run`, [`CHILDREN`] times: every
+    /// installable mutant `parent` hands on to is driven in full and must
+    /// be that run — verdict, oracle, coverage and trace. Returns
+    /// `(inherited, tried)`.
+    fn children_run_as_their_parent(
+        target: &dyn TestTarget,
+        mutator: &ScheduleMutator,
+        rng: &mut SimRng,
+        (schedule, run, parent): (&FaultSchedule, &ScheduleRun, &Parent),
+    ) -> (usize, usize) {
+        let (mut inherited, mut tried) = (0, 0);
+        let mut parent_trace = None;
+        for _ in 0..CHILDREN {
+            let child = mutator.mutate(schedule, 3, rng);
+            if !schedule_is_installable(&child, target.fault_sites()) {
+                continue;
+            }
+            tried += 1;
+            if !parent.inherits(&child, fuel()) {
+                continue;
+            }
+            inherited += 1;
+            let id = format!("{} <- {}", child.id(), schedule.id());
+            let driven = run_schedule_limited(target, &child, &RunLimits::default());
+            assert_eq!(driven.verdict, run.verdict, "{id}");
+            assert_eq!(driven.oracle, run.oracle, "{id}");
+            assert_eq!(driven.coverage, run.coverage, "{id}");
+            let want = parent_trace.get_or_insert_with(|| driven_trace(target, schedule));
+            let got = driven_trace(target, &child);
+            assert_eq!(got.len(), want.len(), "{id}");
+            for (n, (got, want)) in got.iter().zip(want.iter()).enumerate() {
+                assert_eq!(got, want, "{id}, trace line {n}");
+            }
+        }
+        (inherited, tried)
+    }
+
+    /// The property on one shape: the baseline, the corpus's root, and
+    /// parents grown as a campaign grows its corpus, each forked and driven
+    /// through one store; every mutant the rule says inherits is driven in
+    /// full and must be its parent's run. Returns `(inherited from the
+    /// baseline, inherited, tried)`. The chain of other parents starts from
+    /// `acting`, a fault on a message that does flow: mutants of the empty
+    /// schedule mostly fault types a run never sends, and inherit from the
+    /// baseline.
     fn inherited_children_are_their_parents_runs(
         target: &dyn TestTarget,
         spec: &ProtocolSpec,
         acting: &str,
         seed: u64,
-    ) -> (usize, usize) {
+    ) -> (usize, usize, usize) {
         let mutator = ScheduleMutator::new(spec, target.node_count(), target.fault_sites());
         let mut rng = SimRng::seed_from(seed);
         let mut store = SnapshotStore::default();
-        forked(target, &FaultSchedule::empty(), &mut store);
+        let empty = FaultSchedule::empty();
+        let (baseline_run, _) = forked(target, &empty, &mut store);
+        let base = Arc::clone(store.base.as_ref().expect("the baseline captures the base"));
+        let root = &base.baseline.as_ref().expect("a passing baseline").root;
+        let (from_root, mut tried) =
+            children_run_as_their_parent(target, &mutator, &mut rng, (&empty, &baseline_run, root));
+        let mut inherited = from_root;
         let mut pool: Vec<FaultSchedule> = Vec::new();
         let mut next = FaultSchedule::from_id(acting).expect("fixture schedule");
-        let (mut inherited, mut tried) = (0, 0);
-        let installable = |s: &FaultSchedule| schedule_is_installable(s, target.fault_sites());
         while pool.len() < PARENTS {
             let schedule = next;
             let pick = rng.uniform_u64(0, pool.len() as u64 + 1) as usize;
             next = mutator.mutate(pool.get(pick).unwrap_or(&schedule), 3, &mut rng);
-            if !installable(&schedule) || pool.contains(&schedule) {
+            if !schedule_is_installable(&schedule, target.fault_sites()) || pool.contains(&schedule)
+            {
                 continue;
             }
             pool.push(schedule.clone());
             let (run, Some(parent)) = forked(target, &schedule, &mut store) else {
                 continue;
             };
-            let mut parent_trace = None;
-            for _ in 0..CHILDREN {
-                let child = mutator.mutate(&schedule, 3, &mut rng);
-                if !installable(&child) {
-                    continue;
-                }
-                tried += 1;
-                if !parent.inherits(&child, fuel()) {
-                    continue;
-                }
-                inherited += 1;
-                let id = format!("{} <- {}", child.id(), schedule.id());
-                let driven = run_schedule_limited(target, &child, &RunLimits::default());
-                assert_eq!(driven.verdict, run.verdict, "{id}");
-                assert_eq!(driven.oracle, run.oracle, "{id}");
-                assert_eq!(driven.coverage, run.coverage, "{id}");
-                let want = parent_trace.get_or_insert_with(|| driven_trace(target, &schedule));
-                let got = driven_trace(target, &child);
-                assert_eq!(got.len(), want.len(), "{id}");
-                for (n, (got, want)) in got.iter().zip(want.iter()).enumerate() {
-                    assert_eq!(got, want, "{id}, trace line {n}");
-                }
-            }
+            let (i, t) = children_run_as_their_parent(
+                target,
+                &mutator,
+                &mut rng,
+                (&schedule, &run, &parent),
+            );
+            inherited += i;
+            tried += t;
         }
-        (inherited, tried)
+        (from_root, inherited, tried)
     }
 
     #[test]
@@ -1066,21 +1224,26 @@ mod inheritance {
             ),
         ];
         for (shape, target, spec, acting) in shapes {
-            let (mut inherited, mut tried) = (0, 0);
+            let (mut from_root, mut inherited, mut tried) = (0, 0, 0);
             for seed in 0..seeds() {
-                let (i, t) = inherited_children_are_their_parents_runs(
+                let (r, i, t) = inherited_children_are_their_parents_runs(
                     target.as_ref(),
                     &spec,
                     acting,
                     0x1e1 + seed,
                 );
+                from_root += r;
                 inherited += i;
                 tried += t;
             }
-            println!("{shape}: {inherited} of {tried} mutants inherited, each driven and equal");
+            println!(
+                "{shape}: {inherited} of {tried} mutants inherited ({from_root} from the \
+                 baseline), each driven and equal"
+            );
             assert!(
-                inherited >= 2,
-                "{shape}: {inherited} of {tried} — the property is vacuous"
+                from_root >= 2 && inherited - from_root >= 2,
+                "{shape}: {inherited} of {tried}, {from_root} from the baseline — the property \
+                 is vacuous"
             );
         }
     }

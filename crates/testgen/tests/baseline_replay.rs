@@ -1,23 +1,24 @@
-//! Soundness of the baseline replay, as a differential property.
+//! The fault-free baseline is the root parent of every corpus, as a
+//! differential property.
 //!
-//! With snapshots on, a forked candidate whose filters never *act* on the
-//! traffic the baseline recorded is not driven: `execute` hands it the
-//! baseline's outcome. That is only right if such a candidate's run really
-//! is the baseline's, message for message — so over mutated schedules on
-//! every bundled shape (gmp 5 s, gmp 60 s, tcp, tpc, and gmp under the
-//! panicking chaos oracle) this suite checks, against runs that never go
-//! near the store:
+//! With snapshots on, the run that captures the base world is the
+//! baseline, and every fault site tallies the traffic that reaches it. A
+//! schedule none of whose faults can act on that traffic is neither forked
+//! nor driven: it is handed the baseline's outcome (`replayed`). That is
+//! only right if such a schedule's run really is the baseline's, message
+//! for message — so over mutated schedules on every bundled shape (gmp
+//! 5 s, gmp 60 s, tcp, tpc, and gmp under the panicking chaos oracle) this
+//! suite checks, against runs that never go near the store:
 //!
-//! * the forked run (replayed or driven) equals a cold `--no-snapshots`
-//!   run in verdict, oracle and coverage, and
-//! * whenever the probe said "never acts" (the run was replayed), a fully
-//!   driven run of the same schedule — built, installed, driven and
-//!   harvested here from public pieces — renders the same trace as the
-//!   fault-free baseline, line for line.
+//! * the snapshotted run (handed on or forked and driven) equals a cold
+//!   `--no-snapshots` run in verdict, oracle and coverage, and
+//! * whenever the baseline handed its outcome on, a fully driven run of
+//!   the same schedule — built, installed, driven and harvested here from
+//!   public pieces — renders the same trace as the fault-free baseline,
+//!   line for line.
 //!
-//! A candidate that *does* act starts from a restored-twice retired world;
-//! if that world were not byte-identical to a fresh fork, the first check
-//! fails.
+//! A driven candidate starts from a restored retired world; if that world
+//! were not byte-identical to a fresh fork, the first check fails.
 //!
 //! Seed count from `PFI_REPLAY_SEEDS` (default 2; CI and the numbers in
 //! EXPERIMENTS.md use more).
@@ -43,7 +44,7 @@ fn seeds() -> u64 {
 }
 
 /// Builds the target's world, installs `schedule`'s filters, drives and
-/// harvests — no store, no probe — and renders the trace.
+/// harvests — no store — and renders the trace.
 fn driven_trace(target: &dyn TestTarget, schedule: &FaultSchedule) -> Vec<String> {
     let (mut world, sites) = target.build();
     world.trace_timers = true;
@@ -67,7 +68,7 @@ fn driven_trace(target: &dyn TestTarget, schedule: &FaultSchedule) -> Vec<String
 /// A chain of installable mutants: each mutates a random earlier one, the
 /// way a campaign's corpus grows. The chain starts from the empty schedule
 /// and from `acting` — a fault on a message that does flow — so that both
-/// sides of the probe's answer are well represented (mutants of the empty
+/// sides of the rule's answer are well represented (mutants of the empty
 /// schedule mostly fault message types a converged run never sends).
 fn mutants(
     target: &dyn TestTarget,
@@ -119,7 +120,8 @@ fn check(target: &dyn TestTarget, spec: &ProtocolSpec, acting: &str) -> (u64, us
                 assert_eq!(
                     driven.len(),
                     baseline_trace.len(),
-                    "{}: {id} was replayed but its driven trace is not the baseline's",
+                    "{}: {id} was handed the baseline's outcome but its driven trace is \
+                     not the baseline's",
                     target.name()
                 );
                 for (n, (got, want)) in driven.iter().zip(&baseline_trace).enumerate() {
@@ -128,8 +130,14 @@ fn check(target: &dyn TestTarget, spec: &ProtocolSpec, acting: &str) -> (u64, us
             }
         }
     }
-    assert_eq!(store.stats().hits as usize, tried);
-    (store.stats().replayed, tried)
+    let stats = store.stats();
+    assert_eq!(
+        (stats.hits + stats.replayed) as usize,
+        tried,
+        "{}: a schedule handed the baseline's outcome is not forked",
+        target.name()
+    );
+    (stats.replayed, tried)
 }
 
 #[test]
@@ -161,7 +169,7 @@ fn replayed_or_driven_a_forked_run_equals_the_cold_one_on_every_shape() {
     ];
     for (shape, target, spec, acting) in shapes {
         let (replayed, tried) = check(target, spec, acting);
-        println!("{shape}: {replayed} of {tried} forked runs replayed from the baseline");
+        println!("{shape}: {replayed} of {tried} runs handed the baseline's outcome");
         let driven = tried as u64 - replayed;
         assert!(
             replayed >= 3 && driven >= 3,

@@ -342,7 +342,7 @@ fn the_scan_sees_every_command_and_control_op() {
         .map(|info| info.name)
         .collect();
     assert_eq!(scanned, table);
-    for op in ["SetSendFilter", "Kill", "Revive", "Probe"] {
+    for op in ["SetSendFilter", "Kill", "Revive", "TakeTally"] {
         assert!(items.contains_key(&format!("PfiControl::{op}")), "{op}");
     }
 }
