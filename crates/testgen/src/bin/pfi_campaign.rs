@@ -285,8 +285,9 @@ fn main() {
         return;
     }
 
-    // One store for the whole grid: the first row builds and captures the
-    // base world, every later one forks it, as in every campaign.
+    // One store for the whole grid, as in every campaign: the first row's
+    // miss makes the fault-free baseline prepare the base world, and every
+    // row is then handed the baseline's outcome or forks that world.
     let mut store = SnapshotStore::default();
     let results = grid.iter().map(|schedule| {
         run_schedule_snapshotted(

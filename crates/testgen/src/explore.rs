@@ -408,20 +408,18 @@ struct ShrinkReport {
 /// violated an oracle. Shrinking re-runs against the *same* oracle: the
 /// minimal schedule must reproduce this failure, not just any failure.
 ///
-/// A candidate is settled first without forking anything when its epoch
-/// parent [hands on](Parent::inherits) its verdict and oracle, or else the
-/// fault-free baseline, the root of the corpus, does
-/// ([`SnapshotStore::replay`]). Only tallied runs hand on, so this happens
-/// exactly when snapshots are on; a settled candidate's report carries no
-/// coverage, since the campaign's union already holds the one it would
-/// have.
-///
-/// With snapshots on, the main run forks the campaign's base world
-/// instead of rebuilding, and every shrink re-run forks it again (shrunk
-/// schedules share the same base). Hits and misses are counted per
-/// candidate, from zero. `retired` is the executing worker's own: the
-/// world its last run left behind, which every run here restores into and
-/// the last one leaves there again.
+/// With snapshots on, the candidate goes through its own store, holding
+/// the base it was dispatched with: it is settled without forking anything
+/// when its epoch parent [hands on](Parent::inherits) its verdict and
+/// oracle, or else the fault-free baseline, the root of the corpus, does
+/// ([`SnapshotStore::settle`]) — with no coverage, since the campaign's
+/// union already holds the one it would have. Only tallied runs hand on,
+/// so this happens exactly when snapshots are on. Otherwise the main run
+/// forks the campaign's base world instead of rebuilding, and every shrink
+/// re-run is settled or forks it again (shrunk schedules share the same
+/// base). Hits and misses are counted per candidate, from zero. `retired`
+/// is the executing worker's own: the world its last run left behind,
+/// which every run here restores into and the last one leaves there again.
 fn candidate_report(
     ctx: &CampaignContext,
     job: CandidateJob,
@@ -433,40 +431,22 @@ fn candidate_report(
         parent,
     } = job;
     let (target, limits) = (ctx.target.as_ref(), &ctx.limits);
-    let handed = |lowered: Lowered, parent: &Parent| {
-        let outcome = (
-            parent.verdict.clone(),
-            parent.oracle.clone(),
-            Coverage::new(),
-        );
-        lowered.handed(target, outcome)
-    };
-    if let Some(parent) = parent.filter(|parent| parent.inherits(&schedule, ctx.fuel)) {
-        return CandidateReport {
-            run: handed(lowered, &parent),
-            schedule,
-            shrink: None,
-            worker: 0,
-            snapshots: SnapshotStats {
-                inherited: 1,
-                ..SnapshotStats::default()
-            },
-            tally: None,
-        };
-    }
     let mut local = ctx.snapshots.then(|| SnapshotStore {
         key: Some(ctx.key),
         base: ctx.base.clone(),
         retired: retired.take(),
+        candidates: true,
         ..SnapshotStore::default()
     });
-    let baseline = local
-        .as_mut()
-        .and_then(|store| store.replay(ctx.key, &schedule, ctx.fuel));
-    let (run, tally) = match baseline {
-        Some(baseline) => (handed(lowered, &baseline.root), None),
-        None => execute(target, lowered, limits, local.as_mut()),
-    };
+    let parent = parent.as_deref();
+    let (run, tally) = execute(
+        target,
+        Some(&schedule),
+        lowered,
+        limits,
+        local.as_mut(),
+        parent,
+    );
     let shrink = match &run.verdict {
         Verdict::Violated(_) => {
             let oracle = run.oracle.clone().unwrap_or_else(|| "target".to_string());
@@ -553,14 +533,11 @@ struct CampaignContext {
     snapshots: bool,
     /// The [`crate::base_digest`] of `target` under `limits`.
     key: u64,
-    /// The steps one filter evaluation may take: `limits.step_budget`, or
-    /// the interpreter's own default when that is 0.
-    fuel: u64,
-    /// Snapshots on: the base world the master's baseline run captured,
-    /// which workers fork instead of rebuilding (`None` when the target's
-    /// world refuses capture — those runs build cold). World snapshots
-    /// are `Send + Sync` plain data, so the `Arc` crosses the fleet
-    /// boundary as it is.
+    /// Snapshots on: the base world the master's baseline prepared, which
+    /// workers settle against and fork instead of rebuilding (`None` when
+    /// the target's world refuses capture — those runs build cold). World
+    /// snapshots are `Send + Sync` plain data, so the `Arc` crosses the
+    /// fleet boundary as it is.
     base: Option<Arc<BaseWorld>>,
 }
 
@@ -582,20 +559,20 @@ struct FleetJob {
 /// protocols entirely. Outcomes are byte-identical at the same config for
 /// any pool size and history. Across [`explore`](CampaignFleet::explore)
 /// calls the pool carries warm threads, cumulative statistics and one
-/// base world: the last one a campaign captured or forked, with the
+/// base world: the last one a campaign prepared or forked, with the
 /// baseline's run, the root parent of a corpus. The next campaign on the
-/// same target handle (`Arc::ptr_eq`) under equal [`RunLimits`] forks it
-/// instead of building the target and driving the baseline again; its
-/// baseline counts as one snapshot hit handed the baseline's outcome, with
-/// no miss and nothing stored.
+/// same target handle (`Arc::ptr_eq`) under equal [`RunLimits`] starts
+/// from it instead of building the target and driving the baseline again:
+/// its baseline is settled by that root, one replayed run, with no hit, no
+/// miss and nothing stored.
 pub struct CampaignFleet {
     fleet: Fleet<FleetJob, CandidateReport>,
     kept: Option<KeptBase>,
 }
 
 /// A base world outliving its campaign, with the target handle and limits
-/// it was captured under. Only that handle under equal limits forks it —
-/// an equal target behind another handle captures its own base — and a
+/// it was prepared under. Only that handle under equal limits forks it —
+/// an equal target behind another handle prepares its own base — and a
 /// handle held here cannot be freed and its address reused by another.
 type KeptBase = (Arc<dyn TestTarget>, RunLimits, Arc<BaseWorld>);
 
@@ -721,7 +698,7 @@ fn journal_record(
 /// live candidates to `fleet`, whose supervisor retries a panicking one and
 /// finally quarantines it instead of aborting the epoch. With snapshots
 /// on, `kept` is the pool's base world: the master store starts from it
-/// when it was captured for this target handle under these limits, and
+/// when it was prepared for this target handle under these limits, and
 /// holds the base this campaign forked from when it ends.
 fn explore_with(
     fleet: &mut Fleet<FleetJob, CandidateReport>,
@@ -761,10 +738,9 @@ fn explore_with(
         w
     });
 
-    // A kept base makes the baseline below a hit, handed the outcome the
-    // base's own baseline left (or, when that run neither passed nor
-    // degraded, forked and driven again) — byte-identical to capturing it
-    // afresh.
+    // A kept base settles the baseline below (or, when that base's own
+    // baseline neither passed nor degraded, is forked for it) —
+    // byte-identical to preparing it afresh.
     let mut master_store = config.snapshots.then(|| SnapshotStore {
         key: Some(key),
         base: kept
@@ -797,22 +773,21 @@ fn explore_with(
         w.dispatch(&baseline.lowered.id)
             .unwrap_or_else(|e| panic!("cannot append to campaign journal: {e}"));
     }
-    let base_report = match replay.remove(&baseline.lowered.id) {
+    // With snapshots on and no base yet, the baseline's run prepares the
+    // base every live candidate forks, so it runs even when the journal
+    // recorded its case — which is then what merges.
+    let recorded = replay.remove(&baseline.lowered.id);
+    let unprepared = master_store.as_ref().is_some_and(|s| s.base.is_none());
+    let run = (recorded.is_none() || unprepared).then(|| {
+        run_schedule_snapshotted(master, &baseline.schedule, &limits, master_store.as_mut())
+    });
+    let base_report = match recorded {
         Some(case) => {
             replayed += 1;
-            // A replayed baseline ran nothing, so unless the pool kept a
-            // base the master store is still cold: run it once, unrecorded,
-            // purely to capture the base world every live candidate forks
-            // and the tally the baseline hands on.
-            if let Some(store) = master_store.as_mut().filter(|store| store.base.is_none()) {
-                run_schedule_snapshotted(master, &baseline.schedule, &limits, Some(store));
-            }
             replayed_report(master.seed(), case, baseline)
         }
-        // The baseline's miss is what first captures the base world into
-        // the master store (snapshots on).
         None => CandidateReport {
-            run: execute(master, baseline.lowered, &limits, master_store.as_mut()).0,
+            run: run.expect("a baseline the journal did not record runs"),
             schedule: baseline.schedule,
             shrink: None,
             worker: 0,
@@ -842,13 +817,12 @@ fn explore_with(
         limits,
         snapshots: config.snapshots,
         key,
-        fuel: limits.fuel(),
         base,
     });
     let mut corpus = vec![base_report.schedule];
     // Index for index with `corpus`: what each member hands its mutants.
     // The baseline hands on to every candidate through the base it forks
-    // (`SnapshotStore::replay`), so its mutants have no other parent.
+    // (`SnapshotStore::settle`), so its mutants have no other parent.
     let mut parents: Vec<Option<Arc<Parent>>> = vec![None];
     let mut executed = 1usize;
     // The `dispatch` and `case` records so far, for `config.progress`.

@@ -8,8 +8,11 @@
 //!   and roles, and [`grid`] crosses them with one fault of each kind on
 //!   both filter directions of the target's primary fault site. Every row
 //!   is a one-fault [`FaultSchedule`], so it prints as a schedule line
-//!   (`n1 send drop-all HEARTBEAT`) and runs through the same
-//!   [`run_schedule_snapshotted`] as every campaign candidate.
+//!   (`n1 send drop-all HEARTBEAT`) and runs through one
+//!   [`SnapshotStore`] ([`run_schedule_snapshotted`]) the way every
+//!   campaign candidate does: the fault-free baseline prepares the store,
+//!   and hands its outcome to every row whose fault cannot act on its
+//!   traffic.
 //! * **Coverage-guided exploration** — [`explore`] searches over composed
 //!   [`FaultSchedule`]s instead: seeded mutation ([`ScheduleMutator`]),
 //!   trace-derived [`Coverage`] as the keep/discard signal, [`Oracle`]s as

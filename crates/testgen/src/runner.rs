@@ -3,7 +3,7 @@
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use pfi_core::{Filter, GlobalBoard, PfiControl, PfiEvent, PfiLayer, PfiReply, Tally};
 use pfi_fleet::panic_message;
@@ -21,7 +21,7 @@ use crate::oracle::{
     TcpNoSilentCloseOracle, TcpPrefixOracle, TcpRtoBoundsOracle, TpcAtomicityOracle,
 };
 use crate::schedule::{FaultSchedule, SiteScripts};
-use crate::snapshot::{base_digest, BaseWorld, Baseline, Parent, SnapshotStore};
+use crate::snapshot::{base_digest, BaseWorld, Parent, SnapshotStore};
 use crate::spec::ProtocolSpec;
 use crate::validate::{check_install, CompiledSite};
 
@@ -124,8 +124,9 @@ impl RunLimits {
     /// The steps one filter evaluation may take: the step budget, or the
     /// interpreter's own default when that is 0.
     pub(crate) fn fuel(&self) -> u64 {
+        static DEFAULT: OnceLock<u64> = OnceLock::new();
         match self.step_budget {
-            0 => pfi_script::Interp::new().step_budget(),
+            0 => *DEFAULT.get_or_init(|| pfi_script::Interp::new().step_budget()),
             budget => budget,
         }
     }
@@ -149,7 +150,7 @@ impl Default for RunLimits {
 /// With snapshot/fork execution on, a schedule whose faults cannot act on
 /// the traffic the fault-free baseline — or, in a campaign, its corpus
 /// parent — tallied is not driven at all
-/// ([`Parent::inherits`]): it is handed that run's verdict and oracle,
+/// (`Parent::inherits`): it is handed that run's verdict and oracle,
 /// because everything outside its fault sites' interpreter pairs would
 /// have evolved exactly as in that run. [`drive`](TestTarget::drive),
 /// [`harvest`](TestTarget::harvest), [`verdict`](TestTarget::verdict) and
@@ -226,29 +227,20 @@ pub fn run_schedule_limited(
     run_schedule_snapshotted(target, schedule, limits, None)
 }
 
-/// [`run_schedule_limited`] with snapshot/fork execution: `store` decides
-/// between forking its base world and building cold (capturing the base
-/// for every later schedule of the same target). When the run that
-/// captured the base was the fault-free baseline, a schedule none of whose
-/// faults can act on the traffic it tallied is neither forked nor driven:
-/// it is handed the baseline's outcome (`SnapshotStats::replayed`). `None`
-/// always builds cold. Byte-identical either way.
+/// [`run_schedule_limited`] with snapshot/fork execution: `store` settles
+/// the run — a schedule none of whose faults can act on the traffic the
+/// fault-free baseline tallied is neither forked nor driven, but handed the
+/// baseline's outcome (`SnapshotStats::replayed`) — or forks its base world
+/// for it, preparing the base on a miss. `None` always builds cold.
+/// Byte-identical either way.
 pub fn run_schedule_snapshotted(
     target: &dyn TestTarget,
     schedule: &FaultSchedule,
     limits: &RunLimits,
-    mut store: Option<&mut SnapshotStore>,
+    store: Option<&mut SnapshotStore>,
 ) -> ScheduleRun {
     let lowered = Lowered::check(schedule.id(), schedule.lower(), target.fault_sites());
-    let installs = lowered.install_errors.is_empty();
-    let baseline = store.as_deref_mut().filter(|_| installs).and_then(|store| {
-        let digest = store.key.unwrap_or_else(|| base_digest(target, limits));
-        store.replay(digest, schedule, limits.fuel())
-    });
-    match baseline {
-        Some(baseline) => lowered.handed(target, baseline.outcome()),
-        None => execute(target, lowered, limits, store).0,
-    }
+    execute(target, Some(schedule), lowered, limits, store, None).0
 }
 
 /// A schedule lowered and install-checked once — what [`execute`] runs.
@@ -282,25 +274,12 @@ impl Lowered {
             install_errors,
         }
     }
-
-    /// The run of a schedule that was handed `outcome` instead of driven.
-    pub(crate) fn handed(self, target: &dyn TestTarget, outcome: Outcome) -> ScheduleRun {
-        let (verdict, oracle, coverage) = outcome;
-        ScheduleRun {
-            schedule_id: self.id,
-            seed: target.seed(),
-            scripts: self.scripts,
-            verdict,
-            oracle,
-            coverage,
-        }
-    }
 }
 
 /// What a run came to: verdict, violated oracle, coverage.
 pub(crate) type Outcome = (Verdict, Option<String>, Coverage);
 
-/// The one way a schedule executes.
+/// The one way a schedule is settled or executed.
 ///
 /// Scripts that cannot be installed — a site index the target does not
 /// have (e.g. a repro artifact written for a different target), or a
@@ -310,21 +289,27 @@ pub(crate) type Outcome = (Verdict, Option<String>, Coverage);
 /// candidates (e.g. [`crate::ScheduleMutator`] scrambles) never count as
 /// lookups.
 ///
-/// With `fork`, the store decides fork-vs-cold: a hit restores the base
-/// world ([`run_forked`]); a miss builds it and captures it under
-/// [`base_digest`] ([`run_cold`]; targets whose layers refuse to clone
-/// simply keep building cold — correctness never depends on the store).
-/// Without `fork` every run builds cold. Either way the world carries no
-/// filter yet, so every non-empty script is installed. A forked run is
-/// byte-identical to a cold one: forks restore the captured world exactly,
-/// and filter installation has no observable side effects beyond the
-/// filters themselves. A forked run that was driven also answers each
-/// fault site's [`Tally`] of it.
+/// With a store, the run is [settled](SnapshotStore::settle) first when
+/// `schedule` — the typed faults the scripts were lowered from; none for a
+/// hand-written filter, which is always driven — cannot act on the traffic
+/// its epoch `parent` or the baseline tallied. Otherwise the store decides
+/// fork-vs-cold: a hit restores the base world ([`run_forked`]); a miss
+/// [prepares](SnapshotStore::prepare) it by driving the baseline — the run
+/// itself, when it installs no filter — and goes on as a hit would (a
+/// target whose layers refuse to clone runs cold in the world it built:
+/// correctness never depends on the store). Without a store every run
+/// builds cold. Either way the world carries no filter yet, so every
+/// non-empty script is installed. A forked run is byte-identical to a cold
+/// one: forks restore the captured world exactly, and filter installation
+/// has no observable side effects beyond the filters themselves. A forked
+/// run also answers each fault site's [`Tally`] of it.
 pub(crate) fn execute(
     target: &dyn TestTarget,
+    schedule: Option<&FaultSchedule>,
     lowered: Lowered,
     limits: &RunLimits,
-    fork: Option<&mut SnapshotStore>,
+    store: Option<&mut SnapshotStore>,
+    parent: Option<&Parent>,
 ) -> (ScheduleRun, Option<Vec<Tally>>) {
     let Lowered {
         id,
@@ -337,18 +322,12 @@ pub(crate) fn execute(
         ((refusal, None, Coverage::new()), None)
     } else {
         let filters = (&scripts[..], &compiled[..]);
-        match fork {
-            Some(store) => {
-                let digest = store.key.unwrap_or_else(|| base_digest(target, limits));
-                match store.lookup(digest) {
-                    Some(base) => run_forked(target, store, &base, filters, limits),
-                    None => (
-                        run_cold(target, Some((store, digest)), filters, limits),
-                        None,
-                    ),
-                }
-            }
-            None => (run_cold(target, None, filters, limits), None),
+        match store {
+            Some(store) => settle_or_fork(target, schedule, parent, store, filters, limits),
+            None => (
+                run_cold(target, armed(target, limits), filters, limits),
+                None,
+            ),
         }
     };
     let run = ScheduleRun {
@@ -365,13 +344,37 @@ pub(crate) fn execute(
 /// A schedule's lowered scripts and, index for index, their compiled form.
 type Filters<'a> = (&'a [SiteScripts], &'a [CompiledSite]);
 
+/// [`execute`]'s path through a store: settle, else look the base up —
+/// preparing it on a miss — and fork it.
+fn settle_or_fork(
+    target: &dyn TestTarget,
+    schedule: Option<&FaultSchedule>,
+    parent: Option<&Parent>,
+    store: &mut SnapshotStore,
+    filters: Filters<'_>,
+    limits: &RunLimits,
+) -> (Outcome, Option<Vec<Tally>>) {
+    let digest = store.key.unwrap_or_else(|| base_digest(target, limits));
+    loop {
+        let settled = schedule.and_then(|s| store.settle(digest, s, parent, limits.fuel()));
+        if let Some(outcome) = settled {
+            return (outcome, None);
+        }
+        if let Some(base) = store.lookup(digest) {
+            return run_forked(target, store, &base, filters, limits);
+        }
+        match store.prepare(target, digest, limits) {
+            Err(built) => return (run_cold(target, *built, filters, limits), None),
+            Ok(baseline) if filters.0.iter().all(SiteScripts::is_empty) => return (baseline, None),
+            Ok(_) => {}
+        }
+    }
+}
+
 /// Runs a schedule from the campaign's base world, restored into the world
 /// the store's last run retired (a fresh one the first time), tallied at
 /// every fault site ([`PfiControl::Tally`]) for its mutants'
-/// [`Parent::inherits`]. A schedule that installs no filter is the
-/// baseline itself: when the base carries the baseline's run (a later
-/// campaign's baseline, forked from a base its pool kept), it is handed
-/// that run's outcome.
+/// [`Parent::inherits`].
 fn run_forked(
     target: &dyn TestTarget,
     store: &mut SnapshotStore,
@@ -379,12 +382,6 @@ fn run_forked(
     (scripts, compiled): Filters<'_>,
     limits: &RunLimits,
 ) -> (Outcome, Option<Vec<Tally>>) {
-    if let Some(baseline) = &base.baseline {
-        if scripts.iter().all(SiteScripts::is_empty) {
-            store.stats.replayed += 1;
-            return (baseline.outcome(), None);
-        }
-    }
     let mut world = store.retired.take().unwrap_or_else(|| World::new(0));
     world.restore(&base.world);
     install_scripts(&mut world, &base.sites, target.name(), scripts, compiled);
@@ -396,14 +393,14 @@ fn run_forked(
 }
 
 /// Starts tallying the traffic that reaches every fault site's filters.
-fn tally(world: &mut World, sites: &[(NodeId, usize)]) {
+pub(crate) fn tally(world: &mut World, sites: &[(NodeId, usize)]) {
     for &(node, pfi_layer) in sites {
         let _: PfiReply = world.control(node, pfi_layer, PfiControl::Tally);
     }
 }
 
 /// Every fault site's tally, site for site.
-fn take_tallies(world: &mut World, sites: &[(NodeId, usize)]) -> Vec<Tally> {
+pub(crate) fn take_tallies(world: &mut World, sites: &[(NodeId, usize)]) -> Vec<Tally> {
     sites
         .iter()
         .map(
@@ -415,18 +412,12 @@ fn take_tallies(world: &mut World, sites: &[(NodeId, usize)]) -> Vec<Tally> {
         .collect()
 }
 
-/// Builds the target's world and runs a schedule in it. With a store (a
-/// miss under `digest`), the built world is captured as the base first —
-/// and when the schedule installs no filter at all, this run *is* the
-/// fault-free baseline: every fault site tallies the traffic reaching its
-/// filters, and if the run passes or degrades it stays with the base as
-/// the root of the corpus ([`Baseline`]).
-fn run_cold(
-    target: &dyn TestTarget,
-    capture: Option<(&mut SnapshotStore, u64)>,
-    (scripts, compiled): Filters<'_>,
-    limits: &RunLimits,
-) -> Outcome {
+/// A world as [`TestTarget::build`] returns it, with its fault sites.
+pub(crate) type Built = (World, Vec<(NodeId, usize)>);
+
+/// The target's world, built, with every fault site armed with the step
+/// budget and timer life-cycle records traced.
+pub(crate) fn armed(target: &dyn TestTarget, limits: &RunLimits) -> Built {
     let (mut world, sites) = target.build();
     // Timer life-cycle records are a coverage signal; trace them for the
     // driven phase (build-time convergence stays untraced on purpose).
@@ -440,23 +431,19 @@ fn run_cold(
             );
         }
     }
-    // Captured before anything tallies, so no fork ever does.
-    let baseline = capture
-        .and_then(|(store, digest)| store.capture(digest, &sites, &world).then_some(store))
-        .filter(|_| scripts.iter().all(SiteScripts::is_empty));
-    if baseline.is_some() {
-        tally(&mut world, &sites);
-    }
+    (world, sites)
+}
+
+/// The plain reference path: a schedule run in a world just built and
+/// [armed] — install, judge.
+fn run_cold(
+    target: &dyn TestTarget,
+    (mut world, sites): Built,
+    (scripts, compiled): Filters<'_>,
+    limits: &RunLimits,
+) -> Outcome {
     install_scripts(&mut world, &sites, target.name(), scripts, compiled);
-    let outcome = judge(target, &mut world, limits);
-    if let Some(store) = baseline {
-        let (verdict, oracle, coverage) = outcome.clone();
-        let tallies = Some(take_tallies(&mut world, &sites));
-        if let Some(root) = Parent::new(&FaultSchedule::empty(), tallies, verdict, oracle) {
-            store.record_baseline(Baseline { root, coverage });
-        }
-    }
-    outcome
+    judge(target, &mut world, limits)
 }
 
 /// Installs every non-empty script — in the compiled form the install
@@ -505,7 +492,7 @@ fn install_scripts(
 /// crashing schedule leaves no silent hole in the search space. Verdict
 /// priority: `Violated` (even on a truncated or partial trace) beats
 /// `Crashed` beats `Hung` beats the target's own service verdict.
-fn judge(target: &dyn TestTarget, world: &mut World, limits: &RunLimits) -> Outcome {
+pub(crate) fn judge(target: &dyn TestTarget, world: &mut World, limits: &RunLimits) -> Outcome {
     let driven = catch_unwind(AssertUnwindSafe(|| {
         let capped = target.drive(world, limits);
         target.harvest(world);
@@ -1363,18 +1350,17 @@ mod tests {
         let limits = RunLimits::default();
         let schedule = drop_heartbeats();
         let mut store = SnapshotStore::default();
-        // First run misses, captures the base, runs cold.
+        // First run misses: the baseline prepares the base, and the run
+        // forks it.
         let first = run_schedule_snapshotted(&target, &schedule, &limits, Some(&mut store));
-        assert_eq!(store.stats().misses, 1);
-        assert_eq!(store.stats().stored, 1);
-        // Second run (different schedule, same base) forks.
+        let stats = store.stats();
+        assert_eq!((stats.misses, stats.stored, stats.hits), (1, 1, 1));
+        assert!(stats.events_skipped > 0, "the fork skipped the build phase");
+        // Second run (no fault) is the baseline's: handed its outcome, not
+        // forked.
         let second =
             run_schedule_snapshotted(&target, &FaultSchedule::empty(), &limits, Some(&mut store));
-        assert_eq!(store.stats().hits, 1);
-        assert!(
-            store.stats().events_skipped > 0,
-            "the fork skipped the build phase"
-        );
+        assert_eq!((store.stats().hits, store.stats().replayed), (1, 1));
         // Both are byte-identical to their cold counterparts.
         let cold_first = run_schedule_limited(&target, &schedule, &limits);
         let cold_second = run_schedule_limited(&target, &FaultSchedule::empty(), &limits);
@@ -1397,13 +1383,15 @@ mod tests {
         );
     }
 
+    /// Both scramble classes are refused before the store is asked
+    /// anything — an empty one, and one whose base carries the baseline's
+    /// root, which would hand the unparseable fault on (its type is on no
+    /// tally) and has no tally for site 99 to index.
     #[test]
     fn invalid_schedules_never_touch_the_snapshot_store() {
         let target = GmpTarget::default();
         let limits = RunLimits::default();
-        let mut store = SnapshotStore::default();
-        // Both scramble classes: an out-of-topology site and a
-        // parse-breaking message type.
+        // An out-of-topology site and a parse-breaking message type.
         let bad_site = FaultSchedule {
             faults: vec![ScheduledFault {
                 site: 99,
@@ -1422,37 +1410,47 @@ mod tests {
                 },
             }],
         };
-        for bad in [&bad_site, &bad_parse] {
-            let run = run_schedule_snapshotted(&target, bad, &limits, Some(&mut store));
-            assert!(run.verdict.is_invalid(), "{:?}", run.verdict);
-        }
-        // Scrambles also never *come from* the store's perspective: no
-        // lookups, no captures, no stats movement at all.
-        assert!(store.base.is_none());
-        assert_eq!(store.stats(), &crate::snapshot::SnapshotStats::default());
-        // ScheduleMutator's scramble mutants hit the same refusal.
-        let mutator = crate::schedule::ScheduleMutator::new(&ProtocolSpec::gmp(), 3, 3);
-        let mut rng = pfi_sim::SimRng::seed_from(3);
-        let mut scrambles = 0usize;
-        for _ in 0..100 {
-            let child = mutator.mutate(&FaultSchedule::empty(), 4, &mut rng);
-            if crate::validate::schedule_is_installable(&child, target.fault_sites()) {
-                continue;
-            }
-            scrambles += 1;
-            let run = run_schedule_snapshotted(&target, &child, &limits, Some(&mut store));
-            assert!(run.verdict.is_invalid());
-        }
-        assert!(scrambles > 0, "no scramble mutants in 100 draws");
+        let rooted = store_after_baseline(&target, &limits);
+        let root = &rooted
+            .base
+            .as_ref()
+            .unwrap()
+            .baseline
+            .as_ref()
+            .unwrap()
+            .root;
         assert!(
-            store.base.is_none(),
-            "scramble mutants must never enter the store"
+            root.inherits(&bad_parse, limits.fuel()),
+            "inert on the tally"
         );
-        assert_eq!(store.stats(), &crate::snapshot::SnapshotStats::default());
+        let mutator = crate::schedule::ScheduleMutator::new(&ProtocolSpec::gmp(), 3, 3);
+        for mut store in [SnapshotStore::default(), rooted] {
+            let (base, stats) = (store.base.clone(), store.stats().clone());
+            for bad in [&bad_site, &bad_parse] {
+                let run = run_schedule_snapshotted(&target, bad, &limits, Some(&mut store));
+                assert!(run.verdict.is_invalid(), "{:?}", run.verdict);
+            }
+            // ScheduleMutator's scramble mutants hit the same refusal.
+            let mut rng = pfi_sim::SimRng::seed_from(3);
+            let mut scrambles = 0usize;
+            for _ in 0..100 {
+                let child = mutator.mutate(&FaultSchedule::empty(), 4, &mut rng);
+                if crate::validate::schedule_is_installable(&child, target.fault_sites()) {
+                    continue;
+                }
+                scrambles += 1;
+                let run = run_schedule_snapshotted(&target, &child, &limits, Some(&mut store));
+                assert!(run.verdict.is_invalid());
+            }
+            assert!(scrambles > 0, "no scramble mutants in 100 draws");
+            // No lookup, no preparation, no settling: no counter moves.
+            assert_eq!(store.stats(), &stats);
+            assert_eq!(store.base.is_some(), base.is_some());
+        }
     }
 
-    /// A store whose base was captured by a fault-free baseline run of
-    /// `target` under `limits` — what a campaign's candidates fork.
+    /// A store whose base the fault-free baseline of `target` prepared
+    /// under `limits` — what a campaign's candidates fork.
     fn store_after_baseline(target: &dyn TestTarget, limits: &RunLimits) -> SnapshotStore {
         let mut store = SnapshotStore::default();
         run_schedule_snapshotted(target, &FaultSchedule::empty(), limits, Some(&mut store));
@@ -1483,8 +1481,16 @@ mod tests {
             store.base.as_ref().unwrap().baseline.is_some(),
             "a clean baseline leaves its tally with the base"
         );
-        let forked = execute(&target, lowered.clone(), limits, Some(&mut store)).0;
-        let cold = execute(&target, lowered, limits, None).0;
+        let forked = execute(
+            &target,
+            None,
+            lowered.clone(),
+            limits,
+            Some(&mut store),
+            None,
+        )
+        .0;
+        let cold = execute(&target, None, lowered, limits, None, None).0;
         assert_eq!(forked.verdict, cold.verdict, "{send:?} / {recv:?}");
         assert_eq!(forked.oracle, cold.oracle, "{send:?} / {recv:?}");
         assert_eq!(forked.coverage, cold.coverage, "{send:?} / {recv:?}");
@@ -1617,14 +1623,13 @@ mod tests {
             assert_eq!(store.stats().replayed, 0);
             assert_eq!(again.verdict, baseline.verdict);
         }
-        // A base captured by a *faulted* run has no baseline either: what
-        // its sites saw was not fault-free traffic.
-        let mut store = SnapshotStore::default();
-        run_schedule_snapshotted(&gmp, &drop_heartbeats(), &capped, Some(&mut store));
-        assert!(store.base.as_ref().unwrap().baseline.is_none());
-        // And the clean case, for contrast: the same second run is replayed.
+        // And the clean case, for contrast: the same second run is
+        // replayed — after a faulted first run too, since only the
+        // baseline prepares a base.
         let limits = RunLimits::default();
-        let mut store = store_after_baseline(&gmp, &limits);
+        let mut store = SnapshotStore::default();
+        run_schedule_snapshotted(&gmp, &drop_heartbeats(), &limits, Some(&mut store));
+        assert!(store.base.as_ref().unwrap().baseline.is_some());
         run_schedule_snapshotted(&gmp, &FaultSchedule::empty(), &limits, Some(&mut store));
         assert_eq!(store.stats().replayed, 1);
     }
@@ -1644,7 +1649,7 @@ mod tests {
             step_budget: 500,
         };
         let spin = Lowered::check("spin".to_string(), vec![script], target.fault_sites());
-        let run = execute(&target, spin, &limits, None).0;
+        let run = execute(&target, None, spin, &limits, None, None).0;
         let Verdict::Hung(msg) = &run.verdict else {
             panic!(
                 "looping filter script must trip the step-budget watchdog, got {:?}",

@@ -9,17 +9,20 @@
 //! There is exactly one such world per (target, limits), named by
 //! [`base_digest`]; a [`SnapshotStore`] is the slot holding it.
 //!
-//! The run that captures the base is the fault-free baseline, and every
-//! fault site tallies the traffic that reaches it ([`Tally`]). The
-//! baseline is then the root of the campaign's corpus, a [`Parent`] like
-//! every other member that was forked and driven: a schedule whose faults
-//! cannot act on the traffic its parent tallied runs as that parent did,
-//! so it is handed the parent's outcome without being forked at all
-//! (`SnapshotStats::inherited`, or `SnapshotStats::replayed` when the
-//! parent is the baseline, which hands on to every candidate through the
-//! base it forks: [`SnapshotStore::replay`]). And the world a run leaves
-//! behind is kept by the store ([`SnapshotStore::retired`]) for the next
-//! run to restore into, so a fork stops allocating a world and freeing one.
+//! Two steps use the store. Preparing ([`SnapshotStore::prepare`], on a
+//! miss) builds the world, arms it, captures it and drives the fault-free
+//! baseline from it with every fault site tallied ([`Tally`]): the
+//! baseline is the only run that makes a base. When it passes or degrades
+//! it is the root of the corpus, a [`Parent`] like every forked and driven
+//! member. Settling ([`SnapshotStore::settle`], before every lookup) is
+//! the only place a run is handed an earlier run's outcome: a schedule
+//! whose faults cannot act on the traffic its epoch parent tallied runs as
+//! that parent did (`SnapshotStats::inherited`), and one whose faults
+//! cannot act on the baseline's runs as the baseline did
+//! (`SnapshotStats::replayed`); neither is forked. And the world a run
+//! leaves behind is kept by the store ([`SnapshotStore::retired`]) for the
+//! next run to restore into, so a fork stops allocating a world and
+//! freeing one.
 //!
 //! Fork-equivalence is load-bearing: filter installation emits no trace
 //! events and draws no RNG, and preparation never advances virtual time,
@@ -37,7 +40,9 @@ use pfi_sim::fnv::Fnv;
 use pfi_sim::{NodeId, World, WorldSnapshot};
 
 use crate::coverage::Coverage;
-use crate::runner::{Outcome, RunLimits, TestTarget, Verdict};
+use crate::runner::{
+    armed, judge, take_tallies, tally, Built, Outcome, RunLimits, TestTarget, Verdict,
+};
 use crate::schedule::{FaultOp, FaultSchedule, ScheduledFault};
 
 /// The digest identifying `target`'s prepared fault-free base world under
@@ -66,8 +71,7 @@ pub(crate) struct BaseWorld {
     /// The target's fault sites, as built.
     pub(crate) sites: Vec<(NodeId, usize)>,
     pub(crate) world: WorldSnapshot,
-    /// The fault-free baseline, when the capturing run was it and passed
-    /// or degraded.
+    /// The fault-free baseline driven from it, when it passed or degraded.
     pub(crate) baseline: Option<Baseline>,
 }
 
@@ -80,21 +84,9 @@ pub(crate) struct BaseWorld {
 pub(crate) struct Baseline {
     /// What it hands on: no fault, each site's tally, its verdict.
     pub(crate) root: Parent,
-    /// Its coverage, which a run handed its outcome outside a campaign
-    /// reports too.
-    pub(crate) coverage: Coverage,
-}
-
-impl Baseline {
-    /// The baseline's verdict, violated oracle and coverage.
-    pub(crate) fn outcome(&self) -> Outcome {
-        let root = &self.root;
-        (
-            root.verdict.clone(),
-            root.oracle.clone(),
-            self.coverage.clone(),
-        )
-    }
+    /// Its coverage, which a run it settles outside a campaign's
+    /// candidates reports too.
+    coverage: Coverage,
 }
 
 /// A corpus member this campaign drove, as its mutants read it: the faults
@@ -110,8 +102,8 @@ pub(crate) struct Parent {
     tally: Vec<Tally>,
     /// Its verdict and oracle (none). Its coverage is not kept: a child
     /// handed them adds nothing to a union that already holds it.
-    pub(crate) verdict: Verdict,
-    pub(crate) oracle: Option<String>,
+    verdict: Verdict,
+    oracle: Option<String>,
 }
 
 impl Parent {
@@ -288,19 +280,18 @@ pub struct SnapshotStats {
     /// Simulator events forks skipped re-processing, summed over hits.
     pub events_skipped: u64,
     /// Runs that were not forked at all: none of their faults can act on
-    /// the traffic the fault-free baseline tallied, so they were handed
-    /// the baseline's outcome (`SnapshotStore::replay`) — and a later
-    /// campaign's baseline forked from a kept base, which is one hit. A
-    /// pure function of the candidate, like `hits` (and like `hits` it
-    /// counts live executions only — work a resume replays from its
-    /// journal ran nothing).
+    /// the traffic the fault-free baseline tallied, so settling handed
+    /// them the baseline's outcome — a later campaign's baseline on a
+    /// kept base too. A pure function of the candidate, like `hits` (and
+    /// like `hits` it counts live executions only — work a resume replays
+    /// from its journal ran nothing).
     pub replayed: u64,
     /// Mutants that were not forked at all: every fault they add to,
     /// remove from or replace in their epoch parent cannot act on the
-    /// traffic that parent's driven run tallied, so they were handed the
-    /// parent's outcome (`Parent::inherits`). A pure function of the
+    /// traffic that parent's driven run tallied, so settling handed them
+    /// the parent's outcome (`Parent::inherits`). A pure function of the
     /// candidate and its parent, counted, like `replayed`, only for live
-    /// executions, and only when the baseline does not hand them its own.
+    /// executions; settling asks the parent first.
     pub inherited: u64,
 }
 
@@ -330,12 +321,12 @@ impl SnapshotStats {
 const RETIRED_TRACE_RECORDS: usize = 1 << 15;
 
 /// The slot for a campaign's one base world, with its counters. Starts
-/// empty ([`Default`]): the first run through it misses, builds the world
-/// and captures it; every later run of the same target and limits forks.
-/// The campaign master fills one with its baseline run; every executing
-/// candidate gets its own, holding the base it was dispatched with, so
-/// hit/miss statistics are a pure function of the candidate (never of how
-/// candidates landed on workers).
+/// empty ([`Default`]): the first run through it misses and prepares the
+/// base; every later run of the same target and limits is settled or
+/// forks. The campaign master fills one with its baseline run; every
+/// executing candidate gets its own, holding the base it was dispatched
+/// with, so hit/miss statistics are a pure function of the candidate
+/// (never of how candidates landed on workers).
 #[derive(Debug, Default)]
 pub struct SnapshotStore {
     /// The [`base_digest`] of the one target and limits this store serves,
@@ -354,6 +345,11 @@ pub struct SnapshotStore {
     /// the restore overwrites. A campaign worker carries it from one
     /// candidate's store to the next.
     pub(crate) retired: Option<World>,
+    /// Whether the runs through this store are a campaign's candidates,
+    /// merged into a union that holds the baseline's coverage from the
+    /// start: a run the baseline settles then reports none, rather than a
+    /// copy of it for the merge to walk.
+    pub(crate) candidates: bool,
 }
 
 impl SnapshotStore {
@@ -378,28 +374,39 @@ impl SnapshotStore {
         hit.cloned()
     }
 
-    /// Captures `world` — freshly built with fault sites `sites` — as the
-    /// base under `digest`, replacing any other; counts toward
-    /// [`SnapshotStats::stored`]. A world that refuses (a layer that cannot
-    /// clone: native filters, unclonable stubs) leaves the slot as it was
-    /// and answers `false`.
-    pub(crate) fn capture(
+    /// Prepares the base under `digest` on a miss: builds `target`'s
+    /// world, arms it, captures it — replacing any other base, and counting
+    /// toward [`SnapshotStats::stored`] — and drives the fault-free
+    /// baseline from it with every fault site tallied. A baseline that
+    /// passed or degraded stays with the base, the root of every corpus
+    /// forked from it. Answers the baseline's outcome; or, from a world
+    /// that refuses capture (a layer that cannot clone: native filters,
+    /// unclonable stubs), that world as built, for the run to go on cold in
+    /// it, with the slot as it was.
+    pub(crate) fn prepare(
         &mut self,
+        target: &dyn TestTarget,
         digest: u64,
-        sites: &[(NodeId, usize)],
-        world: &World,
-    ) -> bool {
-        let Ok(world) = world.try_snapshot() else {
-            return false;
+        limits: &RunLimits,
+    ) -> Result<Outcome, Box<Built>> {
+        let (mut world, sites) = armed(target, limits);
+        let Ok(snapshot) = world.try_snapshot() else {
+            return Err(Box::new((world, sites)));
         };
         self.stats.stored += 1;
+        // Captured before anything tallies, so no fork ever does.
+        tally(&mut world, &sites);
+        let outcome = judge(target, &mut world, limits);
+        let (verdict, oracle, coverage) = outcome.clone();
+        let tally = Some(take_tallies(&mut world, &sites));
+        let root = Parent::new(&FaultSchedule::empty(), tally, verdict, oracle);
         self.base = Some(Arc::new(BaseWorld {
             digest,
-            sites: sites.to_vec(),
-            world,
-            baseline: None,
+            sites,
+            world: snapshot,
+            baseline: root.map(|root| Baseline { root, coverage }),
         }));
-        true
+        Ok(outcome)
     }
 
     /// Keeps `world`, just run, for the next run to restore into — unless
@@ -412,30 +419,39 @@ impl SnapshotStore {
         self.retired = (world.trace().len() <= RETIRED_TRACE_RECORDS).then_some(world);
     }
 
-    /// Attaches what the run that captured the base went on to do. Only
-    /// that run calls this, while the store still holds the one handle.
-    pub(crate) fn record_baseline(&mut self, baseline: Baseline) {
-        let base = self.base.as_mut().and_then(Arc::get_mut);
-        base.expect("the capturing run holds the base's only handle")
-            .baseline = Some(baseline);
-    }
-
-    /// The baseline of the base held under `digest`, when it
-    /// [hands on](Parent::inherits) its outcome to `schedule` at `fuel`
-    /// steps an evaluation: one replayed run, and nothing forked.
-    pub(crate) fn replay(
+    /// The outcome `schedule` is handed without being forked, when a run
+    /// it repeats [hands it on](Parent::inherits) at `fuel` steps an
+    /// evaluation: its epoch `parent`'s (one inherited), asked first, or
+    /// else the baseline's, the root of the base held under `digest` (one
+    /// replayed). A parent's coverage is not kept, so a run it settles
+    /// reports none; one the baseline settles reports the baseline's,
+    /// unless it is a campaign's [candidate](SnapshotStore::candidates).
+    pub(crate) fn settle(
         &mut self,
         digest: u64,
         schedule: &FaultSchedule,
+        parent: Option<&Parent>,
         fuel: u64,
-    ) -> Option<&Baseline> {
+    ) -> Option<Outcome> {
+        if let Some(parent) = parent.filter(|parent| parent.inherits(schedule, fuel)) {
+            self.stats.inherited += 1;
+            return Some((
+                parent.verdict.clone(),
+                parent.oracle.clone(),
+                Coverage::new(),
+            ));
+        }
         let base = self.base.as_ref().filter(|base| base.digest == digest)?;
-        let baseline = base.baseline.as_ref()?;
-        if !baseline.root.inherits(schedule, fuel) {
+        let Baseline { root, coverage } = base.baseline.as_ref()?;
+        if !root.inherits(schedule, fuel) {
             return None;
         }
         self.stats.replayed += 1;
-        Some(baseline)
+        let coverage = match self.candidates {
+            true => Coverage::new(),
+            false => coverage.clone(),
+        };
+        Some((root.verdict.clone(), root.oracle.clone(), coverage))
     }
 }
 
@@ -491,15 +507,25 @@ mod tests {
         assert_ne!(tcp, base_digest(&solaris, &limits));
     }
 
+    /// A base of an empty world under `digest`, with no baseline.
+    fn bare_base(digest: u64) -> Option<Arc<BaseWorld>> {
+        Some(Arc::new(BaseWorld {
+            digest,
+            sites: Vec::new(),
+            world: World::new(7).try_snapshot().unwrap(),
+            baseline: None,
+        }))
+    }
+
     #[test]
     fn lookup_under_another_digest_is_a_miss() {
         let mut store = SnapshotStore::default();
         assert!(store.lookup(10).is_none(), "an empty slot misses");
-        store.capture(10, &[], &World::new(7));
+        store.base = bare_base(10);
         assert!(store.lookup(10).is_some());
         assert!(store.lookup(99).is_none(), "never a wrong fork");
         let stats = store.stats();
-        assert_eq!((stats.hits, stats.misses, stats.stored), (1, 2, 1));
+        assert_eq!((stats.hits, stats.misses, stats.stored), (1, 2, 0));
         assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
@@ -523,11 +549,8 @@ mod tests {
 
     #[test]
     fn seeding_does_not_count_as_stored() {
-        let mut master = SnapshotStore::default();
-        master.capture(1, &[], &World::new(7));
-        assert!(master.base.is_some());
         let store = SnapshotStore {
-            base: master.base.clone(),
+            base: bare_base(1),
             ..SnapshotStore::default()
         };
         assert_eq!(store.stats().stored, 0);
@@ -1039,14 +1062,16 @@ mod inheritance {
         world.trace().render()
     }
 
-    /// `schedule`'s forked run through `store`, and the parent it makes.
+    /// `schedule`'s run through `store` — forked and driven whatever the
+    /// rule says, as a hand-written filter is — and the parent it makes.
     fn forked(
         target: &dyn TestTarget,
         schedule: &FaultSchedule,
         store: &mut SnapshotStore,
     ) -> (ScheduleRun, Option<Parent>) {
         let lowered = Lowered::check(schedule.id(), schedule.lower(), target.fault_sites());
-        let (run, tally) = execute(target, lowered, &RunLimits::default(), Some(store));
+        let limits = RunLimits::default();
+        let (run, tally) = execute(target, None, lowered, &limits, Some(store), None);
         let parent = Parent::new(schedule, tally, run.verdict.clone(), run.oracle.clone());
         (run, parent)
     }
@@ -1082,8 +1107,6 @@ mod inheritance {
             "the child drops what the parent delivered"
         );
         // Without the corruption, the same added fault is inert.
-        let (_, plain) = forked(&target, &FaultSchedule::empty(), &mut store);
-        assert!(plain.is_none(), "the baseline's replay is no parent");
         let parent_schedule = FaultSchedule::from_id("n0 recv delay-ms A 250").unwrap();
         let child = FaultSchedule::from_id("n0 recv delay-ms A 250 + n0 recv drop-all B").unwrap();
         let (_, parent) = forked(&target, &parent_schedule, &mut store);

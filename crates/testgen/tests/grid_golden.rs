@@ -5,8 +5,12 @@
 //! verdict, the violated oracle (`-` for none), the number of coverage
 //! edges and the FNV-1a hash of the sorted edges joined by newlines. Each
 //! row was recorded from a cold run; here every row runs the way
-//! `pfi-campaign PROTO` runs it, forked from one snapshot store, and must
-//! come out the same.
+//! `pfi-campaign PROTO` runs it, through one snapshot store, and must come
+//! out the same. The first row's miss makes the fault-free baseline
+//! prepare the store's base, and every row whose fault cannot act on the
+//! traffic the baseline tallied is handed the baseline's outcome instead of
+//! being forked: the block's `settled` line pins how many, so each block is
+//! a differential check of that rule against cold runs.
 
 use pfi_sim::fnv::fnv64;
 use pfi_testgen::{bundled, grid, run_schedule_snapshotted, RunLimits, SnapshotStore};
@@ -38,6 +42,7 @@ fn grid_outcomes_match_the_recorded_rows() {
         let block = blocks.next().expect("one golden block per configuration");
         let mut lines = block.lines();
         assert_eq!(lines.next(), Some(label));
+        let settled = lines.next().and_then(|line| line.strip_prefix("settled "));
         let golden: Vec<&str> = lines.collect();
 
         let (spec, target) = bundled(proto, buggy, 60).unwrap();
@@ -58,6 +63,10 @@ fn grid_outcomes_match_the_recorded_rows() {
             assert_eq!(want, got, "{label}: grid row changed");
         }
         assert_eq!(golden.len(), actual.len(), "{label}: grid size changed");
+        let stats = store.stats();
+        assert_eq!((stats.misses, stats.stored), (1, 1), "{label}: one base");
+        let counted = format!("{} of {}", stats.replayed, actual.len());
+        assert_eq!(settled, Some(counted.as_str()), "{label}: rows settled");
     }
     assert!(blocks.next().is_none(), "a golden block nothing checks");
 }

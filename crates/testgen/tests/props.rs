@@ -342,10 +342,12 @@ proptest! {
                 cold.coverage.edges().collect::<Vec<_>>()
             );
         }
+        // The first installable run misses and prepares the base; every
+        // one is then forked or handed the baseline's outcome.
         let stats = store.stats();
-        prop_assert!(stats.misses <= 1, "only the first installable run may miss");
+        prop_assert_eq!(stats.misses, u64::from(installable > 0));
         prop_assert_eq!(
-            stats.hits + stats.misses,
+            stats.hits + stats.replayed,
             installable,
             "uninstallable schedules must never touch the store"
         );
