@@ -27,12 +27,15 @@
 //! `jobs` that lives for one campaign. So there is also one panic policy,
 //! the fleet supervisor's ([`ExploreConfig::max_retries`]).
 //!
-//! Candidates cross the thread boundary as typed [`FaultSchedule`]s with
-//! the scripts admission already lowered them to and the compiled form the
-//! install check parsed — plain `Send` data, no text round-trip, nothing
-//! lowered, install-checked or parsed twice. A candidate that cannot
-//! install is refused there, at admission on the master, and never
-//! reaches a worker.
+//! The master refuses a candidate that cannot install
+//! ([`crate::schedule_is_installable`]), then asks whether an earlier run
+//! settles it ([`SnapshotStore::settle`]): one whose faults cannot act on
+//! the traffic its epoch parent or the baseline tallied is handed that
+//! run's outcome there, and is never lowered, compiled or dispatched. Only
+//! the rest are lowered, once, and cross the thread boundary as typed
+//! [`FaultSchedule`]s with their scripts and the compiled form the install
+//! check parsed — plain `Send` data, no text round-trip, nothing lowered,
+//! install-checked or parsed twice.
 //! With snapshot/fork execution on (the default), the campaign context
 //! each candidate carries holds the captured base world, so workers *fork*
 //! the prepared world instead of replaying `TestTarget::build` per run;
@@ -58,24 +61,26 @@ use crate::journal::{
 };
 use crate::repro::Repro;
 use crate::runner::{
-    execute, run_schedule_snapshotted, Lowered, RunLimits, ScheduleRun, TestTarget, Verdict,
+    execute, run_schedule_snapshotted, Lowered, Outcome, RunLimits, ScheduleRun, TestTarget,
+    Verdict,
 };
 use crate::schedule::{FaultSchedule, ScheduleMutator};
 use crate::shrink::shrink_schedule;
 use crate::snapshot::{base_digest, BaseWorld, Parent, SnapshotStats, SnapshotStore};
 use crate::spec::ProtocolSpec;
+use crate::validate::schedule_is_installable;
 
 /// Exploration parameters.
 ///
-/// Admission is one check: a candidate is lowered, install-checked
-/// against the target, and refused before dispatch if it cannot install
-/// (counted in [`ExploreOutcome::rejected`]). Every admitted candidate
+/// A candidate that cannot install is refused before anything else
+/// (counted in [`ExploreOutcome::rejected`]); every other candidate
 /// executes. The execution-saving equivalences are dynamic, not static:
 /// with [`snapshots`](ExploreConfig::snapshots) on, a mutant whose
 /// changed faults cannot act on the traffic its parent's driven run
 /// tallied is handed the parent's outcome instead of being driven, and a
 /// candidate none of whose faults can act on the traffic the baseline run
-/// tallied is handed the baseline's. Schedule analysis —
+/// tallied is handed the baseline's — both on the master, before the
+/// candidate is lowered or dispatched. Schedule analysis —
 /// canonical forms, statically-inert faults, the semantic quotient — lives
 /// on as lint and dedup keys ([`crate::FlowModel`]), never as a reason to
 /// skip a run: a static rewrite that is wrong changes what a campaign
@@ -277,8 +282,8 @@ pub struct ExploreOutcome {
     /// its parent's ([`SnapshotStats::inherited`]) counts here too, as
     /// does one replayed from a resume journal ([`replayed`](Self::replayed)).
     pub executed: usize,
-    /// How many candidates admission refused as uninstallable — exactly
-    /// the ones the runner would refuse at install time
+    /// How many candidates the install predicate refused on the master —
+    /// exactly the ones the runner would refuse at install time
     /// ([`crate::Verdict::Invalid`]). They never consume a worker and do
     /// not count toward `executed`.
     pub rejected: usize,
@@ -349,19 +354,15 @@ impl ExploreOutcome {
 // Worker-side candidate execution
 // ---------------------------------------------------------------------
 
-/// One candidate past admission ([`Admission::admit`]): lowered and
-/// install-checked once. It is the job a worker receives — which
-/// therefore neither re-lowers nor re-validates the main run.
+/// One candidate that installs and that no earlier run settled, lowered
+/// and install-checked once on the master. It is the job a worker receives
+/// — which therefore neither re-lowers nor re-validates the main run.
 #[derive(Debug, Clone)]
 struct CandidateJob {
     /// The candidate as the mutator produced it.
     schedule: FaultSchedule,
-    /// Its id and lowered scripts; admission refused it unless its
-    /// install errors are empty.
+    /// Its id, lowered scripts and their compiled form.
     lowered: Lowered,
-    /// The corpus member it mutates, when that member can hand its
-    /// outcome on ([`Parent::new`]) — one `Arc` shared by the epoch.
-    parent: Option<Arc<Parent>>,
 }
 
 /// Everything one candidate execution produced. Computed entirely on the
@@ -373,7 +374,8 @@ struct CandidateReport {
     /// The candidate schedule (crosses the fleet boundary typed — no
     /// serialization round-trip).
     schedule: FaultSchedule,
-    /// The run itself.
+    /// The run itself. Its `scripts` are empty when the candidate was
+    /// never lowered: settled on the master, or replayed from a journal.
     run: ScheduleRun,
     /// Shrink results, when the run violated an oracle.
     shrink: Option<ShrinkReport>,
@@ -408,28 +410,22 @@ struct ShrinkReport {
 /// violated an oracle. Shrinking re-runs against the *same* oracle: the
 /// minimal schedule must reproduce this failure, not just any failure.
 ///
-/// With snapshots on, the candidate goes through its own store, holding
-/// the base it was dispatched with: it is settled without forking anything
-/// when its epoch parent [hands on](Parent::inherits) its verdict and
-/// oracle, or else the fault-free baseline, the root of the corpus, does
-/// ([`SnapshotStore::settle`]) — with no coverage, since the campaign's
-/// union already holds the one it would have. Only tallied runs hand on,
-/// so this happens exactly when snapshots are on. Otherwise the main run
-/// forks the campaign's base world instead of rebuilding, and every shrink
-/// re-run is settled or forks it again (shrunk schedules share the same
-/// base). Hits and misses are counted per candidate, from zero. `retired`
-/// is the executing worker's own: the world its last run left behind,
-/// which every run here restores into and the last one leaves there again.
+/// The master already asked its epoch parent and the baseline whether
+/// either settles it ([`SnapshotStore::settle`]), and neither did. With
+/// snapshots on, the candidate goes through its own store, holding the
+/// base it was dispatched with: the main run asks the baseline once more
+/// (a refusal) and forks the campaign's base world instead of rebuilding,
+/// and every shrink re-run is settled by the baseline or forks it again
+/// (shrunk schedules share the same base). Hits and misses are counted per
+/// candidate, from zero. `retired` is the executing worker's own: the
+/// world its last run left behind, which every run here restores into and
+/// the last one leaves there again.
 fn candidate_report(
     ctx: &CampaignContext,
     job: CandidateJob,
     retired: &mut Option<World>,
 ) -> CandidateReport {
-    let CandidateJob {
-        schedule,
-        lowered,
-        parent,
-    } = job;
+    let CandidateJob { schedule, lowered } = job;
     let (target, limits) = (ctx.target.as_ref(), &ctx.limits);
     let mut local = ctx.snapshots.then(|| SnapshotStore {
         key: Some(ctx.key),
@@ -438,15 +434,7 @@ fn candidate_report(
         candidates: true,
         ..SnapshotStore::default()
     });
-    let parent = parent.as_deref();
-    let (run, tally) = execute(
-        target,
-        Some(&schedule),
-        lowered,
-        limits,
-        local.as_mut(),
-        parent,
-    );
+    let (run, tally) = execute(target, Some(&schedule), lowered, limits, local.as_mut());
     let shrink = match &run.verdict {
         Verdict::Violated(_) => {
             let oracle = run.oracle.clone().unwrap_or_else(|| "target".to_string());
@@ -482,33 +470,48 @@ fn candidate_report(
     }
 }
 
+/// The report of candidate `id` that was not driven: an outcome the
+/// master already knows, with the schedule it belongs to — no shrink, no
+/// snapshot counters, nothing tallied.
+fn known_report(
+    world_seed: u64,
+    id: String,
+    schedule: FaultSchedule,
+    (verdict, oracle, coverage): Outcome,
+) -> CandidateReport {
+    CandidateReport {
+        schedule,
+        run: ScheduleRun {
+            schedule_id: id,
+            seed: world_seed,
+            scripts: Vec::new(),
+            verdict,
+            oracle,
+            coverage,
+        },
+        shrink: None,
+        worker: 0,
+        snapshots: SnapshotStats::default(),
+        tally: None,
+    }
+}
+
 /// Rebuilds a candidate report from a journaled case — the no-execution
 /// path resume takes for work the interrupted run already finished.
-fn replayed_report(world_seed: u64, case: JournalCase, job: CandidateJob) -> CandidateReport {
-    let run = ScheduleRun {
-        schedule_id: job.lowered.id,
-        seed: world_seed,
-        scripts: job.lowered.scripts,
-        verdict: case.verdict,
-        oracle: case.oracle.clone(),
-        coverage: Coverage::from_edges(case.coverage),
-    };
-    let shrink = case.shrink.map(|s| ShrinkReport {
+fn replayed_report(world_seed: u64, id: String, case: JournalCase) -> CandidateReport {
+    let outcome = (
+        case.verdict,
+        case.oracle.clone(),
+        Coverage::from_edges(case.coverage),
+    );
+    let mut report = known_report(world_seed, id, case.schedule, outcome);
+    report.shrink = case.shrink.map(|s| ShrinkReport {
         oracle: case.oracle.unwrap_or_else(|| "target".to_string()),
         shrunk: s.shrunk,
         runs: s.runs,
         message: s.message,
     });
-    CandidateReport {
-        schedule: case.schedule,
-        run,
-        shrink,
-        worker: 0,
-        // Replayed work performed no runs at all — no forks to count,
-        // nothing tallied.
-        snapshots: SnapshotStats::default(),
-        tally: None,
-    }
+    report
 }
 
 // ---------------------------------------------------------------------
@@ -626,34 +629,6 @@ impl CampaignFleet {
 // The search loop
 // ---------------------------------------------------------------------
 
-/// Admission: the install check, and the count of what it refused.
-struct Admission {
-    /// The target's fault-site count (the install predicate's bound).
-    sites: u32,
-    rejected: usize,
-}
-
-impl Admission {
-    /// One pass over one candidate: lower once, install-check once. An
-    /// uninstallable candidate is refused here (`None`, counted in
-    /// `rejected`) instead of reaching a worker, where the runner would
-    /// refuse it with empty coverage. This happens *after* generation —
-    /// the RNG and the `seen` set have already advanced — so refusing
-    /// changes which runs execute, never what the campaign finds.
-    fn admit(&mut self, id: String, schedule: FaultSchedule) -> Option<CandidateJob> {
-        let lowered = Lowered::check(id, schedule.lower(), self.sites);
-        if !lowered.install_errors.is_empty() {
-            self.rejected += 1;
-            return None;
-        }
-        Some(CandidateJob {
-            schedule,
-            lowered,
-            parent: None,
-        })
-    }
-}
-
 /// Merges a run's coverage into the campaign's union; returns the edges it
 /// added, in text order — what its journal record lists.
 fn merge_coverage(union: &mut Coverage, run: &Coverage) -> Vec<String> {
@@ -759,36 +734,31 @@ fn explore_with(
     let mut hung = 0usize;
     let mut quarantined: Vec<JournalQuarantine> = Vec::new();
 
-    let mut admission = Admission {
-        sites: master.fault_sites(),
-        rejected: 0,
-    };
+    let sites = master.fault_sites();
+    let mut rejected = 0usize;
 
-    // The baseline is the zeroth admitted candidate.
+    // The baseline is the zeroth candidate.
     let empty = FaultSchedule::empty();
-    let baseline = admission
-        .admit(empty.id(), empty)
-        .expect("the fault-free baseline installs");
+    let empty_id = empty.id();
     if let Some(w) = writer.as_mut() {
-        w.dispatch(&baseline.lowered.id)
+        w.dispatch(&empty_id)
             .unwrap_or_else(|e| panic!("cannot append to campaign journal: {e}"));
     }
     // With snapshots on and no base yet, the baseline's run prepares the
     // base every live candidate forks, so it runs even when the journal
     // recorded its case — which is then what merges.
-    let recorded = replay.remove(&baseline.lowered.id);
+    let recorded = replay.remove(&empty_id);
     let unprepared = master_store.as_ref().is_some_and(|s| s.base.is_none());
-    let run = (recorded.is_none() || unprepared).then(|| {
-        run_schedule_snapshotted(master, &baseline.schedule, &limits, master_store.as_mut())
-    });
+    let run = (recorded.is_none() || unprepared)
+        .then(|| run_schedule_snapshotted(master, &empty, &limits, master_store.as_mut()));
     let base_report = match recorded {
         Some(case) => {
             replayed += 1;
-            replayed_report(master.seed(), case, baseline)
+            replayed_report(master.seed(), empty_id, case)
         }
         None => CandidateReport {
             run: run.expect("a baseline the journal did not record runs"),
-            schedule: baseline.schedule,
+            schedule: empty,
             shrink: None,
             worker: 0,
             snapshots: SnapshotStats::default(),
@@ -812,6 +782,14 @@ fn explore_with(
     if let Some(base) = &base {
         *kept = Some((Arc::clone(&target), limits, Arc::clone(base)));
     }
+    // The master's settle step, against the same base: what it hands on is
+    // merged into a union that already holds the baseline's coverage.
+    let mut settler = config.snapshots.then(|| SnapshotStore {
+        key: Some(key),
+        base: base.clone(),
+        candidates: true,
+        ..SnapshotStore::default()
+    });
     let ctx = Arc::new(CampaignContext {
         target: Arc::clone(&target),
         limits,
@@ -821,9 +799,9 @@ fn explore_with(
     });
     let mut corpus = vec![base_report.schedule];
     // Index for index with `corpus`: what each member hands its mutants.
-    // The baseline hands on to every candidate through the base it forks
+    // The baseline hands on to every candidate through the base
     // (`SnapshotStore::settle`), so its mutants have no other parent.
-    let mut parents: Vec<Option<Arc<Parent>>> = vec![None];
+    let mut parents: Vec<Option<Parent>> = vec![None];
     let mut executed = 1usize;
     // The `dispatch` and `case` records so far, for `config.progress`.
     let (mut dispatched, mut cases) = (1usize, 1usize);
@@ -843,7 +821,8 @@ fn explore_with(
     while seeds_pending || attempted < config.budget {
         // Each candidate with its id, rendered once.
         let mut batch: Vec<(String, FaultSchedule)> = Vec::new();
-        let mut parent = None;
+        // The corpus index the epoch mutates; the seed batch has none.
+        let mut mutated = None;
         if seeds_pending {
             // The seed corpus is the zeroth batch: schedules carried over
             // from earlier campaigns run through the ordinary dispatch
@@ -867,7 +846,7 @@ fn explore_with(
             // sequential explorer's RNG stream exactly: one parent draw per
             // attempt.
             let pick = rng.uniform_u64(0, corpus.len() as u64) as usize;
-            parent = parents[pick].clone();
+            mutated = Some(pick);
             let mut batch_attempts = 0usize;
             while attempted < config.budget && batch_attempts < config.epoch {
                 batch_attempts += 1;
@@ -879,45 +858,55 @@ fn explore_with(
                 }
             }
         }
-        let batch: Vec<CandidateJob> = batch
-            .into_iter()
-            .filter_map(|(id, candidate)| admission.admit(id, candidate))
-            .map(|job| CandidateJob {
-                parent: parent.clone(),
-                ..job
-            })
-            .collect();
+        // A candidate that cannot install is refused before anything else
+        // reads it: the runner would refuse it with empty coverage, and the
+        // settle step must not see it (an unparseable type is inert on every
+        // tally, and a site past the target's count has no tally). This
+        // happens *after* generation — the RNG and the `seen` set have
+        // already advanced — so refusing changes which runs execute, never
+        // what the campaign finds.
+        let before = batch.len();
+        batch.retain(|(_, candidate)| schedule_is_installable(candidate, sites));
+        rejected += before - batch.len();
         if batch.is_empty() {
             continue;
         }
 
         // Journal the epoch's dispatch intent before any of it executes —
-        // replayed candidates included, so a resumed run's journal stays
-        // byte-identical to an uninterrupted run's.
+        // replayed and settled candidates included, so a resumed run's
+        // journal stays byte-identical to an uninterrupted run's.
         if let Some(w) = writer.as_mut() {
-            for candidate in &batch {
-                w.dispatch(&candidate.lowered.id)
+            for (id, _) in &batch {
+                w.dispatch(id)
                     .unwrap_or_else(|e| panic!("cannot append to campaign journal: {e}"));
             }
         }
         dispatched += batch.len();
         publish(dispatched, cases, coverage.len());
 
-        // Split candidates the resume journal already settled from the
-        // ones that must actually execute.
+        // Candidates whose outcome is already known — recorded by the
+        // resume journal, or handed on by the epoch parent or the baseline
+        // — merge as they are; only the rest are lowered and dispatched.
+        let parent = mutated.and_then(|pick| parents[pick].as_ref());
         let mut results: Vec<EpochResult> = Vec::new();
         let mut dispatch: Vec<FleetJob> = Vec::new();
-        for job in batch {
-            match replay.remove(&job.lowered.id) {
-                Some(case) => {
-                    replayed += 1;
-                    results.push(Ok(replayed_report(master.seed(), case, job)));
-                }
-                None => {
-                    let ctx = Arc::clone(&ctx);
-                    dispatch.push(FleetJob { job, ctx });
-                }
+        for (id, schedule) in batch {
+            if let Some(case) = replay.remove(&id) {
+                replayed += 1;
+                results.push(Ok(replayed_report(master.seed(), id, case)));
+                continue;
             }
+            let settled = settler
+                .as_mut()
+                .and_then(|s| s.settle(key, &schedule, parent, limits.fuel()));
+            if let Some(outcome) = settled {
+                results.push(Ok(known_report(master.seed(), id, schedule, outcome)));
+                continue;
+            }
+            let lowered = Lowered::check(id, schedule.lower(), sites);
+            let job = CandidateJob { schedule, lowered };
+            let ctx = Arc::clone(&ctx);
+            dispatch.push(FleetJob { job, ctx });
         }
         // `run_epoch_checked` returns items in dispatch order (an empty
         // epoch is a no-op), so zipping recovers a quarantined job's
@@ -974,13 +963,12 @@ fn explore_with(
             if !added.is_empty() {
                 corpus.push(report.schedule.clone());
                 let run = &report.run;
-                let parent = Parent::new(
+                parents.push(Parent::new(
                     &report.schedule,
                     report.tally.take(),
                     run.verdict.clone(),
                     run.oracle.clone(),
-                );
-                parents.push(parent.map(Arc::new));
+                ));
                 fleet.note_novel(report.worker);
             }
             let Some(shrink) = report.shrink.clone() else {
@@ -1048,7 +1036,7 @@ fn explore_with(
         // read the final accounting without replaying the campaign.
         w.counters(&JournalCounters {
             executed,
-            rejected: admission.rejected,
+            rejected,
             replayed,
             crashed,
             hung,
@@ -1058,7 +1046,7 @@ fn explore_with(
             .unwrap_or_else(|e| panic!("cannot append to campaign journal: {e}"));
     }
 
-    if let Some(store) = &master_store {
+    for store in [&master_store, &settler].into_iter().flatten() {
         snap_stats.merge(store.stats());
     }
 
@@ -1067,7 +1055,7 @@ fn explore_with(
         coverage,
         failures,
         executed,
-        rejected: admission.rejected,
+        rejected,
         replayed,
         crashed,
         hung,

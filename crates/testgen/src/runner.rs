@@ -21,7 +21,7 @@ use crate::oracle::{
     TcpNoSilentCloseOracle, TcpPrefixOracle, TcpRtoBoundsOracle, TpcAtomicityOracle,
 };
 use crate::schedule::{FaultSchedule, SiteScripts};
-use crate::snapshot::{base_digest, BaseWorld, Parent, SnapshotStore};
+use crate::snapshot::{base_digest, BaseWorld, SnapshotStore};
 use crate::spec::ProtocolSpec;
 use crate::validate::{check_install, CompiledSite};
 
@@ -240,13 +240,15 @@ pub fn run_schedule_snapshotted(
     store: Option<&mut SnapshotStore>,
 ) -> ScheduleRun {
     let lowered = Lowered::check(schedule.id(), schedule.lower(), target.fault_sites());
-    execute(target, Some(schedule), lowered, limits, store, None).0
+    execute(target, Some(schedule), lowered, limits, store).0
 }
 
 /// A schedule lowered and install-checked once — what [`execute`] runs.
-/// The explorer's admission builds one per candidate and carries it to the
-/// worker, so no candidate is lowered twice and no filter parsed twice:
-/// the scripts the install check compiled are the ones installed.
+/// The explorer builds one, on the master, only for a candidate that
+/// passed the install predicate and that no earlier run settled, and
+/// carries it to the worker, so no candidate is lowered twice and no
+/// filter parsed twice: the scripts the install check compiled are the
+/// ones installed.
 #[derive(Debug, Clone)]
 pub(crate) struct Lowered {
     /// The schedule's stable id.
@@ -292,7 +294,9 @@ pub(crate) type Outcome = (Verdict, Option<String>, Coverage);
 /// With a store, the run is [settled](SnapshotStore::settle) first when
 /// `schedule` — the typed faults the scripts were lowered from; none for a
 /// hand-written filter, which is always driven — cannot act on the traffic
-/// its epoch `parent` or the baseline tallied. Otherwise the store decides
+/// the baseline tallied. (A campaign's master asks the candidate's epoch
+/// parent and the baseline before it lowers anything, so a candidate's
+/// main run only gets here when both refused.) Otherwise the store decides
 /// fork-vs-cold: a hit restores the base world ([`run_forked`]); a miss
 /// [prepares](SnapshotStore::prepare) it by driving the baseline — the run
 /// itself, when it installs no filter — and goes on as a hit would (a
@@ -309,7 +313,6 @@ pub(crate) fn execute(
     lowered: Lowered,
     limits: &RunLimits,
     store: Option<&mut SnapshotStore>,
-    parent: Option<&Parent>,
 ) -> (ScheduleRun, Option<Vec<Tally>>) {
     let Lowered {
         id,
@@ -323,7 +326,7 @@ pub(crate) fn execute(
     } else {
         let filters = (&scripts[..], &compiled[..]);
         match store {
-            Some(store) => settle_or_fork(target, schedule, parent, store, filters, limits),
+            Some(store) => settle_or_fork(target, schedule, store, filters, limits),
             None => (
                 run_cold(target, armed(target, limits), filters, limits),
                 None,
@@ -349,14 +352,13 @@ type Filters<'a> = (&'a [SiteScripts], &'a [CompiledSite]);
 fn settle_or_fork(
     target: &dyn TestTarget,
     schedule: Option<&FaultSchedule>,
-    parent: Option<&Parent>,
     store: &mut SnapshotStore,
     filters: Filters<'_>,
     limits: &RunLimits,
 ) -> (Outcome, Option<Vec<Tally>>) {
     let digest = store.key.unwrap_or_else(|| base_digest(target, limits));
     loop {
-        let settled = schedule.and_then(|s| store.settle(digest, s, parent, limits.fuel()));
+        let settled = schedule.and_then(|s| store.settle(digest, s, None, limits.fuel()));
         if let Some(outcome) = settled {
             return (outcome, None);
         }
@@ -374,7 +376,7 @@ fn settle_or_fork(
 /// Runs a schedule from the campaign's base world, restored into the world
 /// the store's last run retired (a fresh one the first time), tallied at
 /// every fault site ([`PfiControl::Tally`]) for its mutants'
-/// [`Parent::inherits`].
+/// `Parent::inherits`.
 fn run_forked(
     target: &dyn TestTarget,
     store: &mut SnapshotStore,
@@ -1449,6 +1451,44 @@ mod tests {
         }
     }
 
+    /// In a campaign the install predicate refuses a candidate before the
+    /// master asks whether an earlier run settles it: seeded with the same
+    /// two scrambles, a campaign counts them `rejected` and hands neither
+    /// an outcome — the root would replay the unparseable one, and has no
+    /// tally for site 99 — and its mutator's own scrambles (`H}EARTBEAT`
+    /// among them) likewise.
+    #[test]
+    fn a_campaign_rejects_invalid_candidates_before_settling_them() {
+        let target = GmpTarget {
+            fault_secs: 5,
+            ..GmpTarget::default()
+        };
+        let spec = ProtocolSpec::gmp();
+        let config = crate::ExploreConfig {
+            seed: 42,
+            budget: 96,
+            epoch: 8,
+            ..crate::ExploreConfig::default()
+        };
+        let plain = crate::explore(&target, &spec, &config);
+        let seeded = crate::explore(
+            &target,
+            &spec,
+            &crate::ExploreConfig {
+                seed_corpus: ["n99 send drop-all HEARTBEAT", "n1 send drop-all H}EARTBEAT"]
+                    .map(|id| FaultSchedule::from_id(id).unwrap())
+                    .to_vec(),
+                ..config
+            },
+        );
+        assert!(plain.rejected > 0, "no scramble drawn");
+        assert!(plain.snapshots.replayed > 0, "nothing settled");
+        assert_eq!(seeded.rejected, plain.rejected + 2);
+        assert_eq!(seeded.snapshots, plain.snapshots);
+        assert_eq!(seeded.executed, plain.executed);
+        assert_eq!(seeded.digest(), plain.digest());
+    }
+
     /// A store whose base the fault-free baseline of `target` prepared
     /// under `limits` — what a campaign's candidates fork.
     fn store_after_baseline(target: &dyn TestTarget, limits: &RunLimits) -> SnapshotStore {
@@ -1481,16 +1521,8 @@ mod tests {
             store.base.as_ref().unwrap().baseline.is_some(),
             "a clean baseline leaves its tally with the base"
         );
-        let forked = execute(
-            &target,
-            None,
-            lowered.clone(),
-            limits,
-            Some(&mut store),
-            None,
-        )
-        .0;
-        let cold = execute(&target, None, lowered, limits, None, None).0;
+        let forked = execute(&target, None, lowered.clone(), limits, Some(&mut store)).0;
+        let cold = execute(&target, None, lowered, limits, None).0;
         assert_eq!(forked.verdict, cold.verdict, "{send:?} / {recv:?}");
         assert_eq!(forked.oracle, cold.oracle, "{send:?} / {recv:?}");
         assert_eq!(forked.coverage, cold.coverage, "{send:?} / {recv:?}");
@@ -1649,7 +1681,7 @@ mod tests {
             step_budget: 500,
         };
         let spin = Lowered::check("spin".to_string(), vec![script], target.fault_sites());
-        let run = execute(&target, None, spin, &limits, None, None).0;
+        let run = execute(&target, None, spin, &limits, None).0;
         let Verdict::Hung(msg) = &run.verdict else {
             panic!(
                 "looping filter script must trip the step-budget watchdog, got {:?}",

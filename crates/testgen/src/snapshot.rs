@@ -14,15 +14,15 @@
 //! baseline from it with every fault site tallied ([`Tally`]): the
 //! baseline is the only run that makes a base. When it passes or degrades
 //! it is the root of the corpus, a [`Parent`] like every forked and driven
-//! member. Settling ([`SnapshotStore::settle`], before every lookup) is
-//! the only place a run is handed an earlier run's outcome: a schedule
-//! whose faults cannot act on the traffic its epoch parent tallied runs as
-//! that parent did (`SnapshotStats::inherited`), and one whose faults
-//! cannot act on the baseline's runs as the baseline did
-//! (`SnapshotStats::replayed`); neither is forked. And the world a run
-//! leaves behind is kept by the store ([`SnapshotStore::retired`]) for the
-//! next run to restore into, so a fork stops allocating a world and
-//! freeing one.
+//! member. Settling ([`SnapshotStore::settle`]) is the only place a run is
+//! handed an earlier run's outcome: a schedule whose faults cannot act on
+//! the traffic its epoch parent tallied runs as that parent did
+//! (`SnapshotStats::inherited`), and one whose faults cannot act on the
+//! baseline's runs as the baseline did (`SnapshotStats::replayed`);
+//! neither is forked, and a campaign's master asks before it lowers a
+//! candidate. And the world a run leaves behind is kept by the store
+//! ([`SnapshotStore::retired`]) for the next run to restore into, so a
+//! fork stops allocating a world and freeing one.
 //!
 //! Fork-equivalence is load-bearing: filter installation emits no trace
 //! events and draws no RNG, and preparation never advances virtual time,
@@ -426,6 +426,11 @@ impl SnapshotStore {
     /// replayed). A parent's coverage is not kept, so a run it settles
     /// reports none; one the baseline settles reports the baseline's,
     /// unless it is a campaign's [candidate](SnapshotStore::candidates).
+    /// `schedule` must install ([`crate::schedule_is_installable`]): an
+    /// unparseable type is inert on every tally, and a missing site has
+    /// none. A campaign's master asks with the epoch parent before it
+    /// lowers a candidate; every other run asks without one, before
+    /// [`lookup`](SnapshotStore::lookup).
     pub(crate) fn settle(
         &mut self,
         digest: u64,
@@ -1071,7 +1076,7 @@ mod inheritance {
     ) -> (ScheduleRun, Option<Parent>) {
         let lowered = Lowered::check(schedule.id(), schedule.lower(), target.fault_sites());
         let limits = RunLimits::default();
-        let (run, tally) = execute(target, None, lowered, &limits, Some(store), None);
+        let (run, tally) = execute(target, None, lowered, &limits, Some(store));
         let parent = Parent::new(schedule, tally, run.verdict.clone(), run.oracle.clone());
         (run, parent)
     }

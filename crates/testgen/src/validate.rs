@@ -8,6 +8,13 @@
 //!   installed, so campaign admission refuses it **without changing any
 //!   run that would have happened** — the runner refuses exactly the same
 //!   schedules at execution time ([`Verdict::Invalid`](crate::Verdict)).
+//!   [`schedule_is_installable`] answers it without parsing for the
+//!   schedules a campaign draws: a fault on a site the target lacks
+//!   refuses the schedule, and message types made only of
+//!   `[A-Za-z0-9_-]` always lower to filters that parse, so only another
+//!   type takes the full parse. That lets the campaign master refuse a
+//!   candidate before it asks whether an earlier run settles it, and
+//!   lower only what is left.
 //! * [`validate_schedule`] — everything else worth telling a human:
 //!   faults the target's flow model proves inert (message types outside
 //!   the protocol spec, destinations outside the topology or another
@@ -100,9 +107,27 @@ pub fn install_errors(schedule: &FaultSchedule, sites: u32) -> Vec<String> {
 }
 
 /// Whether the schedule can be installed on a target with `sites` fault
-/// sites. Campaign admission refuses on exactly this predicate.
+/// sites: exactly when [`install_errors`] is empty. A campaign refuses a
+/// candidate on this predicate before anything else looks at it. A fault
+/// on a site the target lacks refuses it outright; only a schedule whose
+/// message types are not all made of `[A-Za-z0-9_-]` is lowered and
+/// parsed.
 pub fn schedule_is_installable(schedule: &FaultSchedule, sites: u32) -> bool {
-    install_errors(schedule, sites).is_empty()
+    schedule.faults.iter().all(|f| f.site < sites)
+        && (plain_types(schedule) || install_errors(schedule, sites).is_empty())
+}
+
+/// Whether every fault's message type is made only of `[A-Za-z0-9_-]`.
+/// Such a schedule's filters parse: its types sit inside the lowered
+/// guards' quoted literals, where they close no brace, quote or command
+/// substitution, and every other token of a lowered filter is a number or
+/// a fixed word. `false` says nothing.
+fn plain_types(schedule: &FaultSchedule) -> bool {
+    let plain = |b: u8| b.is_ascii_alphanumeric() || b == b'_' || b == b'-';
+    schedule
+        .faults
+        .iter()
+        .all(|f| f.op.msg_type().bytes().all(plain))
 }
 
 /// Full static validation against `target`: install errors, inert-fault
@@ -235,6 +260,110 @@ mod tests {
         let errs = install_errors(&s, 3);
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert!(errs[0].contains("does not parse"), "{errs:?}");
+    }
+
+    /// The predicate is `install_errors` on every schedule the mutator
+    /// draws, scrambles included, on each bundled spec — single faults and
+    /// schedules grown over many generations — and a schedule of plain
+    /// types installs exactly when its sites exist, without a parse.
+    #[test]
+    fn the_install_predicate_is_exact_on_mutator_output() {
+        use crate::schedule::ScheduleMutator;
+        use pfi_sim::SimRng;
+        let sites = 3;
+        for spec in [
+            ProtocolSpec::gmp(),
+            ProtocolSpec::tcp(),
+            ProtocolSpec::two_phase_commit(),
+        ] {
+            let mutator = ScheduleMutator::new(&spec, 3, sites);
+            let (mut unparsed, mut refused, mut drawn) = (0usize, 0usize, 0usize);
+            for seed in 0..40 {
+                let mut rng = SimRng::seed_from(seed);
+                let mut pool = vec![FaultSchedule::empty()];
+                for _ in 0..100 {
+                    let parent = &pool[rng.uniform_u64(0, pool.len() as u64) as usize];
+                    let child = mutator.mutate(parent, 4, &mut rng);
+                    let installs = install_errors(&child, sites).is_empty();
+                    assert_eq!(
+                        schedule_is_installable(&child, sites),
+                        installs,
+                        "{}",
+                        child.id()
+                    );
+                    if plain_types(&child) {
+                        let in_range = child.faults.iter().all(|f| f.site < sites);
+                        assert_eq!(installs, in_range, "{}", child.id());
+                        unparsed += 1;
+                    }
+                    refused += usize::from(!installs);
+                    drawn += 1;
+                    pool.push(child);
+                }
+            }
+            assert!(refused > 0, "{}: no scramble in {drawn} draws", spec.name);
+            assert!(
+                unparsed * 2 > drawn,
+                "{}: only {unparsed} of {drawn} draws took the parse-free path",
+                spec.name
+            );
+        }
+    }
+
+    /// Hand-written message types around the plain alphabet, on every
+    /// fault kind and direction, on existing sites and past the last: the
+    /// predicate still answers exactly what the install check does.
+    #[test]
+    fn the_install_predicate_is_exact_on_awkward_types() {
+        use crate::schedule::ScheduleMutator;
+        use pfi_sim::SimRng;
+        let types = [
+            "A{",
+            "A}B",
+            "A\"B",
+            "A\\",
+            "A[x]",
+            "A$x",
+            "A;B",
+            "A B",
+            "A\u{e9}",
+            "",
+            "-",
+            "_",
+            "0",
+            "a-b_C9",
+            "HEARTBEAT",
+        ];
+        let mutator = ScheduleMutator::new(&ProtocolSpec::gmp(), 3, 3);
+        let mut rng = SimRng::seed_from(11);
+        let (mut installs, mut refused) = (0, 0);
+        for _ in 0..64 {
+            let drawn = mutator.random_fault(&mut rng);
+            for t in types {
+                for site in [0, 2, 3, 99] {
+                    let mut f = drawn.clone();
+                    f.site = site;
+                    *f.op.msg_type_mut() = t.to_string();
+                    let s = FaultSchedule { faults: vec![f] };
+                    let exact = install_errors(&s, 3).is_empty();
+                    assert_eq!(schedule_is_installable(&s, 3), exact, "{:?}", s.faults);
+                    if plain_types(&s) {
+                        assert_eq!(exact, site < 3, "{:?}", s.faults);
+                    }
+                    if exact {
+                        installs += 1;
+                    } else {
+                        refused += 1;
+                    }
+                }
+            }
+        }
+        assert!(installs > 0 && refused > 0, "{installs} / {refused}");
+        // The mutator's own scramble and an out-of-range site are refused.
+        for id in ["n1 send drop-all H}EARTBEAT", "n99 send drop-all HEARTBEAT"] {
+            let s = FaultSchedule::from_id(id).unwrap();
+            assert!(!schedule_is_installable(&s, 3), "{id}");
+        }
     }
 
     #[test]
